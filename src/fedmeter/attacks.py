@@ -40,8 +40,8 @@ class AttackSpec:
     def __post_init__(self):
         if self.family not in ATTACK_FAMILIES:
             raise ValueError(f"unknown attack family {self.family!r}")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.pgd_iters < 1:
             raise ValueError("pgd_iters must be >= 1")
         if self.awgn_variance < 0:

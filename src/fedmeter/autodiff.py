@@ -7,6 +7,15 @@ once, in reverse topological order, accumulating gradients into the leaf
 tensors that requested them.  The tape is single-use: a fresh forward pass
 is required for every gradient evaluation.
 
+Which gradients a node produces is decided when it is recorded.  Each
+primitive reads its inputs' ``requires_grad`` at that moment, saves only the
+arrays the requested gradients read, and its backward rule returns ``None``
+for every input that needs no gradient.  Nodes link to their parent nodes and
+to the leaves that require grad, never to intermediate tensors, so an
+intermediate array is freed after the forward pass unless a backward rule
+saved it.  Flipping ``requires_grad`` between the forward and the backward
+pass is unsupported: the flags at record time win.
+
 Broadcasting is deliberately restricted to two patterns -- scalar with
 tensor, and a trailing-suffix operand (bias/gain application).  Anything
 else must go through an explicit :func:`broadcast_to`.  All data is
@@ -52,16 +61,18 @@ class ShapeError(ValueError):
 
 
 class _Node:
-    """One recorded primitive: its inputs and backward rule.
+    """One recorded primitive: where its input gradients go, and its rule.
 
-    Nodes deliberately hold no reference to their output tensor (the output
-    holds the node), keeping the graph cycle-free so intermediates are freed
-    by reference counting as soon as the backward pass is done with them.
+    ``inputs`` holds, per input, the parent ``_Node`` of an intermediate, the
+    leaf ``Tensor`` when that leaf requires grad, or ``None`` for a constant.
+    Nodes hold no tensors other than such leaves, and no reference to their
+    output (the output holds the node), so the graph is cycle-free and an
+    intermediate's array lives only as long as a backward rule needs it.
     """
 
     __slots__ = ("inputs", "backward_fn", "consumed")
 
-    def __init__(self, inputs: tuple["Tensor", ...],
+    def __init__(self, inputs: tuple["_Node | Tensor | None", ...],
                  backward_fn: Callable[[np.ndarray], tuple]):
         self.inputs = inputs
         self.backward_fn = backward_fn
@@ -159,16 +170,24 @@ def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...],
     out._node = None
     out.requires_grad = _grad_enabled and any(t.requires_grad for t in inputs)
     if out.requires_grad:
-        out._node = _Node(inputs, backward_fn)
+        out._node = _Node(tuple(_grad_target(t) for t in inputs), backward_fn)
     return out
+
+
+def _grad_target(t: Tensor) -> "_Node | Tensor | None":
+    """Where a node sends its input gradient: parent node, leaf, or nowhere."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
 
 
 def backward(loss: Tensor) -> None:
     """Run the reverse pass from a scalar loss.
 
-    Every leaf tensor with ``requires_grad`` accumulates its gradient into
-    ``.grad`` (summed when the leaf feeds the graph more than once).  The
-    tape is consumed; calling backward twice on the same graph raises.
+    Every leaf tensor that had ``requires_grad`` when the ops reading it were
+    recorded accumulates its gradient into ``.grad`` (summed when the leaf
+    feeds the graph more than once).  The tape is consumed; calling backward
+    twice on the same graph raises.
     """
     if loss.data.shape not in ((), (1,)):
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -193,24 +212,24 @@ def backward(loss: Tensor) -> None:
         if node.consumed:
             raise RuntimeError("graph reuses a consumed tape; rerun the forward pass")
         stack.append((node, True))
-        for t in node.inputs:
-            if t._node is not None and id(t._node) not in visited:
-                stack.append((t._node, False))
+        for parent in node.inputs:
+            if type(parent) is _Node and id(parent) not in visited:
+                stack.append((parent, False))
 
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for node in reversed(tape):
         node.consumed = True
         g = grads.pop(id(node), None)
         if g is not None:
-            for t, ig in zip(node.inputs, node.backward_fn(g)):
-                if ig is None or not t.requires_grad:
+            for target, ig in zip(node.inputs, node.backward_fn(g)):
+                if ig is None or target is None:
                     continue
-                if t._node is None:
-                    t.grad = ig.copy() if t.grad is None else t.grad + ig
-                else:
-                    nid = id(t._node)
+                if type(target) is _Node:
+                    nid = id(target)
                     acc = grads.get(nid)
                     grads[nid] = ig if acc is None else acc + ig
+                else:
+                    target.grad = ig.copy() if target.grad is None else target.grad + ig
         # release saved activations as soon as this node is done
         node.inputs = ()
         node.backward_fn = _consumed_fn
@@ -270,9 +289,12 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _elementwise_shapes("add", a, b)
     out = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return _reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)
+        return (_reduce_to(g, sa) if need_a else None,
+                _reduce_to(g, sb) if need_b else None)
 
     return _make(out, (a, b), bw)
 
@@ -280,9 +302,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _elementwise_shapes("subtract", a, b)
     out = a.data - b.data
+    sa, sb = a.data.shape, b.data.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bw(g):
-        return _reduce_to(g, a.data.shape), -_reduce_to(g, b.data.shape)
+        return (_reduce_to(g, sa) if need_a else None,
+                -_reduce_to(g, sb) if need_b else None)
 
     return _make(out, (a, b), bw)
 
@@ -290,10 +315,14 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _elementwise_shapes("multiply", a, b)
     out = a.data * b.data
-    ad, bd = a.data, b.data
+    sa, sb = a.data.shape, b.data.shape
+    # each operand's gradient reads the other operand only
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     def bw(g):
-        return _reduce_to(g * bd, ad.shape), _reduce_to(g * ad, bd.shape)
+        return (None if bd is None else _reduce_to(g * bd, sa),
+                None if ad is None else _reduce_to(g * ad, sb))
 
     return _make(out, (a, b), bw)
 
@@ -301,30 +330,34 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product: 2D@2D, 3D@3D (matching batch), or 3D@2D (shared weights)."""
     sa, sb = a.data.shape, b.data.shape
-    ad, bd = a.data, b.data
+    # each operand's gradient reads the other operand only
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
 
     if len(sa) == 2 and len(sb) == 2 and sa[1] == sb[0]:
-        out = ad @ bd
+        out = a.data @ b.data
 
         def bw(g):
-            return g @ bd.T, ad.T @ g
+            return (None if bd is None else g @ bd.T,
+                    None if ad is None else ad.T @ g)
 
     elif len(sa) == 3 and len(sb) == 3 and sa[0] == sb[0] and sa[2] == sb[1]:
-        out = np.matmul(ad, bd)
+        out = np.matmul(a.data, b.data)
 
         def bw(g):
-            return (np.matmul(g, bd.swapaxes(-1, -2)),
-                    np.matmul(ad.swapaxes(-1, -2), g))
+            return (None if bd is None else np.matmul(g, bd.swapaxes(-1, -2)),
+                    None if ad is None else np.matmul(ad.swapaxes(-1, -2), g))
 
     elif len(sa) == 3 and len(sb) == 2 and sa[2] == sb[0]:
         # flatten the batch so the whole product is one gemm
         batch, rows, inner = sa
-        a2 = ad.reshape(batch * rows, inner)
-        out = (a2 @ bd).reshape(batch, rows, sb[1])
+        out = (a.data.reshape(batch * rows, inner) @ b.data).reshape(batch, rows, sb[1])
+        a2 = None if ad is None else ad.reshape(batch * rows, inner)
 
         def bw(g):
             g2 = g.reshape(batch * rows, sb[1])
-            return (g2 @ bd.T).reshape(sa), a2.T @ g2
+            return (None if bd is None else (g2 @ bd.T).reshape(sa),
+                    None if a2 is None else a2.T @ g2)
 
     else:
         raise ShapeError(f"matmul: shapes {sa} and {sb} do not conform")
@@ -522,7 +555,11 @@ def custom_op(out_data: np.ndarray, inputs: tuple[Tensor, ...],
     """Record a caller-defined primitive with its own backward rule.
 
     ``backward_fn`` receives the output gradient and must return one
-    gradient (or None) per input, each matching that input's shape.
+    gradient (or None) per input, each matching that input's shape.  It
+    should return None for every input whose ``requires_grad`` was False
+    when the op was recorded (such gradients are discarded), and close over
+    only the arrays the remaining gradients read.  Flags are read at record
+    time; flipping them before :func:`backward` is unsupported.
     """
     return _make(np.asarray(out_data, dtype=np.float64), tuple(inputs), backward_fn)
 

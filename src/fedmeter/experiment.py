@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import platform
 from dataclasses import asdict, dataclass, field, replace
@@ -152,6 +153,10 @@ def apply_override(cfg_dict: dict, dotted: str, value: str) -> None:
         node[keys[-1]] = value
 
 
+def _finite_nonnegative(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value) and value >= 0
+
+
 def validate_config(cfg: ExperimentConfig) -> tuple[ExperimentConfig, dict[str, int]]:
     """Check the config, fill derived values, and list every derived seed.
 
@@ -179,6 +184,17 @@ def validate_config(cfg: ExperimentConfig) -> tuple[ExperimentConfig, dict[str, 
             problems.append("data.households must be >= 1")
         if cfg.data.days < 2:
             problems.append("data.days must be >= 2")
+    if cfg.federation.rounds < 1:
+        problems.append(f"federation.rounds must be >= 1, got {cfg.federation.rounds}")
+    if cfg.train.epochs < 1:
+        problems.append(f"train.epochs must be >= 1, got {cfg.train.epochs}")
+    if cfg.train.batch_size < 1:
+        problems.append(f"train.batch_size must be >= 1, got {cfg.train.batch_size}")
+    if not _finite_nonnegative(cfg.attack.epsilon):
+        problems.append(f"attack.epsilon must be finite and >= 0, got {cfg.attack.epsilon}")
+    if not all(_finite_nonnegative(eps) for eps in cfg.epsilon_list):
+        problems.append(f"epsilon_list entries must be finite and >= 0, "
+                        f"got {list(cfg.epsilon_list)}")
     if cfg.federation.malicious_count > cfg.data.households:
         problems.append(f"malicious_count {cfg.federation.malicious_count} exceeds "
                         f"households {cfg.data.households}")

@@ -8,6 +8,7 @@ focal loss and RMSprop with a step learning-rate schedule.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -62,10 +63,17 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
     finite-difference oracle in the test suite.  Gate order inside the fused
     kernels: input, forget, candidate, output.  Returns the final hidden
     state [batch, hidden].
+
+    Like every primitive, it reads ``requires_grad`` when it records: the
+    backward rule returns None for inputs that need no gradient and skips
+    their work.  With frozen weights it forms neither ``d_wx``, ``d_wh`` nor
+    ``d_b`` and does not save the hidden states they read.
     """
     x_np, wx_np, wh_np, b_np = x.data, wx.data, wh.data, b.data
     batch, steps = x_np.shape
     h_size = hidden_size
+    need_x, need_wx = x.requires_grad, wx.requires_grad
+    need_wh, need_b = wh.requires_grad, b.requires_grad
 
     zx = (x_np.reshape(batch * steps, 1) @ wx_np).reshape(batch, steps, 4 * h_size)
     h = np.zeros((batch, h_size))
@@ -81,11 +89,11 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
         c = gf * c_prev + gi * gg
         tc = np.tanh(c)
         h = go * tc
-        saved.append((gi, gf, gg, go, c_prev, tc, h_prev))
+        saved.append((gi, gf, gg, go, c_prev, tc, h_prev if need_wh else None))
 
     def bw(grad_h):
-        d_wh = np.zeros_like(wh_np)
-        d_b = np.zeros_like(b_np)
+        d_wh = np.zeros_like(wh_np) if need_wh else None
+        d_b = np.zeros_like(b_np) if need_b else None
         d_zx = np.empty((batch, steps, 4 * h_size))
         dh = grad_h
         dc = np.zeros((batch, h_size))
@@ -99,14 +107,16 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
                 dc * gi * (1.0 - gg * gg),
                 do * go * (1.0 - go),
             ], axis=1)
-            d_wh += h_prev.T @ dz
-            d_b += dz.sum(axis=0)
+            if need_wh:
+                d_wh += h_prev.T @ dz
+            if need_b:
+                d_b += dz.sum(axis=0)
             d_zx[:, t, :] = dz
             dh = dz @ wh_np.T
             dc = dc * gf
         flat = d_zx.reshape(batch * steps, 4 * h_size)
-        d_wx = x_np.reshape(batch * steps, 1).T @ flat
-        d_x = (flat @ wx_np.T).reshape(batch, steps)
+        d_wx = x_np.reshape(batch * steps, 1).T @ flat if need_wx else None
+        d_x = (flat @ wx_np.T).reshape(batch, steps) if need_x else None
         return d_x, d_wx, d_wh, d_b
 
     return ad.custom_op(h, (x, wx, wh, b), bw)
@@ -425,26 +435,40 @@ def weights_to_bytes(weights: dict[str, np.ndarray]) -> bytes:
 
 
 def weights_from_bytes(blob: bytes) -> dict[str, np.ndarray]:
+    """Decode a checkpoint; a malformed, truncated or padded blob raises ValueError."""
     if blob[:4] != _MAGIC:
         raise ValueError("not a weight checkpoint (bad magic)")
-    version, count = struct.unpack_from("<II", blob, 4)
+    view = memoryview(blob)  # slices without copying
+    offset = 4
+
+    def take(size: int, what: str) -> memoryview:
+        nonlocal offset
+        if offset + size > len(blob):
+            raise ValueError(f"truncated weight checkpoint: {what} needs {size} bytes "
+                             f"at offset {offset}, only {len(blob) - offset} remain")
+        chunk = view[offset:offset + size]
+        offset += size
+        return chunk
+
+    version, count = struct.unpack("<II", take(8, "header"))
     if version != _VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    offset = 12
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", blob, offset)
-        offset += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset).reshape(shape)
-        offset += 8 * size
-        out[name] = arr.astype(np.float64)
+    for i in range(count):
+        (name_len,) = struct.unpack("<H", take(2, f"tensor {i} name length"))
+        try:
+            name = bytes(take(name_len, f"tensor {i} name")).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"corrupt weight checkpoint: tensor {i} name is not UTF-8") from None
+        if name in out:
+            raise ValueError(f"corrupt weight checkpoint: duplicate tensor {name!r}")
+        (ndim,) = struct.unpack("<B", take(1, f"tensor {name!r} rank"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, f"tensor {name!r} shape"))
+        values = take(8 * math.prod(shape), f"tensor {name!r} values")
+        out[name] = np.frombuffer(values, dtype="<f8").reshape(shape).astype(np.float64)
+    if offset != len(blob):
+        raise ValueError(f"corrupt weight checkpoint: {len(blob) - offset} trailing bytes "
+                         f"after the last of {count} tensors")
     return out
 
 

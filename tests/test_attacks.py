@@ -46,6 +46,8 @@ class TestAttackSpec:
         {"pgd_iters": 0},
         {"awgn_variance": -1.0},
         {"flip_fraction": 1.5},
+        {"epsilon": float("nan")},
+        {"epsilon": float("inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

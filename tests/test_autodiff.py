@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from fedmeter import autodiff as ad
 from fedmeter.autodiff import Tensor
+from fedmeter.models import lstm_sequence
 
 from gradcheck import assert_grad_matches
 
@@ -314,3 +317,66 @@ def test_outputs_and_grads_stay_finite(seed):
     assert np.all(np.isfinite(out.data))
     ad.backward(ad.mean(ad.mul(out, out)))
     assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(w.grad))
+
+
+class TestRecordTimeGradients:
+    """Nodes save only what the gradients requested at record time read."""
+
+    @pytest.mark.parametrize("shapes", [((4, 3), (3, 2)), ((2, 4, 3), (3, 2)),
+                                        ((2, 4, 3), (2, 3, 5))],
+                             ids=["2d", "3d@2d", "3d@3d"])
+    def test_frozen_matmul_frees_the_other_operand(self, shapes):
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.normal(size=shapes[0]), requires_grad=True)
+        w = Tensor(rng.normal(size=shapes[1]))
+        h = ad.add(x, x)
+        alive = weakref.ref(h.data)
+        out = ad.matmul(h, w)
+        del h
+        assert alive() is None
+        ad.backward(ad.mean(out))
+        g = np.full(out.shape, 1.0 / out.data.size)
+        np.testing.assert_allclose(x.grad, 2.0 * np.matmul(g, np.swapaxes(w.data, -1, -2)),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("const", [2.5, np.arange(1.0, 4.0)], ids=["scalar", "suffix"])
+    def test_mul_by_constant_frees_the_tracked_operand(self, const):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        h = ad.add(x, x)
+        alive = weakref.ref(h.data)
+        out = ad.mul(h, Tensor(const))
+        del h
+        assert alive() is None
+        ad.backward(ad.mean(out))
+        np.testing.assert_allclose(x.grad, np.broadcast_to(2.0 * const / 6.0, (2, 3)),
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.matmul],
+                             ids=["add", "sub", "mul", "matmul"])
+    @pytest.mark.parametrize("needs", [(True, False), (False, True), (True, True)])
+    def test_rule_returns_none_for_unrequested_inputs(self, op, needs):
+        rng = np.random.default_rng(4)
+        a = Tensor(rng.normal(size=(3, 3)), requires_grad=needs[0])
+        b = Tensor(rng.normal(size=(3, 3)), requires_grad=needs[1])
+        grads = op(a, b)._node.backward_fn(np.ones((3, 3)))
+        assert [g is not None for g in grads] == list(needs)
+
+
+def test_lstm_sequence_input_gradient_with_frozen_weights():
+    rng = np.random.default_rng(13)
+    hidden, batch, steps = 5, 3, 6
+    x_np = rng.normal(size=(batch, steps))
+    weights = [Tensor(rng.normal(size=(1, 4 * hidden)) * 0.5),
+               Tensor(rng.normal(size=(hidden, 4 * hidden)) * 0.3),
+               Tensor(rng.normal(size=(4 * hidden,)) * 0.1)]
+
+    def f(arrs):
+        h = lstm_sequence(Tensor(arrs[0]), *weights, hidden)
+        return float((h.data * h.data).mean())
+
+    x = Tensor(x_np, requires_grad=True)
+    h = lstm_sequence(x, *weights, hidden)
+    assert h._node.backward_fn(np.ones((batch, hidden)))[1:] == (None, None, None)
+    ad.backward(ad.mean(ad.mul(h, h)))
+    assert all(w.grad is None for w in weights)
+    assert_grad_matches(f, [x_np], [x.grad], rng)

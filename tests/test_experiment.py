@@ -84,6 +84,27 @@ class TestConfig:
         assert "clients_per_round" in message
         assert "threshold" in message
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("federation", "rounds", 0),
+        ("train", "epochs", 0),
+        ("train", "epochs", -1),
+        ("train", "batch_size", 0),
+        ("attack", "epsilon", float("nan")),
+        ("attack", "epsilon", float("inf")),
+        ("attack", "epsilon", -0.1),
+    ])
+    def test_out_of_range_value_rejected(self, tmp_path, section, key, value):
+        cfg = tiny_cfg(tmp_path)
+        setattr(getattr(cfg, section), key, value)
+        with pytest.raises(ConfigError, match=rf"{section}\.{key} must be"):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("eps", [float("nan"), -0.5])
+    def test_bad_sweep_epsilon_rejected(self, tmp_path, eps):
+        cfg = tiny_cfg(tmp_path, protocol="sweep_epsilon", epsilon_list=[0.1, eps])
+        with pytest.raises(ConfigError, match="epsilon_list entries"):
+            validate_config(cfg)
+
     def test_attack_protocol_requires_family(self, tmp_path):
         cfg = tiny_cfg(tmp_path, protocol="inference_attack")
         with pytest.raises(ConfigError, match="requires an attack"):

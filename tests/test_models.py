@@ -228,6 +228,38 @@ class TestInputGradient:
         assert all(p.requires_grad for p in model.params.values())
 
 
+class TestSkippedGradientsAreBitExact:
+    """Skipping unrequested gradients leaves the requested ones bit-identical."""
+
+    @pytest.mark.parametrize("name", ["lstm", "transformer"])
+    def test_input_gradient_matches_full_backward(self, name):
+        model = make_model(name, seed=4)
+        x = small_batch(seed=6, n=5)
+        y = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
+        frozen = input_gradient(model, x, y)
+        xt = ad.Tensor(x, requires_grad=True)
+        ad.backward(focal_loss(model.forward(xt), y))
+        assert all(p.grad is not None for p in model.params.values())
+        assert np.array_equal(frozen, xt.grad)
+
+    @pytest.mark.parametrize("name", ["lstm", "transformer"])
+    def test_weight_gradients_do_not_depend_on_input_grad(self, name):
+        model = make_model(name, seed=4)
+        x = small_batch(seed=7, n=5)
+        y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+
+        def weight_grads(x_requires_grad):
+            for p in model.params.values():
+                p.grad = None
+            xt = ad.Tensor(x, requires_grad=x_requires_grad)
+            ad.backward(focal_loss(model.forward(xt), y))
+            assert (xt.grad is not None) == x_requires_grad
+            return {k: p.grad for k, p in model.params.items()}
+
+        plain, with_input = weight_grads(False), weight_grads(True)
+        assert all(np.array_equal(plain[k], with_input[k]) for k in plain)
+
+
 class TestModelGradients:
     """Weight gradients of the full composed forward vs the oracle."""
 
@@ -276,6 +308,27 @@ class TestCheckpoints:
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
             md.weights_from_bytes(b"NOPE" + b"\x00" * 16)
+
+    def test_trailing_bytes_rejected(self, model):
+        blob = md.weights_to_bytes(model.get_weights())
+        with pytest.raises(ValueError, match="checkpoint: 1 trailing bytes"):
+            md.weights_from_bytes(blob + b"\x00")
+
+    def test_every_truncation_rejected(self):
+        blob = md.weights_to_bytes({"a": np.arange(6.0).reshape(2, 3), "b": np.array(1.5)})
+        for cut in range(4, len(blob)):
+            with pytest.raises(ValueError, match="truncated weight checkpoint"):
+                md.weights_from_bytes(blob[:cut])
+
+    def test_duplicate_and_undecodable_names_rejected(self):
+        one = md.weights_to_bytes({"a": np.array(1.0)})
+        body = one[12:]
+        doubled = one[:8] + (2).to_bytes(4, "little") + body + body
+        with pytest.raises(ValueError, match="duplicate tensor 'a'"):
+            md.weights_from_bytes(doubled)
+        bad_name = one[:14] + b"\xff" + one[15:]
+        with pytest.raises(ValueError, match="not UTF-8"):
+            md.weights_from_bytes(bad_name)
 
     def test_same_format_across_architectures(self):
         blob_a = md.weights_to_bytes(LstmClassifier(seed=0).get_weights())
