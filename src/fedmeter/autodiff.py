@@ -24,7 +24,7 @@ float64.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -103,9 +103,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -237,11 +234,6 @@ def backward(loss: Tensor) -> None:
 
 def _consumed_fn(_g):
     raise RuntimeError("backward rule already consumed")
-
-
-def clear_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: synth-data, train, attack-eval, federate, sweep, report.
-Exit codes: 0 success, 2 config error, 3 numeric failure (non-finite loss),
-4 I/O error.  Relative output directories resolve under $FEDMETER_OUTPUT_ROOT
-when it is set.
+Exit codes: 0 success, 2 config error, 3 numeric failure (a non-finite loss
+or activation), 4 I/O error.  Relative output directories resolve under
+$FEDMETER_OUTPUT_ROOT when it is set.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
     except (ConfigError, DataError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericError as exc:
+    except (NumericError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

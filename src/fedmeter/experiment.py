@@ -113,11 +113,17 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
+_SECTIONS = (("data", DataConfig), ("federation", FederationConfig),
+             ("attack", AttackSpec), ("train", TrainConfig))
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     raw = dict(raw)
+    for key in ("name", "output_dir"):
+        if key in raw and not isinstance(raw[key], str):
+            raise ConfigError(f"{key} must be a string, got {raw[key]!r}")
     sections = {}
-    for key, cls in (("data", DataConfig), ("federation", FederationConfig),
-                     ("attack", AttackSpec), ("train", TrainConfig)):
+    for key, cls in _SECTIONS:
         body = dict(raw.pop(key, {}))
         if key == "data" and "r_range" in body:
             body["r_range"] = tuple(body["r_range"])
@@ -142,11 +148,21 @@ def load_config(path) -> ExperimentConfig:
 
 
 def apply_override(cfg_dict: dict, dotted: str, value: str) -> None:
-    """Apply one ``section.key=value`` command-line override in place."""
+    """Apply one ``section.key=value`` command-line override in place.
+
+    A dotted key must start with a config section; anything else raises
+    ConfigError instead of turning a scalar field into a dict.
+    """
     keys = dotted.split(".")
+    sections = [name for name, _ in _SECTIONS]
+    if len(keys) > 1 and keys[0] not in sections:
+        raise ConfigError(f"--set {dotted}: {keys[0]!r} is not a config section "
+                          f"(choose from {', '.join(sections)})")
     node = cfg_dict
     for k in keys[:-1]:
         node = node.setdefault(k, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"--set {dotted}: {k!r} already holds a value, not a section")
     try:
         node[keys[-1]] = json.loads(value)
     except json.JSONDecodeError:

@@ -131,9 +131,10 @@ def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> Roun
     returned = []
     losses = []
     malicious_count = 0
+    # one instance per round; each client overwrites every weight before use
+    model = make_model(model_name, seed=0)
     for idx in selected:
         client = state.clients[idx]
-        model = make_model(model_name, seed=0)
         model.set_weights(weights_from_bytes(wire))
         if client.malicious and client.attack.family != "none":
             malicious_count += 1

@@ -122,6 +122,87 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
     return ad.custom_op(h, (x, wx, wh, b), bw)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a 2-D or 3-D ``x`` as one fused tape primitive.
+
+    A 3-D ``x`` is flattened so the product is one gemm.  The result and the
+    gradients are bit-identical to ``add(matmul(x, w), b)``.  Saved for
+    backward: ``x`` when ``w`` requires grad and ``w`` when ``x`` does;
+    nothing for ``b``.
+    """
+    sx, sw, sb = x.shape, w.shape, b.shape
+    if x.ndim not in (2, 3) or w.ndim != 2 or sx[-1] != sw[0] or sb != sw[1:]:
+        raise ad.ShapeError(f"linear: shapes {sx}, {sw} and {sb} do not conform")
+    x2 = x.data.reshape(-1, sw[0])
+    out = x2 @ w.data
+    out += b.data
+    # each gradient of the product reads the other operand only
+    x_saved = x2 if w.requires_grad else None
+    w_saved = w.data if x.requires_grad else None
+    need_b = b.requires_grad
+
+    def bw(g):
+        g2 = g.reshape(-1, sw[1])
+        return (None if w_saved is None else (g2 @ w_saved.T).reshape(sx),
+                None if x_saved is None else x_saved.T @ g2,
+                ad._reduce_to(g, sb) if need_b else None)
+
+    return ad.custom_op(out.reshape(sx[:-1] + sw[1:]), (x, w, b), bw)
+
+
+def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalise over the last axis, then scale by ``gamma`` and shift by ``beta``.
+
+    ``(t - mean) * (var + 1e-6) ** -0.5 * gamma + beta`` as one fused tape
+    primitive.  The forward runs the numpy expressions of the composed
+    version in the same order, and the backward replays that version's
+    arithmetic step for step, so values and gradients are bit-identical to
+    it.  Saved for backward, when ``t`` requires grad: ``centered`` (the
+    shape of ``t``), ``inv`` and ``var + 1e-6`` (one value per row) and
+    ``gamma``.  ``normed`` (the shape of ``t``) is saved only when ``gamma``
+    requires grad.
+    """
+    x = t.data
+    d = x.shape[-1]
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise ad.ShapeError(f"layer_norm: gamma {gamma.shape} and beta {beta.shape} "
+                            f"must both have shape ({d},)")
+    need_t, need_gamma, need_beta = t.requires_grad, gamma.requires_grad, beta.requires_grad
+    centered = x - x.mean(axis=-1, keepdims=True)
+    ve = (centered * centered).mean(axis=-1, keepdims=True) + 1e-6
+    inv = ve ** -0.5
+    ad._check_finite("layer_norm", inv)
+    normed = centered * inv
+    # scale in place when backward does not read normed
+    out = np.multiply(normed, gamma.data, out=None if need_gamma else normed)
+    out += beta.data
+    gd = gamma.data
+    if not need_t:
+        centered = inv = ve = gd = None
+    if not need_gamma:
+        normed = None
+
+    def bw(g):
+        d_t = None
+        if need_t:
+            # in place, in the composed tape's order: the gradient of normed,
+            # of centered (mul, then both operands of centered * centered;
+            # 2 * d_sq * centered would round differently), then of t
+            d_t = g * gd
+            d_inv = (d_t * centered).sum(axis=-1, keepdims=True)
+            d_sq = d_inv * -0.5 * ve ** -1.5 / d
+            d_t *= inv
+            d_sq_c = d_sq * centered
+            d_t += d_sq_c
+            d_t += d_sq_c
+            d_t += (-d_t).sum(axis=-1, keepdims=True) / d
+        return (d_t,
+                None if normed is None else ad._reduce_to(g * normed, (d,)),
+                ad._reduce_to(g, (d,)) if need_beta else None)
+
+    return ad.custom_op(out, (t, gamma, beta), bw)
+
+
 class LstmClassifier:
     """Sequence-to-one LSTM: 24 scalar steps -> hidden state -> sigmoid unit."""
 
@@ -144,7 +225,7 @@ class LstmClassifier:
         batch = xt.shape[0]
         p = self.params
         h = lstm_sequence(xt, p["lstm.wx"], p["lstm.wh"], p["lstm.b"], self.hidden_size)
-        logits = ad.add(ad.matmul(h, p["head.w"]), p["head.b"])
+        logits = linear(h, p["head.w"], p["head.b"])
         return ad.reshape(ad.sigmoid(logits), (batch,))
 
     def get_weights(self) -> dict[str, np.ndarray]:
@@ -208,14 +289,6 @@ class TransformerClassifier:
         self.pos_encoding = sinusoidal_positions(SEQ_LEN, d_model)
         self.last_attention: list[np.ndarray] = []
 
-    def _layer_norm(self, t: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-        mu = ad.mean(t, axis=-1, keepdims=True)
-        centered = ad.sub(t, ad.broadcast_to(mu, t.shape))
-        var = ad.mean(ad.mul(centered, centered), axis=-1, keepdims=True)
-        inv = ad.power(ad.add(var, Tensor(1e-6)), -0.5)
-        normed = ad.mul(centered, ad.broadcast_to(inv, t.shape))
-        return ad.add(ad.mul(normed, gamma), beta)
-
     def _attention(self, h: Tensor, k: int) -> Tensor:
         p = self.params
         batch = h.shape[0]
@@ -225,16 +298,16 @@ class TransformerClassifier:
             t = ad.reshape(t, (batch, SEQ_LEN, nh, hd))
             return ad.reshape(ad.transpose(t, (0, 2, 1, 3)), (batch * nh, SEQ_LEN, hd))
 
-        q = heads(ad.add(ad.matmul(h, p[f"blk{k}.attn.wq"]), p[f"blk{k}.attn.qb"]))
-        key = heads(ad.add(ad.matmul(h, p[f"blk{k}.attn.wk"]), p[f"blk{k}.attn.kb"]))
-        v = heads(ad.add(ad.matmul(h, p[f"blk{k}.attn.wv"]), p[f"blk{k}.attn.vb"]))
+        q = heads(linear(h, p[f"blk{k}.attn.wq"], p[f"blk{k}.attn.qb"]))
+        key = heads(linear(h, p[f"blk{k}.attn.wk"], p[f"blk{k}.attn.kb"]))
+        v = heads(linear(h, p[f"blk{k}.attn.wv"], p[f"blk{k}.attn.vb"]))
         scores = ad.mul(ad.matmul(q, ad.transpose(key, (0, 2, 1))), Tensor(1.0 / np.sqrt(hd)))
         weights = ad.softmax(scores, axis=-1)
         self.last_attention.append(weights.data)
         ctx = ad.matmul(weights, v)
         ctx = ad.reshape(ctx, (batch, nh, SEQ_LEN, hd))
         merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, SEQ_LEN, d))
-        return ad.add(ad.matmul(merged, p[f"blk{k}.attn.wo"]), p[f"blk{k}.attn.ob"])
+        return linear(merged, p[f"blk{k}.attn.wo"], p[f"blk{k}.attn.ob"])
 
     def forward(self, x) -> Tensor:
         xt = _wrap_batch(x)
@@ -244,20 +317,20 @@ class TransformerClassifier:
         self.last_attention = []
 
         flat = ad.reshape(xt, (batch * SEQ_LEN, 1))
-        emb = ad.add(ad.matmul(flat, p["emb.w"]), p["emb.b"])
+        emb = linear(flat, p["emb.w"], p["emb.b"])
         # conventional sqrt(d) embedding scale, so the reading is not drowned
         # out by the unit-magnitude positional code
         emb = ad.mul(emb, Tensor(np.sqrt(float(d))))
         h = ad.add(ad.reshape(emb, (batch, SEQ_LEN, d)), Tensor(self.pos_encoding))
         for k in range(self.num_blocks):
             attn = self._attention(h, k)
-            h = self._layer_norm(ad.add(h, attn), p[f"blk{k}.ln1.gamma"], p[f"blk{k}.ln1.beta"])
-            ff = ad.relu(ad.add(ad.matmul(h, p[f"blk{k}.ffn.w1"]), p[f"blk{k}.ffn.b1"]))
-            ff = ad.add(ad.matmul(ff, p[f"blk{k}.ffn.w2"]), p[f"blk{k}.ffn.b2"])
-            h = self._layer_norm(ad.add(h, ff), p[f"blk{k}.ln2.gamma"], p[f"blk{k}.ln2.beta"])
+            h = layer_norm(ad.add(h, attn), p[f"blk{k}.ln1.gamma"], p[f"blk{k}.ln1.beta"])
+            ff = ad.relu(linear(h, p[f"blk{k}.ffn.w1"], p[f"blk{k}.ffn.b1"]))
+            ff = linear(ff, p[f"blk{k}.ffn.w2"], p[f"blk{k}.ffn.b2"])
+            h = layer_norm(ad.add(h, ff), p[f"blk{k}.ln2.gamma"], p[f"blk{k}.ln2.beta"])
         pooled = ad.mean(h, axis=1)
-        dense = ad.relu(ad.add(ad.matmul(pooled, p["head.dense.w"]), p["head.dense.b"]))
-        logits = ad.add(ad.matmul(dense, p["head.out.w"]), p["head.out.b"])
+        dense = ad.relu(linear(pooled, p["head.dense.w"], p["head.dense.b"]))
+        logits = linear(dense, p["head.out.w"], p["head.out.b"])
         return ad.reshape(ad.sigmoid(logits), (batch,))
 
     def get_weights(self) -> dict[str, np.ndarray]:

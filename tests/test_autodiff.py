@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from fedmeter import autodiff as ad
 from fedmeter.autodiff import Tensor
-from fedmeter.models import lstm_sequence
+from fedmeter.models import layer_norm, linear, lstm_sequence
 
 from gradcheck import assert_grad_matches
 
@@ -380,3 +380,41 @@ def test_lstm_sequence_input_gradient_with_frozen_weights():
     ad.backward(ad.mean(ad.mul(h, h)))
     assert all(w.grad is None for w in weights)
     assert_grad_matches(f, [x_np], [x.grad], rng)
+
+
+FUSED_CASES = {
+    "layer_norm": (layer_norm, [(3, 4, 6), (6,), (6,)]),
+    "linear_3d": (linear, [(3, 4, 5), (5, 2), (2,)]),
+    "linear_2d": (linear, [(4, 5), (5, 2), (2,)]),
+}
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["all_inputs", "frozen_weights"])
+@pytest.mark.parametrize("case", sorted(FUSED_CASES))
+def test_fused_model_kernels_match_finite_differences(case, frozen):
+    op, shapes = FUSED_CASES[case]
+    rng = np.random.default_rng(17)
+    arrays_np = [rng.normal(size=s) for s in shapes]
+    r = rng.normal(size=op(*[Tensor(a) for a in arrays_np]).shape)
+    checked = 1 if frozen else len(arrays_np)
+
+    def f(arrs):
+        out = op(*[Tensor(a) for a in arrs + arrays_np[len(arrs):]])
+        return float((out.data * r).mean())
+
+    tensors = [Tensor(a, requires_grad=i < checked) for i, a in enumerate(arrays_np)]
+    out = op(*tensors)
+    assert [g is not None for g in out._node.backward_fn(r)] == [i < checked for i in range(3)]
+    ad.backward(ad.mean(ad.mul(out, Tensor(r))))
+    assert all(t.grad is None for t in tensors[checked:])
+    assert_grad_matches(f, arrays_np[:checked], [t.grad for t in tensors[:checked]], rng)
+
+
+@pytest.mark.parametrize("op,shapes", [
+    (layer_norm, [(2, 3, 4), (3,), (4,)]),
+    (linear, [(2, 3, 4), (5, 2), (2,)]),
+    (linear, [(2, 3, 4), (4, 2), (3,)]),
+], ids=["layer_norm_gain", "linear_inner", "linear_bias"])
+def test_fused_model_kernels_reject_mismatched_shapes(op, shapes):
+    with pytest.raises(ad.ShapeError, match=op.__name__):
+        op(*[Tensor(np.ones(s)) for s in shapes])

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from fedmeter import autodiff as ad
 from fedmeter import cli
 from fedmeter import experiment as ex
 from fedmeter.experiment import (ConfigError, DataConfig, ExperimentConfig,
@@ -120,6 +121,11 @@ class TestConfig:
                        attack={"family": "fgsm"})
         with pytest.raises(ConfigError, match="federated"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("raw", [{"name": {"x": 1}}, {"output_dir": 3}])
+    def test_non_string_name_or_output_dir_rejected(self, raw):
+        with pytest.raises(ConfigError, match="must be a string"):
+            config_from_dict(raw)
 
     def test_apply_override_parses_json_values(self):
         raw = {}
@@ -286,6 +292,27 @@ class TestCli:
                          "--out", str(tmp_path / "x")])
         assert code == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["name.x=1", "output_dir.x=1", "name=5",
+                                          "train.epochs=5,train.epochs.x=1"])
+    def test_bad_override_exits_before_any_run(self, tmp_path, monkeypatch, capsys,
+                                               override):
+        monkeypatch.chdir(tmp_path)
+        argv = ["train"]
+        for item in override.split(","):
+            argv += ["--set", item]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_activation_exit_code(self, tmp_path, monkeypatch, capsys):
+        def overflowing_run(cfg):
+            ad._check_finite("power", np.array([np.inf]))
+
+        monkeypatch.setattr(cli, "run_experiment", overflowing_run)
+        code = cli.main(["train", "--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_NUMERIC
+        assert "numeric failure: power" in capsys.readouterr().err
 
     def test_io_error_exit_code(self, capsys):
         code = cli.main(["report", "/nonexistent/run-dir"])

@@ -148,6 +148,35 @@ class TestRoundMechanics:
         for name, arr in state.global_weights.items():
             np.testing.assert_array_equal(arr, ref[name])
 
+    def test_one_model_per_round_matches_fresh_model_per_client(self, monkeypatch):
+        clients = make_clients(3, malicious_ids=(1,),
+                               attack=AttackSpec(family="pgd", epsilon=0.2, pgd_iters=2))
+        state = init_state("lstm", clients, seed=6)
+        start = {k: v.copy() for k, v in state.global_weights.items()}
+        built = []
+
+        def counting_make_model(*args, **kwargs):
+            built.append(args)
+            return make_model(*args, **kwargs)
+
+        monkeypatch.setattr(fed, "make_model", counting_make_model)
+        fed.run_round(state, "lstm", CFG)
+        assert len(built) == 1
+
+        returned = []
+        for client in clients:
+            model = make_model("lstm", seed=0)
+            model.set_weights(start)
+            x, y = client.x_train, client.y_train
+            if client.malicious:
+                x, y = fed.poisoned_training_set(model, client, 1, 6, CFG)
+            train_local(model, x, y, CFG, seed=derive_seed(6, "train", client.client_id, 1),
+                        epochs=1, epoch_offset=0)
+            returned.append(model.get_weights())
+        expected = fedavg(returned)
+        for name, arr in state.global_weights.items():
+            np.testing.assert_array_equal(arr, expected[name])
+
     def test_honest_data_untouched(self):
         clients = make_clients(3, malicious_ids=(1,),
                                attack=AttackSpec(family="fgsm", epsilon=0.4))

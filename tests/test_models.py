@@ -260,6 +260,85 @@ class TestSkippedGradientsAreBitExact:
         assert all(np.array_equal(plain[k], with_input[k]) for k in plain)
 
 
+def composed_layer_norm(t, gamma, beta):
+    """Layer norm from elementary primitives: the oracle for ``md.layer_norm``."""
+    mu = ad.mean(t, axis=-1, keepdims=True)
+    centered = ad.sub(t, ad.broadcast_to(mu, t.shape))
+    var = ad.mean(ad.mul(centered, centered), axis=-1, keepdims=True)
+    inv = ad.power(ad.add(var, ad.Tensor(1e-6)), -0.5)
+    normed = ad.mul(centered, ad.broadcast_to(inv, t.shape))
+    return ad.add(ad.mul(normed, gamma), beta)
+
+
+def composed_linear(x, w, b):
+    """Matmul then bias from elementary primitives: the oracle for ``md.linear``."""
+    return ad.add(ad.matmul(x, w), b)
+
+
+class TestFusedKernelsAreBitExact:
+    """The fused kernels reproduce their composed oracles bit for bit."""
+
+    @pytest.mark.parametrize("fused,composed,shapes", [
+        (md.layer_norm, composed_layer_norm, [(3, 4, 6), (6,), (6,)]),
+        (md.linear, composed_linear, [(3, 4, 5), (5, 2), (2,)]),
+        (md.linear, composed_linear, [(4, 5), (5, 2), (2,)]),
+    ], ids=["layer_norm", "linear_3d", "linear_2d"])
+    @pytest.mark.parametrize("needs", [(True, True, True), (True, False, False),
+                                       (False, True, True)],
+                             ids=["all", "input_only", "weights_only"])
+    def test_kernel_matches_composed(self, fused, composed, shapes, needs):
+        rng = np.random.default_rng(21)
+        arrays = [rng.normal(size=s) for s in shapes]
+
+        def run(op):
+            ts = [ad.Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)]
+            out = op(*ts)
+            ad.backward(ad.mean(ad.mul(out, out)))
+            return out.data, [t.grad for t in ts]
+
+        (out_f, grads_f), (out_c, grads_c) = run(fused), run(composed)
+        assert np.array_equal(out_f, out_c)
+        for gf, gc, need in zip(grads_f, grads_c, needs):
+            assert (gf is not None) == (gc is not None) == need
+            assert gc is None or np.array_equal(gf, gc)
+
+    @pytest.mark.parametrize("name", ["lstm", "transformer"])
+    def test_model_matches_composed(self, name, monkeypatch):
+        x = small_batch(seed=8, n=5)
+        y = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
+
+        def run():
+            model = make_model(name, seed=6)
+            probs = model.forward(x)
+            ad.backward(focal_loss(probs, y))
+            weight_grads = {k: p.grad for k, p in model.params.items()}
+            return probs.data, weight_grads, input_gradient(model, x, y)
+
+        probs_f, weights_f, input_f = run()
+        monkeypatch.setattr(md, "layer_norm", composed_layer_norm)
+        monkeypatch.setattr(md, "linear", composed_linear)
+        probs_c, weights_c, input_c = run()
+        assert np.array_equal(probs_f, probs_c)
+        assert all(np.array_equal(weights_f[k], weights_c[k]) for k in weights_c)
+        assert np.array_equal(input_f, input_c)
+
+    @pytest.mark.parametrize("gamma_requires_grad,full_arrays", [(False, 1), (True, 2)],
+                             ids=["frozen_gamma", "trained_gamma"])
+    def test_layer_norm_saves_centered_and_per_row_values(self, gamma_requires_grad,
+                                                          full_arrays):
+        batch, steps, d = 3, 4, 10
+        rng = np.random.default_rng(2)
+        t = ad.Tensor(rng.normal(size=(batch, steps, d)), requires_grad=True)
+        gamma = ad.Tensor(rng.normal(size=d), requires_grad=gamma_requires_grad)
+        out = md.layer_norm(t, gamma, ad.Tensor(np.zeros(d)))
+        saved = [c.cell_contents for c in out._node.backward_fn.__closure__
+                 if isinstance(c.cell_contents, np.ndarray)]
+        full = [a for a in saved if a.size == batch * steps * d]
+        assert len(full) == full_arrays
+        small = sum(a.size for a in saved) - full_arrays * batch * steps * d
+        assert small <= 2 * batch * steps + d
+
+
 class TestModelGradients:
     """Weight gradients of the full composed forward vs the oracle."""
 
