@@ -35,7 +35,6 @@ class AttackSpec:
     flip_fraction: float = 1.0  # share of the targeted subset whose labels flip
     project_linf: bool = False
     eps_ball: float | None = None  # projection radius; defaults to epsilon
-    seed: int = 0
 
     def __post_init__(self):
         if self.family not in ATTACK_FAMILIES:
@@ -53,9 +52,7 @@ class AttackSpec:
 def fgsm(model, x: np.ndarray, y: np.ndarray, epsilon: float, *,
          alpha: float = 0.25, gamma: float = 2.0) -> np.ndarray:
     """One signed-gradient step of size epsilon away from the true label."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = input_gradient(model, x, y, alpha, gamma)
-    return x + epsilon * np.sign(grad)
+    return pgd(model, x, y, epsilon, 1, alpha=alpha, gamma=gamma)
 
 
 def pgd(model, x: np.ndarray, y: np.ndarray, epsilon: float, iters: int = 10, *,
@@ -101,10 +98,12 @@ def label_flip(y: np.ndarray, fraction: float, rng: np.random.Generator) -> np.n
 def poison_batch(model, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
                  rng: np.random.Generator, *, alpha: float = 0.25,
                  gamma: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
-    """Apply one attack family to a training subset.
+    """Apply one attack family to a batch.
 
-    Gradient attacks and noise perturb x and keep the true labels; label
-    flipping inverts labels and keeps x.
+    The single attack dispatch: it poisons training subsets and perturbs the
+    test set for inference-time attacks alike.  Gradient attacks and noise
+    perturb x and keep the true labels; label flipping inverts labels and
+    keeps x.
     """
     if spec.family == "none":
         return x.copy(), y.copy()

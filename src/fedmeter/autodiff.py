@@ -38,20 +38,15 @@ __all__ = [
     "mul",
     "matmul",
     "sigmoid",
-    "tanh",
     "relu",
-    "exp",
     "log",
     "power",
     "softmax",
     "mean",
-    "concat",
-    "slice_axis",
     "reshape",
     "transpose",
     "broadcast_to",
     "clip",
-    "sign",
     "custom_op",
 ]
 
@@ -372,31 +367,12 @@ def sigmoid(t: Tensor) -> Tensor:
     return _make(out, (t,), bw)
 
 
-def tanh(t: Tensor) -> Tensor:
-    out = np.tanh(t.data)
-
-    def bw(g):
-        return (g * (1.0 - out * out),)
-
-    return _make(out, (t,), bw)
-
-
 def relu(t: Tensor) -> Tensor:
     out = np.maximum(t.data, 0.0)
     mask = t.data > 0
 
     def bw(g):
         return (g * mask,)
-
-    return _make(out, (t,), bw)
-
-
-def exp(t: Tensor) -> Tensor:
-    out = np.exp(t.data)
-    _check_finite("exp", out)
-
-    def bw(g):
-        return (g * out,)
 
     return _make(out, (t,), bw)
 
@@ -457,36 +433,6 @@ def mean(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return _make(np.asarray(out), (t,), bw)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat: need at least one tensor")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bw(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make(out, tuple(tensors), bw)
-
-
-def slice_axis(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice [start, stop) along one axis."""
-    nd = t.data.ndim
-    if not (0 <= axis < nd):
-        raise ShapeError(f"slice: axis {axis} out of range for shape {t.data.shape}")
-    key = tuple(slice(start, stop) if i == axis else slice(None) for i in range(nd))
-    out = t.data[key].copy()
-    shape = t.data.shape
-
-    def bw(g):
-        full = np.zeros(shape)
-        full[key] = g
-        return (full,)
-
-    return _make(out, (t,), bw)
-
-
 def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     out = t.data.reshape(shape)
@@ -535,11 +481,6 @@ def clip(t: Tensor, lo: float, hi: float) -> Tensor:
         return (g * mask,)
 
     return _make(out, (t,), bw)
-
-
-def sign(t: Tensor) -> Tensor:
-    """Elementwise sign in {-1, 0, +1}; not differentiable, never recorded."""
-    return Tensor(np.sign(t.data))
 
 
 def custom_op(out_data: np.ndarray, inputs: tuple[Tensor, ...],

@@ -5,7 +5,6 @@ follows the before-vs-after reading: the fraction of samples whose
 *predicted* label changes due to the attack, either by perturbing the test
 inputs (inference protocol) or by comparing a cleanly trained model against
 one trained under attack on the same clean test set (training protocol).
-A compare-to-truth variant is available for the literal reading.
 """
 
 from __future__ import annotations
@@ -77,30 +76,22 @@ def compute_metrics(pred: np.ndarray, truth: np.ndarray) -> Metrics:
 
 
 def asr_inference(model, x_clean: np.ndarray, x_adv: np.ndarray,
-                  threshold: float = DEFAULT_THRESHOLD, *,
-                  y_true: np.ndarray | None = None) -> AsrReport:
-    """Fraction of paired samples whose prediction flips under the attack.
-
-    With ``y_true`` given, compares attacked predictions to the true labels
-    instead (the literal flipped-versus-truth reading).
-    """
+                  threshold: float = DEFAULT_THRESHOLD) -> AsrReport:
+    """Fraction of paired samples whose prediction flips under the attack."""
     if len(x_clean) != len(x_adv):
         raise ValueError(f"paired sets differ in length: {len(x_clean)} vs {len(x_adv)}")
     pred_adv = classify(model, x_adv, threshold)
-    reference = (np.asarray(y_true, dtype=np.int64) if y_true is not None
-                 else classify(model, x_clean, threshold))
+    reference = classify(model, x_clean, threshold)
     flipped = int(np.sum(pred_adv != reference))
     return AsrReport(flipped, len(x_adv), flipped / len(x_adv), "inference_attack")
 
 
 def asr_training(model_clean, model_attacked, x_test_clean: np.ndarray,
-                 threshold: float = DEFAULT_THRESHOLD, *,
-                 y_true: np.ndarray | None = None) -> AsrReport:
+                 threshold: float = DEFAULT_THRESHOLD) -> AsrReport:
     """Fraction of clean test samples on which the attacked-trained model
     disagrees with the cleanly trained one."""
     pred_attacked = classify(model_attacked, x_test_clean, threshold)
-    reference = (np.asarray(y_true, dtype=np.int64) if y_true is not None
-                 else classify(model_clean, x_test_clean, threshold))
+    reference = classify(model_clean, x_test_clean, threshold)
     flipped = int(np.sum(pred_attacked != reference))
     return AsrReport(flipped, len(x_test_clean), flipped / len(x_test_clean),
                      "training_attack")

@@ -22,17 +22,18 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import platform
 from dataclasses import asdict, dataclass, field, replace
+from operator import attrgetter
 
 import numpy as np
 
 from . import data as dp
-from .attacks import (ATTACK_FAMILIES, AttackSpec, awgn, dump_adversarial_csv, fgsm,
-                      label_flip, pgd)
-from .evaluation import (AsrReport, asr_inference, asr_training, classify,
-                         compute_metrics, metrics_row, write_metrics_csv)
+from .attacks import ATTACK_FAMILIES, AttackSpec, dump_adversarial_csv, poison_batch
+from .evaluation import (asr_inference, asr_training, classify, compute_metrics,
+                         metrics_row, write_metrics_csv)
 from .federation import (ClientNode, global_model, init_state, run_centralized,
                          run_federation)
 from .models import TrainConfig, save_weights
@@ -142,11 +143,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"bad config: {exc}") from None
 
 
-def load_config(path) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
-
-
 def apply_override(cfg_dict: dict, dotted: str, value: str) -> None:
     """Apply one ``section.key=value`` command-line override in place.
 
@@ -173,11 +169,26 @@ def _finite_nonnegative(value) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value) and value >= 0
 
 
-def validate_config(cfg: ExperimentConfig) -> tuple[ExperimentConfig, dict[str, int]]:
-    """Check the config, fill derived values, and list every derived seed.
+# numeric fields that the range checks compare; clients_per_round may be None
+_INTEGER_FIELDS = ("data.households", "data.days", "federation.rounds",
+                   "federation.clients_per_round", "federation.local_epochs",
+                   "federation.malicious_count", "train.epochs", "train.batch_size")
+_REAL_FIELDS = ("threshold", "data.train_fraction", "federation.poison_fraction")
 
-    All violations are collected and reported together.
-    """
+
+def _type_problems(cfg: ExperimentConfig) -> list[str]:
+    problems = []
+    for names, kind, noun in ((_INTEGER_FIELDS, numbers.Integral, "an integer"),
+                              (_REAL_FIELDS, numbers.Real, "a real number")):
+        for name in names:
+            value = attrgetter(name)(cfg)
+            if (isinstance(value, bool) or not isinstance(value, kind)) \
+                    and not (value is None and name == "federation.clients_per_round"):
+                problems.append(f"{name} must be {noun}, got {value!r}")
+    return problems
+
+
+def _value_problems(cfg: ExperimentConfig) -> list[str]:
     problems = []
     if cfg.model not in ("lstm", "transformer"):
         problems.append(f"unknown model {cfg.model!r}")
@@ -202,6 +213,9 @@ def validate_config(cfg: ExperimentConfig) -> tuple[ExperimentConfig, dict[str, 
             problems.append("data.days must be >= 2")
     if cfg.federation.rounds < 1:
         problems.append(f"federation.rounds must be >= 1, got {cfg.federation.rounds}")
+    if cfg.federation.local_epochs < 1:
+        problems.append(f"federation.local_epochs must be >= 1, "
+                        f"got {cfg.federation.local_epochs}")
     if cfg.train.epochs < 1:
         problems.append(f"train.epochs must be >= 1, got {cfg.train.epochs}")
     if cfg.train.batch_size < 1:
@@ -230,6 +244,9 @@ def validate_config(cfg: ExperimentConfig) -> tuple[ExperimentConfig, dict[str, 
     if cfg.protocol in ("inference_attack", "training_attack") \
             and cfg.attack.family == "none":
         problems.append(f"{cfg.protocol} requires an attack family")
+    if cfg.protocol == "inference_attack" and cfg.attack.family == "label_flip":
+        problems.append("label_flip is a training-time attack; it has no "
+                        "inference-time variant")
     if cfg.protocol == "baseline" and cfg.attack.family != "none":
         problems.append("baseline protocol contradicts a configured attack")
     if cfg.protocol in ("sweep_epsilon", "sweep_malicious") and cfg.setting != "federated":
@@ -239,8 +256,19 @@ def validate_config(cfg: ExperimentConfig) -> tuple[ExperimentConfig, dict[str, 
     if cfg.protocol == "sweep_malicious":
         if not cfg.malicious_fraction_list:
             problems.append("sweep_malicious needs a non-empty malicious_fraction_list")
-        elif any(not (0.0 < f <= 1.0) for f in cfg.malicious_fraction_list):
+        elif not all(isinstance(f, numbers.Real) and 0.0 < f <= 1.0
+                     for f in cfg.malicious_fraction_list):
             problems.append("malicious fractions must be in (0,1]")
+    return problems
+
+
+def validate_config(cfg: ExperimentConfig) -> tuple[ExperimentConfig, dict[str, int]]:
+    """Check the config, fill derived values, and list every derived seed.
+
+    All violations are collected and reported together; a mistyped numeric
+    field is reported without the range checks, which cannot compare it.
+    """
+    problems = _type_problems(cfg) or _value_problems(cfg)
     if problems:
         raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
 
@@ -340,50 +368,10 @@ def _attack_label(spec: AttackSpec) -> str:
             "label_flip": "Label Flip"}[spec.family]
 
 
-def _train_clean(cfg: ExperimentConfig, clients: list[ClientData], out_dir: str,
-                 label: str):
-    """Clean training in the configured setting; returns the trained model."""
-    if cfg.setting == "central":
-        x, y, _ = pooled([c.train for c in clients])
-        model, _ = run_centralized(x, y, cfg.model, cfg.train,
-                                   epochs=cfg.train.epochs,
-                                   seed=derive_seed(cfg.master_seed, "central"))
-        return model
-    state = _make_state(cfg, clients, malicious_ids=frozenset())
-    x_test, y_test, _ = pooled([c.test for c in clients])
-    run_federation(state, cfg.model, cfg.train, cfg.federation.rounds,
-                   eval_x=x_test, eval_y=y_test,
-                   eval_every=max(1, cfg.federation.rounds // 10),
-                   threshold=cfg.threshold,
-                   log_path=os.path.join(out_dir, f"rounds_{label}.jsonl"))
-    return global_model(state, cfg.model)
-
-
-def _make_state(cfg: ExperimentConfig, clients: list[ClientData],
-                malicious_ids: frozenset[str], attack: AttackSpec | None = None):
-    nodes = []
-    for c in clients:
-        mal = c.client_id in malicious_ids
-        nodes.append(ClientNode(
-            c.client_id, c.train.profiles, c.train.labels.astype(np.float64),
-            malicious=mal,
-            attack=(attack if mal and attack is not None else AttackSpec()),
-            poison_fraction=cfg.federation.poison_fraction))
-    return init_state(cfg.model, nodes,
-                      clients_per_round=cfg.federation.clients_per_round,
-                      local_epochs=cfg.federation.local_epochs,
-                      seed=derive_seed(cfg.master_seed, "federation"))
-
-
-def _pick_malicious(cfg: ExperimentConfig, clients: list[ClientData],
-                    count: int) -> frozenset[str]:
-    rng = rng_for(cfg.master_seed, "malicious")
-    idx = rng.choice(len(clients), size=count, replace=False)
-    return frozenset(clients[i].client_id for i in sorted(idx))
-
-
-def _train_attacked(cfg: ExperimentConfig, clients: list[ClientData], out_dir: str,
-                    label: str, attack: AttackSpec, malicious_count: int):
+def _train(cfg: ExperimentConfig, clients: list[ClientData], out_dir: str,
+           label: str, attack: AttackSpec, malicious_count: int):
+    """Train in the configured setting, with ``malicious_count`` clients (or
+    the pooled data, centrally) poisoned by ``attack``; returns the model."""
     if cfg.setting == "central":
         x, y, _ = pooled([c.train for c in clients])
         model, _ = run_centralized(
@@ -392,8 +380,17 @@ def _train_attacked(cfg: ExperimentConfig, clients: list[ClientData], out_dir: s
             epochs=cfg.train.epochs,
             seed=derive_seed(cfg.master_seed, "central"))
         return model
-    malicious_ids = _pick_malicious(cfg, clients, malicious_count)
-    state = _make_state(cfg, clients, malicious_ids, attack)
+    malicious = set(rng_for(cfg.master_seed, "malicious").choice(
+        len(clients), size=malicious_count, replace=False).tolist())
+    nodes = [ClientNode(c.client_id, c.train.profiles, c.train.labels.astype(np.float64),
+                        malicious=i in malicious,
+                        attack=attack if i in malicious else AttackSpec(),
+                        poison_fraction=cfg.federation.poison_fraction)
+             for i, c in enumerate(clients)]
+    state = init_state(cfg.model, nodes,
+                       clients_per_round=cfg.federation.clients_per_round,
+                       local_epochs=cfg.federation.local_epochs,
+                       seed=derive_seed(cfg.master_seed, "federation"))
     x_test, y_test, _ = pooled([c.test for c in clients])
     run_federation(state, cfg.model, cfg.train, cfg.federation.rounds,
                    eval_x=x_test, eval_y=y_test,
@@ -401,24 +398,6 @@ def _train_attacked(cfg: ExperimentConfig, clients: list[ClientData], out_dir: s
                    threshold=cfg.threshold,
                    log_path=os.path.join(out_dir, f"rounds_{label}.jsonl"))
     return global_model(state, cfg.model)
-
-
-def _perturb_test_set(cfg: ExperimentConfig, model, x: np.ndarray,
-                      y: np.ndarray) -> np.ndarray:
-    spec = cfg.attack
-    if spec.family == "fgsm":
-        return fgsm(model, x, y, spec.epsilon,
-                    alpha=cfg.train.focal_alpha, gamma=cfg.train.focal_gamma)
-    if spec.family == "pgd":
-        return pgd(model, x, y, spec.epsilon, spec.pgd_iters,
-                   project=spec.project_linf, eps_ball=spec.eps_ball,
-                   alpha=cfg.train.focal_alpha, gamma=cfg.train.focal_gamma)
-    if spec.family == "awgn":
-        return awgn(x, spec.awgn_variance, rng_for(cfg.master_seed, "attack-eval"))
-    if spec.family == "label_flip":
-        raise ConfigError("label_flip is a training-time attack; it has no "
-                          "inference-time variant")
-    raise ConfigError(f"no inference-time perturbation for {spec.family!r}")
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
@@ -438,14 +417,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         return path
 
     if cfg.protocol == "baseline":
-        model = _train_clean(cfg, clients, out_dir, "clean")
+        model = _train(cfg, clients, out_dir, "clean", AttackSpec(), 0)
         metrics = compute_metrics(classify(model, x_test, cfg.threshold), y_test)
         rows.append(metrics_row(label_setting, "No Attack", metrics, None))
         emit("final_clean.ckpt", lambda p: save_weights(model.get_weights(), p))
 
     elif cfg.protocol == "inference_attack":
-        model = _train_clean(cfg, clients, out_dir, "clean")
-        x_adv = _perturb_test_set(cfg, model, x_test, y_test)
+        model = _train(cfg, clients, out_dir, "clean", AttackSpec(), 0)
+        x_adv, _ = poison_batch(model, x_test, y_test, cfg.attack,
+                                rng_for(cfg.master_seed, "attack-eval"),
+                                alpha=cfg.train.focal_alpha, gamma=cfg.train.focal_gamma)
         metrics = compute_metrics(classify(model, x_adv, cfg.threshold), y_test)
         report = asr_inference(model, x_test, x_adv, cfg.threshold)
         rows.append(metrics_row(label_setting, _attack_label(cfg.attack), metrics, report))
@@ -455,9 +436,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         emit("final_clean.ckpt", lambda p: save_weights(model.get_weights(), p))
 
     elif cfg.protocol == "training_attack":
-        clean = _train_clean(cfg, clients, out_dir, "clean")
-        attacked = _train_attacked(cfg, clients, out_dir, f"attacked_{cfg.attack.family}",
-                                   cfg.attack, cfg.federation.malicious_count)
+        clean = _train(cfg, clients, out_dir, "clean", AttackSpec(), 0)
+        attacked = _train(cfg, clients, out_dir, f"attacked_{cfg.attack.family}",
+                          cfg.attack, cfg.federation.malicious_count)
         clean_metrics = compute_metrics(classify(clean, x_test, cfg.threshold), y_test)
         rows.append(metrics_row(label_setting, "No Attack", clean_metrics, None))
         metrics = compute_metrics(classify(attacked, x_test, cfg.threshold), y_test)
@@ -476,8 +457,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                     master_seed=derive_seed(cfg.master_seed, "sweep-eps", family,
                                             f"{eps:.6g}"))
                 label = f"eps{eps:g}_{family}"
-                model = _train_attacked(point_cfg, clients, out_dir, label, spec,
-                                        cfg.federation.malicious_count)
+                model = _train(point_cfg, clients, out_dir, label, spec,
+                               cfg.federation.malicious_count)
                 metrics = compute_metrics(classify(model, x_test, cfg.threshold), y_test)
                 rows.append(metrics_row(label_setting, f"{_attack_label(spec)} "
                                         f"eps={eps:g}", metrics, None))
@@ -493,7 +474,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                 cfg, attack=spec,
                 master_seed=derive_seed(cfg.master_seed, "sweep-mal", f"{frac:.6g}"))
             label = f"mal{frac:g}"
-            model = _train_attacked(point_cfg, clients, out_dir, label, spec, count)
+            model = _train(point_cfg, clients, out_dir, label, spec, count)
             metrics = compute_metrics(classify(model, x_test, cfg.threshold), y_test)
             rows.append(metrics_row(label_setting,
                                     f"{_attack_label(spec)} malicious={frac:g}",

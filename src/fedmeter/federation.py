@@ -101,6 +101,21 @@ def fedavg(weight_maps: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
     return out
 
 
+def _poison_subset(model, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
+                   fraction: float, rng: np.random.Generator,
+                   cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Copy of (x, y) with a random floor(fraction * n) subset poisoned."""
+    x = x.copy()
+    y = y.copy()
+    k = int(np.floor(fraction * len(x)))
+    if k == 0:
+        return x, y
+    idx = np.sort(rng.choice(len(x), size=k, replace=False))
+    x[idx], y[idx] = poison_batch(model, x[idx], y[idx], spec, rng,
+                                  alpha=cfg.focal_alpha, gamma=cfg.focal_gamma)
+    return x, y
+
+
 def poisoned_training_set(model, client: ClientNode, round_index: int,
                           fed_seed: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Fresh adversarial copy of the client's data for this round.
@@ -109,18 +124,9 @@ def poisoned_training_set(model, client: ClientNode, round_index: int,
     using gradients of the just-received model; the client's stored arrays
     are never modified.
     """
-    rng = rng_for(fed_seed, "poison", client.client_id, round_index)
-    x = client.x_train.copy()
-    y = client.y_train.copy()
-    k = int(np.floor(client.poison_fraction * len(x)))
-    if k == 0 or client.attack.family == "none":
-        return x, y
-    idx = np.sort(rng.choice(len(x), size=k, replace=False))
-    x_adv, y_adv = poison_batch(model, x[idx], y[idx], client.attack, rng,
-                                alpha=cfg.focal_alpha, gamma=cfg.focal_gamma)
-    x[idx] = x_adv
-    y[idx] = y_adv
-    return x, y
+    return _poison_subset(model, client.x_train, client.y_train, client.attack,
+                          client.poison_fraction,
+                          rng_for(fed_seed, "poison", client.client_id, round_index), cfg)
 
 
 def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> RoundRecord:
@@ -196,10 +202,9 @@ def global_model(state: FederationState, model_name: str):
 
 def init_state(model_name: str, clients: list[ClientNode], *,
                clients_per_round: int | None = None, local_epochs: int = 1,
-               seed: int = 0, init_seed: int | None = None) -> FederationState:
+               seed: int = 0) -> FederationState:
     """Server-side initialization: random global weights, round counter at 0."""
-    init_seed = derive_seed(seed, "global-init") if init_seed is None else init_seed
-    weights = make_model(model_name, seed=init_seed).get_weights()
+    weights = make_model(model_name, seed=derive_seed(seed, "global-init")).get_weights()
     n_round = len(clients) if clients_per_round is None else clients_per_round
     return FederationState(weights, clients, n_round, local_epochs, seed)
 
@@ -219,19 +224,11 @@ def run_centralized(x: np.ndarray, y: np.ndarray, model_name: str, cfg: TrainCon
     model = make_model(model_name, seed=derive_seed(seed, "central-init"))
     optimizer = RmsProp(cfg.rho, cfg.eps_opt)
     history = []
-    attacking = attack.family != "none" and poison_fraction > 0.0
     for epoch in range(1, epochs + 1):
         xe, ye = x, y
-        if attacking:
-            rng = rng_for(seed, "central-poison", epoch)
-            k = int(np.floor(poison_fraction * len(x)))
-            if k:
-                idx = np.sort(rng.choice(len(x), size=k, replace=False))
-                xe, ye = x.copy(), y.copy()
-                x_adv, y_adv = poison_batch(model, xe[idx], ye[idx], attack, rng,
-                                            alpha=cfg.focal_alpha, gamma=cfg.focal_gamma)
-                xe[idx] = x_adv
-                ye[idx] = y_adv
+        if attack.family != "none":
+            xe, ye = _poison_subset(model, x, y, attack, poison_fraction,
+                                    rng_for(seed, "central-poison", epoch), cfg)
         history.extend(train_local(model, xe, ye, cfg, seed=seed, epochs=1,
                                    epoch_offset=epoch - 1, optimizer=optimizer))
     return model, history

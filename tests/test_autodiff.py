@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
 
 from fedmeter import autodiff as ad
 from fedmeter.autodiff import Tensor
@@ -67,15 +66,6 @@ class TestForwardPrimitives:
         # keepdims-style (5,1) against (5,3) must go through broadcast_to
         with pytest.raises(ad.ShapeError):
             ad.add(Tensor(np.ones((5, 3))), Tensor(np.ones((5, 1))))
-
-    def test_concat_and_slice_roundtrip(self):
-        a = Tensor(np.arange(6.0).reshape(2, 3))
-        b = Tensor(np.arange(6.0, 10.0).reshape(2, 2))
-        cat = ad.concat([a, b], axis=1)
-        assert cat.shape == (2, 5)
-        back = ad.slice_axis(cat, 1, 0, 3)
-        np.testing.assert_array_equal(back.data, a.data)
-
 
 class TestBackward:
     def test_sum_of_squares(self):
@@ -141,31 +131,13 @@ class TestBackward:
             rng = np.random.default_rng(42)
             x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
             w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-            out = ad.softmax(ad.tanh(ad.matmul(x, w)), axis=-1)
+            out = ad.softmax(ad.sigmoid(ad.matmul(x, w)), axis=-1)
             ad.backward(ad.mean(out))
             return out.data.copy(), x.grad.copy(), w.grad.copy()
 
         first, second = run(), run()
         for f, s in zip(first, second):
             assert np.array_equal(f, s)
-
-
-class TestSign:
-    def test_definition(self):
-        out = ad.sign(Tensor([-3.2, 0.0, 7.1]))
-        np.testing.assert_array_equal(out.data, [-1.0, 0.0, 1.0])
-
-    @given(arrays(np.float64, array_shapes(max_dims=2, max_side=6),
-                  elements=st.floats(-1e6, 1e6)))
-    def test_idempotent_and_odd(self, data):
-        s = ad.sign(Tensor(data))
-        assert set(np.unique(s.data)).issubset({-1.0, 0.0, 1.0})
-        np.testing.assert_array_equal(ad.sign(s).data, s.data)
-        np.testing.assert_array_equal(ad.sign(Tensor(-data)).data, -s.data)
-
-    def test_sign_not_recorded(self):
-        x = Tensor([1.0, -2.0], requires_grad=True)
-        assert ad.sign(x)._node is None
 
 
 # gradient check of every primitive against central finite differences
@@ -193,12 +165,8 @@ def _apply(op_name, ts):
         return ad.matmul(ts[0], ts[1])
     if op_name == "sigmoid":
         return ad.sigmoid(ts[0])
-    if op_name == "tanh":
-        return ad.tanh(ts[0])
     if op_name == "relu":
         return ad.relu(ts[0])
-    if op_name == "exp":
-        return ad.exp(ts[0])
     if op_name == "log":
         return ad.log(ts[0])
     if op_name == "power":
@@ -207,10 +175,6 @@ def _apply(op_name, ts):
         return ad.softmax(ts[0], axis=-1)
     if op_name == "mean_axis":
         return ad.mean(ts[0], axis=1, keepdims=True)
-    if op_name == "concat":
-        return ad.concat([ts[0], ts[1]], axis=1)
-    if op_name == "slice":
-        return ad.slice_axis(ts[0], 1, 1, 3)
     if op_name == "reshape":
         return ad.reshape(ts[0], (6, 2))
     if op_name == "transpose":
@@ -234,15 +198,11 @@ PRIMITIVE_CASES = [
     ("matmul3d", [(2, 3, 4), (2, 4, 5)], None),
     ("matmul3d2d", [(2, 3, 4), (4, 5)], None),
     ("sigmoid", [(3, 5)], None),
-    ("tanh", [(3, 5)], None),
     ("relu", [(3, 5)], "offset"),  # keep values away from the kink
-    ("exp", [(3, 5)], None),
     ("log", [(3, 5)], "positive"),
     ("power", [(3, 5)], "positive"),
     ("softmax", [(3, 5)], None),
     ("mean_axis", [(3, 5)], None),
-    ("concat", [(2, 3), (2, 4)], None),
-    ("slice", [(3, 5)], None),
     ("reshape", [(3, 4)], None),
     ("transpose", [(2, 3, 4)], None),
     ("broadcast_to", [(3, 5)], None),
@@ -273,47 +233,13 @@ def test_primitive_gradients_match_finite_differences(op_name, shapes, domain):
     assert_grad_matches(f, arrays_np, [t.grad for t in tensors], rng)
 
 
-def test_composed_lstm_cell_gradient():
-    """One LSTM cell built from primitives checked against the oracle."""
-    rng = np.random.default_rng(11)
-    hidden, batch = 6, 3
-    arrays_np = [
-        rng.normal(size=(batch, 1)),            # x_t
-        rng.normal(size=(1, 4 * hidden)) * 0.5,  # input kernel
-        rng.normal(size=(hidden, 4 * hidden)) * 0.3,  # recurrent kernel
-        rng.normal(size=(4 * hidden,)) * 0.1,   # bias
-        rng.normal(size=(batch, hidden)) * 0.5,  # h_prev
-        rng.normal(size=(batch, hidden)) * 0.5,  # c_prev
-    ]
-
-    def cell(ts):
-        x, wx, wh, b, h0, c0 = ts
-        z = ad.add(ad.add(ad.matmul(x, wx), ad.matmul(h0, wh)), b)
-        i = ad.sigmoid(ad.slice_axis(z, 1, 0, hidden))
-        f = ad.sigmoid(ad.slice_axis(z, 1, hidden, 2 * hidden))
-        g = ad.tanh(ad.slice_axis(z, 1, 2 * hidden, 3 * hidden))
-        o = ad.sigmoid(ad.slice_axis(z, 1, 3 * hidden, 4 * hidden))
-        c = ad.add(ad.mul(f, c0), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
-        return h
-
-    def f_scalar(arrs):
-        h = cell([Tensor(a) for a in arrs])
-        return float((h.data * h.data).mean())
-
-    tensors = [Tensor(a, requires_grad=True) for a in arrays_np]
-    h = cell(tensors)
-    ad.backward(ad.mean(ad.mul(h, h)))
-    assert_grad_matches(f_scalar, arrays_np, [t.grad for t in tensors], rng)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_outputs_and_grads_stay_finite(seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(3, 4)) * 5, requires_grad=True)
     w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-    out = ad.softmax(ad.matmul(ad.tanh(x), w), axis=-1)
+    out = ad.softmax(ad.matmul(ad.sigmoid(x), w), axis=-1)
     assert np.all(np.isfinite(out.data))
     ad.backward(ad.mean(ad.mul(out, out)))
     assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(w.grad))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -8,10 +9,13 @@ import pytest
 from fedmeter import autodiff as ad
 from fedmeter import cli
 from fedmeter import experiment as ex
+from fedmeter.attacks import awgn
 from fedmeter.experiment import (ConfigError, DataConfig, ExperimentConfig,
                                  apply_override, build_client_data, config_from_dict,
                                  config_to_dict, recommended_train_config,
                                  run_experiment, validate_config)
+from fedmeter.models import SEQ_LEN, load_weights
+from fedmeter.seeding import rng_for
 
 
 def tiny_dict(out_dir, **kw):
@@ -93,6 +97,12 @@ class TestConfig:
         ("attack", "epsilon", float("nan")),
         ("attack", "epsilon", float("inf")),
         ("attack", "epsilon", -0.1),
+        ("federation", "local_epochs", 0),
+        ("federation", "rounds", "3"),
+        ("train", "epochs", {"x": 1}),
+        ("train", "batch_size", True),
+        ("federation", "clients_per_round", 2.0),
+        ("federation", "poison_fraction", "0.3"),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, section, key, value):
         cfg = tiny_cfg(tmp_path)
@@ -232,6 +242,29 @@ class TestRunExperiment:
         assert fig[0] == "malicious_fraction,attack,accuracy"
         assert len(result.rows) == 2 and len(fig) == 3
 
+    def test_central_training_attack_poisons_the_pooled_data(self, tmp_path):
+        cfg = tiny_cfg(tmp_path / "run", setting="central", protocol="training_attack",
+                       attack={"family": "fgsm", "epsilon": 0.5})
+        result = run_experiment(cfg)
+        assert [r[1] for r in result.rows] == ["No Attack", "FGSM"]
+        assert result.rows[1][-1] != ""
+        clean = load_weights(tmp_path / "run" / "final_clean.ckpt")
+        attacked = load_weights(tmp_path / "run" / "final_fgsm.ckpt")
+        assert any(not np.array_equal(clean[k], attacked[k]) for k in clean)
+        assert not list((tmp_path / "run").glob("rounds_*.jsonl"))
+
+    def test_inference_attack_awgn_draws_the_attack_eval_stream(self, tmp_path):
+        cfg = tiny_cfg(tmp_path / "run", protocol="inference_attack",
+                       attack={"family": "awgn", "awgn_variance": 0.2})
+        result = run_experiment(cfg)
+        assert result.rows[0][1] == "AWGN" and result.rows[0][-1] != ""
+        lines = (tmp_path / "run" / "adversarial_test.csv").read_text().splitlines()[1:]
+        x_adv = np.array([[float(v) for v in line.split(",")[:SEQ_LEN]] for line in lines])
+        x_test, _, _ = ex.pooled([c.test for c in build_client_data(cfg)])
+        expected = awgn(x_test, 0.2, rng_for(cfg.master_seed, "attack-eval"))
+        # the CSV renders 12 significant digits
+        np.testing.assert_allclose(x_adv, expected, rtol=1e-10, atol=1e-11)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_a = tiny_cfg(tmp_path / "a", protocol="training_attack",
                          attack={"family": "fgsm", "epsilon": 0.3},
@@ -294,7 +327,8 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", ["name.x=1", "output_dir.x=1", "name=5",
-                                          "train.epochs=5,train.epochs.x=1"])
+                                          "train.epochs=5,train.epochs.x=1",
+                                          "train.epochs.x=1", 'federation.rounds="3"'])
     def test_bad_override_exits_before_any_run(self, tmp_path, monkeypatch, capsys,
                                                override):
         monkeypatch.chdir(tmp_path)
@@ -304,6 +338,15 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_inference_label_flip_exits_before_training(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = cli.main(["attack-eval", "--set", "attack.family=label_flip",
+                         "--set", "data.households=3", "--set", "data.days=20",
+                         "--set", "federation.rounds=1", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert "training-time attack" in capsys.readouterr().err
+        assert not out.exists()  # so no rounds_clean.jsonl either: nothing was trained
 
     def test_non_finite_activation_exit_code(self, tmp_path, monkeypatch, capsys):
         def overflowing_run(cfg):
@@ -330,8 +373,12 @@ class TestCli:
         assert len(lines) == 3
 
     def test_console_script_help(self):
+        # the child imports the same fedmeter as this process, installed or not
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, "-m", "fedmeter.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         for sub in ("synth-data", "train", "attack-eval", "federate", "sweep",
                     "report"):
