@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import HOURS_PER_DAY
-from .models import input_gradient
+from .models import input_gradient, row_blocks
 
 ATTACK_FAMILIES = ("none", "fgsm", "pgd", "awgn", "label_flip")
 
@@ -58,17 +58,29 @@ def fgsm(model, x: np.ndarray, y: np.ndarray, epsilon: float, *,
 def pgd(model, x: np.ndarray, y: np.ndarray, epsilon: float, iters: int = 10, *,
         project: bool = False, eps_ball: float | None = None,
         alpha: float = 0.25, gamma: float = 2.0) -> np.ndarray:
-    """Iterated signed-gradient steps; optional l-inf projection around x."""
+    """Iterated signed-gradient steps; optional l-inf projection around x.
+
+    Runs every iteration on one row block (see ``models.row_blocks``, at most
+    ``models.ROW_BLOCK`` rows) before moving to the next, so activation
+    memory is bounded by the block, not by the batch.  The models are
+    row-independent and the loss couples rows only through its positive
+    1/batch scale, which ``sign`` discards, so the result equals the
+    whole-batch iteration.
+    """
     if iters < 1:
         raise ValueError("pgd needs at least one iteration")
     x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y)
     radius = epsilon if eps_ball is None else eps_ball
-    x_adv = x.copy()
-    for _ in range(iters):
-        grad = input_gradient(model, x_adv, y, alpha, gamma)
-        x_adv = x_adv + epsilon * np.sign(grad)
-        if project:
-            x_adv = np.clip(x_adv, x - radius, x + radius)
+    x_adv = np.empty_like(x)
+    for block in row_blocks(len(x)):
+        x0 = adv = x[block]
+        for _ in range(iters):
+            grad = input_gradient(model, adv, y[block], alpha, gamma)
+            adv = adv + epsilon * np.sign(grad)
+            if project:
+                adv = np.clip(adv, x0 - radius, x0 + radius)
+        x_adv[block] = adv
     return x_adv
 
 

@@ -111,7 +111,7 @@ class AnomalyConfig:
             raise DataError(f"r_range must be a positive interval, got {self.r_range}")
         unknown = set(self.kind_weights) - set(ANOMALY_KINDS)
         if unknown:
-            raise DataError(f"unknown anomaly kinds: {sorted(unknown)}")
+            raise DataError(f"kind_weights names unknown anomaly kinds: {sorted(unknown)}")
         total = sum(self.kind_weights.values())
         if not np.isclose(total, 1.0):
             raise DataError(f"kind_weights must sum to 1, got {total}")

@@ -126,7 +126,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     sections = {}
     for key, cls in _SECTIONS:
         body = dict(raw.pop(key, {}))
-        if key == "data" and "r_range" in body:
+        if key == "data" and isinstance(body.get("r_range"), list):
             body["r_range"] = tuple(body["r_range"])
         if key == "train" and "lr_milestones" in body:
             body["lr_milestones"] = tuple(body["lr_milestones"])
@@ -170,10 +170,15 @@ def _finite_nonnegative(value) -> bool:
 
 
 # numeric fields that the range checks compare; clients_per_round may be None
-_INTEGER_FIELDS = ("data.households", "data.days", "federation.rounds",
+_INTEGER_FIELDS = ("master_seed", "data.households", "data.days", "federation.rounds",
                    "federation.clients_per_round", "federation.local_epochs",
                    "federation.malicious_count", "train.epochs", "train.batch_size")
-_REAL_FIELDS = ("threshold", "data.train_fraction", "federation.poison_fraction")
+_REAL_FIELDS = ("threshold", "data.train_fraction", "data.anomaly_fraction",
+                "federation.poison_fraction")
+
+
+def _is_a(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _type_problems(cfg: ExperimentConfig) -> list[str]:
@@ -182,9 +187,18 @@ def _type_problems(cfg: ExperimentConfig) -> list[str]:
                               (_REAL_FIELDS, numbers.Real, "a real number")):
         for name in names:
             value = attrgetter(name)(cfg)
-            if (isinstance(value, bool) or not isinstance(value, kind)) \
+            if not _is_a(value, kind) \
                     and not (value is None and name == "federation.clients_per_round"):
                 problems.append(f"{name} must be {noun}, got {value!r}")
+    r_range = cfg.data.r_range
+    if not (isinstance(r_range, (tuple, list)) and len(r_range) == 2
+            and all(_is_a(r, numbers.Real) for r in r_range)):
+        problems.append(f"data.r_range must be a pair of real numbers, got {r_range!r}")
+    weights = cfg.data.kind_weights
+    if weights is not None and not (isinstance(weights, dict) and
+                                    all(_is_a(w, numbers.Real) for w in weights.values())):
+        problems.append(f"data.kind_weights must be a map of anomaly kinds to real "
+                        f"numbers, got {weights!r}")
     return problems
 
 
@@ -206,6 +220,10 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"unknown data source {cfg.data.source!r}")
     if cfg.data.source == "csv" and not cfg.data.csv_path:
         problems.append("data.source is csv but data.csv_path is missing")
+    try:
+        _anomaly_config(cfg, 0)
+    except dp.DataError as exc:
+        problems.append(f"data.{exc}")
     if cfg.data.source == "synthetic":
         if cfg.data.households < 1:
             problems.append("data.households must be >= 1")
@@ -297,6 +315,16 @@ class ClientData:
     scaling: dp.ScalingRecord
 
 
+def _anomaly_config(cfg: ExperimentConfig, ordinal: int) -> dp.AnomalyConfig:
+    dcfg = cfg.data
+    return dp.AnomalyConfig(
+        anomaly_fraction=dcfg.anomaly_fraction,
+        kind_weights=(dcfg.kind_weights or
+                      {k: 1.0 / len(dp.ANOMALY_KINDS) for k in dp.ANOMALY_KINDS}),
+        r_range=dcfg.r_range,
+        seed=derive_seed(cfg.master_seed, "inject", ordinal))
+
+
 def build_client_data(cfg: ExperimentConfig) -> list[ClientData]:
     """Per-household pipeline: series -> profiles -> windows -> labeled,
     normalized, split datasets."""
@@ -316,13 +344,7 @@ def build_client_data(cfg: ExperimentConfig) -> list[ClientData]:
     for ordinal, (hid, series) in enumerate(items):
         profiles = dp.segment_daily(series)
         windows = dp.detect_usage_windows(profiles)
-        anomaly_cfg = dp.AnomalyConfig(
-            anomaly_fraction=dcfg.anomaly_fraction,
-            kind_weights=(dcfg.kind_weights or
-                          {k: 1.0 / len(dp.ANOMALY_KINDS) for k in dp.ANOMALY_KINDS}),
-            r_range=dcfg.r_range,
-            seed=derive_seed(cfg.master_seed, "inject", ordinal))
-        labeled = dp.build_dataset(profiles, windows, anomaly_cfg)
+        labeled = dp.build_dataset(profiles, windows, _anomaly_config(cfg, ordinal))
         normalized, scaling = dp.normalize(labeled)
         train, test = dp.split(normalized, dcfg.train_fraction,
                                seed=derive_seed(cfg.master_seed, "split", ordinal))

@@ -133,7 +133,8 @@ def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> Roun
     """Execute one federation round, replacing the global weights in place."""
     round_index = state.round + 1
     selected = select_clients(state, round_index)
-    wire = weights_to_bytes(state.global_weights)
+    # decoded once: set_weights copies, so every client starts from this map
+    broadcast = weights_from_bytes(weights_to_bytes(state.global_weights))
     returned = []
     losses = []
     malicious_count = 0
@@ -141,7 +142,7 @@ def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> Roun
     model = make_model(model_name, seed=0)
     for idx in selected:
         client = state.clients[idx]
-        model.set_weights(weights_from_bytes(wire))
+        model.set_weights(broadcast)
         if client.malicious and client.attack.family != "none":
             malicious_count += 1
             x, y = poisoned_training_set(model, client, round_index, state.seed, cfg)

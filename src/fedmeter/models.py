@@ -478,12 +478,44 @@ def input_gradient(model, x: np.ndarray, y: np.ndarray, alpha: float = 0.25,
     return xt.grad if xt.grad is not None else np.zeros_like(x)
 
 
-def predict_proba(model, x: np.ndarray, batch_size: int = 512) -> np.ndarray:
+# Attacks and inference push at most this many rows through one forward pass,
+# so their activation memory is bounded by the block, not by the batch.  A
+# 64-row block's working set also fits a 2 MB L2 cache.
+ROW_BLOCK = 64
+# Block edges fall on multiples of this many rows.  The BLAS matrix-vector
+# kernel behind the sigmoid heads works through rows in small groups and
+# rounds the rows left over at the end of a call differently, so a block that
+# ends off the grid would change the last bits of its final rows.
+_ROW_ALIGN = 16
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most ``ROW_BLOCK`` rows that cover ``range(n)``.
+
+    Blocks are near-equal in whole ``_ROW_ALIGN``-row units, and only the last
+    block can end off that grid, where a whole-batch call ends too.  So every
+    row is computed exactly as in one call over ``n`` rows, no block is a
+    small remainder (each has at least half the rows of the largest), and any
+    ``n <= ROW_BLOCK`` is one block, the whole batch.
+    """
+    count = -(-n // ROW_BLOCK)
+    units = -(-n // _ROW_ALIGN)
+    edges = [0] + [min(n, _ROW_ALIGN * (units * i // count)) for i in range(1, count + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def predict_proba(model, x: np.ndarray) -> np.ndarray:
+    """Anomaly probability per row, one no-grad forward pass per row block.
+
+    Both models are row-independent, so the blocks (see :func:`row_blocks`)
+    give the same values as one pass over the whole batch, while activations
+    are held for at most ``ROW_BLOCK`` rows at a time.
+    """
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(len(x))
     with ad.no_grad():
-        for start in range(0, len(x), batch_size):
-            out[start:start + batch_size] = model.forward(x[start:start + batch_size]).data
+        for block in row_blocks(len(x)):
+            out[block] = model.forward(x[block]).data
     return out
 
 

@@ -6,7 +6,9 @@ from scipy import stats
 
 from fedmeter import attacks as atk
 from fedmeter.attacks import AttackSpec
-from fedmeter.models import LstmClassifier, TrainConfig, focal_loss, predict_proba, train_local
+from fedmeter import models as md
+from fedmeter.models import (LstmClassifier, TrainConfig, focal_loss, input_gradient,
+                             make_model, predict_proba, train_local)
 from fedmeter.seeding import rng_for
 
 
@@ -137,6 +139,64 @@ class TestPgd:
         model, x, y = trained
         with pytest.raises(ValueError):
             atk.pgd(model, x, y, 0.1, iters=0)
+
+
+def whole_batch_iterates(model, x, y, epsilon, iters, eps_ball):
+    """Oracle: projected PGD with every step on all rows in one call."""
+    x_adv, out = x.copy(), []
+    for _ in range(iters):
+        x_adv = x_adv + epsilon * np.sign(input_gradient(model, x_adv, y))
+        x_adv = np.clip(x_adv, x - eps_ball, x + eps_ball)
+        out.append(x_adv)
+    return out
+
+
+@pytest.fixture(scope="module", params=["lstm", "transformer"])
+def untrained(request):
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.0, 1.0, size=(304, 24))
+    y = (rng.uniform(size=304) < 0.3).astype(np.float64)
+    return make_model(request.param, seed=2), x, y
+
+
+class TestRowBlockedPgd:
+    """Row blocks leave every PGD and FGSM result bit-identical."""
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 96, 130, 304])
+    def test_equals_whole_batch_iteration(self, untrained, n):
+        model, x, y = untrained
+        x, y = x[:n], y[:n]
+        # the 0.15 ball cuts the second 0.1 step short, so projection acts;
+        # one step stays inside it, so the first iterate is FGSM
+        step1, step2 = whole_batch_iterates(model, x, y, 0.1, 2, 0.15)
+        assert np.array_equal(atk.fgsm(model, x, y, 0.1), step1)
+        assert np.array_equal(atk.pgd(model, x, y, 0.1, 2, project=True, eps_ball=0.15),
+                              step2)
+        assert np.abs(step2 - x).max() == pytest.approx(0.15)
+
+    def test_no_call_sees_more_than_one_block(self, monkeypatch):
+        model = make_model("lstm", seed=2)
+        x = np.random.default_rng(12).uniform(0.0, 1.0, size=(304, 24))
+        y = np.zeros(304)
+        rows = []
+        grad_fn, forward = atk.input_gradient, model.forward
+
+        def spy_gradient(m, xb, yb, *args):
+            rows.append(len(xb))
+            return grad_fn(m, xb, yb, *args)
+
+        def spy_forward(xb):
+            rows.append(xb.shape[0])
+            return forward(xb)
+
+        monkeypatch.setattr(atk, "input_gradient", spy_gradient)
+        monkeypatch.setattr(model, "forward", spy_forward)
+        for call in (lambda: atk.pgd(model, x[:130], y[:130], 0.1, 2),
+                     lambda: predict_proba(model, x)):
+            rows.clear()
+            call()
+            assert rows and max(rows) <= md.ROW_BLOCK
+            assert 2 * min(rows) >= max(rows)
 
 
 class TestAwgn:

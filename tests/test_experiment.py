@@ -103,12 +103,22 @@ class TestConfig:
         ("train", "batch_size", True),
         ("federation", "clients_per_round", 2.0),
         ("federation", "poison_fraction", "0.3"),
+        ("data", "anomaly_fraction", 2.0),
+        ("data", "anomaly_fraction", "0.1"),
+        ("data", "r_range", (2.0, 1.0)),
+        ("data", "r_range", 5),
+        ("data", "kind_weights", {"drop": "1"}),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, section, key, value):
         cfg = tiny_cfg(tmp_path)
         setattr(getattr(cfg, section), key, value)
         with pytest.raises(ConfigError, match=rf"{section}\.{key} must be"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("seed", ["x", 1.5, True])
+    def test_master_seed_must_be_an_integer(self, tmp_path, seed):
+        with pytest.raises(ConfigError, match="master_seed must be an integer"):
+            validate_config(tiny_cfg(tmp_path, master_seed=seed))
 
     @pytest.mark.parametrize("eps", [float("nan"), -0.5])
     def test_bad_sweep_epsilon_rejected(self, tmp_path, eps):
@@ -328,7 +338,9 @@ class TestCli:
 
     @pytest.mark.parametrize("override", ["name.x=1", "output_dir.x=1", "name=5",
                                           "train.epochs=5,train.epochs.x=1",
-                                          "train.epochs.x=1", 'federation.rounds="3"'])
+                                          "train.epochs.x=1", 'federation.rounds="3"',
+                                          "data.anomaly_fraction=2", "data.r_range=[0]",
+                                          "data.r_range=5", 'master_seed="x"'])
     def test_bad_override_exits_before_any_run(self, tmp_path, monkeypatch, capsys,
                                                override):
         monkeypatch.chdir(tmp_path)

@@ -5,7 +5,7 @@ from fedmeter import federation as fed
 from fedmeter.attacks import AttackSpec
 from fedmeter.evaluation import classify, compute_metrics
 from fedmeter.federation import ClientNode, FederationState, fedavg, init_state
-from fedmeter.models import TrainConfig, make_model, train_local
+from fedmeter.models import TrainConfig, make_model, train_local, weights_from_bytes
 from fedmeter.seeding import derive_seed
 
 
@@ -176,6 +176,18 @@ class TestRoundMechanics:
         expected = fedavg(returned)
         for name, arr in state.global_weights.items():
             np.testing.assert_array_equal(arr, expected[name])
+
+    def test_broadcast_decoded_once_per_round(self, monkeypatch):
+        decoded = []
+
+        def counting_decode(blob):
+            decoded.append(len(blob))
+            return weights_from_bytes(blob)
+
+        monkeypatch.setattr(fed, "weights_from_bytes", counting_decode)
+        state = init_state("lstm", make_clients(3), seed=6)
+        fed.run_federation(state, "lstm", CFG, t_rounds=2)
+        assert len(decoded) == 2
 
     def test_honest_data_untouched(self):
         clients = make_clients(3, malicious_ids=(1,),

@@ -228,6 +228,28 @@ class TestInputGradient:
         assert all(p.requires_grad for p in model.params.values())
 
 
+class TestRowBlocks:
+    def test_blocks_cover_the_batch_near_equally(self):
+        for n in range(0, 2000):
+            blocks = md.row_blocks(n)
+            sizes = [b.stop - b.start for b in blocks]
+            edges = [0] + [b.stop for b in blocks]
+            assert [b.start for b in blocks] == edges[:-1] and edges[-1] == n
+            assert all(0 < s <= md.ROW_BLOCK for s in sizes)
+            if n <= md.ROW_BLOCK:
+                assert len(blocks) == min(n, 1)
+            else:
+                assert 2 * min(sizes) >= max(sizes)
+
+    @pytest.mark.parametrize("name,n", [("transformer", 304), ("lstm", 1520)])
+    def test_predict_proba_equals_one_forward(self, name, n):
+        model = make_model(name, seed=1)
+        x = small_batch(seed=9, n=n)
+        with ad.no_grad():
+            whole = model.forward(x).data
+        assert np.array_equal(predict_proba(model, x), whole)
+
+
 class TestSkippedGradientsAreBitExact:
     """Skipping unrequested gradients leaves the requested ones bit-identical."""
 
