@@ -16,6 +16,14 @@ intermediate array is freed after the forward pass unless a backward rule
 saved it.  Flipping ``requires_grad`` between the forward and the backward
 pass is unsupported: the flags at record time win.
 
+Freed tape memory stays in the process heap for the next tape.  On glibc,
+importing this module raises malloc's mmap threshold to 32 MiB and its trim
+threshold to 256 MiB, so the 1-5 MB activation arrays come from the heap
+and one 64-row Transformer tape (~75 MB) is not handed back to the kernel
+after every backward pass, only to be faulted in again by the next forward
+pass.  Setting any of ``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_``
+or ``MALLOC_TOP_PAD_`` leaves glibc's policy to the environment.
+
 Broadcasting is deliberately restricted to two patterns -- scalar with
 tensor, and a trailing-suffix operand (bias/gain application).  Anything
 else must go through an explicit :func:`broadcast_to`.  All data is
@@ -24,6 +32,7 @@ float64.
 
 from __future__ import annotations
 
+import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,6 +62,37 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Raised when operand shapes do not conform to a primitive's rules."""
+
+
+# glibc malloc policy (see the module docstring).  Arrays below the mmap
+# threshold come from the heap; 32 MiB is the largest value glibc accepts on
+# 64-bit.  The heap top is returned to the kernel only once more than the
+# trim threshold is free; it must exceed one tape, or glibc still trims.
+# Setting the trim threshold alone would pin the mmap threshold at 128 KiB
+# and mmap every large array, so the two are set together, mmap first.
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 256 << 20
+
+
+def _retain_freed_memory() -> bool:
+    """Apply the heap policy; True when glibc accepted both thresholds."""
+    if any(var in os.environ for var in
+           ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_")):
+        return False
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return False
+    import ctypes
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # M_MMAP_THRESHOLD is -3, M_TRIM_THRESHOLD is -1; mallopt returns 1 on success
+    return mallopt(-3, _MMAP_THRESHOLD) == 1 and mallopt(-1, _TRIM_THRESHOLD) == 1
+
+
+_HEAP_RETAINED = _retain_freed_memory()
 
 
 class _Node:

@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import replace
 
+from .autodiff import ShapeError
 from .data import DataError, synthesize_household
 from .experiment import (ConfigError, apply_override, config_from_dict,
                          run_experiment)
@@ -165,6 +166,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ShapeError:  # an internal bug, not a user's mistake: exit 1 with a traceback
+        raise
     except (ConfigError, DataError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

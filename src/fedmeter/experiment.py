@@ -118,6 +118,14 @@ _SECTIONS = (("data", DataConfig), ("federation", FederationConfig),
              ("attack", AttackSpec), ("train", TrainConfig))
 
 
+def _as_tuple(body: dict, key: str, name: str) -> None:
+    """Turn the list at ``body[key]`` into a tuple; any other value is an error."""
+    if key in body:
+        if not isinstance(body[key], (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {body[key]!r}")
+        body[key] = tuple(body[key])
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     raw = dict(raw)
     for key in ("name", "output_dir"):
@@ -128,15 +136,14 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         body = dict(raw.pop(key, {}))
         if key == "data" and isinstance(body.get("r_range"), list):
             body["r_range"] = tuple(body["r_range"])
-        if key == "train" and "lr_milestones" in body:
-            body["lr_milestones"] = tuple(body["lr_milestones"])
+        if key == "train":
+            _as_tuple(body, "lr_milestones", "train.lr_milestones")
         try:
             sections[key] = cls(**body)
         except TypeError as exc:
             raise ConfigError(f"bad '{key}' section: {exc}") from None
     for listy in ("epsilon_list", "malicious_fraction_list"):
-        if listy in raw:
-            raw[listy] = tuple(raw[listy])
+        _as_tuple(raw, listy, listy)
     try:
         return ExperimentConfig(**raw, **sections)
     except TypeError as exc:
@@ -169,22 +176,29 @@ def _finite_nonnegative(value) -> bool:
     return isinstance(value, (int, float)) and math.isfinite(value) and value >= 0
 
 
-# numeric fields that the range checks compare; clients_per_round may be None
+# numeric fields, type-checked before any range check; clients_per_round may be None
 _INTEGER_FIELDS = ("master_seed", "data.households", "data.days", "federation.rounds",
                    "federation.clients_per_round", "federation.local_epochs",
                    "federation.malicious_count", "train.epochs", "train.batch_size")
 _REAL_FIELDS = ("threshold", "data.train_fraction", "data.anomaly_fraction",
-                "federation.poison_fraction")
+                "federation.poison_fraction", "train.base_lr", "train.lr_decay",
+                "train.rho", "train.eps_opt", "train.focal_alpha", "train.focal_gamma")
 
 
 def _is_a(value, kind) -> bool:
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """``value`` is a ``kind`` but not a bool; a real number must be a finite float."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return False
+    try:
+        return kind is numbers.Integral or math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _type_problems(cfg: ExperimentConfig) -> list[str]:
     problems = []
     for names, kind, noun in ((_INTEGER_FIELDS, numbers.Integral, "an integer"),
-                              (_REAL_FIELDS, numbers.Real, "a real number")):
+                              (_REAL_FIELDS, numbers.Real, "a finite real number")):
         for name in names:
             value = attrgetter(name)(cfg)
             if not _is_a(value, kind) \

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -344,3 +347,111 @@ def test_fused_model_kernels_match_finite_differences(case, frozen):
 def test_fused_model_kernels_reject_mismatched_shapes(op, shapes):
     with pytest.raises(ad.ShapeError, match=op.__name__):
         op(*[Tensor(np.ones(s)) for s in shapes])
+
+
+# ---------------------------------------------------------------------------
+# heap policy: freed tape memory stays in the heap (glibc only)
+
+def _on_glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+needs_glibc = pytest.mark.skipif(not (sys.platform.startswith("linux") and _on_glibc()),
+                                 reason="the heap policy is set on Linux with glibc only")
+
+# Three warm-up calls, then the mean minor faults of three more, and the flag.
+_FAULTS_PER_CALL = """
+import resource
+import numpy as np
+from fedmeter import autodiff, models
+model = models.make_model("transformer", seed=0)
+rng = np.random.default_rng(0)
+x = rng.random((64, models.SEQ_LEN))
+y = (rng.random(64) < 0.2).astype(np.float64)
+for _ in range(3):
+    models.input_gradient(model, x, y)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(3):
+    models.input_gradient(model, x, y)
+print(autodiff._HEAP_RETAINED, (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3)
+"""
+
+
+def _run_fresh(code: str, **env) -> list[str]:
+    """Run ``code`` in a fresh interpreter without MALLOC_* variables; its output words."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ad.__file__)))
+    child_env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    child_env["OPENBLAS_NUM_THREADS"] = "1"
+    child_env.update(env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class _MalloptSpy:
+    """Stands in for ``ctypes.CDLL`` and records every ``mallopt`` call."""
+
+    def __init__(self):
+        self.calls = []
+        self.accept = True
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return int(self.accept)
+
+        self.mallopt = mallopt
+
+    def __call__(self, _name):
+        return self
+
+
+@pytest.fixture
+def mallopt_spy(monkeypatch):
+    """A ``mallopt`` spy, with no MALLOC_* variable set."""
+    import ctypes
+    spy = _MalloptSpy()
+    monkeypatch.setattr(ctypes, "CDLL", spy)
+    for var in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_"):
+        monkeypatch.delenv(var, raising=False)
+    return spy
+
+
+class TestHeapPolicy:
+    @needs_glibc
+    def test_transformer_input_gradient_does_not_refault_its_tape(self):
+        # without the policy a 64-row call takes 7,000-20,000 minor faults
+        retained, faults = _run_fresh(_FAULTS_PER_CALL)
+        assert retained == "True"
+        assert float(faults) < 1000
+
+    @needs_glibc
+    def test_user_malloc_setting_is_left_alone(self, monkeypatch, mallopt_spy):
+        flag = _run_fresh("from fedmeter import autodiff; print(autodiff._HEAP_RETAINED)",
+                          MALLOC_TRIM_THRESHOLD_="1048576")
+        assert flag == ["False"]
+        monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "1048576")
+        assert ad._retain_freed_memory() is False
+        assert mallopt_spy.calls == []
+
+    def test_no_op_without_glibc(self, monkeypatch, mallopt_spy):
+        def not_glibc(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr(os, "confstr", not_glibc, raising=False)
+        assert ad._retain_freed_memory() is False
+        assert mallopt_spy.calls == []
+
+    @pytest.mark.parametrize("accept", [True, False])
+    def test_trim_threshold_only_after_the_mmap_threshold(self, monkeypatch, mallopt_spy,
+                                                          accept):
+        mallopt_spy.accept = accept
+        monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36", raising=False)
+        assert ad._retain_freed_memory() is accept
+        # M_MMAP_THRESHOLD (-3) first; M_TRIM_THRESHOLD (-1) only if glibc took it
+        assert mallopt_spy.calls == [(-3, 32 << 20), (-1, 256 << 20)][:2 if accept else 1]

@@ -351,6 +351,37 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("override", [
+        "epsilon_list=5", "train.lr_milestones=5", "malicious_fraction_list=null",
+        "epsilon_list={\"a\":1}", 'train.base_lr="x"', "train.lr_decay=true",
+        "train.rho=NaN", "train.eps_opt=[1]", "train.focal_alpha=null",
+        "train.focal_gamma=1e309",
+        pytest.param(f"train.base_lr={10 ** 400}", id="train.base_lr=10**400")])
+    def test_mistyped_list_or_real_exits_before_any_run(self, tmp_path, monkeypatch,
+                                                        capsys, override):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["train", "--set", override]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert f"{override.split('=')[0]} must be" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_internal_shape_error_is_not_a_config_error(self, tmp_path):
+        # an autodiff.ShapeError is a bug in fedmeter: a traceback and exit 1
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = ("import sys\n"
+                "from fedmeter import autodiff, cli\n"
+                "def broken(cfg):\n"
+                "    raise autodiff.ShapeError('linear: shapes do not conform')\n"
+                "cli.run_experiment = broken\n"
+                f"sys.exit(cli.main(['train', '--out', {str(tmp_path / 'x')!r}]))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode not in (0, cli.EXIT_CONFIG)
+        assert "Traceback" in proc.stderr and "ShapeError" in proc.stderr
+        assert "config error" not in proc.stderr
+
     def test_inference_label_flip_exits_before_training(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = cli.main(["attack-eval", "--set", "attack.family=label_flip",
