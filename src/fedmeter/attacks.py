@@ -38,15 +38,18 @@ class AttackSpec:
 
     def __post_init__(self):
         if self.family not in ATTACK_FAMILIES:
-            raise ValueError(f"unknown attack family {self.family!r}")
+            raise ValueError(f"family must be one of {', '.join(ATTACK_FAMILIES)}, "
+                             f"got {self.family!r}")
         if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.pgd_iters < 1:
-            raise ValueError("pgd_iters must be >= 1")
+            raise ValueError(f"pgd_iters must be >= 1, got {self.pgd_iters}")
         if self.awgn_variance < 0:
-            raise ValueError("awgn variance must be >= 0")
+            raise ValueError(f"awgn_variance must be >= 0, got {self.awgn_variance}")
         if not (0.0 <= self.flip_fraction <= 1.0):
-            raise ValueError("flip_fraction must be in [0, 1]")
+            raise ValueError(f"flip_fraction must be in [0, 1], got {self.flip_fraction}")
+        if self.eps_ball is not None and self.eps_ball < 0:
+            raise ValueError(f"eps_ball must be >= 0, got {self.eps_ball}")
 
 
 def fgsm(model, x: np.ndarray, y: np.ndarray, epsilon: float, *,

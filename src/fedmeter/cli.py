@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: synth-data, train, attack-eval, federate, sweep, report.
-Exit codes: 0 success, 2 config error, 3 numeric failure (a non-finite loss
-or activation), 4 I/O error.  Relative output directories resolve under
-$FEDMETER_OUTPUT_ROOT when it is set.
+Exit codes: 0 success, 2 config or input-data error, 3 numeric failure (a
+non-finite loss or activation), 4 I/O error.  Relative output directories
+resolve under $FEDMETER_OUTPUT_ROOT when it is set.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import os
 import sys
 from dataclasses import replace
 
-from .autodiff import ShapeError
 from .data import DataError, synthesize_household
 from .experiment import (ConfigError, apply_override, config_from_dict,
                          run_experiment)
@@ -75,7 +74,7 @@ def _config_from_args(args) -> "ExperimentConfig":
         with open(args.config, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
                 raise ConfigError(f"{args.config}: not valid JSON ({exc})") from None
     for override in args.set or []:
         if "=" not in override:
@@ -166,9 +165,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ShapeError:  # an internal bug, not a user's mistake: exit 1 with a traceback
-        raise
-    except (ConfigError, DataError, ValueError) as exc:
+    except (ConfigError, DataError) as exc:  # any other ValueError is a bug: a traceback
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericError, FloatingPointError) as exc:

@@ -25,13 +25,15 @@ import math
 import numbers
 import os
 import platform
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from operator import attrgetter
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import data as dp
-from .attacks import ATTACK_FAMILIES, AttackSpec, dump_adversarial_csv, poison_batch
+from .attacks import AttackSpec, dump_adversarial_csv, poison_batch
 from .evaluation import (asr_inference, asr_training, classify, compute_metrics,
                          metrics_row, write_metrics_csv)
 from .federation import (ClientNode, global_model, init_state, run_centralized,
@@ -105,49 +107,98 @@ def recommended_train_config(model_name: str, **overrides) -> TrainConfig:
 # ---------------------------------------------------------------------------
 # config (de)serialization and validation
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = asdict(cfg)
-    out["epsilon_list"] = list(cfg.epsilon_list)
-    out["malicious_fraction_list"] = list(cfg.malicious_fraction_list)
-    out["data"]["r_range"] = list(cfg.data.r_range)
-    out["train"]["lr_milestones"] = list(cfg.train.lr_milestones)
-    return out
+config_to_dict = asdict  # json.dumps writes the config's tuples as lists
 
 
-_SECTIONS = (("data", DataConfig), ("federation", FederationConfig),
-             ("attack", AttackSpec), ("train", TrainConfig))
+# each leaf annotation of the config: the values it takes, and its name in a message
+_LEAVES = {str: (str, "a string", "strings"), bool: (bool, "true or false", "booleans"),
+           int: (numbers.Integral, "an integer", "integers"),
+           float: (numbers.Real, "a finite real number", "finite real numbers")}
 
 
-def _as_tuple(body: dict, key: str, name: str) -> None:
-    """Turn the list at ``body[key]`` into a tuple; any other value is an error."""
-    if key in body:
-        if not isinstance(body[key], (list, tuple)):
-            raise ConfigError(f"{name} must be a list, got {body[key]!r}")
-        body[key] = tuple(body[key])
+def _typed(hint, value):
+    """``value`` as the annotation ``hint`` types it, each list becoming a tuple
+    where the hint is a tuple; TypeError or OverflowError when it does not fit.
+
+    Handles only the shapes the config annotations use: the leaves above,
+    ``X | None``, ``tuple[X, X]``, ``tuple[X, ...]`` and ``dict[str, X]``.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return None if value is None else _typed(args[0], value)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError
+        hints = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(hints):
+            raise TypeError
+        return tuple(map(_typed, hints, value))
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise TypeError
+        return {_typed(args[0], k): _typed(args[1], v) for k, v in value.items()}
+    if not isinstance(value, _LEAVES[hint][0]) or isinstance(value, bool) and hint is not bool:
+        raise TypeError
+    if hint is float and not math.isfinite(value):  # OverflowError: an int too large
+        raise TypeError
+    return value
+
+
+def _noun(hint, plural: bool = False) -> str:
+    """How a message names the values the annotation ``hint`` takes."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is UnionType:
+        return f"{_noun(args[0])} or null"
+    if origin is tuple:  # tuple[X, ...] is named where the field's name is known
+        return f"a list of {len(args)} {_noun(args[0], True)}"
+    if origin is dict:
+        return f"a map of {_noun(args[0], True)} to {_noun(args[1], True)}"
+    return _LEAVES[hint][1 + plural]
+
+
+def _checked(cls, values, where: str = ""):
+    """Build the config dataclass ``cls`` from the dict ``values``, checking each
+    field against its annotation: ``(instance, problems)``.
+
+    Each problem names its field by its dotted path; with any problem the
+    instance is None.  A section's own range checks (``AttackSpec``) run only
+    on well-typed values and report as problems too.
+    """
+    hints = get_type_hints(cls)
+    if not isinstance(values, dict):
+        return None, [f"{where or 'the config'} must be a map of settings, got {values!r}"]
+    typed, problems = {}, []
+    for key, value in values.items():
+        name = f"{where}.{key}" if where else key
+        hint = hints.get(key)
+        if hint is None:
+            problems.append(f"{name} is not a config setting")
+        elif is_dataclass(hint):
+            typed[key], inner = _checked(hint, value, name)
+            problems += inner
+        else:
+            try:
+                typed[key] = _typed(hint, value)
+            except (TypeError, OverflowError):
+                args = get_args(hint)
+                noun = (f"a list whose {name} entries are {_noun(args[0], True)}"
+                        if args[-1:] == (Ellipsis,) else _noun(hint))
+                problems.append(f"{name} must be {noun}, got {value!r}")
+    if problems:
+        return None, problems
+    try:
+        return cls(**typed), []
+    except ValueError as exc:
+        return None, [f"{where}.{exc}"]
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    raw = dict(raw)
-    for key in ("name", "output_dir"):
-        if key in raw and not isinstance(raw[key], str):
-            raise ConfigError(f"{key} must be a string, got {raw[key]!r}")
-    sections = {}
-    for key, cls in _SECTIONS:
-        body = dict(raw.pop(key, {}))
-        if key == "data" and isinstance(body.get("r_range"), list):
-            body["r_range"] = tuple(body["r_range"])
-        if key == "train":
-            _as_tuple(body, "lr_milestones", "train.lr_milestones")
-        try:
-            sections[key] = cls(**body)
-        except TypeError as exc:
-            raise ConfigError(f"bad '{key}' section: {exc}") from None
-    for listy in ("epsilon_list", "malicious_fraction_list"):
-        _as_tuple(raw, listy, listy)
-    try:
-        return ExperimentConfig(**raw, **sections)
-    except TypeError as exc:
-        raise ConfigError(f"bad config: {exc}") from None
+    """Build a config from parsed JSON; every field is checked against its
+    annotation before any section is built."""
+    cfg, problems = _checked(ExperimentConfig, raw)
+    if problems:
+        raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
+    return cfg
 
 
 def apply_override(cfg_dict: dict, dotted: str, value: str) -> None:
@@ -157,7 +208,8 @@ def apply_override(cfg_dict: dict, dotted: str, value: str) -> None:
     ConfigError instead of turning a scalar field into a dict.
     """
     keys = dotted.split(".")
-    sections = [name for name, _ in _SECTIONS]
+    sections = [key for key, hint in get_type_hints(ExperimentConfig).items()
+                if is_dataclass(hint)]
     if len(keys) > 1 and keys[0] not in sections:
         raise ConfigError(f"--set {dotted}: {keys[0]!r} is not a config section "
                           f"(choose from {', '.join(sections)})")
@@ -168,139 +220,83 @@ def apply_override(cfg_dict: dict, dotted: str, value: str) -> None:
             raise ConfigError(f"--set {dotted}: {k!r} already holds a value, not a section")
     try:
         node[keys[-1]] = json.loads(value)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON (or an integer too long to parse): keep the text
         node[keys[-1]] = value
 
 
-def _finite_nonnegative(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value) and value >= 0
-
-
-# numeric fields, type-checked before any range check; clients_per_round may be None
-_INTEGER_FIELDS = ("master_seed", "data.households", "data.days", "federation.rounds",
-                   "federation.clients_per_round", "federation.local_epochs",
-                   "federation.malicious_count", "train.epochs", "train.batch_size")
-_REAL_FIELDS = ("threshold", "data.train_fraction", "data.anomaly_fraction",
-                "federation.poison_fraction", "train.base_lr", "train.lr_decay",
-                "train.rho", "train.eps_opt", "train.focal_alpha", "train.focal_gamma")
-
-
-def _is_a(value, kind) -> bool:
-    """``value`` is a ``kind`` but not a bool; a real number must be a finite float."""
-    if not isinstance(value, kind) or isinstance(value, bool):
-        return False
-    try:
-        return kind is numbers.Integral or math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
-def _type_problems(cfg: ExperimentConfig) -> list[str]:
-    problems = []
-    for names, kind, noun in ((_INTEGER_FIELDS, numbers.Integral, "an integer"),
-                              (_REAL_FIELDS, numbers.Real, "a finite real number")):
-        for name in names:
-            value = attrgetter(name)(cfg)
-            if not _is_a(value, kind) \
-                    and not (value is None and name == "federation.clients_per_round"):
-                problems.append(f"{name} must be {noun}, got {value!r}")
-    r_range = cfg.data.r_range
-    if not (isinstance(r_range, (tuple, list)) and len(r_range) == 2
-            and all(_is_a(r, numbers.Real) for r in r_range)):
-        problems.append(f"data.r_range must be a pair of real numbers, got {r_range!r}")
-    weights = cfg.data.kind_weights
-    if weights is not None and not (isinstance(weights, dict) and
-                                    all(_is_a(w, numbers.Real) for w in weights.values())):
-        problems.append(f"data.kind_weights must be a map of anomaly kinds to real "
-                        f"numbers, got {weights!r}")
-    return problems
-
-
 def _value_problems(cfg: ExperimentConfig) -> list[str]:
-    problems = []
-    if cfg.model not in ("lstm", "transformer"):
-        problems.append(f"unknown model {cfg.model!r}")
-    if cfg.setting not in ("central", "federated"):
-        problems.append(f"unknown setting {cfg.setting!r}")
-    if cfg.protocol not in PROTOCOLS:
-        problems.append(f"unknown protocol {cfg.protocol!r}")
-    if cfg.attack.family not in ATTACK_FAMILIES:
-        problems.append(f"unknown attack family {cfg.attack.family!r}")
-    if not (0.0 < cfg.threshold < 1.0):
-        problems.append(f"threshold must be in (0,1), got {cfg.threshold}")
-    if not (0.0 < cfg.data.train_fraction < 1.0):
-        problems.append("data.train_fraction must be in (0,1)")
-    if cfg.data.source not in ("synthetic", "csv"):
-        problems.append(f"unknown data source {cfg.data.source!r}")
-    if cfg.data.source == "csv" and not cfg.data.csv_path:
-        problems.append("data.source is csv but data.csv_path is missing")
+    """Range and consistency problems of a config whose fields are well typed."""
+    dcfg, fed, train = cfg.data, cfg.federation, cfg.train
+    synthetic = dcfg.source == "synthetic"
+    per_round = fed.clients_per_round
+    ranges = (
+        ("model", cfg.model in ("lstm", "transformer"), "lstm or transformer"),
+        ("setting", cfg.setting in ("central", "federated"), "central or federated"),
+        ("protocol", cfg.protocol in PROTOCOLS, f"one of {', '.join(PROTOCOLS)}"),
+        ("threshold", 0.0 < cfg.threshold < 1.0, "in (0, 1)"),
+        ("data.source", dcfg.source in ("synthetic", "csv"), "synthetic or csv"),
+        ("data.csv_path", dcfg.source != "csv" or dcfg.csv_path, "set when data.source is csv"),
+        ("data.train_fraction", 0.0 < dcfg.train_fraction < 1.0, "in (0, 1)"),
+        ("data.households", not synthetic or dcfg.households >= 1, ">= 1"),
+        ("data.days", not synthetic or dcfg.days >= 2, ">= 2"),
+        ("federation.rounds", fed.rounds >= 1, ">= 1"),
+        ("federation.local_epochs", fed.local_epochs >= 1, ">= 1"),
+        ("federation.malicious_count", fed.malicious_count >= 0, ">= 0"),
+        ("federation.poison_fraction", 0.0 <= fed.poison_fraction <= 1.0, "in [0, 1]"),
+        ("federation.clients_per_round", cfg.setting == "central" or per_round is None
+         or 1 <= per_round <= dcfg.households, "in [1, data.households]"),
+        ("train.epochs", train.epochs >= 1, ">= 1"),
+        ("train.batch_size", train.batch_size >= 1, ">= 1"),
+        ("train.base_lr", train.base_lr > 0, "> 0"),
+        ("train.lr_decay", train.lr_decay > 0, "> 0"),
+        ("train.rho", 0 <= train.rho < 1, "in [0, 1)"),
+        ("train.eps_opt", train.eps_opt > 0, "> 0"),
+        ("train.focal_alpha", 0 <= train.focal_alpha <= 1, "in [0, 1]"),
+        ("train.focal_gamma", train.focal_gamma >= 0, ">= 0"),
+        ("train.lr_milestones", all(m >= 1 for m in train.lr_milestones), "epochs >= 1"),
+        ("epsilon_list entries", all(e >= 0 for e in cfg.epsilon_list), ">= 0"),
+        ("malicious_fraction_list entries",
+         all(0.0 < f <= 1.0 for f in cfg.malicious_fraction_list), "in (0, 1]"))
+    problems = [f"{name} must be {rule}, got {attrgetter(name.split()[0])(cfg)!r}"
+                for name, ok, rule in ranges if not ok]
     try:
         _anomaly_config(cfg, 0)
     except dp.DataError as exc:
         problems.append(f"data.{exc}")
-    if cfg.data.source == "synthetic":
-        if cfg.data.households < 1:
-            problems.append("data.households must be >= 1")
-        if cfg.data.days < 2:
-            problems.append("data.days must be >= 2")
-    if cfg.federation.rounds < 1:
-        problems.append(f"federation.rounds must be >= 1, got {cfg.federation.rounds}")
-    if cfg.federation.local_epochs < 1:
-        problems.append(f"federation.local_epochs must be >= 1, "
-                        f"got {cfg.federation.local_epochs}")
-    if cfg.train.epochs < 1:
-        problems.append(f"train.epochs must be >= 1, got {cfg.train.epochs}")
-    if cfg.train.batch_size < 1:
-        problems.append(f"train.batch_size must be >= 1, got {cfg.train.batch_size}")
-    if not _finite_nonnegative(cfg.attack.epsilon):
-        problems.append(f"attack.epsilon must be finite and >= 0, got {cfg.attack.epsilon}")
-    if not all(_finite_nonnegative(eps) for eps in cfg.epsilon_list):
-        problems.append(f"epsilon_list entries must be finite and >= 0, "
-                        f"got {list(cfg.epsilon_list)}")
-    if cfg.federation.malicious_count > cfg.data.households:
-        problems.append(f"malicious_count {cfg.federation.malicious_count} exceeds "
-                        f"households {cfg.data.households}")
-    if cfg.federation.malicious_count < 0:
-        problems.append("malicious_count must be >= 0")
-    if not (0.0 <= cfg.federation.poison_fraction <= 1.0):
-        problems.append("poison_fraction must be in [0,1]")
+    if fed.malicious_count > dcfg.households:
+        problems.append(f"federation.malicious_count {fed.malicious_count} exceeds "
+                        f"data.households {dcfg.households}")
     if cfg.setting == "central":
-        if cfg.federation.malicious_count > 0:
-            problems.append("central setting contradicts malicious_count > 0")
-        if cfg.federation.clients_per_round is not None:
-            problems.append("central setting contradicts clients_per_round")
-    else:
-        n = cfg.federation.clients_per_round
-        if n is not None and not (1 <= n <= cfg.data.households):
-            problems.append(f"clients_per_round {n} outside [1, households]")
+        if fed.malicious_count > 0:
+            problems.append("setting central contradicts federation.malicious_count > 0")
+        if per_round is not None:
+            problems.append("setting central contradicts federation.clients_per_round")
     if cfg.protocol in ("inference_attack", "training_attack") \
             and cfg.attack.family == "none":
-        problems.append(f"{cfg.protocol} requires an attack family")
+        problems.append(f"protocol {cfg.protocol} requires an attack.family")
     if cfg.protocol == "inference_attack" and cfg.attack.family == "label_flip":
-        problems.append("label_flip is a training-time attack; it has no "
-                        "inference-time variant")
+        problems.append("attack.family label_flip is a training-time attack; protocol "
+                        "inference_attack has no variant of it")
     if cfg.protocol == "baseline" and cfg.attack.family != "none":
-        problems.append("baseline protocol contradicts a configured attack")
+        problems.append(f"protocol baseline contradicts attack.family {cfg.attack.family}")
     if cfg.protocol in ("sweep_epsilon", "sweep_malicious") and cfg.setting != "federated":
-        problems.append(f"{cfg.protocol} runs in the federated setting only")
+        problems.append(f"protocol {cfg.protocol} runs in the federated setting only")
     if cfg.protocol == "sweep_epsilon" and not cfg.epsilon_list:
-        problems.append("sweep_epsilon needs a non-empty epsilon_list")
-    if cfg.protocol == "sweep_malicious":
-        if not cfg.malicious_fraction_list:
-            problems.append("sweep_malicious needs a non-empty malicious_fraction_list")
-        elif not all(isinstance(f, numbers.Real) and 0.0 < f <= 1.0
-                     for f in cfg.malicious_fraction_list):
-            problems.append("malicious fractions must be in (0,1]")
+        problems.append("protocol sweep_epsilon needs a non-empty epsilon_list")
+    if cfg.protocol == "sweep_malicious" and not cfg.malicious_fraction_list:
+        problems.append("protocol sweep_malicious needs a non-empty malicious_fraction_list")
     return problems
 
 
 def validate_config(cfg: ExperimentConfig) -> tuple[ExperimentConfig, dict[str, int]]:
     """Check the config, fill derived values, and list every derived seed.
 
-    All violations are collected and reported together; a mistyped numeric
-    field is reported without the range checks, which cannot compare it.
+    The config is rebuilt through ``config_from_dict``, so one built in code
+    or changed with ``setattr`` is type-checked too; range checks run only on
+    well-typed fields.  All violations are reported together.
     """
-    problems = _type_problems(cfg) or _value_problems(cfg)
+    cfg = config_from_dict(config_to_dict(cfg))
+    problems = _value_problems(cfg)
     if problems:
         raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
 

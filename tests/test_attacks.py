@@ -50,6 +50,7 @@ class TestAttackSpec:
         {"flip_fraction": 1.5},
         {"epsilon": float("nan")},
         {"epsilon": float("inf")},
+        {"eps_ball": -0.1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

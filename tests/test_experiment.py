@@ -1,10 +1,16 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import types
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmeter import autodiff as ad
 from fedmeter import cli
@@ -43,11 +49,72 @@ def tiny_cfg(out_dir, **kw):
     return config_from_dict(tiny_dict(out_dir, **kw))
 
 
+def dotted_fields(cls, prefix=""):
+    """Every config field by its dotted name, the sections themselves included."""
+    for key, hint in typing.get_type_hints(cls).items():
+        yield prefix + key
+        if dataclasses.is_dataclass(hint):
+            yield from dotted_fields(hint, f"{prefix}{key}.")
+
+
+def has_annotated_type(hint, value) -> bool:
+    """``value`` is of the type ``hint`` names; a tuple field holds a tuple,
+    a bool is not a number and a float is finite."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        return isinstance(value, hint) and all(
+            has_annotated_type(h, getattr(value, k))
+            for k, h in typing.get_type_hints(hint).items())
+    if origin is types.UnionType:
+        return value is None or has_annotated_type(args[0], value)
+    if origin is tuple:
+        return (isinstance(value, tuple) and (args[-1] is Ellipsis or len(value) == len(args))
+                and all(has_annotated_type(args[0], v) for v in value))
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            isinstance(k, str) and has_annotated_type(args[1], v) for k, v in value.items())
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint) and \
+        (hint is not float or math.isfinite(value))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([10 ** 400, 1e309, -1e309, float("nan"), "csv", "central", "pgd",
+                       "label_flip", "inference_attack", "sweep_epsilon"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
 class TestConfig:
     def test_roundtrip(self, tmp_path):
         cfg = tiny_cfg(tmp_path)
         again = config_from_dict(config_to_dict(cfg))
         assert again == cfg
+
+    def test_roundtrip_through_json(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, epsilon_list=[0.3, 0.6], malicious_fraction_list=[0.5],
+                       data={"kind_weights": {"drop": 0.5, "pos_spike": 0.5},
+                             "r_range": [0.6, 1.2]},
+                       federation={"clients_per_round": 2},
+                       attack={"family": "pgd", "eps_ball": 0.2, "project_linf": True},
+                       train={"lr_milestones": [3, 7]})
+        assert cfg.data.r_range == (0.6, 1.2) and cfg.train.lr_milestones == (3, 7)
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    @settings(max_examples=500, deadline=None)
+    @given(field=st.sampled_from(list(dotted_fields(ExperimentConfig))), value=JSON_VALUES)
+    def test_any_json_value_is_typed_or_names_its_field(self, field, value):
+        raw = tiny_dict("runs/never-written")
+        apply_override(raw, field, json.dumps(value))
+        try:
+            cfg, _ = validate_config(config_from_dict(raw))
+        except ConfigError as exc:
+            assert field in str(exc)
+        else:
+            assert has_annotated_type(ExperimentConfig, cfg)
 
     def test_defaults_fill(self):
         cfg = config_from_dict({})
@@ -108,6 +175,14 @@ class TestConfig:
         ("data", "r_range", (2.0, 1.0)),
         ("data", "r_range", 5),
         ("data", "kind_weights", {"drop": "1"}),
+        ("train", "base_lr", 0.0),
+        ("train", "lr_decay", -0.1),
+        ("train", "rho", 1.0),
+        ("train", "eps_opt", 0.0),
+        ("train", "focal_alpha", 1.5),
+        ("train", "focal_gamma", -1.0),
+        ("train", "lr_milestones", (0, 50)),
+        ("attack", "eps_ball", -0.1),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, section, key, value):
         cfg = tiny_cfg(tmp_path)
@@ -122,8 +197,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("eps", [float("nan"), -0.5])
     def test_bad_sweep_epsilon_rejected(self, tmp_path, eps):
-        cfg = tiny_cfg(tmp_path, protocol="sweep_epsilon", epsilon_list=[0.1, eps])
         with pytest.raises(ConfigError, match="epsilon_list entries"):
+            cfg = tiny_cfg(tmp_path, protocol="sweep_epsilon", epsilon_list=[0.1, eps])
             validate_config(cfg)
 
     def test_attack_protocol_requires_family(self, tmp_path):
@@ -145,6 +220,12 @@ class TestConfig:
     @pytest.mark.parametrize("raw", [{"name": {"x": 1}}, {"output_dir": 3}])
     def test_non_string_name_or_output_dir_rejected(self, raw):
         with pytest.raises(ConfigError, match="must be a string"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("raw,name", [({"data": {"housholds": 3}}, "data.housholds"),
+                                          ({"epochs": 3}, "epochs")])
+    def test_unknown_key_rejected(self, raw, name):
+        with pytest.raises(ConfigError, match=f"{name} is not a config setting"):
             config_from_dict(raw)
 
     def test_apply_override_parses_json_values(self):
@@ -356,7 +437,12 @@ class TestCli:
         "epsilon_list={\"a\":1}", 'train.base_lr="x"', "train.lr_decay=true",
         "train.rho=NaN", "train.eps_opt=[1]", "train.focal_alpha=null",
         "train.focal_gamma=1e309",
-        pytest.param(f"train.base_lr={10 ** 400}", id="train.base_lr=10**400")])
+        pytest.param(f"train.base_lr={10 ** 400}", id="train.base_lr=10**400"),
+        'attack.project_linf="x"', 'attack.eps_ball="x"', "attack.pgd_iters=NaN",
+        "attack.epsilon=true", 'train.seed="x"', "data.csv_path=5",
+        'train.lr_milestones=["x"]',
+        # well typed but out of range: AttackSpec's own checks
+        "attack.awgn_variance=-1", "attack.pgd_iters=0", "attack.family=x"])
     def test_mistyped_list_or_real_exits_before_any_run(self, tmp_path, monkeypatch,
                                                         capsys, override):
         monkeypatch.chdir(tmp_path)
@@ -381,6 +467,27 @@ class TestCli:
         assert proc.returncode not in (0, cli.EXIT_CONFIG)
         assert "Traceback" in proc.stderr and "ShapeError" in proc.stderr
         assert "config error" not in proc.stderr
+
+    @pytest.mark.parametrize("content", [b'{"name": ', b'{"name": "\xff"}'])
+    def test_unreadable_config_file_exits_before_any_run(self, tmp_path, monkeypatch,
+                                                         capsys, content):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_bytes(content)
+        assert cli.main(["train", "--config", "cfg.json"]) == cli.EXIT_CONFIG
+        assert "cfg.json: not valid JSON" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch,
+                                                        capsys):
+        # only ConfigError and DataError are a user's mistake (exit 2); any other
+        # ValueError escapes main, so a script ends in a traceback with exit 1
+        def broken(cfg):
+            raise ValueError("an internal invariant failed")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        with pytest.raises(ValueError, match="internal invariant"):
+            cli.main(["train", "--out", str(tmp_path / "x")])
+        assert "config error" not in capsys.readouterr().err
 
     def test_inference_label_flip_exits_before_training(self, tmp_path, capsys):
         out = tmp_path / "run"
