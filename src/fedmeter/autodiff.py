@@ -455,10 +455,7 @@ def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
     return _make(out, (t,), bw)
 
 
-def transpose(t: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(t.data.ndim)))
-    axes = tuple(axes)
+def transpose(t: Tensor, axes: Sequence[int]) -> Tensor:
     out = np.transpose(t.data, axes)
     inverse = tuple(np.argsort(axes))
 

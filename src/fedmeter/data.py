@@ -21,6 +21,8 @@ from .seeding import rng_for
 HOURS_PER_DAY = 24
 
 ANOMALY_KINDS = ("drop", "pos_spike", "neg_spike", "seg_pos_spike", "seg_neg_spike")
+LOW_WINDOW_HOURS = 6   # lengths of the detected usage windows, as the paper's
+HIGH_WINDOW_HOURS = 7  # low window 4-10h and high window 18-1h
 
 # Average diurnal shape (kWh) used by the synthesizer: trough over hours
 # 4..9, evening peak spanning midnight (18..23 plus 0).
@@ -49,6 +51,8 @@ class HourlySeries:
         self.kwh = np.asarray(self.kwh, dtype=np.float64)
         if len(self.timestamps) != len(self.kwh):
             raise DataError(f"household {self.household_id}: timestamps/kwh length mismatch")
+        if not np.all(np.isfinite(self.kwh)):
+            raise DataError(f"household {self.household_id}: non-finite kwh reading")
         if np.any(self.kwh < 0):
             raise DataError(f"household {self.household_id}: negative kwh reading")
         if len(self.timestamps) > 1:
@@ -102,7 +106,6 @@ class AnomalyConfig:
         default_factory=lambda: {k: 1.0 / len(ANOMALY_KINDS) for k in ANOMALY_KINDS})
     r_range: tuple[float, float] = (0.5, 1.5)
     seed: int = 0
-    clamp_negative: bool = False  # clamp (1-r)x at zero when r > 1
 
     def __post_init__(self):
         if not (0.0 < self.anomaly_fraction < 1.0):
@@ -187,6 +190,8 @@ def ingest_csv(path) -> dict[str, HourlySeries]:
                 kwh = float(row["kwh"])
             except ValueError:
                 raise DataError(f"{path}: unparseable kwh at row {rownum}") from None
+            if not np.isfinite(kwh):  # float() parses "nan", "inf" and "1e999"
+                raise DataError(f"{path}: non-finite kwh at row {rownum}: {row['kwh']!r}")
             if kwh < 0:
                 raise DataError(f"{path}: negative kwh at row {rownum}")
             key = (hid, ts)
@@ -204,22 +209,17 @@ def ingest_csv(path) -> dict[str, HourlySeries]:
     return out
 
 
-def synthesize_household(days: int, seed: int, household_id: str = "h0",
-                         base_shape: np.ndarray | None = None,
-                         start: str = "2021-01-04T00") -> HourlySeries:
-    """Generate a plausible household series: diurnal shape with a morning
-    trough and evening peak, weekend uplift, and multiplicative noise.
-    """
+def synthesize_household(days: int, seed: int, household_id: str = "h0") -> HourlySeries:
+    """Generate a plausible household series from Monday 2021-01-04T00: the
+    diurnal shape with a morning trough and evening peak, weekend uplift,
+    and multiplicative noise."""
     if days < 1:
         raise DataError(f"days must be >= 1, got {days}")
-    shape = BASE_DIURNAL_SHAPE if base_shape is None else np.asarray(base_shape, float)
-    if shape.shape != (HOURS_PER_DAY,):
-        raise DataError("base_shape must have 24 entries")
     rng = rng_for(seed, "synth", household_id)
 
     scale = rng.uniform(0.7, 1.4)
     hour_jitter = rng.uniform(0.95, 1.05, size=HOURS_PER_DAY)
-    daily = shape * scale * hour_jitter
+    daily = BASE_DIURNAL_SHAPE * scale * hour_jitter
 
     day_idx = np.arange(days)
     weekly = np.where(day_idx % 7 >= 5, 1.15, 1.0)  # start date is a Monday
@@ -227,15 +227,20 @@ def synthesize_household(days: int, seed: int, household_id: str = "h0",
     noise = rng.lognormal(mean=0.0, sigma=0.12, size=values.size)
     values = values * noise
 
-    t0 = np.datetime64(start, "h")
+    t0 = np.datetime64("2021-01-04T00", "h")
     timestamps = t0 + np.arange(values.size).astype("timedelta64[h]")
     return HourlySeries(household_id, timestamps, values)
 
 
 def segment_daily(series: HourlySeries) -> list[LoadProfile]:
-    """Split into 24-step daily profiles; a trailing partial day is dropped."""
-    n_days = len(series) // HOURS_PER_DAY
-    return [LoadProfile(series.kwh[i * HOURS_PER_DAY:(i + 1) * HOURS_PER_DAY], i)
+    """Split into 24-step daily profiles that each run from 00:00 to 23:00,
+    so a profile index is the hour of day.  Readings before the first
+    midnight and a trailing partial day are dropped."""
+    # datetime64[h] counts hours from 1970-01-01T00, a midnight
+    first = int(-series.timestamps[0].astype(np.int64)) % HOURS_PER_DAY if len(series) else 0
+    kwh = series.kwh[first:]
+    n_days = len(kwh) // HOURS_PER_DAY
+    return [LoadProfile(kwh[i * HOURS_PER_DAY:(i + 1) * HOURS_PER_DAY], i)
             for i in range(n_days)]
 
 
@@ -263,17 +268,17 @@ def _best_circular_window(hour_means: np.ndarray, extremum: int, k: int,
     return tuple(sorted(int(h) for h in (best_start + np.arange(k)) % HOURS_PER_DAY))
 
 
-def detect_usage_windows(profiles: list[LoadProfile], k_low: int = 6,
-                         k_high: int = 7) -> UsageWindows:
-    """Low/high usage windows as contiguous circular hour ranges around the
-    extreme-mean hours."""
+def detect_usage_windows(profiles: list[LoadProfile]) -> UsageWindows:
+    """Low/high usage windows as contiguous circular hour ranges of
+    ``LOW_WINDOW_HOURS`` and ``HIGH_WINDOW_HOURS`` around the extreme-mean
+    hours."""
     if not profiles:
         raise DataError("cannot detect usage windows from an empty profile set")
     hour_means = _stack(profiles).mean(axis=0)
     if hour_means.max() == hour_means.min():
         raise DataError("degenerate: no distinct windows (constant hourly means)")
-    low = _best_circular_window(hour_means, int(np.argmin(hour_means)), k_low, maximize=False)
-    high = _best_circular_window(hour_means, int(np.argmax(hour_means)), k_high, maximize=True)
+    low = _best_circular_window(hour_means, int(np.argmin(hour_means)), LOW_WINDOW_HOURS, False)
+    high = _best_circular_window(hour_means, int(np.argmax(hour_means)), HIGH_WINDOW_HOURS, True)
     if set(low) & set(high):
         raise DataError("degenerate: low and high windows overlap")
     return UsageWindows(low_hours=low, high_hours=high)
@@ -296,12 +301,10 @@ def inject_drop(profile: LoadProfile, start: int, length: int) -> LoadProfile:
 
 
 def inject_spike(profile: LoadProfile, start: int, length: int, r: float,
-                 direction: str, r_range: tuple[float, float] = (0.5, 1.5),
-                 clamp_negative: bool = False) -> LoadProfile:
+                 direction: str, r_range: tuple[float, float] = (0.5, 1.5)) -> LoadProfile:
     """Scale ``length`` consecutive hours by (1+r) or (1-r).
 
-    A negative spike with r > 1 yields negative consumption; it is kept
-    unless ``clamp_negative`` is set.
+    A negative spike with r > 1 yields negative consumption, which is kept.
     """
     if length not in (1, 2):
         raise DataError(f"spike length must be 1 or 2, got {length}")
@@ -313,8 +316,6 @@ def inject_spike(profile: LoadProfile, start: int, length: int, r: float,
     pos = _window_positions(start, length)
     factor = (1.0 + r) if direction == "positive" else (1.0 - r)
     values[pos] = values[pos] * factor
-    if clamp_negative and direction == "negative":
-        values[pos] = np.maximum(values[pos], 0.0)
     return LoadProfile(values, profile.day_index)
 
 
@@ -329,8 +330,7 @@ def _inject_kind(profile: LoadProfile, kind: str, windows: UsageWindows,
     pool = windows.low_hours if direction == "positive" else windows.high_hours
     start = int(rng.choice(pool))
     r = float(rng.uniform(*cfg.r_range))
-    return inject_spike(profile, start, length, r, direction,
-                        r_range=cfg.r_range, clamp_negative=cfg.clamp_negative)
+    return inject_spike(profile, start, length, r, direction, r_range=cfg.r_range)
 
 
 def build_dataset(profiles: list[LoadProfile], windows: UsageWindows,

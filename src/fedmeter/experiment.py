@@ -434,8 +434,8 @@ def _train(cfg: ExperimentConfig, clients: list[ClientData], out_dir: str,
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     cfg, seeds = validate_config(cfg)
+    clients = build_client_data(cfg)  # a data error leaves no run directory
     out_dir = _resolve_output_dir(cfg)
-    clients = build_client_data(cfg)
     x_test, y_test, kinds_test = pooled([c.test for c in clients])
     label_setting = _setting_label(cfg)
     rows: list[list[str]] = []

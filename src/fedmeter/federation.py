@@ -13,14 +13,14 @@ honest clients' stored data is never touched.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .attacks import AttackSpec, poison_batch
 from .evaluation import DEFAULT_THRESHOLD, classify, compute_metrics
-from .models import (RmsProp, TrainConfig, make_model, save_weights, train_local,
-                     weights_from_bytes, weights_to_bytes)
+from .models import (RmsProp, TrainConfig, make_model, train_local, weights_from_bytes,
+                     weights_to_bytes)
 from .seeding import derive_seed, rng_for
 
 
@@ -65,13 +65,7 @@ class RoundRecord:
     global_test_accuracy: float | None = None
 
     def to_json(self) -> str:
-        return json.dumps({
-            "round": self.round,
-            "selected": self.selected,
-            "malicious_count": self.malicious_count,
-            "mean_local_loss": self.mean_local_loss,
-            "global_test_accuracy": self.global_test_accuracy,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def select_clients(state: FederationState, round_index: int) -> list[int]:
@@ -165,10 +159,8 @@ def run_federation(state: FederationState, model_name: str, cfg: TrainConfig,
                    t_rounds: int, *, eval_x: np.ndarray | None = None,
                    eval_y: np.ndarray | None = None,
                    threshold: float = DEFAULT_THRESHOLD, eval_every: int = 1,
-                   log_path=None, checkpoint_dir=None,
-                   checkpoint_every: int | None = None) -> list[RoundRecord]:
-    """Run ``t_rounds`` rounds; optionally log per-round records as JSON lines
-    and checkpoint the global weights at fixed intervals."""
+                   log_path=None) -> list[RoundRecord]:
+    """Run ``t_rounds`` rounds; optionally log per-round records as JSON lines."""
     if t_rounds < 1:
         raise ValueError("need at least one round")
     records = []
@@ -184,10 +176,6 @@ def run_federation(state: FederationState, model_name: str, cfg: TrainConfig,
             records.append(record)
             if log_fh is not None:
                 log_fh.write(record.to_json() + "\n")
-            if checkpoint_dir is not None and checkpoint_every is not None \
-                    and state.round % checkpoint_every == 0:
-                save_weights(state.global_weights,
-                             f"{checkpoint_dir}/round_{state.round:04d}.ckpt")
     finally:
         if log_fh is not None:
             log_fh.close()

@@ -19,6 +19,13 @@ from .autodiff import Tensor
 from .seeding import rng_for
 
 SEQ_LEN = 24
+LSTM_HIDDEN = 100
+NUM_BLOCKS = 5
+D_MODEL = 160
+NUM_HEADS = 8
+HEAD_DIM = D_MODEL // NUM_HEADS
+FFN_HIDDEN = 128
+DENSE_HIDDEN = 256
 
 
 @dataclass
@@ -54,15 +61,14 @@ def _wrap_batch(x) -> Tensor:
     return t
 
 
-def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
-                  hidden_size: int) -> Tensor:
+def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     """Full LSTM recurrence over the sequence as one fused tape primitive.
 
     Runs backpropagation-through-time by hand instead of composing ~400
     elementary tape nodes; the analytic gradients are pinned against the
     finite-difference oracle in the test suite.  Gate order inside the fused
     kernels: input, forget, candidate, output.  Returns the final hidden
-    state [batch, hidden].
+    state [batch, hidden], with the hidden size read from ``wh``.
 
     Like every primitive, it reads ``requires_grad`` when it records: the
     backward rule returns None for inputs that need no gradient and skips
@@ -71,7 +77,7 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
     """
     x_np, wx_np, wh_np, b_np = x.data, wx.data, wh.data, b.data
     batch, steps = x_np.shape
-    h_size = hidden_size
+    h_size = wh_np.shape[0]
     need_x, need_wx = x.requires_grad, wx.requires_grad
     need_wh, need_b = wh.requires_grad, b.requires_grad
 
@@ -208,10 +214,9 @@ class LstmClassifier:
 
     name = "lstm"
 
-    def __init__(self, seed: int = 0, hidden_size: int = 100):
-        self.hidden_size = hidden_size
+    def __init__(self, seed: int = 0):
         rng = rng_for(seed, "init", "lstm")
-        h = hidden_size
+        h = LSTM_HIDDEN
         self.params: dict[str, Tensor] = {
             "lstm.wx": Tensor(_glorot(rng, (1, 4 * h)), requires_grad=True),
             "lstm.wh": Tensor(_glorot(rng, (h, 4 * h)), requires_grad=True),
@@ -224,7 +229,7 @@ class LstmClassifier:
         xt = _wrap_batch(x)
         batch = xt.shape[0]
         p = self.params
-        h = lstm_sequence(xt, p["lstm.wx"], p["lstm.wh"], p["lstm.b"], self.hidden_size)
+        h = lstm_sequence(xt, p["lstm.wx"], p["lstm.wh"], p["lstm.b"])
         logits = linear(h, p["head.w"], p["head.b"])
         return ad.reshape(ad.sigmoid(logits), (batch,))
 
@@ -255,44 +260,36 @@ class TransformerClassifier:
 
     name = "transformer"
 
-    def __init__(self, seed: int = 0, num_blocks: int = 5, d_model: int = 160,
-                 num_heads: int = 8, ffn_hidden: int = 128, dense_hidden: int = 256):
-        if d_model % num_heads:
-            raise ValueError("d_model must divide evenly across heads")
-        self.num_blocks = num_blocks
-        self.d_model = d_model
-        self.num_heads = num_heads
-        self.head_dim = d_model // num_heads
+    def __init__(self, seed: int = 0):
         rng = rng_for(seed, "init", "transformer")
-        d = d_model
+        d, ffn, dense = D_MODEL, FFN_HIDDEN, DENSE_HIDDEN
         params: dict[str, Tensor] = {
             "emb.w": Tensor(_glorot(rng, (1, d)), requires_grad=True),
             "emb.b": Tensor(np.zeros(d), requires_grad=True),
         }
-        for k in range(num_blocks):
+        for k in range(NUM_BLOCKS):
             for proj in ("wq", "wk", "wv", "wo"):
                 params[f"blk{k}.attn.{proj}"] = Tensor(_glorot(rng, (d, d)), requires_grad=True)
                 params[f"blk{k}.attn.{proj[1]}b"] = Tensor(np.zeros(d), requires_grad=True)
             params[f"blk{k}.ln1.gamma"] = Tensor(np.ones(d), requires_grad=True)
             params[f"blk{k}.ln1.beta"] = Tensor(np.zeros(d), requires_grad=True)
-            params[f"blk{k}.ffn.w1"] = Tensor(_glorot(rng, (d, ffn_hidden)), requires_grad=True)
-            params[f"blk{k}.ffn.b1"] = Tensor(np.zeros(ffn_hidden), requires_grad=True)
-            params[f"blk{k}.ffn.w2"] = Tensor(_glorot(rng, (ffn_hidden, d)), requires_grad=True)
+            params[f"blk{k}.ffn.w1"] = Tensor(_glorot(rng, (d, ffn)), requires_grad=True)
+            params[f"blk{k}.ffn.b1"] = Tensor(np.zeros(ffn), requires_grad=True)
+            params[f"blk{k}.ffn.w2"] = Tensor(_glorot(rng, (ffn, d)), requires_grad=True)
             params[f"blk{k}.ffn.b2"] = Tensor(np.zeros(d), requires_grad=True)
             params[f"blk{k}.ln2.gamma"] = Tensor(np.ones(d), requires_grad=True)
             params[f"blk{k}.ln2.beta"] = Tensor(np.zeros(d), requires_grad=True)
-        params["head.dense.w"] = Tensor(_glorot(rng, (d, dense_hidden)), requires_grad=True)
-        params["head.dense.b"] = Tensor(np.zeros(dense_hidden), requires_grad=True)
-        params["head.out.w"] = Tensor(_glorot(rng, (dense_hidden, 1)), requires_grad=True)
+        params["head.dense.w"] = Tensor(_glorot(rng, (d, dense)), requires_grad=True)
+        params["head.dense.b"] = Tensor(np.zeros(dense), requires_grad=True)
+        params["head.out.w"] = Tensor(_glorot(rng, (dense, 1)), requires_grad=True)
         params["head.out.b"] = Tensor(np.zeros(1), requires_grad=True)
         self.params = params
-        self.pos_encoding = sinusoidal_positions(SEQ_LEN, d_model)
-        self.last_attention: list[np.ndarray] = []
+        self.pos_encoding = sinusoidal_positions(SEQ_LEN, d)
 
     def _attention(self, h: Tensor, k: int) -> Tensor:
         p = self.params
         batch = h.shape[0]
-        nh, hd, d = self.num_heads, self.head_dim, self.d_model
+        nh, hd, d = NUM_HEADS, HEAD_DIM, D_MODEL
 
         def heads(t: Tensor) -> Tensor:
             t = ad.reshape(t, (batch, SEQ_LEN, nh, hd))
@@ -303,7 +300,6 @@ class TransformerClassifier:
         v = heads(linear(h, p[f"blk{k}.attn.wv"], p[f"blk{k}.attn.vb"]))
         scores = ad.mul(ad.matmul(q, ad.transpose(key, (0, 2, 1))), Tensor(1.0 / np.sqrt(hd)))
         weights = ad.softmax(scores, axis=-1)
-        self.last_attention.append(weights.data)
         ctx = ad.matmul(weights, v)
         ctx = ad.reshape(ctx, (batch, nh, SEQ_LEN, hd))
         merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, SEQ_LEN, d))
@@ -313,8 +309,7 @@ class TransformerClassifier:
         xt = _wrap_batch(x)
         batch = xt.shape[0]
         p = self.params
-        d = self.d_model
-        self.last_attention = []
+        d = D_MODEL
 
         flat = ad.reshape(xt, (batch * SEQ_LEN, 1))
         emb = linear(flat, p["emb.w"], p["emb.b"])
@@ -322,7 +317,7 @@ class TransformerClassifier:
         # out by the unit-magnitude positional code
         emb = ad.mul(emb, Tensor(np.sqrt(float(d))))
         h = ad.add(ad.reshape(emb, (batch, SEQ_LEN, d)), Tensor(self.pos_encoding))
-        for k in range(self.num_blocks):
+        for k in range(NUM_BLOCKS):
             attn = self._attention(h, k)
             h = layer_norm(ad.add(h, attn), p[f"blk{k}.ln1.gamma"], p[f"blk{k}.ln1.beta"])
             ff = ad.relu(linear(h, p[f"blk{k}.ffn.w1"], p[f"blk{k}.ffn.b1"]))
@@ -529,7 +524,7 @@ _VERSION = 1
 def weights_to_bytes(weights: dict[str, np.ndarray]) -> bytes:
     chunks = [_MAGIC, struct.pack("<II", _VERSION, len(weights))]
     for name in sorted(weights):
-        arr = np.ascontiguousarray(weights[name], dtype="<f8")
+        arr = np.asarray(weights[name], dtype="<f8")  # keeps a 0-d shape; tobytes is C order
         encoded = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)

@@ -300,11 +300,11 @@ def test_lstm_sequence_input_gradient_with_frozen_weights():
                Tensor(rng.normal(size=(4 * hidden,)) * 0.1)]
 
     def f(arrs):
-        h = lstm_sequence(Tensor(arrs[0]), *weights, hidden)
+        h = lstm_sequence(Tensor(arrs[0]), *weights)
         return float((h.data * h.data).mean())
 
     x = Tensor(x_np, requires_grad=True)
-    h = lstm_sequence(x, *weights, hidden)
+    h = lstm_sequence(x, *weights)
     assert h._node.backward_fn(np.ones((batch, hidden)))[1:] == (None, None, None)
     ad.backward(ad.mean(ad.mul(h, h)))
     assert all(w.grad is None for w in weights)

@@ -42,6 +42,17 @@ class TestIngest:
         with pytest.raises(DataError, match="row 7"):
             dp.ingest_csv(f)
 
+    @pytest.mark.parametrize("reading", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_kwh_cites_row(self, tmp_path, reading):
+        ts = hourly_stamps(10)
+        rows = [f"a,{ts[i]},{1.0 if i != 6 else reading}" for i in range(10)]
+        f = tmp_path / "m.csv"
+        write_csv(f, rows)
+        with pytest.raises(DataError, match="non-finite kwh at row 7"):
+            dp.ingest_csv(f)
+        with pytest.raises(DataError, match="non-finite kwh reading"):
+            HourlySeries("a", ts, np.where(np.arange(10) == 6, float(reading), 1.0))
+
     def test_missing_column(self, tmp_path):
         f = tmp_path / "m.csv"
         f.write_text("household_id,when,kwh\na,2021-01-01T00,1\n")
@@ -117,6 +128,17 @@ class TestSegment:
         s = HourlySeries("a", hourly_stamps(0), np.array([]))
         assert dp.segment_daily(s) == []
 
+    def test_profiles_start_at_midnight(self):
+        # one diurnal curve, read from 00:00 and from 07:00 of the same day
+        curve = np.tile(dp.BASE_DIURNAL_SHAPE, 10)
+        at_midnight = HourlySeries("a", hourly_stamps(240), curve)
+        at_seven = HourlySeries("b", hourly_stamps(233, "2021-01-04T07"), curve[7:])
+        profiles = dp.segment_daily(at_seven)
+        assert len(profiles) == 9
+        np.testing.assert_array_equal(profiles[0].values, dp.BASE_DIURNAL_SHAPE)
+        assert (dp.detect_usage_windows(profiles)
+                == dp.detect_usage_windows(dp.segment_daily(at_midnight)))
+
 
 class TestUsageWindows:
     def test_known_trough_and_peak(self):
@@ -181,13 +203,10 @@ class TestInjection:
         out = dp.inject_drop(p, 23, 2)
         assert out.values[23] == 0.0 and out.values[0] == 0.0
 
-    def test_negative_values_kept_unless_clamped(self):
+    def test_negative_values_kept(self):
         p = LoadProfile(np.full(24, 2.0), 0)
         out = dp.inject_spike(p, 18, 1, r=1.5, direction="negative")
         assert out.values[18] == pytest.approx(-1.0)
-        clamped = dp.inject_spike(p, 18, 1, r=1.5, direction="negative",
-                                  clamp_negative=True)
-        assert clamped.values[18] == 0.0
 
     def test_r_out_of_range(self):
         with pytest.raises(DataError, match="outside"):

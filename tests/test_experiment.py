@@ -432,6 +432,20 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("header,reading,named", [
+        ("kwh", "nan", "row 2"), ("kwh", "inf", "row 2"), ("kwh", "1e999", "row 2"),
+        ("energy", "1.0", "'kwh'")], ids=["nan", "inf", "1e999", "no_kwh_column"])
+    def test_bad_csv_exits_before_any_run(self, tmp_path, capsys, header, reading, named):
+        csv_path = tmp_path / "meters.csv"
+        csv_path.write_text(f"household_id,timestamp,{header}\n"
+                            f"a,2021-01-04T00,1.0\na,2021-01-04T01,{reading}\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--set", 'data.source="csv"',
+                         "--set", f'data.csv_path="{csv_path}"',
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", [
         "epsilon_list=5", "train.lr_milestones=5", "malicious_fraction_list=null",
         "epsilon_list={\"a\":1}", 'train.base_lr="x"', "train.lr_decay=true",

@@ -285,15 +285,6 @@ class TestDeterminismAndLogs:
         assert set(rec) == {"round", "selected", "malicious_count",
                             "mean_local_loss", "global_test_accuracy"}
 
-    def test_checkpoints_written(self, tmp_path):
-        from fedmeter.models import load_weights
-        state = init_state("lstm", make_clients(2), seed=0)
-        fed.run_federation(state, "lstm", CFG, t_rounds=2,
-                           checkpoint_dir=tmp_path, checkpoint_every=1)
-        restored = load_weights(tmp_path / "round_0002.ckpt")
-        assert all(np.array_equal(restored[k], state.global_weights[k])
-                   for k in restored)
-
 
 class TestCentralized:
     def test_poison_zero_is_bitwise_clean(self):

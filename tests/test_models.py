@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedmeter import autodiff as ad
 from fedmeter import models as md
@@ -49,15 +52,6 @@ class TestForward:
         x = rng.uniform(-10, 10, size=(6, 24))
         p = predict_proba(model, x)
         assert np.all(np.isfinite(p)) and np.all((p >= 0) & (p <= 1))
-
-    def test_attention_rows_sum_to_one(self):
-        net = TransformerClassifier(seed=2)
-        with ad.no_grad():
-            net.forward(small_batch(seed=5, n=3))
-        assert len(net.last_attention) == net.num_blocks
-        for weights in net.last_attention:
-            np.testing.assert_allclose(weights.sum(axis=-1),
-                                       np.ones(weights.shape[:-1]), atol=1e-9)
 
 
 class TestFocalLoss:
@@ -392,7 +386,40 @@ class TestModelGradients:
         assert_grad_matches(f, arrays, analytic, rng, coords_per_array=5)
 
 
+# float64 bit patterns: any at all, plus -0.0, +-inf, quiet, signalling and
+# negative NaNs, and the smallest and largest subnormals
+_FLOAT_BITS = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from([
+    0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+    0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF, 0x0000000000000001, 0x000FFFFFFFFFFFFF]))
+WEIGHT_MAPS = st.dictionaries(
+    st.text(max_size=20),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4).flatmap(
+        lambda shape: hnp.arrays("<u8", shape, elements=_FLOAT_BITS).map(
+            lambda bits: bits.view("<f8"))),
+    max_size=3)
+
+
 class TestCheckpoints:
+    @settings(max_examples=100, deadline=None)
+    @given(weights=WEIGHT_MAPS)
+    def test_any_weight_map_roundtrips_bit_for_bit(self, weights):
+        restored = md.weights_from_bytes(md.weights_to_bytes(weights))
+        assert sorted(restored) == sorted(weights)
+        for name, arr in weights.items():
+            assert restored[name].dtype == np.float64
+            assert restored[name].shape == arr.shape
+            assert restored[name].tobytes() == arr.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(weights=WEIGHT_MAPS, tail=st.binary(min_size=1, max_size=16))
+    def test_any_prefix_or_padding_rejected(self, weights, tail):
+        blob = md.weights_to_bytes(weights)
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                md.weights_from_bytes(blob[:cut])
+        with pytest.raises(ValueError, match="trailing bytes"):
+            md.weights_from_bytes(blob + tail)
+
     def test_bytes_roundtrip(self, model):
         w = model.get_weights()
         restored = md.weights_from_bytes(md.weights_to_bytes(w))
