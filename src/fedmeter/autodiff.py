@@ -33,6 +33,7 @@ float64.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -146,21 +147,28 @@ class Tensor:
 # ---------------------------------------------------------------------------
 # recording machinery
 
-_grad_enabled = True
+class _GradMode(threading.local):
+    """Whether ops record a tape; each thread starts with recording on."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 class no_grad:
-    """Context manager that suspends tape recording (evaluation mode)."""
+    """Context manager that suspends tape recording (evaluation mode).
+
+    It acts on the calling thread only: another thread's tape keeps recording.
+    """
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._prev = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_mode.enabled = self._prev
         return False
 
 
@@ -171,7 +179,7 @@ def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...],
     out.data = out_data
     out.grad = None
     out._node = None
-    out.requires_grad = _grad_enabled and any(t.requires_grad for t in inputs)
+    out.requires_grad = _grad_mode.enabled and any(t.requires_grad for t in inputs)
     if out.requires_grad:
         out._node = _Node(tuple(_grad_target(t) for t in inputs), backward_fn)
     return out

@@ -353,6 +353,9 @@ def build_client_data(cfg: ExperimentConfig) -> list[ClientData]:
     clients = []
     for ordinal, (hid, series) in enumerate(items):
         profiles = dp.segment_daily(series)
+        if not profiles:
+            raise dp.DataError(f"household {hid!r} has no full 00:00-23:00 day "
+                               f"after its first midnight")
         windows = dp.detect_usage_windows(profiles)
         labeled = dp.build_dataset(profiles, windows, _anomaly_config(cfg, ordinal))
         normalized, scaling = dp.normalize(labeled)

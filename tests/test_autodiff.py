@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 import weakref
 
 import numpy as np
@@ -111,6 +112,42 @@ class TestBackward:
         with ad.no_grad():
             y = ad.mul(x, x)
         assert y._node is None and not y.requires_grad
+
+    def test_no_grad_acts_on_its_own_thread_only(self):
+        # one thread holds no_grad open while the other records and replays
+        # a tape, in both directions
+        entered, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def hold_no_grad():
+            with ad.no_grad():
+                entered.set()
+                release.wait(10)
+                seen["inside"] = ad.mul(Tensor([1.0], requires_grad=True),
+                                        Tensor(2.0)).requires_grad
+
+        def record_tape():
+            x = Tensor([3.0], requires_grad=True)
+            ad.backward(ad.mean(ad.mul(x, x)))
+            seen["grad"] = x.grad
+
+        holder = threading.Thread(target=hold_no_grad)
+        holder.start()
+        assert entered.wait(10)
+        record_tape()  # this thread records while the other is in no_grad
+        release.set()
+        holder.join(10)
+        assert not holder.is_alive()
+        assert seen["inside"] is False
+        np.testing.assert_array_equal(seen["grad"], [6.0])
+
+        seen.clear()
+        with ad.no_grad():
+            recorder = threading.Thread(target=record_tape)
+            recorder.start()
+            recorder.join(10)
+        assert not recorder.is_alive()
+        np.testing.assert_array_equal(seen["grad"], [6.0])
 
     def test_linearity_of_backward(self):
         rng = np.random.default_rng(7)

@@ -446,6 +446,22 @@ class TestCli:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_csv_household_without_a_full_day_is_named(self, tmp_path, capsys):
+        # household a: 30 readings from 07:00, so 13 after its first midnight
+        start = np.datetime64("2021-01-04T07", "h")
+        rows = [f"a,{start + h},1.0" for h in range(30)]
+        start = np.datetime64("2021-01-04T00", "h")
+        rows += [f"b,{start + h},{1.0 + (h % 24 > 17)}" for h in range(3 * 24)]
+        csv_path = tmp_path / "meters.csv"
+        csv_path.write_text("household_id,timestamp,kwh\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--set", 'data.source="csv"',
+                         "--set", f'data.csv_path="{csv_path}"',
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "household 'a' has no full 00:00-23:00 day after its first midnight" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("override", [
         "epsilon_list=5", "train.lr_milestones=5", "malicious_fraction_list=null",
         "epsilon_list={\"a\":1}", 'train.base_lr="x"', "train.lr_decay=true",

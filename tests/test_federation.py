@@ -1,3 +1,8 @@
+import re
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -5,7 +10,8 @@ from fedmeter import federation as fed
 from fedmeter.attacks import AttackSpec
 from fedmeter.evaluation import classify, compute_metrics
 from fedmeter.federation import ClientNode, FederationState, fedavg, init_state
-from fedmeter.models import TrainConfig, make_model, train_local, weights_from_bytes
+from fedmeter.models import (NumericError, TrainConfig, make_model, train_local,
+                             weights_from_bytes)
 from fedmeter.seeding import derive_seed
 
 
@@ -104,12 +110,36 @@ class TestFedavg:
                                    atol=1e-12, rtol=0)
 
     def test_name_mismatch(self):
-        with pytest.raises(ValueError, match="names"):
+        with pytest.raises(ValueError, match="^weight maps disagree on tensor names$"):
             fedavg([{"a": np.zeros(2)}, {"b": np.zeros(2)}])
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shapes"):
+        with pytest.raises(ValueError,
+                           match=re.escape("weight a: inconsistent shapes [(2,), (3,)]")):
             fedavg([{"a": np.zeros(2)}, {"a": np.zeros(3)}])
+        with pytest.raises(ValueError,
+                           match=re.escape("weight b: inconsistent shapes [(), (1,)]")):
+            fedavg([{"b": np.zeros(1)}, {"b": np.zeros(1)}, {"b": np.zeros(())}])
+
+    def test_empty(self):
+        with pytest.raises(ValueError, match="at least one"):
+            fedavg(iter([]))
+
+    @pytest.mark.parametrize("model_name", ["lstm", "transformer"])
+    def test_fold_equals_np_mean_bitwise(self, model_name):
+        # 19 maps, as in the paper's rounds; size-1 shapes are the ones a
+        # running sum gets wrong, since numpy sums them pairwise
+        rng = np.random.default_rng(19)
+        shapes = {name: w.shape for name, w in make_model(model_name).get_weights().items()}
+        shapes.update({"0d": (), "1": (1,), "1x1": (1, 1), "1x3": (1, 3)})
+        maps = [{name: rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+                 for name, shape in shapes.items()} for _ in range(19)]
+        out = fedavg(m for m in maps)  # consumed one map at a time
+        assert set(out) == set(shapes)
+        for name, shape in shapes.items():
+            expected = np.mean([m[name] for m in maps], axis=0)
+            assert np.shape(out[name]) == shape
+            assert np.array_equal(out[name], expected), name
 
 
 class TestRoundMechanics:
@@ -218,6 +248,172 @@ class TestRoundMechanics:
         assert rec.selected == ["c0", "c1", "c2", "c3"]
         assert rec.malicious_count == 2
         assert np.isfinite(rec.mean_local_loss)
+
+
+def force_workers(monkeypatch, workers):
+    monkeypatch.setattr(fed, "_client_workers", lambda model: workers)
+
+
+class TestConcurrentClients:
+    PGD = AttackSpec(family="pgd", epsilon=0.2, pgd_iters=2)
+
+    def run(self, monkeypatch, workers, clients, **kw):
+        force_workers(monkeypatch, workers)
+        state = init_state("transformer", clients, seed=8, **kw)
+        x_eval, y_eval = toy_client_data(77, n=16)
+        records = fed.run_federation(state, "transformer", CFG, t_rounds=2,
+                                     eval_x=x_eval, eval_y=y_eval)
+        return state.global_weights, records
+
+    @pytest.mark.parametrize("malicious,kw", [
+        ((), {}),
+        ((1, 3), {"clients_per_round": 3, "local_epochs": 2}),
+    ], ids=["clean", "pgd_3_of_5_two_epochs"])
+    def test_concurrent_rounds_equal_serial_rounds(self, monkeypatch, malicious, kw):
+        def clients():
+            return make_clients(5 if malicious else 3, malicious_ids=malicious,
+                                attack=self.PGD, n=20)
+
+        serial_w, serial_r = self.run(monkeypatch, 1, clients(), **kw)
+        assert (sum(r.malicious_count for r in serial_r) > 0) == bool(malicious)
+        for workers in (2, 3):
+            w, records = self.run(monkeypatch, workers, clients(), **kw)
+            assert records == serial_r
+            for name in serial_w:
+                assert np.array_equal(w[name], serial_w[name]), name
+
+    def test_one_model_per_worker_matches_fresh_model_per_client(self, monkeypatch):
+        clients = make_clients(3, malicious_ids=(1,), attack=self.PGD, n=20)
+        state = init_state("transformer", clients, seed=6)
+        start = {k: v.copy() for k, v in state.global_weights.items()}
+        built = []
+
+        def counting_make_model(*args, **kwargs):
+            built.append(args)
+            return make_model(*args, **kwargs)
+
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(fed, "make_model", counting_make_model)
+        fed.run_round(state, "transformer", CFG)
+        assert len(built) == 2
+
+        returned = []
+        for client in clients:
+            model = make_model("transformer", seed=0)
+            model.set_weights(start)
+            x, y = client.x_train, client.y_train
+            if client.malicious:
+                x, y = fed.poisoned_training_set(model, client, 1, 6, CFG)
+            train_local(model, x, y, CFG, seed=derive_seed(6, "train", client.client_id, 1),
+                        epochs=1, epoch_offset=0)
+            returned.append(model.get_weights())
+        expected = fedavg(returned)
+        for name, arr in state.global_weights.items():
+            np.testing.assert_array_equal(arr, expected[name])
+
+    @pytest.mark.parametrize("blas_var,value,expected", [
+        ("OPENBLAS_NUM_THREADS", "1", 3), ("OMP_NUM_THREADS", "1", 3),
+        ("OPENBLAS_NUM_THREADS", "2", 1), ("OMP_NUM_THREADS", "4", 1), (None, None, 1)])
+    def test_worker_count_follows_blas_threads(self, monkeypatch, blas_var, value, expected):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        if blas_var == "OPENBLAS_NUM_THREADS":
+            blas = str(np.__config__.CONFIG["Build Dependencies"]["blas"]["name"])
+            blas_var = "MKL_NUM_THREADS" if "mkl" in blas.lower() else blas_var
+        if blas_var is not None:
+            monkeypatch.setenv(blas_var, value)
+        monkeypatch.setattr(fed.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert fed._client_workers(make_model("transformer")) == expected
+        assert fed._client_workers(make_model("lstm")) == 1
+
+    def test_worker_count_prefers_the_blas_variable_over_omp(self, monkeypatch):
+        blas = str(np.__config__.CONFIG["Build Dependencies"]["blas"]["name"])
+        monkeypatch.setenv("MKL_NUM_THREADS" if "mkl" in blas.lower()
+                           else "OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        assert fed._client_workers(make_model("transformer")) == 1
+
+    def test_every_index_taken_once_and_yielded_in_order_under_stress(self):
+        # more workers than cores, and a thread switch every microsecond: a
+        # lost update of the shared index would run some task twice
+        calls, rng = [], np.random.default_rng(0)
+        delays = rng.uniform(0, 1e-3, size=300)
+
+        def task(model, i):
+            calls.append(i)
+            time.sleep(delays[i])
+            return (model, i)
+
+        got = []
+        consumer = threading.Thread(
+            target=lambda: got.extend(fed._in_order(task, len(delays), list(range(8)))))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            consumer.start()
+            consumer.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not consumer.is_alive()
+        assert sorted(calls) == list(range(len(delays)))
+        assert [i for _, i in got] == list(range(len(delays)))
+        assert len({model for model, _ in got}) > 1  # the helpers took part
+
+    def test_worker_error_reaches_caller_with_its_type(self):
+        failed, started = threading.Event(), []
+
+        def task(model, i):
+            started.append(i)
+            if model == "helper":
+                failed.set()
+                raise NumericError(f"client {i}")
+            assert failed.wait(10)
+            deadline = time.monotonic() + 10
+            while threading.active_count() > before and time.monotonic() < deadline:
+                time.sleep(0.01)  # the helper thread ends once its error is recorded
+            return i
+
+        before = threading.active_count()
+        with pytest.raises(NumericError, match="client"):
+            list(fed._in_order(task, 10, ["caller", "helper"]))
+        assert threading.active_count() == before  # the helper was joined
+        # the helper failed on its first client, and the caller took at most one
+        assert sorted(started) in ([0], [0, 1])
+
+    def test_interrupt_in_caller_joins_helpers_before_it_is_raised(self):
+        busy, raising, finished = threading.Event(), threading.Event(), []
+
+        def task(model, i):
+            if model == "caller":
+                assert busy.wait(10)
+                raising.set()
+                raise KeyboardInterrupt
+            busy.set()
+            raising.wait(10)
+            time.sleep(0.1)  # still busy while the caller unwinds
+            finished.append(i)
+            return i
+
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            list(fed._in_order(task, 10, ["caller", "helper"]))
+        assert threading.active_count() == before
+        assert len(finished) == 1  # the client in flight ended, and no other began
+
+    def test_numeric_error_in_a_worker_fails_the_round(self, monkeypatch):
+        def failing_train_local(model, x, y, cfg, **kw):
+            if threading.current_thread() is not threading.main_thread():
+                raise NumericError("non-finite loss at epoch 1")
+            return train_local(model, x, y, cfg, **kw)
+
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(fed, "train_local", failing_train_local)
+        state = init_state("lstm", make_clients(4), seed=3)
+        start = {k: v.copy() for k, v in state.global_weights.items()}
+        with pytest.raises(NumericError, match="non-finite"):
+            fed.run_round(state, "lstm", CFG)
+        assert state.round == 0
+        assert all(np.array_equal(state.global_weights[k], start[k]) for k in start)
 
 
 class TestPoisonedTrainingSet:
