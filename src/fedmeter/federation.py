@@ -12,8 +12,9 @@ honest clients' stored data is never touched.
 Clients of a round are independent, so a round can train several at once.
 It does so only for a model whose ``concurrent_clients`` is true (the
 Transformer) and only while BLAS runs one thread per call: then the calling
-thread and one helper thread per further core each own a model instance,
-take the next client, poison it if it is malicious and train it.
+thread and one helper thread per further core, up to
+:data:`MAX_CLIENT_WORKERS` workers, each own a model instance, take the next
+client, poison it if it is malicious and train it.
 :func:`fedavg` folds the returned maps in ``selected`` order as they arrive,
 so a round holds running sums instead of every client's map, and the global
 weights, the round record and every later result keep their bits whatever
@@ -157,14 +158,22 @@ def poisoned_training_set(model, client: ClientNode, round_index: int,
                           rng_for(fed_seed, "poison", client.client_id, round_index), cfg)
 
 
-def _client_workers(model) -> int:
-    """How many of a round's clients train at once: every core, or one.
+# Each worker holds a model instance and one live tape (about 80 MB for the
+# Transformer at batch 32), so peak memory grows by about a tape per worker.
+# Speed and peak memory were measured on 2 cores only (BENCH_9.json); more
+# workers stay unmeasured until pairs on a larger machine are recorded.
+MAX_CLIENT_WORKERS = 2
 
-    Every core only when ``model`` allows it and BLAS runs one thread per
+
+def _client_workers(model) -> int:
+    """How many of a round's clients train at once: up to
+    :data:`MAX_CLIENT_WORKERS` cores, or one.
+
+    More than one only when ``model`` allows it and BLAS runs one thread per
     call.  The count BLAS read is the first of ``OPENBLAS_NUM_THREADS`` (or
     ``MKL_NUM_THREADS`` for MKL) and ``OMP_NUM_THREADS`` that is set.  With
-    BLAS threads of their own, concurrent Transformer clients made a round
-    40% slower than one client at a time.
+    2-thread BLAS on 2 cores, two Transformer workers made a round 72% slower
+    than one (``selection_sides`` in BENCH_9.json).
     """
     if not model.concurrent_clients:
         return 1
@@ -178,8 +187,10 @@ def _client_workers(model) -> int:
     if threads != "1":
         return 1
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(cores, MAX_CLIENT_WORKERS)
 
 
 def _in_order(task: Callable[[object, int], object], count: int,
@@ -194,10 +205,6 @@ def _in_order(task: Callable[[object, int], object], count: int,
     closes the generator, no worker takes another index, the helpers are
     joined, and then the exception reaches the caller with its own type.
     """
-    if len(models) == 1:
-        for i in range(count):
-            yield task(models[0], i)
-        return
     done = threading.Condition()
     results: dict[int, object] = {}
     errors: list[BaseException] = []

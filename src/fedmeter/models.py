@@ -213,10 +213,10 @@ class LstmClassifier:
     """Sequence-to-one LSTM: 24 scalar steps -> hidden state -> sigmoid unit."""
 
     name = "lstm"
-    # A federated round trains its clients one after another.  Client threads
-    # made an LSTM round at most ~10% faster, within noise, and raised peak
-    # RSS from 58 to 70 MB: the 24-step recurrence over 100 units is many
-    # small numpy calls, and each holds the GIL.
+    # A federated round trains its clients one after another.  Two client
+    # threads made an fl_lstm_pgd round 20% shorter but raised its peak RSS
+    # from 57 to 70 MB (+22%, 10 pairs in BENCH_9.json), beyond the
+    # benchmark's 10% memory bound.
     concurrent_clients = False
 
     def __init__(self, seed: int = 0):
@@ -264,8 +264,8 @@ class TransformerClassifier:
     """
 
     name = "transformer"
-    # A federated round trains its clients on every core when BLAS runs one
-    # thread per call: the time goes to gemms, which release the GIL.
+    # A federated round trains its clients on several cores when BLAS runs
+    # one thread per call: the time goes to gemms, which release the GIL.
     concurrent_clients = True
 
     def __init__(self, seed: int = 0):

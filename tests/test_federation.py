@@ -312,7 +312,7 @@ class TestConcurrentClients:
             np.testing.assert_array_equal(arr, expected[name])
 
     @pytest.mark.parametrize("blas_var,value,expected", [
-        ("OPENBLAS_NUM_THREADS", "1", 3), ("OMP_NUM_THREADS", "1", 3),
+        ("OPENBLAS_NUM_THREADS", "1", 2), ("OMP_NUM_THREADS", "1", 2),
         ("OPENBLAS_NUM_THREADS", "2", 1), ("OMP_NUM_THREADS", "4", 1), (None, None, 1)])
     def test_worker_count_follows_blas_threads(self, monkeypatch, blas_var, value, expected):
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -325,6 +325,15 @@ class TestConcurrentClients:
         monkeypatch.setattr(fed.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         assert fed._client_workers(make_model("transformer")) == expected
         assert fed._client_workers(make_model("lstm")) == 1
+
+    @pytest.mark.parametrize("cores,expected", [(1, 1), (2, 2), (16, fed.MAX_CLIENT_WORKERS)])
+    def test_worker_count_is_capped_at_the_measured_count(self, monkeypatch, cores, expected):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("MKL_NUM_THREADS", "1")
+        monkeypatch.setattr(fed.os, "sched_getaffinity", lambda pid: set(range(cores)),
+                            raising=False)
+        assert fed.MAX_CLIENT_WORKERS == 2
+        assert fed._client_workers(make_model("transformer")) == expected
 
     def test_worker_count_prefers_the_blas_variable_over_omp(self, monkeypatch):
         blas = str(np.__config__.CONFIG["Build Dependencies"]["blas"]["name"])
@@ -358,6 +367,18 @@ class TestConcurrentClients:
         assert sorted(calls) == list(range(len(delays)))
         assert [i for _, i in got] == list(range(len(delays)))
         assert len({model for model, _ in got}) > 1  # the helpers took part
+
+    def test_one_model_runs_every_task_on_the_calling_thread(self):
+        threads = []
+
+        def task(model, i):
+            threads.append(threading.current_thread())
+            return (model, i)
+
+        before = threading.active_count()
+        assert list(fed._in_order(task, 5, ["only"])) == [("only", i) for i in range(5)]
+        assert threads == [threading.current_thread()] * 5
+        assert threading.active_count() == before
 
     def test_worker_error_reaches_caller_with_its_type(self):
         failed, started = threading.Event(), []
