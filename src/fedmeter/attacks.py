@@ -9,6 +9,10 @@ baselines are additive white Gaussian noise on inputs and label flipping.
 
 Attacks operate on normalized profiles, so epsilon is dimensionless.  They
 never modify the model: gradients are taken against a fixed weight snapshot.
+The gradient attacks work through the rows in blocks.  For a Transformer,
+outside a federated round's client and with BLAS on one thread per call,
+the blocks run on two cores, each worker with its own view of the same
+weights, and every result keeps the bits it has on one core.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import ShapeError
 from .data import HOURS_PER_DAY
-from .models import input_gradient, row_blocks
+from .models import _by_row_blocks, input_gradient
 
 ATTACK_FAMILIES = ("none", "fgsm", "pgd", "awgn", "label_flip")
 
@@ -63,28 +68,32 @@ def pgd(model, x: np.ndarray, y: np.ndarray, epsilon: float, iters: int = 10, *,
         alpha: float = 0.25, gamma: float = 2.0) -> np.ndarray:
     """Iterated signed-gradient steps; optional l-inf projection around x.
 
-    Runs every iteration on one row block (see ``models.row_blocks``, at most
-    ``models.ROW_BLOCK`` rows) before moving to the next, so activation
-    memory is bounded by the block, not by the batch.  The models are
-    row-independent and the loss couples rows only through its positive
+    Runs every iteration on one row block before that block's result is
+    taken (see ``models._by_row_blocks``: at most ``models.ROW_BLOCK`` rows
+    in flight, the blocks spread over the workers a Transformer may use), so
+    activation memory is bounded by the block, not by the batch.  The models
+    are row-independent and the loss couples rows only through its positive
     1/batch scale, which ``sign`` discards, so the result equals the
-    whole-batch iteration.
+    whole-batch iteration.  ``y`` must hold one label per row of ``x``.
     """
     if iters < 1:
         raise ValueError("pgd needs at least one iteration")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
+    if len(y) != len(x):
+        raise ShapeError(f"pgd: {len(x)} input rows but {len(y)} labels")
     radius = epsilon if eps_ball is None else eps_ball
-    x_adv = np.empty_like(x)
-    for block in row_blocks(len(x)):
-        x0 = adv = x[block]
+
+    def attack(model, rows: slice) -> np.ndarray:
+        x0 = adv = x[rows]
         for _ in range(iters):
-            grad = input_gradient(model, adv, y[block], alpha, gamma)
+            grad = input_gradient(model, adv, y[rows], alpha, gamma)
             adv = adv + epsilon * np.sign(grad)
             if project:
                 adv = np.clip(adv, x0 - radius, x0 + radius)
-        x_adv[block] = adv
-    return x_adv
+        return adv
+
+    return _by_row_blocks(model, np.empty_like(x), attack)
 
 
 def awgn(x: np.ndarray, variance: float, rng: np.random.Generator) -> np.ndarray:

@@ -75,11 +75,17 @@ def compute_metrics(pred: np.ndarray, truth: np.ndarray) -> Metrics:
     return Metrics(accuracy, precision, recall, f1, tp, fp, tn, fn, degenerate)
 
 
+def _require_samples(x: np.ndarray) -> None:
+    if len(x) == 0:
+        raise ValueError("cannot compute an attack success rate on an empty sample set")
+
+
 def asr_inference(model, x_clean: np.ndarray, x_adv: np.ndarray,
                   threshold: float = DEFAULT_THRESHOLD) -> AsrReport:
     """Fraction of paired samples whose prediction flips under the attack."""
     if len(x_clean) != len(x_adv):
         raise ValueError(f"paired sets differ in length: {len(x_clean)} vs {len(x_adv)}")
+    _require_samples(x_adv)
     pred_adv = classify(model, x_adv, threshold)
     reference = classify(model, x_clean, threshold)
     flipped = int(np.sum(pred_adv != reference))
@@ -90,6 +96,7 @@ def asr_training(model_clean, model_attacked, x_test_clean: np.ndarray,
                  threshold: float = DEFAULT_THRESHOLD) -> AsrReport:
     """Fraction of clean test samples on which the attacked-trained model
     disagrees with the cleanly trained one."""
+    _require_samples(x_test_clean)
     pred_attacked = classify(model_attacked, x_test_clean, threshold)
     reference = classify(model_clean, x_test_clean, threshold)
     flipped = int(np.sum(pred_attacked != reference))

@@ -9,33 +9,33 @@ Malicious clients regenerate adversarial data every round from the freshly
 received weights, perturbing a fresh random fraction of their local samples;
 honest clients' stored data is never touched.
 
-Clients of a round are independent, so a round can train several at once.
-It does so only for a model whose ``concurrent_clients`` is true (the
-Transformer) and only while BLAS runs one thread per call: then the calling
-thread and one helper thread per further core, up to
-:data:`MAX_CLIENT_WORKERS` workers, each own a model instance, take the next
-client, poison it if it is malicious and train it.
-:func:`fedavg` folds the returned maps in ``selected`` order as they arrive,
-so a round holds running sums instead of every client's map, and the global
-weights, the round record and every later result keep their bits whatever
-the number of workers.
+Clients of a round are independent, so a round can train several at once,
+through the worker machinery in :mod:`fedmeter.models` that also runs an
+attack's row blocks.  It does so only for a model whose ``concurrent_tasks``
+is true (the Transformer) and only while BLAS runs one thread per call: then
+the calling thread and one helper thread per further core, up to
+``models.MAX_WORKERS`` workers, each own a model instance, take the next
+client, poison it if it is malicious and train it.  A malicious client's
+PGD runs on its own worker in whole ``models.ROW_BLOCK``-row blocks, never
+on further threads.  :func:`fedavg` folds the returned maps in ``selected``
+order as they arrive, so a round holds running sums instead of every
+client's map, and the global weights, the round record and every later
+result keep their bits whatever the number of workers.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import os
-import threading
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .attacks import AttackSpec, poison_batch
 from .evaluation import DEFAULT_THRESHOLD, classify, compute_metrics
-from .models import (RmsProp, TrainConfig, make_model, train_local, weights_from_bytes,
-                     weights_to_bytes)
+from .models import (RmsProp, TrainConfig, _in_order, _workers, make_model, train_local,
+                     weights_from_bytes, weights_to_bytes)
 from .seeding import derive_seed, rng_for
 
 
@@ -158,110 +158,6 @@ def poisoned_training_set(model, client: ClientNode, round_index: int,
                           rng_for(fed_seed, "poison", client.client_id, round_index), cfg)
 
 
-# Each worker holds a model instance and one live tape (about 80 MB for the
-# Transformer at batch 32), so peak memory grows by about a tape per worker.
-# Speed and peak memory were measured on 2 cores only (BENCH_9.json); more
-# workers stay unmeasured until pairs on a larger machine are recorded.
-MAX_CLIENT_WORKERS = 2
-
-
-def _client_workers(model) -> int:
-    """How many of a round's clients train at once: up to
-    :data:`MAX_CLIENT_WORKERS` cores, or one.
-
-    More than one only when ``model`` allows it and BLAS runs one thread per
-    call.  The count BLAS read is the first of ``OPENBLAS_NUM_THREADS`` (or
-    ``MKL_NUM_THREADS`` for MKL) and ``OMP_NUM_THREADS`` that is set.  With
-    2-thread BLAS on 2 cores, two Transformer workers made a round 72% slower
-    than one (``selection_sides`` in BENCH_9.json).
-    """
-    if not model.concurrent_clients:
-        return 1
-    try:
-        blas = str(np.__config__.CONFIG["Build Dependencies"]["blas"]["name"])
-    except (AttributeError, KeyError):
-        blas = ""
-    names = ("MKL_NUM_THREADS" if "mkl" in blas.lower() else "OPENBLAS_NUM_THREADS",
-             "OMP_NUM_THREADS")
-    threads = next((os.environ[name] for name in names if name in os.environ), None)
-    if threads != "1":
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return min(cores, MAX_CLIENT_WORKERS)
-
-
-def _in_order(task: Callable[[object, int], object], count: int,
-              models: list) -> Iterator:
-    """Yield ``task(model, i)`` for each ``i`` in ``range(count)``, in order.
-
-    Each model belongs to one worker: the calling thread works with
-    ``models[0]`` and one helper thread with each of the others.  A worker
-    takes the next untaken index.  The caller works too, and waits only when
-    no index is left to take, so results come back in order while at most a
-    few are held.  When any worker raises, or the caller is interrupted or
-    closes the generator, no worker takes another index, the helpers are
-    joined, and then the exception reaches the caller with its own type.
-    """
-    done = threading.Condition()
-    results: dict[int, object] = {}
-    errors: list[BaseException] = []
-    taken = 0
-    stop = False
-
-    def take() -> int | None:
-        nonlocal taken
-        with done:
-            if stop or errors or taken == count:
-                return None
-            taken += 1
-            return taken - 1
-
-    def helper(model) -> None:
-        while (i := take()) is not None:
-            try:
-                out = task(model, i)
-            except BaseException as exc:  # handed to the caller, which raises it
-                with done:
-                    errors.append(exc)
-                    done.notify_all()
-                return
-            with done:
-                results[i] = out
-                done.notify_all()
-
-    helpers = [threading.Thread(target=helper, args=(m,), daemon=True) for m in models[1:]]
-    for t in helpers:
-        t.start()
-    try:
-        head = 0  # next index to yield
-        while head < count:
-            i = take()
-            if i is not None:
-                out = task(models[0], i)
-                with done:
-                    results[i] = out
-            else:
-                with done:
-                    while head not in results and not errors:
-                        done.wait()
-            with done:
-                if errors:
-                    raise errors[0]
-                ready = []
-                while head in results:
-                    ready.append(results.pop(head))
-                    head += 1
-            yield from ready
-    finally:
-        with done:
-            stop = True
-        for t in helpers:
-            t.join()
-
-
 def _poisons(client: ClientNode) -> bool:
     return client.malicious and client.attack.family != "none"
 
@@ -269,7 +165,7 @@ def _poisons(client: ClientNode) -> bool:
 def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> RoundRecord:
     """Execute one federation round, replacing the global weights in place.
 
-    The clients train concurrently where :func:`_client_workers` allows, with
+    The clients train concurrently where ``models._workers`` allows, with
     the same result as one after another (see the module docstring).
     """
     round_index = state.round + 1
@@ -295,7 +191,7 @@ def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> Roun
 
     # one instance per worker; each client overwrites every weight before use
     models = [make_model(model_name, seed=0)]
-    workers = min(_client_workers(models[0]), len(selected))
+    workers = min(_workers(models[0]), len(selected))
     models += [make_model(model_name, seed=0) for _ in range(workers - 1)]
     with contextlib.closing(_in_order(train, len(selected), models)) as maps:
         state.global_weights = fedavg(maps)

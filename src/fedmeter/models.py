@@ -8,9 +8,14 @@ focal loss and RMSprop with a step learning-rate schedule.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import math
+import os
 import struct
-from dataclasses import dataclass, field
+import threading
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,11 +218,12 @@ class LstmClassifier:
     """Sequence-to-one LSTM: 24 scalar steps -> hidden state -> sigmoid unit."""
 
     name = "lstm"
-    # A federated round trains its clients one after another.  Two client
-    # threads made an fl_lstm_pgd round 20% shorter but raised its peak RSS
-    # from 57 to 70 MB (+22%, 10 pairs in BENCH_9.json), beyond the
-    # benchmark's 10% memory bound.
-    concurrent_clients = False
+    # A federated round trains its clients, and an attack its row blocks, one
+    # after another.  Two client threads made an fl_lstm_pgd round 20% shorter
+    # but raised its peak RSS from 57 to 70 MB (+22%, 10 pairs in
+    # BENCH_9.json), beyond the benchmark's 10% memory bound; threads for the
+    # row blocks of its PGD poisoning made rounds 29% slower.
+    concurrent_tasks = False
 
     def __init__(self, seed: int = 0):
         rng = rng_for(seed, "init", "lstm")
@@ -264,9 +270,10 @@ class TransformerClassifier:
     """
 
     name = "transformer"
-    # A federated round trains its clients on several cores when BLAS runs
-    # one thread per call: the time goes to gemms, which release the GIL.
-    concurrent_clients = True
+    # A federated round trains its clients, and an attack or inference runs
+    # its row blocks, on several cores when BLAS runs one thread per call:
+    # the time goes to gemms, which release the GIL.
+    concurrent_tasks = True
 
     def __init__(self, seed: int = 0):
         rng = rng_for(seed, "init", "transformer")
@@ -486,9 +493,138 @@ def input_gradient(model, x: np.ndarray, y: np.ndarray, alpha: float = 0.25,
     return xt.grad if xt.grad is not None else np.zeros_like(x)
 
 
-# Attacks and inference push at most this many rows through one forward pass,
-# so their activation memory is bounded by the block, not by the batch.  A
-# 64-row block's working set also fits a 2 MB L2 cache.
+# ---------------------------------------------------------------------------
+# workers: a federated round's clients and an attack's row blocks
+
+# Each worker holds a model instance and a live tape.  A training worker's
+# tape is about 80 MB for the Transformer at batch 32, so peak memory grows
+# by about a tape per worker; row-block workers share ROW_BLOCK rows.  Speed
+# and peak memory were measured on 2 cores only (BENCH_9.json and
+# BENCH_10.json); more workers stay unmeasured until pairs on a larger
+# machine are recorded.
+MAX_WORKERS = 2
+
+
+class _TaskThread(threading.local):
+    """Whether this thread is running one of :func:`_in_order`'s tasks."""
+
+    busy = False
+
+
+_task_thread = _TaskThread()
+
+
+def _workers(model) -> int:
+    """How many workers run a round's clients or an attack's row blocks at
+    once: up to :data:`MAX_WORKERS` cores, or one.
+
+    More than one only when ``model`` allows it, BLAS runs one thread per
+    call, and the calling thread is not already one of :func:`_in_order`'s
+    workers: a malicious client's PGD inside a concurrent round stays on its
+    worker, in whole ``ROW_BLOCK``-row blocks.  The count BLAS read is the
+    first of ``OPENBLAS_NUM_THREADS`` (or ``MKL_NUM_THREADS`` for MKL) and
+    ``OMP_NUM_THREADS`` that is set.  With 2-thread BLAS on 2 cores, two
+    Transformer workers made a round 72% slower than one (``selection_sides``
+    in BENCH_9.json).
+    """
+    if _task_thread.busy or not getattr(model, "concurrent_tasks", False):
+        return 1
+    try:
+        blas = str(np.__config__.CONFIG["Build Dependencies"]["blas"]["name"])
+    except (AttributeError, KeyError):
+        blas = ""
+    names = ("MKL_NUM_THREADS" if "mkl" in blas.lower() else "OPENBLAS_NUM_THREADS",
+             "OMP_NUM_THREADS")
+    threads = next((os.environ[name] for name in names if name in os.environ), None)
+    if threads != "1":
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(cores, MAX_WORKERS)
+
+
+def _in_order(task: Callable[[object, int], object], count: int,
+              models: list) -> Iterator:
+    """Yield ``task(model, i)`` for each ``i`` in ``range(count)``, in order.
+
+    Each model belongs to one worker: the calling thread works with
+    ``models[0]`` and one helper thread with each of the others.  A worker
+    takes the next untaken index.  The caller works too, and waits only when
+    no index is left to take, so results come back in order while at most a
+    few are held.  When any worker raises, or the caller is interrupted or
+    closes the generator, no worker takes another index, the helpers are
+    joined, and then the exception reaches the caller with its own type.
+    While a thread runs a task, :func:`_workers` there returns 1, so a task
+    starts no workers of its own.
+    """
+    done = threading.Condition()
+    results: dict[int, object] = {}
+    errors: list[BaseException] = []
+    taken = 0
+    stop = False
+
+    def take() -> int | None:
+        nonlocal taken
+        with done:
+            if stop or errors or taken == count:
+                return None
+            taken += 1
+            return taken - 1
+
+    def helper(model) -> None:
+        _task_thread.busy = True
+        while (i := take()) is not None:
+            try:
+                out = task(model, i)
+            except BaseException as exc:  # handed to the caller, which raises it
+                with done:
+                    errors.append(exc)
+                    done.notify_all()
+                return
+            with done:
+                results[i] = out
+                done.notify_all()
+
+    helpers = [threading.Thread(target=helper, args=(m,), daemon=True) for m in models[1:]]
+    for t in helpers:
+        t.start()
+    busy = _task_thread.busy
+    try:
+        head = 0  # next index to yield
+        while head < count:
+            i = take()
+            if i is not None:
+                _task_thread.busy = True
+                try:
+                    out = task(models[0], i)
+                finally:
+                    _task_thread.busy = busy
+                with done:
+                    results[i] = out
+            else:
+                with done:
+                    while head not in results and not errors:
+                        done.wait()
+            with done:
+                if errors:
+                    raise errors[0]
+                ready = []
+                while head in results:
+                    ready.append(results.pop(head))
+                    head += 1
+            yield from ready
+    finally:
+        with done:
+            stop = True
+        for t in helpers:
+            t.join()
+
+
+# Attacks and inference push at most this many rows through forward passes
+# at once, so their activation memory is bounded by the block, not by the
+# batch.  A 64-row block's working set also fits a 2 MB L2 cache.
 ROW_BLOCK = 64
 # Block edges fall on multiples of this many rows.  The BLAS matrix-vector
 # kernel behind the sigmoid heads works through rows in small groups and
@@ -497,34 +633,70 @@ ROW_BLOCK = 64
 _ROW_ALIGN = 16
 
 
-def row_blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most ``ROW_BLOCK`` rows that cover ``range(n)``.
+def row_blocks(n: int, cap: int = ROW_BLOCK) -> list[slice]:
+    """Consecutive slices of at most ``cap`` rows that cover ``range(n)``.
 
-    Blocks are near-equal in whole ``_ROW_ALIGN``-row units, and only the last
-    block can end off that grid, where a whole-batch call ends too.  So every
-    row is computed exactly as in one call over ``n`` rows, no block is a
-    small remainder (each has at least half the rows of the largest), and any
-    ``n <= ROW_BLOCK`` is one block, the whole batch.
+    ``cap`` is a positive multiple of ``_ROW_ALIGN``.  Blocks are near-equal
+    in whole ``_ROW_ALIGN``-row units, and only the last block can end off
+    that grid, where a whole-batch call ends too.  So every row is computed
+    exactly as in one call over ``n`` rows, whatever the cap, and any
+    ``n <= cap`` is one block, the whole batch.  With a cap of at least two
+    units no block is a small remainder: each has at least half the rows of
+    the largest.
     """
-    count = -(-n // ROW_BLOCK)
+    count = -(-n // cap)
     units = -(-n // _ROW_ALIGN)
     edges = [0] + [min(n, _ROW_ALIGN * (units * i // count)) for i in range(1, count + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
+def _frozen_twin(model):
+    """A model of the same class whose params wrap ``model``'s weight arrays,
+    not copies, with ``requires_grad`` off, for a helper thread to read."""
+    twin = copy.copy(model)
+    twin.params = {name: Tensor(p.data) for name, p in model.params.items()}
+    return twin
+
+
+def _by_row_blocks(model, out: np.ndarray,
+                   task: Callable[[object, slice], np.ndarray]) -> np.ndarray:
+    """Fill ``out[rows] = task(m, rows)`` for the row blocks of ``out``.
+
+    The blocks run on up to :func:`_workers` workers: the calling thread with
+    ``model``, each helper with a frozen twin of it.  A block holds at most
+    ``ROW_BLOCK // workers`` rows, rounded down to the ``_ROW_ALIGN`` grid,
+    so at most ``ROW_BLOCK`` rows are in flight at once, and every row keeps
+    its bits (see :func:`row_blocks`) whatever the number of workers.  No
+    more than ``ROW_BLOCK // (2 * _ROW_ALIGN)`` workers share the blocks, so
+    a cap holds at least two grid units and no block is one row split off a
+    larger batch: numpy runs a one-row product as a BLAS matrix-vector call,
+    which rounds that row differently.
+    """
+    workers = min(_workers(model), ROW_BLOCK // (2 * _ROW_ALIGN))
+    blocks = row_blocks(len(out), ROW_BLOCK // workers // _ROW_ALIGN * _ROW_ALIGN)
+    models = [model] + [_frozen_twin(model) for _ in range(min(workers, len(blocks)) - 1)]
+    with contextlib.closing(_in_order(lambda m, i: task(m, blocks[i]), len(blocks),
+                                      models)) as results:
+        for rows, result in zip(blocks, results):
+            out[rows] = result
+    return out
+
+
 def predict_proba(model, x: np.ndarray) -> np.ndarray:
     """Anomaly probability per row, one no-grad forward pass per row block.
 
-    Both models are row-independent, so the blocks (see :func:`row_blocks`)
-    give the same values as one pass over the whole batch, while activations
-    are held for at most ``ROW_BLOCK`` rows at a time.
+    Both models are row-independent, so the blocks (see
+    :func:`_by_row_blocks`) give the same values as one pass over the whole
+    batch, while activations are held for at most ``ROW_BLOCK`` rows at a
+    time.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty(len(x))
-    with ad.no_grad():
-        for block in row_blocks(len(x)):
-            out[block] = model.forward(x[block]).data
-    return out
+
+    def forward(m, rows: slice) -> np.ndarray:
+        with ad.no_grad():  # per thread, so on each worker
+            return m.forward(x[rows]).data
+
+    return _by_row_blocks(model, np.empty(len(x)), forward)
 
 
 # ---------------------------------------------------------------------------

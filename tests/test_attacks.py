@@ -1,10 +1,12 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from fedmeter import attacks as atk
+from fedmeter import autodiff as ad
 from fedmeter.attacks import AttackSpec
 from fedmeter import models as md
 from fedmeter.models import (LstmClassifier, TrainConfig, focal_loss, input_gradient,
@@ -141,6 +143,22 @@ class TestPgd:
         with pytest.raises(ValueError):
             atk.pgd(model, x, y, 0.1, iters=0)
 
+    @pytest.mark.parametrize("rows,labels", [(10, 20), (130, 100)])
+    def test_label_count_must_match_before_any_block_runs(self, monkeypatch, rows, labels):
+        model = make_model("lstm", seed=0)
+        x = np.random.default_rng(1).uniform(size=(rows, 24))
+        y = np.zeros(labels)
+        calls = []
+        monkeypatch.setattr(atk, "input_gradient", lambda *args: calls.append(args))
+        message = f"pgd: {rows} input rows but {labels} labels"
+        for call in (lambda: atk.pgd(model, x, y, 0.1, 2),
+                     lambda: atk.fgsm(model, x, y, 0.1),
+                     lambda: atk.poison_batch(model, x, y, AttackSpec(family="pgd"),
+                                              rng_for(0, "poison"))):
+            with pytest.raises(ad.ShapeError, match=message):
+                call()
+        assert calls == []
+
 
 def whole_batch_iterates(model, x, y, epsilon, iters, eps_ball):
     """Oracle: projected PGD with every step on all rows in one call."""
@@ -179,25 +197,163 @@ class TestRowBlockedPgd:
         model = make_model("lstm", seed=2)
         x = np.random.default_rng(12).uniform(0.0, 1.0, size=(304, 24))
         y = np.zeros(304)
-        rows = []
-        grad_fn, forward = atk.input_gradient, model.forward
+        rows, caps, live, peak = [], [], {}, {}
+        lock = threading.Lock()
+        grad_fn, forward, blocks_fn = atk.input_gradient, md.LstmClassifier.forward, md.row_blocks
+
+        def tracked(kind, n, call):
+            # rows inside calls of this kind on all threads at once
+            with lock:
+                rows.append(n)
+                live[kind] = live.get(kind, 0) + n
+                peak[kind] = max(peak.get(kind, 0), live[kind])
+            try:
+                return call()
+            finally:
+                with lock:
+                    live[kind] -= n
 
         def spy_gradient(m, xb, yb, *args):
-            rows.append(len(xb))
-            return grad_fn(m, xb, yb, *args)
+            return tracked("gradient", len(xb), lambda: grad_fn(m, xb, yb, *args))
 
-        def spy_forward(xb):
-            rows.append(xb.shape[0])
-            return forward(xb)
+        def spy_forward(self, xb):
+            return tracked("forward", xb.shape[0], lambda: forward(self, xb))
+
+        def spy_blocks(n, cap=md.ROW_BLOCK):
+            caps.append(cap)
+            return blocks_fn(n, cap)
 
         monkeypatch.setattr(atk, "input_gradient", spy_gradient)
-        monkeypatch.setattr(model, "forward", spy_forward)
-        for call in (lambda: atk.pgd(model, x[:130], y[:130], 0.1, 2),
-                     lambda: predict_proba(model, x)):
-            rows.clear()
-            call()
-            assert rows and max(rows) <= md.ROW_BLOCK
-            assert 2 * min(rows) >= max(rows)
+        monkeypatch.setattr(md.LstmClassifier, "forward", spy_forward)
+        monkeypatch.setattr(md, "row_blocks", spy_blocks)
+        for workers in (1, 2, 3):
+            force_block_workers(monkeypatch, workers)
+            for call in (lambda: atk.pgd(model, x[:130], y[:130], 0.1, 2),
+                         lambda: predict_proba(model, x)):
+                rows.clear()
+                caps.clear()
+                peak.clear()
+                call()
+                # two workers at most share the blocks: a 16-row cap would
+                # split a lone row off 17, 33 or 49 rows
+                assert caps == [{1: 64, 2: 32, 3: 32}[workers]]
+                assert rows and max(rows) <= caps[0]
+                assert max(peak.values()) <= md.ROW_BLOCK
+                assert 2 * min(rows) >= max(rows)
+
+
+def force_block_workers(monkeypatch, workers):
+    monkeypatch.setattr(md, "_workers", lambda model: workers)
+
+
+@pytest.fixture(scope="module")
+def transformer_rows():
+    rng = np.random.default_rng(13)
+    x = rng.uniform(0.0, 1.0, size=(304, 24))
+    y = (rng.uniform(size=304) < 0.3).astype(np.float64)
+    return make_model("transformer", seed=5), x, y
+
+
+def on_helpers_first(seen_helper: threading.Event) -> None:
+    """Hold the calling thread until a helper has run a block."""
+    if threading.current_thread() is threading.main_thread():
+        assert seen_helper.wait(10)
+    else:
+        seen_helper.set()
+
+
+class TestRowBlockWorkers:
+    """Row blocks spread over several workers keep every result's bits."""
+
+    SIZES = (0, 1, 15, 16, 17, 33, 64, 65, 130, 304)
+
+    # one setting of each parameter per case keeps the test under 30 s
+    @pytest.mark.parametrize("iters,project", [(1, False), (3, True)])
+    def test_pgd_bits_do_not_depend_on_the_worker_count(self, monkeypatch, transformer_rows,
+                                                         iters, project):
+        model, x, y = transformer_rows
+        for n in self.SIZES:
+            results = []
+            for workers in (1, 2, 3):
+                force_block_workers(monkeypatch, workers)
+                # the 0.05 ball is smaller than one 0.1 step, so projection acts
+                results.append(atk.pgd(model, x[:n], y[:n], 0.1, iters, project=project,
+                                       eps_ball=0.05))
+            assert results[0].shape == (n, 24)
+            assert all(np.array_equal(out, results[0]) for out in results[1:]), n
+
+    def test_predict_proba_bits_do_not_depend_on_the_worker_count(self, monkeypatch,
+                                                                  transformer_rows):
+        model, x, _ = transformer_rows
+        for n in self.SIZES:
+            results = []
+            for workers in (1, 2, 3):
+                force_block_workers(monkeypatch, workers)
+                results.append(predict_proba(model, x[:n]))
+            assert results[0].shape == (n,)
+            assert all(np.array_equal(out, results[0]) for out in results[1:]), n
+
+    def test_a_helper_error_reaches_the_caller_after_the_join(self, monkeypatch,
+                                                             transformer_rows):
+        model, x, _ = transformer_rows
+        y = np.full(130, 2.0)  # a bad label in every block
+        helper_failed = threading.Event()
+        grad_fn = atk.input_gradient
+
+        def spy_gradient(m, xb, yb, *args):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_failed.wait(10)
+                return np.zeros_like(xb)  # the caller's blocks do not fail
+            try:
+                return grad_fn(m, xb, yb, *args)
+            except ValueError:
+                helper_failed.set()
+                raise
+
+        force_block_workers(monkeypatch, 2)
+        monkeypatch.setattr(atk, "input_gradient", spy_gradient)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            atk.pgd(model, x[:130], y, 0.1, 2)
+        assert helper_failed.is_set()
+        assert threading.active_count() == before
+
+    def test_predict_proba_records_no_tape_on_any_worker(self, monkeypatch, transformer_rows):
+        model, x, _ = transformer_rows
+        seen, seen_helper = [], threading.Event()
+        forward = md.TransformerClassifier.forward
+
+        def spy_forward(self, xb):
+            on_helpers_first(seen_helper)
+            out = forward(self, xb)
+            seen.append((threading.get_ident(), ad._grad_mode.enabled, out._node))
+            return out
+
+        force_block_workers(monkeypatch, 2)
+        monkeypatch.setattr(md.TransformerClassifier, "forward", spy_forward)
+        predict_proba(model, x[:130])
+        assert len({thread for thread, _, _ in seen}) == 2
+        assert all(not recording and node is None for _, recording, node in seen)
+        assert ad._grad_mode.enabled
+
+    def test_helpers_read_the_callers_weight_arrays(self, monkeypatch, transformer_rows):
+        model, x, y = transformer_rows
+        arrays, seen_helper = [], threading.Event()
+        grad_fn = atk.input_gradient
+
+        def spy_gradient(m, xb, yb, *args):
+            on_helpers_first(seen_helper)
+            arrays.append((m is model, {name: p.data for name, p in m.params.items()}))
+            return grad_fn(m, xb, yb, *args)
+
+        force_block_workers(monkeypatch, 2)
+        monkeypatch.setattr(atk, "input_gradient", spy_gradient)
+        atk.pgd(model, x[:130], y[:130], 0.1, 1)
+        twins = [weights for own, weights in arrays if not own]
+        assert twins and len(twins) < len(arrays)
+        for weights in twins:
+            assert all(weights[name] is p.data for name, p in model.params.items())
+        assert all(p.requires_grad for p in model.params.values())
 
 
 class TestAwgn:

@@ -136,6 +136,10 @@ class TestAsrInference:
         with pytest.raises(ValueError, match="length"):
             ev.asr_inference(StubModel([0.5]), np.zeros((2, 24)), np.zeros((3, 24)))
 
+    def test_empty_set_raises(self):
+        with pytest.raises(ValueError, match="empty sample set"):
+            ev.asr_inference(StubModel([0.5]), np.zeros((0, 24)), np.zeros((0, 24)))
+
     def test_accuracy_drop_bounded_by_asr(self):
         rng = np.random.default_rng(9)
         clean_p = rng.uniform(size=40)
@@ -159,6 +163,10 @@ class TestAsrTraining:
         b = StubModel(np.full(6, 0.1))
         report = ev.asr_training(a, b, np.zeros((6, 24)))
         assert report.asr == 1.0
+
+    def test_empty_set_raises(self):
+        with pytest.raises(ValueError, match="empty sample set"):
+            ev.asr_training(StubModel([0.5]), StubModel([0.5]), np.zeros((0, 24)))
 
     def test_truth_independent(self):
         a = StubModel(np.array([0.9, 0.1, 0.9, 0.1]))

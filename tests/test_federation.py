@@ -6,7 +6,9 @@ import time
 import numpy as np
 import pytest
 
+from fedmeter import attacks as atk
 from fedmeter import federation as fed
+from fedmeter import models as md
 from fedmeter.attacks import AttackSpec
 from fedmeter.evaluation import classify, compute_metrics
 from fedmeter.federation import ClientNode, FederationState, fedavg, init_state
@@ -251,7 +253,7 @@ class TestRoundMechanics:
 
 
 def force_workers(monkeypatch, workers):
-    monkeypatch.setattr(fed, "_client_workers", lambda model: workers)
+    monkeypatch.setattr(fed, "_workers", lambda model: workers)
 
 
 class TestConcurrentClients:
@@ -311,6 +313,36 @@ class TestConcurrentClients:
         for name, arr in state.global_weights.items():
             np.testing.assert_array_equal(arr, expected[name])
 
+    def test_pgd_inside_a_concurrent_round_starts_no_further_thread(self, monkeypatch):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")
+        monkeypatch.setattr(md.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert md._workers(make_model("transformer")) == 2  # outside a round
+        started, rows = [], []
+        thread_cls, grad_fn = md.threading.Thread, atk.input_gradient
+
+        class CountingThread(thread_cls):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        def spy_gradient(m, xb, yb, *args):
+            rows.append(len(xb))
+            return grad_fn(m, xb, yb, *args)
+
+        monkeypatch.setattr(md.threading, "Thread", CountingThread)
+        monkeypatch.setattr(atk, "input_gradient", spy_gradient)
+        # every row of each client is poisoned: 48 rows, one block of PGD on
+        # each worker, where two 32-row blocks would run outside a round
+        clients = make_clients(3, malicious_ids=(0, 1, 2), attack=self.PGD, n=48,
+                               poison_fraction=1.0)
+        state = init_state("transformer", clients, seed=5)
+        record = fed.run_round(state, "transformer", CFG)
+        assert record.malicious_count == 3
+        assert len(started) == 1
+        assert rows == [48] * 6 and max(rows) <= md.ROW_BLOCK
+        assert not md._task_thread.busy
+
     @pytest.mark.parametrize("blas_var,value,expected", [
         ("OPENBLAS_NUM_THREADS", "1", 2), ("OMP_NUM_THREADS", "1", 2),
         ("OPENBLAS_NUM_THREADS", "2", 1), ("OMP_NUM_THREADS", "4", 1), (None, None, 1)])
@@ -322,25 +354,25 @@ class TestConcurrentClients:
             blas_var = "MKL_NUM_THREADS" if "mkl" in blas.lower() else blas_var
         if blas_var is not None:
             monkeypatch.setenv(blas_var, value)
-        monkeypatch.setattr(fed.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert fed._client_workers(make_model("transformer")) == expected
-        assert fed._client_workers(make_model("lstm")) == 1
+        monkeypatch.setattr(md.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert md._workers(make_model("transformer")) == expected
+        assert md._workers(make_model("lstm")) == 1
 
-    @pytest.mark.parametrize("cores,expected", [(1, 1), (2, 2), (16, fed.MAX_CLIENT_WORKERS)])
+    @pytest.mark.parametrize("cores,expected", [(1, 1), (2, 2), (16, md.MAX_WORKERS)])
     def test_worker_count_is_capped_at_the_measured_count(self, monkeypatch, cores, expected):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setenv("MKL_NUM_THREADS", "1")
-        monkeypatch.setattr(fed.os, "sched_getaffinity", lambda pid: set(range(cores)),
+        monkeypatch.setattr(md.os, "sched_getaffinity", lambda pid: set(range(cores)),
                             raising=False)
-        assert fed.MAX_CLIENT_WORKERS == 2
-        assert fed._client_workers(make_model("transformer")) == expected
+        assert md.MAX_WORKERS == 2
+        assert md._workers(make_model("transformer")) == expected
 
     def test_worker_count_prefers_the_blas_variable_over_omp(self, monkeypatch):
         blas = str(np.__config__.CONFIG["Build Dependencies"]["blas"]["name"])
         monkeypatch.setenv("MKL_NUM_THREADS" if "mkl" in blas.lower()
                            else "OPENBLAS_NUM_THREADS", "2")
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        assert fed._client_workers(make_model("transformer")) == 1
+        assert md._workers(make_model("transformer")) == 1
 
     def test_every_index_taken_once_and_yielded_in_order_under_stress(self):
         # more workers than cores, and a thread switch every microsecond: a
@@ -355,7 +387,7 @@ class TestConcurrentClients:
 
         got = []
         consumer = threading.Thread(
-            target=lambda: got.extend(fed._in_order(task, len(delays), list(range(8)))))
+            target=lambda: got.extend(md._in_order(task, len(delays), list(range(8)))))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -376,7 +408,7 @@ class TestConcurrentClients:
             return (model, i)
 
         before = threading.active_count()
-        assert list(fed._in_order(task, 5, ["only"])) == [("only", i) for i in range(5)]
+        assert list(md._in_order(task, 5, ["only"])) == [("only", i) for i in range(5)]
         assert threads == [threading.current_thread()] * 5
         assert threading.active_count() == before
 
@@ -396,7 +428,7 @@ class TestConcurrentClients:
 
         before = threading.active_count()
         with pytest.raises(NumericError, match="client"):
-            list(fed._in_order(task, 10, ["caller", "helper"]))
+            list(md._in_order(task, 10, ["caller", "helper"]))
         assert threading.active_count() == before  # the helper was joined
         # the helper failed on its first client, and the caller took at most one
         assert sorted(started) in ([0], [0, 1])
@@ -417,7 +449,7 @@ class TestConcurrentClients:
 
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            list(fed._in_order(task, 10, ["caller", "helper"]))
+            list(md._in_order(task, 10, ["caller", "helper"]))
         assert threading.active_count() == before
         assert len(finished) == 1  # the client in flight ended, and no other began
 

@@ -235,6 +235,18 @@ class TestRowBlocks:
             else:
                 assert 2 * min(sizes) >= max(sizes)
 
+    @pytest.mark.parametrize("cap", [32, 48])
+    def test_a_smaller_cap_keeps_the_grid(self, cap):
+        for n in range(0, 700):
+            blocks = md.row_blocks(n, cap)
+            sizes = [b.stop - b.start for b in blocks]
+            edges = [0] + [b.stop for b in blocks]
+            assert [b.start for b in blocks] == edges[:-1] and edges[-1] == n
+            assert all(0 < s <= cap for s in sizes)
+            assert all(b.stop % 16 == 0 for b in blocks[:-1])
+            if n > cap:
+                assert 2 * min(sizes) >= max(sizes)
+
     @pytest.mark.parametrize("name,n", [("transformer", 304), ("lstm", 1520)])
     def test_predict_proba_equals_one_forward(self, name, n):
         model = make_model(name, seed=1)
