@@ -136,9 +136,8 @@ class LabeledDataset:
         n = len(self.profiles)
         if not (len(self.labels) == len(self.kinds) == len(self.day_indices) == n):
             raise DataError("dataset arrays must have equal length")
-        for lbl, kind in zip(self.labels, self.kinds):
-            if (lbl == 1) != (kind != "none"):
-                raise DataError("label 1 must coincide with a non-none anomaly kind")
+        if np.any((self.labels == 1) != (np.asarray(self.kinds, dtype=str) != "none")):
+            raise DataError("label 1 must coincide with a non-none anomaly kind")
 
     def __len__(self) -> int:
         return len(self.profiles)

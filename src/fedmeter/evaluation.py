@@ -75,9 +75,15 @@ def compute_metrics(pred: np.ndarray, truth: np.ndarray) -> Metrics:
     return Metrics(accuracy, precision, recall, f1, tp, fp, tn, fn, degenerate)
 
 
-def _require_samples(x: np.ndarray) -> None:
-    if len(x) == 0:
+def asr_from_predictions(reference: np.ndarray, pred: np.ndarray, protocol: str) -> AsrReport:
+    """Fraction of samples whose predicted label in ``pred`` differs from
+    the one in ``reference``, for the named ``protocol``."""
+    if len(reference) != len(pred):
+        raise ValueError(f"paired sets differ in length: {len(reference)} vs {len(pred)}")
+    if len(pred) == 0:
         raise ValueError("cannot compute an attack success rate on an empty sample set")
+    flipped = int(np.sum(pred != reference))
+    return AsrReport(flipped, len(pred), flipped / len(pred), protocol)
 
 
 def asr_inference(model, x_clean: np.ndarray, x_adv: np.ndarray,
@@ -85,23 +91,18 @@ def asr_inference(model, x_clean: np.ndarray, x_adv: np.ndarray,
     """Fraction of paired samples whose prediction flips under the attack."""
     if len(x_clean) != len(x_adv):
         raise ValueError(f"paired sets differ in length: {len(x_clean)} vs {len(x_adv)}")
-    _require_samples(x_adv)
     pred_adv = classify(model, x_adv, threshold)
-    reference = classify(model, x_clean, threshold)
-    flipped = int(np.sum(pred_adv != reference))
-    return AsrReport(flipped, len(x_adv), flipped / len(x_adv), "inference_attack")
+    return asr_from_predictions(classify(model, x_clean, threshold), pred_adv,
+                                "inference_attack")
 
 
 def asr_training(model_clean, model_attacked, x_test_clean: np.ndarray,
                  threshold: float = DEFAULT_THRESHOLD) -> AsrReport:
     """Fraction of clean test samples on which the attacked-trained model
     disagrees with the cleanly trained one."""
-    _require_samples(x_test_clean)
     pred_attacked = classify(model_attacked, x_test_clean, threshold)
-    reference = classify(model_clean, x_test_clean, threshold)
-    flipped = int(np.sum(pred_attacked != reference))
-    return AsrReport(flipped, len(x_test_clean), flipped / len(x_test_clean),
-                     "training_attack")
+    return asr_from_predictions(classify(model_clean, x_test_clean, threshold),
+                                pred_attacked, "training_attack")
 
 
 METRICS_CSV_HEADER = ["setting", "attack", "acc", "prec", "rec", "f1", "asr"]

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import data as dp
 from .attacks import AttackSpec, dump_adversarial_csv, poison_batch
-from .evaluation import (asr_inference, asr_training, classify, compute_metrics,
-                         metrics_row, write_metrics_csv)
+from .evaluation import (asr_from_predictions, classify, compute_metrics, metrics_row,
+                         write_metrics_csv)
 from .federation import (ClientNode, global_model, init_state, run_centralized,
                          run_federation)
 from .models import TrainConfig, save_weights
@@ -462,8 +462,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         x_adv, _ = poison_batch(model, x_test, y_test, cfg.attack,
                                 rng_for(cfg.master_seed, "attack-eval"),
                                 alpha=cfg.train.focal_alpha, gamma=cfg.train.focal_gamma)
-        metrics = compute_metrics(classify(model, x_adv, cfg.threshold), y_test)
-        report = asr_inference(model, x_test, x_adv, cfg.threshold)
+        pred_adv = classify(model, x_adv, cfg.threshold)
+        metrics = compute_metrics(pred_adv, y_test)
+        report = asr_from_predictions(classify(model, x_test, cfg.threshold), pred_adv,
+                                      "inference_attack")
         rows.append(metrics_row(label_setting, _attack_label(cfg.attack), metrics, report))
         emit("adversarial_test.csv",
              lambda p: dump_adversarial_csv(x_adv, y_test, kinds_test,
@@ -474,10 +476,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         clean = _train(cfg, clients, out_dir, "clean", AttackSpec(), 0)
         attacked = _train(cfg, clients, out_dir, f"attacked_{cfg.attack.family}",
                           cfg.attack, cfg.federation.malicious_count)
-        clean_metrics = compute_metrics(classify(clean, x_test, cfg.threshold), y_test)
-        rows.append(metrics_row(label_setting, "No Attack", clean_metrics, None))
-        metrics = compute_metrics(classify(attacked, x_test, cfg.threshold), y_test)
-        report = asr_training(clean, attacked, x_test, cfg.threshold)
+        pred_clean = classify(clean, x_test, cfg.threshold)
+        rows.append(metrics_row(label_setting, "No Attack",
+                                compute_metrics(pred_clean, y_test), None))
+        pred_attacked = classify(attacked, x_test, cfg.threshold)
+        metrics = compute_metrics(pred_attacked, y_test)
+        report = asr_from_predictions(pred_clean, pred_attacked, "training_attack")
         rows.append(metrics_row(label_setting, _attack_label(cfg.attack), metrics, report))
         emit("final_clean.ckpt", lambda p: save_weights(clean.get_weights(), p))
         emit(f"final_{cfg.attack.family}.ckpt",

@@ -11,10 +11,9 @@ honest clients' stored data is never touched.
 
 Clients of a round are independent, so a round can train several at once,
 through the worker machinery in :mod:`fedmeter.models` that also runs an
-attack's row blocks.  It does so only for a model whose ``concurrent_tasks``
-is true (the Transformer) and only while BLAS runs one thread per call: then
-the calling thread and one helper thread per further core, up to
-``models.MAX_WORKERS`` workers, each own a model instance, take the next
+attack's row blocks.  It does so for both models while BLAS runs one thread
+per call: then the calling thread and one helper thread per further core, up
+to ``models.MAX_WORKERS`` workers, each own a model instance, take the next
 client, poison it if it is malicious and train it.  A malicious client's
 PGD runs on its own worker in whole ``models.ROW_BLOCK``-row blocks, never
 on further threads.  :func:`fedavg` folds the returned maps in ``selected``
@@ -191,7 +190,7 @@ def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> Roun
 
     # one instance per worker; each client overwrites every weight before use
     models = [make_model(model_name, seed=0)]
-    workers = min(_workers(models[0]), len(selected))
+    workers = min(_workers(), len(selected))
     models += [make_model(model_name, seed=0) for _ in range(workers - 1)]
     with contextlib.closing(_in_order(train, len(selected), models)) as maps:
         state.global_weights = fedavg(maps)

@@ -77,39 +77,52 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
 
     Like every primitive, it reads ``requires_grad`` when it records: the
     backward rule returns None for inputs that need no gradient and skips
-    their work.  With frozen weights it forms neither ``d_wx``, ``d_wh`` nor
-    ``d_b`` and does not save the hidden states they read.
+    their work.  The tape holds the four gates and the cell state of each
+    step, nothing when no gradient is recorded.  Backward recomputes
+    ``tanh(c)`` once per step, and the previous hidden state from it only
+    when ``wh`` needs a gradient.  With ``wx`` frozen (every attack), the
+    input gradient is formed ``_GEMV_ROWS`` steps at a time, not from a
+    gradient buffer over the whole sequence; see ``_GEMV_ROWS`` for why
+    every row keeps its bits.
     """
     x_np, wx_np, wh_np, b_np = x.data, wx.data, wh.data, b.data
     batch, steps = x_np.shape
     h_size = wh_np.shape[0]
     need_x, need_wx = x.requires_grad, wx.requires_grad
     need_wh, need_b = wh.requires_grad, b.requires_grad
+    recording = ad._grad_mode.enabled and (need_x or need_wx or need_wh or need_b)
 
-    zx = (x_np.reshape(batch * steps, 1) @ wx_np).reshape(batch, steps, 4 * h_size)
-    h = np.zeros((batch, h_size))
-    c = np.zeros((batch, h_size))
+    zeros = np.zeros((batch, h_size))
+    h = c = zeros
     saved = []
     for t in range(steps):
-        z = zx[:, t, :] + h @ wh_np + b_np
+        # the K=1 product is exact and the sums commute, so z has the bits
+        # of one (batch * steps, 1) @ wx gemm plus h @ wh plus b
+        z = x_np[:, t:t + 1] * wx_np
+        z += h @ wh_np
+        z += b_np
         gi = ad._sigmoid_np(z[:, :h_size])
         gf = ad._sigmoid_np(z[:, h_size:2 * h_size])
         gg = np.tanh(z[:, 2 * h_size:3 * h_size])
         go = ad._sigmoid_np(z[:, 3 * h_size:])
-        c_prev, h_prev = c, h
-        c = gf * c_prev + gi * gg
-        tc = np.tanh(c)
-        h = go * tc
-        saved.append((gi, gf, gg, go, c_prev, tc, h_prev if need_wh else None))
+        c = gf * c + gi * gg
+        h = go * np.tanh(c)
+        if recording:
+            saved.append((gi, gf, gg, go, c))
 
     def bw(grad_h):
         d_wh = np.zeros_like(wh_np) if need_wh else None
         d_b = np.zeros_like(b_np) if need_b else None
-        d_zx = np.empty((batch, steps, 4 * h_size))
-        dh = grad_h
-        dc = np.zeros((batch, h_size))
+        # d_wx reduces over every row in one call, so it needs them all
+        chunk = steps if need_wx or steps % _GEMV_ROWS else _GEMV_ROWS
+        d_zx = np.empty((batch, chunk, 4 * h_size))
+        d_x = np.empty((batch, steps)) if need_x else None
+        dh, dc = grad_h, zeros
+        tc = np.tanh(saved[-1][4]) if steps else None
         for t in range(steps - 1, -1, -1):
-            gi, gf, gg, go, c_prev, tc, h_prev = saved[t]
+            gi, gf, gg, go, _ = saved[t]
+            c_prev = saved[t - 1][4] if t else zeros
+            tc_prev = np.tanh(c_prev) if t else zeros
             do = dh * tc
             dc = dc + dh * go * (1.0 - tc * tc)
             dz = np.concatenate([
@@ -119,15 +132,20 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
                 do * go * (1.0 - go),
             ], axis=1)
             if need_wh:
+                h_prev = saved[t - 1][3] * tc_prev if t else zeros
                 d_wh += h_prev.T @ dz
             if need_b:
                 d_b += dz.sum(axis=0)
-            d_zx[:, t, :] = dz
+            d_zx[:, t % chunk, :] = dz
+            if need_x and t % chunk == 0:
+                # rows in (batch, step) order, as in one call over all steps
+                flat = d_zx.reshape(batch * chunk, 4 * h_size)
+                d_x[:, t:t + chunk] = (flat @ wx_np.T).reshape(batch, chunk)
             dh = dz @ wh_np.T
             dc = dc * gf
-        flat = d_zx.reshape(batch * steps, 4 * h_size)
-        d_wx = x_np.reshape(batch * steps, 1).T @ flat if need_wx else None
-        d_x = (flat @ wx_np.T).reshape(batch, steps) if need_x else None
+            tc = tc_prev
+        d_wx = (x_np.reshape(batch * steps, 1).T @ d_zx.reshape(batch * steps, 4 * h_size)
+                if need_wx else None)
         return d_x, d_wx, d_wh, d_b
 
     return ad.custom_op(h, (x, wx, wh, b), bw)
@@ -218,12 +236,12 @@ class LstmClassifier:
     """Sequence-to-one LSTM: 24 scalar steps -> hidden state -> sigmoid unit."""
 
     name = "lstm"
-    # A federated round trains its clients, and an attack its row blocks, one
-    # after another.  Two client threads made an fl_lstm_pgd round 20% shorter
-    # but raised its peak RSS from 57 to 70 MB (+22%, 10 pairs in
-    # BENCH_9.json), beyond the benchmark's 10% memory bound; threads for the
-    # row blocks of its PGD poisoning made rounds 29% slower.
-    concurrent_tasks = False
+    # An attack or inference runs its row blocks one after another: on two
+    # workers a 304-row PGD call took 1.10-1.29 s against 0.98-1.12 s on one,
+    # and predict_proba over 1520 rows 0.29-0.36 s against 0.24-0.26 s
+    # (BENCH_12.json).  A federated round trains its clients on every
+    # worker, like the Transformer's.
+    concurrent_row_blocks = False
 
     def __init__(self, seed: int = 0):
         rng = rng_for(seed, "init", "lstm")
@@ -270,10 +288,9 @@ class TransformerClassifier:
     """
 
     name = "transformer"
-    # A federated round trains its clients, and an attack or inference runs
-    # its row blocks, on several cores when BLAS runs one thread per call:
-    # the time goes to gemms, which release the GIL.
-    concurrent_tasks = True
+    # An attack or inference runs its row blocks on several cores when BLAS
+    # runs one thread per call: the time goes to gemms, which release the GIL.
+    concurrent_row_blocks = True
 
     def __init__(self, seed: int = 0):
         rng = rng_for(seed, "init", "transformer")
@@ -500,8 +517,8 @@ def input_gradient(model, x: np.ndarray, y: np.ndarray, alpha: float = 0.25,
 # tape is about 80 MB for the Transformer at batch 32, so peak memory grows
 # by about a tape per worker; row-block workers share ROW_BLOCK rows.  Speed
 # and peak memory were measured on 2 cores only (BENCH_9.json and
-# BENCH_10.json); more workers stay unmeasured until pairs on a larger
-# machine are recorded.
+# BENCH_10.json, and BENCH_12.json for LSTM rounds); more workers stay
+# unmeasured until pairs on a larger machine are recorded.
 MAX_WORKERS = 2
 
 
@@ -514,20 +531,20 @@ class _TaskThread(threading.local):
 _task_thread = _TaskThread()
 
 
-def _workers(model) -> int:
+def _workers() -> int:
     """How many workers run a round's clients or an attack's row blocks at
     once: up to :data:`MAX_WORKERS` cores, or one.
 
-    More than one only when ``model`` allows it, BLAS runs one thread per
-    call, and the calling thread is not already one of :func:`_in_order`'s
-    workers: a malicious client's PGD inside a concurrent round stays on its
-    worker, in whole ``ROW_BLOCK``-row blocks.  The count BLAS read is the
-    first of ``OPENBLAS_NUM_THREADS`` (or ``MKL_NUM_THREADS`` for MKL) and
+    More than one only when BLAS runs one thread per call and the calling
+    thread is not already one of :func:`_in_order`'s workers: a malicious
+    client's PGD inside a concurrent round stays on its worker, in whole
+    ``ROW_BLOCK``-row blocks.  The count BLAS read is the first of
+    ``OPENBLAS_NUM_THREADS`` (or ``MKL_NUM_THREADS`` for MKL) and
     ``OMP_NUM_THREADS`` that is set.  With 2-thread BLAS on 2 cores, two
     Transformer workers made a round 72% slower than one (``selection_sides``
     in BENCH_9.json).
     """
-    if _task_thread.busy or not getattr(model, "concurrent_tasks", False):
+    if _task_thread.busy:
         return 1
     try:
         blas = str(np.__config__.CONFIG["Build Dependencies"]["blas"]["name"])
@@ -631,6 +648,14 @@ ROW_BLOCK = 64
 # rounds the rows left over at the end of a call differently, so a block that
 # ends off the grid would change the last bits of its final rows.
 _ROW_ALIGN = 16
+# The size of those groups, an assumption about the BLAS checked for
+# OpenBLAS 0.3.31 (Haswell kernels), with one BLAS thread and with two: its
+# matrix-vector kernel rounds a row the same way in any full group of 4 rows
+# and differently only in a 1-3 row remainder at the end of a call.  So
+# lstm_sequence may form its input gradient from calls of batch * 4 rows
+# instead of one of batch * steps rows, when steps is a multiple of 4, and
+# keep every row's bits.
+_GEMV_ROWS = 4
 
 
 def row_blocks(n: int, cap: int = ROW_BLOCK) -> list[slice]:
@@ -662,17 +687,20 @@ def _by_row_blocks(model, out: np.ndarray,
                    task: Callable[[object, slice], np.ndarray]) -> np.ndarray:
     """Fill ``out[rows] = task(m, rows)`` for the row blocks of ``out``.
 
-    The blocks run on up to :func:`_workers` workers: the calling thread with
-    ``model``, each helper with a frozen twin of it.  A block holds at most
-    ``ROW_BLOCK // workers`` rows, rounded down to the ``_ROW_ALIGN`` grid,
-    so at most ``ROW_BLOCK`` rows are in flight at once, and every row keeps
-    its bits (see :func:`row_blocks`) whatever the number of workers.  No
+    The blocks run on the calling thread alone, or on up to :func:`_workers`
+    workers when ``model``'s class sets ``concurrent_row_blocks``: the
+    calling thread with ``model``, each helper with a frozen twin of it.  A
+    block holds at most ``ROW_BLOCK // workers`` rows, rounded down to the
+    ``_ROW_ALIGN`` grid, so at most ``ROW_BLOCK`` rows are in flight at once,
+    and every row keeps its bits (see :func:`row_blocks`) whatever the
+    number of workers.  No
     more than ``ROW_BLOCK // (2 * _ROW_ALIGN)`` workers share the blocks, so
     a cap holds at least two grid units and no block is one row split off a
     larger batch: numpy runs a one-row product as a BLAS matrix-vector call,
     which rounds that row differently.
     """
-    workers = min(_workers(model), ROW_BLOCK // (2 * _ROW_ALIGN))
+    workers = (min(_workers(), ROW_BLOCK // (2 * _ROW_ALIGN))
+               if getattr(model, "concurrent_row_blocks", False) else 1)
     blocks = row_blocks(len(out), ROW_BLOCK // workers // _ROW_ALIGN * _ROW_ALIGN)
     models = [model] + [_frozen_twin(model) for _ in range(min(workers, len(blocks)) - 1)]
     with contextlib.closing(_in_order(lambda m, i: task(m, blocks[i]), len(blocks),

@@ -226,6 +226,9 @@ class TestRowBlockedPgd:
         monkeypatch.setattr(atk, "input_gradient", spy_gradient)
         monkeypatch.setattr(md.LstmClassifier, "forward", spy_forward)
         monkeypatch.setattr(md, "row_blocks", spy_blocks)
+        # the LSTM runs its blocks on one worker; forced onto several, its
+        # cheap blocks exercise the cap rule quickly
+        monkeypatch.setattr(md.LstmClassifier, "concurrent_row_blocks", True)
         for workers in (1, 2, 3):
             force_block_workers(monkeypatch, workers)
             for call in (lambda: atk.pgd(model, x[:130], y[:130], 0.1, 2),
@@ -243,7 +246,7 @@ class TestRowBlockedPgd:
 
 
 def force_block_workers(monkeypatch, workers):
-    monkeypatch.setattr(md, "_workers", lambda model: workers)
+    monkeypatch.setattr(md, "_workers", lambda: workers)
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +357,28 @@ class TestRowBlockWorkers:
         for weights in twins:
             assert all(weights[name] is p.data for name, p in model.params.items())
         assert all(p.requires_grad for p in model.params.values())
+
+    def test_lstm_blocks_start_no_helper_thread(self, monkeypatch):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")
+        monkeypatch.setattr(md.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert md._workers() == 2
+        started, thread_cls = [], md.threading.Thread
+
+        class CountingThread(thread_cls):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(md.threading, "Thread", CountingThread)
+        model = make_model("lstm", seed=2)
+        rng = np.random.default_rng(14)
+        x = rng.uniform(0.0, 1.0, size=(304, 24))
+        y = (rng.uniform(size=304) < 0.3).astype(np.float64)
+        atk.pgd(model, x, y, 0.1, 2)
+        assert started == []
+        predict_proba(model, x)
+        assert started == []
 
 
 class TestAwgn:

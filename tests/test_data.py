@@ -223,6 +223,27 @@ def toy_profiles(n, seed=0):
     return [LoadProfile(rng.uniform(0.2, 2.0, size=24), i) for i in range(n)]
 
 
+class TestLabeledDataset:
+    @pytest.mark.parametrize("labels,kinds", [
+        ([0, 0, 0, 1], ["none", "drop", "none", "drop"]),
+        ([0, 0, 0, 1], ["none", "none", "none", "none"]),
+        ([0, 0, 0, 0], ["none", "none", "none", "drop"]),
+    ], ids=["first_mismatch_before_a_match", "label_without_kind", "kind_without_label"])
+    def test_label_kind_mismatch_is_caught_in_any_row(self, labels, kinds):
+        with pytest.raises(DataError, match="label 1 must coincide"):
+            LabeledDataset(np.zeros((4, 24)), np.array(labels), kinds, np.arange(4))
+
+    def test_mismatch_in_the_last_row_of_many_is_caught(self):
+        labels = np.r_[np.zeros(999, int), 1]
+        kinds = ["none"] * 1000
+        with pytest.raises(DataError, match="label 1 must coincide"):
+            LabeledDataset(np.zeros((1000, 24)), labels, kinds, np.arange(1000))
+
+    def test_empty_dataset(self):
+        ds = LabeledDataset(np.zeros((0, 24)), np.zeros(0, int), [], np.zeros(0, int))
+        assert len(ds) == 0 and len(ds.subset(np.zeros(0, int))) == 0
+
+
 class TestBuildDataset:
     def test_size_arithmetic(self):
         ds = dp.build_dataset(toy_profiles(1000), WINDOWS,

@@ -253,33 +253,36 @@ class TestRoundMechanics:
 
 
 def force_workers(monkeypatch, workers):
-    monkeypatch.setattr(fed, "_workers", lambda model: workers)
+    monkeypatch.setattr(fed, "_workers", lambda: workers)
 
 
 class TestConcurrentClients:
     PGD = AttackSpec(family="pgd", epsilon=0.2, pgd_iters=2)
 
-    def run(self, monkeypatch, workers, clients, **kw):
+    def run(self, monkeypatch, model_name, workers, clients, **kw):
         force_workers(monkeypatch, workers)
-        state = init_state("transformer", clients, seed=8, **kw)
+        state = init_state(model_name, clients, seed=8, **kw)
         x_eval, y_eval = toy_client_data(77, n=16)
-        records = fed.run_federation(state, "transformer", CFG, t_rounds=2,
+        records = fed.run_federation(state, model_name, CFG, t_rounds=2,
                                      eval_x=x_eval, eval_y=y_eval)
         return state.global_weights, records
 
-    @pytest.mark.parametrize("malicious,kw", [
-        ((), {}),
-        ((1, 3), {"clients_per_round": 3, "local_epochs": 2}),
-    ], ids=["clean", "pgd_3_of_5_two_epochs"])
-    def test_concurrent_rounds_equal_serial_rounds(self, monkeypatch, malicious, kw):
+    @pytest.mark.parametrize("model_name,malicious,kw", [
+        ("transformer", (), {}),
+        ("transformer", (1, 3), {"clients_per_round": 3, "local_epochs": 2}),
+        ("lstm", (), {}),
+        ("lstm", (1, 3), {"clients_per_round": 3, "local_epochs": 2}),
+    ], ids=["clean", "pgd_3_of_5_two_epochs", "lstm_clean", "lstm_pgd_3_of_5_two_epochs"])
+    def test_concurrent_rounds_equal_serial_rounds(self, monkeypatch, model_name,
+                                                   malicious, kw):
         def clients():
             return make_clients(5 if malicious else 3, malicious_ids=malicious,
                                 attack=self.PGD, n=20)
 
-        serial_w, serial_r = self.run(monkeypatch, 1, clients(), **kw)
+        serial_w, serial_r = self.run(monkeypatch, model_name, 1, clients(), **kw)
         assert (sum(r.malicious_count for r in serial_r) > 0) == bool(malicious)
         for workers in (2, 3):
-            w, records = self.run(monkeypatch, workers, clients(), **kw)
+            w, records = self.run(monkeypatch, model_name, workers, clients(), **kw)
             assert records == serial_r
             for name in serial_w:
                 assert np.array_equal(w[name], serial_w[name]), name
@@ -317,7 +320,7 @@ class TestConcurrentClients:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.setenv(var, "1")
         monkeypatch.setattr(md.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert md._workers(make_model("transformer")) == 2  # outside a round
+        assert md._workers() == 2  # outside a round
         started, rows = [], []
         thread_cls, grad_fn = md.threading.Thread, atk.input_gradient
 
@@ -355,8 +358,7 @@ class TestConcurrentClients:
         if blas_var is not None:
             monkeypatch.setenv(blas_var, value)
         monkeypatch.setattr(md.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert md._workers(make_model("transformer")) == expected
-        assert md._workers(make_model("lstm")) == 1
+        assert md._workers() == expected
 
     @pytest.mark.parametrize("cores,expected", [(1, 1), (2, 2), (16, md.MAX_WORKERS)])
     def test_worker_count_is_capped_at_the_measured_count(self, monkeypatch, cores, expected):
@@ -365,14 +367,14 @@ class TestConcurrentClients:
         monkeypatch.setattr(md.os, "sched_getaffinity", lambda pid: set(range(cores)),
                             raising=False)
         assert md.MAX_WORKERS == 2
-        assert md._workers(make_model("transformer")) == expected
+        assert md._workers() == expected
 
     def test_worker_count_prefers_the_blas_variable_over_omp(self, monkeypatch):
         blas = str(np.__config__.CONFIG["Build Dependencies"]["blas"]["name"])
         monkeypatch.setenv("MKL_NUM_THREADS" if "mkl" in blas.lower()
                            else "OPENBLAS_NUM_THREADS", "2")
         monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        assert md._workers(make_model("transformer")) == 1
+        assert md._workers() == 1
 
     def test_every_index_taken_once_and_yielded_in_order_under_stress(self):
         # more workers than cores, and a thread switch every microsecond: a

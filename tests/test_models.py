@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -365,6 +367,153 @@ class TestFusedKernelsAreBitExact:
         assert len(full) == full_arrays
         small = sum(a.size for a in saved) - full_arrays * batch * steps * d
         assert small <= 2 * batch * steps + d
+
+
+def reference_lstm_sequence(x, wx, wh, b):
+    """The LSTM kernel before its lean tape: the oracle for ``md.lstm_sequence``.
+
+    It forms the input product of every step in one gemm, saves six (seven
+    for training) arrays per step, and forms ``d_x`` and ``d_wx`` from one
+    gradient buffer over the whole sequence.
+    """
+    x_np, wx_np, wh_np, b_np = x.data, wx.data, wh.data, b.data
+    batch, steps = x_np.shape
+    h_size = wh_np.shape[0]
+    need_x, need_wx = x.requires_grad, wx.requires_grad
+    need_wh, need_b = wh.requires_grad, b.requires_grad
+
+    zx = (x_np.reshape(batch * steps, 1) @ wx_np).reshape(batch, steps, 4 * h_size)
+    h = np.zeros((batch, h_size))
+    c = np.zeros((batch, h_size))
+    saved = []
+    for t in range(steps):
+        z = zx[:, t, :] + h @ wh_np + b_np
+        gi = ad._sigmoid_np(z[:, :h_size])
+        gf = ad._sigmoid_np(z[:, h_size:2 * h_size])
+        gg = np.tanh(z[:, 2 * h_size:3 * h_size])
+        go = ad._sigmoid_np(z[:, 3 * h_size:])
+        c_prev, h_prev = c, h
+        c = gf * c_prev + gi * gg
+        tc = np.tanh(c)
+        h = go * tc
+        saved.append((gi, gf, gg, go, c_prev, tc, h_prev if need_wh else None))
+
+    def bw(grad_h):
+        d_wh = np.zeros_like(wh_np) if need_wh else None
+        d_b = np.zeros_like(b_np) if need_b else None
+        d_zx = np.empty((batch, steps, 4 * h_size))
+        dh = grad_h
+        dc = np.zeros((batch, h_size))
+        for t in range(steps - 1, -1, -1):
+            gi, gf, gg, go, c_prev, tc, h_prev = saved[t]
+            do = dh * tc
+            dc = dc + dh * go * (1.0 - tc * tc)
+            dz = np.concatenate([
+                dc * gg * gi * (1.0 - gi),
+                dc * c_prev * gf * (1.0 - gf),
+                dc * gi * (1.0 - gg * gg),
+                do * go * (1.0 - go),
+            ], axis=1)
+            if need_wh:
+                d_wh += h_prev.T @ dz
+            if need_b:
+                d_b += dz.sum(axis=0)
+            d_zx[:, t, :] = dz
+            dh = dz @ wh_np.T
+            dc = dc * gf
+        flat = d_zx.reshape(batch * steps, 4 * h_size)
+        d_wx = x_np.reshape(batch * steps, 1).T @ flat if need_wx else None
+        d_x = (flat @ wx_np.T).reshape(batch, steps) if need_x else None
+        return d_x, d_wx, d_wh, d_b
+
+    return ad.custom_op(h, (x, wx, wh, b), bw)
+
+
+# requires_grad of (x, wx, wh, b): an attack's input gradient, a training
+# step, and both at once
+LSTM_FLAGS = {"frozen_weights": (True, False, False, False),
+              "training": (False, True, True, True),
+              "all_inputs": (True, True, True, True)}
+
+
+def lstm_arrays(rng, batch, steps, hidden=md.LSTM_HIDDEN):
+    return [rng.uniform(0, 1, size=(batch, steps)),
+            rng.normal(size=(1, 4 * hidden)) * 0.5,
+            rng.normal(size=(hidden, 4 * hidden)) * 0.1,
+            rng.normal(size=(4 * hidden,)) * 0.1]
+
+
+class TestLeanLstmTape:
+    """The lean LSTM tape keeps every bit of the kernel it replaced."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 3, 5, 8, 24])
+    @pytest.mark.parametrize("flags", sorted(LSTM_FLAGS))
+    def test_bits_match_the_reference_kernel(self, flags, steps):
+        rng = np.random.default_rng(steps)
+        for batch in list(range(1, 70)) + [96, 130]:
+            arrays = lstm_arrays(rng, batch, steps)
+            grad_h = rng.normal(size=(batch, md.LSTM_HIDDEN))
+            results = []
+            for kernel in (md.lstm_sequence, reference_lstm_sequence):
+                out = kernel(*[ad.Tensor(a, requires_grad=f)
+                               for a, f in zip(arrays, LSTM_FLAGS[flags])])
+                results.append((out.data, out._node.backward_fn(grad_h)))
+            (h_lean, grads_lean), (h_ref, grads_ref) = results
+            assert np.array_equal(h_lean, h_ref), batch
+            for g_lean, g_ref, need in zip(grads_lean, grads_ref, LSTM_FLAGS[flags]):
+                assert (g_lean is not None) == (g_ref is not None) == need
+                assert g_ref is None or np.array_equal(g_lean, g_ref), batch
+
+    # 8 and 24 steps are whole 4-step chunks: frozen weights form d_x chunk by
+    # chunk, a trainable wx from the buffer over every step
+    @pytest.mark.parametrize("steps", [8, 24])
+    @pytest.mark.parametrize("flags", ["frozen_weights", "all_inputs"],
+                             ids=["chunked_d_x", "full_d_x"])
+    def test_matches_finite_differences(self, flags, steps):
+        rng = np.random.default_rng(21)
+        arrays = lstm_arrays(rng, 3, steps, hidden=6)
+        needs = LSTM_FLAGS[flags]
+        r = rng.normal(size=(3, 6))
+
+        def f(arrs):
+            out = md.lstm_sequence(*[ad.Tensor(a) for a in arrs + arrays[len(arrs):]])
+            return float((out.data * r).mean())
+
+        ts = [ad.Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)]
+        out = md.lstm_sequence(*ts)
+        ad.backward(ad.mean(ad.mul(out, ad.Tensor(r))))
+        checked = sum(needs)
+        assert all(t.grad is None for t in ts[checked:])
+        assert_grad_matches(f, arrays[:checked], [t.grad for t in ts[:checked]], rng)
+
+    def test_input_gradient_with_frozen_weights_holds_a_small_tape(self):
+        model = LstmClassifier(seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 1, size=(48, 24))
+        y = (rng.uniform(size=48) < 0.3).astype(np.float64)
+        input_gradient(model, x, y)
+        tracemalloc.start()
+        try:
+            input_gradient(model, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 9.4 MiB with a (48, 24, 400) input product and gradient buffer
+        assert peak < 7 * 2**20
+
+    def test_no_grad_forward_holds_no_tape(self):
+        arrays = lstm_arrays(np.random.default_rng(2), 64, 24)
+        ts = [ad.Tensor(a, requires_grad=True) for a in arrays]
+        tracemalloc.start()
+        try:
+            with ad.no_grad():
+                out = md.lstm_sequence(*ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a tape of 24 steps x 5 arrays x (64, 100) would take 5.9 MiB
+        assert peak < 2**20
+        assert np.array_equal(out.data, reference_lstm_sequence(*ts).data)
 
 
 class TestModelGradients:
