@@ -1,7 +1,7 @@
 """Train a small LSTM on one household and attack it at inference time.
 
 Shows the signed-gradient mechanics: FGSM moves every input coordinate by
-exactly epsilon, PGD compounds the effect over 10 iterations, and AWGNmostly
+exactly epsilon, PGD compounds the effect over 10 iterations, and AWGN mostly
 bounces off.  Finishes by dumping the adversarial samples in the export
 schema.
 
@@ -11,8 +11,8 @@ Run:  python3 demos/02_attacks_on_a_trained_model.py
 import numpy as np
 
 from fedmeter import data as dp
-from fedmeter.attacks import awgn, dump_adversarial_csv, fgsm, pgd
-from fedmeter.evaluation import asr_inference, classify, compute_metrics
+from fedmeter.attacks import AttackSpec, dump_adversarial_csv
+from fedmeter.evaluation import evaluate_attacks
 from fedmeter.models import LstmClassifier, TrainConfig, train_local
 from fedmeter.seeding import rng_for
 
@@ -28,20 +28,18 @@ cfg = TrainConfig(epochs=30, seed=0)
 train_local(model, train.profiles, train.labels.astype(float), cfg)
 
 x, y = test.profiles, test.labels
-clean = compute_metrics(classify(model, x), y)
+specs = {"AWGN s2=0.1": AttackSpec("awgn", awgn_variance=0.1),  # first: a fresh noise stream
+         "FGSM  e=0.5": AttackSpec("fgsm", epsilon=0.5),
+         "PGD   e=0.5": AttackSpec("pgd", epsilon=0.5, pgd_iters=10)}
+clean, attacked = evaluate_attacks(model, x, y, list(specs.values()), rng_for(0, "demo-awgn"))
 print(f"clean test accuracy {clean.accuracy:.3f}, f1 {clean.f1:.3f}")
 
-for name, adv in [
-        ("AWGN s2=0.1", awgn(x, 0.1, rng_for(0, "demo-awgn"))),
-        ("FGSM  e=0.5", fgsm(model, x, y, 0.5)),
-        ("PGD   e=0.5", pgd(model, x, y, 0.5, iters=10))]:
-    metrics = compute_metrics(classify(model, adv), y)
-    report = asr_inference(model, x, adv)
+for name, (_, adv, metrics, report) in zip(specs, attacked):
     shift = np.abs(adv - x).max()
     print(f"{name}: accuracy {metrics.accuracy:.3f}, ASR {report.asr:.3f}, "
           f"max |delta| {shift:.2f}")
 
-x_adv = fgsm(model, x, y, 0.5)
-dump_adversarial_csv(x_adv, y, list(test.kinds), "fgsm", 0.5,
+_, fgsm_adv, _, _ = attacked[1]
+dump_adversarial_csv(fgsm_adv, y, list(test.kinds), "fgsm", 0.5,
                      "demo_adversarial_test.csv")
 print("wrote demo_adversarial_test.csv (export schema + attack columns)")

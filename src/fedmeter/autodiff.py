@@ -26,8 +26,7 @@ or ``MALLOC_TOP_PAD_`` leaves glibc's policy to the environment.
 
 Broadcasting is deliberately restricted to two patterns -- scalar with
 tensor, and a trailing-suffix operand (bias/gain application).  Anything
-else must go through an explicit :func:`broadcast_to`.  All data is
-float64.
+else raises :class:`ShapeError`.  All data is float64.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ __all__ = [
     "mean",
     "reshape",
     "transpose",
-    "broadcast_to",
     "clip",
     "custom_op",
 ]
@@ -283,7 +281,7 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
-    if grad.shape != shape:  # remaining size-1 axes (broadcast_to case)
+    if grad.shape != shape:  # remaining size-1 axes: a (1,)-shaped scalar operand
         axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
@@ -469,21 +467,6 @@ def transpose(t: Tensor, axes: Sequence[int]) -> Tensor:
 
     def bw(g):
         return (np.transpose(g, inverse),)
-
-    return _make(out, (t,), bw)
-
-
-def broadcast_to(t: Tensor, shape: Sequence[int]) -> Tensor:
-    """Explicit broadcast; the backward pass sums over the expanded axes."""
-    shape = tuple(shape)
-    try:
-        out = np.broadcast_to(t.data, shape).copy()
-    except ValueError:
-        raise ShapeError(f"broadcast_to: cannot broadcast {t.data.shape} to {shape}") from None
-    orig = t.data.shape
-
-    def bw(g):
-        return (_reduce_to(g, orig),)
 
     return _make(out, (t,), bw)
 

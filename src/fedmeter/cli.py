@@ -16,6 +16,7 @@ import sys
 from dataclasses import replace
 
 from .data import DataError, synthesize_household
+from .evaluation import METRICS_CSV_HEADER
 from .experiment import (ConfigError, apply_override, config_from_dict,
                          run_experiment)
 from .models import NumericError
@@ -142,12 +143,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    combined = [["run", "setting", "attack", "acc", "prec", "rec", "f1", "asr"]]
+    combined = [["run"] + METRICS_CSV_HEADER]
     for run_dir in args.runs:
         path = os.path.join(run_dir, "metrics.csv")
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            next(reader)  # header
+            if next(reader, None) != METRICS_CSV_HEADER:
+                raise DataError(f"{path}: not a metrics file; its first line must be "
+                                f"{','.join(METRICS_CSV_HEADER)}")
             for row in reader:
                 combined.append([os.path.basename(os.path.normpath(run_dir))] + row)
     if args.out:

@@ -1,10 +1,12 @@
-"""Classification metrics and attack success rate.
+"""Classification metrics, attack success rate, and inference-time attack
+evaluation.
 
 The positive class is the anomaly (label 1).  Attack success rate (ASR)
 follows the before-vs-after reading: the fraction of samples whose
 *predicted* label changes due to the attack, either by perturbing the test
 inputs (inference protocol) or by comparing a cleanly trained model against
 one trained under attack on the same clean test set (training protocol).
+``evaluate_attacks`` attacks one trained model with any number of specs.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .attacks import AttackSpec, poison_batch
 from .models import predict_proba
 
 DEFAULT_THRESHOLD = 0.5
@@ -96,13 +99,31 @@ def asr_inference(model, x_clean: np.ndarray, x_adv: np.ndarray,
                                 "inference_attack")
 
 
-def asr_training(model_clean, model_attacked, x_test_clean: np.ndarray,
-                 threshold: float = DEFAULT_THRESHOLD) -> AsrReport:
-    """Fraction of clean test samples on which the attacked-trained model
-    disagrees with the cleanly trained one."""
-    pred_attacked = classify(model_attacked, x_test_clean, threshold)
-    return asr_from_predictions(classify(model_clean, x_test_clean, threshold),
-                                pred_attacked, "training_attack")
+def evaluate_attacks(model, x: np.ndarray, y: np.ndarray, specs, rng: np.random.Generator,
+                     *, threshold: float = DEFAULT_THRESHOLD, alpha: float = 0.25,
+                     gamma: float = 2.0
+                     ) -> tuple[Metrics, list[tuple[AttackSpec, np.ndarray, Metrics, AsrReport]]]:
+    """Attack one trained model with each spec in ``specs``, in order.
+
+    Classifies ``x`` once; then each spec runs one ``poison_batch`` (noise
+    draws from ``rng`` in spec order) and one ``classify`` of its perturbed
+    inputs.  Returns the clean metrics and, per spec, ``(spec, x_adv,
+    metrics, asr)``, each scored against the true ``y`` and the ASR against
+    the clean predictions.  ``label_flip`` changes labels, not inputs, so it
+    raises ValueError.
+    """
+    for spec in specs:
+        if spec.family == "label_flip":
+            raise ValueError("label_flip is a training-time attack; it has no "
+                             "inference-time variant")
+    pred_clean = classify(model, x, threshold)
+    results = []
+    for spec in specs:
+        x_adv, _ = poison_batch(model, x, y, spec, rng, alpha=alpha, gamma=gamma)
+        pred = classify(model, x_adv, threshold)
+        results.append((spec, x_adv, compute_metrics(pred, y),
+                        asr_from_predictions(pred_clean, pred, "inference_attack")))
+    return compute_metrics(pred_clean, y), results
 
 
 METRICS_CSV_HEADER = ["setting", "attack", "acc", "prec", "rec", "f1", "asr"]

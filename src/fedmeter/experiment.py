@@ -33,9 +33,9 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import data as dp
-from .attacks import AttackSpec, dump_adversarial_csv, poison_batch
-from .evaluation import (asr_from_predictions, classify, compute_metrics, metrics_row,
-                         write_metrics_csv)
+from .attacks import AttackSpec, dump_adversarial_csv
+from .evaluation import (asr_from_predictions, classify, compute_metrics, evaluate_attacks,
+                         metrics_row, write_metrics_csv)
 from .federation import (ClientNode, global_model, init_state, run_centralized,
                          run_federation)
 from .models import TrainConfig, save_weights
@@ -277,6 +277,14 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
     if cfg.protocol == "inference_attack" and cfg.attack.family == "label_flip":
         problems.append("attack.family label_flip is a training-time attack; protocol "
                         "inference_attack has no variant of it")
+    if cfg.protocol in ("training_attack", "sweep_epsilon", "sweep_malicious") \
+            and fed.poison_fraction == 0:  # other values out of range are named above
+        problems.append(f"protocol {cfg.protocol} poisons nothing with "
+                        f"federation.poison_fraction 0; it must be > 0")
+    if cfg.protocol in ("training_attack", "sweep_epsilon") and cfg.setting == "federated" \
+            and fed.malicious_count == 0:
+        problems.append(f"protocol {cfg.protocol} poisons nothing with "
+                        f"federation.malicious_count 0; it must be >= 1")
     if cfg.protocol == "baseline" and cfg.attack.family != "none":
         problems.append(f"protocol baseline contradicts attack.family {cfg.attack.family}")
     if cfg.protocol in ("sweep_epsilon", "sweep_malicious") and cfg.setting != "federated":
@@ -451,25 +459,19 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         files.append(path)
         return path
 
-    if cfg.protocol == "baseline":
+    if cfg.protocol in ("baseline", "inference_attack"):
         model = _train(cfg, clients, out_dir, "clean", AttackSpec(), 0)
-        metrics = compute_metrics(classify(model, x_test, cfg.threshold), y_test)
-        rows.append(metrics_row(label_setting, "No Attack", metrics, None))
-        emit("final_clean.ckpt", lambda p: save_weights(model.get_weights(), p))
-
-    elif cfg.protocol == "inference_attack":
-        model = _train(cfg, clients, out_dir, "clean", AttackSpec(), 0)
-        x_adv, _ = poison_batch(model, x_test, y_test, cfg.attack,
-                                rng_for(cfg.master_seed, "attack-eval"),
-                                alpha=cfg.train.focal_alpha, gamma=cfg.train.focal_gamma)
-        pred_adv = classify(model, x_adv, cfg.threshold)
-        metrics = compute_metrics(pred_adv, y_test)
-        report = asr_from_predictions(classify(model, x_test, cfg.threshold), pred_adv,
-                                      "inference_attack")
-        rows.append(metrics_row(label_setting, _attack_label(cfg.attack), metrics, report))
-        emit("adversarial_test.csv",
-             lambda p: dump_adversarial_csv(x_adv, y_test, kinds_test,
-                                            cfg.attack.family, cfg.attack.epsilon, p))
+        clean, attacked = evaluate_attacks(
+            model, x_test, y_test, (cfg.attack,) if cfg.protocol == "inference_attack" else (),
+            rng_for(cfg.master_seed, "attack-eval"), threshold=cfg.threshold,
+            alpha=cfg.train.focal_alpha, gamma=cfg.train.focal_gamma)
+        if cfg.protocol == "baseline":
+            rows.append(metrics_row(label_setting, "No Attack", clean, None))
+        for spec, x_adv, metrics, report in attacked:
+            rows.append(metrics_row(label_setting, _attack_label(spec), metrics, report))
+            emit("adversarial_test.csv",
+                 lambda p: dump_adversarial_csv(x_adv, y_test, kinds_test,
+                                                spec.family, spec.epsilon, p))
         emit("final_clean.ckpt", lambda p: save_weights(model.get_weights(), p))
 
     elif cfg.protocol == "training_attack":
@@ -487,39 +489,28 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         emit(f"final_{cfg.attack.family}.ckpt",
              lambda p: save_weights(attacked.get_weights(), p))
 
-    elif cfg.protocol == "sweep_epsilon":
-        for family in ("fgsm", "pgd"):
-            for eps in cfg.epsilon_list:
-                spec = replace(cfg.attack, family=family, epsilon=eps)
-                point_cfg = replace(
-                    cfg, attack=spec,
-                    master_seed=derive_seed(cfg.master_seed, "sweep-eps", family,
-                                            f"{eps:.6g}"))
-                label = f"eps{eps:g}_{family}"
-                model = _train(point_cfg, clients, out_dir, label, spec,
-                               cfg.federation.malicious_count)
-                metrics = compute_metrics(classify(model, x_test, cfg.threshold), y_test)
-                rows.append(metrics_row(label_setting, f"{_attack_label(spec)} "
-                                        f"eps={eps:g}", metrics, None))
-                sweep_points.append({"figure": "fig5b", "epsilon": eps,
-                                     "attack": family, "accuracy": metrics.accuracy})
-
-    elif cfg.protocol == "sweep_malicious":
-        for frac in cfg.malicious_fraction_list:
-            count = max(1, int(round(frac * len(clients))))
+    else:  # a sweep: one federated training_attack per point
+        if cfg.protocol == "sweep_epsilon":
+            points = [(replace(cfg.attack, family=family, epsilon=eps),
+                       cfg.federation.malicious_count, ("sweep-eps", family, f"{eps:.6g}"),
+                       f"eps{eps:g}_{family}", f"eps={eps:g}",
+                       {"figure": "fig5b", "epsilon": eps, "attack": family})
+                      for family in ("fgsm", "pgd") for eps in cfg.epsilon_list]
+        else:
             spec = replace(cfg.attack, family=cfg.attack.family
                            if cfg.attack.family != "none" else "pgd")
-            point_cfg = replace(
-                cfg, attack=spec,
-                master_seed=derive_seed(cfg.master_seed, "sweep-mal", f"{frac:.6g}"))
-            label = f"mal{frac:g}"
+            points = [(spec, max(1, int(round(frac * len(clients)))),
+                       ("sweep-mal", f"{frac:.6g}"), f"mal{frac:g}", f"malicious={frac:g}",
+                       {"figure": "fig5a", "malicious_fraction": frac, "attack": spec.family})
+                      for frac in cfg.malicious_fraction_list]
+        for spec, count, seed_path, label, value, plot in points:
+            point_cfg = replace(cfg, attack=spec,
+                                master_seed=derive_seed(cfg.master_seed, *seed_path))
             model = _train(point_cfg, clients, out_dir, label, spec, count)
             metrics = compute_metrics(classify(model, x_test, cfg.threshold), y_test)
-            rows.append(metrics_row(label_setting,
-                                    f"{_attack_label(spec)} malicious={frac:g}",
+            rows.append(metrics_row(label_setting, f"{_attack_label(spec)} {value}",
                                     metrics, None))
-            sweep_points.append({"figure": "fig5a", "malicious_fraction": frac,
-                                 "attack": spec.family, "accuracy": metrics.accuracy})
+            sweep_points.append({**plot, "accuracy": metrics.accuracy})
 
     emit("metrics.csv", lambda p: write_metrics_csv(rows, p))
     result = RunResult(cfg, rows, sweep_points, out_dir, files)

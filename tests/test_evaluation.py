@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from fedmeter import autodiff as ad
 from fedmeter import evaluation as ev
+from fedmeter.attacks import AttackSpec, poison_batch
 from fedmeter.autodiff import Tensor
+from fedmeter.models import make_model
 
 
 class StubModel:
@@ -153,26 +156,118 @@ class TestAsrInference:
 
 
 class TestAsrTraining:
+    """The training protocol: a cleanly trained and an attacked-trained model's
+    predictions on the same clean test set."""
+
+    @staticmethod
+    def asr(model_clean, model_attacked, x):
+        return ev.asr_from_predictions(ev.classify(model_clean, x),
+                                       ev.classify(model_attacked, x), "training_attack")
+
     def test_identical_models_zero(self):
         probs = np.linspace(0.05, 0.95, 10)
-        report = ev.asr_training(StubModel(probs), StubModel(probs), np.zeros((10, 24)))
+        report = self.asr(StubModel(probs), StubModel(probs), np.zeros((10, 24)))
         assert report.asr == 0.0 and report.protocol == "training_attack"
 
     def test_total_disagreement(self):
         a = StubModel(np.full(6, 0.9))
         b = StubModel(np.full(6, 0.1))
-        report = ev.asr_training(a, b, np.zeros((6, 24)))
+        report = self.asr(a, b, np.zeros((6, 24)))
         assert report.asr == 1.0
 
     def test_empty_set_raises(self):
         with pytest.raises(ValueError, match="empty sample set"):
-            ev.asr_training(StubModel([0.5]), StubModel([0.5]), np.zeros((0, 24)))
+            self.asr(StubModel([0.5]), StubModel([0.5]), np.zeros((0, 24)))
 
     def test_truth_independent(self):
         a = StubModel(np.array([0.9, 0.1, 0.9, 0.1]))
         b = StubModel(np.array([0.9, 0.9, 0.1, 0.1]))
         x = np.zeros((4, 24))
-        assert ev.asr_training(a, b, x).asr == 0.5  # no y anywhere in the call
+        assert self.asr(a, b, x).asr == 0.5  # no y anywhere in the call
+
+
+class CountingModel:
+    """Logistic model over the 24 inputs that counts its forward passes:
+    ``predict_proba`` passes an array, ``input_gradient`` a Tensor."""
+
+    def __init__(self, seed=0):
+        w = np.random.default_rng(seed).normal(0.0, 0.5, (24, 1))
+        self.params = {"w": Tensor(w, requires_grad=True)}
+        self.predictions = self.gradients = 0
+
+    def forward(self, x):
+        if isinstance(x, Tensor):
+            self.gradients += 1
+        else:
+            self.predictions += 1
+            x = Tensor(x)
+        return ad.reshape(ad.sigmoid(ad.matmul(x, self.params["w"])), (len(x.data),))
+
+
+def attack_set(n=24, seed=1):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(size=(n, 24)), rng.integers(0, 2, n)
+
+
+class TestEvaluateAttacks:
+    SPECS = [AttackSpec("fgsm", epsilon=0.2), AttackSpec("awgn", awgn_variance=0.3),
+             AttackSpec("pgd", epsilon=0.1, pgd_iters=3, project_linf=True, eps_ball=0.15)]
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_one_classification_per_input_set(self, monkeypatch, k):
+        poisoned = []
+
+        def counting_poison_batch(*args, **kwargs):
+            poisoned.append(args[3])
+            return poison_batch(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "poison_batch", counting_poison_batch)
+        model = CountingModel()
+        x, y = attack_set()  # one row block, so one forward pass per predict_proba
+        clean, attacked = ev.evaluate_attacks(model, x, y, self.SPECS[:k],
+                                              np.random.default_rng(0))
+        assert model.predictions == 1 + k
+        assert poisoned == self.SPECS[:k]
+        assert [spec for spec, *_ in attacked] == self.SPECS[:k]
+        assert clean == ev.compute_metrics(ev.classify(model, x), y)
+
+    def test_awgn_specs_draw_in_spec_order_from_one_generator(self):
+        x, y = attack_set()
+        _, attacked = ev.evaluate_attacks(
+            CountingModel(), x, y, [AttackSpec("awgn", awgn_variance=0.2),
+                                    AttackSpec("awgn", awgn_variance=0.5)],
+            np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        first = x + rng.normal(0.0, np.sqrt(0.2), size=x.shape)
+        second = x + rng.normal(0.0, np.sqrt(0.5), size=x.shape)
+        assert np.array_equal(attacked[0][1], first)
+        assert np.array_equal(attacked[1][1], second)
+
+    def test_label_flip_raises_before_any_work(self):
+        model = CountingModel()
+        x, y = attack_set()
+        with pytest.raises(ValueError, match="label_flip"):
+            ev.evaluate_attacks(model, x, y, [AttackSpec("fgsm"), AttackSpec("label_flip")],
+                                np.random.default_rng(0))
+        assert model.predictions == model.gradients == 0
+
+    @pytest.mark.parametrize("model_name", ["counting", "lstm"])
+    def test_equals_the_hand_written_sequence(self, model_name):
+        model = CountingModel() if model_name == "counting" else make_model("lstm", seed=2)
+        x, y = attack_set(n=40)
+        kwargs = {"alpha": 0.4, "gamma": 1.5}
+        clean, attacked = ev.evaluate_attacks(model, x, y, self.SPECS,
+                                              np.random.default_rng(3),
+                                              threshold=0.45, **kwargs)
+        rng = np.random.default_rng(3)
+        pred_clean = ev.classify(model, x, 0.45)
+        assert clean == ev.compute_metrics(pred_clean, y)
+        for spec, (got_spec, x_adv, metrics, report) in zip(self.SPECS, attacked):
+            expected, _ = poison_batch(model, x, y, spec, rng, **kwargs)
+            pred = ev.classify(model, expected, 0.45)
+            assert got_spec == spec and np.array_equal(x_adv, expected)
+            assert metrics == ev.compute_metrics(pred, y)
+            assert report == ev.asr_from_predictions(pred_clean, pred, "inference_attack")
 
 
 class TestExport:

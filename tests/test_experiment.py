@@ -217,6 +217,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match="federated"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("setting,protocol,federation,field", [
+        ("federated", "training_attack", {"malicious_count": 0}, "malicious_count"),
+        ("federated", "sweep_epsilon", {"malicious_count": 0}, "malicious_count"),
+        ("federated", "training_attack", {"malicious_count": 1, "poison_fraction": 0.0},
+         "poison_fraction"),
+        ("central", "training_attack", {"poison_fraction": 0.0}, "poison_fraction"),
+        ("federated", "sweep_epsilon", {"malicious_count": 1, "poison_fraction": 0.0},
+         "poison_fraction"),
+        ("federated", "sweep_malicious", {"poison_fraction": 0.0}, "poison_fraction"),
+    ])
+    def test_training_time_attack_that_poisons_nothing_rejected(self, tmp_path, setting,
+                                                                protocol, federation, field):
+        cfg = tiny_cfg(tmp_path, setting=setting, protocol=protocol,
+                       attack={"family": "pgd"}, federation=federation)
+        with pytest.raises(ConfigError, match=rf"protocol {protocol} .*federation\.{field}"):
+            validate_config(cfg)
+
     @pytest.mark.parametrize("raw", [{"name": {"x": 1}}, {"output_dir": 3}])
     def test_non_string_name_or_output_dir_rejected(self, raw):
         with pytest.raises(ConfigError, match="must be a string"):
@@ -528,6 +545,14 @@ class TestCli:
         assert "training-time attack" in capsys.readouterr().err
         assert not out.exists()  # so no rounds_clean.jsonl either: nothing was trained
 
+    def test_federated_attack_without_malicious_clients_exits_before_any_run(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["federate", "--set", "attack.family=pgd"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "protocol training_attack" in err and "federation.malicious_count" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_activation_exit_code(self, tmp_path, monkeypatch, capsys):
         def overflowing_run(cfg):
             ad._check_finite("power", np.array([np.inf]))
@@ -551,6 +576,17 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("run,setting,attack")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("content", ["", "a,b\n1,2\n"], ids=["empty", "foreign_header"])
+    def test_report_rejects_a_malformed_metrics_file(self, tmp_path, capsys, content):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "metrics.csv").write_text(content)
+        out = tmp_path / "combined.csv"
+        assert cli.main(["report", str(run), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"config error: {run / 'metrics.csv'}: not a metrics file" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_console_script_help(self):
         # the child imports the same fedmeter as this process, installed or not

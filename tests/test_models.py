@@ -290,13 +290,25 @@ class TestSkippedGradientsAreBitExact:
         assert all(np.array_equal(plain[k], with_input[k]) for k in plain)
 
 
+def broadcast_to(t, shape):
+    """``t`` expanded along its size-1 axes to ``shape`` of the same rank; the
+    backward pass sums the gradient back over those axes."""
+    orig = t.data.shape
+
+    def bw(g):
+        axes = tuple(i for i, (n, o) in enumerate(zip(g.shape, orig)) if o == 1 and n != 1)
+        return (g.sum(axis=axes, keepdims=True),)
+
+    return ad.custom_op(np.broadcast_to(t.data, shape).copy(), (t,), bw)
+
+
 def composed_layer_norm(t, gamma, beta):
     """Layer norm from elementary primitives: the oracle for ``md.layer_norm``."""
     mu = ad.mean(t, axis=-1, keepdims=True)
-    centered = ad.sub(t, ad.broadcast_to(mu, t.shape))
+    centered = ad.sub(t, broadcast_to(mu, t.shape))
     var = ad.mean(ad.mul(centered, centered), axis=-1, keepdims=True)
     inv = ad.power(ad.add(var, ad.Tensor(1e-6)), -0.5)
-    normed = ad.mul(centered, ad.broadcast_to(inv, t.shape))
+    normed = ad.mul(centered, broadcast_to(inv, t.shape))
     return ad.add(ad.mul(normed, gamma), beta)
 
 
