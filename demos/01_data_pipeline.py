@@ -13,7 +13,7 @@ series = dp.synthesize_household(days=365, seed=7, household_id="demo")
 print(f"synthesized {len(series)} hourly readings "
       f"(mean {series.kwh.mean():.3f} kWh, max {series.kwh.max():.3f} kWh)")
 
-profiles = dp.segment_daily(series)
+profiles = dp.segment_daily(series)  # one row per day, one column per hour
 print(f"segmented into {len(profiles)} daily load profiles of 24 steps")
 
 # the synthesizer's diurnal shape has a morning trough and an evening peak
@@ -21,7 +21,7 @@ windows = dp.detect_usage_windows(profiles)
 print(f"low-usage hours:  {windows.low_hours}")
 print(f"high-usage hours: {windows.high_hours}")
 
-hour_means = np.stack([p.values for p in profiles]).mean(axis=0)
+hour_means = profiles.mean(axis=0)
 bar = lambda v: "#" * int(round(v / hour_means.max() * 40))
 print("\nmean consumption by hour:")
 for hour, value in enumerate(hour_means):
@@ -31,13 +31,13 @@ for hour, value in enumerate(hour_means):
 
 # inject one of each anomaly kind into the same day for comparison
 day = profiles[100]
-print(f"\nday 100 original:            {np.round(day.values, 2)}")
+print(f"\nday 100 original:            {np.round(day, 2)}")
 drop = dp.inject_drop(day, start=19, length=2)
-print(f"drop at 19h-20h:             {np.round(drop.values, 2)}")
+print(f"drop at 19h-20h:             {np.round(drop, 2)}")
 spike = dp.inject_spike(day, start=6, length=1, r=1.2, direction="positive")
-print(f"positive spike at 6h r=1.2:  {np.round(spike.values, 2)}")
+print(f"positive spike at 6h r=1.2:  {np.round(spike, 2)}")
 dip = dp.inject_spike(day, start=20, length=2, r=1.4, direction="negative")
-print(f"negative segment spike 20h:  {np.round(dip.values, 2)}  (negative kept)")
+print(f"negative segment spike 20h:  {np.round(dip, 2)}  (negative kept)")
 
 # assemble the labeled dataset the classifiers train on
 cfg = dp.AnomalyConfig(anomaly_fraction=0.10, seed=7)

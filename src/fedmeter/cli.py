@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, helptext in (
             ("train", "clean training and clean-test evaluation"),
             ("attack-eval", "train clean, evaluate under inference-time attack"),
-            ("federate", "federated run, poisoned when an attack is configured"),
+            ("federate", "federated or central run, poisoned when an attack is configured"),
             ("sweep", "magnitude sweeps over epsilon or malicious fraction")):
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", help="experiment config JSON")
@@ -131,15 +131,13 @@ def cmd_attack_eval(args) -> int:
 def cmd_federate(args) -> int:
     cfg = _config_from_args(args)
     protocol = "training_attack" if cfg.attack.family != "none" else "baseline"
-    cfg = replace(cfg, setting="federated", protocol=protocol)
-    return _run(cfg)
+    return _run(replace(cfg, protocol=protocol))
 
 
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     protocol = "sweep_epsilon" if args.axis == "epsilon" else "sweep_malicious"
-    cfg = replace(cfg, setting="federated", protocol=protocol)
-    return _run(cfg)
+    return _run(replace(cfg, protocol=protocol))
 
 
 def cmd_report(args) -> int:
@@ -152,6 +150,10 @@ def cmd_report(args) -> int:
                 raise DataError(f"{path}: not a metrics file; its first line must be "
                                 f"{','.join(METRICS_CSV_HEADER)}")
             for row in reader:
+                if len(row) != len(METRICS_CSV_HEADER):
+                    raise DataError(f"{path}: line {reader.line_num} has {len(row)} "
+                                    f"field(s), the metrics header has "
+                                    f"{len(METRICS_CSV_HEADER)}")
                 combined.append([os.path.basename(os.path.normpath(run_dir))] + row)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:

@@ -1,7 +1,8 @@
 """Smart-meter data pipeline: ingestion, synthesis, daily segmentation,
 usage-window detection, anomaly injection, and per-client dataset assembly.
 
-A load profile is one day of hourly consumption (24 values).  Synthetic
+A load profile is one day of hourly consumption: one row of a
+``(days, 24)`` float64 array, from ``segment_daily`` on.  Synthetic
 anomalies come in five kinds: a drop to zero, single-step positive/negative
 spikes, and two-step segment spikes.  Drops and negative spikes start inside
 the high-usage window, positive spikes inside the low-usage window; hour
@@ -65,20 +66,6 @@ class HourlySeries:
 
     def __len__(self) -> int:
         return len(self.kwh)
-
-
-@dataclass
-class LoadProfile:
-    """One day of hourly consumption."""
-
-    values: np.ndarray
-    day_index: int
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (HOURS_PER_DAY,):
-            raise DataError(f"load profile must have exactly {HOURS_PER_DAY} values, "
-                            f"got shape {self.values.shape}")
 
 
 @dataclass
@@ -231,24 +218,30 @@ def synthesize_household(days: int, seed: int, household_id: str = "h0") -> Hour
     return HourlySeries(household_id, timestamps, values)
 
 
-def segment_daily(series: HourlySeries) -> list[LoadProfile]:
-    """Split into 24-step daily profiles that each run from 00:00 to 23:00,
-    so a profile index is the hour of day.  Readings before the first
-    midnight and a trailing partial day are dropped."""
+def segment_daily(series: HourlySeries) -> np.ndarray:
+    """Split into a ``(days, 24)`` array of daily profiles that each run from
+    00:00 to 23:00, so a column index is the hour of day.  Readings before
+    the first midnight and a trailing partial day are dropped."""
     # datetime64[h] counts hours from 1970-01-01T00, a midnight
     first = int(-series.timestamps[0].astype(np.int64)) % HOURS_PER_DAY if len(series) else 0
     kwh = series.kwh[first:]
     n_days = len(kwh) // HOURS_PER_DAY
-    return [LoadProfile(kwh[i * HOURS_PER_DAY:(i + 1) * HOURS_PER_DAY], i)
-            for i in range(n_days)]
+    return kwh[:n_days * HOURS_PER_DAY].reshape(n_days, HOURS_PER_DAY)
+
+
+def _as_profiles(values, ndim: int) -> np.ndarray:
+    """``values`` as float64: one ``(24,)`` load profile when ``ndim`` is 1,
+    a ``(days, 24)`` array of them when it is 2."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != ndim or values.shape[-1] != HOURS_PER_DAY:
+        rows = "" if ndim == 1 else " in each row of a 2-D array"
+        raise DataError(f"load profile must have exactly {HOURS_PER_DAY} values{rows}, "
+                        f"got shape {values.shape}")
+    return values
 
 
 # ---------------------------------------------------------------------------
 # usage windows
-
-def _stack(profiles: list[LoadProfile]) -> np.ndarray:
-    return np.stack([p.values for p in profiles])
-
 
 def _best_circular_window(hour_means: np.ndarray, extremum: int, k: int,
                           maximize: bool) -> tuple[int, ...]:
@@ -267,13 +260,14 @@ def _best_circular_window(hour_means: np.ndarray, extremum: int, k: int,
     return tuple(sorted(int(h) for h in (best_start + np.arange(k)) % HOURS_PER_DAY))
 
 
-def detect_usage_windows(profiles: list[LoadProfile]) -> UsageWindows:
-    """Low/high usage windows as contiguous circular hour ranges of
-    ``LOW_WINDOW_HOURS`` and ``HIGH_WINDOW_HOURS`` around the extreme-mean
-    hours."""
-    if not profiles:
+def detect_usage_windows(profiles: np.ndarray) -> UsageWindows:
+    """Low/high usage windows of ``(days, 24)`` profiles, as contiguous
+    circular hour ranges of ``LOW_WINDOW_HOURS`` and ``HIGH_WINDOW_HOURS``
+    around the extreme-mean hours."""
+    profiles = _as_profiles(profiles, 2)
+    if len(profiles) == 0:
         raise DataError("cannot detect usage windows from an empty profile set")
-    hour_means = _stack(profiles).mean(axis=0)
+    hour_means = profiles.mean(axis=0)
     if hour_means.max() == hour_means.min():
         raise DataError("degenerate: no distinct windows (constant hourly means)")
     low = _best_circular_window(hour_means, int(np.argmin(hour_means)), LOW_WINDOW_HOURS, False)
@@ -290,18 +284,20 @@ def _window_positions(start: int, length: int) -> np.ndarray:
     return (start + np.arange(length)) % HOURS_PER_DAY
 
 
-def inject_drop(profile: LoadProfile, start: int, length: int) -> LoadProfile:
-    """Zero out ``length`` consecutive hours starting at ``start`` (circular)."""
+def inject_drop(profile: np.ndarray, start: int, length: int) -> np.ndarray:
+    """A copy of the ``(24,)`` profile with ``length`` consecutive hours
+    starting at ``start`` (circular) zeroed out."""
     if length not in (1, 2):
         raise DataError(f"drop length must be 1 or 2, got {length}")
-    values = profile.values.copy()
+    values = _as_profiles(profile, 1).copy()
     values[_window_positions(start, length)] = 0.0
-    return LoadProfile(values, profile.day_index)
+    return values
 
 
-def inject_spike(profile: LoadProfile, start: int, length: int, r: float,
-                 direction: str, r_range: tuple[float, float] = (0.5, 1.5)) -> LoadProfile:
-    """Scale ``length`` consecutive hours by (1+r) or (1-r).
+def inject_spike(profile: np.ndarray, start: int, length: int, r: float,
+                 direction: str, r_range: tuple[float, float] = (0.5, 1.5)) -> np.ndarray:
+    """A copy of the ``(24,)`` profile with ``length`` consecutive hours
+    scaled by (1+r) or (1-r).
 
     A negative spike with r > 1 yields negative consumption, which is kept.
     """
@@ -311,15 +307,15 @@ def inject_spike(profile: LoadProfile, start: int, length: int, r: float,
         raise DataError(f"spike amplitude r={r} outside allowed range {r_range}")
     if direction not in ("positive", "negative"):
         raise DataError(f"spike direction must be positive or negative, got {direction!r}")
-    values = profile.values.copy()
+    values = _as_profiles(profile, 1).copy()
     pos = _window_positions(start, length)
     factor = (1.0 + r) if direction == "positive" else (1.0 - r)
     values[pos] = values[pos] * factor
-    return LoadProfile(values, profile.day_index)
+    return values
 
 
-def _inject_kind(profile: LoadProfile, kind: str, windows: UsageWindows,
-                 cfg: AnomalyConfig, rng: np.random.Generator) -> LoadProfile:
+def _inject_kind(profile: np.ndarray, kind: str, windows: UsageWindows,
+                 cfg: AnomalyConfig, rng: np.random.Generator) -> np.ndarray:
     if kind == "drop":
         start = int(rng.choice(windows.high_hours))
         length = int(rng.integers(1, 3))
@@ -332,10 +328,12 @@ def _inject_kind(profile: LoadProfile, kind: str, windows: UsageWindows,
     return inject_spike(profile, start, length, r, direction, r_range=cfg.r_range)
 
 
-def build_dataset(profiles: list[LoadProfile], windows: UsageWindows,
+def build_dataset(profiles: np.ndarray, windows: UsageWindows,
                   cfg: AnomalyConfig) -> LabeledDataset:
-    """Originals labeled 0 plus anomalous copies of a seeded random subset."""
-    if not profiles:
+    """The ``(days, 24)`` originals labeled 0, then anomalous copies of a
+    seeded random subset; a row's day index is its source row."""
+    profiles = _as_profiles(profiles, 2)
+    if len(profiles) == 0:
         raise DataError("cannot build a dataset from zero profiles")
     rng = rng_for(cfg.seed, "inject")
     n = len(profiles)
@@ -344,18 +342,13 @@ def build_dataset(profiles: list[LoadProfile], windows: UsageWindows,
     kinds_pool = list(cfg.kind_weights.keys())
     weights = np.array([cfg.kind_weights[k] for k in kinds_pool])
 
-    rows = [p.values for p in profiles]
-    labels = [0] * n
-    kinds = ["none"] * n
-    day_indices = [p.day_index for p in profiles]
-    for i in source_idx:
-        kind = str(rng.choice(kinds_pool, p=weights))
-        injected = _inject_kind(profiles[i], kind, windows, cfg, rng)
-        rows.append(injected.values)
-        labels.append(1)
-        kinds.append(kind)
-        day_indices.append(profiles[i].day_index)
-    return LabeledDataset(np.stack(rows), np.array(labels), kinds, np.array(day_indices))
+    kinds, injected = [], []
+    for i in source_idx:  # each row draws its kind, then its injection
+        kinds.append(str(rng.choice(kinds_pool, p=weights)))
+        injected.append(_inject_kind(profiles[i], kinds[-1], windows, cfg, rng))
+    return LabeledDataset(np.vstack([profiles, *injected]),
+                          np.repeat([0, 1], [n, n_anom]),
+                          ["none"] * n + kinds, np.r_[np.arange(n), source_idx])
 
 
 # ---------------------------------------------------------------------------

@@ -361,7 +361,7 @@ def build_client_data(cfg: ExperimentConfig) -> list[ClientData]:
     clients = []
     for ordinal, (hid, series) in enumerate(items):
         profiles = dp.segment_daily(series)
-        if not profiles:
+        if len(profiles) == 0:
             raise dp.DataError(f"household {hid!r} has no full 00:00-23:00 day "
                                f"after its first midnight")
         windows = dp.detect_usage_windows(profiles)
@@ -387,7 +387,6 @@ def pooled(datasets: list[dp.LabeledDataset]) -> tuple[np.ndarray, np.ndarray, l
 class RunResult:
     config: ExperimentConfig
     rows: list[list[str]]          # metrics.csv rows
-    sweep_points: list[dict]       # per-point records for plot export
     output_dir: str
     files: list[str]
 
@@ -450,14 +449,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     x_test, y_test, kinds_test = pooled([c.test for c in clients])
     label_setting = _setting_label(cfg)
     rows: list[list[str]] = []
-    sweep_points: list[dict] = []
     files: list[str] = []
 
-    def emit(path_name: str, writer) -> str:
+    def emit(path_name: str, writer) -> None:
         path = os.path.join(out_dir, path_name)
         writer(path)
         files.append(path)
-        return path
 
     if cfg.protocol in ("baseline", "inference_attack"):
         model = _train(cfg, clients, out_dir, "clean", AttackSpec(), 0)
@@ -489,54 +486,39 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         emit(f"final_{cfg.attack.family}.ckpt",
              lambda p: save_weights(attacked.get_weights(), p))
 
-    else:  # a sweep: one federated training_attack per point
+    else:  # a sweep: one federated training_attack per point, and one figure
         if cfg.protocol == "sweep_epsilon":
+            figure, x_name = "fig5b", "epsilon"
             points = [(replace(cfg.attack, family=family, epsilon=eps),
                        cfg.federation.malicious_count, ("sweep-eps", family, f"{eps:.6g}"),
-                       f"eps{eps:g}_{family}", f"eps={eps:g}",
-                       {"figure": "fig5b", "epsilon": eps, "attack": family})
+                       f"eps{eps:g}_{family}", f"eps={eps:g}", eps)
                       for family in ("fgsm", "pgd") for eps in cfg.epsilon_list]
         else:
+            figure, x_name = "fig5a", "malicious_fraction"
             spec = replace(cfg.attack, family=cfg.attack.family
                            if cfg.attack.family != "none" else "pgd")
             points = [(spec, max(1, int(round(frac * len(clients)))),
-                       ("sweep-mal", f"{frac:.6g}"), f"mal{frac:g}", f"malicious={frac:g}",
-                       {"figure": "fig5a", "malicious_fraction": frac, "attack": spec.family})
+                       ("sweep-mal", f"{frac:.6g}"), f"mal{frac:g}", f"malicious={frac:g}", frac)
                       for frac in cfg.malicious_fraction_list]
-        for spec, count, seed_path, label, value, plot in points:
+        figure_rows = [[x_name, "attack", "accuracy"]]
+        for spec, count, seed_path, label, value, x in points:
             point_cfg = replace(cfg, attack=spec,
                                 master_seed=derive_seed(cfg.master_seed, *seed_path))
             model = _train(point_cfg, clients, out_dir, label, spec, count)
             metrics = compute_metrics(classify(model, x_test, cfg.threshold), y_test)
             rows.append(metrics_row(label_setting, f"{_attack_label(spec)} {value}",
                                     metrics, None))
-            sweep_points.append({**plot, "accuracy": metrics.accuracy})
+            figure_rows.append([f"{x:g}", spec.family, f"{metrics.accuracy:.6f}"])
+
+        def write_figure(path):
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(figure_rows)
+        emit(f"{figure}.csv", write_figure)
 
     emit("metrics.csv", lambda p: write_metrics_csv(rows, p))
-    result = RunResult(cfg, rows, sweep_points, out_dir, files)
-    if sweep_points:
-        for path in emit_plot_data(result):
-            files.append(path)
+    result = RunResult(cfg, rows, out_dir, files)
     _write_snapshot_and_manifest(cfg, seeds, out_dir, files)
     return result
-
-
-def emit_plot_data(result: RunResult) -> list[str]:
-    """One tidy CSV per figure: (x, series, value)."""
-    by_figure: dict[str, list[dict]] = {}
-    for point in result.sweep_points:
-        by_figure.setdefault(point["figure"], []).append(point)
-    paths = []
-    for figure, points in sorted(by_figure.items()):
-        x_key = "epsilon" if figure == "fig5b" else "malicious_fraction"
-        path = os.path.join(result.output_dir, f"{figure}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([x_key, "attack", "accuracy"])
-            for p in points:
-                writer.writerow([f"{p[x_key]:g}", p["attack"], f"{p['accuracy']:.6f}"])
-        paths.append(path)
-    return paths
 
 
 def _write_snapshot_and_manifest(cfg: ExperimentConfig, seeds: dict, out_dir: str,

@@ -3,7 +3,7 @@ import pytest
 
 from fedmeter import data as dp
 from fedmeter.data import (AnomalyConfig, DataError, HourlySeries, LabeledDataset,
-                           LoadProfile, UsageWindows)
+                           UsageWindows)
 
 
 def hourly_stamps(n, start="2021-01-04T00"):
@@ -118,7 +118,7 @@ class TestSegment:
         s = HourlySeries("a", hourly_stamps(72), np.arange(72.0))
         profiles = dp.segment_daily(s)
         assert len(profiles) == 3
-        np.testing.assert_array_equal(profiles[1].values, np.arange(24.0, 48.0))
+        np.testing.assert_array_equal(profiles[1], np.arange(24.0, 48.0))
 
     def test_partial_day_dropped(self):
         s = HourlySeries("a", hourly_stamps(70), np.ones(70))
@@ -126,7 +126,11 @@ class TestSegment:
 
     def test_empty(self):
         s = HourlySeries("a", hourly_stamps(0), np.array([]))
-        assert dp.segment_daily(s) == []
+        assert dp.segment_daily(s).shape == (0, 24)
+
+    def test_ends_before_its_first_midnight(self):
+        s = HourlySeries("a", hourly_stamps(5, "2021-01-04T07"), np.ones(5))
+        assert dp.segment_daily(s).shape == (0, 24)
 
     def test_profiles_start_at_midnight(self):
         # one diurnal curve, read from 00:00 and from 07:00 of the same day
@@ -135,7 +139,7 @@ class TestSegment:
         at_seven = HourlySeries("b", hourly_stamps(233, "2021-01-04T07"), curve[7:])
         profiles = dp.segment_daily(at_seven)
         assert len(profiles) == 9
-        np.testing.assert_array_equal(profiles[0].values, dp.BASE_DIURNAL_SHAPE)
+        np.testing.assert_array_equal(profiles[0], dp.BASE_DIURNAL_SHAPE)
         assert (dp.detect_usage_windows(profiles)
                 == dp.detect_usage_windows(dp.segment_daily(at_midnight)))
 
@@ -146,7 +150,7 @@ class TestUsageWindows:
         base[4:10] = 0.2          # trough 4..9
         base[18:24] = 2.0         # peak 18..23
         base[0] = 1.8             # peak wraps midnight
-        profiles = [LoadProfile(base * (1 + 0.001 * i), i) for i in range(10)]
+        profiles = np.stack([base * (1 + 0.001 * i) for i in range(10)])
         w = dp.detect_usage_windows(profiles)
         assert w.low_hours == (4, 5, 6, 7, 8, 9)
         assert w.high_hours == (0, 18, 19, 20, 21, 22, 23)
@@ -158,9 +162,14 @@ class TestUsageWindows:
         assert w.high_hours == (0, 18, 19, 20, 21, 22, 23)
 
     def test_constant_profiles_degenerate(self):
-        profiles = [LoadProfile(np.ones(24), i) for i in range(5)]
+        profiles = np.ones((5, 24))
         with pytest.raises(DataError, match="degenerate"):
             dp.detect_usage_windows(profiles)
+
+    @pytest.mark.parametrize("shape", [(24,), (3, 23), (3, 25), (2, 3, 24)])
+    def test_array_that_is_not_days_by_24_rejected(self, shape):
+        with pytest.raises(DataError, match="exactly 24 values"):
+            dp.detect_usage_windows(np.ones(shape))
 
     def test_disjointness_enforced(self):
         with pytest.raises(DataError, match="disjoint"):
@@ -169,48 +178,61 @@ class TestUsageWindows:
 
 class TestInjection:
     def test_drop_two_steps(self):
-        p = LoadProfile(np.ones(24), 0)
+        p = np.ones(24)
         out = dp.inject_drop(p, 18, 2)
-        assert out.values[18] == 0.0 and out.values[19] == 0.0
-        assert np.sum(out.values != p.values) == 2
+        assert out[18] == 0.0 and out[19] == 0.0
+        assert np.sum(out != p) == 2
 
     def test_drop_single_step(self):
-        p = LoadProfile(np.ones(24), 0)
+        p = np.ones(24)
         out = dp.inject_drop(p, 20, 1)
-        assert np.sum(out.values == 0.0) == 1
+        assert np.sum(out == 0.0) == 1
 
     def test_drop_bad_length(self):
         with pytest.raises(DataError):
-            dp.inject_drop(LoadProfile(np.ones(24), 0), 18, 3)
+            dp.inject_drop(np.ones(24), 18, 3)
 
     def test_positive_spike_formula(self):
-        p = LoadProfile(np.full(24, 2.0), 0)
+        p = np.full(24, 2.0)
         out = dp.inject_spike(p, 5, 1, r=1.0, direction="positive")
-        assert out.values[5] == 4.0
+        assert out[5] == 4.0
 
     def test_negative_spike_formula(self):
-        p = LoadProfile(np.full(24, 2.0), 0)
+        p = np.full(24, 2.0)
         out = dp.inject_spike(p, 19, 1, r=0.5, direction="negative")
-        assert out.values[19] == 1.0
+        assert out[19] == 1.0
 
     def test_segment_spike_locality(self):
-        p = LoadProfile(np.full(24, 3.0), 0)
+        p = np.full(24, 3.0)
         out = dp.inject_spike(p, 10, 2, r=0.7, direction="positive")
-        assert np.sum(out.values != p.values) == 2
+        assert np.sum(out != p) == 2
 
     def test_midnight_wrap(self):
-        p = LoadProfile(np.ones(24), 0)
+        p = np.ones(24)
         out = dp.inject_drop(p, 23, 2)
-        assert out.values[23] == 0.0 and out.values[0] == 0.0
+        assert out[23] == 0.0 and out[0] == 0.0
 
     def test_negative_values_kept(self):
-        p = LoadProfile(np.full(24, 2.0), 0)
+        p = np.full(24, 2.0)
         out = dp.inject_spike(p, 18, 1, r=1.5, direction="negative")
-        assert out.values[18] == pytest.approx(-1.0)
+        assert out[18] == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("shape", [(23,), (25,), (1, 24)])
+    def test_row_that_is_not_24_values_rejected(self, shape):
+        with pytest.raises(DataError, match="exactly 24 values"):
+            dp.inject_drop(np.ones(shape), 18, 1)
+        with pytest.raises(DataError, match="exactly 24 values"):
+            dp.inject_spike(np.ones(shape), 5, 1, r=1.0, direction="positive")
+
+    def test_returns_a_new_row(self):
+        p = np.ones(24)
+        dp.inject_drop(p, 18, 2)
+        dp.inject_spike(p, 5, 1, r=1.0, direction="positive")
+        np.testing.assert_array_equal(p, np.ones(24))
 
     def test_r_out_of_range(self):
         with pytest.raises(DataError, match="outside"):
-            dp.inject_spike(LoadProfile(np.ones(24), 0), 5, 1, r=2.0,
+            dp.inject_spike(np.ones(24), 5, 1, r=2.0,
                             direction="positive")
 
 
@@ -220,7 +242,7 @@ WINDOWS = UsageWindows(low_hours=(4, 5, 6, 7, 8, 9),
 
 def toy_profiles(n, seed=0):
     rng = np.random.default_rng(seed)
-    return [LoadProfile(rng.uniform(0.2, 2.0, size=24), i) for i in range(n)]
+    return rng.uniform(0.2, 2.0, size=(n, 24))
 
 
 class TestLabeledDataset:
@@ -250,6 +272,17 @@ class TestBuildDataset:
                               AnomalyConfig(anomaly_fraction=0.1, seed=1))
         assert len(ds) == 1100
         assert int(ds.labels.sum()) == 100
+        np.testing.assert_array_equal(ds.day_indices[:1000], np.arange(1000))
+        assert np.all(np.diff(ds.day_indices[1000:]) > 0)  # sorted, distinct sources
+
+    @pytest.mark.parametrize("shape", [(24,), (10, 23), (0, 25), (2, 5, 24)])
+    def test_array_that_is_not_days_by_24_rejected(self, shape):
+        with pytest.raises(DataError, match="exactly 24 values"):
+            dp.build_dataset(np.ones(shape), WINDOWS, AnomalyConfig(seed=1))
+
+    def test_no_profiles_rejected(self):
+        with pytest.raises(DataError, match="zero profiles"):
+            dp.build_dataset(np.ones((0, 24)), WINDOWS, AnomalyConfig(seed=1))
 
     def test_degenerate_weights(self):
         cfg = AnomalyConfig(anomaly_fraction=0.2, kind_weights={"drop": 1.0}, seed=2)
@@ -270,7 +303,7 @@ class TestBuildDataset:
         ds = dp.build_dataset(profiles, WINDOWS, cfg)
         n = len(profiles)
         for row in range(n, len(ds)):
-            src = profiles[ds.day_indices[row]].values
+            src = profiles[ds.day_indices[row]]
             out = ds.profiles[row]
             kind = ds.kinds[row]
             diff = np.flatnonzero(out != src)

@@ -553,6 +553,28 @@ class TestCli:
         assert "protocol training_attack" in err and "federation.malicious_count" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_federate_runs_the_setting_it_is_given(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["federate", "--setting", "central", "--seed", "3",
+                         "--set", "attack.family=fgsm", "--set", "attack.epsilon=0.3",
+                         "--set", "data.households=3", "--set", "data.days=20",
+                         "--set", "data.anomaly_fraction=0.15", "--set", "train.epochs=1",
+                         "--set", "federation.rounds=1", "--out", str(out)]) == 0
+        assert "LSTM (Central), FGSM" in capsys.readouterr().out
+        assert json.loads((out / "config.json").read_text())["setting"] == "central"
+        assert (out / "final_fgsm.ckpt").exists()
+        assert not list(out.glob("rounds_*.jsonl"))  # nothing was federated
+
+    def test_central_sweep_exits_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["sweep", "--axis", "malicious", "--setting", "central",
+                         "--set", "data.households=3", "--set", "data.days=20",
+                         "--set", "federation.rounds=1", "--set", "train.epochs=1",
+                         "--set", "malicious_fraction_list=[0.34]",
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "runs in the federated setting only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_activation_exit_code(self, tmp_path, monkeypatch, capsys):
         def overflowing_run(cfg):
             ad._check_finite("power", np.array([np.inf]))
@@ -585,6 +607,18 @@ class TestCli:
         out = tmp_path / "combined.csv"
         assert cli.main(["report", str(run), "--out", str(out)]) == cli.EXIT_CONFIG
         assert f"config error: {run / 'metrics.csv'}: not a metrics file" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_rejects_a_row_of_the_wrong_length(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "metrics.csv").write_text(
+            "setting,attack,acc,prec,rec,f1,asr\nLSTM (FL),No Attack,0.9,0.8,0.7,0.75,\n"
+            "LSTM (FL),x\n")
+        out = tmp_path / "combined.csv"
+        assert cli.main(["report", str(run), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"config error: {run / 'metrics.csv'}: line 3 has 2 field(s)" in \
             capsys.readouterr().err
         assert not out.exists()
 
