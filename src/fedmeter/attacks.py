@@ -70,8 +70,8 @@ def pgd(model, x: np.ndarray, y: np.ndarray, epsilon: float, iters: int = 10, *,
 
     Runs every iteration on one row block before that block's result is
     taken (see ``models._by_row_blocks``: at most ``models.ROW_BLOCK`` rows
-    in flight, the blocks spread over the workers a Transformer may use), so
-    activation memory is bounded by the block, not by the batch.  The models
+    in flight, the blocks spread over the workers), so activation memory is
+    bounded by the block, not by the batch.  The models
     are row-independent and the loss couples rows only through its positive
     1/batch scale, which ``sign`` discards, so the result equals the
     whole-batch iteration.  ``y`` must hold one label per row of ``x``.

@@ -369,10 +369,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bw)
 
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # overflow-free for any finite input
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _sigmoid_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Overflow-free logistic sigmoid of any finite input, into ``out`` (which
+    may be ``x``) when given.
+
+    ``max(e, x >= 0) / (1 + e)`` with ``e = exp(-|x|) <= 1`` is
+    ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere, bit for
+    bit, in one division and with one float temporary the size of ``x``.
+    """
+    nonneg = x >= 0
+    e = np.abs(x, out=np.empty_like(x) if out is None else out)
+    # not np.negative: in place on a column view with a 64-byte row stride,
+    # numpy 2.4.6 reads the column as if it were contiguous
+    np.multiply(e, -1.0, out=e)
+    np.exp(e, out=e)
+    denom = e + 1.0
+    np.maximum(e, nonneg, out=e)
+    e /= denom
+    return e
 
 
 def sigmoid(t: Tensor) -> Tensor:

@@ -77,13 +77,18 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
 
     Like every primitive, it reads ``requires_grad`` when it records: the
     backward rule returns None for inputs that need no gradient and skips
-    their work.  The tape holds the four gates and the cell state of each
-    step, nothing when no gradient is recorded.  Backward recomputes
-    ``tanh(c)`` once per step, and the previous hidden state from it only
-    when ``wh`` needs a gradient.  With ``wx`` frozen (every attack), the
-    input gradient is formed ``_GEMV_ROWS`` steps at a time, not from a
-    gradient buffer over the whole sequence; see ``_GEMV_ROWS`` for why
-    every row keeps its bits.
+    their work.  The tape holds two arrays per step, nothing when no
+    gradient is recorded: the gates, one (batch, 4 * hidden) array in gate
+    order, and the cell state ``c``.  Each step takes one sigmoid pass over
+    all four gates and writes the candidate's tanh over its columns;
+    backward writes each step's gate gradient straight into its slot of the
+    gradient buffer.  These few wide numpy calls, rather than many narrow
+    ones, let a second worker thread run while one holds the GIL.  Backward
+    recomputes ``tanh(c)`` once per step, and the previous hidden state from
+    it only when ``wh`` needs a gradient.  With ``wx`` frozen (every
+    attack), the input gradient is formed ``_GEMV_ROWS`` steps at a time,
+    not from a gradient buffer over the whole sequence; see ``_GEMV_ROWS``
+    for why every row keeps its bits.
     """
     x_np, wx_np, wh_np, b_np = x.data, wx.data, wh.data, b.data
     batch, steps = x_np.shape
@@ -92,23 +97,27 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     need_wh, need_b = wh.requires_grad, b.requires_grad
     recording = ad._grad_mode.enabled and (need_x or need_wx or need_wh or need_b)
 
+    i_, f_, g_, o_ = (slice(k * h_size, (k + 1) * h_size) for k in range(4))
     zeros = np.zeros((batch, h_size))
     h = c = zeros
     saved = []
     for t in range(steps):
-        # the K=1 product is exact and the sums commute, so z has the bits
-        # of one (batch * steps, 1) @ wx gemm plus h @ wh plus b
-        z = x_np[:, t:t + 1] * wx_np
-        z += h @ wh_np
-        z += b_np
-        gi = ad._sigmoid_np(z[:, :h_size])
-        gf = ad._sigmoid_np(z[:, h_size:2 * h_size])
-        gg = np.tanh(z[:, 2 * h_size:3 * h_size])
-        go = ad._sigmoid_np(z[:, 3 * h_size:])
-        c = gf * c + gi * gg
-        h = go * np.tanh(c)
+        # the K=1 product is exact and the sums commute, so the pre-activation
+        # has the bits of one (batch * steps, 1) @ wx gemm plus h @ wh plus b
+        gates = h @ wh_np
+        gates += x_np[:, t:t + 1] * wx_np
+        gates += b_np
+        # one sigmoid pass over all four gates in place, then the
+        # candidate's tanh over its sigmoid
+        gg = np.tanh(gates[:, g_])
+        ad._sigmoid_np(gates, out=gates)
+        gates[:, g_] = gg
+        c = gates[:, f_] * c
+        c += gates[:, i_] * gg
+        h = np.tanh(c)
+        h *= gates[:, o_]
         if recording:
-            saved.append((gi, gf, gg, go, c))
+            saved.append((gates, c))
 
     def bw(grad_h):
         d_wh = np.zeros_like(wh_np) if need_wh else None
@@ -118,31 +127,43 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
         d_zx = np.empty((batch, chunk, 4 * h_size))
         d_x = np.empty((batch, steps)) if need_x else None
         dh, dc = grad_h, zeros
-        tc = np.tanh(saved[-1][4]) if steps else None
+        tc = np.tanh(saved[-1][1]) if steps else None
         for t in range(steps - 1, -1, -1):
-            gi, gf, gg, go, _ = saved[t]
-            c_prev = saved[t - 1][4] if t else zeros
+            gates = saved[t][0]
+            gi, gg, go = gates[:, i_], gates[:, g_], gates[:, o_]
+            c_prev = saved[t - 1][1] if t else zeros
             tc_prev = np.tanh(c_prev) if t else zeros
-            do = dh * tc
-            dc = dc + dh * go * (1.0 - tc * tc)
-            dz = np.concatenate([
-                dc * gg * gi * (1.0 - gi),
-                dc * c_prev * gf * (1.0 - gf),
-                dc * gi * (1.0 - gg * gg),
-                do * go * (1.0 - go),
-            ], axis=1)
+            # dz goes straight into its d_zx slot, each product in the order
+            # of ((dc * gg) * gi) * (1 - gi) and its like
+            dz = d_zx[:, t % chunk, :]
+            np.multiply(dh, tc, out=dz[:, o_])
+            dz[:, o_] *= go
+            # dc + (dh * go) * (1 - tc * tc)
+            dtanh = tc * tc
+            np.subtract(1.0, dtanh, out=dtanh)
+            dc_in = dh * go
+            dc_in *= dtanh
+            dc = np.add(dc, dc_in, out=dc_in)
+            np.multiply(dc, gg, out=dz[:, i_])
+            np.multiply(dc, c_prev, out=dz[:, f_])
+            np.multiply(dc, gi, out=dz[:, g_])
+            dz[:, :2 * h_size] *= gates[:, :2 * h_size]  # the i and f columns
+            # 1 - gate, and 1 - gg * gg for the candidate
+            slope = np.subtract(1.0, gates)
+            np.multiply(gg, gg, out=slope[:, g_])
+            np.subtract(1.0, slope[:, g_], out=slope[:, g_])
+            dz *= slope
             if need_wh:
-                h_prev = saved[t - 1][3] * tc_prev if t else zeros
+                h_prev = saved[t - 1][0][:, o_] * tc_prev if t else zeros
                 d_wh += h_prev.T @ dz
             if need_b:
                 d_b += dz.sum(axis=0)
-            d_zx[:, t % chunk, :] = dz
             if need_x and t % chunk == 0:
                 # rows in (batch, step) order, as in one call over all steps
                 flat = d_zx.reshape(batch * chunk, 4 * h_size)
                 d_x[:, t:t + chunk] = (flat @ wx_np.T).reshape(batch, chunk)
             dh = dz @ wh_np.T
-            dc = dc * gf
+            dc *= gates[:, f_]
             tc = tc_prev
         d_wx = (x_np.reshape(batch * steps, 1).T @ d_zx.reshape(batch * steps, 4 * h_size)
                 if need_wx else None)
@@ -236,12 +257,6 @@ class LstmClassifier:
     """Sequence-to-one LSTM: 24 scalar steps -> hidden state -> sigmoid unit."""
 
     name = "lstm"
-    # An attack or inference runs its row blocks one after another: on two
-    # workers a 304-row PGD call took 1.10-1.29 s against 0.98-1.12 s on one,
-    # and predict_proba over 1520 rows 0.29-0.36 s against 0.24-0.26 s
-    # (BENCH_12.json).  A federated round trains its clients on every
-    # worker, like the Transformer's.
-    concurrent_row_blocks = False
 
     def __init__(self, seed: int = 0):
         rng = rng_for(seed, "init", "lstm")
@@ -288,9 +303,6 @@ class TransformerClassifier:
     """
 
     name = "transformer"
-    # An attack or inference runs its row blocks on several cores when BLAS
-    # runs one thread per call: the time goes to gemms, which release the GIL.
-    concurrent_row_blocks = True
 
     def __init__(self, seed: int = 0):
         rng = rng_for(seed, "init", "transformer")
@@ -687,20 +699,19 @@ def _by_row_blocks(model, out: np.ndarray,
                    task: Callable[[object, slice], np.ndarray]) -> np.ndarray:
     """Fill ``out[rows] = task(m, rows)`` for the row blocks of ``out``.
 
-    The blocks run on the calling thread alone, or on up to :func:`_workers`
-    workers when ``model``'s class sets ``concurrent_row_blocks``: the
-    calling thread with ``model``, each helper with a frozen twin of it.  A
-    block holds at most ``ROW_BLOCK // workers`` rows, rounded down to the
-    ``_ROW_ALIGN`` grid, so at most ``ROW_BLOCK`` rows are in flight at once,
-    and every row keeps its bits (see :func:`row_blocks`) whatever the
-    number of workers.  No
-    more than ``ROW_BLOCK // (2 * _ROW_ALIGN)`` workers share the blocks, so
-    a cap holds at least two grid units and no block is one row split off a
-    larger batch: numpy runs a one-row product as a BLAS matrix-vector call,
-    which rounds that row differently.
+    The blocks run on up to :func:`_workers` workers: the calling thread
+    with ``model``, each helper with a frozen twin of it.  A block holds at
+    most ``ROW_BLOCK // workers`` rows, rounded down to the ``_ROW_ALIGN``
+    grid, so at most ``ROW_BLOCK`` rows are in flight at once, and every row
+    keeps its bits (see :func:`row_blocks`) whatever the number of workers.
+    No more than ``ROW_BLOCK // (2 * _ROW_ALIGN)`` workers share the blocks,
+    so a cap holds at least two grid units and no block is one row split off
+    a larger batch: numpy runs a one-row product as a BLAS matrix-vector
+    call, which rounds that row differently.  Both models share the blocks:
+    for the LSTM too, two workers ran a 304-row PGD call and a 1520-row
+    predict_proba no slower than one (BENCH_15.json).
     """
-    workers = (min(_workers(), ROW_BLOCK // (2 * _ROW_ALIGN))
-               if getattr(model, "concurrent_row_blocks", False) else 1)
+    workers = min(_workers(), ROW_BLOCK // (2 * _ROW_ALIGN))
     blocks = row_blocks(len(out), ROW_BLOCK // workers // _ROW_ALIGN * _ROW_ALIGN)
     models = [model] + [_frozen_twin(model) for _ in range(min(workers, len(blocks)) - 1)]
     with contextlib.closing(_in_order(lambda m, i: task(m, blocks[i]), len(blocks),

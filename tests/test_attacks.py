@@ -226,9 +226,7 @@ class TestRowBlockedPgd:
         monkeypatch.setattr(atk, "input_gradient", spy_gradient)
         monkeypatch.setattr(md.LstmClassifier, "forward", spy_forward)
         monkeypatch.setattr(md, "row_blocks", spy_blocks)
-        # the LSTM runs its blocks on one worker; forced onto several, its
-        # cheap blocks exercise the cap rule quickly
-        monkeypatch.setattr(md.LstmClassifier, "concurrent_row_blocks", True)
+        # the LSTM's cheap blocks exercise the cap rule quickly
         for workers in (1, 2, 3):
             force_block_workers(monkeypatch, workers)
             for call in (lambda: atk.pgd(model, x[:130], y[:130], 0.1, 2),
@@ -296,6 +294,21 @@ class TestRowBlockWorkers:
             assert results[0].shape == (n,)
             assert all(np.array_equal(out, results[0]) for out in results[1:]), n
 
+    def test_lstm_bits_do_not_depend_on_the_worker_count(self, monkeypatch):
+        model = make_model("lstm", seed=5)
+        rng = np.random.default_rng(13)
+        x = rng.uniform(0.0, 1.0, size=(304, 24))
+        y = (rng.uniform(size=304) < 0.3).astype(np.float64)
+        for n in self.SIZES:
+            results = []
+            for workers in (1, 2, 3):
+                force_block_workers(monkeypatch, workers)
+                results.append((atk.pgd(model, x[:n], y[:n], 0.1, 3, project=True,
+                                        eps_ball=0.05),
+                                predict_proba(model, x[:n])))
+            assert all(np.array_equal(a, results[0][0]) and np.array_equal(p, results[0][1])
+                       for a, p in results[1:]), n
+
     def test_a_helper_error_reaches_the_caller_after_the_join(self, monkeypatch,
                                                              transformer_rows):
         model, x, _ = transformer_rows
@@ -358,7 +371,7 @@ class TestRowBlockWorkers:
             assert all(weights[name] is p.data for name, p in model.params.items())
         assert all(p.requires_grad for p in model.params.values())
 
-    def test_lstm_blocks_start_no_helper_thread(self, monkeypatch):
+    def test_lstm_blocks_start_one_helper_thread(self, monkeypatch):
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.setenv(var, "1")
         monkeypatch.setattr(md.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -376,9 +389,9 @@ class TestRowBlockWorkers:
         x = rng.uniform(0.0, 1.0, size=(304, 24))
         y = (rng.uniform(size=304) < 0.3).astype(np.float64)
         atk.pgd(model, x, y, 0.1, 2)
-        assert started == []
+        assert len(started) == 1
         predict_proba(model, x)
-        assert started == []
+        assert len(started) == 2
 
 
 class TestAwgn:

@@ -8,8 +8,9 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fedmeter import autodiff as ad
 from fedmeter.autodiff import Tensor
@@ -296,6 +297,54 @@ def test_outputs_and_grads_stay_finite(seed):
     assert np.all(np.isfinite(out.data))
     ad.backward(ad.mean(ad.mul(out, out)))
     assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(w.grad))
+
+
+def _where_sigmoid(x):
+    """The two-branch sigmoid that ``_sigmoid_np``'s one-division form replaced."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+# signed zeros, results that are subnormal (x in about (-745, -708)), inputs
+# whose exp underflows to 0 (x <= -746), and both ends of the float range
+SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 36.0, 37.0, -36.0, -37.0,
+                 -708.5, -709.0, -720.0, -744.0, -745.0, -745.2, -746.0, -800.0,
+                 708.5, 746.0, 1e308, -1e308]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_sigmoid_edges_reach_subnormal_and_zero_results():
+    out = _where_sigmoid(np.array(SIGMOID_EDGES))
+    assert np.any((out > 0) & (out < np.finfo(np.float64).tiny))
+    assert np.any(out == 0.0) and np.any(out == 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@example(np.array([SIGMOID_EDGES, SIGMOID_EDGES[::-1]]), 7)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(2, 12)),
+                  elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                     st.sampled_from(SIGMOID_EDGES),
+                                     st.floats(-760.0, 760.0))),
+       st.integers(0, 11))
+def test_sigmoid_keeps_the_bits_of_the_two_branch_form(x, start):
+    """Out of place and in place, on a whole array and on a column slice (as
+    the LSTM reference applies it to one gate's columns)."""
+    before = x.copy()
+    cols = x[:, min(start, x.shape[1] - 1):]
+    for a in (x, cols):
+        want = _bits(_where_sigmoid(a))
+        assert np.array_equal(_bits(ad._sigmoid_np(a)), want)
+        assert np.array_equal(_bits(x), _bits(before))
+        buf = a.copy()
+        assert ad._sigmoid_np(buf, out=buf) is buf
+        assert np.array_equal(_bits(buf), want)
+    strided = x.copy()
+    view = strided[:, min(start, x.shape[1] - 1):]
+    ad._sigmoid_np(view, out=view)
+    assert np.array_equal(_bits(view), _bits(_where_sigmoid(cols)))
 
 
 class TestRecordTimeGradients:
