@@ -94,6 +94,9 @@ def _config_from_args(args) -> "ExperimentConfig":
 
 
 def cmd_synth_data(args) -> int:
+    for flag, value in (("--households", args.households), ("--days", args.days)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     rows = 0
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

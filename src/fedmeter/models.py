@@ -207,10 +207,11 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     primitive.  The forward runs the numpy expressions of the composed
     version in the same order, and the backward replays that version's
     arithmetic step for step, so values and gradients are bit-identical to
-    it.  Saved for backward, when ``t`` requires grad: ``centered`` (the
-    shape of ``t``), ``inv`` and ``var + 1e-6`` (one value per row) and
-    ``gamma``.  ``normed`` (the shape of ``t``) is saved only when ``gamma``
-    requires grad.
+    it.  Saved for backward: ``centered`` (the shape of ``t``) and ``inv``
+    (one value per row) when ``t`` or ``gamma`` requires grad, and
+    ``var + 1e-6`` and ``gamma`` only when ``t`` does.  ``normed`` is not
+    saved: the gradient of ``gamma`` recomputes it as ``centered * inv``,
+    the forward's own product.
     """
     x = t.data
     d = x.shape[-1]
@@ -222,15 +223,14 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     ve = (centered * centered).mean(axis=-1, keepdims=True) + 1e-6
     inv = ve ** -0.5
     ad._check_finite("layer_norm", inv)
-    normed = centered * inv
-    # scale in place when backward does not read normed
-    out = np.multiply(normed, gamma.data, out=None if need_gamma else normed)
+    out = centered * inv
+    out *= gamma.data
     out += beta.data
     gd = gamma.data
     if not need_t:
-        centered = inv = ve = gd = None
-    if not need_gamma:
-        normed = None
+        ve = gd = None
+        if not need_gamma:
+            centered = inv = None
 
     def bw(g):
         d_t = None
@@ -246,9 +246,14 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             d_t += d_sq_c
             d_t += d_sq_c
             d_t += (-d_t).sum(axis=-1, keepdims=True) / d
-        return (d_t,
-                None if normed is None else ad._reduce_to(g * normed, (d,)),
-                ad._reduce_to(g, (d,)) if need_beta else None)
+        d_gamma = None
+        if need_gamma:
+            # g * (centered * inv), not (g * centered) * inv: the same rounding
+            # as the composed tape's saved normed
+            normed = centered * inv
+            normed *= g
+            d_gamma = ad._reduce_to(normed, (d,))
+        return (d_t, d_gamma, ad._reduce_to(g, (d,)) if need_beta else None)
 
     return ad.custom_op(out, (t, gamma, beta), bw)
 
@@ -470,6 +475,9 @@ def train_local(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *,
     ``epoch_offset`` shifts the learning-rate schedule so federated rounds
     advance the same global schedule as centralized epochs.  The model is
     trained in place, so a model instance belongs to one thread at a time.
+    Each step drops the previous step's weight gradients before its forward
+    pass, so they are not held while its tape is built: one Transformer
+    client over 2 x 32 rows peaks at 58.2 MiB of traced allocations.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -487,13 +495,13 @@ def train_local(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *,
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
+            for p in model.params.values():
+                p.grad = None
             probs = model.forward(x[idx])
             loss = focal_loss(probs, y[idx], cfg.focal_alpha, cfg.focal_gamma)
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {global_epoch}")
-            for p in model.params.values():
-                p.grad = None
             ad.backward(loss)
             opt.step(model.params, lr)
             batch_losses.append(value)
@@ -525,12 +533,14 @@ def input_gradient(model, x: np.ndarray, y: np.ndarray, alpha: float = 0.25,
 # ---------------------------------------------------------------------------
 # workers: a federated round's clients and an attack's row blocks
 
-# Each worker holds a model instance and a live tape.  A training worker's
-# tape is about 80 MB for the Transformer at batch 32, so peak memory grows
-# by about a tape per worker; row-block workers share ROW_BLOCK rows.  Speed
-# and peak memory were measured on 2 cores only (BENCH_9.json and
-# BENCH_10.json, and BENCH_12.json for LSTM rounds); more workers stay
-# unmeasured until pairs on a larger machine are recorded.
+# Each worker holds a model instance and a live tape.  A Transformer training
+# worker's tape holds 47.7 MiB of traced allocations after a 32-row forward,
+# and one client's train_local over 2 x 32 rows peaks at 58.2 MiB, so peak
+# memory grows by about that per worker; row-block workers share ROW_BLOCK
+# rows.  Speed and peak memory were measured on 2 cores only (BENCH_9.json
+# and BENCH_10.json, BENCH_12.json for LSTM rounds, and BENCH_16.json for
+# the lean Transformer step); more workers stay unmeasured until pairs on a
+# larger machine are recorded.
 MAX_WORKERS = 2
 
 

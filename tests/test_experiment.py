@@ -414,6 +414,17 @@ class TestCli:
         assert len(lines) == 1 + 2 * 3 * 24
         assert lines[1].startswith("h00,2021-01-04T00,")
 
+    @pytest.mark.parametrize("flag,value", [("--households", "-1"), ("--households", "0"),
+                                            ("--days", "0"), ("--days", "-3")])
+    def test_synth_data_rejects_counts_below_one(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "sub" / "data.csv"
+        counts = {"--households": "2", "--days": "3", flag: value}
+        code = cli.main(["synth-data", *[a for kv in counts.items() for a in kv],
+                         "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert f"{flag} must be at least 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_train_with_overrides(self, tmp_path, capsys):
         code = cli.main([
             "train", "--model", "lstm", "--out", str(tmp_path / "run"),
