@@ -438,13 +438,26 @@ def power(t: Tensor, p: float) -> Tensor:
 
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    shifted = t.data - t.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    """``e / e.sum(axis)`` with ``e = exp(t - t.max(axis))``, its gradient
+    ``out * (g - (g * out).sum(axis))``, both bit for bit.
+
+    The forward shifts, exponentiates and normalises in one array, the
+    output, which is all the backward saves.  The backward holds one more
+    array the size of ``t``: ``g * out``, reused for ``g - inner`` and the
+    result (IEEE products commute, so ``(g - inner) * out`` has the bits of
+    ``out * (g - inner)``).
+    """
+    x = t.data
+    out = np.subtract(x, x.max(axis=axis, keepdims=True))
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
 
     def bw(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
+        d = g * out
+        inner = d.sum(axis=axis, keepdims=True)
+        np.subtract(g, inner, out=d)
+        d *= out
+        return (d,)
 
     return _make(out, (t,), bw)
 

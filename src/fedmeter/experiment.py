@@ -254,6 +254,8 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
         ("train.focal_alpha", 0 <= train.focal_alpha <= 1, "in [0, 1]"),
         ("train.focal_gamma", train.focal_gamma >= 0, ">= 0"),
         ("train.lr_milestones", all(m >= 1 for m in train.lr_milestones), "epochs >= 1"),
+        ("train.seed", train.seed == 0,
+         "0: no run reads it, every training seed derives from master_seed"),
         ("epsilon_list entries", all(e >= 0 for e in cfg.epsilon_list), ">= 0"),
         ("malicious_fraction_list entries",
          all(0.0 < f <= 1.0 for f in cfg.malicious_fraction_list), "in (0, 1]"))

@@ -212,6 +212,12 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     ``var + 1e-6`` and ``gamma`` only when ``t`` does.  ``normed`` is not
     saved: the gradient of ``gamma`` recomputes it as ``centered * inv``,
     the forward's own product.
+
+    Temporaries the shape of ``t``: the forward holds ``centered``, and its
+    square only until the variance is formed, besides the output.  Besides
+    ``g`` and what it saved, the backward holds at most two: the gradient of
+    ``t`` and one scratch array, which is dropped before the gradient of
+    ``gamma`` forms ``normed * g``.
     """
     x = t.data
     d = x.shape[-1]
@@ -239,13 +245,18 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             # of centered (mul, then both operands of centered * centered;
             # 2 * d_sq * centered would round differently), then of t
             d_t = g * gd
-            d_inv = (d_t * centered).sum(axis=-1, keepdims=True)
+            # one scratch array holds d_t * centered, d_sq * centered and -d_t
+            scratch = d_t * centered
+            d_inv = scratch.sum(axis=-1, keepdims=True)
             d_sq = d_inv * -0.5 * ve ** -1.5 / d
             d_t *= inv
-            d_sq_c = d_sq * centered
-            d_t += d_sq_c
-            d_t += d_sq_c
-            d_t += (-d_t).sum(axis=-1, keepdims=True) / d
+            np.multiply(d_sq, centered, out=scratch)
+            d_t += scratch
+            d_t += scratch
+            # not np.negative in place: see autodiff._sigmoid_np
+            np.multiply(d_t, -1.0, out=scratch)
+            d_t += scratch.sum(axis=-1, keepdims=True) / d
+            del scratch
         d_gamma = None
         if need_gamma:
             # g * (centered * inv), not (g * centered) * inv: the same rounding
@@ -347,11 +358,12 @@ class TransformerClassifier:
         q = heads(linear(h, p[f"blk{k}.attn.wq"], p[f"blk{k}.attn.qb"]))
         key = heads(linear(h, p[f"blk{k}.attn.wk"], p[f"blk{k}.attn.kb"]))
         v = heads(linear(h, p[f"blk{k}.attn.wv"], p[f"blk{k}.attn.vb"]))
-        scores = ad.mul(ad.matmul(q, ad.transpose(key, (0, 2, 1))), Tensor(1.0 / np.sqrt(hd)))
-        weights = ad.softmax(scores, axis=-1)
-        ctx = ad.matmul(weights, v)
-        ctx = ad.reshape(ctx, (batch, nh, SEQ_LEN, hd))
+        # the scaled scores are not bound, so softmax's input dies with its call
+        weights = ad.softmax(ad.mul(ad.matmul(q, ad.transpose(key, (0, 2, 1))),
+                                    Tensor(1.0 / np.sqrt(hd))), axis=-1)
+        ctx = ad.reshape(ad.matmul(weights, v), (batch, nh, SEQ_LEN, hd))
         merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, SEQ_LEN, d))
+        del ctx  # merged is a copy; the unmerged context is dead
         return linear(merged, p[f"blk{k}.attn.wo"], p[f"blk{k}.attn.ob"])
 
     def forward(self, x) -> Tensor:
@@ -366,12 +378,20 @@ class TransformerClassifier:
         # out by the unit-magnitude positional code
         emb = ad.mul(emb, Tensor(np.sqrt(float(d))))
         h = ad.add(ad.reshape(emb, (batch, SEQ_LEN, d)), Tensor(self.pos_encoding))
+        del emb
+        # each intermediate is dropped after its last reader: inside layer
+        # norm, neither the block input nor the sublayer output is alive
+        # unless a linear layer saved it for a weight gradient
         for k in range(NUM_BLOCKS):
-            attn = self._attention(h, k)
-            h = layer_norm(ad.add(h, attn), p[f"blk{k}.ln1.gamma"], p[f"blk{k}.ln1.beta"])
-            ff = ad.relu(linear(h, p[f"blk{k}.ffn.w1"], p[f"blk{k}.ffn.b1"]))
-            ff = linear(ff, p[f"blk{k}.ffn.w2"], p[f"blk{k}.ffn.b2"])
-            h = layer_norm(ad.add(h, ff), p[f"blk{k}.ln2.gamma"], p[f"blk{k}.ln2.beta"])
+            res = ad.add(h, self._attention(h, k))
+            del h
+            h = layer_norm(res, p[f"blk{k}.ln1.gamma"], p[f"blk{k}.ln1.beta"])
+            del res
+            res = ad.add(h, linear(ad.relu(linear(h, p[f"blk{k}.ffn.w1"], p[f"blk{k}.ffn.b1"])),
+                                   p[f"blk{k}.ffn.w2"], p[f"blk{k}.ffn.b2"]))
+            del h
+            h = layer_norm(res, p[f"blk{k}.ln2.gamma"], p[f"blk{k}.ln2.beta"])
+            del res
         pooled = ad.mean(h, axis=1)
         dense = ad.relu(linear(pooled, p["head.dense.w"], p["head.dense.b"]))
         logits = linear(dense, p["head.out.w"], p["head.out.b"])
@@ -477,7 +497,7 @@ def train_local(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *,
     trained in place, so a model instance belongs to one thread at a time.
     Each step drops the previous step's weight gradients before its forward
     pass, so they are not held while its tape is built: one Transformer
-    client over 2 x 32 rows peaks at 58.2 MiB of traced allocations.
+    client over 2 x 32 rows peaks at 56.6 MiB of traced allocations.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -535,12 +555,13 @@ def input_gradient(model, x: np.ndarray, y: np.ndarray, alpha: float = 0.25,
 
 # Each worker holds a model instance and a live tape.  A Transformer training
 # worker's tape holds 47.7 MiB of traced allocations after a 32-row forward,
-# and one client's train_local over 2 x 32 rows peaks at 58.2 MiB, so peak
+# and one client's train_local over 2 x 32 rows peaks at 56.6 MiB, so peak
 # memory grows by about that per worker; row-block workers share ROW_BLOCK
-# rows.  Speed and peak memory were measured on 2 cores only (BENCH_9.json
-# and BENCH_10.json, BENCH_12.json for LSTM rounds, and BENCH_16.json for
-# the lean Transformer step); more workers stay unmeasured until pairs on a
-# larger machine are recorded.
+# rows, and a 32-row Transformer input_gradient peaks at 32.6 MiB.  Speed
+# and peak memory were measured on 2 cores only (BENCH_9.json and
+# BENCH_10.json, BENCH_12.json for LSTM rounds, BENCH_16.json for the lean
+# Transformer step and BENCH_17.json for its freed intermediates); more
+# workers stay unmeasured until pairs on a larger machine are recorded.
 MAX_WORKERS = 2
 
 

@@ -182,6 +182,8 @@ class TestConfig:
         ("train", "focal_alpha", 1.5),
         ("train", "focal_gamma", -1.0),
         ("train", "lr_milestones", (0, 50)),
+        ("train", "seed", 7),
+        ("train", "seed", -1),
         ("attack", "eps_ball", -0.1),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, section, key, value):
@@ -189,6 +191,12 @@ class TestConfig:
         setattr(getattr(cfg, section), key, value)
         with pytest.raises(ConfigError, match=rf"{section}\.{key} must be"):
             validate_config(cfg)
+
+    def test_train_seed_zero_round_trips(self, tmp_path):
+        cfg = tiny_cfg(tmp_path, train={"seed": 0})
+        checked, _ = validate_config(cfg)
+        assert checked == cfg and checked.train.seed == 0
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(checked)))) == cfg
 
     @pytest.mark.parametrize("seed", ["x", 1.5, True])
     def test_master_seed_must_be_an_integer(self, tmp_path, seed):
@@ -437,6 +445,17 @@ class TestCli:
         assert code == 0
         assert "No Attack" in capsys.readouterr().out
         assert (tmp_path / "run" / "metrics.csv").exists()
+
+    def test_nonzero_train_seed_exits_naming_master_seed(self, tmp_path, capsys):
+        # no run reads train.seed: every training seed derives from master_seed
+        out = tmp_path / "run"
+        code = cli.main(["train", "--model", "lstm", "--out", str(out),
+                         "--set", "data.households=3", "--set", "data.days=20",
+                         "--set", "train.epochs=1", "--set", "train.seed=7"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "train.seed must be 0" in err and "master_seed" in err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = cli.main(["train", "--setting", "central",
