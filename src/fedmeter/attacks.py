@@ -8,11 +8,12 @@ l-infinity projection is available for the canonical variant.  The naive
 baselines are additive white Gaussian noise on inputs and label flipping.
 
 Attacks operate on normalized profiles, so epsilon is dimensionless.  They
-never modify the model: gradients are taken against a fixed weight snapshot.
-The gradient attacks work through the rows in blocks.  For a Transformer,
-outside a federated round's client and with BLAS on one thread per call,
-the blocks run on two cores, each worker with its own view of the same
-weights, and every result keeps the bits it has on one core.
+only read the model: each input gradient is taken through a frozen view of
+its weights (``models.input_gradient``), which writes nothing back.  The
+gradient attacks work through the rows in blocks.  Outside a federated
+round's client and with BLAS on one thread per call, the blocks run on two
+cores, both workers reading the one model, and every result keeps the bits
+it has on one core.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ else raises :class:`ShapeError`.  All data is float64.
 from __future__ import annotations
 
 import os
-import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +40,6 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "backward",
-    "no_grad",
     "add",
     "sub",
     "mul",
@@ -145,31 +143,6 @@ class Tensor:
 # ---------------------------------------------------------------------------
 # recording machinery
 
-class _GradMode(threading.local):
-    """Whether ops record a tape; each thread starts with recording on."""
-
-    enabled = True
-
-
-_grad_mode = _GradMode()
-
-
-class no_grad:
-    """Context manager that suspends tape recording (evaluation mode).
-
-    It acts on the calling thread only: another thread's tape keeps recording.
-    """
-
-    def __enter__(self):
-        self._prev = _grad_mode.enabled
-        _grad_mode.enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        _grad_mode.enabled = self._prev
-        return False
-
-
 def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...],
           backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
     """Wrap an op result; record a node when any input tracks gradients."""
@@ -177,7 +150,7 @@ def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...],
     out.data = out_data
     out.grad = None
     out._node = None
-    out.requires_grad = _grad_mode.enabled and any(t.requires_grad for t in inputs)
+    out.requires_grad = any(t.requires_grad for t in inputs)
     if out.requires_grad:
         out._node = _Node(tuple(_grad_target(t) for t in inputs), backward_fn)
     return out

@@ -77,12 +77,12 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
 
     Like every primitive, it reads ``requires_grad`` when it records: the
     backward rule returns None for inputs that need no gradient and skips
-    their work.  The tape holds two arrays per step, nothing when no
-    gradient is recorded: the gates, one (batch, 4 * hidden) array in gate
-    order, and the cell state ``c``.  Each step takes one sigmoid pass over
-    all four gates and writes the candidate's tanh over its columns;
-    backward writes each step's gate gradient straight into its slot of the
-    gradient buffer.  These few wide numpy calls, rather than many narrow
+    their work.  The tape holds two arrays per step, nothing when no input
+    needs a gradient (a forward pass through a frozen view): the gates, one
+    (batch, 4 * hidden) array in gate order, and the cell state ``c``.  Each
+    step takes one sigmoid pass over all four gates and writes the
+    candidate's tanh over its columns; backward writes each step's gate
+    gradient straight into its slot of the gradient buffer.  These few wide numpy calls, rather than many narrow
     ones, let a second worker thread run while one holds the GIL.  Backward
     recomputes ``tanh(c)`` once per step, and the previous hidden state from
     it only when ``wh`` needs a gradient.  With ``wx`` frozen (every
@@ -95,7 +95,7 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     h_size = wh_np.shape[0]
     need_x, need_wx = x.requires_grad, wx.requires_grad
     need_wh, need_b = wh.requires_grad, b.requires_grad
-    recording = ad._grad_mode.enabled and (need_x or need_wx or need_wh or need_b)
+    recording = need_x or need_wx or need_wh or need_b
 
     i_, f_, g_, o_ = (slice(k * h_size, (k + 1) * h_size) for k in range(4))
     zeros = np.zeros((batch, h_size))
@@ -494,10 +494,11 @@ def train_local(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *,
 
     ``epoch_offset`` shifts the learning-rate schedule so federated rounds
     advance the same global schedule as centralized epochs.  The model is
-    trained in place, so a model instance belongs to one thread at a time.
-    Each step drops the previous step's weight gradients before its forward
-    pass, so they are not held while its tape is built: one Transformer
-    client over 2 x 32 rows peaks at 56.6 MiB of traced allocations.
+    trained in place, so training owns it: no other thread may use it
+    meanwhile.  Each step drops the previous step's weight gradients before
+    its forward pass, so they are not held while its tape is built: one
+    Transformer client over 2 x 32 rows peaks at 56.6 MiB of traced
+    allocations.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -529,39 +530,43 @@ def train_local(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *,
     return history
 
 
+def _frozen_twin(model):
+    """A view of ``model``: a shallow copy whose params wrap the model's own
+    weight arrays, not copies, with ``requires_grad`` off.  A forward pass
+    through it records no weight gradient, so its tape holds only what an
+    input gradient needs, or nothing, and it writes nothing to ``model``."""
+    view = copy.copy(model)
+    view.params = {name: Tensor(p.data) for name, p in model.params.items()}
+    return view
+
+
 def input_gradient(model, x: np.ndarray, y: np.ndarray, alpha: float = 0.25,
                    gamma: float = 2.0) -> np.ndarray:
-    """Gradient of the focal loss w.r.t. the input batch; weights untouched.
+    """Gradient of the focal loss w.r.t. the input batch.
 
-    The weights' ``requires_grad`` flags are switched off for the call, so a
-    model instance belongs to one thread at a time.
+    The forward pass runs through a frozen view of ``model`` (see
+    :func:`_frozen_twin`), so it records no weight gradient and writes
+    nothing to the model: any number of threads may read one model at once.
     """
     x = np.asarray(x, dtype=np.float64)
-    flags = {name: p.requires_grad for name, p in model.params.items()}
-    for p in model.params.values():
-        p.requires_grad = False
-    try:
-        xt = Tensor(x, requires_grad=True)
-        loss = focal_loss(model.forward(xt), y, alpha, gamma)
-        ad.backward(loss)
-    finally:
-        for name, p in model.params.items():
-            p.requires_grad = flags[name]
+    xt = Tensor(x, requires_grad=True)
+    ad.backward(focal_loss(_frozen_twin(model).forward(xt), y, alpha, gamma))
     return xt.grad if xt.grad is not None else np.zeros_like(x)
 
 
 # ---------------------------------------------------------------------------
 # workers: a federated round's clients and an attack's row blocks
 
-# Each worker holds a model instance and a live tape.  A Transformer training
-# worker's tape holds 47.7 MiB of traced allocations after a 32-row forward,
-# and one client's train_local over 2 x 32 rows peaks at 56.6 MiB, so peak
-# memory grows by about that per worker; row-block workers share ROW_BLOCK
-# rows, and a 32-row Transformer input_gradient peaks at 32.6 MiB.  Speed
-# and peak memory were measured on 2 cores only (BENCH_9.json and
-# BENCH_10.json, BENCH_12.json for LSTM rounds, BENCH_16.json for the lean
-# Transformer step and BENCH_17.json for its freed intermediates); more
-# workers stay unmeasured until pairs on a larger machine are recorded.
+# Each worker holds a live tape, and a round's worker its own model instance.
+# A Transformer training worker's tape holds 47.7 MiB of traced allocations
+# after a 32-row forward, and one client's train_local over 2 x 32 rows peaks
+# at 56.6 MiB, so peak memory grows by about that per worker; row-block
+# workers share ROW_BLOCK rows and one model, and a 32-row Transformer
+# input_gradient peaks at 32.6 MiB.  Speed and peak memory were measured on
+# 2 cores only (BENCH_9.json and BENCH_10.json, BENCH_12.json for LSTM
+# rounds, BENCH_16.json for the lean Transformer step and BENCH_17.json for
+# its freed intermediates); more workers stay unmeasured until pairs on a
+# larger machine are recorded.
 MAX_WORKERS = 2
 
 
@@ -609,9 +614,10 @@ def _in_order(task: Callable[[object, int], object], count: int,
               models: list) -> Iterator:
     """Yield ``task(model, i)`` for each ``i`` in ``range(count)``, in order.
 
-    Each model belongs to one worker: the calling thread works with
-    ``models[0]`` and one helper thread with each of the others.  A worker
-    takes the next untaken index.  The caller works too, and waits only when
+    One worker per entry of ``models``: the calling thread works with
+    ``models[0]`` and one helper thread with each of the others (a round's
+    workers each own a model; row-block workers share one).  A worker takes
+    the next untaken index.  The caller works too, and waits only when
     no index is left to take, so results come back in order while at most a
     few are held.  When any worker raises, or the caller is interrupted or
     closes the generator, no worker takes another index, the helpers are
@@ -718,21 +724,13 @@ def row_blocks(n: int, cap: int = ROW_BLOCK) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _frozen_twin(model):
-    """A model of the same class whose params wrap ``model``'s weight arrays,
-    not copies, with ``requires_grad`` off, for a helper thread to read."""
-    twin = copy.copy(model)
-    twin.params = {name: Tensor(p.data) for name, p in model.params.items()}
-    return twin
-
-
 def _by_row_blocks(model, out: np.ndarray,
                    task: Callable[[object, slice], np.ndarray]) -> np.ndarray:
-    """Fill ``out[rows] = task(m, rows)`` for the row blocks of ``out``.
+    """Fill ``out[rows] = task(model, rows)`` for the row blocks of ``out``.
 
-    The blocks run on up to :func:`_workers` workers: the calling thread
-    with ``model``, each helper with a frozen twin of it.  A block holds at
-    most ``ROW_BLOCK // workers`` rows, rounded down to the ``_ROW_ALIGN``
+    The blocks run on up to :func:`_workers` workers, and every worker is
+    handed ``model`` itself: tasks only read it.  A block holds at most
+    ``ROW_BLOCK // workers`` rows, rounded down to the ``_ROW_ALIGN``
     grid, so at most ``ROW_BLOCK`` rows are in flight at once, and every row
     keeps its bits (see :func:`row_blocks`) whatever the number of workers.
     No more than ``ROW_BLOCK // (2 * _ROW_ALIGN)`` workers share the blocks,
@@ -744,7 +742,7 @@ def _by_row_blocks(model, out: np.ndarray,
     """
     workers = min(_workers(), ROW_BLOCK // (2 * _ROW_ALIGN))
     blocks = row_blocks(len(out), ROW_BLOCK // workers // _ROW_ALIGN * _ROW_ALIGN)
-    models = [model] + [_frozen_twin(model) for _ in range(min(workers, len(blocks)) - 1)]
+    models = [model] * min(workers, len(blocks))
     with contextlib.closing(_in_order(lambda m, i: task(m, blocks[i]), len(blocks),
                                       models)) as results:
         for rows, result in zip(blocks, results):
@@ -753,7 +751,9 @@ def _by_row_blocks(model, out: np.ndarray,
 
 
 def predict_proba(model, x: np.ndarray) -> np.ndarray:
-    """Anomaly probability per row, one no-grad forward pass per row block.
+    """Anomaly probability per row, one forward pass per row block through
+    one frozen view of ``model`` (see :func:`_frozen_twin`), which records
+    no tape.
 
     Both models are row-independent, so the blocks (see
     :func:`_by_row_blocks`) give the same values as one pass over the whole
@@ -761,12 +761,8 @@ def predict_proba(model, x: np.ndarray) -> np.ndarray:
     time.
     """
     x = np.asarray(x, dtype=np.float64)
-
-    def forward(m, rows: slice) -> np.ndarray:
-        with ad.no_grad():  # per thread, so on each worker
-            return m.forward(x[rows]).data
-
-    return _by_row_blocks(model, np.empty(len(x)), forward)
+    view = _frozen_twin(model)
+    return _by_row_blocks(model, np.empty(len(x)), lambda _, rows: view.forward(x[rows]).data)
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,21 @@ from fedmeter.models import make_model
 
 
 class StubModel:
-    """Fixed-probability model for exercising the metric plumbing."""
+    """Fixed-probability model for exercising the metric plumbing.
+
+    Its cursor is one list, shared with every frozen view of the stub (a
+    shallow copy), so a view's reads advance it too.
+    """
 
     def __init__(self, probs):
         self.probs = np.asarray(probs, dtype=np.float64)
         self.params = {}
-        self._cursor = 0
+        self._cursor = [0]
 
     def forward(self, x):
-        out = self.probs[self._cursor:self._cursor + len(x)]
-        self._cursor += len(x)
-        if self._cursor >= len(self.probs):
-            self._cursor = 0
+        start = self._cursor[0]
+        out = self.probs[start:start + len(x)]
+        self._cursor[0] = 0 if start + len(x) >= len(self.probs) else start + len(x)
         return Tensor(out)
 
 
@@ -188,18 +191,22 @@ class TestAsrTraining:
 
 class CountingModel:
     """Logistic model over the 24 inputs that counts its forward passes:
-    ``predict_proba`` passes an array, ``input_gradient`` a Tensor."""
+    ``predict_proba`` passes an array, ``input_gradient`` a Tensor.  The
+    counts are one dict, shared with every frozen view of the model."""
 
     def __init__(self, seed=0):
         w = np.random.default_rng(seed).normal(0.0, 0.5, (24, 1))
         self.params = {"w": Tensor(w, requires_grad=True)}
-        self.predictions = self.gradients = 0
+        self.calls = {"predictions": 0, "gradients": 0}
+
+    predictions = property(lambda self: self.calls["predictions"])
+    gradients = property(lambda self: self.calls["gradients"])
 
     def forward(self, x):
         if isinstance(x, Tensor):
-            self.gradients += 1
+            self.calls["gradients"] += 1
         else:
-            self.predictions += 1
+            self.calls["predictions"] += 1
             x = Tensor(x)
         return ad.reshape(ad.sigmoid(ad.matmul(x, self.params["w"])), (len(x.data),))
 

@@ -192,6 +192,7 @@ class TestRoundMechanics:
             return make_model(*args, **kwargs)
 
         monkeypatch.setattr(fed, "make_model", counting_make_model)
+        force_workers(monkeypatch, 1)  # one model per worker; two workers are covered below
         fed.run_round(state, "lstm", CFG)
         assert len(built) == 1
 

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -223,6 +224,54 @@ class TestInputGradient:
         assert all(p.grad is None for p in model.params.values())
         assert all(p.requires_grad for p in model.params.values())
 
+    def test_a_call_in_flight_leaves_the_weights_flags_on(self, model, monkeypatch):
+        inside, release = threading.Event(), threading.Event()
+        forward = type(model).forward
+
+        def held_forward(self, x):
+            inside.set()
+            assert release.wait(10)
+            return forward(self, x)
+
+        monkeypatch.setattr(type(model), "forward", held_forward)
+        holder = threading.Thread(target=input_gradient,
+                                  args=(model, small_batch(), np.ones(4)))
+        holder.start()
+        try:
+            assert inside.wait(10)
+            flags = {name: p.requires_grad for name, p in model.params.items()}
+        finally:
+            release.set()
+            holder.join(10)
+        assert not holder.is_alive()
+        assert all(flags.values()), sorted(name for name, on in flags.items() if not on)
+
+    def test_two_threads_share_one_model(self, model, monkeypatch):
+        rng = np.random.default_rng(3)
+        xs = [rng.uniform(0, 1, size=(16, 24)) for _ in range(2)]
+        ys = [(rng.uniform(size=16) < 0.5).astype(np.float64) for _ in range(2)]
+        want = [input_gradient(model, x, y) for x, y in zip(xs, ys)]
+        got = [None, None]
+        both_inside = threading.Barrier(2, timeout=10)
+        forward = type(model).forward
+
+        def overlapping_forward(self, x):
+            both_inside.wait()  # each thread is inside input_gradient
+            return forward(self, x)
+
+        def run(i):
+            got[i] = input_gradient(model, xs[i], ys[i])
+
+        monkeypatch.setattr(type(model), "forward", overlapping_forward)
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert not any(t.is_alive() for t in threads)
+        assert all(g is not None and np.array_equal(g, w) for g, w in zip(got, want))
+        assert all(p.requires_grad and p.grad is None for p in model.params.values())
+
 
 class TestRowBlocks:
     def test_blocks_cover_the_batch_near_equally(self):
@@ -253,8 +302,7 @@ class TestRowBlocks:
     def test_predict_proba_equals_one_forward(self, name, n):
         model = make_model(name, seed=1)
         x = small_batch(seed=9, n=n)
-        with ad.no_grad():
-            whole = model.forward(x).data
+        whole = md._frozen_twin(model).forward(x).data
         assert np.array_equal(predict_proba(model, x), whole)
 
 
@@ -516,13 +564,12 @@ class TestLeanLstmTape:
         # 9.4 MiB with a (48, 24, 400) input product and gradient buffer
         assert peak < 7 * 2**20
 
-    def test_no_grad_forward_holds_no_tape(self):
+    def test_forward_needing_no_grad_holds_no_tape(self):
         arrays = lstm_arrays(np.random.default_rng(2), 64, 24)
-        ts = [ad.Tensor(a, requires_grad=True) for a in arrays]
+        ts = [ad.Tensor(a) for a in arrays]
         tracemalloc.start()
         try:
-            with ad.no_grad():
-                out = md.lstm_sequence(*ts)
+            out = md.lstm_sequence(*ts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -605,6 +652,20 @@ class TestNoDeadIntermediates:
         # 35.5 MiB with softmax's three arrays, the bound scaled scores and
         # each block's input and sublayer output alive inside layer norm
         assert peak < 33.5 * 2**20
+
+    def test_predict_proba_holds_no_tape(self, monkeypatch):
+        monkeypatch.setattr(md, "_workers", lambda: 1)  # one 64-row block
+        model = TransformerClassifier(seed=0)
+        x, _ = self.batch(64)
+        predict_proba(model, x)
+        tracemalloc.start()
+        try:
+            predict_proba(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a 64-row forward that records weight gradients peaks at 98.8 MiB
+        assert peak < 13.6 * 2**20
 
     def test_training_forward_peaks_low(self):
         model = TransformerClassifier(seed=0)
