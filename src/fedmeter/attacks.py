@@ -10,10 +10,11 @@ baselines are additive white Gaussian noise on inputs and label flipping.
 Attacks operate on normalized profiles, so epsilon is dimensionless.  They
 only read the model: each input gradient is taken through a frozen view of
 its weights (``models.input_gradient``), which writes nothing back.  The
-gradient attacks work through the rows in blocks.  Outside a federated
-round's client and with BLAS on one thread per call, the blocks run on two
-cores, both workers reading the one model, and every result keeps the bits
-it has on one core.
+gradient attacks work through the rows in blocks, each model class
+holding its own number of rows in flight.  Outside a federated round's
+client and with BLAS on one thread per call, the blocks run on two cores,
+both workers reading the one model, and every result keeps the bits it has
+on one core.
 """
 
 from __future__ import annotations
@@ -70,12 +71,13 @@ def pgd(model, x: np.ndarray, y: np.ndarray, epsilon: float, iters: int = 10, *,
     """Iterated signed-gradient steps; optional l-inf projection around x.
 
     Runs every iteration on one row block before that block's result is
-    taken (see ``models._by_row_blocks``: at most ``models.ROW_BLOCK`` rows
-    in flight, the blocks spread over the workers), so activation memory is
-    bounded by the block, not by the batch.  The models
-    are row-independent and the loss couples rows only through its positive
-    1/batch scale, which ``sign`` discards, so the result equals the
-    whole-batch iteration.  ``y`` must hold one label per row of ``x``.
+    taken (see ``models._by_row_blocks``: at most the model's ``ROW_BLOCK``
+    rows in flight, 64 for the LSTM and 32 for the Transformer, the blocks
+    spread over the workers), so activation memory is bounded by the block,
+    not by the batch.  The models are row-independent and the loss couples
+    rows only through its positive 1/batch scale, which ``sign`` discards,
+    so the result equals the whole-batch iteration.  ``y`` must hold one
+    label per row of ``x``.
     """
     if iters < 1:
         raise ValueError("pgd needs at least one iteration")

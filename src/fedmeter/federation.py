@@ -15,11 +15,12 @@ attack's row blocks.  It does so for both models while BLAS runs one thread
 per call: then the calling thread and one helper thread per further core, up
 to ``models.MAX_WORKERS`` workers, each own a model instance, take the next
 client, poison it if it is malicious and train it.  A malicious client's
-PGD runs on its own worker in whole ``models.ROW_BLOCK``-row blocks, never
-on further threads.  :func:`fedavg` folds the returned maps in ``selected``
-order as they arrive, so a round holds running sums instead of every
-client's map, and the global weights, the round record and every later
-result keep their bits whatever the number of workers.
+PGD runs on its own worker in whole blocks of its model's ``ROW_BLOCK``
+rows (64 for the LSTM, 32 for the Transformer), never on further threads.
+:func:`fedavg` folds the returned maps in ``selected`` order as they arrive,
+so a round holds running sums instead of every client's map, and the global
+weights, the round record and every later result keep their bits whatever
+the number of workers.
 """
 
 from __future__ import annotations

@@ -273,6 +273,9 @@ class LstmClassifier:
     """Sequence-to-one LSTM: 24 scalar steps -> hidden state -> sigmoid unit."""
 
     name = "lstm"
+    # Rows an attack or inference keeps in flight (see _by_row_blocks).  At
+    # 16 rows an input_gradient cost 0.37 ms per row, at 32-64 rows 0.27-0.31.
+    ROW_BLOCK = 64
 
     def __init__(self, seed: int = 0):
         rng = rng_for(seed, "init", "lstm")
@@ -319,6 +322,10 @@ class TransformerClassifier:
     """
 
     name = "transformer"
+    # Rows an attack or inference keeps in flight (see _by_row_blocks).  A
+    # row's tape is about 1 MiB, 8x the LSTM's, and an input_gradient costs
+    # about the same per row at 16 rows as at 32.
+    ROW_BLOCK = 32
 
     def __init__(self, seed: int = 0):
         rng = rng_for(seed, "init", "transformer")
@@ -561,12 +568,13 @@ def input_gradient(model, x: np.ndarray, y: np.ndarray, alpha: float = 0.25,
 # A Transformer training worker's tape holds 47.7 MiB of traced allocations
 # after a 32-row forward, and one client's train_local over 2 x 32 rows peaks
 # at 56.6 MiB, so peak memory grows by about that per worker; row-block
-# workers share ROW_BLOCK rows and one model, and a 32-row Transformer
-# input_gradient peaks at 32.6 MiB.  Speed and peak memory were measured on
-# 2 cores only (BENCH_9.json and BENCH_10.json, BENCH_12.json for LSTM
-# rounds, BENCH_16.json for the lean Transformer step and BENCH_17.json for
-# its freed intermediates); more workers stay unmeasured until pairs on a
-# larger machine are recorded.
+# workers share their model's ROW_BLOCK rows and the model itself, and a
+# 16-row Transformer input_gradient peaks at 16.4 MiB.  Speed and peak memory
+# were measured on 2 cores only (BENCH_9.json and BENCH_10.json,
+# BENCH_12.json for LSTM rounds, BENCH_16.json for the lean Transformer step,
+# BENCH_17.json for its freed intermediates and BENCH_19.json for its 32-row
+# blocks); more workers stay unmeasured until pairs on a larger machine are
+# recorded.
 MAX_WORKERS = 2
 
 
@@ -586,8 +594,8 @@ def _workers() -> int:
     More than one only when BLAS runs one thread per call and the calling
     thread is not already one of :func:`_in_order`'s workers: a malicious
     client's PGD inside a concurrent round stays on its worker, in whole
-    ``ROW_BLOCK``-row blocks.  The count BLAS read is the first of
-    ``OPENBLAS_NUM_THREADS`` (or ``MKL_NUM_THREADS`` for MKL) and
+    blocks of its model's ``ROW_BLOCK`` rows.  The count BLAS read is the
+    first of ``OPENBLAS_NUM_THREADS`` (or ``MKL_NUM_THREADS`` for MKL) and
     ``OMP_NUM_THREADS`` that is set.  With 2-thread BLAS on 2 cores, two
     Transformer workers made a round 72% slower than one (``selection_sides``
     in BENCH_9.json).
@@ -688,15 +696,13 @@ def _in_order(task: Callable[[object, int], object], count: int,
             t.join()
 
 
-# Attacks and inference push at most this many rows through forward passes
-# at once, so their activation memory is bounded by the block, not by the
-# batch.  A 64-row block's working set also fits a 2 MB L2 cache.
-ROW_BLOCK = 64
 # Block edges fall on multiples of this many rows.  The BLAS matrix-vector
 # kernel behind the sigmoid heads works through rows in small groups and
 # rounds the rows left over at the end of a call differently, so a block that
-# ends off the grid would change the last bits of its final rows.
-_ROW_ALIGN = 16
+# ends off the grid would change the last bits of its final rows.  Any
+# multiple of _GEMV_ROWS kept them when probed (CHANGES.md); 8 rows leave a
+# two-worker Transformer block of 16 rows two grid units.
+_ROW_ALIGN = 8
 # The size of those groups, an assumption about the BLAS checked for
 # OpenBLAS 0.3.31 (Haswell kernels), with one BLAS thread and with two: its
 # matrix-vector kernel rounds a row the same way in any full group of 4 rows
@@ -707,7 +713,7 @@ _ROW_ALIGN = 16
 _GEMV_ROWS = 4
 
 
-def row_blocks(n: int, cap: int = ROW_BLOCK) -> list[slice]:
+def row_blocks(n: int, cap: int) -> list[slice]:
     """Consecutive slices of at most ``cap`` rows that cover ``range(n)``.
 
     ``cap`` is a positive multiple of ``_ROW_ALIGN``.  Blocks are near-equal
@@ -728,20 +734,22 @@ def _by_row_blocks(model, out: np.ndarray,
                    task: Callable[[object, slice], np.ndarray]) -> np.ndarray:
     """Fill ``out[rows] = task(model, rows)`` for the row blocks of ``out``.
 
-    The blocks run on up to :func:`_workers` workers, and every worker is
-    handed ``model`` itself: tasks only read it.  A block holds at most
-    ``ROW_BLOCK // workers`` rows, rounded down to the ``_ROW_ALIGN``
-    grid, so at most ``ROW_BLOCK`` rows are in flight at once, and every row
-    keeps its bits (see :func:`row_blocks`) whatever the number of workers.
-    No more than ``ROW_BLOCK // (2 * _ROW_ALIGN)`` workers share the blocks,
-    so a cap holds at least two grid units and no block is one row split off
-    a larger batch: numpy runs a one-row product as a BLAS matrix-vector
-    call, which rounds that row differently.  Both models share the blocks:
-    for the LSTM too, two workers ran a 304-row PGD call and a 1520-row
-    predict_proba no slower than one (BENCH_15.json).
+    Each model class sizes its blocks: at most ``model.ROW_BLOCK`` rows are
+    in flight at once, so activation memory is bounded by the block, not by
+    the batch.  The blocks run on up to :func:`_workers` workers, and every
+    worker is handed ``model`` itself: tasks only read it.  A block holds at
+    most ``ROW_BLOCK // workers`` rows, rounded down to the ``_ROW_ALIGN``
+    grid, and every row keeps its bits (see :func:`row_blocks`) whatever the
+    number of workers.  No more than ``ROW_BLOCK // (2 * _ROW_ALIGN)``
+    workers share the blocks, so a cap holds at least two grid units and no
+    block is one row split off a larger batch: numpy runs a one-row product
+    as a BLAS matrix-vector call, which rounds that row differently.  Both
+    models share the blocks: for the LSTM too, two workers ran a 304-row PGD
+    call and a 1520-row predict_proba no slower than one (BENCH_15.json).
     """
-    workers = min(_workers(), ROW_BLOCK // (2 * _ROW_ALIGN))
-    blocks = row_blocks(len(out), ROW_BLOCK // workers // _ROW_ALIGN * _ROW_ALIGN)
+    block = model.ROW_BLOCK
+    workers = min(_workers(), block // (2 * _ROW_ALIGN))
+    blocks = row_blocks(len(out), block // workers // _ROW_ALIGN * _ROW_ALIGN)
     models = [model] * min(workers, len(blocks))
     with contextlib.closing(_in_order(lambda m, i: task(m, blocks[i]), len(blocks),
                                       models)) as results:
@@ -757,8 +765,8 @@ def predict_proba(model, x: np.ndarray) -> np.ndarray:
 
     Both models are row-independent, so the blocks (see
     :func:`_by_row_blocks`) give the same values as one pass over the whole
-    batch, while activations are held for at most ``ROW_BLOCK`` rows at a
-    time.
+    batch, while activations are held for at most the model's ``ROW_BLOCK``
+    rows at a time.
     """
     x = np.asarray(x, dtype=np.float64)
     view = _frozen_twin(model)

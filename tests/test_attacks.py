@@ -1,5 +1,6 @@
 import hashlib
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,12 +195,21 @@ class TestRowBlockedPgd:
         assert np.abs(step2 - x).max() == pytest.approx(0.15)
 
     def test_no_call_sees_more_than_one_block(self, monkeypatch):
-        model = make_model("lstm", seed=2)
+        # rows per block on 1, 2 and 3 workers: no more than ROW_BLOCK // 16
+        # workers share the blocks, as an 8-row cap would split a lone row
+        # off 9, 17 or 25 rows
+        caps_by_model = {"lstm": {1: 64, 2: 32, 3: 16}, "transformer": {1: 32, 2: 16, 3: 16}}
+        for name, caps_by_workers in caps_by_model.items():
+            with monkeypatch.context() as patch:
+                self.check_blocks(patch, make_model(name, seed=2), caps_by_workers)
+
+    @staticmethod
+    def check_blocks(monkeypatch, model, caps_by_workers):
         x = np.random.default_rng(12).uniform(0.0, 1.0, size=(304, 24))
         y = np.zeros(304)
         rows, caps, live, peak = [], [], {}, {}
         lock = threading.Lock()
-        grad_fn, forward, blocks_fn = atk.input_gradient, md.LstmClassifier.forward, md.row_blocks
+        grad_fn, forward, blocks_fn = atk.input_gradient, type(model).forward, md.row_blocks
 
         def tracked(kind, n, call):
             # rows inside calls of this kind on all threads at once
@@ -219,14 +229,13 @@ class TestRowBlockedPgd:
         def spy_forward(self, xb):
             return tracked("forward", xb.shape[0], lambda: forward(self, xb))
 
-        def spy_blocks(n, cap=md.ROW_BLOCK):
+        def spy_blocks(n, cap):
             caps.append(cap)
             return blocks_fn(n, cap)
 
         monkeypatch.setattr(atk, "input_gradient", spy_gradient)
-        monkeypatch.setattr(md.LstmClassifier, "forward", spy_forward)
+        monkeypatch.setattr(type(model), "forward", spy_forward)
         monkeypatch.setattr(md, "row_blocks", spy_blocks)
-        # the LSTM's cheap blocks exercise the cap rule quickly
         for workers in (1, 2, 3):
             force_block_workers(monkeypatch, workers)
             for call in (lambda: atk.pgd(model, x[:130], y[:130], 0.1, 2),
@@ -235,12 +244,23 @@ class TestRowBlockedPgd:
                 caps.clear()
                 peak.clear()
                 call()
-                # two workers at most share the blocks: a 16-row cap would
-                # split a lone row off 17, 33 or 49 rows
-                assert caps == [{1: 64, 2: 32, 3: 32}[workers]]
+                assert caps == [caps_by_workers[workers]]
                 assert rows and max(rows) <= caps[0]
-                assert max(peak.values()) <= md.ROW_BLOCK
+                assert max(peak.values()) <= model.ROW_BLOCK
                 assert 2 * min(rows) >= max(rows)
+
+    def test_two_transformer_workers_hold_32_rows_of_tape(self, monkeypatch, transformer_rows):
+        model, x, y = transformer_rows
+        force_block_workers(monkeypatch, 2)
+        atk.pgd(model, x[:64], y[:64], 0.1, 2)
+        tracemalloc.start()
+        try:
+            atk.pgd(model, x[:64], y[:64], 0.1, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two live 32-row tapes peaked at 63-65 MiB; a 16-row one peaks at 16.4
+        assert peak < 36 * 2**20
 
 
 def force_block_workers(monkeypatch, workers):

@@ -15,6 +15,8 @@ class StubModel:
     shallow copy), so a view's reads advance it too.
     """
 
+    ROW_BLOCK = 64
+
     def __init__(self, probs):
         self.probs = np.asarray(probs, dtype=np.float64)
         self.params = {}
@@ -193,6 +195,8 @@ class CountingModel:
     """Logistic model over the 24 inputs that counts its forward passes:
     ``predict_proba`` passes an array, ``input_gradient`` a Tensor.  The
     counts are one dict, shared with every frozen view of the model."""
+
+    ROW_BLOCK = 64
 
     def __init__(self, seed=0):
         w = np.random.default_rng(seed).normal(0.0, 0.5, (24, 1))

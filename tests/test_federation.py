@@ -336,15 +336,16 @@ class TestConcurrentClients:
 
         monkeypatch.setattr(md.threading, "Thread", CountingThread)
         monkeypatch.setattr(atk, "input_gradient", spy_gradient)
-        # every row of each client is poisoned: 48 rows, one block of PGD on
-        # each worker, where two 32-row blocks would run outside a round
+        # every row of each client is poisoned: 48 rows, two 24-row blocks of
+        # PGD on each client's worker, where three 16-row blocks would run on
+        # two workers outside a round
         clients = make_clients(3, malicious_ids=(0, 1, 2), attack=self.PGD, n=48,
                                poison_fraction=1.0)
         state = init_state("transformer", clients, seed=5)
         record = fed.run_round(state, "transformer", CFG)
         assert record.malicious_count == 3
         assert len(started) == 1
-        assert rows == [48] * 6 and max(rows) <= md.ROW_BLOCK
+        assert rows == [24] * 12 and max(rows) <= md.TransformerClassifier.ROW_BLOCK
         assert not md._task_thread.busy
 
     @pytest.mark.parametrize("blas_var,value,expected", [
