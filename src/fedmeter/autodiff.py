@@ -43,15 +43,12 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "matmul",
     "sigmoid",
     "relu",
     "log",
     "power",
-    "softmax",
     "mean",
     "reshape",
-    "transpose",
     "clip",
     "custom_op",
 ]
@@ -304,44 +301,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bw)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product: 2D@2D, 3D@3D (matching batch), or 3D@2D (shared weights)."""
-    sa, sb = a.data.shape, b.data.shape
-    # each operand's gradient reads the other operand only
-    ad = a.data if b.requires_grad else None
-    bd = b.data if a.requires_grad else None
-
-    if len(sa) == 2 and len(sb) == 2 and sa[1] == sb[0]:
-        out = a.data @ b.data
-
-        def bw(g):
-            return (None if bd is None else g @ bd.T,
-                    None if ad is None else ad.T @ g)
-
-    elif len(sa) == 3 and len(sb) == 3 and sa[0] == sb[0] and sa[2] == sb[1]:
-        out = np.matmul(a.data, b.data)
-
-        def bw(g):
-            return (None if bd is None else np.matmul(g, bd.swapaxes(-1, -2)),
-                    None if ad is None else np.matmul(ad.swapaxes(-1, -2), g))
-
-    elif len(sa) == 3 and len(sb) == 2 and sa[2] == sb[0]:
-        # flatten the batch so the whole product is one gemm
-        batch, rows, inner = sa
-        out = (a.data.reshape(batch * rows, inner) @ b.data).reshape(batch, rows, sb[1])
-        a2 = None if ad is None else ad.reshape(batch * rows, inner)
-
-        def bw(g):
-            g2 = g.reshape(batch * rows, sb[1])
-            return (None if bd is None else (g2 @ bd.T).reshape(sa),
-                    None if a2 is None else a2.T @ g2)
-
-    else:
-        raise ShapeError(f"matmul: shapes {sa} and {sb} do not conform")
-
-    return _make(out, (a, b), bw)
-
-
 def _sigmoid_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Overflow-free logistic sigmoid of any finite input, into ``out`` (which
     may be ``x``) when given.
@@ -410,31 +369,6 @@ def power(t: Tensor, p: float) -> Tensor:
     return _make(out, (t,), bw)
 
 
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """``e / e.sum(axis)`` with ``e = exp(t - t.max(axis))``, its gradient
-    ``out * (g - (g * out).sum(axis))``, both bit for bit.
-
-    The forward shifts, exponentiates and normalises in one array, the
-    output, which is all the backward saves.  The backward holds one more
-    array the size of ``t``: ``g * out``, reused for ``g - inner`` and the
-    result (IEEE products commute, so ``(g - inner) * out`` has the bits of
-    ``out * (g - inner)``).
-    """
-    x = t.data
-    out = np.subtract(x, x.max(axis=axis, keepdims=True))
-    np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
-
-    def bw(g):
-        d = g * out
-        inner = d.sum(axis=axis, keepdims=True)
-        np.subtract(g, inner, out=d)
-        d *= out
-        return (d,)
-
-    return _make(out, (t,), bw)
-
-
 def mean(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     out = t.data.mean(axis=axis, keepdims=keepdims)
     shape = t.data.shape
@@ -457,16 +391,6 @@ def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
 
     def bw(g):
         return (g.reshape(orig),)
-
-    return _make(out, (t,), bw)
-
-
-def transpose(t: Tensor, axes: Sequence[int]) -> Tensor:
-    out = np.transpose(t.data, axes)
-    inverse = tuple(np.argsort(axes))
-
-    def bw(g):
-        return (np.transpose(g, inverse),)
 
     return _make(out, (t,), bw)
 

@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .data import DataError, synthesize_household
+from .data import DataError, synthesize_household, utf8_text
 from .evaluation import METRICS_CSV_HEADER
 from .experiment import (ConfigError, apply_override, config_from_dict,
                          run_experiment)
@@ -147,7 +147,7 @@ def cmd_report(args) -> int:
     combined = [["run"] + METRICS_CSV_HEADER]
     for run_dir in args.runs:
         path = os.path.join(run_dir, "metrics.csv")
-        with open(path, newline="", encoding="utf-8") as fh:
+        with utf8_text(path) as fh:
             reader = csv.reader(fh)
             if next(reader, None) != METRICS_CSV_HEADER:
                 raise DataError(f"{path}: not a metrics file; its first line must be "

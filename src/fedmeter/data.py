@@ -12,8 +12,11 @@ hours 23 and 0 of the same profile.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -151,15 +154,28 @@ class ScalingRecord:
 # ---------------------------------------------------------------------------
 # ingestion and synthesis
 
+@contextlib.contextmanager
+def utf8_text(path) -> Iterator[TextIO]:
+    """Open a CSV file for reading as UTF-8, skipping a leading byte-order
+    mark; bytes that are not UTF-8 raise :class:`DataError` naming the file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: byte "
+                            f"0x{exc.object[exc.start]:02x} cannot be decoded") from None
+
+
 def ingest_csv(path) -> dict[str, HourlySeries]:
     """Parse an hourly-readings CSV into one series per household.
 
     Expected header: household_id, timestamp (ISO-8601, hour precision), kwh.
-    Row numbers in error messages count data rows from 1.
+    The file is UTF-8, with or without the byte-order mark that spreadsheet
+    exports write.  Row numbers in error messages count data rows from 1.
     """
     rows: dict[str, list[tuple[np.datetime64, float]]] = {}
     seen: set[tuple[str, np.datetime64]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         reader = csv.DictReader(fh)
         required = {"household_id", "timestamp", "kwh"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):

@@ -172,32 +172,103 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     return ad.custom_op(h, (x, wx, wh, b), bw)
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` over the last axis of ``x``, one gemm on ``x`` flattened
+    to 2-D: the forward arithmetic of :func:`linear`."""
+    out = x.reshape(-1, w.shape[0]) @ w
+    out += b
+    return out.reshape(x.shape[:-1] + w.shape[1:])
+
+
+def _affine_grads(g: np.ndarray, x: np.ndarray | None, w: np.ndarray | None,
+                  need_b: bool) -> tuple:
+    """The gradients of ``_affine(x, w, b)`` for the output gradient ``g``:
+    of ``x`` when ``w`` is given, of ``w`` when ``x`` is given, of ``b`` when
+    ``need_b``, and None for the others (each reads the other operand only)."""
+    g2 = g.reshape(-1, g.shape[-1])
+    return (None if w is None else (g2 @ w.T).reshape(g.shape[:-1] + w.shape[:1]),
+            None if x is None else x.reshape(-1, x.shape[-1]).T @ g2,
+            ad._reduce_to(g, g.shape[-1:]) if need_b else None)
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` for a 2-D or 3-D ``x`` as one fused tape primitive.
 
     A 3-D ``x`` is flattened so the product is one gemm.  The result and the
-    gradients are bit-identical to ``add(matmul(x, w), b)``.  Saved for
-    backward: ``x`` when ``w`` requires grad and ``w`` when ``x`` does;
-    nothing for ``b``.
+    gradients are bit-identical to a matmul node followed by a bias add.
+    Saved for backward: ``x`` when ``w`` requires grad and ``w`` when ``x``
+    does; nothing for ``b``.
     """
     sx, sw, sb = x.shape, w.shape, b.shape
     if x.ndim not in (2, 3) or w.ndim != 2 or sx[-1] != sw[0] or sb != sw[1:]:
         raise ad.ShapeError(f"linear: shapes {sx}, {sw} and {sb} do not conform")
-    x2 = x.data.reshape(-1, sw[0])
-    out = x2 @ w.data
-    out += b.data
-    # each gradient of the product reads the other operand only
-    x_saved = x2 if w.requires_grad else None
+    x_saved = x.data if w.requires_grad else None
     w_saved = w.data if x.requires_grad else None
     need_b = b.requires_grad
+    return ad.custom_op(_affine(x.data, w.data, b.data), (x, w, b),
+                        lambda g: _affine_grads(g, x_saved, w_saved, need_b))
 
-    def bw(g):
-        g2 = g.reshape(-1, sw[1])
-        return (None if w_saved is None else (g2 @ w_saved.T).reshape(sx),
-                None if x_saved is None else x_saved.T @ g2,
-                ad._reduce_to(g, sb) if need_b else None)
 
-    return ad.custom_op(out.reshape(sx[:-1] + sw[1:]), (x, w, b), bw)
+def _layer_norm_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``centered``, ``var + 1e-6`` and ``inv = (var + 1e-6) ** -0.5`` of
+    layer norm over the last axis of ``x``.  Besides them, only the square of
+    ``centered`` is held, until the variance is formed."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    ve = (centered * centered).mean(axis=-1, keepdims=True) + 1e-6
+    inv = ve ** -0.5
+    ad._check_finite("layer_norm", inv)
+    return centered, ve, inv
+
+
+def _layer_norm_out(centered: np.ndarray, inv: np.ndarray, gamma: np.ndarray,
+                    beta: np.ndarray) -> np.ndarray:
+    """Layer norm's output from its statistics; backward passes that need
+    it again recompute it with this same expression, so it has the same bits."""
+    out = centered * inv
+    out *= gamma
+    out += beta
+    return out
+
+
+def _layer_norm_grads(g: np.ndarray, centered: np.ndarray, ve: np.ndarray | None,
+                      inv: np.ndarray, gamma: np.ndarray | None, need_gamma: bool,
+                      need_beta: bool) -> tuple:
+    """Gradients of layer norm's input (when ``ve`` and ``gamma`` are given),
+    ``gamma`` and ``beta`` for the output gradient ``g``, each None when not
+    requested.
+
+    The arithmetic of the composed tape, step for step.  Besides ``g`` and
+    the statistics, at most two arrays the shape of ``g`` are held: the input
+    gradient and one scratch array, which is dropped before the gradient of
+    ``gamma`` forms ``normed * g``.
+    """
+    d = g.shape[-1]
+    d_t = None
+    if gamma is not None:
+        # in place, in the composed tape's order: the gradient of normed,
+        # of centered (mul, then both operands of centered * centered;
+        # 2 * d_sq * centered would round differently), then of t
+        d_t = g * gamma
+        # one scratch array holds d_t * centered, d_sq * centered and -d_t
+        scratch = d_t * centered
+        d_inv = scratch.sum(axis=-1, keepdims=True)
+        d_sq = d_inv * -0.5 * ve ** -1.5 / d
+        d_t *= inv
+        np.multiply(d_sq, centered, out=scratch)
+        d_t += scratch
+        d_t += scratch
+        # not np.negative in place: see autodiff._sigmoid_np
+        np.multiply(d_t, -1.0, out=scratch)
+        d_t += scratch.sum(axis=-1, keepdims=True) / d
+        del scratch
+    d_gamma = None
+    if need_gamma:
+        # g * (centered * inv), not (g * centered) * inv: the same rounding
+        # as the composed tape's saved normed
+        normed = centered * inv
+        normed *= g
+        d_gamma = ad._reduce_to(normed, (d,))
+    return d_t, d_gamma, ad._reduce_to(g, (d,)) if need_beta else None
 
 
 def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
@@ -211,62 +282,200 @@ def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     (one value per row) when ``t`` or ``gamma`` requires grad, and
     ``var + 1e-6`` and ``gamma`` only when ``t`` does.  ``normed`` is not
     saved: the gradient of ``gamma`` recomputes it as ``centered * inv``,
-    the forward's own product.
-
-    Temporaries the shape of ``t``: the forward holds ``centered``, and its
-    square only until the variance is formed, besides the output.  Besides
-    ``g`` and what it saved, the backward holds at most two: the gradient of
-    ``t`` and one scratch array, which is dropped before the gradient of
-    ``gamma`` forms ``normed * g``.
+    the forward's own product.  :func:`transformer_encoder` runs the same
+    arithmetic.
     """
-    x = t.data
-    d = x.shape[-1]
+    d = t.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ad.ShapeError(f"layer_norm: gamma {gamma.shape} and beta {beta.shape} "
                             f"must both have shape ({d},)")
     need_t, need_gamma, need_beta = t.requires_grad, gamma.requires_grad, beta.requires_grad
-    centered = x - x.mean(axis=-1, keepdims=True)
-    ve = (centered * centered).mean(axis=-1, keepdims=True) + 1e-6
-    inv = ve ** -0.5
-    ad._check_finite("layer_norm", inv)
-    out = centered * inv
-    out *= gamma.data
-    out += beta.data
+    centered, ve, inv = _layer_norm_stats(t.data)
+    out = _layer_norm_out(centered, inv, gamma.data, beta.data)
     gd = gamma.data
     if not need_t:
         ve = gd = None
         if not need_gamma:
             centered = inv = None
+    return ad.custom_op(out, (t, gamma, beta), lambda g: _layer_norm_grads(
+        g, centered, ve, inv, gd, need_gamma, need_beta))
+
+
+def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -> Tensor:
+    """The Transformer from its batch of readings to the last block's output,
+    as one fused tape primitive; returns (batch, SEQ_LEN, D_MODEL).
+
+    Each reading is embedded by ``emb.w`` and ``emb.b``, scaled by
+    sqrt(D_MODEL) so that it is not drowned out by the unit-magnitude
+    positional code ``pos``, and summed with it.  Then come NUM_BLOCKS
+    post-norm blocks, ``blk{k}.*`` in ``params``: multi-head self-attention,
+    then a ReLU feed-forward layer, each added to its input and layer-normed.
+
+    The forward runs the numpy expressions of the composed tape in its order
+    (:func:`linear`'s and :func:`layer_norm`'s arithmetic, softmax, and the
+    copies that split and merge the heads), and the backward replays that
+    tape's arithmetic step for step.  Gradients that meet at one array are
+    summed in the tape's order: at a block's input, the residual's first,
+    then those through q, k and v.  So values and gradients are bit-identical
+    to the composed tape, which the test suite keeps as the oracle.
+
+    Saved for backward, per block: q, k and v in head layout, the attention
+    weights, and both layer norms' ``centered``, ``var + 1e-6`` and ``inv``.
+    When any weight needs a gradient (training) it also saves the ReLU
+    output, and the backward recomputes each block's input (block 0's from
+    ``x``), each layer-norm output, the merged attention context and the ReLU
+    mask from what it saved, with the forward's own expressions.  With every
+    weight frozen (every attack) it saves the ReLU mask instead: the arrays
+    that the composed tape saved.  When nothing needs a gradient it saves
+    nothing.
+    """
+    x_np = x.data
+    batch = x_np.shape[0]
+    nh, hd, d = NUM_HEADS, HEAD_DIM, D_MODEL
+    names = ["emb.w", "emb.b"] + [f"blk{k}.{name}" for k in range(NUM_BLOCKS) for name in (
+        "attn.wq", "attn.qb", "attn.wk", "attn.kb", "attn.wv", "attn.vb", "attn.wo", "attn.ob",
+        "ln1.gamma", "ln1.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln2.gamma", "ln2.beta")]
+    w = {name: params[name].data for name in names}
+    need = {name: params[name].requires_grad for name in names}
+    need_x, train = x.requires_grad, any(need.values())
+    emb_scale = np.sqrt(float(d))
+    att_scale = 1.0 / np.sqrt(hd)
+
+    def split(t: np.ndarray) -> np.ndarray:
+        """(batch, SEQ_LEN, d) -> (batch * heads, SEQ_LEN, head dim), a copy."""
+        t = np.transpose(t.reshape(batch, SEQ_LEN, nh, hd), (0, 2, 1, 3))
+        return t.reshape(batch * nh, SEQ_LEN, hd)
+
+    def merge(t: np.ndarray) -> np.ndarray:
+        """The inverse of ``split``, and its backward: also a copy."""
+        t = np.transpose(t.reshape(batch, nh, SEQ_LEN, hd), (0, 2, 1, 3))
+        return t.reshape(batch, SEQ_LEN, d)
+
+    def embed() -> np.ndarray:
+        h = _affine(x_np.reshape(batch * SEQ_LEN, 1), w["emb.w"], w["emb.b"])
+        h *= emb_scale
+        h = h.reshape(batch, SEQ_LEN, d)
+        h += pos
+        return h
+
+    def block_output(k: int) -> np.ndarray:
+        """Block ``k``'s output, recomputed from its second layer norm's
+        statistics: the last arrays in ``saved``."""
+        return _layer_norm_out(saved[-3], saved[-1], w[f"blk{k}.ln2.gamma"],
+                               w[f"blk{k}.ln2.beta"])
+
+    # per block, in this order: q, k, v, the attention weights, the first
+    # layer norm's statistics, the ReLU output (or mask), the second's
+    saved: list[np.ndarray] = []
+    keep = saved.extend if need_x or train else lambda arrays: None
+    # each intermediate is dropped after its last reader, and worked in place
+    # where the composed tape's next node made a new array of the same values
+    h = embed()
+    for k in range(NUM_BLOCKS):
+        p = f"blk{k}."
+        q = split(_affine(h, w[p + "attn.wq"], w[p + "attn.qb"]))
+        key = split(_affine(h, w[p + "attn.wk"], w[p + "attn.kb"]))
+        att = np.matmul(q, np.transpose(key, (0, 2, 1)))
+        keep((q, key))
+        del q, key
+        att *= att_scale
+        # softmax over the keys: e / e.sum() with e = exp(s - s.max())
+        att -= att.max(axis=-1, keepdims=True)
+        np.exp(att, out=att)
+        att /= att.sum(axis=-1, keepdims=True)
+        v = split(_affine(h, w[p + "attn.wv"], w[p + "attn.vb"]))
+        res = _affine(merge(np.matmul(att, v)), w[p + "attn.wo"], w[p + "attn.ob"])
+        keep((v, att))
+        del v, att
+        res += h
+        del h
+        stats = _layer_norm_stats(res)
+        del res
+        h = _layer_norm_out(stats[0], stats[2], w[p + "ln1.gamma"], w[p + "ln1.beta"])
+        keep(stats)
+        relu = _affine(h, w[p + "ffn.w1"], w[p + "ffn.b1"])
+        np.maximum(relu, 0.0, out=relu)
+        res = _affine(relu, w[p + "ffn.w2"], w[p + "ffn.b2"])
+        keep((relu if train else relu > 0,))
+        del relu
+        res += h
+        del h
+        stats = _layer_norm_stats(res)
+        del res
+        h = _layer_norm_out(stats[0], stats[2], w[p + "ln2.gamma"], w[p + "ln2.beta"])
+        keep(stats)
+        del stats
 
     def bw(g):
-        d_t = None
-        if need_t:
-            # in place, in the composed tape's order: the gradient of normed,
-            # of centered (mul, then both operands of centered * centered;
-            # 2 * d_sq * centered would round differently), then of t
-            d_t = g * gd
-            # one scratch array holds d_t * centered, d_sq * centered and -d_t
-            scratch = d_t * centered
-            d_inv = scratch.sum(axis=-1, keepdims=True)
-            d_sq = d_inv * -0.5 * ve ** -1.5 / d
-            d_t *= inv
-            np.multiply(d_sq, centered, out=scratch)
-            d_t += scratch
-            d_t += scratch
-            # not np.negative in place: see autodiff._sigmoid_np
-            np.multiply(d_t, -1.0, out=scratch)
-            d_t += scratch.sum(axis=-1, keepdims=True) / d
-            del scratch
-        d_gamma = None
-        if need_gamma:
-            # g * (centered * inv), not (g * centered) * inv: the same rounding
-            # as the composed tape's saved normed
-            normed = centered * inv
-            normed *= g
-            d_gamma = ad._reduce_to(normed, (d,))
-        return (d_t, d_gamma, ad._reduce_to(g, (d,)) if need_beta else None)
+        grads: dict[str, np.ndarray | None] = {}
 
-    return ad.custom_op(out, (t, gamma, beta), bw)
+        def dense(g, x_in, wname: str, bname: str, need_in: bool = True):
+            """Record the weight gradients of one ``_affine`` and return its
+            input's; ``x_in`` makes the input, only if the weight needs it."""
+            d_in, grads[wname], grads[bname] = _affine_grads(
+                g, x_in() if need[wname] else None, w[wname] if need_in else None,
+                need[bname])
+            return d_in
+
+        def norm(g, centered, ve, inv, prefix: str):
+            d_t, grads[prefix + ".gamma"], grads[prefix + ".beta"] = _layer_norm_grads(
+                g, centered, ve, inv, w[prefix + ".gamma"], need[prefix + ".gamma"],
+                need[prefix + ".beta"])
+            return d_t
+
+        for k in reversed(range(NUM_BLOCKS)):
+            p = f"blk{k}."
+            q, key, v, att, centered1, ve1, inv1, relu, centered2, ve2, inv2 = saved[-11:]
+            del saved[-11:]
+            g = norm(g, centered2, ve2, inv2, p + "ln2")
+            del centered2, ve2, inv2
+            # g reaches the first layer norm's output through the residual
+            # and through the feed-forward layer: two terms sum either way
+            d_ffn = dense(g, lambda: relu, p + "ffn.w2", p + "ffn.b2")
+            d_ffn *= relu > 0 if train else relu  # relu is the mask unless training
+            del relu
+            d_ffn = dense(d_ffn, lambda: _layer_norm_out(centered1, inv1, w[p + "ln1.gamma"],
+                                                          w[p + "ln1.beta"]),
+                          p + "ffn.w1", p + "ffn.b1")
+            d_ffn += g
+            del g
+            g = norm(d_ffn, centered1, ve1, inv1, p + "ln1")
+            del d_ffn, centered1, ve1, inv1
+            d_ctx = split(dense(g, lambda: merge(np.matmul(att, v)), p + "attn.wo", p + "attn.ob"))
+            d_att = np.matmul(d_ctx, v.swapaxes(-1, -2))
+            d_v = np.matmul(att.swapaxes(-1, -2), d_ctx)
+            del d_ctx, v
+            # softmax's backward, (g - (g * att).sum()) * att, then the scale's
+            inner = d_att * att
+            inner = inner.sum(axis=-1, keepdims=True)
+            d_att -= inner
+            d_att *= att
+            d_att *= att_scale
+            del att, inner
+            # the operand views of the composed tape's matmul backward
+            key_t = np.transpose(key, (0, 2, 1))
+            d_q = np.matmul(d_att, key_t.swapaxes(-1, -2))
+            d_key = np.transpose(np.matmul(q.swapaxes(-1, -2), d_att), (0, 2, 1))
+            del d_att, q, key, key_t
+            # the block's input; its gradient sums the residual's, then q's,
+            # k's and v's, in the composed tape's order
+            h_in = None
+            if any(need[p + name] for name in ("attn.wq", "attn.wk", "attn.wv")):
+                h_in = embed() if k == 0 else block_output(k - 1)
+            g += dense(merge(d_q), lambda: h_in, p + "attn.wq", p + "attn.qb")
+            del d_q
+            g += dense(merge(d_key), lambda: h_in, p + "attn.wk", p + "attn.kb")
+            del d_key
+            g += dense(merge(d_v), lambda: h_in, p + "attn.wv", p + "attn.vb")
+            del d_v, h_in
+        # the positional code is a constant
+        g *= emb_scale
+        d_flat = dense(g.reshape(batch * SEQ_LEN, d), lambda: x_np.reshape(batch * SEQ_LEN, 1),
+                       "emb.w", "emb.b", need_in=need_x)
+        return (None if d_flat is None else d_flat.reshape(batch, SEQ_LEN),
+                *(grads[name] for name in names))
+
+    return ad.custom_op(h, (x, *(params[name] for name in names)), bw)
 
 
 class LstmClassifier:
@@ -317,8 +526,12 @@ class TransformerClassifier:
     """Post-norm Transformer encoder over embedded hourly readings.
 
     Scalar readings are linearly embedded to the model width, summed with a
-    fixed sinusoidal positional code, passed through the encoder blocks,
-    averaged over time, and classified by a ReLU dense layer plus sigmoid unit.
+    fixed sinusoidal positional code and passed through the encoder blocks,
+    all as one fused tape node (:func:`transformer_encoder`); then they are
+    averaged over time and classified by a ReLU dense layer plus sigmoid
+    unit, which stay on the tape.  A 32-row training forward holds 33.1 MiB
+    of tape, because the encoder's backward recomputes its layer-norm
+    outputs, merged attention contexts and ReLU masks instead of saving them.
     """
 
     name = "transformer"
@@ -353,56 +566,13 @@ class TransformerClassifier:
         self.params = params
         self.pos_encoding = sinusoidal_positions(SEQ_LEN, d)
 
-    def _attention(self, h: Tensor, k: int) -> Tensor:
-        p = self.params
-        batch = h.shape[0]
-        nh, hd, d = NUM_HEADS, HEAD_DIM, D_MODEL
-
-        def heads(t: Tensor) -> Tensor:
-            t = ad.reshape(t, (batch, SEQ_LEN, nh, hd))
-            return ad.reshape(ad.transpose(t, (0, 2, 1, 3)), (batch * nh, SEQ_LEN, hd))
-
-        q = heads(linear(h, p[f"blk{k}.attn.wq"], p[f"blk{k}.attn.qb"]))
-        key = heads(linear(h, p[f"blk{k}.attn.wk"], p[f"blk{k}.attn.kb"]))
-        v = heads(linear(h, p[f"blk{k}.attn.wv"], p[f"blk{k}.attn.vb"]))
-        # the scaled scores are not bound, so softmax's input dies with its call
-        weights = ad.softmax(ad.mul(ad.matmul(q, ad.transpose(key, (0, 2, 1))),
-                                    Tensor(1.0 / np.sqrt(hd))), axis=-1)
-        ctx = ad.reshape(ad.matmul(weights, v), (batch, nh, SEQ_LEN, hd))
-        merged = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, SEQ_LEN, d))
-        del ctx  # merged is a copy; the unmerged context is dead
-        return linear(merged, p[f"blk{k}.attn.wo"], p[f"blk{k}.attn.ob"])
-
     def forward(self, x) -> Tensor:
         xt = _wrap_batch(x)
-        batch = xt.shape[0]
         p = self.params
-        d = D_MODEL
-
-        flat = ad.reshape(xt, (batch * SEQ_LEN, 1))
-        emb = linear(flat, p["emb.w"], p["emb.b"])
-        # conventional sqrt(d) embedding scale, so the reading is not drowned
-        # out by the unit-magnitude positional code
-        emb = ad.mul(emb, Tensor(np.sqrt(float(d))))
-        h = ad.add(ad.reshape(emb, (batch, SEQ_LEN, d)), Tensor(self.pos_encoding))
-        del emb
-        # each intermediate is dropped after its last reader: inside layer
-        # norm, neither the block input nor the sublayer output is alive
-        # unless a linear layer saved it for a weight gradient
-        for k in range(NUM_BLOCKS):
-            res = ad.add(h, self._attention(h, k))
-            del h
-            h = layer_norm(res, p[f"blk{k}.ln1.gamma"], p[f"blk{k}.ln1.beta"])
-            del res
-            res = ad.add(h, linear(ad.relu(linear(h, p[f"blk{k}.ffn.w1"], p[f"blk{k}.ffn.b1"])),
-                                   p[f"blk{k}.ffn.w2"], p[f"blk{k}.ffn.b2"]))
-            del h
-            h = layer_norm(res, p[f"blk{k}.ln2.gamma"], p[f"blk{k}.ln2.beta"])
-            del res
-        pooled = ad.mean(h, axis=1)
+        pooled = ad.mean(transformer_encoder(xt, p, self.pos_encoding), axis=1)
         dense = ad.relu(linear(pooled, p["head.dense.w"], p["head.dense.b"]))
         logits = linear(dense, p["head.out.w"], p["head.out.b"])
-        return ad.reshape(ad.sigmoid(logits), (batch,))
+        return ad.reshape(ad.sigmoid(logits), (xt.shape[0],))
 
     def get_weights(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.params.items()}
@@ -504,7 +674,7 @@ def train_local(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *,
     trained in place, so training owns it: no other thread may use it
     meanwhile.  Each step drops the previous step's weight gradients before
     its forward pass, so they are not held while its tape is built: one
-    Transformer client over 2 x 32 rows peaks at 56.6 MiB of traced
+    Transformer client over 2 x 32 rows peaks at 42.3 MiB of traced
     allocations.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -565,16 +735,17 @@ def input_gradient(model, x: np.ndarray, y: np.ndarray, alpha: float = 0.25,
 # workers: a federated round's clients and an attack's row blocks
 
 # Each worker holds a live tape, and a round's worker its own model instance.
-# A Transformer training worker's tape holds 47.7 MiB of traced allocations
-# after a 32-row forward, and one client's train_local over 2 x 32 rows peaks
-# at 56.6 MiB, so peak memory grows by about that per worker; row-block
-# workers share their model's ROW_BLOCK rows and the model itself, and a
-# 16-row Transformer input_gradient peaks at 16.4 MiB.  Speed and peak memory
-# were measured on 2 cores only (BENCH_9.json and BENCH_10.json,
-# BENCH_12.json for LSTM rounds, BENCH_16.json for the lean Transformer step,
-# BENCH_17.json for its freed intermediates and BENCH_19.json for its 32-row
-# blocks); more workers stay unmeasured until pairs on a larger machine are
-# recorded.
+# A Transformer training worker's tape holds 33.1 MiB of traced allocations
+# after a 32-row forward (the fused encoder recomputes in backward what it
+# does not save), and one client's train_local over 2 x 32 rows peaks at
+# 42.3 MiB, so peak memory grows by about that per worker; row-block workers
+# share their model's ROW_BLOCK rows and the model itself, and a 16-row
+# Transformer input_gradient peaks at 16.3 MiB.  Speed and peak memory were
+# measured on 2 cores only (BENCH_9.json and BENCH_10.json, BENCH_12.json for
+# LSTM rounds, BENCH_16.json for the lean Transformer step, BENCH_17.json for
+# its freed intermediates, BENCH_19.json for its 32-row blocks and
+# BENCH_20.json for the fused encoder); more workers stay unmeasured until
+# pairs on a larger machine are recorded.
 MAX_WORKERS = 2
 
 

@@ -77,6 +77,28 @@ class TestIngest:
         with pytest.raises(DataError, match="gap"):
             dp.ingest_csv(f)
 
+    def test_byte_order_mark_parses_to_the_same_series(self, tmp_path):
+        rows = [f"a,{t},{0.5 + 0.1 * i}" for i, t in enumerate(hourly_stamps(30))]
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_csv(plain, rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        want, got = dp.ingest_csv(plain), dp.ingest_csv(marked)
+        assert set(got) == set(want) == {"a"}
+        np.testing.assert_array_equal(got["a"].timestamps, want["a"].timestamps)
+        np.testing.assert_array_equal(got["a"].kwh, want["a"].kwh)
+
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_undecodable_byte_names_the_file(self, tmp_path, where):
+        f = tmp_path / "m.csv"
+        header, row = b"household_id,timestamp,kwh\n", b"a,2021-01-04T00,1.0\n"
+        if where == "header":
+            header = header.replace(b"kwh", b"kwh\xff")
+        else:
+            row = row.replace(b"a,", b"\xff,")
+        f.write_bytes(header + row)
+        with pytest.raises(DataError, match=f"{f}: not UTF-8 text: byte 0xff"):
+            dp.ingest_csv(f)
+
     def test_nineteen_households_three_years(self, tmp_path):
         # 25,560 hourly readings per household segment into 1,065 days
         stamps = [str(t) for t in hourly_stamps(25560)]

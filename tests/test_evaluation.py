@@ -7,6 +7,8 @@ from fedmeter.attacks import AttackSpec, poison_batch
 from fedmeter.autodiff import Tensor
 from fedmeter.models import make_model
 
+from composed import matmul
+
 
 class StubModel:
     """Fixed-probability model for exercising the metric plumbing.
@@ -212,7 +214,7 @@ class CountingModel:
         else:
             self.calls["predictions"] += 1
             x = Tensor(x)
-        return ad.reshape(ad.sigmoid(ad.matmul(x, self.params["w"])), (len(x.data),))
+        return ad.reshape(ad.sigmoid(matmul(x, self.params["w"])), (len(x.data),))
 
 
 def attack_set(n=24, seed=1):

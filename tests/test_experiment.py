@@ -493,6 +493,17 @@ class TestCli:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_undecodable_csv_exits_before_any_run(self, tmp_path, capsys):
+        csv_path = tmp_path / "meters.csv"
+        csv_path.write_bytes(b"household_id,timestamp,kwh\n"
+                             b"a,2021-01-04T00,1.0\n\xff,2021-01-04T01,1.0\n")
+        out = tmp_path / "run"
+        assert cli.main(["train", "--set", 'data.source="csv"',
+                         "--set", f'data.csv_path="{csv_path}"',
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"config error: {csv_path}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_household_without_a_full_day_is_named(self, tmp_path, capsys):
         # household a: 30 readings from 07:00, so 13 after its first midnight
         start = np.datetime64("2021-01-04T07", "h")
@@ -639,6 +650,25 @@ class TestCli:
         assert f"config error: {run / 'metrics.csv'}: not a metrics file" in \
             capsys.readouterr().err
         assert not out.exists()
+
+    def test_report_rejects_an_undecodable_metrics_file(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "metrics.csv").write_bytes(
+            b"setting,attack,acc,prec,rec,f1,asr\nLSTM (FL),No Attack\xff,0.9,0.8,0.7,0.75,\n")
+        out = tmp_path / "combined.csv"
+        assert cli.main(["report", str(run), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"config error: {run / 'metrics.csv'}: not UTF-8 text" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_report_reads_a_metrics_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "metrics.csv").write_bytes(
+            b"\xef\xbb\xbfsetting,attack,acc,prec,rec,f1,asr\nLSTM (FL),No Attack,0.9,0.8,0.7,0.75,\n")
+        assert cli.main(["report", str(run)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "run,LSTM (FL),No Attack,0.9,0.8,0.7,0.75,"
 
     def test_report_rejects_a_row_of_the_wrong_length(self, tmp_path, capsys):
         run = tmp_path / "run"

@@ -14,6 +14,8 @@ from fedmeter.models import (LstmClassifier, RmsProp, TrainConfig, TransformerCl
                              focal_loss, input_gradient, lr_at_epoch, make_model,
                              predict_proba, train_local)
 
+from composed import (composed_layer_norm, composed_linear, composed_transformer_encoder,
+                      softmax)
 from gradcheck import assert_grad_matches
 
 
@@ -349,31 +351,48 @@ class TestSkippedGradientsAreBitExact:
         assert all(np.array_equal(plain[k], with_input[k]) for k in plain)
 
 
-def broadcast_to(t, shape):
-    """``t`` expanded along its size-1 axes to ``shape`` of the same rank; the
-    backward pass sums the gradient back over those axes."""
-    orig = t.data.shape
+def tape_inventory(t, exclude=()):
+    """What the tape behind ``t`` holds: one ``(shape, dtype, bytes, rule)``
+    per distinct array that a backward rule reaches, through its closure and
+    the lists, tuples, dicts and functions in it.
 
-    def bw(g):
-        axes = tuple(i for i, (n, o) in enumerate(zip(g.shape, orig)) if o == 1 and n != 1)
-        return (g.sum(axis=axes, keepdims=True),)
+    A view counts once, as the array whose buffer it views.  Arrays that
+    share a buffer with one in ``exclude`` (weights, model constants) are
+    left out.  ``rule`` is the name of the function that recorded the node,
+    such as ``"linear"`` or ``"transformer_encoder"``.
+    """
+    def base(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
 
-    return ad.custom_op(np.broadcast_to(t.data, shape).copy(), (t,), bw)
-
-
-def composed_layer_norm(t, gamma, beta):
-    """Layer norm from elementary primitives: the oracle for ``md.layer_norm``."""
-    mu = ad.mean(t, axis=-1, keepdims=True)
-    centered = ad.sub(t, broadcast_to(mu, t.shape))
-    var = ad.mean(ad.mul(centered, centered), axis=-1, keepdims=True)
-    inv = ad.power(ad.add(var, ad.Tensor(1e-6)), -0.5)
-    normed = ad.mul(centered, broadcast_to(inv, t.shape))
-    return ad.add(ad.mul(normed, gamma), beta)
-
-
-def composed_linear(x, w, b):
-    """Matmul then bias from elementary primitives: the oracle for ``md.linear``."""
-    return ad.add(ad.matmul(x, w), b)
+    counted = {id(base(np.asarray(a))) for a in exclude}
+    held, reached, nodes = [], set(), [t._node]
+    while nodes:
+        node = nodes.pop()
+        if type(node) is not ad._Node or id(node) in reached:
+            continue
+        reached.add(id(node))
+        nodes.extend(node.inputs)
+        rule = node.backward_fn.__qualname__.split(".")[0]
+        items = [c.cell_contents for c in node.backward_fn.__closure__ or ()]
+        while items:
+            item = items.pop()
+            if id(item) in reached:
+                continue
+            reached.add(id(item))
+            if isinstance(item, np.ndarray):
+                arr = base(item)
+                if id(arr) not in counted:
+                    counted.add(id(arr))
+                    held.append((arr.shape, arr.dtype, arr.nbytes, rule))
+            elif isinstance(item, (list, tuple)):
+                items.extend(item)
+            elif isinstance(item, dict):
+                items.extend(item.values())
+            elif callable(item) and getattr(item, "__closure__", None):
+                items.extend(c.cell_contents for c in item.__closure__)
+    return held
 
 
 class TestFusedKernelsAreBitExact:
@@ -418,6 +437,7 @@ class TestFusedKernelsAreBitExact:
         probs_f, weights_f, input_f = run()
         monkeypatch.setattr(md, "layer_norm", composed_layer_norm)
         monkeypatch.setattr(md, "linear", composed_linear)
+        monkeypatch.setattr(md, "transformer_encoder", composed_transformer_encoder)
         probs_c, weights_c, input_c = run()
         assert np.array_equal(probs_f, probs_c)
         assert all(np.array_equal(weights_f[k], weights_c[k]) for k in weights_c)
@@ -436,11 +456,11 @@ class TestFusedKernelsAreBitExact:
         t = ad.Tensor(rng.normal(size=(batch, steps, d)), requires_grad=t_requires_grad)
         gamma = ad.Tensor(rng.normal(size=d), requires_grad=gamma_requires_grad)
         out = md.layer_norm(t, gamma, ad.Tensor(np.zeros(d)))
-        saved = [c.cell_contents for c in out._node.backward_fn.__closure__
-                 if isinstance(c.cell_contents, np.ndarray)]
-        full = [a for a in saved if a.size == batch * steps * d]
-        assert len(full) == 1
-        assert sum(a.size for a in saved) - batch * steps * d == small_arrays
+        saved = tape_inventory(out)
+        assert {rule for *_, rule in saved} == {"layer_norm"}
+        full = [size for shape, _, size, _ in saved if shape == (batch, steps, d)]
+        assert full == [8 * batch * steps * d]
+        assert sum(size for _, _, size, _ in saved) // 8 - batch * steps * d == small_arrays
 
 
 def reference_lstm_sequence(x, wx, wh, b):
@@ -610,8 +630,50 @@ class TestLeanTransformerTape:
         finally:
             tracemalloc.stop()
         assert np.isfinite(loss.item())
-        # 57.1 MiB with normed saved by every trained-gamma layer norm
-        assert held < 50 * 2**20
+        # 57.1 MiB with normed saved by every trained-gamma layer norm; 47.7
+        # MiB with the layer-norm outputs, merged contexts and ReLU masks
+        # that the fused encoder recomputes in backward
+        assert held < 35 * 2**20
+
+    def test_training_tape_holds_nothing_backward_can_recompute(self):
+        model = TransformerClassifier(seed=0)
+        x, y = self.batch(32)
+        loss = focal_loss(model.forward(x), y)
+        held = tape_inventory(loss, [p.data for p in model.params.values()]
+                              + [model.pos_encoding])
+        width = (32, md.SEQ_LEN, md.D_MODEL)
+        # the composed tape's linears held each layer-norm output and merged
+        # context, (32, 24, 160) each, for their weight gradients
+        assert [row for row in held if row[3] == "linear" and row[0] == width] == []
+        assert [row for row in held if row[1] == bool and len(row[0]) == 3] == []  # ReLU masks
+        # per block q, k and v in head layout, the attention weights, two
+        # layer norms' centered and per-row values and the ReLU output;
+        # and the batch, to recompute block 0's input
+        encoder = sorted((shape, dtype.name) for shape, dtype, _, rule in held
+                         if rule == "transformer_encoder")
+        heads = (32, md.NUM_HEADS, md.SEQ_LEN, md.HEAD_DIM)  # the buffer under the head view
+        assert encoder == sorted(
+            [(heads, "float64")] * 15
+            + [((32 * md.NUM_HEADS, md.SEQ_LEN, md.SEQ_LEN), "float64")] * 5
+            + [(width, "float64")] * 10 + [((32, md.SEQ_LEN, 1), "float64")] * 20
+            + [((32 * md.SEQ_LEN, md.FFN_HIDDEN), "float64")] * 5
+            + [((32, md.SEQ_LEN), "float64")])
+        assert sum(size for _, _, size, _ in held) < 34 * 2**20
+
+    def test_frozen_weights_hold_what_the_composed_tape_held(self):
+        model = TransformerClassifier(seed=0)
+        x, _ = self.batch(32)
+
+        def held(encoder):
+            params = {k: ad.Tensor(p.data) for k, p in model.params.items()}
+            out = encoder(ad.Tensor(x, requires_grad=True), params, model.pos_encoding)
+            return sorted((shape, dtype.name) for shape, dtype, _, _ in tape_inventory(
+                out, [p.data for p in params.values()] + [model.pos_encoding]) if shape)
+
+        # both hold the attention's arrays, layer-norm statistics and ReLU
+        # masks; the fused encoder also keeps the batch, for training's sake
+        assert held(md.transformer_encoder) == sorted(
+            held(composed_transformer_encoder) + [((32, md.SEQ_LEN), "float64")])
 
     def test_one_client_peaks_low(self):
         model = TransformerClassifier(seed=0)
@@ -626,8 +688,8 @@ class TestLeanTransformerTape:
             tracemalloc.stop()
         # 73.4 MiB with normed saved and the last step's gradients alive
         # while the next tape is built; 58.2 MiB with softmax's three arrays
-        # and the forward's dead locals
-        assert peak < 57.5 * 2**20
+        # and the forward's dead locals; 56.6 MiB before the fused encoder
+        assert peak < 45 * 2**20
 
     def test_forward_never_sees_a_weight_gradient(self, model, monkeypatch):
         x, y = self.batch(10)
@@ -689,8 +751,9 @@ class TestNoDeadIntermediates:
         finally:
             tracemalloc.stop()
         assert np.isfinite(loss.item())
-        # 52.3 MiB with the same dead intermediates alive
-        assert peak < 50.5 * 2**20
+        # 52.3 MiB with the same dead intermediates alive; 49.5 MiB before
+        # the fused encoder
+        assert peak < 36 * 2**20
 
     @settings(max_examples=200, deadline=None)
     @example(x=np.array([[[1e308, -1e308, 5.0], [-7e300, -7e300, -7e300],
@@ -705,20 +768,65 @@ class TestNoDeadIntermediates:
         with np.errstate(over="ignore"):  # x - max overflows to -inf for rows of huge spread
             e = np.exp(x - x.max(axis=axis, keepdims=True))
             want = e / e.sum(axis=axis, keepdims=True)
-            out = ad.softmax(ad.Tensor(x, requires_grad=True), axis=axis)
+            out = softmax(ad.Tensor(x, requires_grad=True), axis=axis)
         assert out.data.tobytes() == want.tobytes()
         inner = (g * want).sum(axis=axis, keepdims=True)
         (d_x,) = out._node.backward_fn(g)
         assert d_x.tobytes() == (want * (g - inner)).tobytes()
 
 
+class TestFusedEncoderIsBitExact:
+    """``md.transformer_encoder`` reproduces the composed tape bit for bit:
+    its output and every gradient, in each mode of use."""
+
+    # which weights need a gradient; the input does in the frozen-weights
+    # (attack) and every-input modes
+    TRAINS = {"training": lambda name: True,
+              "frozen_weights": lambda name: False,
+              "every_input": lambda name: True,
+              "some_weights": lambda name: name.endswith((".wq", ".ob", "ln1.gamma", "ffn.b2"))}
+
+    @pytest.mark.parametrize("batch", [1, 3, 5, 17, 32])
+    @pytest.mark.parametrize("mode", TRAINS)
+    def test_matches_the_composed_tape(self, mode, batch):
+        model = TransformerClassifier(seed=3)
+        rng = np.random.default_rng(batch)
+        x = rng.uniform(0, 1, size=(batch, md.SEQ_LEN))
+        r = rng.normal(size=(batch, md.SEQ_LEN, md.D_MODEL))
+        trains = self.TRAINS[mode]
+        need_x = mode in ("frozen_weights", "every_input")
+
+        def run(encoder):
+            params = {k: ad.Tensor(p.data, requires_grad=trains(k))
+                      for k, p in model.params.items()}
+            xt = ad.Tensor(x, requires_grad=need_x)
+            out = encoder(xt, params, model.pos_encoding)
+            ad.backward(ad.mean(ad.mul(out, ad.Tensor(r))))
+            return out.data, xt.grad, {k: p.grad for k, p in params.items()}
+
+        (out_f, dx_f, dw_f) = run(md.transformer_encoder)
+        (out_c, dx_c, dw_c) = run(composed_transformer_encoder)
+        assert np.array_equal(out_f, out_c)
+        assert (dx_f is not None) == (dx_c is not None) == need_x
+        assert dx_c is None or np.array_equal(dx_f, dx_c)
+        trained = [k for k in model.params if trains(k) and not k.startswith("head.")]
+        assert [k for k in dw_c if dw_c[k] is not None] == trained
+        assert [k for k in dw_f if dw_f[k] is not None] == trained
+        assert [k for k in trained if not np.array_equal(dw_f[k], dw_c[k])] == []
+
+
 class TestModelGradients:
-    """Weight gradients of the full composed forward vs the oracle."""
+    """Weight gradients, and the input gradient with frozen weights, of each
+    model against the finite-difference oracle."""
 
     @pytest.mark.parametrize("name,picked", [
         ("lstm", ["lstm.wx", "lstm.wh", "lstm.b", "head.w"]),
-        ("transformer", ["emb.w", "blk0.attn.wq", "blk2.ffn.w1",
-                         "blk4.ln2.gamma", "head.dense.w"]),
+        # every weight kind of the encoder, spread over its blocks
+        ("transformer", ["emb.w", "emb.b", "blk0.attn.wq", "blk0.attn.qb",
+                         "blk1.attn.wk", "blk1.attn.kb", "blk2.attn.wv", "blk2.attn.vb",
+                         "blk3.attn.wo", "blk3.attn.ob", "blk4.ln1.gamma", "blk0.ln1.beta",
+                         "blk2.ffn.w1", "blk3.ffn.b1", "blk4.ffn.w2", "blk1.ffn.b2",
+                         "blk4.ln2.gamma", "blk2.ln2.beta", "head.dense.w"]),
     ])
     def test_weight_gradients(self, name, picked):
         rng = np.random.default_rng(9)
@@ -741,6 +849,9 @@ class TestModelGradients:
         ad.backward(loss)
         analytic = [model.params[k].grad for k in picked]
         assert_grad_matches(f, arrays, analytic, rng, coords_per_array=5)
+        # and the input gradient, through a frozen view of the model
+        assert_grad_matches(lambda arrs: focal_loss(model.forward(arrs[0]), y).item(),
+                            [x], [input_gradient(model, x, y)], rng, coords_per_array=12)
 
 
 # float64 bit patterns: any at all, plus -0.0, +-inf, quiet, signalling and
