@@ -24,9 +24,8 @@ after every backward pass, only to be faulted in again by the next forward
 pass.  Setting any of ``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_``
 or ``MALLOC_TOP_PAD_`` leaves glibc's policy to the environment.
 
-Broadcasting is deliberately restricted to two patterns -- scalar with
-tensor, and a trailing-suffix operand (bias/gain application).  Anything
-else raises :class:`ShapeError`.  All data is float64.
+The primitives are the few that the models compose with their fused
+kernels, which :func:`custom_op` records.  All data is float64.
 """
 
 from __future__ import annotations
@@ -40,17 +39,11 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "backward",
-    "add",
-    "sub",
-    "mul",
+    "custom_op",
     "sigmoid",
     "relu",
-    "log",
-    "power",
     "mean",
     "reshape",
-    "clip",
-    "custom_op",
 ]
 
 
@@ -198,9 +191,10 @@ def backward(loss: Tensor) -> None:
     grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for node in reversed(tape):
         node.consumed = True
-        g = grads.pop(id(node), None)
-        if g is not None:
-            for target, ig in zip(node.inputs, node.backward_fn(g)):
+        if id(node) in grads:
+            # no local holds the gradient: the rule's parameter is its only
+            # reference (from CPython 3.11), so the rule may free it early
+            for target, ig in zip(node.inputs, node.backward_fn(grads.pop(id(node)))):
                 if ig is None or target is None:
                     continue
                 if type(target) is _Node:
@@ -209,6 +203,8 @@ def backward(loss: Tensor) -> None:
                     grads[nid] = ig if acc is None else acc + ig
                 else:
                     target.grad = ig.copy() if target.grad is None else target.grad + ig
+            # nor do the loop's locals: ``ig`` may be what the next rule receives
+            ig = acc = None
         # release saved activations as soon as this node is done
         node.inputs = ()
         node.backward_fn = _consumed_fn
@@ -218,88 +214,15 @@ def _consumed_fn(_g):
     raise RuntimeError("backward rule already consumed")
 
 
-# ---------------------------------------------------------------------------
-# broadcasting rules for elementwise ops
-
-def _is_scalar_shape(shape: tuple[int, ...]) -> bool:
-    return shape == () or shape == (1,)
-
-
-def _elementwise_shapes(name: str, a: Tensor, b: Tensor) -> tuple[int, ...]:
-    """Output shape for add/sub/mul under the restricted broadcast rules."""
-    sa, sb = a.data.shape, b.data.shape
-    if sa == sb:
-        return sa
-    if _is_scalar_shape(sb):
-        return sa
-    if _is_scalar_shape(sa):
-        return sb
-    # trailing-suffix operand (bias or gain over the last axes)
-    if len(sb) < len(sa) and sa[len(sa) - len(sb):] == sb:
-        return sa
-    if len(sa) < len(sb) and sb[len(sb) - len(sa):] == sa:
-        return sb
-    raise ShapeError(
-        f"{name}: shapes {sa} and {sb} do not conform "
-        f"(allowed: equal, scalar, or trailing-suffix broadcast)")
-
-
 def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient down to the shape of a broadcast operand."""
-    if grad.shape == shape:
-        return grad
+    """Sum a gradient over its leading axes down to ``shape``, its trailing
+    suffix (the gradient of a bias or gain)."""
     extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    if grad.shape != shape:  # remaining size-1 axes: a (1,)-shaped scalar operand
-        axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
+    return grad.sum(axis=tuple(range(extra))) if extra > 0 else grad
 
 
 # ---------------------------------------------------------------------------
 # primitives
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _elementwise_shapes("add", a, b)
-    out = a.data + b.data
-    sa, sb = a.data.shape, b.data.shape
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def bw(g):
-        return (_reduce_to(g, sa) if need_a else None,
-                _reduce_to(g, sb) if need_b else None)
-
-    return _make(out, (a, b), bw)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _elementwise_shapes("subtract", a, b)
-    out = a.data - b.data
-    sa, sb = a.data.shape, b.data.shape
-    need_a, need_b = a.requires_grad, b.requires_grad
-
-    def bw(g):
-        return (_reduce_to(g, sa) if need_a else None,
-                -_reduce_to(g, sb) if need_b else None)
-
-    return _make(out, (a, b), bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _elementwise_shapes("multiply", a, b)
-    out = a.data * b.data
-    sa, sb = a.data.shape, b.data.shape
-    # each operand's gradient reads the other operand only
-    ad = a.data if b.requires_grad else None
-    bd = b.data if a.requires_grad else None
-
-    def bw(g):
-        return (None if bd is None else _reduce_to(g * bd, sa),
-                None if ad is None else _reduce_to(g * ad, sb))
-
-    return _make(out, (a, b), bw)
-
 
 def _sigmoid_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Overflow-free logistic sigmoid of any finite input, into ``out`` (which
@@ -340,35 +263,6 @@ def relu(t: Tensor) -> Tensor:
     return _make(out, (t,), bw)
 
 
-def log(t: Tensor) -> Tensor:
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            out = np.log(t.data)
-        except FloatingPointError:
-            raise ValueError("log: input must be strictly positive") from None
-    x = t.data
-
-    def bw(g):
-        return (g / x,)
-
-    return _make(out, (t,), bw)
-
-
-def power(t: Tensor, p: float) -> Tensor:
-    """Elementwise ``t ** p`` for a constant real exponent."""
-    p = float(p)
-    out = t.data ** p
-    _check_finite("power", out)
-    x = t.data
-
-    def bw(g):
-        if p == 0.0:
-            return (np.zeros_like(x),)
-        return (g * p * x ** (p - 1.0),)
-
-    return _make(out, (t,), bw)
-
-
 def mean(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     out = t.data.mean(axis=axis, keepdims=keepdims)
     shape = t.data.shape
@@ -391,17 +285,6 @@ def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
 
     def bw(g):
         return (g.reshape(orig),)
-
-    return _make(out, (t,), bw)
-
-
-def clip(t: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values into [lo, hi]; gradient passes through the interior only."""
-    out = np.clip(t.data, lo, hi)
-    mask = (t.data >= lo) & (t.data <= hi)
-
-    def bw(g):
-        return (g * mask,)
 
     return _make(out, (t,), bw)
 

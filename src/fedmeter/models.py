@@ -271,36 +271,6 @@ def _layer_norm_grads(g: np.ndarray, centered: np.ndarray, ve: np.ndarray | None
     return d_t, d_gamma, ad._reduce_to(g, (d,)) if need_beta else None
 
 
-def layer_norm(t: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalise over the last axis, then scale by ``gamma`` and shift by ``beta``.
-
-    ``(t - mean) * (var + 1e-6) ** -0.5 * gamma + beta`` as one fused tape
-    primitive.  The forward runs the numpy expressions of the composed
-    version in the same order, and the backward replays that version's
-    arithmetic step for step, so values and gradients are bit-identical to
-    it.  Saved for backward: ``centered`` (the shape of ``t``) and ``inv``
-    (one value per row) when ``t`` or ``gamma`` requires grad, and
-    ``var + 1e-6`` and ``gamma`` only when ``t`` does.  ``normed`` is not
-    saved: the gradient of ``gamma`` recomputes it as ``centered * inv``,
-    the forward's own product.  :func:`transformer_encoder` runs the same
-    arithmetic.
-    """
-    d = t.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ad.ShapeError(f"layer_norm: gamma {gamma.shape} and beta {beta.shape} "
-                            f"must both have shape ({d},)")
-    need_t, need_gamma, need_beta = t.requires_grad, gamma.requires_grad, beta.requires_grad
-    centered, ve, inv = _layer_norm_stats(t.data)
-    out = _layer_norm_out(centered, inv, gamma.data, beta.data)
-    gd = gamma.data
-    if not need_t:
-        ve = gd = None
-        if not need_gamma:
-            centered = inv = None
-    return ad.custom_op(out, (t, gamma, beta), lambda g: _layer_norm_grads(
-        g, centered, ve, inv, gd, need_gamma, need_beta))
-
-
 def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -> Tensor:
     """The Transformer from its batch of readings to the last block's output,
     as one fused tape primitive; returns (batch, SEQ_LEN, D_MODEL).
@@ -312,7 +282,8 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
     then a ReLU feed-forward layer, each added to its input and layer-normed.
 
     The forward runs the numpy expressions of the composed tape in its order
-    (:func:`linear`'s and :func:`layer_norm`'s arithmetic, softmax, and the
+    (:func:`linear`'s arithmetic, layer norm's in ``_layer_norm_stats``,
+    ``_layer_norm_out`` and ``_layer_norm_grads``, softmax, and the
     copies that split and merge the heads), and the backward replays that
     tape's arithmetic step for step.  Gradients that meet at one array are
     summed in the tape's order: at a block's input, the residual's first,
@@ -619,6 +590,13 @@ def focal_loss(p: Tensor, y: np.ndarray, alpha: float = 0.25,
     ``p_t`` is the probability assigned to the true class and ``alpha_t`` is
     ``alpha`` for positives, ``1 - alpha`` for negatives.  Probabilities are
     clamped 1e-12 away from the 0/1 boundary before the log.
+
+    One fused tape primitive.  The forward runs the numpy expressions of the
+    composed chain of elementwise nodes in its order, and the backward
+    replays that chain's gradient arithmetic step for step, so the loss and
+    the gradient of ``p`` are bit-identical to it.  Gradients meet at
+    ``p_t`` and at ``p``, two terms each, and IEEE sums of two terms do not
+    depend on their order.
     """
     y = np.asarray(y, dtype=np.float64)
     if p.shape != y.shape:
@@ -627,12 +605,27 @@ def focal_loss(p: Tensor, y: np.ndarray, alpha: float = 0.25,
         raise ValueError("focal loss labels must be 0 or 1")
     if np.any(p.data < 0.0) or np.any(p.data > 1.0):
         raise ValueError("focal loss probabilities must lie in [0, 1]")
-    yt = Tensor(y)
-    pt = ad.add(ad.mul(p, yt), ad.mul(ad.sub(Tensor(1.0), p), Tensor(1.0 - y)))
-    pt = ad.clip(pt, _P_EPS, 1.0 - _P_EPS)
-    alpha_t = Tensor(alpha * y + (1.0 - alpha) * (1.0 - y))
-    weight = ad.mul(alpha_t, ad.power(ad.sub(Tensor(1.0), pt), gamma))
-    return ad.mean(ad.mul(Tensor(-1.0), ad.mul(weight, ad.log(pt))))
+    gamma = float(gamma)
+    not_y = 1.0 - y
+    pt_raw = p.data * y + (1.0 - p.data) * not_y
+    pt = np.clip(pt_raw, _P_EPS, 1.0 - _P_EPS)
+    inside = (pt_raw >= _P_EPS) & (pt_raw <= 1.0 - _P_EPS)
+    alpha_t = alpha * y + (1.0 - alpha) * not_y
+    far = 1.0 - pt
+    weight = alpha_t * far ** gamma
+    ad._check_finite("focal loss", weight)
+    log_pt = np.log(pt)
+    loss = (-1.0 * (weight * log_pt)).mean()
+
+    def bw(g):
+        d_prod = np.full(y.shape, -float(g) / y.size)
+        d_pt = d_prod * weight / pt
+        if gamma != 0.0:  # else the power's gradient is 0, and x - 0 is x
+            d_pt -= d_prod * log_pt * alpha_t * gamma * far ** (gamma - 1.0)
+        d_pt *= inside
+        return (d_pt * y - d_pt * not_y,)
+
+    return ad.custom_op(loss, (p,), bw)
 
 
 class RmsProp:

@@ -4,8 +4,14 @@ Each oracle builds its result from elementary tape primitives, one node per
 numpy expression, as the models did before their kernels were fused.  The
 fused kernels in ``fedmeter.models`` must reproduce them bit for bit.  The
 primitives that only these oracles use live here, not in
-``fedmeter.autodiff``: ``broadcast_to``, ``matmul``, ``softmax`` and
-``transpose``.
+``fedmeter.autodiff``: the elementwise ``add``, ``sub``, ``mul``, ``log``,
+``power`` and ``clip``, and ``broadcast_to``, ``matmul``, ``softmax`` and
+``transpose``.  So does ``layer_norm``, the encoder's layer-norm arithmetic
+as one primitive, which the encoder runs inline.
+
+Broadcasting in ``add``, ``sub`` and ``mul`` is deliberately restricted to
+two patterns -- scalar with tensor, and a trailing-suffix operand (bias/gain
+application).  Anything else raises :class:`fedmeter.autodiff.ShapeError`.
 """
 
 from __future__ import annotations
@@ -14,6 +20,115 @@ import numpy as np
 
 from fedmeter import autodiff as ad
 from fedmeter import models as md
+
+
+def _is_scalar_shape(shape: tuple[int, ...]) -> bool:
+    return shape == () or shape == (1,)
+
+
+def _elementwise_shapes(name: str, a, b) -> tuple[int, ...]:
+    """Output shape for add/sub/mul under the restricted broadcast rules."""
+    sa, sb = a.data.shape, b.data.shape
+    if sa == sb:
+        return sa
+    if _is_scalar_shape(sb):
+        return sa
+    if _is_scalar_shape(sa):
+        return sb
+    # trailing-suffix operand (bias or gain over the last axes)
+    if len(sb) < len(sa) and sa[len(sa) - len(sb):] == sb:
+        return sa
+    if len(sa) < len(sb) and sb[len(sb) - len(sa):] == sa:
+        return sb
+    raise ad.ShapeError(
+        f"{name}: shapes {sa} and {sb} do not conform "
+        f"(allowed: equal, scalar, or trailing-suffix broadcast)")
+
+
+def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient down to the shape of a broadcast operand."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    if grad.shape != shape:  # remaining size-1 axes: a (1,)-shaped scalar operand
+        axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def add(a, b):
+    _elementwise_shapes("add", a, b)
+    out = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def bw(g):
+        return (_reduce_to(g, sa) if need_a else None,
+                _reduce_to(g, sb) if need_b else None)
+
+    return ad.custom_op(out, (a, b), bw)
+
+
+def sub(a, b):
+    _elementwise_shapes("subtract", a, b)
+    out = a.data - b.data
+    sa, sb = a.data.shape, b.data.shape
+    need_a, need_b = a.requires_grad, b.requires_grad
+
+    def bw(g):
+        return (_reduce_to(g, sa) if need_a else None,
+                -_reduce_to(g, sb) if need_b else None)
+
+    return ad.custom_op(out, (a, b), bw)
+
+
+def mul(a, b):
+    _elementwise_shapes("multiply", a, b)
+    out = a.data * b.data
+    sa, sb = a.data.shape, b.data.shape
+    # each operand's gradient reads the other operand only
+    a_saved = a.data if b.requires_grad else None
+    b_saved = b.data if a.requires_grad else None
+
+    def bw(g):
+        return (None if b_saved is None else _reduce_to(g * b_saved, sa),
+                None if a_saved is None else _reduce_to(g * a_saved, sb))
+
+    return ad.custom_op(out, (a, b), bw)
+
+
+def log(t):
+    with np.errstate(divide="raise", invalid="raise"):
+        try:
+            out = np.log(t.data)
+        except FloatingPointError:
+            raise ValueError("log: input must be strictly positive") from None
+    x = t.data
+    return ad.custom_op(out, (t,), lambda g: (g / x,))
+
+
+def power(t, p: float):
+    """Elementwise ``t ** p`` for a constant real exponent."""
+    p = float(p)
+    out = t.data ** p
+    ad._check_finite("power", out)
+    x = t.data
+
+    def bw(g):
+        if p == 0.0:
+            return (np.zeros_like(x),)
+        return (g * p * x ** (p - 1.0),)
+
+    return ad.custom_op(out, (t,), bw)
+
+
+def clip(t, lo: float, hi: float):
+    """Clamp values into [lo, hi]; gradient passes through the interior only."""
+    out = np.clip(t.data, lo, hi)
+    mask = (t.data >= lo) & (t.data <= hi)
+    return ad.custom_op(out, (t,), lambda g: (g * mask,))
 
 
 def broadcast_to(t, shape):
@@ -97,19 +212,61 @@ def transpose(t, axes):
     return ad.custom_op(out, (t,), lambda g: (np.transpose(g, inverse),))
 
 
+def layer_norm(t, gamma, beta):
+    """Normalise over the last axis, then scale by ``gamma`` and shift by ``beta``.
+
+    ``(t - mean) * (var + 1e-6) ** -0.5 * gamma + beta`` as one fused tape
+    primitive.  The forward runs the numpy expressions of the composed
+    version in the same order, and the backward replays that version's
+    arithmetic step for step, so values and gradients are bit-identical to
+    it.  Saved for backward: ``centered`` (the shape of ``t``) and ``inv``
+    (one value per row) when ``t`` or ``gamma`` requires grad, and
+    ``var + 1e-6`` and ``gamma`` only when ``t`` does.  ``normed`` is not
+    saved: the gradient of ``gamma`` recomputes it as ``centered * inv``,
+    the forward's own product.  ``md.transformer_encoder`` runs the same
+    arithmetic inline, so this pins it.
+    """
+    d = t.shape[-1]
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise ad.ShapeError(f"layer_norm: gamma {gamma.shape} and beta {beta.shape} "
+                            f"must both have shape ({d},)")
+    need_t, need_gamma, need_beta = t.requires_grad, gamma.requires_grad, beta.requires_grad
+    centered, ve, inv = md._layer_norm_stats(t.data)
+    out = md._layer_norm_out(centered, inv, gamma.data, beta.data)
+    gd = gamma.data
+    if not need_t:
+        ve = gd = None
+        if not need_gamma:
+            centered = inv = None
+    return ad.custom_op(out, (t, gamma, beta), lambda g: md._layer_norm_grads(
+        g, centered, ve, inv, gd, need_gamma, need_beta))
+
+
 def composed_layer_norm(t, gamma, beta):
-    """Layer norm from elementary primitives: the oracle for ``md.layer_norm``."""
+    """Layer norm from elementary primitives: the oracle for ``layer_norm``."""
     mu = ad.mean(t, axis=-1, keepdims=True)
-    centered = ad.sub(t, broadcast_to(mu, t.shape))
-    var = ad.mean(ad.mul(centered, centered), axis=-1, keepdims=True)
-    inv = ad.power(ad.add(var, ad.Tensor(1e-6)), -0.5)
-    normed = ad.mul(centered, broadcast_to(inv, t.shape))
-    return ad.add(ad.mul(normed, gamma), beta)
+    centered = sub(t, broadcast_to(mu, t.shape))
+    var = ad.mean(mul(centered, centered), axis=-1, keepdims=True)
+    inv = power(add(var, ad.Tensor(1e-6)), -0.5)
+    normed = mul(centered, broadcast_to(inv, t.shape))
+    return add(mul(normed, gamma), beta)
 
 
 def composed_linear(x, w, b):
     """Matmul then bias from elementary primitives: the oracle for ``md.linear``."""
-    return ad.add(matmul(x, w), b)
+    return add(matmul(x, w), b)
+
+
+def composed_focal_loss(p, y, alpha: float = 0.25, gamma: float = 2.0):
+    """The focal loss as a chain of 12 elementwise nodes: the oracle for
+    ``md.focal_loss``, which validates its inputs."""
+    y = np.asarray(y, dtype=np.float64)
+    yt = ad.Tensor(y)
+    pt = add(mul(p, yt), mul(sub(ad.Tensor(1.0), p), ad.Tensor(1.0 - y)))
+    pt = clip(pt, md._P_EPS, 1.0 - md._P_EPS)
+    alpha_t = ad.Tensor(alpha * y + (1.0 - alpha) * (1.0 - y))
+    weight = mul(alpha_t, power(sub(ad.Tensor(1.0), pt), gamma))
+    return ad.mean(mul(ad.Tensor(-1.0), mul(weight, log(pt))))
 
 
 def composed_attention(h, p, k):
@@ -124,8 +281,8 @@ def composed_attention(h, p, k):
     q = heads(md.linear(h, p[f"blk{k}.attn.wq"], p[f"blk{k}.attn.qb"]))
     key = heads(md.linear(h, p[f"blk{k}.attn.wk"], p[f"blk{k}.attn.kb"]))
     v = heads(md.linear(h, p[f"blk{k}.attn.wv"], p[f"blk{k}.attn.vb"]))
-    weights = softmax(ad.mul(matmul(q, transpose(key, (0, 2, 1))),
-                             ad.Tensor(1.0 / np.sqrt(hd))), axis=-1)
+    weights = softmax(mul(matmul(q, transpose(key, (0, 2, 1))),
+                          ad.Tensor(1.0 / np.sqrt(hd))), axis=-1)
     ctx = ad.reshape(matmul(weights, v), (batch, nh, steps, hd))
     merged = ad.reshape(transpose(ctx, (0, 2, 1, 3)), (batch, steps, d))
     return md.linear(merged, p[f"blk{k}.attn.wo"], p[f"blk{k}.attn.ob"])
@@ -133,18 +290,19 @@ def composed_attention(h, p, k):
 
 def composed_transformer_encoder(x, params, pos):
     """The Transformer encoder as a tape of elementary nodes: the oracle for
-    ``md.transformer_encoder``.  Its linear and layer-norm nodes are looked
-    up on ``md``, so a test may swap in their composed oracles too."""
+    ``md.transformer_encoder``.  Its linear nodes are looked up on ``md``
+    and its layer-norm nodes on this module, so a test may swap in their
+    composed oracles too."""
     batch, d = x.shape[0], md.D_MODEL
     p = params
     flat = ad.reshape(x, (batch * md.SEQ_LEN, 1))
     emb = md.linear(flat, p["emb.w"], p["emb.b"])
-    emb = ad.mul(emb, ad.Tensor(np.sqrt(float(d))))
-    h = ad.add(ad.reshape(emb, (batch, md.SEQ_LEN, d)), ad.Tensor(pos))
+    emb = mul(emb, ad.Tensor(np.sqrt(float(d))))
+    h = add(ad.reshape(emb, (batch, md.SEQ_LEN, d)), ad.Tensor(pos))
     for k in range(md.NUM_BLOCKS):
-        h = md.layer_norm(ad.add(h, composed_attention(h, p, k)),
-                          p[f"blk{k}.ln1.gamma"], p[f"blk{k}.ln1.beta"])
+        h = layer_norm(add(h, composed_attention(h, p, k)),
+                       p[f"blk{k}.ln1.gamma"], p[f"blk{k}.ln1.beta"])
         ffn = md.linear(ad.relu(md.linear(h, p[f"blk{k}.ffn.w1"], p[f"blk{k}.ffn.b1"])),
                         p[f"blk{k}.ffn.w2"], p[f"blk{k}.ffn.b2"])
-        h = md.layer_norm(ad.add(h, ffn), p[f"blk{k}.ln2.gamma"], p[f"blk{k}.ln2.beta"])
+        h = layer_norm(add(h, ffn), p[f"blk{k}.ln2.gamma"], p[f"blk{k}.ln2.beta"])
     return h

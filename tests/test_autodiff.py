@@ -13,16 +13,16 @@ from hypothesis.extra import numpy as hnp
 
 from fedmeter import autodiff as ad
 from fedmeter.autodiff import Tensor
-from fedmeter.models import layer_norm, linear, lstm_sequence
+from fedmeter.models import linear, lstm_sequence
 
-from composed import matmul, softmax, transpose
+from composed import add, layer_norm, log, matmul, mul, power, softmax, sub, transpose
 from gradcheck import assert_grad_matches
 
 
 def scalar_loss(t):
     # sum of squares via primitives only, reduced with mean * size
-    sq = ad.mul(t, t)
-    return ad.mul(ad.mean(sq), ad.Tensor(float(sq.data.size)))
+    sq = mul(t, t)
+    return mul(ad.mean(sq), ad.Tensor(float(sq.data.size)))
 
 
 class TestForwardPrimitives:
@@ -49,7 +49,7 @@ class TestForwardPrimitives:
         with pytest.raises(ad.ShapeError, match=r"matmul.*\(2, 3\).*\(2, 3\)"):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
         with pytest.raises(ad.ShapeError, match=r"add.*\(2,\).*\(3,\)"):
-            ad.add(Tensor(np.ones(2)), Tensor(np.ones(3)))
+            add(Tensor(np.ones(2)), Tensor(np.ones(3)))
 
     def test_nonfinite_input_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -59,20 +59,20 @@ class TestForwardPrimitives:
 
     def test_log_of_nonpositive_raises(self):
         with pytest.raises(ValueError, match="log"):
-            ad.log(Tensor([1.0, 0.0]))
+            log(Tensor([1.0, 0.0]))
         with pytest.raises(ValueError, match="log"):
-            ad.log(Tensor([-1.0]))
+            log(Tensor([-1.0]))
 
     def test_trailing_bias_broadcast(self):
         x = Tensor(np.zeros((5, 3)))
         b = Tensor([1.0, 2.0, 3.0])
-        out = ad.add(x, b)
+        out = add(x, b)
         np.testing.assert_array_equal(out.data, np.tile([1.0, 2.0, 3.0], (5, 1)))
 
     def test_disallowed_broadcast_rejected(self):
         # keepdims-style (5,1) against (5,3) is neither scalar nor trailing suffix
         with pytest.raises(ad.ShapeError):
-            ad.add(Tensor(np.ones((5, 3))), Tensor(np.ones((5, 1))))
+            add(Tensor(np.ones((5, 3))), Tensor(np.ones((5, 1))))
 
 class TestBackward:
     def test_sum_of_squares(self):
@@ -90,14 +90,14 @@ class TestBackward:
 
     def test_grad_of_multiply_used_tensor_sums(self):
         x = Tensor([3.0], requires_grad=True)
-        y = ad.add(ad.mul(x, x), x)  # x^2 + x -> 2x + 1 = 7
+        y = add(mul(x, x), x)  # x^2 + x -> 2x + 1 = 7
         ad.backward(ad.mean(y))
         np.testing.assert_allclose(x.grad, [7.0])
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
-            ad.backward(ad.mul(x, x))
+            ad.backward(mul(x, x))
 
     def test_empty_tape_rejected(self):
         with pytest.raises(ValueError, match="tape"):
@@ -105,14 +105,14 @@ class TestBackward:
 
     def test_second_backward_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = ad.mean(ad.mul(x, x))
+        loss = ad.mean(mul(x, x))
         ad.backward(loss)
         with pytest.raises(RuntimeError, match="consumed"):
             ad.backward(loss)
 
     def test_inputs_needing_no_grad_record_no_node(self):
         x = Tensor([1.0])
-        y = ad.mul(x, x)
+        y = mul(x, x)
         assert y._node is None and not y.requires_grad
 
     def test_linearity_of_backward(self):
@@ -122,9 +122,9 @@ class TestBackward:
 
         def grad_of(coeff1, coeff2):
             x = Tensor(base, requires_grad=True)
-            l1 = ad.mean(ad.mul(x, x))
+            l1 = ad.mean(mul(x, x))
             l2 = ad.mean(ad.sigmoid(x))
-            ad.backward(ad.add(ad.mul(l1, Tensor(coeff1)), ad.mul(l2, Tensor(coeff2))))
+            ad.backward(add(mul(l1, Tensor(coeff1)), mul(l2, Tensor(coeff2))))
             return x.grad
 
         combined = grad_of(a, b)
@@ -152,17 +152,17 @@ def _run(op_name, arrays_np):
     tensors = [Tensor(a, requires_grad=True) for a in arrays_np]
     out = _apply(op_name, tensors)
     # squash to a scalar via mean of a squeeze-free transform
-    loss = ad.mean(ad.mul(out, out))
+    loss = ad.mean(mul(out, out))
     return tensors, loss
 
 
 def _apply(op_name, ts):
     if op_name == "add":
-        return ad.add(ts[0], ts[1])
+        return add(ts[0], ts[1])
     if op_name == "sub":
-        return ad.sub(ts[0], ts[1])
+        return sub(ts[0], ts[1])
     if op_name == "mul":
-        return ad.mul(ts[0], ts[1])
+        return mul(ts[0], ts[1])
     if op_name == "matmul":
         return matmul(ts[0], ts[1])
     if op_name == "matmul3d":
@@ -174,9 +174,9 @@ def _apply(op_name, ts):
     if op_name == "relu":
         return ad.relu(ts[0])
     if op_name == "log":
-        return ad.log(ts[0])
+        return log(ts[0])
     if op_name == "power":
-        return ad.power(ts[0], 1.7)
+        return power(ts[0], 1.7)
     if op_name == "softmax":
         return softmax(ts[0], axis=-1)
     if op_name == "mean_axis":
@@ -186,9 +186,9 @@ def _apply(op_name, ts):
     if op_name == "transpose":
         return transpose(ts[0], (1, 0, 2))
     if op_name == "bias_add":
-        return ad.add(ts[0], ts[1])
+        return add(ts[0], ts[1])
     if op_name == "scalar_mul":
-        return ad.mul(ts[0], ts[1])
+        return mul(ts[0], ts[1])
     raise AssertionError(op_name)
 
 
@@ -212,21 +212,39 @@ PRIMITIVE_CASES = [
 ]
 
 
+def _is_number(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float, complex)
+
+
+def _names_tensor(func) -> bool:
+    return (isinstance(func, ast.Name) and func.id == "Tensor") or (
+        isinstance(func, ast.Attribute) and func.attr == "Tensor"
+        and isinstance(func.value, ast.Name) and func.value.id in ("ad", "autodiff"))
+
+
 def test_every_exported_primitive_is_used_by_the_package():
     """Each name in ``autodiff.__all__`` is referenced by some other module of
     fedmeter (as ``ad.<name>``, ``autodiff.<name>`` or an imported name): the
-    core keeps only the primitives the package uses."""
-    used = set()
+    core keeps only the primitives the package uses.  And no module wraps a
+    numeric literal in a ``Tensor``: the library broadcasts no scalar
+    operand, so no float64 constant enters a tape."""
+    used, scalars = set(), []
     for path in pathlib.Path(ad.__file__).parent.glob("*.py"):
-        if path.name == "autodiff.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and _names_tensor(node.func) and node.args \
+                    and _is_number(node.args[0]):
+                scalars.append(f"{path.name}:{node.lineno}")
+            if path.name == "autodiff.py":
+                continue
             if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
                 used.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                     and node.value.id in ("ad", "autodiff"):
                 used.add(node.attr)
     assert sorted(set(ad.__all__) - used) == []
+    assert scalars == []
 
 
 @pytest.mark.parametrize("op_name,shapes,domain", PRIMITIVE_CASES,
@@ -246,7 +264,7 @@ def test_primitive_gradients_match_finite_differences(op_name, shapes, domain):
 
     tensors = [Tensor(a, requires_grad=True) for a in arrays_np]
     out = _apply(op_name, tensors)
-    ad.backward(ad.mean(ad.mul(out, out)))
+    ad.backward(ad.mean(mul(out, out)))
     assert_grad_matches(f, arrays_np, [t.grad for t in tensors], rng)
 
 
@@ -258,7 +276,7 @@ def test_outputs_and_grads_stay_finite(seed):
     w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
     out = softmax(matmul(ad.sigmoid(x), w), axis=-1)
     assert np.all(np.isfinite(out.data))
-    ad.backward(ad.mean(ad.mul(out, out)))
+    ad.backward(ad.mean(mul(out, out)))
     assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(w.grad))
 
 
@@ -320,7 +338,7 @@ class TestRecordTimeGradients:
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=shapes[0]), requires_grad=True)
         w = Tensor(rng.normal(size=shapes[1]))
-        h = ad.add(x, x)
+        h = add(x, x)
         alive = weakref.ref(h.data)
         out = matmul(h, w)
         del h
@@ -330,19 +348,36 @@ class TestRecordTimeGradients:
         np.testing.assert_allclose(x.grad, 2.0 * np.matmul(g, np.swapaxes(w.data, -1, -2)),
                                    rtol=1e-12)
 
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="CPython keeps a reference to a Python function's "
+                               "arguments in its caller before 3.11")
+    def test_backward_hands_each_rule_the_only_reference_to_its_gradient(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        freed = []
+
+        def bw(g):
+            alive = weakref.ref(g)
+            del g
+            freed.append(alive() is None)
+            return (np.full(4, 2.0),)
+
+        ad.backward(ad.mean(ad.custom_op(2.0 * x.data, (x,), bw)))
+        assert freed == [True]
+        np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
+
     @pytest.mark.parametrize("const", [2.5, np.arange(1.0, 4.0)], ids=["scalar", "suffix"])
     def test_mul_by_constant_frees_the_tracked_operand(self, const):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        h = ad.add(x, x)
+        h = add(x, x)
         alive = weakref.ref(h.data)
-        out = ad.mul(h, Tensor(const))
+        out = mul(h, Tensor(const))
         del h
         assert alive() is None
         ad.backward(ad.mean(out))
         np.testing.assert_allclose(x.grad, np.broadcast_to(2.0 * const / 6.0, (2, 3)),
                                    rtol=1e-12)
 
-    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, matmul],
+    @pytest.mark.parametrize("op", [add, sub, mul, matmul],
                              ids=["add", "sub", "mul", "matmul"])
     @pytest.mark.parametrize("needs", [(True, False), (False, True), (True, True)])
     def test_rule_returns_none_for_unrequested_inputs(self, op, needs):
@@ -368,7 +403,7 @@ def test_lstm_sequence_input_gradient_with_frozen_weights():
     x = Tensor(x_np, requires_grad=True)
     h = lstm_sequence(x, *weights)
     assert h._node.backward_fn(np.ones((batch, hidden)))[1:] == (None, None, None)
-    ad.backward(ad.mean(ad.mul(h, h)))
+    ad.backward(ad.mean(mul(h, h)))
     assert all(w.grad is None for w in weights)
     assert_grad_matches(f, [x_np], [x.grad], rng)
 
@@ -396,7 +431,7 @@ def test_fused_model_kernels_match_finite_differences(case, frozen):
     tensors = [Tensor(a, requires_grad=i < checked) for i, a in enumerate(arrays_np)]
     out = op(*tensors)
     assert [g is not None for g in out._node.backward_fn(r)] == [i < checked for i in range(3)]
-    ad.backward(ad.mean(ad.mul(out, Tensor(r))))
+    ad.backward(ad.mean(mul(out, Tensor(r))))
     assert all(t.grad is None for t in tensors[checked:])
     assert_grad_matches(f, arrays_np[:checked], [t.grad for t in tensors[:checked]], rng)
 

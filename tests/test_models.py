@@ -14,8 +14,8 @@ from fedmeter.models import (LstmClassifier, RmsProp, TrainConfig, TransformerCl
                              focal_loss, input_gradient, lr_at_epoch, make_model,
                              predict_proba, train_local)
 
-from composed import (composed_layer_norm, composed_linear, composed_transformer_encoder,
-                      softmax)
+from composed import (composed_focal_loss, composed_layer_norm, composed_linear,
+                      composed_transformer_encoder, layer_norm, mul, softmax)
 from gradcheck import assert_grad_matches
 
 
@@ -97,6 +97,52 @@ class TestFocalLoss:
         p = ad.Tensor(p_np, requires_grad=True)
         ad.backward(focal_loss(p, y))
         assert_grad_matches(f, [p_np], [p.grad], rng)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("gamma", [0.0, 1.5, 3.7])
+    def test_fused_rule_matches_finite_differences(self, gamma, alpha):
+        rng = np.random.default_rng(5)
+        p_np = rng.uniform(0.05, 0.95, size=12)
+        y = np.tile([0.0, 1.0], 6)
+
+        def f(arrs):
+            return focal_loss(ad.Tensor(arrs[0]), y, alpha, gamma).item()
+
+        p = ad.Tensor(p_np, requires_grad=True)
+        ad.backward(focal_loss(p, y, alpha, gamma))
+        assert_grad_matches(f, [p_np], [p.grad], rng)
+
+    # both clip edges, and p on either side of each
+    P_EDGES = [0.0, 1e-13, 1e-12, 1.0 - 1e-12, 1.0 - 1e-13, 1.0]
+
+    @pytest.mark.parametrize("rows", [1, 33])
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
+    @pytest.mark.parametrize("gamma", [0.0, 2.0, 3.7])
+    def test_fused_loss_matches_the_composed_chain(self, gamma, alpha, rows):
+        """The loss and the gradient of ``p``, bit for bit, under an outer
+        gradient other than 1."""
+        if rows == 1:
+            batches = [(np.array([p]), np.array([y]))
+                       for p in self.P_EDGES + [0.3] for y in (0.0, 1.0)]
+        else:
+            rng = np.random.default_rng(0)
+            p = rng.uniform(size=rows)
+            p[:12] = self.P_EDGES * 2
+            y = (rng.uniform(size=rows) < 0.4).astype(np.float64)
+            y[:12] = [0.0] * 6 + [1.0] * 6
+            batches = [(p, y)]
+
+        def run(loss_fn, p_np, y):
+            p = ad.Tensor(p_np, requires_grad=True)
+            loss = loss_fn(p, y, alpha, gamma)
+            ad.backward(mul(loss, ad.Tensor(-0.7)))
+            return loss.data, p.grad
+
+        for p_np, y in batches:
+            (loss_f, grad_f), (loss_c, grad_c) = (run(focal_loss, p_np, y),
+                                                  run(composed_focal_loss, p_np, y))
+            assert np.array_equal(loss_f, loss_c)
+            assert np.array_equal(grad_f, grad_c)
 
 
 class TestRmsProp:
@@ -399,7 +445,7 @@ class TestFusedKernelsAreBitExact:
     """The fused kernels reproduce their composed oracles bit for bit."""
 
     @pytest.mark.parametrize("fused,composed,shapes", [
-        (md.layer_norm, composed_layer_norm, [(3, 4, 6), (6,), (6,)]),
+        (layer_norm, composed_layer_norm, [(3, 4, 6), (6,), (6,)]),
         (md.linear, composed_linear, [(3, 4, 5), (5, 2), (2,)]),
         (md.linear, composed_linear, [(4, 5), (5, 2), (2,)]),
     ], ids=["layer_norm", "linear_3d", "linear_2d"])
@@ -413,7 +459,7 @@ class TestFusedKernelsAreBitExact:
         def run(op):
             ts = [ad.Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)]
             out = op(*ts)
-            ad.backward(ad.mean(ad.mul(out, out)))
+            ad.backward(ad.mean(mul(out, out)))
             return out.data, [t.grad for t in ts]
 
         (out_f, grads_f), (out_c, grads_c) = run(fused), run(composed)
@@ -430,14 +476,15 @@ class TestFusedKernelsAreBitExact:
         def run():
             model = make_model(name, seed=6)
             probs = model.forward(x)
-            ad.backward(focal_loss(probs, y))
+            ad.backward(md.focal_loss(probs, y))
             weight_grads = {k: p.grad for k, p in model.params.items()}
             return probs.data, weight_grads, input_gradient(model, x, y)
 
         probs_f, weights_f, input_f = run()
-        monkeypatch.setattr(md, "layer_norm", composed_layer_norm)
+        monkeypatch.setattr("composed.layer_norm", composed_layer_norm)
         monkeypatch.setattr(md, "linear", composed_linear)
         monkeypatch.setattr(md, "transformer_encoder", composed_transformer_encoder)
+        monkeypatch.setattr(md, "focal_loss", composed_focal_loss)
         probs_c, weights_c, input_c = run()
         assert np.array_equal(probs_f, probs_c)
         assert all(np.array_equal(weights_f[k], weights_c[k]) for k in weights_c)
@@ -455,7 +502,7 @@ class TestFusedKernelsAreBitExact:
         rng = np.random.default_rng(2)
         t = ad.Tensor(rng.normal(size=(batch, steps, d)), requires_grad=t_requires_grad)
         gamma = ad.Tensor(rng.normal(size=d), requires_grad=gamma_requires_grad)
-        out = md.layer_norm(t, gamma, ad.Tensor(np.zeros(d)))
+        out = layer_norm(t, gamma, ad.Tensor(np.zeros(d)))
         saved = tape_inventory(out)
         assert {rule for *_, rule in saved} == {"layer_norm"}
         full = [size for shape, _, size, _ in saved if shape == (batch, steps, d)]
@@ -575,7 +622,7 @@ class TestLeanLstmTape:
 
         ts = [ad.Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)]
         out = md.lstm_sequence(*ts)
-        ad.backward(ad.mean(ad.mul(out, ad.Tensor(r))))
+        ad.backward(ad.mean(mul(out, ad.Tensor(r))))
         checked = sum(needs)
         assert all(t.grad is None for t in ts[checked:])
         assert_grad_matches(f, arrays[:checked], [t.grad for t in ts[:checked]], rng)
@@ -801,7 +848,7 @@ class TestFusedEncoderIsBitExact:
                       for k, p in model.params.items()}
             xt = ad.Tensor(x, requires_grad=need_x)
             out = encoder(xt, params, model.pos_encoding)
-            ad.backward(ad.mean(ad.mul(out, ad.Tensor(r))))
+            ad.backward(ad.mean(mul(out, ad.Tensor(r))))
             return out.data, xt.grad, {k: p.grad for k, p in params.items()}
 
         (out_f, dx_f, dw_f) = run(md.transformer_encoder)
