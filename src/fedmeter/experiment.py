@@ -38,7 +38,7 @@ from .evaluation import (asr_from_predictions, classify, compute_metrics, evalua
                          metrics_row, write_metrics_csv)
 from .federation import (ClientNode, global_model, init_state, run_centralized,
                          run_federation)
-from .models import TrainConfig, save_weights
+from .models import BLAS_THREAD_VARS, TrainConfig, _workers, blas_build, save_weights
 from .seeding import derive_seed, rng_for
 
 OUTPUT_ROOT_ENV = "FEDMETER_OUTPUT_ROOT"
@@ -535,6 +535,10 @@ def _write_snapshot_and_manifest(cfg: ExperimentConfig, seeds: dict, out_dir: st
         "outputs": sorted(os.path.relpath(f, out_dir) for f in files),
         "platform": platform.platform(),
         "numpy": np.__version__,
+        # the BLAS thread count can change the bits (README); None when unset
+        "blas": blas_build(),
+        "blas_thread_env": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+        "workers": _workers(),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -20,7 +20,9 @@ rows (64 for the LSTM, 32 for the Transformer), never on further threads.
 :func:`fedavg` folds the returned maps in ``selected`` order as they arrive,
 so a round holds running sums instead of every client's map, and the global
 weights, the round record and every later result keep their bits whatever
-the number of workers.
+the number of workers.  A round keeps one copy of each weight map: the
+decoded broadcast replaces the global weights it was encoded from, and a
+client hands :func:`fedavg` its model's own parameter arrays, not copies.
 """
 
 from __future__ import annotations
@@ -170,8 +172,9 @@ def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> Roun
     """
     round_index = state.round + 1
     selected = [state.clients[i] for i in select_clients(state, round_index)]
-    # decoded once: set_weights copies, so every client starts from this map
-    broadcast = weights_from_bytes(weights_to_bytes(state.global_weights))
+    # decoded once, in place of the map it was encoded from (the <f8 round
+    # trip is exact): set_weights copies, so every client starts from it
+    state.global_weights = broadcast = weights_from_bytes(weights_to_bytes(state.global_weights))
     losses = [0.0] * len(selected)
 
     def train(model, pos: int) -> dict[str, np.ndarray]:
@@ -187,7 +190,9 @@ def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> Roun
             epochs=state.local_epochs,
             epoch_offset=(round_index - 1) * state.local_epochs)
         losses[pos] = history[-1]
-        return model.get_weights()
+        # the model's own arrays, not copies: this worker's next set_weights
+        # gives every parameter a new array before training touches one
+        return {name: p.data for name, p in model.params.items()}
 
     # one instance per worker; each client overwrites every weight before use
     models = [make_model(model_name, seed=0)]

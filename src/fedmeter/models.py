@@ -290,14 +290,16 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
     then those through q, k and v.  So values and gradients are bit-identical
     to the composed tape, which the test suite keeps as the oracle.
 
-    Saved for backward, per block: q, k and v in head layout, the attention
-    weights, and both layer norms' ``centered``, ``var + 1e-6`` and ``inv``.
-    When any weight needs a gradient (training) it also saves the ReLU
-    output, and the backward recomputes each block's input (block 0's from
-    ``x``), each layer-norm output, the merged attention context and the ReLU
-    mask from what it saved, with the forward's own expressions.  With every
-    weight frozen (every attack) it saves the ReLU mask instead: the arrays
-    that the composed tape saved.  When nothing needs a gradient it saves
+    Saved for backward, per block, whether weights or only ``x`` need a
+    gradient (training or an attack): q, k and v in head layout, the
+    softmax's row max and sum, both layer norms' ``centered``, ``var + 1e-6``
+    and ``inv``, and the ReLU mask; 24.5 MiB at 32 rows.  The backward
+    re-forms the attention weights from q, k and the row max and sum, and
+    recomputes each block's input (block 0's from ``x``), each layer-norm
+    output, the merged attention context and, for ``ffn.w2``'s gradient, the
+    ReLU output, with the forward's own expressions, so with the same bits.
+    Keeping the row max and sum (0.5 MiB at 32 rows) spares backward two of
+    the softmax's five passes.  When nothing needs a gradient it saves
     nothing.
     """
     x_np = x.data
@@ -335,8 +337,30 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
         return _layer_norm_out(saved[-3], saved[-1], w[f"blk{k}.ln2.gamma"],
                                w[f"blk{k}.ln2.beta"])
 
-    # per block, in this order: q, k, v, the attention weights, the first
-    # layer norm's statistics, the ReLU output (or mask), the second's
+    def attention(q: np.ndarray, key: np.ndarray, peak: np.ndarray | None = None,
+                  total: np.ndarray | None = None) -> tuple:
+        """The attention weights, softmax over the keys of the scaled scores
+        worked in one array, e / total with e = exp(s - peak), and the rows'
+        ``peak`` (max) and ``total`` (sum).  Backward passes the forward's
+        pair back in and skips the two reductions."""
+        att = np.matmul(q, np.transpose(key, (0, 2, 1)))
+        att *= att_scale
+        if peak is None:
+            peak = att.max(axis=-1, keepdims=True)
+        att -= peak
+        np.exp(att, out=att)
+        if total is None:
+            total = att.sum(axis=-1, keepdims=True)
+        att /= total
+        return att, peak, total
+
+    def relu_out(h: np.ndarray, p: str) -> np.ndarray:
+        out = _affine(h, w[p + "ffn.w1"], w[p + "ffn.b1"])
+        np.maximum(out, 0.0, out=out)
+        return out
+
+    # per block, in this order: q, k, the softmax's row max and sum, v, the
+    # first layer norm's statistics, the ReLU mask, the second's
     saved: list[np.ndarray] = []
     keep = saved.extend if need_x or train else lambda arrays: None
     # each intermediate is dropped after its last reader, and worked in place
@@ -346,17 +370,12 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
         p = f"blk{k}."
         q = split(_affine(h, w[p + "attn.wq"], w[p + "attn.qb"]))
         key = split(_affine(h, w[p + "attn.wk"], w[p + "attn.kb"]))
-        att = np.matmul(q, np.transpose(key, (0, 2, 1)))
-        keep((q, key))
-        del q, key
-        att *= att_scale
-        # softmax over the keys: e / e.sum() with e = exp(s - s.max())
-        att -= att.max(axis=-1, keepdims=True)
-        np.exp(att, out=att)
-        att /= att.sum(axis=-1, keepdims=True)
+        att, *softmax_stats = attention(q, key)
+        keep((q, key, *softmax_stats))
+        del q, key, softmax_stats
         v = split(_affine(h, w[p + "attn.wv"], w[p + "attn.vb"]))
         res = _affine(merge(np.matmul(att, v)), w[p + "attn.wo"], w[p + "attn.ob"])
-        keep((v, att))
+        keep((v,))
         del v, att
         res += h
         del h
@@ -364,10 +383,9 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
         del res
         h = _layer_norm_out(stats[0], stats[2], w[p + "ln1.gamma"], w[p + "ln1.beta"])
         keep(stats)
-        relu = _affine(h, w[p + "ffn.w1"], w[p + "ffn.b1"])
-        np.maximum(relu, 0.0, out=relu)
+        relu = relu_out(h, p)
         res = _affine(relu, w[p + "ffn.w2"], w[p + "ffn.b2"])
-        keep((relu if train else relu > 0,))
+        keep((relu > 0,))
         del relu
         res += h
         del h
@@ -396,22 +414,27 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
 
         for k in reversed(range(NUM_BLOCKS)):
             p = f"blk{k}."
-            q, key, v, att, centered1, ve1, inv1, relu, centered2, ve2, inv2 = saved[-11:]
-            del saved[-11:]
+            q, key, peak, total, v, centered1, ve1, inv1, mask, centered2, ve2, inv2 = saved[-12:]
+            del saved[-12:]
             g = norm(g, centered2, ve2, inv2, p + "ln2")
             del centered2, ve2, inv2
+            # the first layer norm's output, formed once for both weights of
+            # the feed-forward layer
+            h1 = None
+            if need[p + "ffn.w1"] or need[p + "ffn.w2"]:
+                h1 = _layer_norm_out(centered1, inv1, w[p + "ln1.gamma"], w[p + "ln1.beta"])
             # g reaches the first layer norm's output through the residual
             # and through the feed-forward layer: two terms sum either way
-            d_ffn = dense(g, lambda: relu, p + "ffn.w2", p + "ffn.b2")
-            d_ffn *= relu > 0 if train else relu  # relu is the mask unless training
-            del relu
-            d_ffn = dense(d_ffn, lambda: _layer_norm_out(centered1, inv1, w[p + "ln1.gamma"],
-                                                          w[p + "ln1.beta"]),
-                          p + "ffn.w1", p + "ffn.b1")
+            d_ffn = dense(g, lambda: relu_out(h1, p), p + "ffn.w2", p + "ffn.b2")
+            d_ffn *= mask
+            del mask
+            d_ffn = dense(d_ffn, lambda: h1, p + "ffn.w1", p + "ffn.b1")
             d_ffn += g
-            del g
+            del g, h1
             g = norm(d_ffn, centered1, ve1, inv1, p + "ln1")
             del d_ffn, centered1, ve1, inv1
+            att = attention(q, key, peak, total)[0]
+            del peak, total
             d_ctx = split(dense(g, lambda: merge(np.matmul(att, v)), p + "attn.wo", p + "attn.ob"))
             d_att = np.matmul(d_ctx, v.swapaxes(-1, -2))
             d_v = np.matmul(att.swapaxes(-1, -2), d_ctx)
@@ -500,9 +523,10 @@ class TransformerClassifier:
     fixed sinusoidal positional code and passed through the encoder blocks,
     all as one fused tape node (:func:`transformer_encoder`); then they are
     averaged over time and classified by a ReLU dense layer plus sigmoid
-    unit, which stay on the tape.  A 32-row training forward holds 33.1 MiB
+    unit, which stay on the tape.  A 32-row training forward holds 24.6 MiB
     of tape, because the encoder's backward recomputes its layer-norm
-    outputs, merged attention contexts and ReLU masks instead of saving them.
+    outputs, attention weights, merged attention contexts and ReLU outputs
+    instead of saving them.
     """
 
     name = "transformer"
@@ -667,7 +691,7 @@ def train_local(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *,
     trained in place, so training owns it: no other thread may use it
     meanwhile.  Each step drops the previous step's weight gradients before
     its forward pass, so they are not held while its tape is built: one
-    Transformer client over 2 x 32 rows peaks at 42.3 MiB of traced
+    Transformer client over 2 x 32 rows peaks at 34.2 MiB of traced
     allocations.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -728,17 +752,17 @@ def input_gradient(model, x: np.ndarray, y: np.ndarray, alpha: float = 0.25,
 # workers: a federated round's clients and an attack's row blocks
 
 # Each worker holds a live tape, and a round's worker its own model instance.
-# A Transformer training worker's tape holds 33.1 MiB of traced allocations
+# A Transformer training worker's tape holds 24.6 MiB of traced allocations
 # after a 32-row forward (the fused encoder recomputes in backward what it
 # does not save), and one client's train_local over 2 x 32 rows peaks at
-# 42.3 MiB, so peak memory grows by about that per worker; row-block workers
+# 34.2 MiB, so peak memory grows by about that per worker; row-block workers
 # share their model's ROW_BLOCK rows and the model itself, and a 16-row
-# Transformer input_gradient peaks at 16.3 MiB.  Speed and peak memory were
+# Transformer input_gradient peaks at 13.8 MiB.  Speed and peak memory were
 # measured on 2 cores only (BENCH_9.json and BENCH_10.json, BENCH_12.json for
 # LSTM rounds, BENCH_16.json for the lean Transformer step, BENCH_17.json for
-# its freed intermediates, BENCH_19.json for its 32-row blocks and
-# BENCH_20.json for the fused encoder); more workers stay unmeasured until
-# pairs on a larger machine are recorded.
+# its freed intermediates, BENCH_19.json for its 32-row blocks, BENCH_20.json
+# for the fused encoder and BENCH_22.json for its one tape layout); more
+# workers stay unmeasured until pairs on a larger machine are recorded.
 MAX_WORKERS = 2
 
 
@@ -749,6 +773,20 @@ class _TaskThread(threading.local):
 
 
 _task_thread = _TaskThread()
+
+
+# The environment variables a BLAS build reads its thread count from.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_build() -> dict[str, str]:
+    """The name and version of the BLAS numpy was built against, each ""
+    where numpy does not say."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (AttributeError, KeyError, TypeError):
+        blas = {}
+    return {"name": str(blas.get("name", "")), "version": str(blas.get("version", ""))}
 
 
 def _workers() -> int:
@@ -766,12 +804,8 @@ def _workers() -> int:
     """
     if _task_thread.busy:
         return 1
-    try:
-        blas = str(np.__config__.CONFIG["Build Dependencies"]["blas"]["name"])
-    except (AttributeError, KeyError):
-        blas = ""
-    names = ("MKL_NUM_THREADS" if "mkl" in blas.lower() else "OPENBLAS_NUM_THREADS",
-             "OMP_NUM_THREADS")
+    names = ("MKL_NUM_THREADS" if "mkl" in blas_build()["name"].lower()
+             else "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
     threads = next((os.environ[name] for name in names if name in os.environ), None)
     if threads != "1":
         return 1

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fedmeter import autodiff as ad
 from fedmeter import cli
 from fedmeter import experiment as ex
+from fedmeter import models as md
 from fedmeter.attacks import awgn
 from fedmeter.experiment import (ConfigError, DataConfig, ExperimentConfig,
                                  apply_override, build_client_data, config_from_dict,
@@ -409,6 +410,32 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.output_dir == str(tmp_path / "relative_run")
         assert (tmp_path / "relative_run" / "metrics.csv").exists()
+
+    def test_manifest_records_each_runs_blas_threads(self, tmp_path):
+        # a run's bits can depend on the BLAS thread count, so each run's
+        # manifest says which it ran with; the child imports this fedmeter
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        manifests = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "fedmeter.cli", "federate", "--model", "lstm",
+                 "--setting", "federated", "--seed", "0", "--out", str(out),
+                 "--set", "data.households=3", "--set", "data.days=30",
+                 "--set", "federation.rounds=2", "--set", "federation.local_epochs=1"],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            manifests[threads] = json.loads((out / "manifest.json").read_text())
+        for threads, manifest in manifests.items():
+            assert manifest["blas"] == md.blas_build()
+            assert manifest["blas"]["name"] and manifest["blas"]["version"]
+            assert sorted(manifest["blas_thread_env"]) == sorted(md.BLAS_THREAD_VARS)
+            assert manifest["blas_thread_env"]["OPENBLAS_NUM_THREADS"] == threads
+            assert 1 <= manifest["workers"] <= md.MAX_WORKERS
+        if "openblas" in md.blas_build()["name"]:  # which reads OPENBLAS_NUM_THREADS
+            assert manifests["2"]["workers"] == 1
 
 
 class TestCli:

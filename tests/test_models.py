@@ -657,14 +657,25 @@ class TestLeanLstmTape:
 
 
 class TestLeanTransformerTape:
-    """What a Transformer training step holds: no saved normed array in layer
-    norm, and no previous step's weight gradients while the tape is built."""
+    """What a Transformer training step holds: one encoder tape layout for
+    training and attacks, with no array that backward can recompute, and no
+    previous step's weight gradients while the tape is built."""
 
     @staticmethod
     def batch(rows):
         rng = np.random.default_rng(0)
         return (rng.uniform(0, 1, size=(rows, 24)),
                 (rng.uniform(size=rows) < 0.3).astype(np.float64))
+
+    @staticmethod
+    def encoder_held(model, x, trains):
+        """(shape, dtype) of each array the encoder's tape holds for ``x``,
+        with every weight trained or every weight frozen."""
+        params = {k: ad.Tensor(p.data, requires_grad=trains) for k, p in model.params.items()}
+        out = md.transformer_encoder(ad.Tensor(x, requires_grad=not trains), params,
+                                     model.pos_encoding)
+        return sorted((shape, dtype.name) for shape, dtype, _, _ in tape_inventory(
+            out, [p.data for p in params.values()] + [model.pos_encoding]))
 
     def test_training_forward_holds_a_small_tape(self):
         model = TransformerClassifier(seed=0)
@@ -679,8 +690,10 @@ class TestLeanTransformerTape:
         assert np.isfinite(loss.item())
         # 57.1 MiB with normed saved by every trained-gamma layer norm; 47.7
         # MiB with the layer-norm outputs, merged contexts and ReLU masks
-        # that the fused encoder recomputes in backward
-        assert held < 35 * 2**20
+        # that the fused encoder recomputes in backward; 33.1 MiB with the
+        # attention weights and ReLU outputs, which it now recomputes too
+        # (24.6 MiB measured)
+        assert held < 25.5 * 2**20
 
     def test_training_tape_holds_nothing_backward_can_recompute(self):
         model = TransformerClassifier(seed=0)
@@ -692,35 +705,49 @@ class TestLeanTransformerTape:
         # the composed tape's linears held each layer-norm output and merged
         # context, (32, 24, 160) each, for their weight gradients
         assert [row for row in held if row[3] == "linear" and row[0] == width] == []
-        assert [row for row in held if row[1] == bool and len(row[0]) == 3] == []  # ReLU masks
-        # per block q, k and v in head layout, the attention weights, two
-        # layer norms' centered and per-row values and the ReLU output;
-        # and the batch, to recompute block 0's input
+        # nor the attention weights or the ReLU output, which backward
+        # re-forms from q and k and from the first layer norm's output
+        assert [row for row in held if row[0] in (
+            (32 * md.NUM_HEADS, md.SEQ_LEN, md.SEQ_LEN), (32, md.SEQ_LEN, md.FFN_HIDDEN),
+            (32 * md.SEQ_LEN, md.FFN_HIDDEN)) and row[1] != bool] == []
+        # per block q, k and v in head layout, the softmax's row max and
+        # sum, two layer norms' centered and per-row values and the ReLU
+        # mask; and the batch, to recompute block 0's input
         encoder = sorted((shape, dtype.name) for shape, dtype, _, rule in held
                          if rule == "transformer_encoder")
         heads = (32, md.NUM_HEADS, md.SEQ_LEN, md.HEAD_DIM)  # the buffer under the head view
         assert encoder == sorted(
             [(heads, "float64")] * 15
-            + [((32 * md.NUM_HEADS, md.SEQ_LEN, md.SEQ_LEN), "float64")] * 5
+            + [((32 * md.NUM_HEADS, md.SEQ_LEN, 1), "float64")] * 10
             + [(width, "float64")] * 10 + [((32, md.SEQ_LEN, 1), "float64")] * 20
-            + [((32 * md.SEQ_LEN, md.FFN_HIDDEN), "float64")] * 5
+            + [((32, md.SEQ_LEN, md.FFN_HIDDEN), "bool")] * 5
             + [((32, md.SEQ_LEN), "float64")])
-        assert sum(size for _, _, size, _ in held) < 34 * 2**20
+        # 24.5 MiB in the encoder, measured
+        assert sum(size for _, _, size, _ in held) < 25 * 2**20
 
-    def test_frozen_weights_hold_what_the_composed_tape_held(self):
+    def test_training_and_attacks_hold_the_same_encoder_arrays(self):
         model = TransformerClassifier(seed=0)
         x, _ = self.batch(32)
+        assert self.encoder_held(model, x, True) == self.encoder_held(model, x, False)
 
-        def held(encoder):
-            params = {k: ad.Tensor(p.data) for k, p in model.params.items()}
-            out = encoder(ad.Tensor(x, requires_grad=True), params, model.pos_encoding)
-            return sorted((shape, dtype.name) for shape, dtype, _, _ in tape_inventory(
-                out, [p.data for p in params.values()] + [model.pos_encoding]) if shape)
-
-        # both hold the attention's arrays, layer-norm statistics and ReLU
-        # masks; the fused encoder also keeps the batch, for training's sake
-        assert held(md.transformer_encoder) == sorted(
-            held(composed_transformer_encoder) + [((32, md.SEQ_LEN), "float64")])
+    def test_frozen_weights_hold_composed_tape_minus_attention(self):
+        model = TransformerClassifier(seed=0)
+        x, _ = self.batch(32)
+        params = {k: ad.Tensor(p.data) for k, p in model.params.items()}
+        out = composed_transformer_encoder(ad.Tensor(x, requires_grad=True), params,
+                                           model.pos_encoding)
+        composed = sorted((shape, dtype.name) for shape, dtype, _, _ in tape_inventory(
+            out, [p.data for p in params.values()] + [model.pos_encoding]) if shape)
+        attention_weights = ((32 * md.NUM_HEADS, md.SEQ_LEN, md.SEQ_LEN), "float64")
+        assert composed.count(attention_weights) == 5
+        # both hold q, k and v, layer-norm statistics and ReLU masks; the
+        # fused encoder re-forms the attention weights in backward from q, k
+        # and the softmax's row max and sum, and keeps the batch, for
+        # training's sake
+        row_stats = [((32 * md.NUM_HEADS, md.SEQ_LEN, 1), "float64")] * 10
+        assert self.encoder_held(model, x, False) == sorted(
+            [a for a in composed if a != attention_weights] + row_stats
+            + [((32, md.SEQ_LEN), "float64")])
 
     def test_one_client_peaks_low(self):
         model = TransformerClassifier(seed=0)
@@ -735,8 +762,10 @@ class TestLeanTransformerTape:
             tracemalloc.stop()
         # 73.4 MiB with normed saved and the last step's gradients alive
         # while the next tape is built; 58.2 MiB with softmax's three arrays
-        # and the forward's dead locals; 56.6 MiB before the fused encoder
-        assert peak < 45 * 2**20
+        # and the forward's dead locals; 56.6 MiB before the fused encoder;
+        # 42.0 MiB with the attention weights and ReLU outputs saved (34.2
+        # MiB measured)
+        assert peak < 35 * 2**20
 
     def test_forward_never_sees_a_weight_gradient(self, model, monkeypatch):
         x, y = self.batch(10)
@@ -770,8 +799,9 @@ class TestNoDeadIntermediates:
         finally:
             tracemalloc.stop()
         # 35.5 MiB with softmax's three arrays, the bound scaled scores and
-        # each block's input and sublayer output alive inside layer norm
-        assert peak < 33.5 * 2**20
+        # each block's input and sublayer output alive inside layer norm;
+        # 32.6 MiB with the attention weights saved (27.5 MiB measured)
+        assert peak < 28 * 2**20
 
     def test_predict_proba_holds_no_tape(self, monkeypatch):
         monkeypatch.setattr(md, "_workers", lambda: 1)  # two 32-row blocks
@@ -799,8 +829,9 @@ class TestNoDeadIntermediates:
             tracemalloc.stop()
         assert np.isfinite(loss.item())
         # 52.3 MiB with the same dead intermediates alive; 49.5 MiB before
-        # the fused encoder
-        assert peak < 36 * 2**20
+        # the fused encoder; 34.8 MiB with the attention weights and ReLU
+        # outputs saved (26.5 MiB measured)
+        assert peak < 27.5 * 2**20
 
     @settings(max_examples=200, deadline=None)
     @example(x=np.array([[[1e308, -1e308, 5.0], [-7e300, -7e300, -7e300],
@@ -983,3 +1014,25 @@ class TestCheckpoints:
         w.pop(sorted(w)[0])
         with pytest.raises(ValueError, match="names"):
             model.set_weights(w)
+
+    def test_set_weights_gives_every_parameter_a_new_array(self, model):
+        # a round hands fedavg a trained model's own parameter arrays, and
+        # that worker's next client starts with set_weights: the arrays
+        # already handed over must never change afterwards
+        handed = {name: p.data for name, p in model.params.items()}
+        values = {name: arr.copy() for name, arr in handed.items()}
+        broadcast = make_model(model.name, seed=5).get_weights()
+        model.set_weights(broadcast)
+        assert [n for n in handed if not np.array_equal(handed[n], values[n])] == []
+        assert [n for n, p in model.params.items() if p.data is handed[n]] == []
+        assert [n for n, p in model.params.items() if p.data is broadcast[n]] == []
+        x = small_batch(seed=2, n=8)
+        train_local(model, x, (x[:, 0] > 0.5).astype(np.float64),
+                    TrainConfig(epochs=2, batch_size=4))
+        # training moved every parameter, and none of the arrays handed over
+        assert [n for n, p in model.params.items() if np.array_equal(p.data, broadcast[n])] == []
+        assert [n for n in handed if not np.array_equal(handed[n], values[n])] == []
+        # and the broadcast map, which every client of the round starts from
+        start = make_model(model.name, seed=5).get_weights()
+        assert [n for n in start if not np.array_equal(broadcast[n], start[n])] == []
+        assert [n for n, p in model.params.items() if p.data is handed[n]] == []
