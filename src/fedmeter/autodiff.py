@@ -24,27 +24,19 @@ after every backward pass, only to be faulted in again by the next forward
 pass.  Setting any of ``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_``
 or ``MALLOC_TOP_PAD_`` leaves glibc's policy to the environment.
 
-The primitives are the few that the models compose with their fused
-kernels, which :func:`custom_op` records.  All data is float64.
+This module is the tape mechanism only.  Every primitive is a fused
+kernel with its own backward rule, recorded by :func:`custom_op`: the
+models' kernels live in :mod:`fedmeter.models`.  All data is float64.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "ShapeError",
-    "backward",
-    "custom_op",
-    "sigmoid",
-    "relu",
-    "mean",
-    "reshape",
-]
+__all__ = ["Tensor", "ShapeError", "backward", "custom_op"]
 
 
 class ShapeError(ValueError):
@@ -133,19 +125,6 @@ class Tensor:
 # ---------------------------------------------------------------------------
 # recording machinery
 
-def _make(out_data: np.ndarray, inputs: tuple[Tensor, ...],
-          backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
-    """Wrap an op result; record a node when any input tracks gradients."""
-    out = Tensor.__new__(Tensor)
-    out.data = out_data
-    out.grad = None
-    out._node = None
-    out.requires_grad = any(t.requires_grad for t in inputs)
-    if out.requires_grad:
-        out._node = _Node(tuple(_grad_target(t) for t in inputs), backward_fn)
-    return out
-
-
 def _grad_target(t: Tensor) -> "_Node | Tensor | None":
     """Where a node sends its input gradient: parent node, leaf, or nowhere."""
     if t._node is not None:
@@ -214,95 +193,23 @@ def _consumed_fn(_g):
     raise RuntimeError("backward rule already consumed")
 
 
-def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a gradient over its leading axes down to ``shape``, its trailing
-    suffix (the gradient of a bias or gain)."""
-    extra = grad.ndim - len(shape)
-    return grad.sum(axis=tuple(range(extra))) if extra > 0 else grad
-
-
-# ---------------------------------------------------------------------------
-# primitives
-
-def _sigmoid_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Overflow-free logistic sigmoid of any finite input, into ``out`` (which
-    may be ``x``) when given.
-
-    ``max(e, x >= 0) / (1 + e)`` with ``e = exp(-|x|) <= 1`` is
-    ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere, bit for
-    bit, in one division and with one float temporary the size of ``x``.
-    """
-    nonneg = x >= 0
-    e = np.abs(x, out=np.empty_like(x) if out is None else out)
-    # not np.negative: in place on a column view with a 64-byte row stride,
-    # numpy 2.4.6 reads the column as if it were contiguous
-    np.multiply(e, -1.0, out=e)
-    np.exp(e, out=e)
-    denom = e + 1.0
-    np.maximum(e, nonneg, out=e)
-    e /= denom
-    return e
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    out = _sigmoid_np(t.data)
-
-    def bw(g):
-        return (g * out * (1.0 - out),)
-
-    return _make(out, (t,), bw)
-
-
-def relu(t: Tensor) -> Tensor:
-    out = np.maximum(t.data, 0.0)
-    mask = t.data > 0
-
-    def bw(g):
-        return (g * mask,)
-
-    return _make(out, (t,), bw)
-
-
-def mean(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = t.data.mean(axis=axis, keepdims=keepdims)
-    shape = t.data.shape
-    count = t.data.size if axis is None else shape[axis]
-
-    def bw(g):
-        if axis is None:
-            return (np.full(shape, float(g) / count),)
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / count, shape).copy(),)
-
-    return _make(np.asarray(out), (t,), bw)
-
-
-def reshape(t: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    out = t.data.reshape(shape)
-    orig = t.data.shape
-
-    def bw(g):
-        return (g.reshape(orig),)
-
-    return _make(out, (t,), bw)
-
-
 def custom_op(out_data: np.ndarray, inputs: tuple[Tensor, ...],
               backward_fn: Callable[[np.ndarray], tuple]) -> Tensor:
     """Record a caller-defined primitive with its own backward rule.
 
-    ``backward_fn`` receives the output gradient and must return one
-    gradient (or None) per input, each matching that input's shape.  It
-    should return None for every input whose ``requires_grad`` was False
-    when the op was recorded (such gradients are discarded), and close over
-    only the arrays the remaining gradients read.  Flags are read at record
-    time; flipping them before :func:`backward` is unsupported.
+    Wraps ``out_data`` in a Tensor, which records a node when any input
+    tracks gradients.  ``backward_fn`` receives the output gradient and must
+    return one gradient (or None) per input, each matching that input's
+    shape.  It should return None for every input whose ``requires_grad``
+    was False when the op was recorded (such gradients are discarded), and
+    close over only the arrays the remaining gradients read.  Flags are read
+    at record time; flipping them before :func:`backward` is unsupported.
     """
-    return _make(np.asarray(out_data, dtype=np.float64), tuple(inputs), backward_fn)
-
-
-def _check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise FloatingPointError(f"{name}: produced non-finite values")
+    out = Tensor.__new__(Tensor)
+    out.data = np.asarray(out_data, dtype=np.float64)
+    out.grad = None
+    out._node = None
+    out.requires_grad = any(t.requires_grad for t in inputs)
+    if out.requires_grad:
+        out._node = _Node(tuple(_grad_target(t) for t in inputs), backward_fn)
+    return out

@@ -299,7 +299,8 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
 
 
 def validate_config(cfg: ExperimentConfig) -> tuple[ExperimentConfig, dict[str, int]]:
-    """Check the config, fill derived values, and list every derived seed.
+    """Check the config, fill derived values, and list the seeds of the
+    run-level streams.
 
     The config is rebuilt through ``config_from_dict``, so one built in code
     or changed with ``setattr`` is type-checked too; range checks run only on
@@ -310,11 +311,10 @@ def validate_config(cfg: ExperimentConfig) -> tuple[ExperimentConfig, dict[str, 
     if problems:
         raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
 
+    # each household's data, injection and split streams have their own
+    # seeds (build_client_data), so none of those is listed
     seeds = {
         "master": cfg.master_seed,
-        "data": derive_seed(cfg.master_seed, "data"),
-        "inject": derive_seed(cfg.master_seed, "inject"),
-        "split": derive_seed(cfg.master_seed, "split"),
         "malicious-assignment": derive_seed(cfg.master_seed, "malicious"),
         "federation": derive_seed(cfg.master_seed, "federation"),
         "central": derive_seed(cfg.master_seed, "central"),
@@ -412,10 +412,11 @@ def _attack_label(spec: AttackSpec) -> str:
             "label_flip": "Label Flip"}[spec.family]
 
 
-def _train(cfg: ExperimentConfig, clients: list[ClientData], out_dir: str,
+def _train(cfg: ExperimentConfig, clients: list[ClientData], emit,
            label: str, attack: AttackSpec, malicious_count: int):
     """Train in the configured setting, with ``malicious_count`` clients (or
-    the pooled data, centrally) poisoned by ``attack``; returns the model."""
+    the pooled data, centrally) poisoned by ``attack``; returns the model.
+    A federated run writes its round log through ``emit``."""
     if cfg.setting == "central":
         x, y, _ = pooled([c.train for c in clients])
         model, _ = run_centralized(
@@ -436,11 +437,10 @@ def _train(cfg: ExperimentConfig, clients: list[ClientData], out_dir: str,
                        local_epochs=cfg.federation.local_epochs,
                        seed=derive_seed(cfg.master_seed, "federation"))
     x_test, y_test, _ = pooled([c.test for c in clients])
-    run_federation(state, cfg.model, cfg.train, cfg.federation.rounds,
-                   eval_x=x_test, eval_y=y_test,
-                   eval_every=max(1, cfg.federation.rounds // 10),
-                   threshold=cfg.threshold,
-                   log_path=os.path.join(out_dir, f"rounds_{label}.jsonl"))
+    emit(f"rounds_{label}.jsonl", lambda p: run_federation(
+        state, cfg.model, cfg.train, cfg.federation.rounds, eval_x=x_test, eval_y=y_test,
+        eval_every=max(1, cfg.federation.rounds // 10), threshold=cfg.threshold,
+        log_path=p))
     return global_model(state, cfg.model)
 
 
@@ -459,7 +459,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         files.append(path)
 
     if cfg.protocol in ("baseline", "inference_attack"):
-        model = _train(cfg, clients, out_dir, "clean", AttackSpec(), 0)
+        model = _train(cfg, clients, emit, "clean", AttackSpec(), 0)
         clean, attacked = evaluate_attacks(
             model, x_test, y_test, (cfg.attack,) if cfg.protocol == "inference_attack" else (),
             rng_for(cfg.master_seed, "attack-eval"), threshold=cfg.threshold,
@@ -474,8 +474,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         emit("final_clean.ckpt", lambda p: save_weights(model.get_weights(), p))
 
     elif cfg.protocol == "training_attack":
-        clean = _train(cfg, clients, out_dir, "clean", AttackSpec(), 0)
-        attacked = _train(cfg, clients, out_dir, f"attacked_{cfg.attack.family}",
+        clean = _train(cfg, clients, emit, "clean", AttackSpec(), 0)
+        attacked = _train(cfg, clients, emit, f"attacked_{cfg.attack.family}",
                           cfg.attack, cfg.federation.malicious_count)
         pred_clean = classify(clean, x_test, cfg.threshold)
         rows.append(metrics_row(label_setting, "No Attack",
@@ -506,7 +506,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         for spec, count, seed_path, label, value, x in points:
             point_cfg = replace(cfg, attack=spec,
                                 master_seed=derive_seed(cfg.master_seed, *seed_path))
-            model = _train(point_cfg, clients, out_dir, label, spec, count)
+            model = _train(point_cfg, clients, emit, label, spec, count)
             metrics = compute_metrics(classify(model, x_test, cfg.threshold), y_test)
             rows.append(metrics_row(label_setting, f"{_attack_label(spec)} {value}",
                                     metrics, None))

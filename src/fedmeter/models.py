@@ -66,6 +66,38 @@ def _wrap_batch(x) -> Tensor:
     return t
 
 
+def _sigmoid_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Overflow-free logistic sigmoid of any finite input, into ``out`` (which
+    may be ``x``) when given.
+
+    ``max(e, x >= 0) / (1 + e)`` with ``e = exp(-|x|) <= 1`` is
+    ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere, bit for
+    bit, in one division and with one float temporary the size of ``x``.
+    """
+    nonneg = x >= 0
+    e = np.abs(x, out=np.empty_like(x) if out is None else out)
+    # not np.negative: in place on a column view with a 64-byte row stride,
+    # numpy 2.4.6 reads the column as if it were contiguous
+    np.multiply(e, -1.0, out=e)
+    np.exp(e, out=e)
+    denom = e + 1.0
+    np.maximum(e, nonneg, out=e)
+    e /= denom
+    return e
+
+
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise FloatingPointError(f"{name}: produced non-finite values")
+
+
+def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a gradient over its leading axes down to ``shape``, its trailing
+    suffix (the gradient of a bias or gain)."""
+    extra = grad.ndim - len(shape)
+    return grad.sum(axis=tuple(range(extra))) if extra > 0 else grad
+
+
 def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
     """Full LSTM recurrence over the sequence as one fused tape primitive.
 
@@ -110,7 +142,7 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
         # one sigmoid pass over all four gates in place, then the
         # candidate's tanh over its sigmoid
         gg = np.tanh(gates[:, g_])
-        ad._sigmoid_np(gates, out=gates)
+        _sigmoid_np(gates, out=gates)
         gates[:, g_] = gg
         c = gates[:, f_] * c
         c += gates[:, i_] * gg
@@ -174,7 +206,7 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``x @ w + b`` over the last axis of ``x``, one gemm on ``x`` flattened
-    to 2-D: the forward arithmetic of :func:`linear`."""
+    to 2-D: the bits of a matmul node followed by a bias add."""
     out = x.reshape(-1, w.shape[0]) @ w
     out += b
     return out.reshape(x.shape[:-1] + w.shape[1:])
@@ -188,25 +220,33 @@ def _affine_grads(g: np.ndarray, x: np.ndarray | None, w: np.ndarray | None,
     g2 = g.reshape(-1, g.shape[-1])
     return (None if w is None else (g2 @ w.T).reshape(g.shape[:-1] + w.shape[:1]),
             None if x is None else x.reshape(-1, x.shape[-1]).T @ g2,
-            ad._reduce_to(g, g.shape[-1:]) if need_b else None)
+            _reduce_to(g, g.shape[-1:]) if need_b else None)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for a 2-D or 3-D ``x`` as one fused tape primitive.
+def sigmoid_head(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """The anomaly probabilities ``sigmoid(h @ w + b)`` of a (batch, features)
+    ``h`` and a one-unit ``w`` and ``b``, as one fused tape primitive;
+    returns (batch,).
 
-    A 3-D ``x`` is flattened so the product is one gemm.  The result and the
-    gradients are bit-identical to a matmul node followed by a bias add.
-    Saved for backward: ``x`` when ``w`` requires grad and ``w`` when ``x``
-    does; nothing for ``b``.
+    The forward runs the numpy expressions of the composed linear, sigmoid
+    and reshape nodes, and the backward replays their rules in the reverse
+    order, so values and gradients are bit-identical to that chain, which
+    the test suite keeps as the oracle.  Saved for backward: the
+    probabilities, ``h`` when ``w`` requires grad and ``w`` when ``h`` does.
     """
-    sx, sw, sb = x.shape, w.shape, b.shape
-    if x.ndim not in (2, 3) or w.ndim != 2 or sx[-1] != sw[0] or sb != sw[1:]:
-        raise ad.ShapeError(f"linear: shapes {sx}, {sw} and {sb} do not conform")
-    x_saved = x.data if w.requires_grad else None
-    w_saved = w.data if x.requires_grad else None
+    sh, sw, sb = h.shape, w.shape, b.shape
+    if h.ndim != 2 or sw != (sh[1], 1) or sb != (1,):
+        raise ad.ShapeError(f"sigmoid_head: shapes {sh}, {sw} and {sb} do not conform")
+    h_saved = h.data if w.requires_grad else None
+    w_saved = w.data if h.requires_grad else None
     need_b = b.requires_grad
-    return ad.custom_op(_affine(x.data, w.data, b.data), (x, w, b),
-                        lambda g: _affine_grads(g, x_saved, w_saved, need_b))
+    p = _sigmoid_np(_affine(h.data, w.data, b.data))
+
+    def bw(g):
+        g = g.reshape(p.shape)
+        return _affine_grads(g * p * (1.0 - p), h_saved, w_saved, need_b)
+
+    return ad.custom_op(p.reshape(sh[0]), (h, w, b), bw)
 
 
 def _layer_norm_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,7 +256,7 @@ def _layer_norm_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     centered = x - x.mean(axis=-1, keepdims=True)
     ve = (centered * centered).mean(axis=-1, keepdims=True) + 1e-6
     inv = ve ** -0.5
-    ad._check_finite("layer_norm", inv)
+    _check_finite("layer_norm", inv)
     return centered, ve, inv
 
 
@@ -257,7 +297,7 @@ def _layer_norm_grads(g: np.ndarray, centered: np.ndarray, ve: np.ndarray | None
         np.multiply(d_sq, centered, out=scratch)
         d_t += scratch
         d_t += scratch
-        # not np.negative in place: see autodiff._sigmoid_np
+        # not np.negative in place: see _sigmoid_np
         np.multiply(d_t, -1.0, out=scratch)
         d_t += scratch.sum(axis=-1, keepdims=True) / d
         del scratch
@@ -267,30 +307,33 @@ def _layer_norm_grads(g: np.ndarray, centered: np.ndarray, ve: np.ndarray | None
         # as the composed tape's saved normed
         normed = centered * inv
         normed *= g
-        d_gamma = ad._reduce_to(normed, (d,))
-    return d_t, d_gamma, ad._reduce_to(g, (d,)) if need_beta else None
+        d_gamma = _reduce_to(normed, (d,))
+    return d_t, d_gamma, _reduce_to(g, (d,)) if need_beta else None
 
 
 def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -> Tensor:
-    """The Transformer from its batch of readings to the last block's output,
-    as one fused tape primitive; returns (batch, SEQ_LEN, D_MODEL).
+    """The Transformer from its batch of readings to its dense head's ReLU
+    output, as one fused tape primitive; returns (batch, DENSE_HIDDEN).
 
     Each reading is embedded by ``emb.w`` and ``emb.b``, scaled by
     sqrt(D_MODEL) so that it is not drowned out by the unit-magnitude
     positional code ``pos``, and summed with it.  Then come NUM_BLOCKS
     post-norm blocks, ``blk{k}.*`` in ``params``: multi-head self-attention,
     then a ReLU feed-forward layer, each added to its input and layer-normed.
+    The last block's output is averaged over time and passed through the
+    ReLU dense layer ``head.dense.*``; :func:`sigmoid_head` classifies it.
 
     The forward runs the numpy expressions of the composed tape in its order
-    (:func:`linear`'s arithmetic, layer norm's in ``_layer_norm_stats``,
-    ``_layer_norm_out`` and ``_layer_norm_grads``, softmax, and the
-    copies that split and merge the heads), and the backward replays that
-    tape's arithmetic step for step.  Gradients that meet at one array are
-    summed in the tape's order: at a block's input, the residual's first,
-    then those through q, k and v.  So values and gradients are bit-identical
-    to the composed tape, which the test suite keeps as the oracle.
+    (``_affine``'s arithmetic, layer norm's in ``_layer_norm_stats``,
+    ``_layer_norm_out`` and ``_layer_norm_grads``, softmax, the copies that
+    split and merge the heads, and the mean over time), and the backward
+    replays that tape's arithmetic step for step.  Gradients that meet at
+    one array are summed in the tape's order: at a block's input, the
+    residual's first, then those through q, k and v.  So values and
+    gradients are bit-identical to the composed tape, which the test suite
+    keeps as the oracle.
 
-    Saved for backward, per block, whether weights or only ``x`` need a
+    Saved for backward, per block, when ``x`` or any encoder weight needs a
     gradient (training or an attack): q, k and v in head layout, the
     softmax's row max and sum, both layer norms' ``centered``, ``var + 1e-6``
     and ``inv``, and the ReLU mask; 24.5 MiB at 32 rows.  The backward
@@ -299,8 +342,9 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
     output, the merged attention context and, for ``ffn.w2``'s gradient, the
     ReLU output, with the forward's own expressions, so with the same bits.
     Keeping the row max and sum (0.5 MiB at 32 rows) spares backward two of
-    the softmax's five passes.  When nothing needs a gradient it saves
-    nothing.
+    the softmax's five passes.  The head saves its ReLU mask, and the pooled
+    block output only for ``head.dense.w``'s gradient.  When nothing needs a
+    gradient it saves nothing.
     """
     x_np = x.data
     batch = x_np.shape[0]
@@ -308,9 +352,12 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
     names = ["emb.w", "emb.b"] + [f"blk{k}.{name}" for k in range(NUM_BLOCKS) for name in (
         "attn.wq", "attn.qb", "attn.wk", "attn.kb", "attn.wv", "attn.vb", "attn.wo", "attn.ob",
         "ln1.gamma", "ln1.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln2.gamma", "ln2.beta")]
+    names += ["head.dense.w", "head.dense.b"]
     w = {name: params[name].data for name in names}
     need = {name: params[name].requires_grad for name in names}
-    need_x, train = x.requires_grad, any(need.values())
+    need_x = x.requires_grad
+    # whether backward runs on through the blocks, past the dense head
+    deep = need_x or any(need[name] for name in names[:-2])
     emb_scale = np.sqrt(float(d))
     att_scale = 1.0 / np.sqrt(hd)
 
@@ -362,7 +409,7 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
     # per block, in this order: q, k, the softmax's row max and sum, v, the
     # first layer norm's statistics, the ReLU mask, the second's
     saved: list[np.ndarray] = []
-    keep = saved.extend if need_x or train else lambda arrays: None
+    keep = saved.extend if deep else lambda arrays: None
     # each intermediate is dropped after its last reader, and worked in place
     # where the composed tape's next node made a new array of the same values
     h = embed()
@@ -394,6 +441,13 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
         h = _layer_norm_out(stats[0], stats[2], w[p + "ln2.gamma"], w[p + "ln2.beta"])
         keep(stats)
         del stats
+    pooled = h.mean(axis=1)
+    del h
+    out = _affine(pooled, w["head.dense.w"], w["head.dense.b"])
+    live = out > 0
+    np.maximum(out, 0.0, out=out)
+    if not need["head.dense.w"]:
+        pooled = None
 
     def bw(g):
         grads: dict[str, np.ndarray | None] = {}
@@ -412,6 +466,11 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
                 need[prefix + ".beta"])
             return d_t
 
+        g = dense(g * live, lambda: pooled, "head.dense.w", "head.dense.b", need_in=deep)
+        if not deep:
+            return (None, *(grads.get(name) for name in names))
+        # the mean's backward over time
+        g = np.broadcast_to(np.expand_dims(g, 1) / SEQ_LEN, (batch, SEQ_LEN, d)).copy()
         for k in reversed(range(NUM_BLOCKS)):
             p = f"blk{k}."
             q, key, peak, total, v, centered1, ve1, inv1, mask, centered2, ve2, inv2 = saved[-12:]
@@ -469,7 +528,7 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
         return (None if d_flat is None else d_flat.reshape(batch, SEQ_LEN),
                 *(grads[name] for name in names))
 
-    return ad.custom_op(h, (x, *(params[name] for name in names)), bw)
+    return ad.custom_op(out, (x, *(params[name] for name in names)), bw)
 
 
 class LstmClassifier:
@@ -492,12 +551,9 @@ class LstmClassifier:
         }
 
     def forward(self, x) -> Tensor:
-        xt = _wrap_batch(x)
-        batch = xt.shape[0]
         p = self.params
-        h = lstm_sequence(xt, p["lstm.wx"], p["lstm.wh"], p["lstm.b"])
-        logits = linear(h, p["head.w"], p["head.b"])
-        return ad.reshape(ad.sigmoid(logits), (batch,))
+        h = lstm_sequence(_wrap_batch(x), p["lstm.wx"], p["lstm.wh"], p["lstm.b"])
+        return sigmoid_head(h, p["head.w"], p["head.b"])
 
     def get_weights(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.params.items()}
@@ -520,13 +576,13 @@ class TransformerClassifier:
     """Post-norm Transformer encoder over embedded hourly readings.
 
     Scalar readings are linearly embedded to the model width, summed with a
-    fixed sinusoidal positional code and passed through the encoder blocks,
-    all as one fused tape node (:func:`transformer_encoder`); then they are
-    averaged over time and classified by a ReLU dense layer plus sigmoid
-    unit, which stay on the tape.  A 32-row training forward holds 24.6 MiB
-    of tape, because the encoder's backward recomputes its layer-norm
-    outputs, attention weights, merged attention contexts and ReLU outputs
-    instead of saving them.
+    fixed sinusoidal positional code, passed through the encoder blocks,
+    averaged over time and fed to a ReLU dense layer, all as one fused tape
+    node (:func:`transformer_encoder`); a sigmoid unit
+    (:func:`sigmoid_head`) classifies the result.  A 32-row training forward
+    holds 24.6 MiB of tape, because the encoder's backward recomputes its
+    layer-norm outputs, attention weights, merged attention contexts and
+    ReLU outputs instead of saving them.
     """
 
     name = "transformer"
@@ -562,12 +618,9 @@ class TransformerClassifier:
         self.pos_encoding = sinusoidal_positions(SEQ_LEN, d)
 
     def forward(self, x) -> Tensor:
-        xt = _wrap_batch(x)
         p = self.params
-        pooled = ad.mean(transformer_encoder(xt, p, self.pos_encoding), axis=1)
-        dense = ad.relu(linear(pooled, p["head.dense.w"], p["head.dense.b"]))
-        logits = linear(dense, p["head.out.w"], p["head.out.b"])
-        return ad.reshape(ad.sigmoid(logits), (xt.shape[0],))
+        h = transformer_encoder(_wrap_batch(x), p, self.pos_encoding)
+        return sigmoid_head(h, p["head.out.w"], p["head.out.b"])
 
     def get_weights(self) -> dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.params.items()}
@@ -637,7 +690,7 @@ def focal_loss(p: Tensor, y: np.ndarray, alpha: float = 0.25,
     alpha_t = alpha * y + (1.0 - alpha) * not_y
     far = 1.0 - pt
     weight = alpha_t * far ** gamma
-    ad._check_finite("focal loss", weight)
+    _check_finite("focal loss", weight)
     log_pt = np.log(pt)
     loss = (-1.0 * (weight * log_pt)).mean()
 
@@ -757,12 +810,11 @@ def input_gradient(model, x: np.ndarray, y: np.ndarray, alpha: float = 0.25,
 # does not save), and one client's train_local over 2 x 32 rows peaks at
 # 34.2 MiB, so peak memory grows by about that per worker; row-block workers
 # share their model's ROW_BLOCK rows and the model itself, and a 16-row
-# Transformer input_gradient peaks at 13.8 MiB.  Speed and peak memory were
-# measured on 2 cores only (BENCH_9.json and BENCH_10.json, BENCH_12.json for
-# LSTM rounds, BENCH_16.json for the lean Transformer step, BENCH_17.json for
-# its freed intermediates, BENCH_19.json for its 32-row blocks, BENCH_20.json
-# for the fused encoder and BENCH_22.json for its one tape layout); more
-# workers stay unmeasured until pairs on a larger machine are recorded.
+# Transformer input_gradient peaks at 13.8 MiB.  Two workers against one were
+# measured on 2 cores only (BENCH_9.json and BENCH_10.json for the
+# Transformer, BENCH_12.json and BENCH_15.json for the LSTM; BENCH_23.json
+# has today's figures); more workers stay unmeasured until pairs on a larger
+# machine are recorded.
 MAX_WORKERS = 2
 
 

@@ -3,11 +3,12 @@
 Each oracle builds its result from elementary tape primitives, one node per
 numpy expression, as the models did before their kernels were fused.  The
 fused kernels in ``fedmeter.models`` must reproduce them bit for bit.  The
-primitives that only these oracles use live here, not in
-``fedmeter.autodiff``: the elementwise ``add``, ``sub``, ``mul``, ``log``,
-``power`` and ``clip``, and ``broadcast_to``, ``matmul``, ``softmax`` and
-``transpose``.  So does ``layer_norm``, the encoder's layer-norm arithmetic
-as one primitive, which the encoder runs inline.
+primitives live here, not in ``fedmeter.autodiff``, which keeps only the tape
+mechanism: the elementwise ``add``, ``sub``, ``mul``, ``log``, ``power``,
+``clip``, ``sigmoid`` and ``relu``, and ``mean``, ``reshape``,
+``broadcast_to``, ``matmul``, ``softmax`` and ``transpose``.  So do
+``linear`` and ``layer_norm``, which wrap the arithmetic that the models'
+kernels run inline, each as one primitive, so that their bit tests pin it.
 
 Broadcasting in ``add``, ``sub`` and ``mul`` is deliberately restricted to
 two patterns -- scalar with tensor, and a trailing-suffix operand (bias/gain
@@ -113,7 +114,7 @@ def power(t, p: float):
     """Elementwise ``t ** p`` for a constant real exponent."""
     p = float(p)
     out = t.data ** p
-    ad._check_finite("power", out)
+    md._check_finite("power", out)
     x = t.data
 
     def bw(g):
@@ -129,6 +130,37 @@ def clip(t, lo: float, hi: float):
     out = np.clip(t.data, lo, hi)
     mask = (t.data >= lo) & (t.data <= hi)
     return ad.custom_op(out, (t,), lambda g: (g * mask,))
+
+
+def sigmoid(t):
+    out = md._sigmoid_np(t.data)
+    return ad.custom_op(out, (t,), lambda g: (g * out * (1.0 - out),))
+
+
+def relu(t):
+    out = np.maximum(t.data, 0.0)
+    mask = t.data > 0
+    return ad.custom_op(out, (t,), lambda g: (g * mask,))
+
+
+def mean(t, axis: int | None = None, keepdims: bool = False):
+    out = t.data.mean(axis=axis, keepdims=keepdims)
+    shape = t.data.shape
+    count = t.data.size if axis is None else shape[axis]
+
+    def bw(g):
+        if axis is None:
+            return (np.full(shape, float(g) / count),)
+        if not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g / count, shape).copy(),)
+
+    return ad.custom_op(np.asarray(out), (t,), bw)
+
+
+def reshape(t, shape):
+    orig = t.data.shape
+    return ad.custom_op(t.data.reshape(tuple(shape)), (t,), lambda g: (g.reshape(orig),))
 
 
 def broadcast_to(t, shape):
@@ -212,6 +244,21 @@ def transpose(t, axes):
     return ad.custom_op(out, (t,), lambda g: (np.transpose(g, inverse),))
 
 
+def linear(x, w, b):
+    """``x @ w + b`` for a 2-D or 3-D ``x`` as one primitive over the
+    models' ``_affine`` arithmetic, which their kernels run inline.  Saved
+    for backward: ``x`` when ``w`` requires grad and ``w`` when ``x`` does;
+    nothing for ``b``."""
+    sx, sw, sb = x.shape, w.shape, b.shape
+    if x.ndim not in (2, 3) or w.ndim != 2 or sx[-1] != sw[0] or sb != sw[1:]:
+        raise ad.ShapeError(f"linear: shapes {sx}, {sw} and {sb} do not conform")
+    x_saved = x.data if w.requires_grad else None
+    w_saved = w.data if x.requires_grad else None
+    need_b = b.requires_grad
+    return ad.custom_op(md._affine(x.data, w.data, b.data), (x, w, b),
+                        lambda g: md._affine_grads(g, x_saved, w_saved, need_b))
+
+
 def layer_norm(t, gamma, beta):
     """Normalise over the last axis, then scale by ``gamma`` and shift by ``beta``.
 
@@ -244,16 +291,16 @@ def layer_norm(t, gamma, beta):
 
 def composed_layer_norm(t, gamma, beta):
     """Layer norm from elementary primitives: the oracle for ``layer_norm``."""
-    mu = ad.mean(t, axis=-1, keepdims=True)
+    mu = mean(t, axis=-1, keepdims=True)
     centered = sub(t, broadcast_to(mu, t.shape))
-    var = ad.mean(mul(centered, centered), axis=-1, keepdims=True)
+    var = mean(mul(centered, centered), axis=-1, keepdims=True)
     inv = power(add(var, ad.Tensor(1e-6)), -0.5)
     normed = mul(centered, broadcast_to(inv, t.shape))
     return add(mul(normed, gamma), beta)
 
 
 def composed_linear(x, w, b):
-    """Matmul then bias from elementary primitives: the oracle for ``md.linear``."""
+    """Matmul then bias from elementary primitives: the oracle for ``linear``."""
     return add(matmul(x, w), b)
 
 
@@ -266,7 +313,13 @@ def composed_focal_loss(p, y, alpha: float = 0.25, gamma: float = 2.0):
     pt = clip(pt, md._P_EPS, 1.0 - md._P_EPS)
     alpha_t = ad.Tensor(alpha * y + (1.0 - alpha) * (1.0 - y))
     weight = mul(alpha_t, power(sub(ad.Tensor(1.0), pt), gamma))
-    return ad.mean(mul(ad.Tensor(-1.0), mul(weight, log(pt))))
+    return mean(mul(ad.Tensor(-1.0), mul(weight, log(pt))))
+
+
+def composed_sigmoid_head(h, w, b):
+    """The linear, sigmoid and reshape nodes: the oracle for
+    ``md.sigmoid_head``."""
+    return reshape(sigmoid(linear(h, w, b)), (h.shape[0],))
 
 
 def composed_attention(h, p, k):
@@ -275,34 +328,34 @@ def composed_attention(h, p, k):
     nh, hd, d, steps = md.NUM_HEADS, md.HEAD_DIM, md.D_MODEL, md.SEQ_LEN
 
     def heads(t):
-        t = ad.reshape(t, (batch, steps, nh, hd))
-        return ad.reshape(transpose(t, (0, 2, 1, 3)), (batch * nh, steps, hd))
+        t = reshape(t, (batch, steps, nh, hd))
+        return reshape(transpose(t, (0, 2, 1, 3)), (batch * nh, steps, hd))
 
-    q = heads(md.linear(h, p[f"blk{k}.attn.wq"], p[f"blk{k}.attn.qb"]))
-    key = heads(md.linear(h, p[f"blk{k}.attn.wk"], p[f"blk{k}.attn.kb"]))
-    v = heads(md.linear(h, p[f"blk{k}.attn.wv"], p[f"blk{k}.attn.vb"]))
+    q = heads(linear(h, p[f"blk{k}.attn.wq"], p[f"blk{k}.attn.qb"]))
+    key = heads(linear(h, p[f"blk{k}.attn.wk"], p[f"blk{k}.attn.kb"]))
+    v = heads(linear(h, p[f"blk{k}.attn.wv"], p[f"blk{k}.attn.vb"]))
     weights = softmax(mul(matmul(q, transpose(key, (0, 2, 1))),
                           ad.Tensor(1.0 / np.sqrt(hd))), axis=-1)
-    ctx = ad.reshape(matmul(weights, v), (batch, nh, steps, hd))
-    merged = ad.reshape(transpose(ctx, (0, 2, 1, 3)), (batch, steps, d))
-    return md.linear(merged, p[f"blk{k}.attn.wo"], p[f"blk{k}.attn.ob"])
+    ctx = reshape(matmul(weights, v), (batch, nh, steps, hd))
+    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, steps, d))
+    return linear(merged, p[f"blk{k}.attn.wo"], p[f"blk{k}.attn.ob"])
 
 
 def composed_transformer_encoder(x, params, pos):
-    """The Transformer encoder as a tape of elementary nodes: the oracle for
-    ``md.transformer_encoder``.  Its linear nodes are looked up on ``md``
-    and its layer-norm nodes on this module, so a test may swap in their
-    composed oracles too."""
+    """The Transformer encoder and its ReLU dense head as a tape of
+    elementary nodes: the oracle for ``md.transformer_encoder``.  Its linear
+    and layer-norm nodes are looked up on this module, so a test may swap in
+    their composed oracles too."""
     batch, d = x.shape[0], md.D_MODEL
     p = params
-    flat = ad.reshape(x, (batch * md.SEQ_LEN, 1))
-    emb = md.linear(flat, p["emb.w"], p["emb.b"])
+    flat = reshape(x, (batch * md.SEQ_LEN, 1))
+    emb = linear(flat, p["emb.w"], p["emb.b"])
     emb = mul(emb, ad.Tensor(np.sqrt(float(d))))
-    h = add(ad.reshape(emb, (batch, md.SEQ_LEN, d)), ad.Tensor(pos))
+    h = add(reshape(emb, (batch, md.SEQ_LEN, d)), ad.Tensor(pos))
     for k in range(md.NUM_BLOCKS):
         h = layer_norm(add(h, composed_attention(h, p, k)),
                        p[f"blk{k}.ln1.gamma"], p[f"blk{k}.ln1.beta"])
-        ffn = md.linear(ad.relu(md.linear(h, p[f"blk{k}.ffn.w1"], p[f"blk{k}.ffn.b1"])),
+        ffn = linear(relu(linear(h, p[f"blk{k}.ffn.w1"], p[f"blk{k}.ffn.b1"])),
                         p[f"blk{k}.ffn.w2"], p[f"blk{k}.ffn.b2"])
         h = layer_norm(add(h, ffn), p[f"blk{k}.ln2.gamma"], p[f"blk{k}.ln2.beta"])
-    return h
+    return relu(linear(mean(h, axis=1), p["head.dense.w"], p["head.dense.b"]))

@@ -12,17 +12,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fedmeter import autodiff as ad
+from fedmeter import models as md
 from fedmeter.autodiff import Tensor
-from fedmeter.models import linear, lstm_sequence
+from fedmeter.models import lstm_sequence, sigmoid_head
 
-from composed import add, layer_norm, log, matmul, mul, power, softmax, sub, transpose
+from composed import (add, layer_norm, linear, log, matmul, mean, mul, power, relu, reshape,
+                      sigmoid, softmax, sub, transpose)
 from gradcheck import assert_grad_matches
 
 
 def scalar_loss(t):
     # sum of squares via primitives only, reduced with mean * size
     sq = mul(t, t)
-    return mul(ad.mean(sq), ad.Tensor(float(sq.data.size)))
+    return mul(mean(sq), ad.Tensor(float(sq.data.size)))
 
 
 class TestForwardPrimitives:
@@ -33,7 +35,7 @@ class TestForwardPrimitives:
         np.testing.assert_array_equal(out.data, a.data)
 
     def test_sigmoid_zero_is_half(self):
-        assert ad.sigmoid(Tensor(0.0)).item() == 0.5
+        assert sigmoid(Tensor(0.0)).item() == 0.5
 
     def test_softmax_uniform(self):
         out = softmax(Tensor([2.5, 2.5, 2.5]))
@@ -84,14 +86,14 @@ class TestBackward:
         # d/dw sigmoid(w.x) at w=0 is 0.25 * x
         x_val = np.array([[0.7, -1.3, 2.0]])
         w = Tensor(np.zeros((3, 1)), requires_grad=True)
-        out = ad.sigmoid(matmul(Tensor(x_val), w))
-        ad.backward(ad.mean(out))
+        out = sigmoid(matmul(Tensor(x_val), w))
+        ad.backward(mean(out))
         np.testing.assert_allclose(w.grad[:, 0], 0.25 * x_val[0], rtol=1e-12)
 
     def test_grad_of_multiply_used_tensor_sums(self):
         x = Tensor([3.0], requires_grad=True)
         y = add(mul(x, x), x)  # x^2 + x -> 2x + 1 = 7
-        ad.backward(ad.mean(y))
+        ad.backward(mean(y))
         np.testing.assert_allclose(x.grad, [7.0])
 
     def test_non_scalar_loss_rejected(self):
@@ -105,7 +107,7 @@ class TestBackward:
 
     def test_second_backward_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = ad.mean(mul(x, x))
+        loss = mean(mul(x, x))
         ad.backward(loss)
         with pytest.raises(RuntimeError, match="consumed"):
             ad.backward(loss)
@@ -122,8 +124,8 @@ class TestBackward:
 
         def grad_of(coeff1, coeff2):
             x = Tensor(base, requires_grad=True)
-            l1 = ad.mean(mul(x, x))
-            l2 = ad.mean(ad.sigmoid(x))
+            l1 = mean(mul(x, x))
+            l2 = mean(sigmoid(x))
             ad.backward(add(mul(l1, Tensor(coeff1)), mul(l2, Tensor(coeff2))))
             return x.grad
 
@@ -137,8 +139,8 @@ class TestBackward:
             rng = np.random.default_rng(42)
             x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
             w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-            out = softmax(ad.sigmoid(matmul(x, w)), axis=-1)
-            ad.backward(ad.mean(out))
+            out = softmax(sigmoid(matmul(x, w)), axis=-1)
+            ad.backward(mean(out))
             return out.data.copy(), x.grad.copy(), w.grad.copy()
 
         first, second = run(), run()
@@ -152,7 +154,7 @@ def _run(op_name, arrays_np):
     tensors = [Tensor(a, requires_grad=True) for a in arrays_np]
     out = _apply(op_name, tensors)
     # squash to a scalar via mean of a squeeze-free transform
-    loss = ad.mean(mul(out, out))
+    loss = mean(mul(out, out))
     return tensors, loss
 
 
@@ -170,9 +172,9 @@ def _apply(op_name, ts):
     if op_name == "matmul3d2d":
         return matmul(ts[0], ts[1])
     if op_name == "sigmoid":
-        return ad.sigmoid(ts[0])
+        return sigmoid(ts[0])
     if op_name == "relu":
-        return ad.relu(ts[0])
+        return relu(ts[0])
     if op_name == "log":
         return log(ts[0])
     if op_name == "power":
@@ -180,9 +182,9 @@ def _apply(op_name, ts):
     if op_name == "softmax":
         return softmax(ts[0], axis=-1)
     if op_name == "mean_axis":
-        return ad.mean(ts[0], axis=1, keepdims=True)
+        return mean(ts[0], axis=1, keepdims=True)
     if op_name == "reshape":
-        return ad.reshape(ts[0], (6, 2))
+        return reshape(ts[0], (6, 2))
     if op_name == "transpose":
         return transpose(ts[0], (1, 0, 2))
     if op_name == "bias_add":
@@ -222,6 +224,10 @@ def _names_tensor(func) -> bool:
     return (isinstance(func, ast.Name) and func.id == "Tensor") or (
         isinstance(func, ast.Attribute) and func.attr == "Tensor"
         and isinstance(func.value, ast.Name) and func.value.id in ("ad", "autodiff"))
+
+
+def test_autodiff_exports_only_the_tape_mechanism():
+    assert sorted(ad.__all__) == ["ShapeError", "Tensor", "backward", "custom_op"]
 
 
 def test_every_exported_primitive_is_used_by_the_package():
@@ -264,7 +270,7 @@ def test_primitive_gradients_match_finite_differences(op_name, shapes, domain):
 
     tensors = [Tensor(a, requires_grad=True) for a in arrays_np]
     out = _apply(op_name, tensors)
-    ad.backward(ad.mean(mul(out, out)))
+    ad.backward(mean(mul(out, out)))
     assert_grad_matches(f, arrays_np, [t.grad for t in tensors], rng)
 
 
@@ -274,9 +280,9 @@ def test_outputs_and_grads_stay_finite(seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(3, 4)) * 5, requires_grad=True)
     w = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
-    out = softmax(matmul(ad.sigmoid(x), w), axis=-1)
+    out = softmax(matmul(sigmoid(x), w), axis=-1)
     assert np.all(np.isfinite(out.data))
-    ad.backward(ad.mean(mul(out, out)))
+    ad.backward(mean(mul(out, out)))
     assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(w.grad))
 
 
@@ -317,14 +323,14 @@ def test_sigmoid_keeps_the_bits_of_the_two_branch_form(x, start):
     cols = x[:, min(start, x.shape[1] - 1):]
     for a in (x, cols):
         want = _bits(_where_sigmoid(a))
-        assert np.array_equal(_bits(ad._sigmoid_np(a)), want)
+        assert np.array_equal(_bits(md._sigmoid_np(a)), want)
         assert np.array_equal(_bits(x), _bits(before))
         buf = a.copy()
-        assert ad._sigmoid_np(buf, out=buf) is buf
+        assert md._sigmoid_np(buf, out=buf) is buf
         assert np.array_equal(_bits(buf), want)
     strided = x.copy()
     view = strided[:, min(start, x.shape[1] - 1):]
-    ad._sigmoid_np(view, out=view)
+    md._sigmoid_np(view, out=view)
     assert np.array_equal(_bits(view), _bits(_where_sigmoid(cols)))
 
 
@@ -343,7 +349,7 @@ class TestRecordTimeGradients:
         out = matmul(h, w)
         del h
         assert alive() is None
-        ad.backward(ad.mean(out))
+        ad.backward(mean(out))
         g = np.full(out.shape, 1.0 / out.data.size)
         np.testing.assert_allclose(x.grad, 2.0 * np.matmul(g, np.swapaxes(w.data, -1, -2)),
                                    rtol=1e-12)
@@ -361,7 +367,7 @@ class TestRecordTimeGradients:
             freed.append(alive() is None)
             return (np.full(4, 2.0),)
 
-        ad.backward(ad.mean(ad.custom_op(2.0 * x.data, (x,), bw)))
+        ad.backward(mean(ad.custom_op(2.0 * x.data, (x,), bw)))
         assert freed == [True]
         np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
 
@@ -373,7 +379,7 @@ class TestRecordTimeGradients:
         out = mul(h, Tensor(const))
         del h
         assert alive() is None
-        ad.backward(ad.mean(out))
+        ad.backward(mean(out))
         np.testing.assert_allclose(x.grad, np.broadcast_to(2.0 * const / 6.0, (2, 3)),
                                    rtol=1e-12)
 
@@ -403,7 +409,7 @@ def test_lstm_sequence_input_gradient_with_frozen_weights():
     x = Tensor(x_np, requires_grad=True)
     h = lstm_sequence(x, *weights)
     assert h._node.backward_fn(np.ones((batch, hidden)))[1:] == (None, None, None)
-    ad.backward(ad.mean(mul(h, h)))
+    ad.backward(mean(mul(h, h)))
     assert all(w.grad is None for w in weights)
     assert_grad_matches(f, [x_np], [x.grad], rng)
 
@@ -412,6 +418,7 @@ FUSED_CASES = {
     "layer_norm": (layer_norm, [(3, 4, 6), (6,), (6,)]),
     "linear_3d": (linear, [(3, 4, 5), (5, 2), (2,)]),
     "linear_2d": (linear, [(4, 5), (5, 2), (2,)]),
+    "sigmoid_head": (sigmoid_head, [(4, 5), (5, 1), (1,)]),
 }
 
 
@@ -431,7 +438,7 @@ def test_fused_model_kernels_match_finite_differences(case, frozen):
     tensors = [Tensor(a, requires_grad=i < checked) for i, a in enumerate(arrays_np)]
     out = op(*tensors)
     assert [g is not None for g in out._node.backward_fn(r)] == [i < checked for i in range(3)]
-    ad.backward(ad.mean(mul(out, Tensor(r))))
+    ad.backward(mean(mul(out, Tensor(r))))
     assert all(t.grad is None for t in tensors[checked:])
     assert_grad_matches(f, arrays_np[:checked], [t.grad for t in tensors[:checked]], rng)
 
@@ -440,7 +447,11 @@ def test_fused_model_kernels_match_finite_differences(case, frozen):
     (layer_norm, [(2, 3, 4), (3,), (4,)]),
     (linear, [(2, 3, 4), (5, 2), (2,)]),
     (linear, [(2, 3, 4), (4, 2), (3,)]),
-], ids=["layer_norm_gain", "linear_inner", "linear_bias"])
+    (sigmoid_head, [(3, 4), (5, 1), (1,)]),
+    (sigmoid_head, [(3, 4), (4, 2), (2,)]),
+    (sigmoid_head, [(2, 3, 4), (4, 1), (1,)]),
+], ids=["layer_norm_gain", "linear_inner", "linear_bias", "sigmoid_head_inner",
+        "sigmoid_head_units", "sigmoid_head_rank"])
 def test_fused_model_kernels_reject_mismatched_shapes(op, shapes):
     with pytest.raises(ad.ShapeError, match=op.__name__):
         op(*[Tensor(np.ones(s)) for s in shapes])

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedmeter import autodiff as ad
 from fedmeter import cli
 from fedmeter import experiment as ex
+from fedmeter import federation
 from fedmeter import models as md
+from fedmeter import seeding
 from fedmeter.attacks import awgn
 from fedmeter.experiment import (ConfigError, DataConfig, ExperimentConfig,
                                  apply_override, build_client_data, config_from_dict,
@@ -411,6 +412,48 @@ class TestRunExperiment:
         assert result.output_dir == str(tmp_path / "relative_run")
         assert (tmp_path / "relative_run" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("protocol,kw", [
+        ("training_attack", {"attack": {"family": "label_flip", "flip_fraction": 1.0},
+                             "federation": {"rounds": 1, "malicious_count": 1}}),
+        ("sweep_malicious", {"malicious_fraction_list": [0.34, 0.67],
+                             "attack": {"family": "pgd", "epsilon": 0.3, "pgd_iters": 1},
+                             "federation": {"rounds": 1}}),
+    ])
+    def test_manifest_lists_every_output(self, tmp_path, protocol, kw):
+        out = tmp_path / "run"
+        run_experiment(tiny_cfg(out, protocol=protocol, **kw))
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert outputs == sorted(p.name for p in out.iterdir()
+                                 if p.name not in ("config.json", "manifest.json"))
+        assert len([name for name in outputs if name.startswith("rounds_")]) == 2
+
+    def test_manifest_records_only_seeds_that_a_stream_draws_from(self, tmp_path,
+                                                                   monkeypatch):
+        # a seed is used when a stream is seeded with it, or further seeds
+        # derive from it
+        used = set()
+        derive, pcg64 = seeding.derive_seed, np.random.PCG64
+
+        def spy(master, *path):
+            used.add(master)
+            return derive(master, *path)
+
+        def stream(seed):
+            used.add(seed)
+            return pcg64(seed)
+
+        for module in (seeding, ex, federation):
+            monkeypatch.setattr(module, "derive_seed", spy)
+        monkeypatch.setattr(np.random, "PCG64", stream)
+        seeds = {}
+        for setting in ("federated", "central"):
+            out = tmp_path / setting
+            run_experiment(tiny_cfg(out, setting=setting, federation={"rounds": 1}))
+            seeds.update(json.loads((out / "manifest.json").read_text())["seeds"])
+        assert "federation" in seeds and "central" in seeds
+        assert [name for name, seed in seeds.items()
+                if name != "master" and seed not in used] == []
+
     def test_manifest_records_each_runs_blas_threads(self, tmp_path):
         # a run's bits can depend on the BLAS thread count, so each run's
         # manifest says which it ran with; the child imports this fedmeter
@@ -645,7 +688,7 @@ class TestCli:
 
     def test_non_finite_activation_exit_code(self, tmp_path, monkeypatch, capsys):
         def overflowing_run(cfg):
-            ad._check_finite("power", np.array([np.inf]))
+            md._check_finite("power", np.array([np.inf]))
 
         monkeypatch.setattr(cli, "run_experiment", overflowing_run)
         code = cli.main(["train", "--out", str(tmp_path / "x")])

@@ -15,7 +15,8 @@ from fedmeter.models import (LstmClassifier, RmsProp, TrainConfig, TransformerCl
                              predict_proba, train_local)
 
 from composed import (composed_focal_loss, composed_layer_norm, composed_linear,
-                      composed_transformer_encoder, layer_norm, mul, softmax)
+                      composed_sigmoid_head, composed_transformer_encoder, layer_norm, linear,
+                      mean, mul, softmax)
 from gradcheck import assert_grad_matches
 
 
@@ -446,8 +447,8 @@ class TestFusedKernelsAreBitExact:
 
     @pytest.mark.parametrize("fused,composed,shapes", [
         (layer_norm, composed_layer_norm, [(3, 4, 6), (6,), (6,)]),
-        (md.linear, composed_linear, [(3, 4, 5), (5, 2), (2,)]),
-        (md.linear, composed_linear, [(4, 5), (5, 2), (2,)]),
+        (linear, composed_linear, [(3, 4, 5), (5, 2), (2,)]),
+        (linear, composed_linear, [(4, 5), (5, 2), (2,)]),
     ], ids=["layer_norm", "linear_3d", "linear_2d"])
     @pytest.mark.parametrize("needs", [(True, True, True), (True, False, False),
                                        (False, True, True)],
@@ -459,7 +460,7 @@ class TestFusedKernelsAreBitExact:
         def run(op):
             ts = [ad.Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)]
             out = op(*ts)
-            ad.backward(ad.mean(mul(out, out)))
+            ad.backward(mean(mul(out, out)))
             return out.data, [t.grad for t in ts]
 
         (out_f, grads_f), (out_c, grads_c) = run(fused), run(composed)
@@ -467,6 +468,33 @@ class TestFusedKernelsAreBitExact:
         for gf, gc, need in zip(grads_f, grads_c, needs):
             assert (gf is not None) == (gc is not None) == need
             assert gc is None or np.array_equal(gf, gc)
+
+    @pytest.mark.parametrize("needs", [(True, True, True), (True, False, False),
+                                       (False, True, True)],
+                             ids=["all", "input_only", "weights_only"])
+    def test_sigmoid_head_matches_the_linear_sigmoid_reshape_chain(self, needs, monkeypatch):
+        """At several row counts and both models' head widths, against the
+        fully composed chain: a matmul node and a bias add, then sigmoid,
+        then reshape, under an outer gradient other than 1."""
+        monkeypatch.setattr("composed.linear", composed_linear)
+        rng = np.random.default_rng(23)
+        for rows, width in itertools.product((1, 5, 16, 32, 33),
+                                             (md.LSTM_HIDDEN, md.DENSE_HIDDEN)):
+            arrays = [rng.normal(size=(rows, width)), rng.normal(size=(width, 1)) * 0.3,
+                      rng.normal(size=(1,))]
+            r = rng.normal(size=rows)
+
+            def run(op):
+                ts = [ad.Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)]
+                out = op(*ts)
+                ad.backward(mean(mul(out, ad.Tensor(r))))
+                return out.data, [t.grad for t in ts]
+
+            (out_f, grads_f), (out_c, grads_c) = run(md.sigmoid_head), run(composed_sigmoid_head)
+            assert out_f.shape == (rows,) and np.array_equal(out_f, out_c), rows
+            for gf, gc, need in zip(grads_f, grads_c, needs):
+                assert (gf is not None) == (gc is not None) == need
+                assert gc is None or np.array_equal(gf, gc), (rows, width)
 
     @pytest.mark.parametrize("name", ["lstm", "transformer"])
     def test_model_matches_composed(self, name, monkeypatch):
@@ -482,8 +510,9 @@ class TestFusedKernelsAreBitExact:
 
         probs_f, weights_f, input_f = run()
         monkeypatch.setattr("composed.layer_norm", composed_layer_norm)
-        monkeypatch.setattr(md, "linear", composed_linear)
+        monkeypatch.setattr("composed.linear", composed_linear)
         monkeypatch.setattr(md, "transformer_encoder", composed_transformer_encoder)
+        monkeypatch.setattr(md, "sigmoid_head", composed_sigmoid_head)
         monkeypatch.setattr(md, "focal_loss", composed_focal_loss)
         probs_c, weights_c, input_c = run()
         assert np.array_equal(probs_f, probs_c)
@@ -529,10 +558,10 @@ def reference_lstm_sequence(x, wx, wh, b):
     saved = []
     for t in range(steps):
         z = zx[:, t, :] + h @ wh_np + b_np
-        gi = ad._sigmoid_np(z[:, :h_size])
-        gf = ad._sigmoid_np(z[:, h_size:2 * h_size])
+        gi = md._sigmoid_np(z[:, :h_size])
+        gf = md._sigmoid_np(z[:, h_size:2 * h_size])
         gg = np.tanh(z[:, 2 * h_size:3 * h_size])
-        go = ad._sigmoid_np(z[:, 3 * h_size:])
+        go = md._sigmoid_np(z[:, 3 * h_size:])
         c_prev, h_prev = c, h
         c = gf * c_prev + gi * gg
         tc = np.tanh(c)
@@ -622,7 +651,7 @@ class TestLeanLstmTape:
 
         ts = [ad.Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)]
         out = md.lstm_sequence(*ts)
-        ad.backward(ad.mean(mul(out, ad.Tensor(r))))
+        ad.backward(mean(mul(out, ad.Tensor(r))))
         checked = sum(needs)
         assert all(t.grad is None for t in ts[checked:])
         assert_grad_matches(f, arrays[:checked], [t.grad for t in ts[:checked]], rng)
@@ -703,8 +732,10 @@ class TestLeanTransformerTape:
                               + [model.pos_encoding])
         width = (32, md.SEQ_LEN, md.D_MODEL)
         # the composed tape's linears held each layer-norm output and merged
-        # context, (32, 24, 160) each, for their weight gradients
-        assert [row for row in held if row[3] == "linear" and row[0] == width] == []
+        # context, (32, 24, 160) each, for their weight gradients; now only
+        # the fused kernels hold anything
+        assert {rule for *_, rule in held} == {"transformer_encoder", "sigmoid_head",
+                                               "focal_loss"}
         # nor the attention weights or the ReLU output, which backward
         # re-forms from q and k and from the first layer norm's output
         assert [row for row in held if row[0] in (
@@ -712,7 +743,8 @@ class TestLeanTransformerTape:
             (32 * md.SEQ_LEN, md.FFN_HIDDEN)) and row[1] != bool] == []
         # per block q, k and v in head layout, the softmax's row max and
         # sum, two layer norms' centered and per-row values and the ReLU
-        # mask; and the batch, to recompute block 0's input
+        # mask; the batch, to recompute block 0's input; and the dense
+        # head's input, pooled over time, and its ReLU mask
         encoder = sorted((shape, dtype.name) for shape, dtype, _, rule in held
                          if rule == "transformer_encoder")
         heads = (32, md.NUM_HEADS, md.SEQ_LEN, md.HEAD_DIM)  # the buffer under the head view
@@ -721,14 +753,19 @@ class TestLeanTransformerTape:
             + [((32 * md.NUM_HEADS, md.SEQ_LEN, 1), "float64")] * 10
             + [(width, "float64")] * 10 + [((32, md.SEQ_LEN, 1), "float64")] * 20
             + [((32, md.SEQ_LEN, md.FFN_HIDDEN), "bool")] * 5
-            + [((32, md.SEQ_LEN), "float64")])
+            + [((32, md.SEQ_LEN), "float64")]
+            + [((32, md.D_MODEL), "float64"), ((32, md.DENSE_HIDDEN), "bool")])
         # 24.5 MiB in the encoder, measured
         assert sum(size for _, _, size, _ in held) < 25 * 2**20
 
     def test_training_and_attacks_hold_the_same_encoder_arrays(self):
         model = TransformerClassifier(seed=0)
         x, _ = self.batch(32)
-        assert self.encoder_held(model, x, True) == self.encoder_held(model, x, False)
+        # but for the pooled block output, which only head.dense.w's
+        # gradient reads
+        pooled = ((32, md.D_MODEL), "float64")
+        assert self.encoder_held(model, x, True) == sorted(
+            self.encoder_held(model, x, False) + [pooled])
 
     def test_frozen_weights_hold_composed_tape_minus_attention(self):
         model = TransformerClassifier(seed=0)
@@ -854,15 +891,18 @@ class TestNoDeadIntermediates:
 
 
 class TestFusedEncoderIsBitExact:
-    """``md.transformer_encoder`` reproduces the composed tape bit for bit:
-    its output and every gradient, in each mode of use."""
+    """``md.transformer_encoder`` reproduces the composed tape, through the
+    mean over time and the dense head's ReLU, bit for bit: its output and
+    every gradient, in each mode of use."""
 
     # which weights need a gradient; the input does in the frozen-weights
     # (attack) and every-input modes
     TRAINS = {"training": lambda name: True,
               "frozen_weights": lambda name: False,
               "every_input": lambda name: True,
-              "some_weights": lambda name: name.endswith((".wq", ".ob", "ln1.gamma", "ffn.b2"))}
+              "some_weights": lambda name: name.endswith((".wq", ".ob", "ln1.gamma", "ffn.b2",
+                                                          "dense.b")),
+              "dense_head_only": lambda name: name.startswith("head.dense.")}
 
     @pytest.mark.parametrize("batch", [1, 3, 5, 17, 32])
     @pytest.mark.parametrize("mode", TRAINS)
@@ -870,7 +910,7 @@ class TestFusedEncoderIsBitExact:
         model = TransformerClassifier(seed=3)
         rng = np.random.default_rng(batch)
         x = rng.uniform(0, 1, size=(batch, md.SEQ_LEN))
-        r = rng.normal(size=(batch, md.SEQ_LEN, md.D_MODEL))
+        r = rng.normal(size=(batch, md.DENSE_HIDDEN))
         trains = self.TRAINS[mode]
         need_x = mode in ("frozen_weights", "every_input")
 
@@ -879,7 +919,7 @@ class TestFusedEncoderIsBitExact:
                       for k, p in model.params.items()}
             xt = ad.Tensor(x, requires_grad=need_x)
             out = encoder(xt, params, model.pos_encoding)
-            ad.backward(ad.mean(mul(out, ad.Tensor(r))))
+            ad.backward(mean(mul(out, ad.Tensor(r))))
             return out.data, xt.grad, {k: p.grad for k, p in params.items()}
 
         (out_f, dx_f, dw_f) = run(md.transformer_encoder)
@@ -887,7 +927,7 @@ class TestFusedEncoderIsBitExact:
         assert np.array_equal(out_f, out_c)
         assert (dx_f is not None) == (dx_c is not None) == need_x
         assert dx_c is None or np.array_equal(dx_f, dx_c)
-        trained = [k for k in model.params if trains(k) and not k.startswith("head.")]
+        trained = [k for k in model.params if trains(k) and not k.startswith("head.out.")]
         assert [k for k in dw_c if dw_c[k] is not None] == trained
         assert [k for k in dw_f if dw_f[k] is not None] == trained
         assert [k for k in trained if not np.array_equal(dw_f[k], dw_c[k])] == []
@@ -898,13 +938,14 @@ class TestModelGradients:
     model against the finite-difference oracle."""
 
     @pytest.mark.parametrize("name,picked", [
-        ("lstm", ["lstm.wx", "lstm.wh", "lstm.b", "head.w"]),
+        ("lstm", ["lstm.wx", "lstm.wh", "lstm.b", "head.w", "head.b"]),
         # every weight kind of the encoder, spread over its blocks
         ("transformer", ["emb.w", "emb.b", "blk0.attn.wq", "blk0.attn.qb",
                          "blk1.attn.wk", "blk1.attn.kb", "blk2.attn.wv", "blk2.attn.vb",
                          "blk3.attn.wo", "blk3.attn.ob", "blk4.ln1.gamma", "blk0.ln1.beta",
                          "blk2.ffn.w1", "blk3.ffn.b1", "blk4.ffn.w2", "blk1.ffn.b2",
-                         "blk4.ln2.gamma", "blk2.ln2.beta", "head.dense.w"]),
+                         "blk4.ln2.gamma", "blk2.ln2.beta", "head.dense.w", "head.dense.b",
+                         "head.out.w", "head.out.b"]),
     ])
     def test_weight_gradients(self, name, picked):
         rng = np.random.default_rng(9)
