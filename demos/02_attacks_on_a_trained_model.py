@@ -24,8 +24,8 @@ normalized, _ = dp.normalize(dataset)
 train, test = dp.split(normalized, 0.8, seed=3)
 
 model = LstmClassifier(seed=0)
-cfg = TrainConfig(epochs=30, seed=0)
-train_local(model, train.profiles, train.labels.astype(float), cfg)
+cfg = TrainConfig(epochs=30)
+train_local(model, train.profiles, train.labels.astype(float), cfg, seed=0)
 
 x, y = test.profiles, test.labels
 specs = {"AWGN s2=0.1": AttackSpec("awgn", awgn_variance=0.1),  # first: a fresh noise stream

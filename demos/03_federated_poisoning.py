@@ -39,7 +39,7 @@ def make_clients(n_clients, malicious_ids, attack):
     return clients, x_test, y_test
 
 
-cfg = TrainConfig(epochs=1, seed=0)
+cfg = TrainConfig(epochs=1)
 pgd_spec = AttackSpec(family="pgd", epsilon=0.5, pgd_iters=10)
 
 for label, malicious in (("attack-free", ()), ("3/6 clients PGD", (0, 2, 4))):

@@ -21,7 +21,7 @@ quick = config_from_dict({
     "federation": {"rounds": 5, "local_epochs": 1, "malicious_count": 2,
                    "poison_fraction": 0.3},
     "attack": {"family": "label_flip", "flip_fraction": 1.0},
-    "train": {"epochs": 1, "batch_size": 32, "seed": 0},
+    "train": {"epochs": 1, "batch_size": 32},
 })
 result = run_experiment(quick)
 print("metrics rows:")

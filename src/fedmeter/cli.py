@@ -15,12 +15,11 @@ import os
 import sys
 from dataclasses import replace
 
-from .data import DataError, synthesize_household, utf8_text
+from .data import DataError, synthetic_households, utf8_text
 from .evaluation import METRICS_CSV_HEADER
 from .experiment import (ConfigError, apply_override, config_from_dict,
                          run_experiment)
 from .models import NumericError
-from .seeding import derive_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -102,12 +101,9 @@ def cmd_synth_data(args) -> int:
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["household_id", "timestamp", "kwh"])
-        for h in range(args.households):
-            hid = f"h{h:02d}"
-            series = synthesize_household(
-                args.days, seed=derive_seed(args.seed, "data", h), household_id=hid)
+        for series in synthetic_households(args.households, args.days, args.seed):
             for ts, kwh in zip(series.timestamps, series.kwh):
-                writer.writerow([hid, str(ts), f"{kwh:.12g}"])
+                writer.writerow([series.household_id, str(ts), f"{kwh:.12g}"])
                 rows += 1
     print(f"wrote {rows} readings for {args.households} household(s) to {args.out}")
     return EXIT_OK

@@ -20,7 +20,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .seeding import rng_for
+from .seeding import derive_seed, rng_for
 
 HOURS_PER_DAY = 24
 
@@ -182,12 +182,19 @@ def ingest_csv(path) -> dict[str, HourlySeries]:
             missing = sorted(required - set(reader.fieldnames or []))
             raise DataError(f"{path}: missing required column(s) {missing}")
         for rownum, row in enumerate(reader, start=1):
+            # DictReader fills a short row with None and files a long row's
+            # surplus under the key None
+            if None in row or None in row.values():
+                raise DataError(f"{path}: row {rownum} does not have one field per "
+                                f"column of the header")
             hid = row["household_id"]
             try:
                 ts = np.datetime64(row["timestamp"], "h")
             except ValueError:
+                ts = np.datetime64("NaT", "h")
+            if np.isnat(ts):  # "" and "NaT" parse as not-a-time
                 raise DataError(f"{path}: unparseable timestamp at row {rownum}: "
-                                f"{row['timestamp']!r}") from None
+                                f"{row['timestamp']!r}")
             try:
                 kwh = float(row["kwh"])
             except ValueError:
@@ -209,6 +216,15 @@ def ingest_csv(path) -> dict[str, HourlySeries]:
         kwh = np.array([p[1] for p in pairs])
         out[hid] = HourlySeries(hid, ts, kwh)
     return out
+
+
+def synthetic_households(count: int, days: int, seed: int) -> Iterator[HourlySeries]:
+    """The ``count`` synthetic households of master seed ``seed``, with ids
+    ``h00``, ``h01``, ...: what ``fedmeter synth-data`` writes and what a run
+    without ``data.csv_path`` trains on."""
+    for h in range(count):
+        yield synthesize_household(days, seed=derive_seed(seed, "data", h),
+                                   household_id=f"h{h:02d}")
 
 
 def synthesize_household(days: int, seed: int, household_id: str = "h0") -> HourlySeries:

@@ -1,10 +1,11 @@
 """Declarative experiment runner.
 
 A single JSON config describes data source, model, training setting
-(central or federated), attack, protocol, and seeds; ``run_experiment``
+(central or federated), attack, protocol, and master seed; ``run_experiment``
 executes the full pipeline and writes a metrics CSV, per-round logs,
 tidy plot data for the sweep figures, a config snapshot, and a manifest
-of every derived seed.  Repeating a run with the same master seed
+of the outputs and the platform.  Every random stream derives from the
+snapshot's ``master_seed``.  Repeating a run with the same master seed
 reproduces the metrics files byte for byte on one platform.
 
 Protocols
@@ -56,8 +57,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class DataConfig:
-    source: str = "synthetic"      # synthetic | csv
-    csv_path: str | None = None
+    csv_path: str | None = None    # None: data.households synthetic households
     households: int = 19
     days: int = 365
     anomaly_fraction: float = 0.10
@@ -227,15 +227,14 @@ def apply_override(cfg_dict: dict, dotted: str, value: str) -> None:
 def _value_problems(cfg: ExperimentConfig) -> list[str]:
     """Range and consistency problems of a config whose fields are well typed."""
     dcfg, fed, train = cfg.data, cfg.federation, cfg.train
-    synthetic = dcfg.source == "synthetic"
+    synthetic = dcfg.csv_path is None
     per_round = fed.clients_per_round
     ranges = (
         ("model", cfg.model in ("lstm", "transformer"), "lstm or transformer"),
         ("setting", cfg.setting in ("central", "federated"), "central or federated"),
         ("protocol", cfg.protocol in PROTOCOLS, f"one of {', '.join(PROTOCOLS)}"),
         ("threshold", 0.0 < cfg.threshold < 1.0, "in (0, 1)"),
-        ("data.source", dcfg.source in ("synthetic", "csv"), "synthetic or csv"),
-        ("data.csv_path", dcfg.source != "csv" or dcfg.csv_path, "set when data.source is csv"),
+        ("data.csv_path", synthetic or dcfg.csv_path, "null or a non-empty path"),
         ("data.train_fraction", 0.0 < dcfg.train_fraction < 1.0, "in (0, 1)"),
         ("data.households", not synthetic or dcfg.households >= 1, ">= 1"),
         ("data.days", not synthetic or dcfg.days >= 2, ">= 2"),
@@ -254,8 +253,6 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
         ("train.focal_alpha", 0 <= train.focal_alpha <= 1, "in [0, 1]"),
         ("train.focal_gamma", train.focal_gamma >= 0, ">= 0"),
         ("train.lr_milestones", all(m >= 1 for m in train.lr_milestones), "epochs >= 1"),
-        ("train.seed", train.seed == 0,
-         "0: no run reads it, every training seed derives from master_seed"),
         ("epsilon_list entries", all(e >= 0 for e in cfg.epsilon_list), ">= 0"),
         ("malicious_fraction_list entries",
          all(0.0 < f <= 1.0 for f in cfg.malicious_fraction_list), "in (0, 1]"))
@@ -298,9 +295,8 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
     return problems
 
 
-def validate_config(cfg: ExperimentConfig) -> tuple[ExperimentConfig, dict[str, int]]:
-    """Check the config, fill derived values, and list the seeds of the
-    run-level streams.
+def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
+    """Check the config and return it with derived values filled.
 
     The config is rebuilt through ``config_from_dict``, so one built in code
     or changed with ``setattr`` is type-checked too; range checks run only on
@@ -310,17 +306,7 @@ def validate_config(cfg: ExperimentConfig) -> tuple[ExperimentConfig, dict[str, 
     problems = _value_problems(cfg)
     if problems:
         raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
-
-    # each household's data, injection and split streams have their own
-    # seeds (build_client_data), so none of those is listed
-    seeds = {
-        "master": cfg.master_seed,
-        "malicious-assignment": derive_seed(cfg.master_seed, "malicious"),
-        "federation": derive_seed(cfg.master_seed, "federation"),
-        "central": derive_seed(cfg.master_seed, "central"),
-        "attack-eval": derive_seed(cfg.master_seed, "attack-eval"),
-    }
-    return cfg, seeds
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +335,11 @@ def build_client_data(cfg: ExperimentConfig) -> list[ClientData]:
     """Per-household pipeline: series -> profiles -> windows -> labeled,
     normalized, split datasets."""
     dcfg = cfg.data
-    if dcfg.source == "csv":
-        series_by_household = dp.ingest_csv(dcfg.csv_path)
-        items = sorted(series_by_household.items())
+    if dcfg.csv_path is not None:
+        items = sorted(dp.ingest_csv(dcfg.csv_path).items())
     else:
-        items = []
-        for h in range(dcfg.households):
-            hid = f"h{h:02d}"
-            items.append((hid, dp.synthesize_household(
-                dcfg.days, seed=derive_seed(cfg.master_seed, "data", h),
-                household_id=hid)))
+        items = [(series.household_id, series) for series in
+                 dp.synthetic_households(dcfg.households, dcfg.days, cfg.master_seed)]
 
     clients = []
     for ordinal, (hid, series) in enumerate(items):
@@ -420,10 +401,8 @@ def _train(cfg: ExperimentConfig, clients: list[ClientData], emit,
     if cfg.setting == "central":
         x, y, _ = pooled([c.train for c in clients])
         model, _ = run_centralized(
-            x, y, cfg.model, cfg.train, attack=attack,
-            poison_fraction=cfg.federation.poison_fraction,
-            epochs=cfg.train.epochs,
-            seed=derive_seed(cfg.master_seed, "central"))
+            x, y, cfg.model, cfg.train, seed=derive_seed(cfg.master_seed, "central"),
+            attack=attack, poison_fraction=cfg.federation.poison_fraction)
         return model
     malicious = set(rng_for(cfg.master_seed, "malicious").choice(
         len(clients), size=malicious_count, replace=False).tolist())
@@ -439,13 +418,12 @@ def _train(cfg: ExperimentConfig, clients: list[ClientData], emit,
     x_test, y_test, _ = pooled([c.test for c in clients])
     emit(f"rounds_{label}.jsonl", lambda p: run_federation(
         state, cfg.model, cfg.train, cfg.federation.rounds, eval_x=x_test, eval_y=y_test,
-        eval_every=max(1, cfg.federation.rounds // 10), threshold=cfg.threshold,
-        log_path=p))
+        threshold=cfg.threshold, log_path=p))
     return global_model(state, cfg.model)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    cfg, seeds = validate_config(cfg)
+    cfg = validate_config(cfg)
     clients = build_client_data(cfg)  # a data error leaves no run directory
     out_dir = _resolve_output_dir(cfg)
     x_test, y_test, kinds_test = pooled([c.test for c in clients])
@@ -519,11 +497,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
     emit("metrics.csv", lambda p: write_metrics_csv(rows, p))
     result = RunResult(cfg, rows, out_dir, files)
-    _write_snapshot_and_manifest(cfg, seeds, out_dir, files)
+    _write_snapshot_and_manifest(cfg, out_dir, files)
     return result
 
 
-def _write_snapshot_and_manifest(cfg: ExperimentConfig, seeds: dict, out_dir: str,
+def _write_snapshot_and_manifest(cfg: ExperimentConfig, out_dir: str,
                                  files: list[str]) -> None:
     snapshot = config_to_dict(cfg)
     canonical = json.dumps(snapshot, sort_keys=True)
@@ -531,7 +509,6 @@ def _write_snapshot_and_manifest(cfg: ExperimentConfig, seeds: dict, out_dir: st
         fh.write(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
     manifest = {
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-        "seeds": seeds,
         "outputs": sorted(os.path.relpath(f, out_dir) for f in files),
         "platform": platform.platform(),
         "numpy": np.__version__,

@@ -208,9 +208,14 @@ def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> Roun
 def run_federation(state: FederationState, model_name: str, cfg: TrainConfig,
                    t_rounds: int, *, eval_x: np.ndarray | None = None,
                    eval_y: np.ndarray | None = None,
-                   threshold: float = DEFAULT_THRESHOLD, eval_every: int = 1,
+                   threshold: float = DEFAULT_THRESHOLD,
                    log_path=None) -> list[RoundRecord]:
-    """Run ``t_rounds`` rounds; optionally log per-round records as JSON lines."""
+    """Run ``t_rounds`` rounds; optionally log per-round records as JSON lines.
+
+    With ``eval_x`` and ``eval_y``, the global model's test accuracy is
+    recorded every ``max(1, t_rounds // 10)`` rounds and after the last one:
+    every round of a run under 20 rounds, about ten times in a longer one.
+    """
     if t_rounds < 1:
         raise ValueError("need at least one round")
     records = []
@@ -218,7 +223,7 @@ def run_federation(state: FederationState, model_name: str, cfg: TrainConfig,
     try:
         for _ in range(t_rounds):
             record = run_round(state, model_name, cfg)
-            if eval_x is not None and (state.round % eval_every == 0
+            if eval_x is not None and (state.round % max(1, t_rounds // 10) == 0
                                        or state.round == t_rounds):
                 model = global_model(state, model_name)
                 pred = classify(model, eval_x, threshold)
@@ -249,21 +254,20 @@ def init_state(model_name: str, clients: list[ClientNode], *,
 
 
 def run_centralized(x: np.ndarray, y: np.ndarray, model_name: str, cfg: TrainConfig, *,
-                    attack: AttackSpec | None = None, poison_fraction: float = 0.0,
-                    epochs: int | None = None, seed: int | None = None):
-    """Single-model training on pooled data, optionally poisoned per epoch.
+                    seed: int, attack: AttackSpec | None = None,
+                    poison_fraction: float = 0.0):
+    """Single-model training on pooled data for ``cfg.epochs`` epochs,
+    optionally poisoned per epoch.
 
     With an active attack, a fresh ``poison_fraction`` subset of the pooled
     training data is perturbed each epoch using the current model.  Returns
     (model, per-epoch loss history).
     """
     attack = AttackSpec() if attack is None else attack
-    seed = cfg.seed if seed is None else seed
-    epochs = cfg.epochs if epochs is None else epochs
     model = make_model(model_name, seed=derive_seed(seed, "central-init"))
     optimizer = RmsProp(cfg.rho, cfg.eps_opt)
     history = []
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, cfg.epochs + 1):
         xe, ye = x, y
         if attack.family != "none":
             xe, ye = _poison_subset(model, x, y, attack, poison_fraction,

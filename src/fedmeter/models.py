@@ -44,7 +44,6 @@ class TrainConfig:
     eps_opt: float = 1e-7
     focal_alpha: float = 0.25
     focal_gamma: float = 2.0
-    seed: int = 0
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
@@ -735,7 +734,7 @@ class NumericError(RuntimeError):
 
 
 def train_local(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *,
-                seed: int | None = None, epochs: int | None = None,
+                seed: int, epochs: int | None = None,
                 epoch_offset: int = 0, optimizer: RmsProp | None = None) -> list[float]:
     """Mini-batch training; returns the mean loss of each epoch.
 
@@ -752,7 +751,6 @@ def train_local(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *,
     n = len(x)
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
-    seed = cfg.seed if seed is None else seed
     epochs = cfg.epochs if epochs is None else epochs
     opt = optimizer if optimizer is not None else RmsProp(cfg.rho, cfg.eps_opt)
     history = []

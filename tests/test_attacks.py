@@ -28,7 +28,7 @@ def toy_data(n=40, seed=0):
 def trained():
     x, y = toy_data()
     model = LstmClassifier(seed=3)
-    train_local(model, x, y, TrainConfig(epochs=60, seed=3))
+    train_local(model, x, y, TrainConfig(epochs=60), seed=3)
     return model, x, y
 
 

@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedmeter import cli
+from fedmeter import data as dp
 from fedmeter import experiment as ex
-from fedmeter import federation
 from fedmeter import models as md
-from fedmeter import seeding
 from fedmeter.attacks import awgn
 from fedmeter.experiment import (ConfigError, DataConfig, ExperimentConfig,
                                  apply_override, build_client_data, config_from_dict,
@@ -34,10 +33,10 @@ def tiny_dict(out_dir, **kw):
         "protocol": "baseline",
         "master_seed": 1,
         "output_dir": str(out_dir),
-        "data": {"source": "synthetic", "households": 3, "days": 20,
+        "data": {"households": 3, "days": 20,
                  "anomaly_fraction": 0.15},
         "federation": {"rounds": 2, "local_epochs": 1, "malicious_count": 0},
-        "train": {"epochs": 2, "batch_size": 16, "seed": 0},
+        "train": {"epochs": 2, "batch_size": 16},
     }
     for key, value in kw.items():
         if isinstance(value, dict):
@@ -112,7 +111,7 @@ class TestConfig:
         raw = tiny_dict("runs/never-written")
         apply_override(raw, field, json.dumps(value))
         try:
-            cfg, _ = validate_config(config_from_dict(raw))
+            cfg = validate_config(config_from_dict(raw))
         except ConfigError as exc:
             assert field in str(exc)
         else:
@@ -129,10 +128,6 @@ class TestConfig:
     def test_empty_attack_normalizes_to_baseline(self):
         cfg = config_from_dict({})
         assert cfg.attack.family == "none" and cfg.protocol == "baseline"
-
-    def test_validate_returns_derived_seeds(self, tmp_path):
-        _, seeds = validate_config(tiny_cfg(tmp_path))
-        assert {"master", "federation", "central", "attack-eval"} <= set(seeds)
 
     def test_paper_scale_malicious_count_valid(self, tmp_path):
         cfg = tiny_cfg(tmp_path, data={"households": 19, "days": 20},
@@ -184,8 +179,7 @@ class TestConfig:
         ("train", "focal_alpha", 1.5),
         ("train", "focal_gamma", -1.0),
         ("train", "lr_milestones", (0, 50)),
-        ("train", "seed", 7),
-        ("train", "seed", -1),
+        ("data", "csv_path", ""),
         ("attack", "eps_ball", -0.1),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, section, key, value):
@@ -193,12 +187,6 @@ class TestConfig:
         setattr(getattr(cfg, section), key, value)
         with pytest.raises(ConfigError, match=rf"{section}\.{key} must be"):
             validate_config(cfg)
-
-    def test_train_seed_zero_round_trips(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, train={"seed": 0})
-        checked, _ = validate_config(cfg)
-        assert checked == cfg and checked.train.seed == 0
-        assert config_from_dict(json.loads(json.dumps(config_to_dict(checked)))) == cfg
 
     @pytest.mark.parametrize("seed", ["x", 1.5, True])
     def test_master_seed_must_be_an_integer(self, tmp_path, seed):
@@ -292,7 +280,7 @@ class TestBuildClientData:
         synthetic = build_client_data(tiny_cfg(tmp_path, data={"households": 2,
                                                                "days": 15}))
         from_csv = build_client_data(tiny_cfg(
-            tmp_path, data={"source": "csv", "csv_path": str(csv_path),
+            tmp_path, data={"csv_path": str(csv_path),
                             "households": 2, "days": 15}))
         for a, b in zip(synthetic, from_csv):
             assert a.client_id == b.client_id
@@ -312,8 +300,10 @@ class TestRunExperiment:
         for name in ("metrics.csv", "config.json", "manifest.json",
                      "rounds_clean.jsonl", "final_clean.ckpt"):
             assert (out / name).exists(), name
+        # every stream derives from config.json's master_seed: no seed is listed
         manifest = json.loads((out / "manifest.json").read_text())
-        assert "seeds" in manifest and "config_sha256" in manifest
+        assert sorted(manifest) == ["blas", "blas_thread_env", "config_sha256", "numpy",
+                                    "outputs", "platform", "workers"]
 
     def test_inference_attack_outputs(self, tmp_path):
         cfg = tiny_cfg(tmp_path / "run", setting="central",
@@ -427,33 +417,6 @@ class TestRunExperiment:
                                  if p.name not in ("config.json", "manifest.json"))
         assert len([name for name in outputs if name.startswith("rounds_")]) == 2
 
-    def test_manifest_records_only_seeds_that_a_stream_draws_from(self, tmp_path,
-                                                                   monkeypatch):
-        # a seed is used when a stream is seeded with it, or further seeds
-        # derive from it
-        used = set()
-        derive, pcg64 = seeding.derive_seed, np.random.PCG64
-
-        def spy(master, *path):
-            used.add(master)
-            return derive(master, *path)
-
-        def stream(seed):
-            used.add(seed)
-            return pcg64(seed)
-
-        for module in (seeding, ex, federation):
-            monkeypatch.setattr(module, "derive_seed", spy)
-        monkeypatch.setattr(np.random, "PCG64", stream)
-        seeds = {}
-        for setting in ("federated", "central"):
-            out = tmp_path / setting
-            run_experiment(tiny_cfg(out, setting=setting, federation={"rounds": 1}))
-            seeds.update(json.loads((out / "manifest.json").read_text())["seeds"])
-        assert "federation" in seeds and "central" in seeds
-        assert [name for name, seed in seeds.items()
-                if name != "master" and seed not in used] == []
-
     def test_manifest_records_each_runs_blas_threads(self, tmp_path):
         # a run's bits can depend on the BLAS thread count, so each run's
         # manifest says which it ran with; the child imports this fedmeter
@@ -492,6 +455,19 @@ class TestCli:
         assert len(lines) == 1 + 2 * 3 * 24
         assert lines[1].startswith("h00,2021-01-04T00,")
 
+    def test_synth_data_writes_the_synthetic_households(self, tmp_path):
+        out = tmp_path / "data.csv"
+        assert cli.main(["synth-data", "--households", "3", "--days", "20",
+                         "--seed", "5", "--out", str(out)]) == 0
+        ingested = dp.ingest_csv(out)
+        synthetic = list(dp.synthetic_households(3, 20, seed=5))
+        assert sorted(ingested) == [s.household_id for s in synthetic] == ["h00", "h01", "h02"]
+        for series in synthetic:
+            read = ingested[series.household_id]
+            np.testing.assert_array_equal(read.timestamps, series.timestamps)
+            # the CSV renders 12 significant digits
+            np.testing.assert_allclose(read.kwh, series.kwh, rtol=1e-11, atol=0)
+
     @pytest.mark.parametrize("flag,value", [("--households", "-1"), ("--households", "0"),
                                             ("--days", "0"), ("--days", "-3")])
     def test_synth_data_rejects_counts_below_one(self, tmp_path, capsys, flag, value):
@@ -516,16 +492,18 @@ class TestCli:
         assert "No Attack" in capsys.readouterr().out
         assert (tmp_path / "run" / "metrics.csv").exists()
 
-    def test_nonzero_train_seed_exits_naming_master_seed(self, tmp_path, capsys):
-        # no run reads train.seed: every training seed derives from master_seed
+    def test_removed_setting_exits_before_any_run(self, tmp_path, capsys):
+        # train.seed: every training seed derives from master_seed; data.source:
+        # data.csv_path alone says whether the households are synthetic
         out = tmp_path / "run"
-        code = cli.main(["train", "--model", "lstm", "--out", str(out),
-                         "--set", "data.households=3", "--set", "data.days=20",
-                         "--set", "train.epochs=1", "--set", "train.seed=7"])
-        assert code == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "train.seed must be 0" in err and "master_seed" in err
-        assert not out.exists()
+        for override in ("train.seed=0", 'data.source="csv"'):
+            code = cli.main(["train", "--model", "lstm", "--out", str(out),
+                             "--set", "data.households=3", "--set", "data.days=20",
+                             "--set", "train.epochs=1", "--set", override])
+            assert code == cli.EXIT_CONFIG
+            key = override.split("=")[0]
+            assert f"{key} is not a config setting" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = cli.main(["train", "--setting", "central",
@@ -549,16 +527,19 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("header,reading,named", [
-        ("kwh", "nan", "row 2"), ("kwh", "inf", "row 2"), ("kwh", "1e999", "row 2"),
-        ("energy", "1.0", "'kwh'")], ids=["nan", "inf", "1e999", "no_kwh_column"])
-    def test_bad_csv_exits_before_any_run(self, tmp_path, capsys, header, reading, named):
+    @pytest.mark.parametrize("header,row,named", [
+        ("kwh", "a,2021-01-04T01,nan", "row 2"), ("kwh", "a,2021-01-04T01,inf", "row 2"),
+        ("kwh", "a,2021-01-04T01,1e999", "row 2"), ("energy", "a,2021-01-04T01,1.0", "'kwh'"),
+        ("kwh", "a,2021-01-04T01", "row 2"), ("kwh", "a,2021-01-04T01,1.0,2.0", "row 2"),
+        ("kwh", "a,,1.0", "row 2"), ("kwh", "a,NaT,1.0", "row 2")],
+        ids=["nan", "inf", "1e999", "no_kwh_column", "missing_field", "extra_field",
+             "empty_timestamp", "nat_timestamp"])
+    def test_bad_csv_exits_before_any_run(self, tmp_path, capsys, header, row, named):
         csv_path = tmp_path / "meters.csv"
         csv_path.write_text(f"household_id,timestamp,{header}\n"
-                            f"a,2021-01-04T00,1.0\na,2021-01-04T01,{reading}\n")
+                            f"a,2021-01-04T00,1.0\n{row}\n")
         out = tmp_path / "run"
-        assert cli.main(["train", "--set", 'data.source="csv"',
-                         "--set", f'data.csv_path="{csv_path}"',
+        assert cli.main(["train", "--set", f'data.csv_path="{csv_path}"',
                          "--out", str(out)]) == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
         assert not out.exists()
@@ -568,8 +549,7 @@ class TestCli:
         csv_path.write_bytes(b"household_id,timestamp,kwh\n"
                              b"a,2021-01-04T00,1.0\n\xff,2021-01-04T01,1.0\n")
         out = tmp_path / "run"
-        assert cli.main(["train", "--set", 'data.source="csv"',
-                         "--set", f'data.csv_path="{csv_path}"',
+        assert cli.main(["train", "--set", f'data.csv_path="{csv_path}"',
                          "--out", str(out)]) == cli.EXIT_CONFIG
         assert f"config error: {csv_path}: not UTF-8 text" in capsys.readouterr().err
         assert not out.exists()
@@ -583,8 +563,7 @@ class TestCli:
         csv_path = tmp_path / "meters.csv"
         csv_path.write_text("household_id,timestamp,kwh\n" + "\n".join(rows) + "\n")
         out = tmp_path / "run"
-        assert cli.main(["train", "--set", 'data.source="csv"',
-                         "--set", f'data.csv_path="{csv_path}"',
+        assert cli.main(["train", "--set", f'data.csv_path="{csv_path}"',
                          "--out", str(out)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "household 'a' has no full 00:00-23:00 day after its first midnight" in err
@@ -597,7 +576,7 @@ class TestCli:
         "train.focal_gamma=1e309",
         pytest.param(f"train.base_lr={10 ** 400}", id="train.base_lr=10**400"),
         'attack.project_linf="x"', 'attack.eps_ball="x"', "attack.pgd_iters=NaN",
-        "attack.epsilon=true", 'train.seed="x"', "data.csv_path=5",
+        "attack.epsilon=true", "data.csv_path=5",
         'train.lr_milestones=["x"]',
         # well typed but out of range: AttackSpec's own checks
         "attack.awgn_variance=-1", "attack.pgd_iters=0", "attack.family=x"])

@@ -2,6 +2,7 @@ import re
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def make_clients(k, malicious_ids=(), attack=None, n=24, poison_fraction=0.3):
     return clients
 
 
-CFG = TrainConfig(epochs=1, batch_size=16, seed=0)
+CFG = TrainConfig(epochs=1, batch_size=16)
 
 
 class TestClientNode:
@@ -538,25 +539,42 @@ class TestDeterminismAndLogs:
         assert set(rec) == {"round", "selected", "malicious_count",
                             "mean_local_loss", "global_test_accuracy"}
 
+    @pytest.mark.parametrize("rounds,evaluated", [(3, [1, 2, 3]),
+                                                  (25, [2, 4, 6, 8, 10, 12, 14, 16, 18,
+                                                        20, 22, 24, 25])])
+    def test_evaluates_about_ten_times_and_after_the_last_round(self, monkeypatch,
+                                                                rounds, evaluated):
+        def no_training(state, model_name, cfg):
+            state.round += 1
+            return fed.RoundRecord(state.round, [], 0, 0.0)
+
+        monkeypatch.setattr(fed, "run_round", no_training)
+        x_eval, y_eval = toy_client_data(55)
+        state = init_state("lstm", make_clients(2), seed=3)
+        records = fed.run_federation(state, "lstm", CFG, t_rounds=rounds,
+                                     eval_x=x_eval, eval_y=y_eval)
+        assert [r.round for r in records if r.global_test_accuracy is not None] == evaluated
+
 
 class TestCentralized:
     def test_poison_zero_is_bitwise_clean(self):
         x, y = toy_client_data(7, n=32)
-        m1, h1 = fed.run_centralized(x, y, "lstm", CFG, epochs=2,
+        cfg = replace(CFG, epochs=2)
+        m1, h1 = fed.run_centralized(x, y, "lstm", cfg, seed=0,
                                      attack=AttackSpec(family="fgsm", epsilon=0.5),
                                      poison_fraction=0.0)
-        m2, h2 = fed.run_centralized(x, y, "lstm", CFG, epochs=2)
+        m2, h2 = fed.run_centralized(x, y, "lstm", cfg, seed=0)
         assert h1 == h2
         w1, w2 = m1.get_weights(), m2.get_weights()
         assert all(np.array_equal(w1[k], w2[k]) for k in w1)
 
     def test_full_label_flip_inverts_predictions(self):
         x, y = toy_client_data(13, n=48)
-        cfg = TrainConfig(epochs=40, batch_size=16, seed=1)
-        clean, _ = fed.run_centralized(x, y, "lstm", cfg)
+        cfg = TrainConfig(epochs=40, batch_size=16)
+        clean, _ = fed.run_centralized(x, y, "lstm", cfg, seed=1)
         acc_clean = compute_metrics(classify(clean, x), y).accuracy
         flipped, _ = fed.run_centralized(
-            x, y, "lstm", cfg,
+            x, y, "lstm", cfg, seed=1,
             attack=AttackSpec(family="label_flip", flip_fraction=1.0),
             poison_fraction=1.0)
         acc_flipped = compute_metrics(classify(flipped, x), y).accuracy
@@ -565,7 +583,7 @@ class TestCentralized:
 
     def test_attack_free_matches_plain_training(self):
         x, y = toy_client_data(21, n=32)
-        model, history = fed.run_centralized(x, y, "lstm", CFG, epochs=3, seed=5)
+        model, history = fed.run_centralized(x, y, "lstm", replace(CFG, epochs=3), seed=5)
         ref = make_model("lstm", seed=derive_seed(5, "central-init"))
         ref_hist = train_local(ref, x, y, CFG, seed=5, epochs=3)
         assert history == ref_hist

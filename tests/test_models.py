@@ -211,17 +211,17 @@ class TestTraining:
     def test_separable_toy_converges(self, name, lr, n):
         x, y = separable_toy(n=n)
         model = make_model(name, seed=0)
-        cfg = TrainConfig(epochs=100 if name == "lstm" else 40, base_lr=lr, seed=0)
-        history = train_local(model, x, y, cfg)
+        cfg = TrainConfig(epochs=100 if name == "lstm" else 40, base_lr=lr)
+        history = train_local(model, x, y, cfg, seed=0)
         assert min(history) < 0.01
 
     def test_same_seed_same_weights(self):
         x, y = separable_toy(n=16, seed=2)
-        cfg = TrainConfig(epochs=3, seed=7)
+        cfg = TrainConfig(epochs=3)
 
         def run():
             m = LstmClassifier(seed=4)
-            train_local(m, x, y, cfg)
+            train_local(m, x, y, cfg, seed=7)
             return m.get_weights()
 
         wa, wb = run(), run()
@@ -230,12 +230,13 @@ class TestTraining:
     def test_loss_history_length(self):
         x, y = separable_toy(n=16)
         m = LstmClassifier(seed=0)
-        history = train_local(m, x, y, TrainConfig(epochs=5, seed=0))
+        history = train_local(m, x, y, TrainConfig(epochs=5), seed=0)
         assert len(history) == 5
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            train_local(LstmClassifier(), np.zeros((0, 24)), np.zeros(0), TrainConfig())
+            train_local(LstmClassifier(), np.zeros((0, 24)), np.zeros(0), TrainConfig(),
+                        seed=0)
 
 
 class TestInputGradient:
@@ -790,10 +791,10 @@ class TestLeanTransformerTape:
         model = TransformerClassifier(seed=0)
         x, y = self.batch(64)
         cfg = TrainConfig(epochs=1, batch_size=32)
-        train_local(model, x, y, cfg)
+        train_local(model, x, y, cfg, seed=0)
         tracemalloc.start()
         try:
-            train_local(model, x, y, cfg)
+            train_local(model, x, y, cfg, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -814,7 +815,7 @@ class TestLeanTransformerTape:
             return forward(batch)
 
         monkeypatch.setattr(model, "forward", spy)
-        train_local(model, x, y, TrainConfig(epochs=2, batch_size=4))
+        train_local(model, x, y, TrainConfig(epochs=2, batch_size=4), seed=0)
         assert seen == [[]] * 6
         assert all(p.grad is not None for p in model.params.values())
 
@@ -1069,7 +1070,7 @@ class TestCheckpoints:
         assert [n for n, p in model.params.items() if p.data is broadcast[n]] == []
         x = small_batch(seed=2, n=8)
         train_local(model, x, (x[:, 0] > 0.5).astype(np.float64),
-                    TrainConfig(epochs=2, batch_size=4))
+                    TrainConfig(epochs=2, batch_size=4), seed=0)
         # training moved every parameter, and none of the arrays handed over
         assert [n for n, p in model.params.items() if np.array_equal(p.data, broadcast[n])] == []
         assert [n for n in handed if not np.array_equal(handed[n], values[n])] == []

@@ -1,5 +1,10 @@
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 import fedmeter
 
@@ -29,3 +34,16 @@ def test_every_traced_name_resolves():
         if not callable(getattr(owner, attr, None)):
             missing.append(".".join(filter(None, (module_name, class_name, attr))))
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["fl_lstm_pgd", "fl_transformer_clean",
+                                      "attack_transformer_pgd"])
+def test_benchmark_sets_up(workload):
+    # the benchmark's set-up builds configs, training configs and client nodes
+    # through the public API; a changed field or signature would fail only there
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, str(root / "perfbench" / "run.py"),
+                           "--workload", workload, "--setup-only"],
+                          cwd=root, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "setup_s" in json.loads(proc.stdout.splitlines()[-1])
