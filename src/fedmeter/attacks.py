@@ -150,7 +150,8 @@ def poison_batch(model, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
 
 def dump_adversarial_csv(x_adv: np.ndarray, labels: np.ndarray, kinds: list[str],
                          family: str, epsilon: float, path) -> None:
-    """Adversarial samples in the dataset export schema plus attack columns."""
+    """Adversarial samples as ``v0..v23,label,kind,attack_family,epsilon`` rows,
+    values with 12 significant digits."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"v{i}" for i in range(HOURS_PER_DAY)]

@@ -147,9 +147,6 @@ class ScalingRecord:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (values - self.vmin) / (self.vmax - self.vmin)
 
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return values * (self.vmax - self.vmin) + self.vmin
-
 
 # ---------------------------------------------------------------------------
 # ingestion and synthesis
@@ -417,15 +414,3 @@ def split(dataset: LabeledDataset, train_fraction: float,
     tr = np.sort(np.concatenate(train_idx))
     te = np.sort(np.concatenate(test_idx))
     return dataset.subset(tr), dataset.subset(te)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-def export_dataset_csv(dataset: LabeledDataset, path) -> None:
-    """Write v0..v23,label,kind rows with 12-significant-digit decimals."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"v{i}" for i in range(HOURS_PER_DAY)] + ["label", "kind"])
-        for row, label, kind in zip(dataset.profiles, dataset.labels, dataset.kinds):
-            writer.writerow([f"{v:.12g}" for v in row] + [int(label), kind])

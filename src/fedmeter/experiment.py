@@ -242,8 +242,7 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
         ("federation.local_epochs", fed.local_epochs >= 1, ">= 1"),
         ("federation.malicious_count", fed.malicious_count >= 0, ">= 0"),
         ("federation.poison_fraction", 0.0 <= fed.poison_fraction <= 1.0, "in [0, 1]"),
-        ("federation.clients_per_round", cfg.setting == "central" or per_round is None
-         or 1 <= per_round <= dcfg.households, "in [1, data.households]"),
+        ("federation.clients_per_round", per_round is None or per_round >= 1, ">= 1"),
         ("train.epochs", train.epochs >= 1, ">= 1"),
         ("train.batch_size", train.batch_size >= 1, ">= 1"),
         ("train.base_lr", train.base_lr > 0, "> 0"),
@@ -262,9 +261,6 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
         _anomaly_config(cfg, 0)
     except dp.DataError as exc:
         problems.append(f"data.{exc}")
-    if fed.malicious_count > dcfg.households:
-        problems.append(f"federation.malicious_count {fed.malicious_count} exceeds "
-                        f"data.households {dcfg.households}")
     if cfg.setting == "central":
         if fed.malicious_count > 0:
             problems.append("setting central contradicts federation.malicious_count > 0")
@@ -300,7 +296,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 
     The config is rebuilt through ``config_from_dict``, so one built in code
     or changed with ``setattr`` is type-checked too; range checks run only on
-    well-typed fields.  All violations are reported together.
+    well-typed fields.  All violations are reported together.  The client
+    counts are checked by ``run_experiment``, against the households it loads.
     """
     cfg = config_from_dict(config_to_dict(cfg))
     problems = _value_problems(cfg)
@@ -317,8 +314,6 @@ class ClientData:
     client_id: str
     train: dp.LabeledDataset
     test: dp.LabeledDataset
-    windows: dp.UsageWindows
-    scaling: dp.ScalingRecord
 
 
 def _anomaly_config(cfg: ExperimentConfig, ordinal: int) -> dp.AnomalyConfig:
@@ -349,10 +344,10 @@ def build_client_data(cfg: ExperimentConfig) -> list[ClientData]:
                                f"after its first midnight")
         windows = dp.detect_usage_windows(profiles)
         labeled = dp.build_dataset(profiles, windows, _anomaly_config(cfg, ordinal))
-        normalized, scaling = dp.normalize(labeled)
+        normalized, _ = dp.normalize(labeled)
         train, test = dp.split(normalized, dcfg.train_fraction,
                                seed=derive_seed(cfg.master_seed, "split", ordinal))
-        clients.append(ClientData(hid, train, test, windows, scaling))
+        clients.append(ClientData(hid, train, test))
     return clients
 
 
@@ -368,10 +363,8 @@ def pooled(datasets: list[dp.LabeledDataset]) -> tuple[np.ndarray, np.ndarray, l
 
 @dataclass
 class RunResult:
-    config: ExperimentConfig
     rows: list[list[str]]          # metrics.csv rows
     output_dir: str
-    files: list[str]
 
 
 def _resolve_output_dir(cfg: ExperimentConfig) -> str:
@@ -424,7 +417,14 @@ def _train(cfg: ExperimentConfig, clients: list[ClientData], emit,
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     cfg = validate_config(cfg)
-    clients = build_client_data(cfg)  # a data error leaves no run directory
+    clients = build_client_data(cfg)  # a data or count error leaves no run directory
+    fed = cfg.federation
+    too_many = [f"federation.{name} {count} exceeds the {len(clients)} households loaded"
+                for name, count in (("malicious_count", fed.malicious_count),
+                                    ("clients_per_round", fed.clients_per_round))
+                if count is not None and count > len(clients)]
+    if too_many:
+        raise ConfigError("invalid config:\n  - " + "\n  - ".join(too_many))
     out_dir = _resolve_output_dir(cfg)
     x_test, y_test, kinds_test = pooled([c.test for c in clients])
     label_setting = _setting_label(cfg)
@@ -496,9 +496,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         emit(f"{figure}.csv", write_figure)
 
     emit("metrics.csv", lambda p: write_metrics_csv(rows, p))
-    result = RunResult(cfg, rows, out_dir, files)
     _write_snapshot_and_manifest(cfg, out_dir, files)
-    return result
+    return RunResult(rows, out_dir)
 
 
 def _write_snapshot_and_manifest(cfg: ExperimentConfig, out_dir: str,

@@ -87,11 +87,8 @@ class RoundRecord:
 
 def select_clients(state: FederationState, round_index: int) -> list[int]:
     """Uniform sample of client indices without replacement, seeded per round."""
-    n = len(state.clients)
-    if state.clients_per_round > n:
-        raise ValueError("cannot select more clients than exist")
     rng = rng_for(state.seed, "select", round_index)
-    picked = rng.choice(n, size=state.clients_per_round, replace=False)
+    picked = rng.choice(len(state.clients), size=state.clients_per_round, replace=False)
     return sorted(int(i) for i in picked)
 
 

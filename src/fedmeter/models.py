@@ -1085,5 +1085,12 @@ def save_weights(weights: dict[str, np.ndarray], path) -> None:
 
 
 def load_weights(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint file; a malformed one, or one that holds a NaN or
+    infinite value, raises ValueError naming what is wrong."""
     with open(path, "rb") as fh:
-        return weights_from_bytes(fh.read())
+        weights = weights_from_bytes(fh.read())
+    for name, arr in weights.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"corrupt weight checkpoint: tensor {name!r} holds a "
+                             f"non-finite value")
+    return weights

@@ -500,3 +500,15 @@ class TestDump:
         assert header[-4:] == ["label", "kind", "attack_family", "epsilon"]
         assert lines[1].split(",")[-2:] == ["fgsm", "0.5"]
         assert len(lines) == 4
+
+    def test_twelve_digits_and_byte_identical_rewrite(self, tmp_path):
+        x_adv = np.random.default_rng(5).uniform(size=(20, 24))
+        x_adv[0, 0] = 1.0 / 3.0
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for path in (a, b):
+            atk.dump_adversarial_csv(x_adv, np.zeros(20, int), ["none"] * 20, "pgd",
+                                     1.0 / 3.0, path)
+        assert a.read_bytes() == b.read_bytes()
+        fields = a.read_text().splitlines()[1].split(",")
+        assert fields[0] == "0.333333333333"  # 12 significant digits
+        assert fields[-4:] == ["0", "none", "pgd", "0.333333333333"]

@@ -137,11 +137,13 @@ class TestConfig:
         validate_config(cfg)
 
     def test_excess_malicious_count_rejected(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, data={"households": 19},
+        cfg = tiny_cfg(tmp_path / "run", data={"households": 19},
                        federation={"malicious_count": 20},
                        attack={"family": "pgd"}, protocol="training_attack")
-        with pytest.raises(ConfigError, match="malicious_count 20"):
-            validate_config(cfg)
+        with pytest.raises(ConfigError,
+                           match="malicious_count 20 exceeds the 19 households loaded"):
+            run_experiment(cfg)
+        assert not (tmp_path / "run").exists()
 
     def test_all_violations_listed_together(self, tmp_path):
         cfg = tiny_cfg(tmp_path, setting="central", threshold=2.0,
@@ -268,10 +270,12 @@ class TestBuildClientData:
             assert len(c.train) + len(c.test) == 23  # 20 days + 15% anomalies
 
     def test_windows_match_synthesizer_design(self, tmp_path):
-        clients = build_client_data(tiny_cfg(tmp_path, data={"days": 120}))
-        for c in clients:
-            assert c.windows.low_hours == (4, 5, 6, 7, 8, 9)
-            assert c.windows.high_hours == (0, 18, 19, 20, 21, 22, 23)
+        cfg = tiny_cfg(tmp_path, data={"days": 120})
+        for series in dp.synthetic_households(cfg.data.households, cfg.data.days,
+                                              cfg.master_seed):
+            windows = dp.detect_usage_windows(dp.segment_daily(series))
+            assert windows.low_hours == (4, 5, 6, 7, 8, 9)
+            assert windows.high_hours == (0, 18, 19, 20, 21, 22, 23)
 
     def test_csv_route_matches_synthetic_route(self, tmp_path):
         csv_path = tmp_path / "meters.csv"
@@ -568,6 +572,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert "household 'a' has no full 00:00-23:00 day after its first midnight" in err
         assert not out.exists()
+
+    @pytest.fixture
+    def three_household_csv(self, tmp_path):
+        csv_path = tmp_path / "meters.csv"
+        assert cli.main(["synth-data", "--households", "3", "--days", "20",
+                         "--out", str(csv_path)]) == 0
+        return ["--set", f'data.csv_path="{csv_path}"', "--set", "data.anomaly_fraction=0.15",
+                "--set", "attack.family=pgd", "--set", "federation.malicious_count=1",
+                "--set", "federation.rounds=1", "--set", "train.epochs=1"]
+
+    @pytest.mark.parametrize("setting,count", [("malicious_count", 5),
+                                               ("clients_per_round", 4)])
+    def test_client_count_above_the_loaded_households_exits_before_any_run(
+            self, tmp_path, capsys, three_household_csv, setting, count):
+        out = tmp_path / "run"
+        assert cli.main(["federate", *three_household_csv, "--set",
+                         f"federation.{setting}={count}",
+                         "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"federation.{setting} {count} exceeds the 3 households loaded" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_client_counts_ignore_data_households_for_a_csv(self, tmp_path, capsys,
+                                                            three_household_csv):
+        out = tmp_path / "run"
+        assert cli.main(["federate", *three_household_csv,
+                         "--set", "federation.clients_per_round=3",
+                         "--set", "data.households=2", "--out", str(out)]) == 0
+        assert "LSTM (FL), PGD" in capsys.readouterr().out
+        assert (out / "final_pgd.ckpt").exists()
 
     @pytest.mark.parametrize("override", [
         "epsilon_list=5", "train.lr_milestones=5", "malicious_fraction_list=null",

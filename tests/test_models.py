@@ -1021,6 +1021,13 @@ class TestCheckpoints:
         restored = md.load_weights(path)
         assert all(np.array_equal(restored[k], w[k]) for k in w)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_checkpoint_rejected(self, tmp_path, bad):
+        path = tmp_path / "ckpt.bin"
+        md.save_weights({"a": np.zeros(3), "b": np.array([[1.0, bad]])}, path)
+        with pytest.raises(ValueError, match="tensor 'b' holds a non-finite value"):
+            md.load_weights(path)
+
     def test_bad_magic(self):
         with pytest.raises(ValueError, match="magic"):
             md.weights_from_bytes(b"NOPE" + b"\x00" * 16)

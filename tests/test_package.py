@@ -1,17 +1,36 @@
 import importlib.util
 import json
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import fedmeter
+from fedmeter import cli
 
 
 def test_every_exported_name_resolves():
     missing = [name for name in fedmeter.__all__ if not hasattr(fedmeter, name)]
     assert missing == []
+
+
+def test_readme_cli_block_parses():
+    # each documented command line, its bracketed optional parts removed, must
+    # parse: a renamed command or flag fails here instead of going stale
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("fedmeter ")]
+    assert lines
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(re.sub(r"\[[^]]*\]", "", line))[1:])
+        except SystemExit:
+            pytest.fail(f"README's CLI line does not parse: {line}")
 
 
 def _perfbench_tracing():
