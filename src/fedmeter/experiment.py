@@ -266,6 +266,10 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
             problems.append("setting central contradicts federation.malicious_count > 0")
         if per_round is not None:
             problems.append("setting central contradicts federation.clients_per_round")
+    elif fed.malicious_count > 0 and cfg.protocol in ("baseline", "inference_attack",
+                                                       "sweep_malicious"):
+        problems.append(f"protocol {cfg.protocol} does not read federation.malicious_count; "
+                        f"it must be 0, got {fed.malicious_count}")
     if cfg.protocol in ("inference_attack", "training_attack") \
             and cfg.attack.family == "none":
         problems.append(f"protocol {cfg.protocol} requires an attack.family")

@@ -677,6 +677,20 @@ class TestCli:
         assert "protocol training_attack" in err and "federation.malicious_count" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [
+        ["train"], ["attack-eval", "--set", "attack.family=fgsm"],
+        ["sweep", "--axis", "malicious", "--set", "malicious_fraction_list=[0.34]"]],
+        ids=["baseline", "inference_attack", "sweep_malicious"])
+    def test_protocol_that_ignores_malicious_count_rejects_it(self, tmp_path, capsys,
+                                                               command):
+        out = tmp_path / "run"
+        assert cli.main([*command, "--set", "federation.malicious_count=1",
+                         "--set", "data.households=3", "--set", "data.days=20",
+                         "--set", "federation.rounds=1", "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "does not read federation.malicious_count; it must be 0, got 1" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_federate_runs_the_setting_it_is_given(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli.main(["federate", "--setting", "central", "--seed", "3",
