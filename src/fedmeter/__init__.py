@@ -3,7 +3,6 @@ attacks, simulated deterministically at desk scale."""
 
 from . import attacks, autodiff, data, evaluation, experiment, federation, models
 from .attacks import AttackSpec
-from .autodiff import Tensor
 from .data import AnomalyConfig, LabeledDataset, UsageWindows
 from .evaluation import AsrReport, Metrics
 from .experiment import DataConfig, ExperimentConfig, FederationConfig, run_experiment
@@ -14,7 +13,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "attacks", "autodiff", "data", "evaluation", "experiment", "federation",
-    "models", "AttackSpec", "Tensor", "AnomalyConfig", "LabeledDataset",
+    "models", "AttackSpec", "AnomalyConfig", "LabeledDataset",
     "UsageWindows", "AsrReport", "Metrics", "DataConfig",
     "ExperimentConfig", "FederationConfig", "run_experiment", "ClientNode",
     "FederationState", "LstmClassifier", "TrainConfig", "TransformerClassifier",

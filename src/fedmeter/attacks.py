@@ -8,8 +8,8 @@ l-infinity projection is available for the canonical variant.  The naive
 baselines are additive white Gaussian noise on inputs and label flipping.
 
 Attacks operate on normalized profiles, so epsilon is dimensionless.  They
-only read the model: each input gradient is taken through a frozen view of
-its weights (``models.input_gradient``), which writes nothing back.  The
+only read the model: each input gradient asks for no weight gradient
+(``models.input_gradient``), so it writes nothing back.  The
 gradient attacks work through the rows in blocks, each model class
 holding its own number of rows in flight.  Outside a federated round's
 client and with BLAS on one thread per call, the blocks run on two cores,

@@ -187,9 +187,9 @@ def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> Roun
             epochs=state.local_epochs,
             epoch_offset=(round_index - 1) * state.local_epochs)
         losses[pos] = history[-1]
-        # the model's own arrays, not copies: this worker's next set_weights
-        # gives every parameter a new array before training touches one
-        return {name: p.data for name, p in model.params.items()}
+        # the model's own weight map, not a copy: this worker's next
+        # set_weights gives the model a new map before training touches one
+        return model.params
 
     # one instance per worker; each client overwrites every weight before use
     models = [make_model(model_name, seed=0)]

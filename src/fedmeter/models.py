@@ -4,12 +4,19 @@ Two architectures: a single-layer LSTM (100 units) and a 5-block Transformer
 encoder (width 160, 8 heads of 20, FFN 128, dense head 256), both ending in a
 sigmoid unit that outputs the anomaly probability.  Training uses binary
 focal loss and RMSprop with a step learning-rate schedule.
+
+A model's weights are a plain ``dict[str, ndarray]``, ``model.params``.  Each
+fused kernel takes float64 arrays and one caller mode, ``want``: "weights"
+(training), "input" (an attack) or None (inference).  It returns its output
+and, unless ``want`` is None, a backward closure ``g -> (d_in, {name:
+grad})``, which ``autodiff.backward`` runs.  Training gets the weight
+gradients and no input gradient; an attack the input gradient and none of
+the weights'.
 """
 
 from __future__ import annotations
 
 import contextlib
-import copy
 import math
 import os
 import struct
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ShapeError
 from .seeding import rng_for
 
 SEQ_LEN = 24
@@ -58,11 +65,22 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _wrap_batch(x) -> Tensor:
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    if t.ndim != 2 or t.shape[1] != SEQ_LEN:
-        raise ad.ShapeError(f"expected a batch of {SEQ_LEN}-step profiles, got shape {t.shape}")
-    return t
+def _checked_batch(x) -> np.ndarray:
+    """``x`` as a float64 batch of profiles; ValueError when it holds a NaN or
+    infinite value, ShapeError when it is not (rows, SEQ_LEN)."""
+    x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("the batch must be finite (no NaN/Inf)")
+    if x.ndim != 2 or x.shape[1] != SEQ_LEN:
+        raise ShapeError(f"expected a batch of {SEQ_LEN}-step profiles, got shape {x.shape}")
+    return x
+
+
+def _check_weights(params: dict[str, np.ndarray]) -> None:
+    """FloatingPointError naming the first weight that holds a NaN or infinity."""
+    for name, arr in params.items():
+        if not np.all(np.isfinite(arr)):
+            raise FloatingPointError(f"weight {name}: holds a non-finite value")
 
 
 def _sigmoid_np(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -97,36 +115,33 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.sum(axis=tuple(range(extra))) if extra > 0 else grad
 
 
-def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """Full LSTM recurrence over the sequence as one fused tape primitive.
+def lstm_sequence(x: np.ndarray, w: dict[str, np.ndarray], want: str | None = None):
+    """Full LSTM recurrence over the sequence as one fused kernel.
 
     Runs backpropagation-through-time by hand instead of composing ~400
     elementary tape nodes; the analytic gradients are pinned against the
     finite-difference oracle in the test suite.  Gate order inside the fused
     kernels: input, forget, candidate, output.  Returns the final hidden
-    state [batch, hidden], with the hidden size read from ``wh``.
+    state [batch, hidden], with the hidden size read from ``lstm.wh``, and
+    its backward closure: the gradients of ``lstm.wx``, ``lstm.wh`` and
+    ``lstm.b`` for "weights", of ``x`` for "input".
 
-    Like every primitive, it reads ``requires_grad`` when it records: the
-    backward rule returns None for inputs that need no gradient and skips
-    their work.  The tape holds two arrays per step, nothing when no input
-    needs a gradient (a forward pass through a frozen view): the gates, one
-    (batch, 4 * hidden) array in gate order, and the cell state ``c``.  Each
-    step takes one sigmoid pass over all four gates and writes the
-    candidate's tanh over its columns; backward writes each step's gate
-    gradient straight into its slot of the gradient buffer.  These few wide numpy calls, rather than many narrow
-    ones, let a second worker thread run while one holds the GIL.  Backward
-    recomputes ``tanh(c)`` once per step, and the previous hidden state from
-    it only when ``wh`` needs a gradient.  With ``wx`` frozen (every
-    attack), the input gradient is formed ``_GEMV_ROWS`` steps at a time,
+    The closure holds two arrays per step, nothing for ``want`` None: the
+    gates, one (batch, 4 * hidden) array in gate order, and the cell state
+    ``c``.  Each step takes one sigmoid pass over all four gates and writes
+    the candidate's tanh over its columns; backward writes each step's gate
+    gradient straight into its slot of the gradient buffer.  These few wide
+    numpy calls, rather than many narrow ones, let a second worker thread
+    run while one holds the GIL.  Backward recomputes ``tanh(c)`` once per
+    step, and the previous hidden state from it only for the weights.  For
+    an attack the input gradient is formed ``_GEMV_ROWS`` steps at a time,
     not from a gradient buffer over the whole sequence; see ``_GEMV_ROWS``
     for why every row keeps its bits.
     """
-    x_np, wx_np, wh_np, b_np = x.data, wx.data, wh.data, b.data
-    batch, steps = x_np.shape
+    wx_np, wh_np, b_np = w["lstm.wx"], w["lstm.wh"], w["lstm.b"]
+    batch, steps = x.shape
     h_size = wh_np.shape[0]
-    need_x, need_wx = x.requires_grad, wx.requires_grad
-    need_wh, need_b = wh.requires_grad, b.requires_grad
-    recording = need_x or need_wx or need_wh or need_b
+    train = want == "weights"
 
     i_, f_, g_, o_ = (slice(k * h_size, (k + 1) * h_size) for k in range(4))
     zeros = np.zeros((batch, h_size))
@@ -136,7 +151,7 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
         # the K=1 product is exact and the sums commute, so the pre-activation
         # has the bits of one (batch * steps, 1) @ wx gemm plus h @ wh plus b
         gates = h @ wh_np
-        gates += x_np[:, t:t + 1] * wx_np
+        gates += x[:, t:t + 1] * wx_np
         gates += b_np
         # one sigmoid pass over all four gates in place, then the
         # candidate's tanh over its sigmoid
@@ -147,16 +162,18 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
         c += gates[:, i_] * gg
         h = np.tanh(c)
         h *= gates[:, o_]
-        if recording:
+        if want:
             saved.append((gates, c))
+    if not want:
+        return h, None
 
     def bw(grad_h):
-        d_wh = np.zeros_like(wh_np) if need_wh else None
-        d_b = np.zeros_like(b_np) if need_b else None
+        d_wh = np.zeros_like(wh_np) if train else None
+        d_b = np.zeros_like(b_np) if train else None
         # d_wx reduces over every row in one call, so it needs them all
-        chunk = steps if need_wx or steps % _GEMV_ROWS else _GEMV_ROWS
+        chunk = steps if train or steps % _GEMV_ROWS else _GEMV_ROWS
         d_zx = np.empty((batch, chunk, 4 * h_size))
-        d_x = np.empty((batch, steps)) if need_x else None
+        d_x = None if train else np.empty((batch, steps))
         dh, dc = grad_h, zeros
         tc = np.tanh(saved[-1][1]) if steps else None
         for t in range(steps - 1, -1, -1):
@@ -184,23 +201,23 @@ def lstm_sequence(x: Tensor, wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
             np.multiply(gg, gg, out=slope[:, g_])
             np.subtract(1.0, slope[:, g_], out=slope[:, g_])
             dz *= slope
-            if need_wh:
+            if train:
                 h_prev = saved[t - 1][0][:, o_] * tc_prev if t else zeros
                 d_wh += h_prev.T @ dz
-            if need_b:
                 d_b += dz.sum(axis=0)
-            if need_x and t % chunk == 0:
+            elif t % chunk == 0:
                 # rows in (batch, step) order, as in one call over all steps
                 flat = d_zx.reshape(batch * chunk, 4 * h_size)
                 d_x[:, t:t + chunk] = (flat @ wx_np.T).reshape(batch, chunk)
             dh = dz @ wh_np.T
             dc *= gates[:, f_]
             tc = tc_prev
-        d_wx = (x_np.reshape(batch * steps, 1).T @ d_zx.reshape(batch * steps, 4 * h_size)
-                if need_wx else None)
-        return d_x, d_wx, d_wh, d_b
+        if not train:
+            return d_x, {}
+        d_wx = x.reshape(batch * steps, 1).T @ d_zx.reshape(batch * steps, 4 * h_size)
+        return None, {"lstm.wx": d_wx, "lstm.wh": d_wh, "lstm.b": d_b}
 
-    return ad.custom_op(h, (x, wx, wh, b), bw)
+    return h, bw
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -222,30 +239,36 @@ def _affine_grads(g: np.ndarray, x: np.ndarray | None, w: np.ndarray | None,
             _reduce_to(g, g.shape[-1:]) if need_b else None)
 
 
-def sigmoid_head(h: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def sigmoid_head(h: np.ndarray, params: dict[str, np.ndarray], prefix: str,
+                 want: str | None = None):
     """The anomaly probabilities ``sigmoid(h @ w + b)`` of a (batch, features)
-    ``h`` and a one-unit ``w`` and ``b``, as one fused tape primitive;
-    returns (batch,).
+    ``h`` and the one-unit weights ``w`` and ``b``, named ``prefix + "w"`` and
+    ``prefix + "b"`` in ``params``, as one fused kernel; returns (batch,) and
+    the backward closure, which gives the gradient of ``h`` and, for
+    "weights", those of ``w`` and ``b``.
 
     The forward runs the numpy expressions of the composed linear, sigmoid
     and reshape nodes, and the backward replays their rules in the reverse
     order, so values and gradients are bit-identical to that chain, which
     the test suite keeps as the oracle.  Saved for backward: the
-    probabilities, ``h`` when ``w`` requires grad and ``w`` when ``h`` does.
+    probabilities, and ``h`` for the weights.
     """
+    w, b = params[prefix + "w"], params[prefix + "b"]
     sh, sw, sb = h.shape, w.shape, b.shape
     if h.ndim != 2 or sw != (sh[1], 1) or sb != (1,):
-        raise ad.ShapeError(f"sigmoid_head: shapes {sh}, {sw} and {sb} do not conform")
-    h_saved = h.data if w.requires_grad else None
-    w_saved = w.data if h.requires_grad else None
-    need_b = b.requires_grad
-    p = _sigmoid_np(_affine(h.data, w.data, b.data))
+        raise ShapeError(f"sigmoid_head: shapes {sh}, {sw} and {sb} do not conform")
+    p = _sigmoid_np(_affine(h, w, b))
+    if not want:
+        return p.reshape(sh[0]), None
+    train = want == "weights"
+    h_saved = h if train else None
 
     def bw(g):
         g = g.reshape(p.shape)
-        return _affine_grads(g * p * (1.0 - p), h_saved, w_saved, need_b)
+        d_h, d_w, d_b = _affine_grads(g * p * (1.0 - p), h_saved, w, train)
+        return d_h, {prefix + "w": d_w, prefix + "b": d_b} if train else {}
 
-    return ad.custom_op(p.reshape(sh[0]), (h, w, b), bw)
+    return p.reshape(sh[0]), bw
 
 
 def _layer_norm_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -310,9 +333,12 @@ def _layer_norm_grads(g: np.ndarray, centered: np.ndarray, ve: np.ndarray | None
     return d_t, d_gamma, _reduce_to(g, (d,)) if need_beta else None
 
 
-def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -> Tensor:
+def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], pos: np.ndarray,
+                        want: str | None = None):
     """The Transformer from its batch of readings to its dense head's ReLU
-    output, as one fused tape primitive; returns (batch, DENSE_HIDDEN).
+    output, as one fused kernel; returns (batch, DENSE_HIDDEN) and the
+    backward closure, which gives the gradients of every weight it reads for
+    "weights" and of ``x`` for "input".
 
     Each reading is embedded by ``emb.w`` and ``emb.b``, scaled by
     sqrt(D_MODEL) so that it is not drowned out by the unit-magnitude
@@ -332,31 +358,21 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
     gradients are bit-identical to the composed tape, which the test suite
     keeps as the oracle.
 
-    Saved for backward, per block, when ``x`` or any encoder weight needs a
-    gradient (training or an attack): q, k and v in head layout, the
-    softmax's row max and sum, both layer norms' ``centered``, ``var + 1e-6``
-    and ``inv``, and the ReLU mask; 24.5 MiB at 32 rows.  The backward
-    re-forms the attention weights from q, k and the row max and sum, and
-    recomputes each block's input (block 0's from ``x``), each layer-norm
+    Saved for backward, per block, in training and for an attack alike: q,
+    k and v in head layout, the softmax's row max and sum, both layer norms'
+    ``centered``, ``var + 1e-6`` and ``inv``, and the ReLU mask; 24.5 MiB at
+    32 rows.  The backward re-forms the attention weights from q, k and the
+    row max and sum, and recomputes each block's input (block 0's from ``x``), each layer-norm
     output, the merged attention context and, for ``ffn.w2``'s gradient, the
     ReLU output, with the forward's own expressions, so with the same bits.
     Keeping the row max and sum (0.5 MiB at 32 rows) spares backward two of
     the softmax's five passes.  The head saves its ReLU mask, and the pooled
-    block output only for ``head.dense.w``'s gradient.  When nothing needs a
-    gradient it saves nothing.
+    block output only for the weights.  For ``want`` None it saves nothing.
     """
-    x_np = x.data
-    batch = x_np.shape[0]
+    w = params
+    batch = x.shape[0]
     nh, hd, d = NUM_HEADS, HEAD_DIM, D_MODEL
-    names = ["emb.w", "emb.b"] + [f"blk{k}.{name}" for k in range(NUM_BLOCKS) for name in (
-        "attn.wq", "attn.qb", "attn.wk", "attn.kb", "attn.wv", "attn.vb", "attn.wo", "attn.ob",
-        "ln1.gamma", "ln1.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2", "ln2.gamma", "ln2.beta")]
-    names += ["head.dense.w", "head.dense.b"]
-    w = {name: params[name].data for name in names}
-    need = {name: params[name].requires_grad for name in names}
-    need_x = x.requires_grad
-    # whether backward runs on through the blocks, past the dense head
-    deep = need_x or any(need[name] for name in names[:-2])
+    train = want == "weights"
     emb_scale = np.sqrt(float(d))
     att_scale = 1.0 / np.sqrt(hd)
 
@@ -371,7 +387,7 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
         return t.reshape(batch, SEQ_LEN, d)
 
     def embed() -> np.ndarray:
-        h = _affine(x_np.reshape(batch * SEQ_LEN, 1), w["emb.w"], w["emb.b"])
+        h = _affine(x.reshape(batch * SEQ_LEN, 1), w["emb.w"], w["emb.b"])
         h *= emb_scale
         h = h.reshape(batch, SEQ_LEN, d)
         h += pos
@@ -408,7 +424,7 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
     # per block, in this order: q, k, the softmax's row max and sum, v, the
     # first layer norm's statistics, the ReLU mask, the second's
     saved: list[np.ndarray] = []
-    keep = saved.extend if deep else lambda arrays: None
+    keep = saved.extend if want else lambda arrays: None
     # each intermediate is dropped after its last reader, and worked in place
     # where the composed tape's next node made a new array of the same values
     h = embed()
@@ -445,29 +461,27 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
     out = _affine(pooled, w["head.dense.w"], w["head.dense.b"])
     live = out > 0
     np.maximum(out, 0.0, out=out)
-    if not need["head.dense.w"]:
+    if not want:
+        return out, None
+    if not train:
         pooled = None
 
     def bw(g):
-        grads: dict[str, np.ndarray | None] = {}
+        grads: dict[str, np.ndarray] = {}
 
         def dense(g, x_in, wname: str, bname: str, need_in: bool = True):
             """Record the weight gradients of one ``_affine`` and return its
-            input's; ``x_in`` makes the input, only if the weight needs it."""
+            input's; ``x_in`` makes the input, only for the weights."""
             d_in, grads[wname], grads[bname] = _affine_grads(
-                g, x_in() if need[wname] else None, w[wname] if need_in else None,
-                need[bname])
+                g, x_in() if train else None, w[wname] if need_in else None, train)
             return d_in
 
         def norm(g, centered, ve, inv, prefix: str):
             d_t, grads[prefix + ".gamma"], grads[prefix + ".beta"] = _layer_norm_grads(
-                g, centered, ve, inv, w[prefix + ".gamma"], need[prefix + ".gamma"],
-                need[prefix + ".beta"])
+                g, centered, ve, inv, w[prefix + ".gamma"], train, train)
             return d_t
 
-        g = dense(g * live, lambda: pooled, "head.dense.w", "head.dense.b", need_in=deep)
-        if not deep:
-            return (None, *(grads.get(name) for name in names))
+        g = dense(g * live, lambda: pooled, "head.dense.w", "head.dense.b")
         # the mean's backward over time
         g = np.broadcast_to(np.expand_dims(g, 1) / SEQ_LEN, (batch, SEQ_LEN, d)).copy()
         for k in reversed(range(NUM_BLOCKS)):
@@ -479,7 +493,7 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
             # the first layer norm's output, formed once for both weights of
             # the feed-forward layer
             h1 = None
-            if need[p + "ffn.w1"] or need[p + "ffn.w2"]:
+            if train:
                 h1 = _layer_norm_out(centered1, inv1, w[p + "ln1.gamma"], w[p + "ln1.beta"])
             # g reaches the first layer norm's output through the residual
             # and through the feed-forward layer: two terms sum either way
@@ -512,7 +526,7 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
             # the block's input; its gradient sums the residual's, then q's,
             # k's and v's, in the composed tape's order
             h_in = None
-            if any(need[p + name] for name in ("attn.wq", "attn.wk", "attn.wv")):
+            if train:
                 h_in = embed() if k == 0 else block_output(k - 1)
             g += dense(merge(d_q), lambda: h_in, p + "attn.wq", p + "attn.qb")
             del d_q
@@ -522,15 +536,38 @@ def transformer_encoder(x: Tensor, params: dict[str, Tensor], pos: np.ndarray) -
             del d_v, h_in
         # the positional code is a constant
         g *= emb_scale
-        d_flat = dense(g.reshape(batch * SEQ_LEN, d), lambda: x_np.reshape(batch * SEQ_LEN, 1),
-                       "emb.w", "emb.b", need_in=need_x)
-        return (None if d_flat is None else d_flat.reshape(batch, SEQ_LEN),
-                *(grads[name] for name in names))
+        d_flat = dense(g.reshape(batch * SEQ_LEN, d), lambda: x.reshape(batch * SEQ_LEN, 1),
+                       "emb.w", "emb.b", need_in=not train)
+        return (None, grads) if train else (d_flat.reshape(batch, SEQ_LEN), {})
 
-    return ad.custom_op(out, (x, *(params[name] for name in names)), bw)
+    return out, bw
 
 
-class LstmClassifier:
+class _Classifier:
+    """What both models share: the weight map ``params``, one float64 array
+    per name, and its copies in and out."""
+
+    params: dict[str, np.ndarray]
+
+    def get_weights(self) -> dict[str, np.ndarray]:
+        return {k: v.copy() for k, v in self.params.items()}
+
+    def set_weights(self, weights: dict[str, np.ndarray]) -> None:
+        """Replace the weight map by a new one of copies of ``weights``, so no
+        array handed out before (see ``federation.run_round``) changes."""
+        if set(self.params) != set(weights):
+            missing = sorted(set(self.params) ^ set(weights))
+            raise ValueError(f"weight map names do not match the model: {missing}")
+        new = {}
+        for name, old in self.params.items():
+            arr = np.asarray(weights[name], dtype=np.float64)
+            if arr.shape != old.shape:
+                raise ValueError(f"weight {name}: shape {arr.shape} != expected {old.shape}")
+            new[name] = arr.copy()
+        self.params = new
+
+
+class LstmClassifier(_Classifier):
     """Sequence-to-one LSTM: 24 scalar steps -> hidden state -> sigmoid unit."""
 
     name = "lstm"
@@ -541,24 +578,20 @@ class LstmClassifier:
     def __init__(self, seed: int = 0):
         rng = rng_for(seed, "init", "lstm")
         h = LSTM_HIDDEN
-        self.params: dict[str, Tensor] = {
-            "lstm.wx": Tensor(_glorot(rng, (1, 4 * h)), requires_grad=True),
-            "lstm.wh": Tensor(_glorot(rng, (h, 4 * h)), requires_grad=True),
-            "lstm.b": Tensor(np.zeros(4 * h), requires_grad=True),
-            "head.w": Tensor(_glorot(rng, (h, 1)), requires_grad=True),
-            "head.b": Tensor(np.zeros(1), requires_grad=True),
+        self.params = {
+            "lstm.wx": _glorot(rng, (1, 4 * h)),
+            "lstm.wh": _glorot(rng, (h, 4 * h)),
+            "lstm.b": np.zeros(4 * h),
+            "head.w": _glorot(rng, (h, 1)),
+            "head.b": np.zeros(1),
         }
 
-    def forward(self, x) -> Tensor:
-        p = self.params
-        h = lstm_sequence(_wrap_batch(x), p["lstm.wx"], p["lstm.wh"], p["lstm.b"])
-        return sigmoid_head(h, p["head.w"], p["head.b"])
-
-    def get_weights(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self.params.items()}
-
-    def set_weights(self, weights: dict[str, np.ndarray]) -> None:
-        _assign_weights(self.params, weights)
+    def forward(self, x, want: str | None = None) -> tuple[np.ndarray, list]:
+        """The anomaly probabilities of the batch ``x``, and its kernels'
+        backward closures in order (each None for ``want`` None)."""
+        h, encoder = lstm_sequence(_checked_batch(x), self.params, want)
+        probs, head = sigmoid_head(h, self.params, "head.", want)
+        return probs, [encoder, head]
 
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
@@ -571,61 +604,54 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return pe
 
 
-class TransformerClassifier:
+class TransformerClassifier(_Classifier):
     """Post-norm Transformer encoder over embedded hourly readings.
 
     Scalar readings are linearly embedded to the model width, summed with a
     fixed sinusoidal positional code, passed through the encoder blocks,
-    averaged over time and fed to a ReLU dense layer, all as one fused tape
-    node (:func:`transformer_encoder`); a sigmoid unit
+    averaged over time and fed to a ReLU dense layer, all as one fused
+    kernel (:func:`transformer_encoder`); a sigmoid unit
     (:func:`sigmoid_head`) classifies the result.  A 32-row training forward
-    holds 24.6 MiB of tape, because the encoder's backward recomputes its
-    layer-norm outputs, attention weights, merged attention contexts and
-    ReLU outputs instead of saving them.
+    holds 24.6 MiB in its closures, because the encoder's backward
+    recomputes its layer-norm outputs, attention weights, merged attention
+    contexts and ReLU outputs instead of saving them.
     """
 
     name = "transformer"
     # Rows an attack or inference keeps in flight (see _by_row_blocks).  A
-    # row's tape is about 1 MiB, 8x the LSTM's, and an input_gradient costs
-    # about the same per row at 16 rows as at 32.
+    # row's closures hold about 1 MiB, 8x the LSTM's, and an input_gradient
+    # costs about the same per row at 16 rows as at 32.
     ROW_BLOCK = 32
 
     def __init__(self, seed: int = 0):
         rng = rng_for(seed, "init", "transformer")
         d, ffn, dense = D_MODEL, FFN_HIDDEN, DENSE_HIDDEN
-        params: dict[str, Tensor] = {
-            "emb.w": Tensor(_glorot(rng, (1, d)), requires_grad=True),
-            "emb.b": Tensor(np.zeros(d), requires_grad=True),
-        }
+        params = {"emb.w": _glorot(rng, (1, d)), "emb.b": np.zeros(d)}
         for k in range(NUM_BLOCKS):
             for proj in ("wq", "wk", "wv", "wo"):
-                params[f"blk{k}.attn.{proj}"] = Tensor(_glorot(rng, (d, d)), requires_grad=True)
-                params[f"blk{k}.attn.{proj[1]}b"] = Tensor(np.zeros(d), requires_grad=True)
-            params[f"blk{k}.ln1.gamma"] = Tensor(np.ones(d), requires_grad=True)
-            params[f"blk{k}.ln1.beta"] = Tensor(np.zeros(d), requires_grad=True)
-            params[f"blk{k}.ffn.w1"] = Tensor(_glorot(rng, (d, ffn)), requires_grad=True)
-            params[f"blk{k}.ffn.b1"] = Tensor(np.zeros(ffn), requires_grad=True)
-            params[f"blk{k}.ffn.w2"] = Tensor(_glorot(rng, (ffn, d)), requires_grad=True)
-            params[f"blk{k}.ffn.b2"] = Tensor(np.zeros(d), requires_grad=True)
-            params[f"blk{k}.ln2.gamma"] = Tensor(np.ones(d), requires_grad=True)
-            params[f"blk{k}.ln2.beta"] = Tensor(np.zeros(d), requires_grad=True)
-        params["head.dense.w"] = Tensor(_glorot(rng, (d, dense)), requires_grad=True)
-        params["head.dense.b"] = Tensor(np.zeros(dense), requires_grad=True)
-        params["head.out.w"] = Tensor(_glorot(rng, (dense, 1)), requires_grad=True)
-        params["head.out.b"] = Tensor(np.zeros(1), requires_grad=True)
+                params[f"blk{k}.attn.{proj}"] = _glorot(rng, (d, d))
+                params[f"blk{k}.attn.{proj[1]}b"] = np.zeros(d)
+            params[f"blk{k}.ln1.gamma"] = np.ones(d)
+            params[f"blk{k}.ln1.beta"] = np.zeros(d)
+            params[f"blk{k}.ffn.w1"] = _glorot(rng, (d, ffn))
+            params[f"blk{k}.ffn.b1"] = np.zeros(ffn)
+            params[f"blk{k}.ffn.w2"] = _glorot(rng, (ffn, d))
+            params[f"blk{k}.ffn.b2"] = np.zeros(d)
+            params[f"blk{k}.ln2.gamma"] = np.ones(d)
+            params[f"blk{k}.ln2.beta"] = np.zeros(d)
+        params["head.dense.w"] = _glorot(rng, (d, dense))
+        params["head.dense.b"] = np.zeros(dense)
+        params["head.out.w"] = _glorot(rng, (dense, 1))
+        params["head.out.b"] = np.zeros(1)
         self.params = params
         self.pos_encoding = sinusoidal_positions(SEQ_LEN, d)
 
-    def forward(self, x) -> Tensor:
-        p = self.params
-        h = transformer_encoder(_wrap_batch(x), p, self.pos_encoding)
-        return sigmoid_head(h, p["head.out.w"], p["head.out.b"])
-
-    def get_weights(self) -> dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self.params.items()}
-
-    def set_weights(self, weights: dict[str, np.ndarray]) -> None:
-        _assign_weights(self.params, weights)
+    def forward(self, x, want: str | None = None) -> tuple[np.ndarray, list]:
+        """The anomaly probabilities of the batch ``x``, and its kernels'
+        backward closures in order (each None for ``want`` None)."""
+        h, encoder = transformer_encoder(_checked_batch(x), self.params, self.pos_encoding, want)
+        probs, head = sigmoid_head(h, self.params, "head.out.", want)
+        return probs, [encoder, head]
 
 
 MODEL_FACTORIES = {
@@ -641,33 +667,22 @@ def make_model(name: str, seed: int = 0):
         raise ValueError(f"unknown model {name!r}; choose from {sorted(MODEL_FACTORIES)}") from None
 
 
-def _assign_weights(params: dict[str, Tensor], weights: dict[str, np.ndarray]) -> None:
-    if set(params) != set(weights):
-        missing = sorted(set(params) ^ set(weights))
-        raise ValueError(f"weight map names do not match the model: {missing}")
-    for name, tensor in params.items():
-        arr = np.asarray(weights[name], dtype=np.float64)
-        if arr.shape != tensor.data.shape:
-            raise ValueError(f"weight {name}: shape {arr.shape} != expected {tensor.data.shape}")
-        tensor.data = arr.copy()
-        tensor.grad = None
-
-
 # ---------------------------------------------------------------------------
 # loss, optimizer, training
 
 _P_EPS = 1e-12
 
 
-def focal_loss(p: Tensor, y: np.ndarray, alpha: float = 0.25,
-               gamma: float = 2.0) -> Tensor:
-    """Mean binary focal loss -alpha_t * (1 - p_t)^gamma * log(p_t).
+def focal_loss(p: np.ndarray, y: np.ndarray, alpha: float = 0.25,
+               gamma: float = 2.0, want: str | None = None):
+    """Mean binary focal loss -alpha_t * (1 - p_t)^gamma * log(p_t), and
+    the backward closure that gives the gradient of ``p``.
 
     ``p_t`` is the probability assigned to the true class and ``alpha_t`` is
     ``alpha`` for positives, ``1 - alpha`` for negatives.  Probabilities are
     clamped 1e-12 away from the 0/1 boundary before the log.
 
-    One fused tape primitive.  The forward runs the numpy expressions of the
+    One fused kernel.  The forward runs the numpy expressions of the
     composed chain of elementwise nodes in its order, and the backward
     replays that chain's gradient arithmetic step for step, so the loss and
     the gradient of ``p`` are bit-identical to it.  Gradients meet at
@@ -676,14 +691,14 @@ def focal_loss(p: Tensor, y: np.ndarray, alpha: float = 0.25,
     """
     y = np.asarray(y, dtype=np.float64)
     if p.shape != y.shape:
-        raise ad.ShapeError(f"focal loss: probabilities {p.shape} vs labels {y.shape}")
+        raise ShapeError(f"focal loss: probabilities {p.shape} vs labels {y.shape}")
     if np.any((y != 0.0) & (y != 1.0)):
         raise ValueError("focal loss labels must be 0 or 1")
-    if np.any(p.data < 0.0) or np.any(p.data > 1.0):
+    if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("focal loss probabilities must lie in [0, 1]")
     gamma = float(gamma)
     not_y = 1.0 - y
-    pt_raw = p.data * y + (1.0 - p.data) * not_y
+    pt_raw = p * y + (1.0 - p) * not_y
     pt = np.clip(pt_raw, _P_EPS, 1.0 - _P_EPS)
     inside = (pt_raw >= _P_EPS) & (pt_raw <= 1.0 - _P_EPS)
     alpha_t = alpha * y + (1.0 - alpha) * not_y
@@ -699,9 +714,9 @@ def focal_loss(p: Tensor, y: np.ndarray, alpha: float = 0.25,
         if gamma != 0.0:  # else the power's gradient is 0, and x - 0 is x
             d_pt -= d_prod * log_pt * alpha_t * gamma * far ** (gamma - 1.0)
         d_pt *= inside
-        return (d_pt * y - d_pt * not_y,)
+        return d_pt * y - d_pt * not_y, {}
 
-    return ad.custom_op(loss, (p,), bw)
+    return loss, bw if want else None
 
 
 class RmsProp:
@@ -712,21 +727,21 @@ class RmsProp:
         self.eps = eps
         self.state: dict[str, np.ndarray] = {}
 
-    def step(self, params: dict[str, Tensor], lr: float) -> None:
-        for name, p in params.items():
-            g = p.grad
-            if g is None:
-                continue
-            if g.shape != p.data.shape:
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
+             lr: float) -> None:
+        """Update each array of ``params`` named in ``grads``, in place."""
+        for name, g in grads.items():
+            p = params[name]
+            if g.shape != p.shape:
                 raise ValueError(f"{name}: gradient shape {g.shape} != parameter "
-                                 f"shape {p.data.shape}")
+                                 f"shape {p.shape}")
             v = self.state.get(name)
             if v is None:
-                v = np.zeros_like(p.data)
+                v = np.zeros_like(p)
                 self.state[name] = v
             v *= self.rho
             v += (1.0 - self.rho) * g * g
-            p.data -= lr * g / (np.sqrt(v) + self.eps)
+            p -= lr * g / (np.sqrt(v) + self.eps)
 
 
 class NumericError(RuntimeError):
@@ -741,8 +756,8 @@ def train_local(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *,
     ``epoch_offset`` shifts the learning-rate schedule so federated rounds
     advance the same global schedule as centralized epochs.  The model is
     trained in place, so training owns it: no other thread may use it
-    meanwhile.  Each step drops the previous step's weight gradients before
-    its forward pass, so they are not held while its tape is built: one
+    meanwhile.  No step's weight gradients outlive its optimizer step, so
+    they are not held while the next forward pass saves its arrays: one
     Transformer client over 2 x 32 rows peaks at 34.2 MiB of traced
     allocations.
     """
@@ -761,50 +776,38 @@ def train_local(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *,
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            for p in model.params.values():
-                p.grad = None
-            probs = model.forward(x[idx])
-            loss = focal_loss(probs, y[idx], cfg.focal_alpha, cfg.focal_gamma)
-            value = loss.item()
+            probs, steps = model.forward(x[idx], "weights")
+            loss, step = focal_loss(probs, y[idx], cfg.focal_alpha, cfg.focal_gamma, "weights")
+            value = float(loss)
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {global_epoch}")
-            ad.backward(loss)
-            opt.step(model.params, lr)
+            steps.append(step)
+            opt.step(model.params, ad.backward(steps)[1], lr)
             batch_losses.append(value)
         history.append(float(np.mean(batch_losses)))
     return history
-
-
-def _frozen_twin(model):
-    """A view of ``model``: a shallow copy whose params wrap the model's own
-    weight arrays, not copies, with ``requires_grad`` off.  A forward pass
-    through it records no weight gradient, so its tape holds only what an
-    input gradient needs, or nothing, and it writes nothing to ``model``."""
-    view = copy.copy(model)
-    view.params = {name: Tensor(p.data) for name, p in model.params.items()}
-    return view
 
 
 def input_gradient(model, x: np.ndarray, y: np.ndarray, alpha: float = 0.25,
                    gamma: float = 2.0) -> np.ndarray:
     """Gradient of the focal loss w.r.t. the input batch.
 
-    The forward pass runs through a frozen view of ``model`` (see
-    :func:`_frozen_twin`), so it records no weight gradient and writes
-    nothing to the model: any number of threads may read one model at once.
+    Raises FloatingPointError when a weight is not finite.  The forward
+    pass asks for no weight gradient, so it writes nothing to ``model``:
+    any number of threads may read one model at once.
     """
-    x = np.asarray(x, dtype=np.float64)
-    xt = Tensor(x, requires_grad=True)
-    ad.backward(focal_loss(_frozen_twin(model).forward(xt), y, alpha, gamma))
-    return xt.grad if xt.grad is not None else np.zeros_like(x)
+    _check_weights(model.params)
+    probs, steps = model.forward(x, "input")
+    steps.append(focal_loss(probs, y, alpha, gamma, "input")[1])
+    return ad.backward(steps)[0]
 
 
 # ---------------------------------------------------------------------------
 # workers: a federated round's clients and an attack's row blocks
 
-# Each worker holds a live tape, and a round's worker its own model instance.
-# A Transformer training worker's tape holds 24.6 MiB of traced allocations
-# after a 32-row forward (the fused encoder recomputes in backward what it
+# Each worker holds the arrays one forward pass saved for its backward pass,
+# and a round's worker its own model instance.  A Transformer training
+# worker holds 24.6 MiB of traced allocations after a 32-row forward (the fused encoder recomputes in backward what it
 # does not save), and one client's train_local over 2 x 32 rows peaks at
 # 34.2 MiB, so peak memory grows by about that per worker; row-block workers
 # share their model's ROW_BLOCK rows and the model itself, and a 16-row
@@ -952,9 +955,10 @@ def _in_order(task: Callable[[object, int], object], count: int,
 # two-worker Transformer block of 16 rows two grid units.
 _ROW_ALIGN = 8
 # The size of those groups, an assumption about the BLAS checked for
-# OpenBLAS 0.3.31 (Haswell kernels), with one BLAS thread and with two: its
-# matrix-vector kernel rounds a row the same way in any full group of 4 rows
-# and differently only in a 1-3 row remainder at the end of a call.  So
+# OpenBLAS 0.3.31 (Haswell and SkylakeX kernels), with one BLAS thread and
+# with two: its matrix-vector kernel rounds a row the same way in any full
+# group of 4 rows and differently only in a 1-3 row remainder at the end of
+# a call.  So
 # lstm_sequence may form its input gradient from calls of batch * 4 rows
 # instead of one of batch * steps rows, when steps is a multiple of 4, and
 # keep every row's bits.
@@ -1007,18 +1011,18 @@ def _by_row_blocks(model, out: np.ndarray,
 
 
 def predict_proba(model, x: np.ndarray) -> np.ndarray:
-    """Anomaly probability per row, one forward pass per row block through
-    one frozen view of ``model`` (see :func:`_frozen_twin`), which records
-    no tape.
+    """Anomaly probability per row, one forward pass per row block, asking
+    for no gradient, so no kernel saves anything.  Raises
+    FloatingPointError when a weight is not finite.
 
     Both models are row-independent, so the blocks (see
     :func:`_by_row_blocks`) give the same values as one pass over the whole
     batch, while activations are held for at most the model's ``ROW_BLOCK``
     rows at a time.
     """
+    _check_weights(model.params)
     x = np.asarray(x, dtype=np.float64)
-    view = _frozen_twin(model)
-    return _by_row_blocks(model, np.empty(len(x)), lambda _, rows: view.forward(x[rows]).data)
+    return _by_row_blocks(model, np.empty(len(x)), lambda m, rows: m.forward(x[rows])[0])
 
 
 # ---------------------------------------------------------------------------

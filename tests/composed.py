@@ -3,8 +3,8 @@
 Each oracle builds its result from elementary tape primitives, one node per
 numpy expression, as the models did before their kernels were fused.  The
 fused kernels in ``fedmeter.models`` must reproduce them bit for bit.  The
-primitives live here, not in ``fedmeter.autodiff``, which keeps only the tape
-mechanism: the elementwise ``add``, ``sub``, ``mul``, ``log``, ``power``,
+primitives live here, recorded on the test-side tape (``tape.py``): the
+elementwise ``add``, ``sub``, ``mul``, ``log``, ``power``,
 ``clip``, ``sigmoid`` and ``relu``, and ``mean``, ``reshape``,
 ``broadcast_to``, ``matmul``, ``softmax`` and ``transpose``.  So do
 ``linear`` and ``layer_norm``, which wrap the arithmetic that the models'
@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from fedmeter import autodiff as ad
 from fedmeter import models as md
+from fedmeter.autodiff import ShapeError
+
+from tape import Tensor, custom_op
 
 
 def _is_scalar_shape(shape: tuple[int, ...]) -> bool:
@@ -41,7 +43,7 @@ def _elementwise_shapes(name: str, a, b) -> tuple[int, ...]:
         return sa
     if len(sa) < len(sb) and sb[len(sb) - len(sa):] == sa:
         return sb
-    raise ad.ShapeError(
+    raise ShapeError(
         f"{name}: shapes {sa} and {sb} do not conform "
         f"(allowed: equal, scalar, or trailing-suffix broadcast)")
 
@@ -69,7 +71,7 @@ def add(a, b):
         return (_reduce_to(g, sa) if need_a else None,
                 _reduce_to(g, sb) if need_b else None)
 
-    return ad.custom_op(out, (a, b), bw)
+    return custom_op(out, (a, b), bw)
 
 
 def sub(a, b):
@@ -82,7 +84,7 @@ def sub(a, b):
         return (_reduce_to(g, sa) if need_a else None,
                 -_reduce_to(g, sb) if need_b else None)
 
-    return ad.custom_op(out, (a, b), bw)
+    return custom_op(out, (a, b), bw)
 
 
 def mul(a, b):
@@ -97,7 +99,7 @@ def mul(a, b):
         return (None if b_saved is None else _reduce_to(g * b_saved, sa),
                 None if a_saved is None else _reduce_to(g * a_saved, sb))
 
-    return ad.custom_op(out, (a, b), bw)
+    return custom_op(out, (a, b), bw)
 
 
 def log(t):
@@ -107,7 +109,7 @@ def log(t):
         except FloatingPointError:
             raise ValueError("log: input must be strictly positive") from None
     x = t.data
-    return ad.custom_op(out, (t,), lambda g: (g / x,))
+    return custom_op(out, (t,), lambda g: (g / x,))
 
 
 def power(t, p: float):
@@ -122,25 +124,25 @@ def power(t, p: float):
             return (np.zeros_like(x),)
         return (g * p * x ** (p - 1.0),)
 
-    return ad.custom_op(out, (t,), bw)
+    return custom_op(out, (t,), bw)
 
 
 def clip(t, lo: float, hi: float):
     """Clamp values into [lo, hi]; gradient passes through the interior only."""
     out = np.clip(t.data, lo, hi)
     mask = (t.data >= lo) & (t.data <= hi)
-    return ad.custom_op(out, (t,), lambda g: (g * mask,))
+    return custom_op(out, (t,), lambda g: (g * mask,))
 
 
 def sigmoid(t):
     out = md._sigmoid_np(t.data)
-    return ad.custom_op(out, (t,), lambda g: (g * out * (1.0 - out),))
+    return custom_op(out, (t,), lambda g: (g * out * (1.0 - out),))
 
 
 def relu(t):
     out = np.maximum(t.data, 0.0)
     mask = t.data > 0
-    return ad.custom_op(out, (t,), lambda g: (g * mask,))
+    return custom_op(out, (t,), lambda g: (g * mask,))
 
 
 def mean(t, axis: int | None = None, keepdims: bool = False):
@@ -155,12 +157,12 @@ def mean(t, axis: int | None = None, keepdims: bool = False):
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / count, shape).copy(),)
 
-    return ad.custom_op(np.asarray(out), (t,), bw)
+    return custom_op(np.asarray(out), (t,), bw)
 
 
 def reshape(t, shape):
     orig = t.data.shape
-    return ad.custom_op(t.data.reshape(tuple(shape)), (t,), lambda g: (g.reshape(orig),))
+    return custom_op(t.data.reshape(tuple(shape)), (t,), lambda g: (g.reshape(orig),))
 
 
 def broadcast_to(t, shape):
@@ -172,7 +174,7 @@ def broadcast_to(t, shape):
         axes = tuple(i for i, (n, o) in enumerate(zip(g.shape, orig)) if o == 1 and n != 1)
         return (g.sum(axis=axes, keepdims=True),)
 
-    return ad.custom_op(np.broadcast_to(t.data, shape).copy(), (t,), bw)
+    return custom_op(np.broadcast_to(t.data, shape).copy(), (t,), bw)
 
 
 def matmul(a, b):
@@ -208,9 +210,9 @@ def matmul(a, b):
                     None if a2 is None else a2.T @ g2)
 
     else:
-        raise ad.ShapeError(f"matmul: shapes {sa} and {sb} do not conform")
+        raise ShapeError(f"matmul: shapes {sa} and {sb} do not conform")
 
-    return ad.custom_op(out, (a, b), bw)
+    return custom_op(out, (a, b), bw)
 
 
 def softmax(t, axis: int = -1):
@@ -235,13 +237,13 @@ def softmax(t, axis: int = -1):
         d *= out
         return (d,)
 
-    return ad.custom_op(out, (t,), bw)
+    return custom_op(out, (t,), bw)
 
 
 def transpose(t, axes):
     out = np.transpose(t.data, axes)
     inverse = tuple(np.argsort(axes))
-    return ad.custom_op(out, (t,), lambda g: (np.transpose(g, inverse),))
+    return custom_op(out, (t,), lambda g: (np.transpose(g, inverse),))
 
 
 def linear(x, w, b):
@@ -251,11 +253,11 @@ def linear(x, w, b):
     nothing for ``b``."""
     sx, sw, sb = x.shape, w.shape, b.shape
     if x.ndim not in (2, 3) or w.ndim != 2 or sx[-1] != sw[0] or sb != sw[1:]:
-        raise ad.ShapeError(f"linear: shapes {sx}, {sw} and {sb} do not conform")
+        raise ShapeError(f"linear: shapes {sx}, {sw} and {sb} do not conform")
     x_saved = x.data if w.requires_grad else None
     w_saved = w.data if x.requires_grad else None
     need_b = b.requires_grad
-    return ad.custom_op(md._affine(x.data, w.data, b.data), (x, w, b),
+    return custom_op(md._affine(x.data, w.data, b.data), (x, w, b),
                         lambda g: md._affine_grads(g, x_saved, w_saved, need_b))
 
 
@@ -275,7 +277,7 @@ def layer_norm(t, gamma, beta):
     """
     d = t.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
-        raise ad.ShapeError(f"layer_norm: gamma {gamma.shape} and beta {beta.shape} "
+        raise ShapeError(f"layer_norm: gamma {gamma.shape} and beta {beta.shape} "
                             f"must both have shape ({d},)")
     need_t, need_gamma, need_beta = t.requires_grad, gamma.requires_grad, beta.requires_grad
     centered, ve, inv = md._layer_norm_stats(t.data)
@@ -285,7 +287,7 @@ def layer_norm(t, gamma, beta):
         ve = gd = None
         if not need_gamma:
             centered = inv = None
-    return ad.custom_op(out, (t, gamma, beta), lambda g: md._layer_norm_grads(
+    return custom_op(out, (t, gamma, beta), lambda g: md._layer_norm_grads(
         g, centered, ve, inv, gd, need_gamma, need_beta))
 
 
@@ -294,7 +296,7 @@ def composed_layer_norm(t, gamma, beta):
     mu = mean(t, axis=-1, keepdims=True)
     centered = sub(t, broadcast_to(mu, t.shape))
     var = mean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = power(add(var, ad.Tensor(1e-6)), -0.5)
+    inv = power(add(var, Tensor(1e-6)), -0.5)
     normed = mul(centered, broadcast_to(inv, t.shape))
     return add(mul(normed, gamma), beta)
 
@@ -308,12 +310,12 @@ def composed_focal_loss(p, y, alpha: float = 0.25, gamma: float = 2.0):
     """The focal loss as a chain of 12 elementwise nodes: the oracle for
     ``md.focal_loss``, which validates its inputs."""
     y = np.asarray(y, dtype=np.float64)
-    yt = ad.Tensor(y)
-    pt = add(mul(p, yt), mul(sub(ad.Tensor(1.0), p), ad.Tensor(1.0 - y)))
+    yt = Tensor(y)
+    pt = add(mul(p, yt), mul(sub(Tensor(1.0), p), Tensor(1.0 - y)))
     pt = clip(pt, md._P_EPS, 1.0 - md._P_EPS)
-    alpha_t = ad.Tensor(alpha * y + (1.0 - alpha) * (1.0 - y))
-    weight = mul(alpha_t, power(sub(ad.Tensor(1.0), pt), gamma))
-    return mean(mul(ad.Tensor(-1.0), mul(weight, log(pt))))
+    alpha_t = Tensor(alpha * y + (1.0 - alpha) * (1.0 - y))
+    weight = mul(alpha_t, power(sub(Tensor(1.0), pt), gamma))
+    return mean(mul(Tensor(-1.0), mul(weight, log(pt))))
 
 
 def composed_sigmoid_head(h, w, b):
@@ -335,7 +337,7 @@ def composed_attention(h, p, k):
     key = heads(linear(h, p[f"blk{k}.attn.wk"], p[f"blk{k}.attn.kb"]))
     v = heads(linear(h, p[f"blk{k}.attn.wv"], p[f"blk{k}.attn.vb"]))
     weights = softmax(mul(matmul(q, transpose(key, (0, 2, 1))),
-                          ad.Tensor(1.0 / np.sqrt(hd))), axis=-1)
+                          Tensor(1.0 / np.sqrt(hd))), axis=-1)
     ctx = reshape(matmul(weights, v), (batch, nh, steps, hd))
     merged = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, steps, d))
     return linear(merged, p[f"blk{k}.attn.wo"], p[f"blk{k}.attn.ob"])
@@ -350,8 +352,8 @@ def composed_transformer_encoder(x, params, pos):
     p = params
     flat = reshape(x, (batch * md.SEQ_LEN, 1))
     emb = linear(flat, p["emb.w"], p["emb.b"])
-    emb = mul(emb, ad.Tensor(np.sqrt(float(d))))
-    h = add(reshape(emb, (batch, md.SEQ_LEN, d)), ad.Tensor(pos))
+    emb = mul(emb, Tensor(np.sqrt(float(d))))
+    h = add(reshape(emb, (batch, md.SEQ_LEN, d)), Tensor(pos))
     for k in range(md.NUM_BLOCKS):
         h = layer_norm(add(h, composed_attention(h, p, k)),
                        p[f"blk{k}.ln1.gamma"], p[f"blk{k}.ln1.beta"])

@@ -57,7 +57,7 @@ def blas_core() -> str:
                      "openblas_get_corename"):
             fn = getattr(lib, name, None)
             if fn is not None:
-                fn.restype = ctypes.c_char_p
+                fn.argtypes, fn.restype = (), ctypes.c_char_p
                 return fn().decode()
     return ""
 

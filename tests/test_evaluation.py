@@ -3,31 +3,24 @@ import pytest
 
 from fedmeter import evaluation as ev
 from fedmeter.attacks import AttackSpec, poison_batch
-from fedmeter.autodiff import Tensor
-from fedmeter.models import make_model
-
-from composed import matmul, reshape, sigmoid
+from fedmeter.models import make_model, sigmoid_head
 
 
 class StubModel:
-    """Fixed-probability model for exercising the metric plumbing.
-
-    Its cursor is one list, shared with every frozen view of the stub (a
-    shallow copy), so a view's reads advance it too.
-    """
+    """Fixed-probability model for exercising the metric plumbing."""
 
     ROW_BLOCK = 64
 
     def __init__(self, probs):
         self.probs = np.asarray(probs, dtype=np.float64)
         self.params = {}
-        self._cursor = [0]
+        self._cursor = 0
 
-    def forward(self, x):
-        start = self._cursor[0]
+    def forward(self, x, want=None):
+        start = self._cursor
         out = self.probs[start:start + len(x)]
-        self._cursor[0] = 0 if start + len(x) >= len(self.probs) else start + len(x)
-        return Tensor(out)
+        self._cursor = 0 if start + len(x) >= len(self.probs) else start + len(x)
+        return out, [None]
 
 
 class TestClassify:
@@ -193,27 +186,24 @@ class TestAsrTraining:
 
 
 class CountingModel:
-    """Logistic model over the 24 inputs that counts its forward passes:
-    ``predict_proba`` passes an array, ``input_gradient`` a Tensor.  The
-    counts are one dict, shared with every frozen view of the model."""
+    """Logistic model over the 24 inputs, the models' sigmoid head, that
+    counts its forward passes: ``predict_proba`` asks for no gradient,
+    ``input_gradient`` for the input's."""
 
     ROW_BLOCK = 64
 
     def __init__(self, seed=0):
         w = np.random.default_rng(seed).normal(0.0, 0.5, (24, 1))
-        self.params = {"w": Tensor(w, requires_grad=True)}
-        self.calls = {"predictions": 0, "gradients": 0}
+        self.params = {"w": w, "b": np.zeros(1)}
+        self.predictions = self.gradients = 0
 
-    predictions = property(lambda self: self.calls["predictions"])
-    gradients = property(lambda self: self.calls["gradients"])
-
-    def forward(self, x):
-        if isinstance(x, Tensor):
-            self.calls["gradients"] += 1
+    def forward(self, x, want=None):
+        if want:
+            self.gradients += 1
         else:
-            self.calls["predictions"] += 1
-            x = Tensor(x)
-        return reshape(sigmoid(matmul(x, self.params["w"])), (len(x.data),))
+            self.predictions += 1
+        probs, head = sigmoid_head(np.asarray(x, dtype=np.float64), self.params, "", want)
+        return probs, [head]
 
 
 def attack_set(n=24, seed=1):

@@ -1,6 +1,7 @@
 import itertools
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,20 +9,31 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import tape
 from fedmeter import autodiff as ad
 from fedmeter import models as md
-from fedmeter.models import (LstmClassifier, RmsProp, TrainConfig, TransformerClassifier,
-                             focal_loss, input_gradient, lr_at_epoch, make_model,
-                             predict_proba, train_local)
+from fedmeter.models import (LstmClassifier, NumericError, RmsProp, TrainConfig,
+                             TransformerClassifier, focal_loss, input_gradient, lr_at_epoch,
+                             make_model, predict_proba, train_local)
 
 from composed import (composed_focal_loss, composed_layer_norm, composed_linear,
                       composed_sigmoid_head, composed_transformer_encoder, layer_norm, linear,
                       mean, mul, softmax)
 from gradcheck import assert_grad_matches
+from tape import Tensor
 
 
 def small_batch(seed=0, n=4):
     return np.random.default_rng(seed).uniform(0, 1, size=(n, 24))
+
+
+def loss_and_grads(model, x, y, want="weights"):
+    """The focal loss of ``model`` on ``(x, y)``, and the input gradient and
+    weight gradients its backward pass gives for ``want``."""
+    probs, steps = model.forward(x, want)
+    loss, step = focal_loss(probs, y, want=want)
+    steps.append(step)
+    return (loss, *ad.backward(steps))
 
 
 @pytest.fixture(params=["lstm", "transformer"])
@@ -66,26 +78,25 @@ class TestFocalLoss:
         rng = np.random.default_rng(1)
         p = rng.uniform(0.05, 0.95, size=32)
         y = rng.integers(0, 2, size=32).astype(float)
-        loss = focal_loss(ad.Tensor(p), y, alpha=0.5, gamma=0.0).item()
+        loss = focal_loss(p, y, alpha=0.5, gamma=0.0)[0]
         bce = -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
         assert loss == pytest.approx(0.5 * bce, rel=1e-12)
 
     def test_perfect_prediction_is_near_zero(self):
-        loss = focal_loss(ad.Tensor(np.array([1.0])), np.array([1.0])).item()
+        loss = focal_loss(np.array([1.0]), np.array([1.0]))[0]
         assert 0 <= loss < 1e-20
 
     def test_reference_value(self):
         # alpha*(1-p_t)^gamma*(-log p_t) at p_t=0.5: 0.25 * 0.25 * ln 2
-        loss = focal_loss(ad.Tensor(np.array([0.5])), np.array([1.0]),
-                          alpha=0.25, gamma=2.0).item()
+        loss = focal_loss(np.array([0.5]), np.array([1.0]), alpha=0.25, gamma=2.0)[0]
         assert loss == pytest.approx(0.25 * 0.25 * np.log(2.0), rel=1e-12)
         assert loss == pytest.approx(0.043322, abs=5e-7)
 
     def test_rejects_invalid_probabilities(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            focal_loss(ad.Tensor(np.array([1.5])), np.array([1.0]))
+            focal_loss(np.array([1.5]), np.array([1.0]))
         with pytest.raises(ValueError, match="labels"):
-            focal_loss(ad.Tensor(np.array([0.5])), np.array([2.0]))
+            focal_loss(np.array([0.5]), np.array([2.0]))
 
     def test_gradient_matches_oracle(self):
         rng = np.random.default_rng(3)
@@ -93,11 +104,10 @@ class TestFocalLoss:
         y = rng.integers(0, 2, size=10).astype(float)
 
         def f(arrs):
-            return focal_loss(ad.Tensor(arrs[0]), y).item()
+            return focal_loss(arrs[0], y)[0]
 
-        p = ad.Tensor(p_np, requires_grad=True)
-        ad.backward(focal_loss(p, y))
-        assert_grad_matches(f, [p_np], [p.grad], rng)
+        grad = ad.backward([focal_loss(p_np, y, want="input")[1]])[0]
+        assert_grad_matches(f, [p_np], [grad], rng)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 1.0])
     @pytest.mark.parametrize("gamma", [0.0, 1.5, 3.7])
@@ -107,11 +117,10 @@ class TestFocalLoss:
         y = np.tile([0.0, 1.0], 6)
 
         def f(arrs):
-            return focal_loss(ad.Tensor(arrs[0]), y, alpha, gamma).item()
+            return focal_loss(arrs[0], y, alpha, gamma)[0]
 
-        p = ad.Tensor(p_np, requires_grad=True)
-        ad.backward(focal_loss(p, y, alpha, gamma))
-        assert_grad_matches(f, [p_np], [p.grad], rng)
+        grad = ad.backward([focal_loss(p_np, y, alpha, gamma, "input")[1]])[0]
+        assert_grad_matches(f, [p_np], [grad], rng)
 
     # both clip edges, and p on either side of each
     P_EDGES = [0.0, 1e-13, 1e-12, 1.0 - 1e-12, 1.0 - 1e-13, 1.0]
@@ -134,13 +143,13 @@ class TestFocalLoss:
             batches = [(p, y)]
 
         def run(loss_fn, p_np, y):
-            p = ad.Tensor(p_np, requires_grad=True)
+            p = Tensor(p_np, requires_grad=True)
             loss = loss_fn(p, y, alpha, gamma)
-            ad.backward(mul(loss, ad.Tensor(-0.7)))
+            tape.backward(mul(loss, Tensor(-0.7)))
             return loss.data, p.grad
 
         for p_np, y in batches:
-            (loss_f, grad_f), (loss_c, grad_c) = (run(focal_loss, p_np, y),
+            (loss_f, grad_f), (loss_c, grad_c) = (run(tape.focal_loss, p_np, y),
                                                   run(composed_focal_loss, p_np, y))
             assert np.array_equal(loss_f, loss_c)
             assert np.array_equal(grad_f, grad_c)
@@ -148,36 +157,29 @@ class TestFocalLoss:
 
 class TestRmsProp:
     def test_zero_gradient_leaves_params(self):
-        p = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        p.grad = np.zeros(2)
+        p = np.array([1.0, 2.0])
         opt = RmsProp()
-        opt.step({"p": p}, lr=0.1)
-        np.testing.assert_array_equal(p.data, [1.0, 2.0])
+        opt.step({"p": p}, {"p": np.zeros(2)}, lr=0.1)
+        np.testing.assert_array_equal(p, [1.0, 2.0])
 
     def test_first_step_closed_form(self):
         g = np.array([0.3, -0.7, 2.0])
-        p = ad.Tensor(np.zeros(3), requires_grad=True)
-        p.grad = g.copy()
+        p = np.zeros(3)
         rho, eps, lr = 0.9, 1e-7, 0.01
         opt = RmsProp(rho, eps)
-        opt.step({"p": p}, lr)
+        opt.step({"p": p}, {"p": g.copy()}, lr)
         expected = -lr * g / (np.sqrt((1 - rho) * g * g) + eps)
-        np.testing.assert_allclose(p.data, expected, rtol=1e-12)
+        np.testing.assert_allclose(p, expected, rtol=1e-12)
 
     def test_parameters_updated_independently(self):
-        a = ad.Tensor(np.zeros(2), requires_grad=True)
-        b = ad.Tensor(np.zeros(3), requires_grad=True)
-        a.grad = np.ones(2)
-        b.grad = np.zeros(3)
+        a, b = np.zeros(2), np.zeros(3)
         opt = RmsProp()
-        opt.step({"a": a, "b": b}, lr=0.1)
-        assert np.all(a.data != 0) and np.all(b.data == 0)
+        opt.step({"a": a, "b": b}, {"a": np.ones(2), "b": np.zeros(3)}, lr=0.1)
+        assert np.all(a != 0) and np.all(b == 0)
 
     def test_shape_mismatch(self):
-        p = ad.Tensor(np.zeros(2), requires_grad=True)
-        p.grad = np.zeros(3)
         with pytest.raises(ValueError, match="shape"):
-            RmsProp().step({"p": p}, lr=0.1)
+            RmsProp().step({"p": np.zeros(2)}, {"p": np.zeros(3)}, lr=0.1)
 
 
 class TestSchedule:
@@ -247,7 +249,7 @@ class TestInputGradient:
         y = np.array([0.0, 1.0, 0.0])
 
         def f(arrs):
-            return focal_loss(model.forward(ad.Tensor(arrs[0])), y).item()
+            return focal_loss(model.forward(arrs[0])[0], y)[0]
 
         grad = input_gradient(model, x, y)
         assert_grad_matches(f, [x], [grad], rng, coords_per_array=12)
@@ -268,47 +270,26 @@ class TestInputGradient:
         np.testing.assert_array_equal(grad, np.zeros((4, 24)))
 
     def test_weights_and_their_grads_untouched(self, model):
-        before = model.get_weights()
+        # the same map, holding the same arrays with the same values
+        params, arrays, before = model.params, dict(model.params), model.get_weights()
         input_gradient(model, small_batch(), np.ones(4))
-        after = model.get_weights()
-        assert all(np.array_equal(before[k], after[k]) for k in before)
-        assert all(p.grad is None for p in model.params.values())
-        assert all(p.requires_grad for p in model.params.values())
-
-    def test_a_call_in_flight_leaves_the_weights_flags_on(self, model, monkeypatch):
-        inside, release = threading.Event(), threading.Event()
-        forward = type(model).forward
-
-        def held_forward(self, x):
-            inside.set()
-            assert release.wait(10)
-            return forward(self, x)
-
-        monkeypatch.setattr(type(model), "forward", held_forward)
-        holder = threading.Thread(target=input_gradient,
-                                  args=(model, small_batch(), np.ones(4)))
-        holder.start()
-        try:
-            assert inside.wait(10)
-            flags = {name: p.requires_grad for name, p in model.params.items()}
-        finally:
-            release.set()
-            holder.join(10)
-        assert not holder.is_alive()
-        assert all(flags.values()), sorted(name for name, on in flags.items() if not on)
+        assert model.params is params
+        assert [k for k in arrays if params[k] is not arrays[k]] == []
+        assert [k for k in before if not np.array_equal(before[k], params[k])] == []
 
     def test_two_threads_share_one_model(self, model, monkeypatch):
         rng = np.random.default_rng(3)
         xs = [rng.uniform(0, 1, size=(16, 24)) for _ in range(2)]
         ys = [(rng.uniform(size=16) < 0.5).astype(np.float64) for _ in range(2)]
         want = [input_gradient(model, x, y) for x, y in zip(xs, ys)]
+        before = model.get_weights()
         got = [None, None]
         both_inside = threading.Barrier(2, timeout=10)
         forward = type(model).forward
 
-        def overlapping_forward(self, x):
+        def overlapping_forward(self, x, want=None):
             both_inside.wait()  # each thread is inside input_gradient
-            return forward(self, x)
+            return forward(self, x, want)
 
         def run(i):
             got[i] = input_gradient(model, xs[i], ys[i])
@@ -321,7 +302,39 @@ class TestInputGradient:
             t.join(30)
         assert not any(t.is_alive() for t in threads)
         assert all(g is not None and np.array_equal(g, w) for g, w in zip(got, want))
-        assert all(p.requires_grad and p.grad is None for p in model.params.values())
+        assert all(np.array_equal(before[k], p) for k, p in model.params.items())
+
+
+class TestNonFiniteGuards:
+    """A NaN or infinity in the batch or a weight fails cleanly at each entry
+    point: ValueError for the batch, FloatingPointError (the CLI's exit 3)
+    naming the weight."""
+
+    ENTRY_POINTS = {
+        "predict_proba": lambda m, x, y: predict_proba(m, x),
+        "input_gradient": lambda m, x, y: input_gradient(m, x, y),
+        "train_local": lambda m, x, y: train_local(m, x, y, TrainConfig(epochs=1), seed=0),
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_non_finite_batch_rejected(self, model, entry, bad):
+        x = small_batch()
+        x[2, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            self.ENTRY_POINTS[entry](model, x, np.zeros(4))
+
+    @pytest.mark.parametrize("entry", ["predict_proba", "input_gradient"])
+    def test_non_finite_weight_named(self, model, entry):
+        name = sorted(model.params)[1]
+        model.params[name][..., 0] = -np.inf
+        with pytest.raises(FloatingPointError, match=f"weight {name}: holds a non-finite"):
+            self.ENTRY_POINTS[entry](model, small_batch(), np.zeros(4))
+
+    def test_training_fails_numerically_on_a_non_finite_weight(self, model):
+        model.params[sorted(model.params)[0]][..., 0] = np.nan
+        with pytest.raises((FloatingPointError, NumericError)):
+            self.ENTRY_POINTS["train_local"](model, small_batch(), np.zeros(4))
 
 
 class TestRowBlocks:
@@ -363,7 +376,7 @@ class TestRowBlocks:
     def test_predict_proba_equals_one_forward(self, name, n):
         model = make_model(name, seed=1)
         x = small_batch(seed=9, n=n)
-        whole = md._frozen_twin(model).forward(x).data
+        whole = model.forward(x)[0]
         assert np.array_equal(predict_proba(model, x), whole)
 
 
@@ -372,42 +385,48 @@ class TestSkippedGradientsAreBitExact:
 
     @pytest.mark.parametrize("name", ["lstm", "transformer"])
     def test_input_gradient_matches_full_backward(self, name):
+        # the sigmoid head gives its input's gradient in either mode: with
+        # its weight gradients too, it hands the encoder the same bits
         model = make_model(name, seed=4)
         x = small_batch(seed=6, n=5)
         y = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
         frozen = input_gradient(model, x, y)
-        xt = ad.Tensor(x, requires_grad=True)
-        ad.backward(focal_loss(model.forward(xt), y))
-        assert all(p.grad is not None for p in model.params.values())
-        assert np.array_equal(frozen, xt.grad)
-
-    @pytest.mark.parametrize("name", ["lstm", "transformer"])
-    def test_weight_gradients_do_not_depend_on_input_grad(self, name):
-        model = make_model(name, seed=4)
-        x = small_batch(seed=7, n=5)
-        y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
-
-        def weight_grads(x_requires_grad):
-            for p in model.params.values():
-                p.grad = None
-            xt = ad.Tensor(x, requires_grad=x_requires_grad)
-            ad.backward(focal_loss(model.forward(xt), y))
-            assert (xt.grad is not None) == x_requires_grad
-            return {k: p.grad for k, p in model.params.items()}
-
-        plain, with_input = weight_grads(False), weight_grads(True)
-        assert all(np.array_equal(plain[k], with_input[k]) for k in plain)
+        if name == "lstm":
+            h, encoder = md.lstm_sequence(x, model.params, "input")
+            prefix = "head."
+        else:
+            h, encoder = md.transformer_encoder(x, model.params, model.pos_encoding, "input")
+            prefix = "head.out."
+        probs, head = md.sigmoid_head(h, model.params, prefix, "weights")
+        d_x, grads = ad.backward([encoder, head, focal_loss(probs, y, want="weights")[1]])
+        assert sorted(grads) == [prefix + "b", prefix + "w"]
+        assert np.array_equal(frozen, d_x)
 
 
-def tape_inventory(t, exclude=()):
-    """What the tape behind ``t`` holds: one ``(shape, dtype, bytes, rule)``
-    per distinct array that a backward rule reaches, through its closure and
-    the lists, tuples, dicts and functions in it.
+def tape_rules(t):
+    """The backward rules of the test-side tape behind the Tensor ``t``."""
+    rules, reached, nodes = [], set(), [t._node]
+    while nodes:
+        node = nodes.pop()
+        if type(node) is not tape._Node or id(node) in reached:
+            continue
+        reached.add(id(node))
+        nodes.extend(node.inputs)
+        rules.append(node.backward_fn)
+    return rules
+
+
+def tape_inventory(closures, exclude=()):
+    """What a chain of backward closures holds, such as a model's forward
+    returns: one ``(shape, dtype, bytes, rule)`` per distinct array that a
+    closure reaches, through its cells and the lists, tuples, dicts and
+    functions in them.
 
     A view counts once, as the array whose buffer it views.  Arrays that
     share a buffer with one in ``exclude`` (weights, model constants) are
-    left out.  ``rule`` is the name of the function that recorded the node,
-    such as ``"linear"`` or ``"transformer_encoder"``.
+    left out.  ``rule`` is the name of the function that made the closure,
+    such as ``"transformer_encoder"``, or ``"linear"`` for a rule of the
+    test-side tape (see :func:`tape_rules`).
     """
     def base(a):
         while isinstance(a.base, np.ndarray):
@@ -415,15 +434,10 @@ def tape_inventory(t, exclude=()):
         return a
 
     counted = {id(base(np.asarray(a))) for a in exclude}
-    held, reached, nodes = [], set(), [t._node]
-    while nodes:
-        node = nodes.pop()
-        if type(node) is not ad._Node or id(node) in reached:
-            continue
-        reached.add(id(node))
-        nodes.extend(node.inputs)
-        rule = node.backward_fn.__qualname__.split(".")[0]
-        items = [c.cell_contents for c in node.backward_fn.__closure__ or ()]
+    held, reached = [], set()
+    for closure in closures:
+        rule = closure.__qualname__.split(".")[0]
+        items = [c.cell_contents for c in closure.__closure__ or ()]
         while items:
             item = items.pop()
             if id(item) in reached:
@@ -459,9 +473,9 @@ class TestFusedKernelsAreBitExact:
         arrays = [rng.normal(size=s) for s in shapes]
 
         def run(op):
-            ts = [ad.Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)]
+            ts = [Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)]
             out = op(*ts)
-            ad.backward(mean(mul(out, out)))
+            tape.backward(mean(mul(out, out)))
             return out.data, [t.grad for t in ts]
 
         (out_f, grads_f), (out_c, grads_c) = run(fused), run(composed)
@@ -486,12 +500,13 @@ class TestFusedKernelsAreBitExact:
             r = rng.normal(size=rows)
 
             def run(op):
-                ts = [ad.Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)]
+                ts = [Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)]
                 out = op(*ts)
-                ad.backward(mean(mul(out, ad.Tensor(r))))
+                tape.backward(mean(mul(out, Tensor(r))))
                 return out.data, [t.grad for t in ts]
 
-            (out_f, grads_f), (out_c, grads_c) = run(md.sigmoid_head), run(composed_sigmoid_head)
+            (out_f, grads_f), (out_c, grads_c) = (run(tape.sigmoid_head),
+                                                  run(composed_sigmoid_head))
             assert out_f.shape == (rows,) and np.array_equal(out_f, out_c), rows
             for gf, gc, need in zip(grads_f, grads_c, needs):
                 assert (gf is not None) == (gc is not None) == need
@@ -499,24 +514,38 @@ class TestFusedKernelsAreBitExact:
 
     @pytest.mark.parametrize("name", ["lstm", "transformer"])
     def test_model_matches_composed(self, name, monkeypatch):
+        """Probabilities, weight gradients and input gradient of each model
+        against its chain on the test-side tape: the LSTM kernel, or the
+        composed encoder with composed linears and layer norms, then the
+        composed sigmoid head and focal loss."""
         x = small_batch(seed=8, n=5)
         y = np.array([1.0, 0.0, 0.0, 1.0, 0.0])
-
-        def run():
-            model = make_model(name, seed=6)
-            probs = model.forward(x)
-            ad.backward(md.focal_loss(probs, y))
-            weight_grads = {k: p.grad for k, p in model.params.items()}
-            return probs.data, weight_grads, input_gradient(model, x, y)
-
-        probs_f, weights_f, input_f = run()
+        model = make_model(name, seed=6)
+        probs_f = model.forward(x)[0]
+        weights_f = loss_and_grads(model, x, y)[2]
+        input_f = input_gradient(model, x, y)
         monkeypatch.setattr("composed.layer_norm", composed_layer_norm)
         monkeypatch.setattr("composed.linear", composed_linear)
-        monkeypatch.setattr(md, "transformer_encoder", composed_transformer_encoder)
-        monkeypatch.setattr(md, "sigmoid_head", composed_sigmoid_head)
-        monkeypatch.setattr(md, "focal_loss", composed_focal_loss)
-        probs_c, weights_c, input_c = run()
+
+        def composed_run(want):
+            params = {k: Tensor(p, requires_grad=want == "weights")
+                      for k, p in model.params.items()}
+            xt = Tensor(x, requires_grad=want == "input")
+            if name == "lstm":
+                h = tape.lstm_sequence(xt, params["lstm.wx"], params["lstm.wh"],
+                                       params["lstm.b"])
+                head = params["head.w"], params["head.b"]
+            else:
+                h = composed_transformer_encoder(xt, params, model.pos_encoding)
+                head = params["head.out.w"], params["head.out.b"]
+            probs = composed_sigmoid_head(h, *head)
+            tape.backward(composed_focal_loss(probs, y))
+            return probs.data, xt.grad, {k: p.grad for k, p in params.items()}
+
+        probs_c, _, weights_c = composed_run("weights")
+        input_c = composed_run("input")[1]
         assert np.array_equal(probs_f, probs_c)
+        assert sorted(weights_f) == sorted(weights_c)
         assert all(np.array_equal(weights_f[k], weights_c[k]) for k in weights_c)
         assert np.array_equal(input_f, input_c)
 
@@ -530,10 +559,10 @@ class TestFusedKernelsAreBitExact:
                                                           gamma_requires_grad, small_arrays):
         batch, steps, d = 3, 4, 10
         rng = np.random.default_rng(2)
-        t = ad.Tensor(rng.normal(size=(batch, steps, d)), requires_grad=t_requires_grad)
-        gamma = ad.Tensor(rng.normal(size=d), requires_grad=gamma_requires_grad)
-        out = layer_norm(t, gamma, ad.Tensor(np.zeros(d)))
-        saved = tape_inventory(out)
+        t = Tensor(rng.normal(size=(batch, steps, d)), requires_grad=t_requires_grad)
+        gamma = Tensor(rng.normal(size=d), requires_grad=gamma_requires_grad)
+        out = layer_norm(t, gamma, Tensor(np.zeros(d)))
+        saved = tape_inventory(tape_rules(out))
         assert {rule for *_, rule in saved} == {"layer_norm"}
         full = [size for shape, _, size, _ in saved if shape == (batch, steps, d)]
         assert full == [8 * batch * steps * d]
@@ -597,11 +626,11 @@ def reference_lstm_sequence(x, wx, wh, b):
         d_x = (flat @ wx_np.T).reshape(batch, steps) if need_x else None
         return d_x, d_wx, d_wh, d_b
 
-    return ad.custom_op(h, (x, wx, wh, b), bw)
+    return tape.custom_op(h, (x, wx, wh, b), bw)
 
 
 # requires_grad of (x, wx, wh, b): an attack's input gradient, a training
-# step, and both at once
+# step, and both at once (the kernel then runs in both modes)
 LSTM_FLAGS = {"frozen_weights": (True, False, False, False),
               "training": (False, True, True, True),
               "all_inputs": (True, True, True, True)}
@@ -625,8 +654,8 @@ class TestLeanLstmTape:
             arrays = lstm_arrays(rng, batch, steps)
             grad_h = rng.normal(size=(batch, md.LSTM_HIDDEN))
             results = []
-            for kernel in (md.lstm_sequence, reference_lstm_sequence):
-                out = kernel(*[ad.Tensor(a, requires_grad=f)
+            for kernel in (tape.lstm_sequence, reference_lstm_sequence):
+                out = kernel(*[Tensor(a, requires_grad=f)
                                for a, f in zip(arrays, LSTM_FLAGS[flags])])
                 results.append((out.data, out._node.backward_fn(grad_h)))
             (h_lean, grads_lean), (h_ref, grads_ref) = results
@@ -635,8 +664,8 @@ class TestLeanLstmTape:
                 assert (g_lean is not None) == (g_ref is not None) == need
                 assert g_ref is None or np.array_equal(g_lean, g_ref), batch
 
-    # 8 and 24 steps are whole 4-step chunks: frozen weights form d_x chunk by
-    # chunk, a trainable wx from the buffer over every step
+    # 8 and 24 steps are whole 4-step chunks: an attack forms d_x chunk by
+    # chunk, and training forms d_wx from the buffer over every step
     @pytest.mark.parametrize("steps", [8, 24])
     @pytest.mark.parametrize("flags", ["frozen_weights", "all_inputs"],
                              ids=["chunked_d_x", "full_d_x"])
@@ -647,12 +676,12 @@ class TestLeanLstmTape:
         r = rng.normal(size=(3, 6))
 
         def f(arrs):
-            out = md.lstm_sequence(*[ad.Tensor(a) for a in arrs + arrays[len(arrs):]])
+            out = tape.lstm_sequence(*[Tensor(a) for a in arrs + arrays[len(arrs):]])
             return float((out.data * r).mean())
 
-        ts = [ad.Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)]
-        out = md.lstm_sequence(*ts)
-        ad.backward(mean(mul(out, ad.Tensor(r))))
+        ts = [Tensor(a, requires_grad=n) for a, n in zip(arrays, needs)]
+        out = tape.lstm_sequence(*ts)
+        tape.backward(mean(mul(out, Tensor(r))))
         checked = sum(needs)
         assert all(t.grad is None for t in ts[checked:])
         assert_grad_matches(f, arrays[:checked], [t.grad for t in ts[:checked]], rng)
@@ -674,16 +703,16 @@ class TestLeanLstmTape:
 
     def test_forward_needing_no_grad_holds_no_tape(self):
         arrays = lstm_arrays(np.random.default_rng(2), 64, 24)
-        ts = [ad.Tensor(a) for a in arrays]
+        weights = dict(zip(("lstm.wx", "lstm.wh", "lstm.b"), arrays[1:]))
         tracemalloc.start()
         try:
-            out = md.lstm_sequence(*ts)
+            h, bw = md.lstm_sequence(arrays[0], weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # a tape of 24 steps x 5 arrays x (64, 100) would take 5.9 MiB
-        assert peak < 2**20
-        assert np.array_equal(out.data, reference_lstm_sequence(*ts).data)
+        assert peak < 2**20 and bw is None
+        assert np.array_equal(h, reference_lstm_sequence(*map(Tensor, arrays)).data)
 
 
 class TestLeanTransformerTape:
@@ -699,25 +728,25 @@ class TestLeanTransformerTape:
 
     @staticmethod
     def encoder_held(model, x, trains):
-        """(shape, dtype) of each array the encoder's tape holds for ``x``,
-        with every weight trained or every weight frozen."""
-        params = {k: ad.Tensor(p.data, requires_grad=trains) for k, p in model.params.items()}
-        out = md.transformer_encoder(ad.Tensor(x, requires_grad=not trains), params,
-                                     model.pos_encoding)
+        """(shape, dtype) of each array the encoder's closure holds for ``x``,
+        for training or for an attack."""
+        _, bw = md.transformer_encoder(x, model.params, model.pos_encoding,
+                                       "weights" if trains else "input")
         return sorted((shape, dtype.name) for shape, dtype, _, _ in tape_inventory(
-            out, [p.data for p in params.values()] + [model.pos_encoding]))
+            [bw], list(model.params.values()) + [model.pos_encoding]))
 
     def test_training_forward_holds_a_small_tape(self):
         model = TransformerClassifier(seed=0)
         x, y = self.batch(32)
-        model.forward(x)
+        model.forward(x, "weights")
         tracemalloc.start()
         try:
-            loss = focal_loss(model.forward(x), y)
+            probs, steps = model.forward(x, "weights")
+            loss, step = focal_loss(probs, y, want="weights")
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert np.isfinite(loss.item())
+        assert np.isfinite(loss)
         # 57.1 MiB with normed saved by every trained-gamma layer norm; 47.7
         # MiB with the layer-norm outputs, merged contexts and ReLU masks
         # that the fused encoder recomputes in backward; 33.1 MiB with the
@@ -728,9 +757,9 @@ class TestLeanTransformerTape:
     def test_training_tape_holds_nothing_backward_can_recompute(self):
         model = TransformerClassifier(seed=0)
         x, y = self.batch(32)
-        loss = focal_loss(model.forward(x), y)
-        held = tape_inventory(loss, [p.data for p in model.params.values()]
-                              + [model.pos_encoding])
+        probs, steps = model.forward(x, "weights")
+        steps.append(focal_loss(probs, y, want="weights")[1])
+        held = tape_inventory(steps, list(model.params.values()) + [model.pos_encoding])
         width = (32, md.SEQ_LEN, md.D_MODEL)
         # the composed tape's linears held each layer-norm output and merged
         # context, (32, 24, 160) each, for their weight gradients; now only
@@ -771,11 +800,11 @@ class TestLeanTransformerTape:
     def test_frozen_weights_hold_composed_tape_minus_attention(self):
         model = TransformerClassifier(seed=0)
         x, _ = self.batch(32)
-        params = {k: ad.Tensor(p.data) for k, p in model.params.items()}
-        out = composed_transformer_encoder(ad.Tensor(x, requires_grad=True), params,
+        params = {k: Tensor(p) for k, p in model.params.items()}
+        out = composed_transformer_encoder(Tensor(x, requires_grad=True), params,
                                            model.pos_encoding)
         composed = sorted((shape, dtype.name) for shape, dtype, _, _ in tape_inventory(
-            out, [p.data for p in params.values()] + [model.pos_encoding]) if shape)
+            tape_rules(out), list(model.params.values()) + [model.pos_encoding]) if shape)
         attention_weights = ((32 * md.NUM_HEADS, md.SEQ_LEN, md.SEQ_LEN), "float64")
         assert composed.count(attention_weights) == 5
         # both hold q, k and v, layer-norm statistics and ReLU masks; the
@@ -807,17 +836,23 @@ class TestLeanTransformerTape:
 
     def test_forward_never_sees_a_weight_gradient(self, model, monkeypatch):
         x, y = self.batch(10)
-        seen = []
-        forward = model.forward
+        grads, seen = [], []
+        forward, step = model.forward, RmsProp.step
 
-        def spy(batch):
-            seen.append([name for name, p in model.params.items() if p.grad is not None])
-            return forward(batch)
+        def spy(batch, want=None):
+            seen.append(sum(alive() is not None for alive in grads))
+            return forward(batch, want)
+
+        def spy_step(self, params, found, lr):
+            grads.extend(weakref.ref(g) for g in found.values())
+            return step(self, params, found, lr)
 
         monkeypatch.setattr(model, "forward", spy)
+        monkeypatch.setattr(RmsProp, "step", spy_step)
         train_local(model, x, y, TrainConfig(epochs=2, batch_size=4), seed=0)
-        assert seen == [[]] * 6
-        assert all(p.grad is not None for p in model.params.values())
+        # no weight gradient of an earlier step is alive; each step had all
+        assert seen == [0] * 6
+        assert len(grads) == 6 * len(model.params)
 
 
 class TestNoDeadIntermediates:
@@ -858,14 +893,15 @@ class TestNoDeadIntermediates:
     def test_training_forward_peaks_low(self):
         model = TransformerClassifier(seed=0)
         x, y = self.batch(32)
-        model.forward(x)
+        model.forward(x, "weights")
         tracemalloc.start()
         try:
-            loss = focal_loss(model.forward(x), y)
+            probs, steps = model.forward(x, "weights")
+            loss, step = focal_loss(probs, y, want="weights")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.isfinite(loss.item())
+        assert np.isfinite(loss)
         # 52.3 MiB with the same dead intermediates alive; 49.5 MiB before
         # the fused encoder; 34.8 MiB with the attention weights and ReLU
         # outputs saved (26.5 MiB measured)
@@ -884,7 +920,7 @@ class TestNoDeadIntermediates:
         with np.errstate(over="ignore"):  # x - max overflows to -inf for rows of huge spread
             e = np.exp(x - x.max(axis=axis, keepdims=True))
             want = e / e.sum(axis=axis, keepdims=True)
-            out = softmax(ad.Tensor(x, requires_grad=True), axis=axis)
+            out = softmax(Tensor(x, requires_grad=True), axis=axis)
         assert out.data.tobytes() == want.tobytes()
         inner = (g * want).sum(axis=axis, keepdims=True)
         (d_x,) = out._node.backward_fn(g)
@@ -916,14 +952,13 @@ class TestFusedEncoderIsBitExact:
         need_x = mode in ("frozen_weights", "every_input")
 
         def run(encoder):
-            params = {k: ad.Tensor(p.data, requires_grad=trains(k))
-                      for k, p in model.params.items()}
-            xt = ad.Tensor(x, requires_grad=need_x)
+            params = {k: Tensor(p, requires_grad=trains(k)) for k, p in model.params.items()}
+            xt = Tensor(x, requires_grad=need_x)
             out = encoder(xt, params, model.pos_encoding)
-            ad.backward(mean(mul(out, ad.Tensor(r))))
+            tape.backward(mean(mul(out, Tensor(r))))
             return out.data, xt.grad, {k: p.grad for k, p in params.items()}
 
-        (out_f, dx_f, dw_f) = run(md.transformer_encoder)
+        (out_f, dx_f, dw_f) = run(tape.transformer_encoder)
         (out_c, dx_c, dw_c) = run(composed_transformer_encoder)
         assert np.array_equal(out_f, out_c)
         assert (dx_f is not None) == (dx_c is not None) == need_x
@@ -953,24 +988,21 @@ class TestModelGradients:
         model = make_model(name, seed=9)
         x = rng.uniform(0, 1, size=(2, 24))
         y = np.array([1.0, 0.0])
-        arrays = [model.params[k].data.copy() for k in picked]
+        arrays = [model.params[k].copy() for k in picked]
 
         def f(arrs):
             for k, a in zip(picked, arrs):
-                model.params[k].data = a
-            val = focal_loss(model.forward(x), y).item()
+                model.params[k] = a
+            val = focal_loss(model.forward(x)[0], y)[0]
             for k, a in zip(picked, arrays):
-                model.params[k].data = a
+                model.params[k] = a
             return val
 
-        for p in model.params.values():
-            p.grad = None
-        loss = focal_loss(model.forward(x), y)
-        ad.backward(loss)
-        analytic = [model.params[k].grad for k in picked]
+        grads = loss_and_grads(model, x, y)[2]
+        analytic = [grads[k] for k in picked]
         assert_grad_matches(f, arrays, analytic, rng, coords_per_array=5)
-        # and the input gradient, through a frozen view of the model
-        assert_grad_matches(lambda arrs: focal_loss(model.forward(arrs[0]), y).item(),
+        # and the input gradient, which asks for no weight gradient
+        assert_grad_matches(lambda arrs: focal_loss(model.forward(arrs[0])[0], y)[0],
                             [x], [input_gradient(model, x, y)], rng, coords_per_array=12)
 
 
@@ -1068,20 +1100,20 @@ class TestCheckpoints:
         # a round hands fedavg a trained model's own parameter arrays, and
         # that worker's next client starts with set_weights: the arrays
         # already handed over must never change afterwards
-        handed = {name: p.data for name, p in model.params.items()}
+        handed = model.params
         values = {name: arr.copy() for name, arr in handed.items()}
         broadcast = make_model(model.name, seed=5).get_weights()
         model.set_weights(broadcast)
         assert [n for n in handed if not np.array_equal(handed[n], values[n])] == []
-        assert [n for n, p in model.params.items() if p.data is handed[n]] == []
-        assert [n for n, p in model.params.items() if p.data is broadcast[n]] == []
+        assert [n for n, p in model.params.items() if p is handed[n]] == []
+        assert [n for n, p in model.params.items() if p is broadcast[n]] == []
         x = small_batch(seed=2, n=8)
         train_local(model, x, (x[:, 0] > 0.5).astype(np.float64),
                     TrainConfig(epochs=2, batch_size=4), seed=0)
         # training moved every parameter, and none of the arrays handed over
-        assert [n for n, p in model.params.items() if np.array_equal(p.data, broadcast[n])] == []
+        assert [n for n, p in model.params.items() if np.array_equal(p, broadcast[n])] == []
         assert [n for n in handed if not np.array_equal(handed[n], values[n])] == []
         # and the broadcast map, which every client of the round starts from
         start = make_model(model.name, seed=5).get_weights()
         assert [n for n in start if not np.array_equal(broadcast[n], start[n])] == []
-        assert [n for n, p in model.params.items() if p.data is handed[n]] == []
+        assert [n for n, p in model.params.items() if p is handed[n]] == []
