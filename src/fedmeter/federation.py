@@ -20,9 +20,15 @@ rows (64 for the LSTM, 32 for the Transformer), never on further threads.
 :func:`fedavg` folds the returned maps in ``selected`` order as they arrive,
 so a round holds running sums instead of every client's map, and the global
 weights, the round record and every later result keep their bits whatever
-the number of workers.  A round keeps one copy of each weight map: the
+the number of workers.  A round copies no weight map it can share: the
 decoded broadcast replaces the global weights it was encoded from, and a
 client hands :func:`fedavg` its model's own parameter arrays, not copies.
+Nothing holds a client's map once :func:`fedavg` has folded it and its
+worker's model has moved on to the next client.  So a round holds the
+broadcast, the running sums and, per worker, its model's map, its client's
+RmsProp state and one forward pass's saved arrays, plus each finished map
+that waits for an earlier client to finish (with clients of even size, at
+most one).
 """
 
 from __future__ import annotations
@@ -95,8 +101,9 @@ def select_clients(state: FederationState, round_index: int) -> list[int]:
 def fedavg(weight_maps: Iterable[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
     """Unweighted elementwise mean of client weight maps, folded in order.
 
-    The maps are taken one at a time and only running sums are kept, so a
-    generator of maps never has more than one of them alive here.  The result
+    The maps are taken one at a time and only running sums are kept, and a
+    map is let go before the next is asked for, so a generator of maps can
+    free each one while it makes the next.  The result
     is ``np.mean`` over the stacked maps bit for bit.  numpy sums a stacked
     weight of several elements in map order, as the fold does, but a weight
     of one element pairwise (the stacked axis is then contiguous), so those
@@ -122,6 +129,7 @@ def fedavg(weight_maps: Iterable[dict[str, np.ndarray]]) -> dict[str, np.ndarray
             else:
                 sums[name] = arr.copy()
         count += 1
+        m = arr = None  # let the folded map go before the next is made
     if count == 0:
         raise ValueError("fedavg needs at least one weight map")
     for total in sums.values():
@@ -188,7 +196,8 @@ def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> Roun
             epoch_offset=(round_index - 1) * state.local_epochs)
         losses[pos] = history[-1]
         # the model's own weight map, not a copy: this worker's next
-        # set_weights gives the model a new map before training touches one
+        # set_weights gives the model a new map before training touches one,
+        # and fedavg lets this one go once folded, so then nothing holds it
         return model.params
 
     # one instance per worker; each client overwrites every weight before use

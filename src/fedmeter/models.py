@@ -759,8 +759,9 @@ def train_local(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *,
     meanwhile.  No step's weight gradients outlive its optimizer step, so
     they are not held while the next forward pass saves its arrays: one
     Transformer client over 2 x 32 rows peaks at 34.2 MiB of traced
-    allocations.
+    allocations.  Raises FloatingPointError when a weight is not finite.
     """
+    _check_weights(model.params)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(x)
@@ -805,17 +806,19 @@ def input_gradient(model, x: np.ndarray, y: np.ndarray, alpha: float = 0.25,
 # ---------------------------------------------------------------------------
 # workers: a federated round's clients and an attack's row blocks
 
-# Each worker holds the arrays one forward pass saved for its backward pass,
-# and a round's worker its own model instance.  A Transformer training
-# worker holds 24.6 MiB of traced allocations after a 32-row forward (the fused encoder recomputes in backward what it
-# does not save), and one client's train_local over 2 x 32 rows peaks at
-# 34.2 MiB, so peak memory grows by about that per worker; row-block workers
-# share their model's ROW_BLOCK rows and the model itself, and a 16-row
-# Transformer input_gradient peaks at 13.8 MiB.  Two workers against one were
-# measured on 2 cores only (BENCH_9.json and BENCH_10.json for the
-# Transformer, BENCH_12.json and BENCH_15.json for the LSTM; BENCH_23.json
-# has today's figures); more workers stay unmeasured until pairs on a larger
-# machine are recorded.
+# Each worker holds the arrays one forward pass saved for its backward pass
+# (its tape), and a round's worker also its own model's weight map and its
+# client's RmsProp state, 5.85 MiB each for the Transformer.  A Transformer
+# training worker's tape is 24.6 MiB of traced allocations after a 32-row
+# forward (the fused encoder recomputes in backward what it does not save),
+# and one client's train_local over 2 x 32 rows, RmsProp state included,
+# peaks at 34.2 MiB above the weight map it trains, so peak memory grows by
+# about 40 MiB per worker; row-block workers share their model's ROW_BLOCK
+# rows and the model itself, and a 16-row Transformer input_gradient peaks at
+# 13.8 MiB.  Two workers against one were measured on 2 cores only
+# (BENCH_9.json and BENCH_10.json for the Transformer, BENCH_12.json and
+# BENCH_15.json for the LSTM; BENCH_27.json has today's figures); more
+# workers stay unmeasured until pairs on a larger machine are recorded.
 MAX_WORKERS = 2
 
 
@@ -877,10 +880,13 @@ def _in_order(task: Callable[[object, int], object], count: int,
     ``models[0]`` and one helper thread with each of the others (a round's
     workers each own a model; row-block workers share one).  A worker takes
     the next untaken index.  The caller works too, and waits only when
-    no index is left to take, so results come back in order while at most a
-    few are held.  When any worker raises, or the caller is interrupted or
-    closes the generator, no worker takes another index, the helpers are
-    joined, and then the exception reaches the caller with its own type.
+    no index is left to take, so results come back in order.  A finished
+    result is held only until those before it are done (with tasks of even
+    length, at most one per helper waits), and none outlives its yield: once
+    the caller drops a result, it is freed.  When any worker raises, or the
+    caller is interrupted or closes the generator, no worker takes another
+    index, the helpers are joined, and then the exception reaches the caller
+    with its own type.
     While a thread runs a task, :func:`_workers` there returns 1, so a task
     starts no workers of its own.
     """
@@ -898,19 +904,24 @@ def _in_order(task: Callable[[object, int], object], count: int,
             taken += 1
             return taken - 1
 
+    def run(model, i: int) -> None:
+        # a function, so no local of a worker's loop holds the result
+        # through that worker's next task
+        out = task(model, i)
+        with done:
+            results[i] = out
+            done.notify_all()
+
     def helper(model) -> None:
         _task_thread.busy = True
         while (i := take()) is not None:
             try:
-                out = task(model, i)
+                run(model, i)
             except BaseException as exc:  # handed to the caller, which raises it
                 with done:
                     errors.append(exc)
                     done.notify_all()
                 return
-            with done:
-                results[i] = out
-                done.notify_all()
 
     helpers = [threading.Thread(target=helper, args=(m,), daemon=True) for m in models[1:]]
     for t in helpers:
@@ -923,11 +934,9 @@ def _in_order(task: Callable[[object, int], object], count: int,
             if i is not None:
                 _task_thread.busy = True
                 try:
-                    out = task(models[0], i)
+                    run(models[0], i)
                 finally:
                     _task_thread.busy = busy
-                with done:
-                    results[i] = out
             else:
                 with done:
                     while head not in results and not errors:
@@ -939,7 +948,8 @@ def _in_order(task: Callable[[object, int], object], count: int,
                 while head in results:
                     ready.append(results.pop(head))
                     head += 1
-            yield from ready
+            while ready:  # popped, so the caller holds the only reference
+                yield ready.pop(0)
     finally:
         with done:
             stop = True

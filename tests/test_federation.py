@@ -2,6 +2,7 @@ import re
 import sys
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -144,6 +145,24 @@ class TestFedavg:
             assert np.shape(out[name]) == shape
             assert np.array_equal(out[name], expected), name
 
+    def test_each_map_is_let_go_before_the_next_is_made(self):
+        refs, dead = [], []
+
+        def make(i):
+            m = {"a": np.full(3, float(i)), "b": np.full((2, 2), -float(i))}
+            refs.append([weakref.ref(arr) for arr in m.values()])
+            return m
+
+        def maps():
+            for i in range(4):
+                if refs:
+                    dead.append(all(r() is None for r in refs[-1]))
+                yield make(i)
+
+        out = fedavg(maps())
+        assert dead == [True] * 3
+        np.testing.assert_array_equal(out["a"], np.full(3, 1.5))
+
 
 class TestRoundMechanics:
     def test_identical_clients_average_to_member(self):
@@ -242,6 +261,22 @@ class TestRoundMechanics:
         fed.run_round(b, "lstm", CFG)
         for name in a.global_weights:
             np.testing.assert_array_equal(a.global_weights[name], b.global_weights[name])
+
+    def test_no_earlier_client_map_is_alive_when_a_client_trains(self, monkeypatch):
+        # one-element weights are kept by fedavg for np.mean at the end
+        returned, alive = [], []
+
+        def tracking_train_local(model, x, y, cfg, **kw):
+            alive.append(sum(r() is not None for r in returned))
+            history = train_local(model, x, y, cfg, **kw)
+            returned.extend(weakref.ref(a) for a in model.params.values() if a.size > 1)
+            return history
+
+        force_workers(monkeypatch, 1)
+        monkeypatch.setattr(fed, "train_local", tracking_train_local)
+        state = init_state("lstm", make_clients(4), seed=3)
+        fed.run_round(state, "lstm", CFG)
+        assert alive == [0] * 4 and returned
 
     def test_round_record_contents(self):
         clients = make_clients(4, malicious_ids=(0, 2),
@@ -416,6 +451,20 @@ class TestConcurrentClients:
         assert list(md._in_order(task, 5, ["only"])) == [("only", i) for i in range(5)]
         assert threads == [threading.current_thread()] * 5
         assert threading.active_count() == before
+
+    def test_a_dropped_result_is_freed_before_the_next_task(self):
+        refs, dead = [], []
+
+        def task(model, i):
+            if refs:
+                dead.append(refs[-1]() is None)
+            out = np.full(4, float(i))
+            refs.append(weakref.ref(out))
+            return out
+
+        results = md._in_order(task, 4, ["only"])
+        assert [float(next(results)[0]) for _ in range(4)] == [0.0, 1.0, 2.0, 3.0]
+        assert dead == [True] * 3
 
     def test_worker_error_reaches_caller_with_its_type(self):
         failed, started = threading.Event(), []
