@@ -26,6 +26,18 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+# each run command: its help text, and the protocol it runs for a config and its flags
+_RUN_COMMANDS = {
+    "train": ("clean training and clean-test evaluation", lambda cfg, args: "baseline"),
+    "attack-eval": ("train clean, evaluate under inference-time attack",
+                    lambda cfg, args: "inference_attack"),
+    "federate": ("federated or central run, poisoned when an attack is configured",
+                 lambda cfg, args: "baseline" if cfg.attack.family == "none"
+                 else "training_attack"),
+    "sweep": ("magnitude sweeps over epsilon or malicious fraction",
+              lambda cfg, args: f"sweep_{args.axis}"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -40,11 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", required=True, help="output CSV path")
     synth.set_defaults(func=cmd_synth_data)
 
-    for name, helptext in (
-            ("train", "clean training and clean-test evaluation"),
-            ("attack-eval", "train clean, evaluate under inference-time attack"),
-            ("federate", "federated or central run, poisoned when an attack is configured"),
-            ("sweep", "magnitude sweeps over epsilon or malicious fraction")):
+    for name, (helptext, _) in _RUN_COMMANDS.items():
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", help="experiment config JSON")
         cmd.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -56,10 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "sweep":
             cmd.add_argument("--axis", choices=["epsilon", "malicious"],
                              required=True)
-    sub.choices["train"].set_defaults(func=cmd_train)
-    sub.choices["attack-eval"].set_defaults(func=cmd_attack_eval)
-    sub.choices["federate"].set_defaults(func=cmd_federate)
-    sub.choices["sweep"].set_defaults(func=cmd_sweep)
+        cmd.set_defaults(func=cmd_run)
 
     report = sub.add_parser("report", help="combine metrics.csv files from run dirs")
     report.add_argument("runs", nargs="+", help="run directories")
@@ -109,34 +114,14 @@ def cmd_synth_data(args) -> int:
     return EXIT_OK
 
 
-def _run(cfg) -> int:
+def cmd_run(args) -> int:
+    cfg = _config_from_args(args)
+    cfg = replace(cfg, protocol=_RUN_COMMANDS[args.command][1](cfg, args))
     result = run_experiment(cfg)
     print(f"run '{cfg.name}': {len(result.rows)} metrics row(s) -> {result.output_dir}")
     for row in result.rows:
         print("  " + ", ".join(row))
     return EXIT_OK
-
-
-def cmd_train(args) -> int:
-    cfg = replace(_config_from_args(args), protocol="baseline")
-    return _run(cfg)
-
-
-def cmd_attack_eval(args) -> int:
-    cfg = replace(_config_from_args(args), protocol="inference_attack")
-    return _run(cfg)
-
-
-def cmd_federate(args) -> int:
-    cfg = _config_from_args(args)
-    protocol = "training_attack" if cfg.attack.family != "none" else "baseline"
-    return _run(replace(cfg, protocol=protocol))
-
-
-def cmd_sweep(args) -> int:
-    cfg = _config_from_args(args)
-    protocol = "sweep_epsilon" if args.axis == "epsilon" else "sweep_malicious"
-    return _run(replace(cfg, protocol=protocol))
 
 
 def cmd_report(args) -> int:

@@ -2,19 +2,24 @@
 
 A single JSON config describes data source, model, training setting
 (central or federated), attack, protocol, and master seed; ``run_experiment``
-executes the full pipeline and writes a metrics CSV, per-round logs,
-tidy plot data for the sweep figures, a config snapshot, and a manifest
-of the outputs and the platform.  Every random stream derives from the
-snapshot's ``master_seed``.  Repeating a run with the same master seed
-reproduces the metrics files byte for byte on one platform.
+writes a metrics CSV, per-round logs, tidy plot data for the sweep figures,
+a config snapshot, and a manifest of the outputs and the platform.
 
-Protocols
----------
-baseline          train clean, evaluate on the clean test set
-inference_attack  train clean, evaluate on a fully perturbed test set
-training_attack   train under data poisoning, evaluate on the clean test set
-sweep_epsilon     training_attack at each epsilon for FGSM and PGD (federated)
-sweep_malicious   training_attack at each malicious-client fraction, PGD (federated)
+A protocol is a preset list of trainings, each an attack spec and a number
+of malicious clients; each training is scored on the clean test set and
+under the run's inference-time attacks:
+
+baseline          one clean training
+inference_attack  one clean training, scored on a fully perturbed test set
+training_attack   a clean and a poisoned training; the ASR counts the flips between them
+sweep_epsilon     a poisoned training per epsilon, for FGSM and PGD (federated)
+sweep_malicious   a poisoned training per malicious-client fraction, PGD (federated)
+
+Every training of a run draws from the ``master_seed`` alone, whatever its
+spec: its initial weights (the same in both settings), malicious clients
+(a prefix of one seeded permutation, so the sets nest), client selection,
+shuffles and poisoning subsets.  Repeating a run reproduces the metrics
+files byte for byte on one platform.
 """
 
 from __future__ import annotations
@@ -35,10 +40,9 @@ import numpy as np
 
 from . import data as dp
 from .attacks import AttackSpec, dump_adversarial_csv
-from .evaluation import (asr_from_predictions, classify, compute_metrics, evaluate_attacks,
-                         metrics_row, write_metrics_csv)
-from .federation import (ClientNode, global_model, init_state, run_centralized,
-                         run_federation)
+from .evaluation import (asr_from_predictions, classify, evaluate_attacks, metrics_row,
+                         write_metrics_csv)
+from .federation import ClientNode, global_model, init_state, run_centralized, run_federation
 from .models import BLAS_THREAD_VARS, TrainConfig, _workers, blas_build, save_weights
 from .seeding import derive_seed, rng_for
 
@@ -46,9 +50,6 @@ OUTPUT_ROOT_ENV = "FEDMETER_OUTPUT_ROOT"
 
 PROTOCOLS = ("baseline", "inference_attack", "training_attack",
              "sweep_epsilon", "sweep_malicious")
-
-DEFAULT_EPSILON_LIST = (0.1, 0.2, 0.4, 0.5, 0.8)
-DEFAULT_MALICIOUS_FRACTION_LIST = (0.1, 0.2, 0.3, 0.5)
 
 
 class ConfigError(ValueError):
@@ -88,8 +89,8 @@ class ExperimentConfig:
     federation: FederationConfig = field(default_factory=FederationConfig)
     attack: AttackSpec = field(default_factory=AttackSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
-    epsilon_list: tuple[float, ...] = DEFAULT_EPSILON_LIST
-    malicious_fraction_list: tuple[float, ...] = DEFAULT_MALICIOUS_FRACTION_LIST
+    epsilon_list: tuple[float, ...] = (0.1, 0.2, 0.4, 0.5, 0.8)
+    malicious_fraction_list: tuple[float, ...] = (0.1, 0.2, 0.3, 0.5)
 
 
 def recommended_train_config(model_name: str, **overrides) -> TrainConfig:
@@ -257,6 +258,12 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
          all(0.0 < f <= 1.0 for f in cfg.malicious_fraction_list), "in (0, 1]"))
     problems = [f"{name} must be {rule}, got {attrgetter(name.split()[0])(cfg)!r}"
                 for name, ok, rule in ranges if not ok]
+    for name in ("epsilon_list", "malicious_fraction_list"):  # a point's label names its files
+        by_label = {}
+        for value in getattr(cfg, name):
+            by_label.setdefault(f"{value:g}", []).append(repr(value))
+        problems += [f"{name} entries {' and '.join(same)} share the label {label}"
+                     for label, same in by_label.items() if len(same) > 1]
     try:
         _anomaly_config(cfg, 0)
     except dp.DataError as exc:
@@ -372,49 +379,60 @@ class RunResult:
 
 
 def _resolve_output_dir(cfg: ExperimentConfig) -> str:
-    root = os.environ.get(OUTPUT_ROOT_ENV, "")
-    out = cfg.output_dir
-    if root and not os.path.isabs(out):
-        out = os.path.join(root, out)
+    out = os.path.join(os.environ.get(OUTPUT_ROOT_ENV, ""), cfg.output_dir)  # unless absolute
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def _setting_label(cfg: ExperimentConfig) -> str:
-    arch = "LSTM" if cfg.model == "lstm" else "Transformer"
-    return f"{arch} ({'Central' if cfg.setting == 'central' else 'FL'})"
+_ATTACK_LABELS = {"none": "No Attack", "fgsm": "FGSM", "pgd": "PGD", "awgn": "AWGN",
+                 "label_flip": "Label Flip"}
 
 
-def _attack_label(spec: AttackSpec) -> str:
-    return {"none": "No Attack", "fgsm": "FGSM", "pgd": "PGD", "awgn": "AWGN",
-            "label_flip": "Label Flip"}[spec.family]
+def _preset(cfg: ExperimentConfig, n_clients: int):
+    """The protocol's trainings, each ``(attack, malicious count, label, x)``:
+    ``malicious count`` clients (centrally, the pooled data) poisoned by
+    ``attack``, ``label`` naming its round log and ``x`` its point on a
+    sweep's figure.  Also the figure, as ``(file name, x column, x's name in
+    a metrics row)``, or None for a protocol that writes checkpoints instead."""
+    attack, count = cfg.attack, cfg.federation.malicious_count
+    if cfg.protocol == "sweep_epsilon":
+        return [(replace(attack, family=family, epsilon=eps), count, f"eps{eps:g}_{family}", eps)
+                for family in ("fgsm", "pgd") for eps in cfg.epsilon_list
+                ], ("fig5b.csv", "epsilon", "eps")
+    if cfg.protocol == "sweep_malicious":
+        spec = replace(attack, family=attack.family if attack.family != "none" else "pgd")
+        return [(spec, max(1, int(round(frac * n_clients))), f"mal{frac:g}", frac)
+                for frac in cfg.malicious_fraction_list
+                ], ("fig5a.csv", "malicious_fraction", "malicious")
+    clean = (AttackSpec(), 0, "clean", None)
+    if cfg.protocol == "training_attack":
+        return [clean, (attack, count, f"attacked_{attack.family}", None)], None
+    return [clean], None
 
 
 def _train(cfg: ExperimentConfig, clients: list[ClientData], emit,
-           label: str, attack: AttackSpec, malicious_count: int):
+           attack: AttackSpec, malicious_count: int, label: str):
     """Train in the configured setting, with ``malicious_count`` clients (or
-    the pooled data, centrally) poisoned by ``attack``; returns the model.
-    A federated run writes its round log through ``emit``."""
+    the pooled data, centrally) poisoned by ``attack``, from the master
+    seed's streams (see the module docstring); returns the model.  A
+    federated training writes its round log through ``emit``."""
+    fed, seed = cfg.federation, derive_seed(cfg.master_seed, "federation")
     if cfg.setting == "central":
         x, y, _ = pooled([c.train for c in clients])
-        model, _ = run_centralized(
-            x, y, cfg.model, cfg.train, seed=derive_seed(cfg.master_seed, "central"),
-            attack=attack, poison_fraction=cfg.federation.poison_fraction)
-        return model
-    malicious = set(rng_for(cfg.master_seed, "malicious").choice(
-        len(clients), size=malicious_count, replace=False).tolist())
+        return run_centralized(x, y, cfg.model, cfg.train, seed=seed, attack=attack,
+                               poison_fraction=fed.poison_fraction)[0]
+    order = rng_for(cfg.master_seed, "malicious").permutation(len(clients))
+    malicious = set(order[:malicious_count].tolist())
     nodes = [ClientNode(c.client_id, c.train.profiles, c.train.labels.astype(np.float64),
                         malicious=i in malicious,
                         attack=attack if i in malicious else AttackSpec(),
-                        poison_fraction=cfg.federation.poison_fraction)
+                        poison_fraction=fed.poison_fraction)
              for i, c in enumerate(clients)]
-    state = init_state(cfg.model, nodes,
-                       clients_per_round=cfg.federation.clients_per_round,
-                       local_epochs=cfg.federation.local_epochs,
-                       seed=derive_seed(cfg.master_seed, "federation"))
+    state = init_state(cfg.model, nodes, clients_per_round=fed.clients_per_round,
+                       local_epochs=fed.local_epochs, seed=seed)
     x_test, y_test, _ = pooled([c.test for c in clients])
     emit(f"rounds_{label}.jsonl", lambda p: run_federation(
-        state, cfg.model, cfg.train, cfg.federation.rounds, eval_x=x_test, eval_y=y_test,
+        state, cfg.model, cfg.train, fed.rounds, eval_x=x_test, eval_y=y_test,
         threshold=cfg.threshold, log_path=p))
     return global_model(state, cfg.model)
 
@@ -431,74 +449,54 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         raise ConfigError("invalid config:\n  - " + "\n  - ".join(too_many))
     out_dir = _resolve_output_dir(cfg)
     x_test, y_test, kinds_test = pooled([c.test for c in clients])
-    label_setting = _setting_label(cfg)
-    rows: list[list[str]] = []
-    files: list[str] = []
+    setting = (f"{'LSTM' if cfg.model == 'lstm' else 'Transformer'} "
+               f"({'Central' if cfg.setting == 'central' else 'FL'})")
+    trainings, figure = _preset(cfg, len(clients))
+    # an inference-time attack's rows take the place of the clean-test row
+    specs = (cfg.attack,) if cfg.protocol == "inference_attack" else ()
+    rows, files = [], []
+    figure_rows = [[figure[1], "attack", "accuracy"]] if figure else []
+    reference = None  # the run's clean model
 
     def emit(path_name: str, writer) -> None:
         path = os.path.join(out_dir, path_name)
         writer(path)
         files.append(path)
 
-    if cfg.protocol in ("baseline", "inference_attack"):
-        model = _train(cfg, clients, emit, "clean", AttackSpec(), 0)
+    for attack, count, label, x in trainings:
+        model = _train(cfg, clients, emit, attack, count, label)
         clean, attacked = evaluate_attacks(
-            model, x_test, y_test, (cfg.attack,) if cfg.protocol == "inference_attack" else (),
-            rng_for(cfg.master_seed, "attack-eval"), threshold=cfg.threshold,
-            alpha=cfg.train.focal_alpha, gamma=cfg.train.focal_gamma)
-        if cfg.protocol == "baseline":
-            rows.append(metrics_row(label_setting, "No Attack", clean, None))
-        for spec, x_adv, metrics, report in attacked:
-            rows.append(metrics_row(label_setting, _attack_label(spec), metrics, report))
+            model, x_test, y_test, specs, rng_for(cfg.master_seed, "attack-eval"),
+            threshold=cfg.threshold, alpha=cfg.train.focal_alpha, gamma=cfg.train.focal_gamma)
+        # a poisoned training's ASR: the share of the clean training's test
+        # predictions it flips, when the run has a clean training
+        report = None
+        if attack.family == "none":
+            reference = model
+        elif reference is not None:
+            report = asr_from_predictions(classify(reference, x_test, cfg.threshold),
+                                          classify(model, x_test, cfg.threshold),
+                                          "training_attack")
+        name = _ATTACK_LABELS[attack.family]
+        if figure:
+            name += f" {figure[2]}={x:g}"
+            figure_rows.append([f"{x:g}", attack.family, f"{clean.accuracy:.6f}"])
+        else:
+            emit(f"final_{label.removeprefix('attacked_')}.ckpt",
+                 lambda p: save_weights(model.get_weights(), p))
+        if not specs:
+            rows.append(metrics_row(setting, name, clean, report))
+        for spec, x_adv, metrics, asr in attacked:
+            rows.append(metrics_row(setting, _ATTACK_LABELS[spec.family], metrics, asr))
             emit("adversarial_test.csv",
                  lambda p: dump_adversarial_csv(x_adv, y_test, kinds_test,
                                                 spec.family, spec.epsilon, p))
-        emit("final_clean.ckpt", lambda p: save_weights(model.get_weights(), p))
 
-    elif cfg.protocol == "training_attack":
-        clean = _train(cfg, clients, emit, "clean", AttackSpec(), 0)
-        attacked = _train(cfg, clients, emit, f"attacked_{cfg.attack.family}",
-                          cfg.attack, cfg.federation.malicious_count)
-        pred_clean = classify(clean, x_test, cfg.threshold)
-        rows.append(metrics_row(label_setting, "No Attack",
-                                compute_metrics(pred_clean, y_test), None))
-        pred_attacked = classify(attacked, x_test, cfg.threshold)
-        metrics = compute_metrics(pred_attacked, y_test)
-        report = asr_from_predictions(pred_clean, pred_attacked, "training_attack")
-        rows.append(metrics_row(label_setting, _attack_label(cfg.attack), metrics, report))
-        emit("final_clean.ckpt", lambda p: save_weights(clean.get_weights(), p))
-        emit(f"final_{cfg.attack.family}.ckpt",
-             lambda p: save_weights(attacked.get_weights(), p))
-
-    else:  # a sweep: one federated training_attack per point, and one figure
-        if cfg.protocol == "sweep_epsilon":
-            figure, x_name = "fig5b", "epsilon"
-            points = [(replace(cfg.attack, family=family, epsilon=eps),
-                       cfg.federation.malicious_count, ("sweep-eps", family, f"{eps:.6g}"),
-                       f"eps{eps:g}_{family}", f"eps={eps:g}", eps)
-                      for family in ("fgsm", "pgd") for eps in cfg.epsilon_list]
-        else:
-            figure, x_name = "fig5a", "malicious_fraction"
-            spec = replace(cfg.attack, family=cfg.attack.family
-                           if cfg.attack.family != "none" else "pgd")
-            points = [(spec, max(1, int(round(frac * len(clients)))),
-                       ("sweep-mal", f"{frac:.6g}"), f"mal{frac:g}", f"malicious={frac:g}", frac)
-                      for frac in cfg.malicious_fraction_list]
-        figure_rows = [[x_name, "attack", "accuracy"]]
-        for spec, count, seed_path, label, value, x in points:
-            point_cfg = replace(cfg, attack=spec,
-                                master_seed=derive_seed(cfg.master_seed, *seed_path))
-            model = _train(point_cfg, clients, emit, label, spec, count)
-            metrics = compute_metrics(classify(model, x_test, cfg.threshold), y_test)
-            rows.append(metrics_row(label_setting, f"{_attack_label(spec)} {value}",
-                                    metrics, None))
-            figure_rows.append([f"{x:g}", spec.family, f"{metrics.accuracy:.6f}"])
-
+    if figure:
         def write_figure(path):
             with open(path, "w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh).writerows(figure_rows)
-        emit(f"{figure}.csv", write_figure)
-
+        emit(figure[0], write_figure)
     emit("metrics.csv", lambda p: write_metrics_csv(rows, p))
     _write_snapshot_and_manifest(cfg, out_dir, files)
     return RunResult(rows, out_dir)

@@ -265,12 +265,13 @@ def run_centralized(x: np.ndarray, y: np.ndarray, model_name: str, cfg: TrainCon
     """Single-model training on pooled data for ``cfg.epochs`` epochs,
     optionally poisoned per epoch.
 
-    With an active attack, a fresh ``poison_fraction`` subset of the pooled
-    training data is perturbed each epoch using the current model.  Returns
-    (model, per-epoch loss history).
+    The model starts from the weights that ``init_state`` gives a federation
+    of the same ``seed``.  With an active attack, a fresh ``poison_fraction``
+    subset of the pooled training data is perturbed each epoch using the
+    current model.  Returns (model, per-epoch loss history).
     """
     attack = AttackSpec() if attack is None else attack
-    model = make_model(model_name, seed=derive_seed(seed, "central-init"))
+    model = make_model(model_name, seed=derive_seed(seed, "global-init"))
     optimizer = RmsProp(cfg.rho, cfg.eps_opt)
     history = []
     for epoch in range(1, cfg.epochs + 1):

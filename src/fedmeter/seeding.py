@@ -3,9 +3,10 @@
 Every random decision in the simulator draws from a numpy Generator whose
 seed is derived from the experiment master seed plus a path of string/int
 labels.  Derivation hashes the labels with SHA-256, so the seed of one
-consumer (a client, a round, a sweep point) never depends on how many other
-consumers exist: adding a sweep point or a client leaves all other streams
-untouched.
+consumer (a client, a round, an epoch) never depends on how many other
+consumers exist: adding a round or a client leaves all other streams
+untouched.  The trainings of one experiment share their streams, whatever
+their attack, so that they differ only in it (see ``experiment``).
 """
 
 from __future__ import annotations

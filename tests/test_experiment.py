@@ -16,7 +16,8 @@ from fedmeter import cli
 from fedmeter import data as dp
 from fedmeter import experiment as ex
 from fedmeter import models as md
-from fedmeter.attacks import awgn
+from fedmeter import federation as fed
+from fedmeter.attacks import AttackSpec, awgn
 from fedmeter.experiment import (ConfigError, DataConfig, ExperimentConfig,
                                  apply_override, build_client_data, config_from_dict,
                                  config_to_dict, recommended_train_config,
@@ -195,10 +196,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match="master_seed must be an integer"):
             validate_config(tiny_cfg(tmp_path, master_seed=seed))
 
-    @pytest.mark.parametrize("eps", [float("nan"), -0.5])
+    # 0.1 and 0.1000001 both label their files eps0.1
+    @pytest.mark.parametrize("eps", [float("nan"), -0.5, 0.1, 0.1000001])
     def test_bad_sweep_epsilon_rejected(self, tmp_path, eps):
         with pytest.raises(ConfigError, match="epsilon_list entries"):
             cfg = tiny_cfg(tmp_path, protocol="sweep_epsilon", epsilon_list=[0.1, eps])
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("fractions,named", [
+        ([0.34, 0.5, 0.34], "entries 0.34 and 0.34 share the label 0.34"),
+        ([0.5, 0.5000001], "entries 0.5 and 0.5000001 share the label 0.5")])
+    def test_malicious_fractions_that_share_a_label_rejected(self, tmp_path, fractions,
+                                                              named):
+        cfg = tiny_cfg(tmp_path, protocol="sweep_malicious", attack={"family": "pgd"},
+                       malicious_fraction_list=fractions)
+        with pytest.raises(ConfigError, match=f"malicious_fraction_list {named}"):
             validate_config(cfg)
 
     def test_attack_protocol_requires_family(self, tmp_path):
@@ -446,6 +458,87 @@ class TestRunExperiment:
             assert 1 <= manifest["workers"] <= md.MAX_WORKERS
         if "openblas" in md.blas_build()["name"]:  # which reads OPENBLAS_NUM_THREADS
             assert manifests["2"]["workers"] == 1
+
+
+class TestPairing:
+    """Every training of a run draws from its master seed, whatever its spec."""
+
+    @staticmethod
+    def spy_on_init_state(monkeypatch):
+        """Record each federation's initial weights and malicious client ids."""
+        seen = []
+
+        def spy(model_name, nodes, **kw):
+            state = fed.init_state(model_name, nodes, **kw)
+            seen.append(({k: v.copy() for k, v in state.global_weights.items()},
+                         {n.client_id for n in nodes if n.malicious}))
+            return state
+
+        monkeypatch.setattr(ex, "init_state", spy)
+        return seen
+
+    def test_points_differing_only_in_spec_share_init_and_malicious_set(
+            self, tmp_path, monkeypatch):
+        seen = self.spy_on_init_state(monkeypatch)
+        run_experiment(tiny_cfg(tmp_path / "run", protocol="sweep_epsilon",
+                                epsilon_list=[0.1, 0.5], attack={"pgd_iters": 1},
+                                federation={"rounds": 1, "malicious_count": 2}))
+        assert len(seen) == 4  # {fgsm, pgd} x {0.1, 0.5}
+        weights, malicious = seen[0]
+        assert len(malicious) == 2
+        for other_weights, other_malicious in seen[1:]:
+            assert other_malicious == malicious
+            assert all(np.array_equal(weights[k], other_weights[k]) for k in weights)
+
+    def test_sweep_malicious_sets_nest(self, tmp_path, monkeypatch):
+        # at seed 0, drawing each set of 2, 3 and 4 of 19 clients on its own
+        # gave {10, 12}, {4, 10, 12} and {4, 9, 11, 12}
+        seen = self.spy_on_init_state(monkeypatch)
+        run_experiment(tiny_cfg(tmp_path / "run", protocol="sweep_malicious", master_seed=0,
+                                malicious_fraction_list=[0.1, 0.15, 0.2],
+                                data={"households": 19},
+                                attack={"family": "pgd", "pgd_iters": 1},
+                                federation={"rounds": 1}))
+        sets = [malicious for _, malicious in seen]
+        assert [len(s) for s in sets] == [2, 3, 4]
+        assert sets[0] < sets[1] < sets[2]
+        for weights, _ in seen[1:]:
+            assert all(np.array_equal(seen[0][0][k], weights[k]) for k in weights)
+
+    def test_fgsm_epsilon_zero_trains_the_clean_weights(self, tmp_path):
+        cfg = validate_config(tiny_cfg(tmp_path, protocol="training_attack",
+                                       attack={"family": "fgsm", "epsilon": 0.0},
+                                       federation={"malicious_count": 2}))
+        clients, logs = build_client_data(cfg), {}
+
+        def emit(name, writer):
+            writer(tmp_path / name)
+            lines = (tmp_path / name).read_text().splitlines()
+            logs[name] = [json.loads(line) for line in lines]
+
+        clean = ex._train(cfg, clients, emit, AttackSpec(), 0, "clean")
+        zero = ex._train(cfg, clients, emit, AttackSpec("fgsm", epsilon=0.0), 2, "zero")
+        assert md.weights_to_bytes(clean.get_weights()) == \
+            md.weights_to_bytes(zero.get_weights())
+        clean_log, zero_log = logs["rounds_clean.jsonl"], logs["rounds_zero.jsonl"]
+        assert [r["malicious_count"] for r in clean_log] == [0, 0]
+        assert [r["malicious_count"] for r in zero_log] == [2, 2]
+        assert [{**r, "malicious_count": 0} for r in zero_log] == clean_log
+
+    def test_central_and_federated_training_start_from_the_same_weights(
+            self, tmp_path, monkeypatch):
+        # the first local training of a run starts from its initial weights
+        starts, train_local = {}, fed.train_local
+
+        def spy(model, *args, **kw):
+            starts.setdefault(setting, {k: v.copy() for k, v in model.get_weights().items()})
+            return train_local(model, *args, **kw)
+
+        monkeypatch.setattr(fed, "train_local", spy)
+        for setting in ("central", "federated"):
+            run_experiment(tiny_cfg(tmp_path / setting, setting=setting))
+        central, federated = starts["central"], starts["federated"]
+        assert all(np.array_equal(central[k], federated[k]) for k in central)
 
 
 class TestCli:
@@ -711,6 +804,17 @@ class TestCli:
                          "--set", "malicious_fraction_list=[0.34]",
                          "--out", str(out)]) == cli.EXIT_CONFIG
         assert "runs in the federated setting only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_points_that_share_a_label_exit_before_any_run(self, tmp_path, capsys):
+        # both would write rounds_eps0.1_fgsm.jsonl, the second over the first
+        out = tmp_path / "run"
+        assert cli.main(["sweep", "--axis", "epsilon", "--set", "epsilon_list=[0.1,0.1000001]",
+                         "--set", "federation.malicious_count=1",
+                         "--set", "data.households=3", "--set", "data.days=20",
+                         "--set", "federation.rounds=1", "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "epsilon_list entries 0.1 and 0.1000001 share the label 0.1" in \
+            capsys.readouterr().err
         assert not out.exists()
 
     def test_non_finite_activation_exit_code(self, tmp_path, monkeypatch, capsys):
