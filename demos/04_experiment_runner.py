@@ -7,7 +7,8 @@ Run:  python3 demos/04_experiment_runner.py
 
 import json
 
-from fedmeter.experiment import config_from_dict, config_to_dict, run_experiment
+from fedmeter.experiment import (config_from_dict, config_to_dict, run_experiment,
+                                 validate_config)
 
 # a quick federated training-time attack, small enough to finish in a minute
 quick = config_from_dict({
@@ -31,8 +32,9 @@ print(f"outputs in {result.output_dir}: metrics.csv, rounds_*.jsonl, "
       f"config.json, manifest.json, final_*.ckpt\n")
 
 # full desk-scale study configs (paper protocol: 19 households, 9 malicious,
-# eps=0.5, sigma^2=0.1, T=10); run them with the CLI, e.g.
-#   fedmeter federate --config tableII_pgd.json
+# eps=0.5, sigma^2=0.1, T=10); each names its protocol, so the CLI runs either
+# one as it stands, e.g.
+#   fedmeter run --config tableII_pgd.json
 table_ii_pgd = {
     "name": "tableII-lstm-fl-pgd",
     "model": "lstm",
@@ -56,11 +58,11 @@ fig5b_sweep = {
     "output_dir": "runs/fig5b",
     "data": {"households": 19, "days": 365, "anomaly_fraction": 0.1},
     "federation": {"rounds": 100, "malicious_count": 9, "poison_fraction": 0.3},
-    "attack": {"family": "fgsm", "epsilon": 0.1},
     "train": {"epochs": 100, "batch_size": 32},
 }
 for name, doc in (("tableII_pgd.json", table_ii_pgd), ("fig5b_sweep.json", fig5b_sweep)):
-    print(f"--- {name} " + "-" * (60 - len(name)))
+    validate_config(config_from_dict(doc))  # each runs as printed
+    print(f"--- fedmeter run --config {name} " + "-" * (44 - len(name)))
     print(json.dumps(doc, indent=2))
 
 # round-trip sanity: the runner normalizes and re-emits exactly this shape

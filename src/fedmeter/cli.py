@@ -1,6 +1,9 @@
 """Command-line entry point.
 
-Subcommands: synth-data, train, attack-eval, federate, sweep, report.
+Subcommands: synth-data, run, report.  ``run`` runs the experiment its
+config describes: the config's ``protocol`` picks what it trains and
+scores, and each ``--set KEY=VALUE`` overrides one entry, in the order
+given; nothing else overrides the config.
 Exit codes: 0 success, 2 config or input-data error, 3 numeric failure (a
 non-finite loss or activation), 4 I/O error.  Relative output directories
 resolve under $FEDMETER_OUTPUT_ROOT when it is set.
@@ -13,30 +16,16 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
 from .data import DataError, synthetic_households, utf8_text
 from .evaluation import METRICS_CSV_HEADER
 from .experiment import (ConfigError, apply_override, config_from_dict,
                          run_experiment)
-from .models import NumericError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-# each run command: its help text, and the protocol it runs for a config and its flags
-_RUN_COMMANDS = {
-    "train": ("clean training and clean-test evaluation", lambda cfg, args: "baseline"),
-    "attack-eval": ("train clean, evaluate under inference-time attack",
-                    lambda cfg, args: "inference_attack"),
-    "federate": ("federated or central run, poisoned when an attack is configured",
-                 lambda cfg, args: "baseline" if cfg.attack.family == "none"
-                 else "training_attack"),
-    "sweep": ("magnitude sweeps over epsilon or malicious fraction",
-              lambda cfg, args: f"sweep_{args.axis}"),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,19 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", required=True, help="output CSV path")
     synth.set_defaults(func=cmd_synth_data)
 
-    for name, (helptext, _) in _RUN_COMMANDS.items():
-        cmd = sub.add_parser(name, help=helptext)
-        cmd.add_argument("--config", help="experiment config JSON")
-        cmd.add_argument("--set", action="append", metavar="KEY=VALUE",
-                         help="override a config entry, e.g. train.epochs=20")
-        cmd.add_argument("--model", choices=["lstm", "transformer"])
-        cmd.add_argument("--setting", choices=["central", "federated"])
-        cmd.add_argument("--seed", type=int, help="master seed")
-        cmd.add_argument("--out", help="output directory")
-        if name == "sweep":
-            cmd.add_argument("--axis", choices=["epsilon", "malicious"],
-                             required=True)
-        cmd.set_defaults(func=cmd_run)
+    run = sub.add_parser("run", help="run the experiment a config describes")
+    run.add_argument("--config", help="experiment config JSON; its protocol picks the run")
+    run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                     help="override a config entry, applied in order, e.g. "
+                          "protocol=sweep_epsilon or train.epochs=20")
+    run.set_defaults(func=cmd_run)
 
     report = sub.add_parser("report", help="combine metrics.csv files from run dirs")
     report.add_argument("runs", nargs="+", help="run directories")
@@ -81,19 +63,13 @@ def _config_from_args(args) -> "ExperimentConfig":
                 raw = json.load(fh)
             except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
                 raise ConfigError(f"{args.config}: not valid JSON ({exc})") from None
-    for override in args.set or []:
+        if not isinstance(raw, dict):  # the overrides are set on it
+            raise ConfigError(f"{args.config}: must be a JSON object of settings")
+    for override in args.set:
         if "=" not in override:
             raise ConfigError(f"--set expects KEY=VALUE, got {override!r}")
         key, value = override.split("=", 1)
         apply_override(raw, key, value)
-    if args.model:
-        raw["model"] = args.model
-    if args.setting:
-        raw["setting"] = args.setting
-    if args.seed is not None:
-        raw["master_seed"] = args.seed
-    if args.out:
-        raw["output_dir"] = args.out
     return config_from_dict(raw)
 
 
@@ -116,7 +92,6 @@ def cmd_synth_data(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
-    cfg = replace(cfg, protocol=_RUN_COMMANDS[args.command][1](cfg, args))
     result = run_experiment(cfg)
     print(f"run '{cfg.name}': {len(result.rows)} metrics row(s) -> {result.output_dir}")
     for row in result.rows:
@@ -157,7 +132,7 @@ def main(argv=None) -> int:
     except (ConfigError, DataError) as exc:  # any other ValueError is a bug: a traceback
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericError, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

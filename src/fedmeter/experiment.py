@@ -292,7 +292,9 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"protocol {cfg.protocol} poisons nothing with "
                         f"federation.malicious_count 0; it must be >= 1")
     if cfg.protocol == "baseline" and cfg.attack.family != "none":
-        problems.append(f"protocol baseline contradicts attack.family {cfg.attack.family}")
+        problems.append(f"protocol baseline contradicts attack.family {cfg.attack.family}; "
+                        f"inference_attack and training_attack are the protocols that "
+                        f"read an attack")
     if cfg.protocol in ("sweep_epsilon", "sweep_malicious") and cfg.setting != "federated":
         problems.append(f"protocol {cfg.protocol} runs in the federated setting only")
     if cfg.protocol == "sweep_epsilon" and not cfg.epsilon_list:
@@ -441,17 +443,24 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     cfg = validate_config(cfg)
     clients = build_client_data(cfg)  # a data or count error leaves no run directory
     fed = cfg.federation
-    too_many = [f"federation.{name} {count} exceeds the {len(clients)} households loaded"
+    problems = [f"federation.{name} {count} exceeds the {len(clients)} households loaded"
                 for name, count in (("malicious_count", fed.malicious_count),
                                     ("clients_per_round", fed.clients_per_round))
                 if count is not None and count > len(clients)]
-    if too_many:
-        raise ConfigError("invalid config:\n  - " + "\n  - ".join(too_many))
+    trainings, figure = _preset(cfg, len(clients))
+    if cfg.protocol == "sweep_malicious":  # two points with one count train one model
+        by_count = {}
+        for _, count, _, fraction in trainings:
+            by_count.setdefault(count, []).append(repr(fraction))
+        problems += [f"malicious_fraction_list entries {' and '.join(same)} each make "
+                     f"{count} of the {len(clients)} households loaded malicious"
+                     for count, same in by_count.items() if len(same) > 1]
+    if problems:
+        raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
     out_dir = _resolve_output_dir(cfg)
     x_test, y_test, kinds_test = pooled([c.test for c in clients])
     setting = (f"{'LSTM' if cfg.model == 'lstm' else 'Transformer'} "
                f"({'Central' if cfg.setting == 'central' else 'FL'})")
-    trainings, figure = _preset(cfg, len(clients))
     # an inference-time attack's rows take the place of the clean-test row
     specs = (cfg.attack,) if cfg.protocol == "inference_attack" else ()
     rows, files = [], []

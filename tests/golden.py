@@ -2,7 +2,7 @@
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py [--write]
 
-runs every command of ``MATRIX`` for both models into a temporary directory
+runs every entry of ``MATRIX`` for both models into a temporary directory
 and prints one JSON object: the environment it ran in and the SHA-256 of
 each result file.  With ``--write`` it records that object in
 ``tests/golden.json``, which ``test_golden.py`` compares a fresh run with.
@@ -27,19 +27,19 @@ import numpy as np
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 
 # seed 0, 3 households x 20 days, 2 rounds, 1 epoch
-SCALE = ["--seed", "0", "--set", "data.households=3", "--set", "data.days=20",
-         "--set", "federation.rounds=2", "--set", "train.epochs=1"]
+SCALE = ["master_seed=0", "data.households=3", "data.days=20", "federation.rounds=2",
+         "train.epochs=1"]
+# each entry's overrides, its protocol first
 MATRIX = {
-    "train": ["train"],
-    "federate_pgd": ["federate", "--set", "attack.family=pgd",
-                     "--set", "federation.malicious_count=2"],
-    "central_fgsm": ["federate", "--setting", "central", "--set", "attack.family=fgsm"],
-    "attack_fgsm": ["attack-eval", "--set", "attack.family=fgsm"],
-    "attack_pgd": ["attack-eval", "--set", "attack.family=pgd"],
-    "sweep_epsilon": ["sweep", "--axis", "epsilon", "--set", "epsilon_list=[0.1,0.5]",
-                      "--set", "federation.malicious_count=2"],
-    "sweep_malicious": ["sweep", "--axis", "malicious",
-                        "--set", "malicious_fraction_list=[0.34,0.67]"],
+    "train": ["protocol=baseline"],
+    "federate_pgd": ["protocol=training_attack", "attack.family=pgd",
+                     "federation.malicious_count=2"],
+    "central_fgsm": ["protocol=training_attack", "setting=central", "attack.family=fgsm"],
+    "attack_fgsm": ["protocol=inference_attack", "attack.family=fgsm"],
+    "attack_pgd": ["protocol=inference_attack", "attack.family=pgd"],
+    "sweep_epsilon": ["protocol=sweep_epsilon", "epsilon_list=[0.1,0.5]",
+                      "federation.malicious_count=2"],
+    "sweep_malicious": ["protocol=sweep_malicious", "malicious_fraction_list=[0.34,0.67]"],
 }
 # the result files; config.json records the output path, and manifest.json
 # the platform and the thread variables
@@ -72,15 +72,16 @@ def environment() -> dict[str, str]:
 
 
 def run_matrix(root: pathlib.Path) -> dict[str, str]:
-    """Run every command for both models under ``root``; the digest of each
-    result file, keyed ``model/command/file``."""
+    """``fedmeter run`` every entry for both models under ``root``; the digest
+    of each result file, keyed ``model/label/file``."""
     from fedmeter import cli
     digests = {}
     for model in ("lstm", "transformer"):
-        for label, command in MATRIX.items():
+        for label, overrides in MATRIX.items():
             out = root / model / label
+            overrides = [*overrides, f"model={model}", *SCALE, f"output_dir={out}"]
             with contextlib.redirect_stdout(sys.stderr):  # stdout carries the JSON
-                code = cli.main([*command, "--model", model, *SCALE, "--out", str(out)])
+                code = cli.main(["run", *(a for o in overrides for a in ("--set", o))])
             if code != cli.EXIT_OK:
                 raise SystemExit(f"{model} {label}: exit {code}")
             files = sorted({p for pattern in RESULT_PATTERNS for p in out.glob(pattern)})

@@ -14,7 +14,7 @@ from fedmeter import models as md
 from fedmeter.attacks import AttackSpec
 from fedmeter.evaluation import classify, compute_metrics
 from fedmeter.federation import ClientNode, FederationState, fedavg, init_state
-from fedmeter.models import (NumericError, TrainConfig, make_model, train_local,
+from fedmeter.models import (TrainConfig, make_model, train_local,
                              weights_from_bytes)
 from fedmeter.seeding import derive_seed
 
@@ -473,7 +473,7 @@ class TestConcurrentClients:
             started.append(i)
             if model == "helper":
                 failed.set()
-                raise NumericError(f"client {i}")
+                raise FloatingPointError(f"client {i}")
             assert failed.wait(10)
             deadline = time.monotonic() + 10
             while threading.active_count() > before and time.monotonic() < deadline:
@@ -481,7 +481,7 @@ class TestConcurrentClients:
             return i
 
         before = threading.active_count()
-        with pytest.raises(NumericError, match="client"):
+        with pytest.raises(FloatingPointError, match="client"):
             list(md._in_order(task, 10, ["caller", "helper"]))
         assert threading.active_count() == before  # the helper was joined
         # the helper failed on its first client, and the caller took at most one
@@ -510,14 +510,14 @@ class TestConcurrentClients:
     def test_numeric_error_in_a_worker_fails_the_round(self, monkeypatch):
         def failing_train_local(model, x, y, cfg, **kw):
             if threading.current_thread() is not threading.main_thread():
-                raise NumericError("non-finite loss at epoch 1")
+                raise FloatingPointError("non-finite loss at epoch 1")
             return train_local(model, x, y, cfg, **kw)
 
         force_workers(monkeypatch, 2)
         monkeypatch.setattr(fed, "train_local", failing_train_local)
         state = init_state("lstm", make_clients(4), seed=3)
         start = {k: v.copy() for k, v in state.global_weights.items()}
-        with pytest.raises(NumericError, match="non-finite"):
+        with pytest.raises(FloatingPointError, match="non-finite"):
             fed.run_round(state, "lstm", CFG)
         assert state.round == 0
         assert all(np.array_equal(state.global_weights[k], start[k]) for k in start)
