@@ -19,10 +19,9 @@ quick = config_from_dict({
     "master_seed": 0,
     "output_dir": "runs/demo",
     "data": {"households": 4, "days": 60, "anomaly_fraction": 0.15},
-    "federation": {"rounds": 5, "local_epochs": 1, "malicious_count": 2,
-                   "poison_fraction": 0.3},
+    "federation": {"local_epochs": 1, "malicious_count": 2, "poison_fraction": 0.3},
     "attack": {"family": "label_flip", "flip_fraction": 1.0},
-    "train": {"epochs": 1, "batch_size": 32},
+    "train": {"epochs": 5, "batch_size": 32},  # 5 rounds of 1 local epoch
 })
 result = run_experiment(quick)
 print("metrics rows:")
@@ -32,8 +31,8 @@ print(f"outputs in {result.output_dir}: metrics.csv, rounds_*.jsonl, "
       f"config.json, manifest.json, final_*.ckpt\n")
 
 # full desk-scale study configs (paper protocol: 19 households, 9 malicious,
-# eps=0.5, sigma^2=0.1, T=10); each names its protocol, so the CLI runs either
-# one as it stands, e.g.
+# eps=0.5, sigma^2=0.1, T=10, and train.epochs 100: 100 rounds of 1 local
+# epoch); each names its protocol, so the CLI runs either one as it stands, e.g.
 #   fedmeter run --config tableII_pgd.json
 table_ii_pgd = {
     "name": "tableII-lstm-fl-pgd",
@@ -43,8 +42,7 @@ table_ii_pgd = {
     "master_seed": 0,
     "output_dir": "runs/tableII-lstm-fl-pgd",
     "data": {"households": 19, "days": 365, "anomaly_fraction": 0.1},
-    "federation": {"rounds": 100, "local_epochs": 1, "malicious_count": 9,
-                   "poison_fraction": 0.3},
+    "federation": {"local_epochs": 1, "malicious_count": 9, "poison_fraction": 0.3},
     "attack": {"family": "pgd", "epsilon": 0.5, "pgd_iters": 10},
     "train": {"epochs": 100, "batch_size": 32, "base_lr": 0.01},
 }
@@ -57,7 +55,7 @@ fig5b_sweep = {
     "master_seed": 0,
     "output_dir": "runs/fig5b",
     "data": {"households": 19, "days": 365, "anomaly_fraction": 0.1},
-    "federation": {"rounds": 100, "malicious_count": 9, "poison_fraction": 0.3},
+    "federation": {"malicious_count": 9, "poison_fraction": 0.3},
     "train": {"epochs": 100, "batch_size": 32},
 }
 for name, doc in (("tableII_pgd.json", table_ii_pgd), ("fig5b_sweep.json", fig5b_sweep)):

@@ -45,7 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="experiment config JSON; its protocol picks the run")
     run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a config entry, applied in order, e.g. "
-                          "protocol=sweep_epsilon or train.epochs=20")
+                          "protocol=sweep_epsilon or train.epochs=20 (a run's length "
+                          "in global epochs; a federated run trains train.epochs / "
+                          "federation.local_epochs rounds)")
     run.set_defaults(func=cmd_run)
 
     report = sub.add_parser("report", help="combine metrics.csv files from run dirs")

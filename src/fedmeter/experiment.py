@@ -15,6 +15,13 @@ training_attack   a clean and a poisoned training; the ASR counts the flips betw
 sweep_epsilon     a poisoned training per epsilon, for FGSM and PGD (federated)
 sweep_malicious   a poisoned training per malicious-client fraction, PGD (federated)
 
+A run's length is ``train.epochs`` global epochs in both settings: a
+central training makes that many passes over the pooled data, and a
+federation runs ``train.epochs // federation.local_epochs`` rounds, so the
+learning-rate milestones fall on the same epochs.  A federated
+``train.epochs`` must be a multiple of ``federation.local_epochs``, and a
+central run keeps ``local_epochs`` at 1.
+
 Every training of a run draws from the ``master_seed`` alone, whatever its
 spec: its initial weights (the same in both settings), malicious clients
 (a prefix of one seeded permutation, so the sets nest), client selection,
@@ -68,8 +75,7 @@ class DataConfig:
 
 
 @dataclass
-class FederationConfig:
-    rounds: int = 100
+class FederationConfig:  # the run's length is train.epochs (module docstring)
     clients_per_round: int | None = None  # None: every client, every round
     local_epochs: int = 1
     malicious_count: int = 0
@@ -239,7 +245,6 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
         ("data.train_fraction", 0.0 < dcfg.train_fraction < 1.0, "in (0, 1)"),
         ("data.households", not synthetic or dcfg.households >= 1, ">= 1"),
         ("data.days", not synthetic or dcfg.days >= 2, ">= 2"),
-        ("federation.rounds", fed.rounds >= 1, ">= 1"),
         ("federation.local_epochs", fed.local_epochs >= 1, ">= 1"),
         ("federation.malicious_count", fed.malicious_count >= 0, ">= 0"),
         ("federation.poison_fraction", 0.0 <= fed.poison_fraction <= 1.0, "in [0, 1]"),
@@ -268,15 +273,30 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
         _anomaly_config(cfg, 0)
     except dp.DataError as exc:
         problems.append(f"data.{exc}")
+    if not synthetic:  # only the synthesizer reads these two
+        problems += [f"data.{name} is read for synthetic households only; with "
+                     f"data.csv_path set it must stay {getattr(DataConfig, name)}, "
+                     f"got {getattr(dcfg, name)!r}"
+                     for name in ("households", "days")
+                     if getattr(dcfg, name) != getattr(DataConfig, name)]
     if cfg.setting == "central":
         if fed.malicious_count > 0:
             problems.append("setting central contradicts federation.malicious_count > 0")
         if per_round is not None:
             problems.append("setting central contradicts federation.clients_per_round")
-    elif fed.malicious_count > 0 and cfg.protocol in ("baseline", "inference_attack",
-                                                       "sweep_malicious"):
-        problems.append(f"protocol {cfg.protocol} does not read federation.malicious_count; "
-                        f"it must be 0, got {fed.malicious_count}")
+        if fed.local_epochs != 1:
+            problems.append(f"setting central contradicts federation.local_epochs "
+                            f"{fed.local_epochs}; train.epochs alone sets its length")
+    else:
+        if fed.local_epochs >= 1 and train.epochs % fed.local_epochs:
+            problems.append(f"train.epochs {train.epochs} is not a multiple of "
+                            f"federation.local_epochs {fed.local_epochs}; a federated run "
+                            f"trains train.epochs / federation.local_epochs rounds")
+        if fed.malicious_count > 0 and cfg.protocol in ("baseline", "inference_attack",
+                                                         "sweep_malicious"):
+            problems.append(f"protocol {cfg.protocol} does not read "
+                            f"federation.malicious_count; it must be 0, got "
+                            f"{fed.malicious_count}")
     if cfg.protocol in ("inference_attack", "training_attack") \
             and cfg.attack.family == "none":
         problems.append(f"protocol {cfg.protocol} requires an attack.family")
@@ -414,10 +434,11 @@ def _preset(cfg: ExperimentConfig, n_clients: int):
 
 def _train(cfg: ExperimentConfig, clients: list[ClientData], emit,
            attack: AttackSpec, malicious_count: int, label: str):
-    """Train in the configured setting, with ``malicious_count`` clients (or
-    the pooled data, centrally) poisoned by ``attack``, from the master
-    seed's streams (see the module docstring); returns the model.  A
-    federated training writes its round log through ``emit``."""
+    """Train in the configured setting for ``train.epochs`` global epochs,
+    with ``malicious_count`` clients (or the pooled data, centrally) poisoned
+    by ``attack``, from the master seed's streams (see the module
+    docstring); returns the model.  A federated training writes its round
+    log through ``emit``."""
     fed, seed = cfg.federation, derive_seed(cfg.master_seed, "federation")
     if cfg.setting == "central":
         x, y, _ = pooled([c.train for c in clients])
@@ -433,8 +454,9 @@ def _train(cfg: ExperimentConfig, clients: list[ClientData], emit,
     state = init_state(cfg.model, nodes, clients_per_round=fed.clients_per_round,
                        local_epochs=fed.local_epochs, seed=seed)
     x_test, y_test, _ = pooled([c.test for c in clients])
+    rounds = cfg.train.epochs // fed.local_epochs
     emit(f"rounds_{label}.jsonl", lambda p: run_federation(
-        state, cfg.model, cfg.train, fed.rounds, eval_x=x_test, eval_y=y_test,
+        state, cfg.model, cfg.train, rounds, eval_x=x_test, eval_y=y_test,
         threshold=cfg.threshold, log_path=p))
     return global_model(state, cfg.model)
 

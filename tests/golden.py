@@ -26,20 +26,22 @@ import numpy as np
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 
-# seed 0, 3 households x 20 days, 2 rounds, 1 epoch
-SCALE = ["master_seed=0", "data.households=3", "data.days=20", "federation.rounds=2",
-         "train.epochs=1"]
-# each entry's overrides, its protocol first
+# seed 0, 3 households x 20 days
+SCALE = ["master_seed=0", "data.households=3", "data.days=20"]
+# each entry's overrides, its protocol first and its length in global epochs
+# last: 1 central epoch, or 2 federated rounds of 1 local epoch
 MATRIX = {
-    "train": ["protocol=baseline"],
+    "train": ["protocol=baseline", "train.epochs=2"],
     "federate_pgd": ["protocol=training_attack", "attack.family=pgd",
-                     "federation.malicious_count=2"],
-    "central_fgsm": ["protocol=training_attack", "setting=central", "attack.family=fgsm"],
-    "attack_fgsm": ["protocol=inference_attack", "attack.family=fgsm"],
-    "attack_pgd": ["protocol=inference_attack", "attack.family=pgd"],
+                     "federation.malicious_count=2", "train.epochs=2"],
+    "central_fgsm": ["protocol=training_attack", "setting=central", "attack.family=fgsm",
+                     "train.epochs=1"],
+    "attack_fgsm": ["protocol=inference_attack", "attack.family=fgsm", "train.epochs=2"],
+    "attack_pgd": ["protocol=inference_attack", "attack.family=pgd", "train.epochs=2"],
     "sweep_epsilon": ["protocol=sweep_epsilon", "epsilon_list=[0.1,0.5]",
-                      "federation.malicious_count=2"],
-    "sweep_malicious": ["protocol=sweep_malicious", "malicious_fraction_list=[0.34,0.67]"],
+                      "federation.malicious_count=2", "train.epochs=2"],
+    "sweep_malicious": ["protocol=sweep_malicious", "malicious_fraction_list=[0.34,0.67]",
+                        "train.epochs=2"],
 }
 # the result files; config.json records the output path, and manifest.json
 # the platform and the thread variables

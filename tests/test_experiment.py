@@ -36,7 +36,7 @@ def tiny_dict(out_dir, **kw):
         "output_dir": str(out_dir),
         "data": {"households": 3, "days": 20,
                  "anomaly_fraction": 0.15},
-        "federation": {"rounds": 2, "local_epochs": 1, "malicious_count": 0},
+        "federation": {"local_epochs": 1, "malicious_count": 0},
         "train": {"epochs": 2, "batch_size": 16},
     }
     for key, value in kw.items():
@@ -157,7 +157,7 @@ class TestConfig:
         assert "threshold" in message
 
     @pytest.mark.parametrize("section,key,value", [
-        ("federation", "rounds", 0),
+        ("train", "epochs", -2),
         ("train", "epochs", 0),
         ("train", "epochs", -1),
         ("train", "batch_size", 0),
@@ -165,7 +165,7 @@ class TestConfig:
         ("attack", "epsilon", float("inf")),
         ("attack", "epsilon", -0.1),
         ("federation", "local_epochs", 0),
-        ("federation", "rounds", "3"),
+        ("train", "epochs", "3"),
         ("train", "epochs", {"x": 1}),
         ("train", "batch_size", True),
         ("federation", "clients_per_round", 2.0),
@@ -327,8 +327,7 @@ class TestRunExperiment:
         cfg = tiny_cfg(tmp_path / "run", setting="central",
                        protocol="inference_attack",
                        attack={"family": "fgsm", "epsilon": 0.4},
-                       federation={"rounds": 2, "malicious_count": 0,
-                                   "clients_per_round": None})
+                       federation={"malicious_count": 0, "clients_per_round": None})
         result = run_experiment(cfg)
         assert len(result.rows) == 1
         row = result.rows[0]
@@ -341,8 +340,7 @@ class TestRunExperiment:
     def test_training_attack_rows(self, tmp_path):
         cfg = tiny_cfg(tmp_path / "run", protocol="training_attack",
                        attack={"family": "label_flip", "flip_fraction": 1.0},
-                       federation={"rounds": 2, "malicious_count": 1,
-                                   "poison_fraction": 0.3})
+                       federation={"malicious_count": 1, "poison_fraction": 0.3})
         result = run_experiment(cfg)
         assert [r[1] for r in result.rows] == ["No Attack", "Label Flip"]
         assert result.rows[1][-1] != ""
@@ -351,7 +349,7 @@ class TestRunExperiment:
         cfg = tiny_cfg(tmp_path / "run", protocol="sweep_epsilon",
                        epsilon_list=[0.1, 0.5],
                        attack={"family": "fgsm", "epsilon": 0.1},
-                       federation={"rounds": 1, "malicious_count": 1})
+                       federation={"malicious_count": 1}, train={"epochs": 1})
         result = run_experiment(cfg)
         assert len(result.rows) == 4  # 2 epsilons x {fgsm, pgd}
         fig = (tmp_path / "run" / "fig5b.csv").read_text().splitlines()
@@ -362,7 +360,7 @@ class TestRunExperiment:
         cfg = tiny_cfg(tmp_path / "run", protocol="sweep_malicious",
                        malicious_fraction_list=[0.34, 0.67],
                        attack={"family": "pgd", "epsilon": 0.3, "pgd_iters": 2},
-                       federation={"rounds": 1, "malicious_count": 0})
+                       federation={"malicious_count": 0}, train={"epochs": 1})
         result = run_experiment(cfg)
         fig = (tmp_path / "run" / "fig5a.csv").read_text().splitlines()
         assert fig[0] == "malicious_fraction,attack,accuracy"
@@ -394,15 +392,23 @@ class TestRunExperiment:
     def test_byte_identical_reruns(self, tmp_path):
         cfg_a = tiny_cfg(tmp_path / "a", protocol="training_attack",
                          attack={"family": "fgsm", "epsilon": 0.3},
-                         federation={"rounds": 2, "malicious_count": 1})
+                         federation={"malicious_count": 1})
         cfg_b = tiny_cfg(tmp_path / "b", protocol="training_attack",
                          attack={"family": "fgsm", "epsilon": 0.3},
-                         federation={"rounds": 2, "malicious_count": 1})
+                         federation={"malicious_count": 1})
         run_experiment(cfg_a)
         run_experiment(cfg_b)
         for name in ("metrics.csv", "rounds_clean.jsonl", "rounds_attacked_fgsm.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("local_epochs,rounds", [(1, 2), (2, 1)])
+    def test_federated_run_trains_train_epochs_global_epochs(self, tmp_path, local_epochs,
+                                                             rounds):
+        # tiny_dict's train.epochs is 2
+        run_experiment(tiny_cfg(tmp_path / "run", federation={"local_epochs": local_epochs}))
+        log = (tmp_path / "run" / "rounds_clean.jsonl").read_text().splitlines()
+        assert [json.loads(line)["round"] for line in log] == list(range(1, rounds + 1))
 
     def test_different_seed_changes_outputs(self, tmp_path):
         # untrained tiny runs can tie on 2-decimal metrics, so compare the
@@ -422,10 +428,11 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("protocol,kw", [
         ("training_attack", {"attack": {"family": "label_flip", "flip_fraction": 1.0},
-                             "federation": {"rounds": 1, "malicious_count": 1}}),
+                             "federation": {"malicious_count": 1},
+                             "train": {"epochs": 1}}),
         ("sweep_malicious", {"malicious_fraction_list": [0.34, 0.67],
                              "attack": {"family": "pgd", "epsilon": 0.3, "pgd_iters": 1},
-                             "federation": {"rounds": 1}}),
+                             "train": {"epochs": 1}}),
     ])
     def test_manifest_lists_every_output(self, tmp_path, protocol, kw):
         out = tmp_path / "run"
@@ -448,7 +455,7 @@ class TestRunExperiment:
                  "--set", "setting=federated", "--set", "master_seed=0",
                  "--set", f"output_dir={out}",
                  "--set", "data.households=3", "--set", "data.days=30",
-                 "--set", "federation.rounds=2", "--set", "federation.local_epochs=1"],
+                 "--set", "train.epochs=2", "--set", "federation.local_epochs=1"],
                 capture_output=True, text=True,
                 env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads})
             assert proc.returncode == 0, proc.stderr
@@ -485,7 +492,7 @@ class TestPairing:
         seen = self.spy_on_init_state(monkeypatch)
         run_experiment(tiny_cfg(tmp_path / "run", protocol="sweep_epsilon",
                                 epsilon_list=[0.1, 0.5], attack={"pgd_iters": 1},
-                                federation={"rounds": 1, "malicious_count": 2}))
+                                federation={"malicious_count": 2}, train={"epochs": 1}))
         assert len(seen) == 4  # {fgsm, pgd} x {0.1, 0.5}
         weights, malicious = seen[0]
         assert len(malicious) == 2
@@ -501,7 +508,7 @@ class TestPairing:
                                 malicious_fraction_list=[0.1, 0.15, 0.2],
                                 data={"households": 19},
                                 attack={"family": "pgd", "pgd_iters": 1},
-                                federation={"rounds": 1}))
+                                train={"epochs": 1}))
         sets = [malicious for _, malicious in seen]
         assert [len(s) for s in sets] == [2, 3, 4]
         assert sets[0] < sets[1] < sets[2]
@@ -585,8 +592,7 @@ class TestCli:
             "--set", "master_seed=3",
             "--set", "data.households=3", "--set", "data.days=20",
             "--set", "data.anomaly_fraction=0.15",
-            "--set", "federation.rounds=1", "--set", "train.epochs=1",
-            "--set", "train.batch_size=16",
+            "--set", "train.epochs=1", "--set", "train.batch_size=16",
         ])
         assert code == 0
         assert "No Attack" in capsys.readouterr().out
@@ -596,7 +602,7 @@ class TestCli:
         out = tmp_path / "run"
         (tmp_path / "cfg.json").write_text(json.dumps(tiny_dict(
             out, protocol="sweep_epsilon", epsilon_list=[0.1], attack={"pgd_iters": 1},
-            federation={"rounds": 1, "malicious_count": 1}, train={"epochs": 1})))
+            federation={"malicious_count": 1}, train={"epochs": 1})))
         assert cli.main(["run", "--config", str(tmp_path / "cfg.json")]) == 0
         assert "FGSM eps=0.1" in capsys.readouterr().out
         assert json.loads((out / "config.json").read_text())["protocol"] == "sweep_epsilon"
@@ -608,8 +614,7 @@ class TestCli:
         out = tmp_path / "run"
         assert cli.main(["run", "--set", "model=lstm", "--set", "model=transformer",
                          "--set", "data.households=3", "--set", "data.days=20",
-                         "--set", "federation.rounds=1", "--set", "train.epochs=1",
-                         "--set", f"output_dir={out}"]) == 0
+                         "--set", "train.epochs=1", "--set", f"output_dir={out}"]) == 0
         assert "Transformer (FL), No Attack" in capsys.readouterr().out
         assert json.loads((out / "config.json").read_text())["model"] == "transformer"
 
@@ -634,9 +639,10 @@ class TestCli:
 
     def test_removed_setting_exits_before_any_run(self, tmp_path, capsys):
         # train.seed: every training seed derives from master_seed; data.source:
-        # data.csv_path alone says whether the households are synthetic
+        # data.csv_path alone says whether the households are synthetic;
+        # federation.rounds: train.epochs sets a federated run's length too
         out = tmp_path / "run"
-        for override in ("train.seed=0", 'data.source="csv"'):
+        for override in ("train.seed=0", 'data.source="csv"', "federation.rounds=2"):
             code = cli.main(["run", "--set", "model=lstm", "--set", f"output_dir={out}",
                              "--set", "data.households=3", "--set", "data.days=20",
                              "--set", "train.epochs=1", "--set", override])
@@ -654,7 +660,7 @@ class TestCli:
 
     @pytest.mark.parametrize("override", ["name.x=1", "output_dir.x=1", "name=5",
                                           "train.epochs=5,train.epochs.x=1",
-                                          "train.epochs.x=1", 'federation.rounds="3"',
+                                          "train.epochs.x=1", 'train.epochs="3"',
                                           "data.anomaly_fraction=2", "data.r_range=[0]",
                                           "data.r_range=5", 'master_seed="x"'])
     def test_bad_override_exits_before_any_run(self, tmp_path, monkeypatch, capsys,
@@ -717,7 +723,7 @@ class TestCli:
         return ["--set", "protocol=training_attack",
                 "--set", f'data.csv_path="{csv_path}"', "--set", "data.anomaly_fraction=0.15",
                 "--set", "attack.family=pgd", "--set", "federation.malicious_count=1",
-                "--set", "federation.rounds=1", "--set", "train.epochs=1"]
+                "--set", "train.epochs=1"]
 
     @pytest.mark.parametrize("setting,count", [("malicious_count", 5),
                                                ("clients_per_round", 4)])
@@ -731,12 +737,23 @@ class TestCli:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("override", ["data.households=4", "data.days=30"])
+    def test_synthetic_only_setting_exits_before_any_run_for_a_csv(
+            self, tmp_path, capsys, three_household_csv, override):
+        out = tmp_path / "run"
+        assert cli.main(["run", *three_household_csv, "--set", override,
+                         "--set", f"output_dir={out}"]) == cli.EXIT_CONFIG
+        name = override.split("=")[0]
+        assert f"{name} is read for synthetic households only; with data.csv_path set" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_client_counts_ignore_data_households_for_a_csv(self, tmp_path, capsys,
                                                             three_household_csv):
         out = tmp_path / "run"
         assert cli.main(["run", *three_household_csv,
                          "--set", "federation.clients_per_round=3",
-                         "--set", "data.households=2", "--set", f"output_dir={out}"]) == 0
+                         "--set", f"output_dir={out}"]) == 0
         assert "LSTM (FL), PGD" in capsys.readouterr().out
         assert (out / "final_pgd.ckpt").exists()
 
@@ -802,7 +819,7 @@ class TestCli:
         code = cli.main(["run", "--set", "protocol=inference_attack",
                          "--set", "attack.family=label_flip",
                          "--set", "data.households=3", "--set", "data.days=20",
-                         "--set", "federation.rounds=1", "--set", f"output_dir={out}"])
+                         "--set", "train.epochs=1", "--set", f"output_dir={out}"])
         assert code == cli.EXIT_CONFIG
         assert "training-time attack" in capsys.readouterr().err
         assert not out.exists()  # so no rounds_clean.jsonl either: nothing was trained
@@ -825,7 +842,7 @@ class TestCli:
         out = tmp_path / "run"
         assert cli.main([*command, "--set", "federation.malicious_count=1",
                          "--set", "data.households=3", "--set", "data.days=20",
-                         "--set", "federation.rounds=1",
+                         "--set", "train.epochs=1",
                          "--set", f"output_dir={out}"]) == cli.EXIT_CONFIG
         assert "does not read federation.malicious_count; it must be 0, got 1" in \
             capsys.readouterr().err
@@ -838,18 +855,33 @@ class TestCli:
                          "--set", "attack.family=fgsm", "--set", "attack.epsilon=0.3",
                          "--set", "data.households=3", "--set", "data.days=20",
                          "--set", "data.anomaly_fraction=0.15", "--set", "train.epochs=1",
-                         "--set", "federation.rounds=1", "--set", f"output_dir={out}"]) == 0
+                         "--set", f"output_dir={out}"]) == 0
         assert "LSTM (Central), FGSM" in capsys.readouterr().out
         assert json.loads((out / "config.json").read_text())["setting"] == "central"
         assert (out / "final_fgsm.ckpt").exists()
         assert not list(out.glob("rounds_*.jsonl"))  # nothing was federated
 
+    @pytest.mark.parametrize("overrides,named", [
+        (["train.epochs=3", "federation.local_epochs=2"],
+         "train.epochs 3 is not a multiple of federation.local_epochs 2"),
+        (["setting=central", "train.epochs=2", "federation.local_epochs=2"],
+         "setting central contradicts federation.local_epochs 2")],
+        ids=["epochs_not_a_multiple_of_local_epochs", "central_local_epochs"])
+    def test_length_outside_the_rule_exits_before_any_run(self, tmp_path, capsys,
+                                                          overrides, named):
+        # a run's length is train.epochs global epochs, in either setting
+        out = tmp_path / "run"
+        assert cli.main(["run", "--set", "data.households=3", "--set", "data.days=20",
+                         *(a for o in overrides for a in ("--set", o)),
+                         "--set", f"output_dir={out}"]) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_central_sweep_exits_before_any_run(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli.main(["run", "--set", "protocol=sweep_malicious", "--set", "setting=central",
                          "--set", "data.households=3", "--set", "data.days=20",
-                         "--set", "federation.rounds=1", "--set", "train.epochs=1",
-                         "--set", "malicious_fraction_list=[0.34]",
+                         "--set", "train.epochs=1", "--set", "malicious_fraction_list=[0.34]",
                          "--set", f"output_dir={out}"]) == cli.EXIT_CONFIG
         assert "runs in the federated setting only" in capsys.readouterr().err
         assert not out.exists()
@@ -861,7 +893,7 @@ class TestCli:
                          "--set", "epsilon_list=[0.1,0.1000001]",
                          "--set", "federation.malicious_count=1",
                          "--set", "data.households=3", "--set", "data.days=20",
-                         "--set", "federation.rounds=1",
+                         "--set", "train.epochs=1",
                          "--set", f"output_dir={out}"]) == cli.EXIT_CONFIG
         assert "epsilon_list entries 0.1 and 0.1000001 share the label 0.1" in \
             capsys.readouterr().err
@@ -875,7 +907,7 @@ class TestCli:
         assert cli.main(["run", "--set", "protocol=sweep_malicious",
                          "--set", "malicious_fraction_list=[0.34,0.4,0.67]",
                          "--set", "data.households=3", "--set", "data.days=20",
-                         "--set", "federation.rounds=1",
+                         "--set", "train.epochs=1",
                          "--set", f"output_dir={out}"]) == cli.EXIT_CONFIG
         assert ("malicious_fraction_list entries 0.34 and 0.4 each make 1 of the 3 "
                 "households loaded malicious") in capsys.readouterr().err
