@@ -1,5 +1,5 @@
-"""Walk through the data pipeline: synthesize a household, segment it into
-daily load profiles, detect the usage windows, and inject each anomaly kind.
+"""Walk through the data pipeline: synthesize a household's daily load
+profiles, detect the usage windows, and inject each anomaly kind.
 
 Run:  python3 demos/01_data_pipeline.py
 """
@@ -8,13 +8,11 @@ import numpy as np
 
 from fedmeter import data as dp
 
-# one synthetic household, one year of hourly readings
-series = dp.synthesize_household(days=365, seed=7, household_id="demo")
-print(f"synthesized {len(series)} hourly readings "
-      f"(mean {series.kwh.mean():.3f} kWh, max {series.kwh.max():.3f} kWh)")
-
-profiles = dp.segment_daily(series)  # one row per day, one column per hour
-print(f"segmented into {len(profiles)} daily load profiles of 24 steps")
+# one synthetic household, one year of hourly readings: one row per day
+# (00:00 to 23:00), one column per hour
+profiles = dp.synthesize_household(days=365, seed=7, household_id="demo")
+print(f"synthesized {profiles.size} hourly readings as {len(profiles)} daily load "
+      f"profiles of 24 steps (mean {profiles.mean():.3f} kWh, max {profiles.max():.3f} kWh)")
 
 # the synthesizer's diurnal shape has a morning trough and an evening peak
 windows = dp.detect_usage_windows(profiles)

@@ -17,7 +17,7 @@ from fedmeter.models import LstmClassifier, TrainConfig, train_local
 from fedmeter.seeding import rng_for
 
 # one household -> labeled, normalized, split
-profiles = dp.segment_daily(dp.synthesize_household(days=200, seed=3))
+profiles = dp.synthesize_household(days=200, seed=3)
 windows = dp.detect_usage_windows(profiles)
 dataset = dp.build_dataset(profiles, windows, dp.AnomalyConfig(0.15, seed=3))
 normalized, _ = dp.normalize(dataset)

@@ -20,9 +20,8 @@ from fedmeter.seeding import derive_seed
 def make_clients(n_clients, malicious_ids, attack):
     clients, tests = [], []
     for k in range(n_clients):
-        profiles = dp.segment_daily(
-            dp.synthesize_household(days=120, seed=derive_seed(42, "demo", k),
-                                    household_id=f"c{k}"))
+        profiles = dp.synthesize_household(days=120, seed=derive_seed(42, "demo", k),
+                                           household_id=f"c{k}")
         windows = dp.detect_usage_windows(profiles)
         ds = dp.build_dataset(profiles, windows,
                               dp.AnomalyConfig(0.15, seed=derive_seed(42, "inj", k)))

@@ -17,7 +17,9 @@ import json
 import os
 import sys
 
-from .data import DataError, synthetic_households, utf8_text
+import numpy as np
+
+from .data import HOURS_PER_DAY, SYNTH_START, DataError, synthetic_households, utf8_text
 from .evaluation import METRICS_CSV_HEADER
 from .experiment import (ConfigError, apply_override, config_from_dict,
                          run_experiment)
@@ -84,9 +86,10 @@ def cmd_synth_data(args) -> int:
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["household_id", "timestamp", "kwh"])
-        for series in synthetic_households(args.households, args.days, args.seed):
-            for ts, kwh in zip(series.timestamps, series.kwh):
-                writer.writerow([series.household_id, str(ts), f"{kwh:.12g}"])
+        stamps = (SYNTH_START + np.arange(args.days * HOURS_PER_DAY)).astype(str).tolist()
+        for hid, profiles in synthetic_households(args.households, args.days, args.seed):
+            for ts, kwh in zip(stamps, profiles.ravel()):
+                writer.writerow([hid, ts, f"{kwh:.12g}"])
                 rows += 1
     print(f"wrote {rows} readings for {args.households} household(s) to {args.out}")
     return EXIT_OK

@@ -1,8 +1,9 @@
-"""Smart-meter data pipeline: ingestion, synthesis, daily segmentation,
-usage-window detection, anomaly injection, and per-client dataset assembly.
+"""Smart-meter data pipeline: ingestion, synthesis, usage-window detection,
+anomaly injection, and per-client dataset assembly.
 
-A load profile is one day of hourly consumption: one row of a
-``(days, 24)`` float64 array, from ``segment_daily`` on.  Synthetic
+A load profile is one day of hourly consumption, 00:00 to 23:00: one row of
+a ``(days, 24)`` float64 array, which is what a household is from ingestion
+and synthesis on, so a column index is the hour of day.  Synthetic
 anomalies come in five kinds: a drop to zero, single-step positive/negative
 spikes, and two-step segment spikes.  Drops and negative spikes start inside
 the high-usage window, positive spikes inside the low-usage window; hour
@@ -23,6 +24,7 @@ import numpy as np
 from .seeding import derive_seed, rng_for
 
 HOURS_PER_DAY = 24
+SYNTH_START = np.datetime64("2021-01-04T00", "h")  # a Monday midnight
 
 ANOMALY_KINDS = ("drop", "pos_spike", "neg_spike", "seg_pos_spike", "seg_neg_spike")
 LOW_WINDOW_HOURS = 6   # lengths of the detected usage windows, as the paper's
@@ -40,35 +42,6 @@ BASE_DIURNAL_SHAPE = np.array([
 
 class DataError(ValueError):
     """Ingestion or dataset-construction contract violation."""
-
-
-@dataclass
-class HourlySeries:
-    """Hourly consumption readings for one household."""
-
-    household_id: str
-    timestamps: np.ndarray  # datetime64[h], strictly increasing, 1h spacing
-    kwh: np.ndarray
-
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype="datetime64[h]")
-        self.kwh = np.asarray(self.kwh, dtype=np.float64)
-        if len(self.timestamps) != len(self.kwh):
-            raise DataError(f"household {self.household_id}: timestamps/kwh length mismatch")
-        if not np.all(np.isfinite(self.kwh)):
-            raise DataError(f"household {self.household_id}: non-finite kwh reading")
-        if np.any(self.kwh < 0):
-            raise DataError(f"household {self.household_id}: negative kwh reading")
-        if len(self.timestamps) > 1:
-            deltas = np.diff(self.timestamps).astype("timedelta64[h]").astype(int)
-            if np.any(deltas != 1):
-                bad = int(np.argmax(deltas != 1))
-                raise DataError(
-                    f"household {self.household_id}: readings must be hourly with no "
-                    f"gaps (offending step after {self.timestamps[bad]})")
-
-    def __len__(self) -> int:
-        return len(self.kwh)
 
 
 @dataclass
@@ -105,6 +78,8 @@ class AnomalyConfig:
         unknown = set(self.kind_weights) - set(ANOMALY_KINDS)
         if unknown:
             raise DataError(f"kind_weights names unknown anomaly kinds: {sorted(unknown)}")
+        if any(w < 0 for w in self.kind_weights.values()):
+            raise DataError(f"kind_weights must be >= 0, got {self.kind_weights}")
         total = sum(self.kind_weights.values())
         if not np.isclose(total, 1.0):
             raise DataError(f"kind_weights must sum to 1, got {total}")
@@ -163,8 +138,10 @@ def utf8_text(path) -> Iterator[TextIO]:
                             f"0x{exc.object[exc.start]:02x} cannot be decoded") from None
 
 
-def ingest_csv(path) -> dict[str, HourlySeries]:
-    """Parse an hourly-readings CSV into one series per household.
+def ingest_csv(path) -> dict[str, np.ndarray]:
+    """Parse an hourly-readings CSV into each household's ``(days, 24)``
+    profiles: its readings in time order, with no gap, from its first
+    midnight, a trailing partial day dropped.
 
     Expected header: household_id, timestamp (ISO-8601, hour precision), kwh.
     The file is UTF-8, with or without the byte-order mark that spreadsheet
@@ -210,24 +187,33 @@ def ingest_csv(path) -> dict[str, HourlySeries]:
     for hid, pairs in rows.items():
         pairs.sort(key=lambda p: p[0])
         ts = np.array([p[0] for p in pairs], dtype="datetime64[h]")
+        steps = np.diff(ts).astype(np.int64)
+        if np.any(steps != 1):
+            raise DataError(f"household {hid}: readings must be hourly with no gaps "
+                            f"(offending step after {ts[np.argmax(steps != 1)]})")
         kwh = np.array([p[1] for p in pairs])
-        out[hid] = HourlySeries(hid, ts, kwh)
+        # datetime64[h] counts hours from 1970-01-01T00, a midnight
+        kwh = kwh[-int(ts[0].astype(np.int64)) % HOURS_PER_DAY:]
+        n_days = len(kwh) // HOURS_PER_DAY
+        out[hid] = kwh[:n_days * HOURS_PER_DAY].reshape(n_days, HOURS_PER_DAY)
     return out
 
 
-def synthetic_households(count: int, days: int, seed: int) -> Iterator[HourlySeries]:
-    """The ``count`` synthetic households of master seed ``seed``, with ids
-    ``h00``, ``h01``, ...: what ``fedmeter synth-data`` writes and what a run
-    without ``data.csv_path`` trains on."""
+def synthetic_households(count: int, days: int, seed: int) -> Iterator[tuple[str, np.ndarray]]:
+    """The ``count`` synthetic households of master seed ``seed``, as
+    ``(household_id, profiles)`` with ids ``h00``, ``h01``, ...: what
+    ``fedmeter synth-data`` writes and what a run without ``data.csv_path``
+    trains on."""
     for h in range(count):
-        yield synthesize_household(days, seed=derive_seed(seed, "data", h),
-                                   household_id=f"h{h:02d}")
+        hid = f"h{h:02d}"
+        yield hid, synthesize_household(days, seed=derive_seed(seed, "data", h),
+                                        household_id=hid)
 
 
-def synthesize_household(days: int, seed: int, household_id: str = "h0") -> HourlySeries:
-    """Generate a plausible household series from Monday 2021-01-04T00: the
-    diurnal shape with a morning trough and evening peak, weekend uplift,
-    and multiplicative noise."""
+def synthesize_household(days: int, seed: int, household_id: str = "h0") -> np.ndarray:
+    """Generate a plausible household's ``(days, 24)`` profiles from
+    ``SYNTH_START``: the diurnal shape with a morning trough and evening
+    peak, weekend uplift, and multiplicative noise."""
     if days < 1:
         raise DataError(f"days must be >= 1, got {days}")
     rng = rng_for(seed, "synth", household_id)
@@ -236,26 +222,9 @@ def synthesize_household(days: int, seed: int, household_id: str = "h0") -> Hour
     hour_jitter = rng.uniform(0.95, 1.05, size=HOURS_PER_DAY)
     daily = BASE_DIURNAL_SHAPE * scale * hour_jitter
 
-    day_idx = np.arange(days)
-    weekly = np.where(day_idx % 7 >= 5, 1.15, 1.0)  # start date is a Monday
-    values = np.repeat(weekly, HOURS_PER_DAY) * np.tile(daily, days)
-    noise = rng.lognormal(mean=0.0, sigma=0.12, size=values.size)
-    values = values * noise
-
-    t0 = np.datetime64("2021-01-04T00", "h")
-    timestamps = t0 + np.arange(values.size).astype("timedelta64[h]")
-    return HourlySeries(household_id, timestamps, values)
-
-
-def segment_daily(series: HourlySeries) -> np.ndarray:
-    """Split into a ``(days, 24)`` array of daily profiles that each run from
-    00:00 to 23:00, so a column index is the hour of day.  Readings before
-    the first midnight and a trailing partial day are dropped."""
-    # datetime64[h] counts hours from 1970-01-01T00, a midnight
-    first = int(-series.timestamps[0].astype(np.int64)) % HOURS_PER_DAY if len(series) else 0
-    kwh = series.kwh[first:]
-    n_days = len(kwh) // HOURS_PER_DAY
-    return kwh[:n_days * HOURS_PER_DAY].reshape(n_days, HOURS_PER_DAY)
+    weekly = np.where(np.arange(days) % 7 >= 5, 1.15, 1.0)  # the start is a Monday
+    values = weekly[:, None] * daily
+    return values * rng.lognormal(mean=0.0, sigma=0.12, size=values.shape)
 
 
 def _as_profiles(values, ndim: int) -> np.ndarray:
@@ -345,14 +314,13 @@ def inject_spike(profile: np.ndarray, start: int, length: int, r: float,
 
 def _inject_kind(profile: np.ndarray, kind: str, windows: UsageWindows,
                  cfg: AnomalyConfig, rng: np.random.Generator) -> np.ndarray:
-    if kind == "drop":
-        start = int(rng.choice(windows.high_hours))
-        length = int(rng.integers(1, 3))
-        return inject_drop(profile, start, length)
-    length = 2 if kind.startswith("seg_") else 1
     direction = "positive" if "pos" in kind else "negative"
     pool = windows.low_hours if direction == "positive" else windows.high_hours
-    start = int(rng.choice(pool))
+    # the draw rng.choice(pool) makes, without its argument checks
+    start = pool[rng.integers(len(pool))]
+    if kind == "drop":
+        return inject_drop(profile, start, int(rng.integers(1, 3)))
+    length = 2 if kind.startswith("seg_") else 1
     r = float(rng.uniform(*cfg.r_range))
     return inject_spike(profile, start, length, r, direction, r_range=cfg.r_range)
 
@@ -368,12 +336,15 @@ def build_dataset(profiles: np.ndarray, windows: UsageWindows,
     n = len(profiles)
     n_anom = int(round(cfg.anomaly_fraction * n))
     source_idx = np.sort(rng.choice(n, size=n_anom, replace=False))
-    kinds_pool = list(cfg.kind_weights.keys())
-    weights = np.array([cfg.kind_weights[k] for k in kinds_pool])
+    kinds_pool = list(cfg.kind_weights)
+    # searching this cdf for one rng.random() is the draw
+    # rng.choice(kinds_pool, p=weights) makes, without its argument checks
+    cdf = np.array([cfg.kind_weights[k] for k in kinds_pool]).cumsum()
+    cdf /= cdf[-1]
 
     kinds, injected = [], []
     for i in source_idx:  # each row draws its kind, then its injection
-        kinds.append(str(rng.choice(kinds_pool, p=weights)))
+        kinds.append(kinds_pool[cdf.searchsorted(rng.random(), side="right")])
         injected.append(_inject_kind(profiles[i], kinds[-1], windows, cfg, rng))
     return LabeledDataset(np.vstack([profiles, *injected]),
                           np.repeat([0, 1], [n, n_anom]),

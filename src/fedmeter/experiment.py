@@ -38,7 +38,7 @@ import math
 import numbers
 import os
 import platform
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -57,6 +57,18 @@ OUTPUT_ROOT_ENV = "FEDMETER_OUTPUT_ROOT"
 
 PROTOCOLS = ("baseline", "inference_attack", "training_attack",
              "sweep_epsilon", "sweep_malicious")
+# the settings each protocol overrides or never reads, and why; each must keep
+# its default (baseline's attack.family has its own message)
+_CLEAN = ("federation.malicious_count", "federation.poison_fraction")
+_UNREAD = {
+    "baseline": ((*(f"attack.{f.name}" for f in fields(AttackSpec) if f.name != "family"),
+                  *_CLEAN), "it trains once, on clean data"),
+    "inference_attack": (_CLEAN, "it trains once, on clean data"),
+    "sweep_epsilon": (("attack.family", "attack.epsilon"),
+                      "each point trains fgsm or pgd at an epsilon_list entry"),
+    "sweep_malicious": (("federation.malicious_count",),
+                        "each point takes its count from malicious_fraction_list"),
+}
 
 
 class ConfigError(ValueError):
@@ -292,11 +304,6 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
             problems.append(f"train.epochs {train.epochs} is not a multiple of "
                             f"federation.local_epochs {fed.local_epochs}; a federated run "
                             f"trains train.epochs / federation.local_epochs rounds")
-        if fed.malicious_count > 0 and cfg.protocol in ("baseline", "inference_attack",
-                                                         "sweep_malicious"):
-            problems.append(f"protocol {cfg.protocol} does not read "
-                            f"federation.malicious_count; it must be 0, got "
-                            f"{fed.malicious_count}")
     if cfg.protocol in ("inference_attack", "training_attack") \
             and cfg.attack.family == "none":
         problems.append(f"protocol {cfg.protocol} requires an attack.family")
@@ -315,6 +322,11 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"protocol baseline contradicts attack.family {cfg.attack.family}; "
                         f"inference_attack and training_attack are the protocols that "
                         f"read an attack")
+    unread, why = _UNREAD.get(cfg.protocol, ((), ""))
+    defaults = ExperimentConfig()
+    problems += [f"protocol {cfg.protocol} does not read {name}; it must be "
+                 f"{attrgetter(name)(defaults)!r}, got {attrgetter(name)(cfg)!r} ({why})"
+                 for name in unread if attrgetter(name)(cfg) != attrgetter(name)(defaults)]
     if cfg.protocol in ("sweep_epsilon", "sweep_malicious") and cfg.setting != "federated":
         problems.append(f"protocol {cfg.protocol} runs in the federated setting only")
     if cfg.protocol == "sweep_epsilon" and not cfg.epsilon_list:
@@ -360,18 +372,18 @@ def _anomaly_config(cfg: ExperimentConfig, ordinal: int) -> dp.AnomalyConfig:
 
 
 def build_client_data(cfg: ExperimentConfig) -> list[ClientData]:
-    """Per-household pipeline: series -> profiles -> windows -> labeled,
-    normalized, split datasets."""
+    """Per-household pipeline: profiles -> windows -> labeled, normalized,
+    split datasets."""
     dcfg = cfg.data
     if dcfg.csv_path is not None:
         items = sorted(dp.ingest_csv(dcfg.csv_path).items())
+        if not items:
+            raise dp.DataError(f"{dcfg.csv_path}: no readings")
     else:
-        items = [(series.household_id, series) for series in
-                 dp.synthetic_households(dcfg.households, dcfg.days, cfg.master_seed)]
+        items = dp.synthetic_households(dcfg.households, dcfg.days, cfg.master_seed)
 
     clients = []
-    for ordinal, (hid, series) in enumerate(items):
-        profiles = dp.segment_daily(series)
+    for ordinal, (hid, profiles) in enumerate(items):
         if len(profiles) == 0:
             raise dp.DataError(f"household {hid!r} has no full 00:00-23:00 day "
                                f"after its first midnight")

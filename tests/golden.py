@@ -2,9 +2,10 @@
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py [--write]
 
-runs every entry of ``MATRIX`` for both models into a temporary directory
-and prints one JSON object: the environment it ran in and the SHA-256 of
-each result file.  With ``--write`` it records that object in
+writes the golden CSV with ``fedmeter synth-data``, runs every entry of
+``MATRIX`` for both models into a temporary directory, and prints one JSON
+object: the environment it ran in and the SHA-256 of the CSV and of each
+result file.  With ``--write`` it records that object in
 ``tests/golden.json``, which ``test_golden.py`` compares a fresh run with.
 Regenerate the file only for a change that alters the bits on purpose, and
 name each digest that moved, and why, where the change is described.
@@ -26,8 +27,12 @@ import numpy as np
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 
-# seed 0, 3 households x 20 days
-SCALE = ["master_seed=0", "data.households=3", "data.days=20"]
+# seed 0, 3 households x 20 days: synthesized, or, for the "csv" entry, read
+# from the CSV `fedmeter synth-data` writes of them (a CSV run keeps
+# data.households and data.days at their defaults)
+SEED = "master_seed=0"
+SYNTHETIC = ["data.households=3", "data.days=20"]
+SYNTH_DATA = ["synth-data", "--seed", "0", "--households", "3", "--days", "20"]
 # each entry's overrides, its protocol first and its length in global epochs
 # last: 1 central epoch, or 2 federated rounds of 1 local epoch
 MATRIX = {
@@ -42,6 +47,7 @@ MATRIX = {
                       "federation.malicious_count=2", "train.epochs=2"],
     "sweep_malicious": ["protocol=sweep_malicious", "malicious_fraction_list=[0.34,0.67]",
                         "train.epochs=2"],
+    "csv": ["protocol=baseline", "train.epochs=2"],
 }
 # the result files; config.json records the output path, and manifest.json
 # the platform and the thread variables
@@ -73,19 +79,28 @@ def environment() -> dict[str, str]:
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "")}
 
 
-def run_matrix(root: pathlib.Path) -> dict[str, str]:
-    """``fedmeter run`` every entry for both models under ``root``; the digest
-    of each result file, keyed ``model/label/file``."""
+def _fedmeter(args: list[str], what: str) -> None:
     from fedmeter import cli
-    digests = {}
+    with contextlib.redirect_stdout(sys.stderr):  # stdout carries the JSON
+        code = cli.main(args)
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"{what}: exit {code}")
+
+
+def run_matrix(root: pathlib.Path) -> dict[str, str]:
+    """``fedmeter synth-data`` the golden CSV, then ``fedmeter run`` every
+    entry for both models under ``root``; the digest of the CSV, keyed
+    ``synth-data/<file>``, and of each result file, keyed ``model/label/file``."""
+    meters = root / "meters.csv"
+    _fedmeter([*SYNTH_DATA, "--out", str(meters)], "synth-data")
+    digests = {f"synth-data/{meters.name}": hashlib.sha256(meters.read_bytes()).hexdigest()}
     for model in ("lstm", "transformer"):
         for label, overrides in MATRIX.items():
             out = root / model / label
-            overrides = [*overrides, f"model={model}", *SCALE, f"output_dir={out}"]
-            with contextlib.redirect_stdout(sys.stderr):  # stdout carries the JSON
-                code = cli.main(["run", *(a for o in overrides for a in ("--set", o))])
-            if code != cli.EXIT_OK:
-                raise SystemExit(f"{model} {label}: exit {code}")
+            data = [f"data.csv_path={meters}"] if label == "csv" else SYNTHETIC
+            overrides = [*overrides, f"model={model}", SEED, *data, f"output_dir={out}"]
+            _fedmeter(["run", *(a for o in overrides for a in ("--set", o))],
+                      f"{model} {label}")
             files = sorted({p for pattern in RESULT_PATTERNS for p in out.glob(pattern)})
             for path in files:
                 digests[f"{model}/{label}/{path.name}"] = hashlib.sha256(

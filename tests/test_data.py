@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fedmeter import data as dp
-from fedmeter.data import (AnomalyConfig, DataError, HourlySeries, LabeledDataset,
-                           UsageWindows)
+from fedmeter.data import AnomalyConfig, DataError, LabeledDataset, UsageWindows
+from fedmeter.seeding import rng_for
 
 
 def hourly_stamps(n, start="2021-01-04T00"):
@@ -14,6 +14,15 @@ def write_csv(path, rows, header="household_id,timestamp,kwh"):
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
 
 
+def ingest_readings(tmp_path, kwh, start="2021-01-04T00", hid="a"):
+    """The profiles ``ingest_csv`` makes of one household's hourly ``kwh``
+    from ``start``."""
+    f = tmp_path / f"{hid}.csv"
+    write_csv(f, [f"{hid},{t},{v!r}" for t, v in zip(hourly_stamps(len(kwh), start),
+                                                     map(float, kwh))])
+    return dp.ingest_csv(f)[hid]
+
+
 class TestIngest:
     def test_two_households_row_conservation(self, tmp_path):
         rows = []
@@ -22,17 +31,18 @@ class TestIngest:
                 rows.append(f"{hid},{ts},{0.5 + 0.01 * i}")
         f = tmp_path / "meters.csv"
         write_csv(f, rows)
-        series = dp.ingest_csv(f)
-        assert set(series) == {"a", "b"}
-        assert all(len(s) == 48 for s in series.values())
+        profiles = dp.ingest_csv(f)
+        assert set(profiles) == {"a", "b"}
+        for p in profiles.values():
+            np.testing.assert_array_equal(p, (0.5 + 0.01 * np.arange(48)).reshape(2, 24))
 
     def test_rows_sorted_by_timestamp(self, tmp_path):
-        ts = hourly_stamps(4)
-        rows = [f"a,{ts[i]},{i}" for i in (2, 0, 3, 1)]
+        ts = hourly_stamps(24)
+        order = np.random.default_rng(0).permutation(24)
+        rows = [f"a,{ts[i]},{i}" for i in order]
         f = tmp_path / "m.csv"
         write_csv(f, rows)
-        out = dp.ingest_csv(f)["a"]
-        np.testing.assert_array_equal(out.kwh, [0, 1, 2, 3])
+        np.testing.assert_array_equal(dp.ingest_csv(f)["a"], [np.arange(24)])
 
     def test_negative_kwh_cites_row(self, tmp_path):
         ts = hourly_stamps(10)
@@ -50,8 +60,6 @@ class TestIngest:
         write_csv(f, rows)
         with pytest.raises(DataError, match="non-finite kwh at row 7"):
             dp.ingest_csv(f)
-        with pytest.raises(DataError, match="non-finite kwh reading"):
-            HourlySeries("a", ts, np.where(np.arange(10) == 6, float(reading), 1.0))
 
     def test_missing_column(self, tmp_path):
         f = tmp_path / "m.csv"
@@ -73,8 +81,9 @@ class TestIngest:
 
     def test_gap_rejected(self, tmp_path):
         f = tmp_path / "m.csv"
-        write_csv(f, ["a,2021-01-04T00,1.0", "a,2021-01-04T02,1.0"])
-        with pytest.raises(DataError, match="gap"):
+        write_csv(f, ["a,2021-01-04T01,1.0", "a,2021-01-04T03,1.0", "a,2021-01-04T00,1.0"])
+        with pytest.raises(DataError, match=r"^household a: readings must be hourly with no "
+                           r"gaps \(offending step after 2021-01-04T01\)$"):
             dp.ingest_csv(f)
 
     def test_byte_order_mark_parses_to_the_same_series(self, tmp_path):
@@ -84,8 +93,8 @@ class TestIngest:
         marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         want, got = dp.ingest_csv(plain), dp.ingest_csv(marked)
         assert set(got) == set(want) == {"a"}
-        np.testing.assert_array_equal(got["a"].timestamps, want["a"].timestamps)
-        np.testing.assert_array_equal(got["a"].kwh, want["a"].kwh)
+        assert got["a"].shape == (1, 24)
+        np.testing.assert_array_equal(got["a"], want["a"])
 
     @pytest.mark.parametrize("where", ["header", "row"])
     def test_undecodable_byte_names_the_file(self, tmp_path, where):
@@ -107,63 +116,64 @@ class TestIngest:
             lines.extend(f"h{h},{t},1.0" for t in stamps)
         f = tmp_path / "big.csv"
         write_csv(f, lines)
-        series = dp.ingest_csv(f)
-        assert len(series) == 19
-        for s in series.values():
-            assert len(dp.segment_daily(s)) == 1065
+        profiles = dp.ingest_csv(f)
+        assert len(profiles) == 19
+        for p in profiles.values():
+            assert p.shape == (1065, 24)
 
 
 class TestSynthesize:
     def test_deterministic(self):
         a = dp.synthesize_household(30, seed=5)
         b = dp.synthesize_household(30, seed=5)
-        assert np.array_equal(a.kwh, b.kwh)
-        assert not np.array_equal(a.kwh, dp.synthesize_household(30, seed=6).kwh)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, dp.synthesize_household(30, seed=6))
 
     def test_reading_count(self):
-        assert len(dp.synthesize_household(30, seed=0)) == 30 * 24
+        profiles = dp.synthesize_household(30, seed=0)
+        assert profiles.shape == (30, 24) and profiles.dtype == np.float64
 
     def test_days_validation(self):
         with pytest.raises(DataError):
             dp.synthesize_household(0, seed=0)
 
     def test_high_window_mean_exceeds_low(self):
-        series = dp.synthesize_household(365, seed=9)
-        by_hour = series.kwh.reshape(-1, 24)
+        by_hour = dp.synthesize_household(365, seed=9)
         high = by_hour[:, [18, 19, 20, 21, 22, 23, 0]].mean()
         low = by_hour[:, [4, 5, 6, 7, 8, 9]].mean()
         assert high > low
 
 
 class TestSegment:
-    def test_exact_days(self):
-        s = HourlySeries("a", hourly_stamps(72), np.arange(72.0))
-        profiles = dp.segment_daily(s)
-        assert len(profiles) == 3
+    """``ingest_csv`` cuts each household's readings into 00:00-23:00 days."""
+
+    def test_exact_days(self, tmp_path):
+        profiles = ingest_readings(tmp_path, np.arange(72.0))
+        assert profiles.shape == (3, 24)
         np.testing.assert_array_equal(profiles[1], np.arange(24.0, 48.0))
 
-    def test_partial_day_dropped(self):
-        s = HourlySeries("a", hourly_stamps(70), np.ones(70))
-        assert len(dp.segment_daily(s)) == 2
+    def test_partial_day_dropped(self, tmp_path):
+        profiles = ingest_readings(tmp_path, np.arange(70.0))
+        np.testing.assert_array_equal(profiles, np.arange(48.0).reshape(2, 24))
 
-    def test_empty(self):
-        s = HourlySeries("a", hourly_stamps(0), np.array([]))
-        assert dp.segment_daily(s).shape == (0, 24)
+    def test_empty(self, tmp_path):
+        # a file of no readings has no households
+        f = tmp_path / "m.csv"
+        f.write_text("household_id,timestamp,kwh\n")
+        assert dp.ingest_csv(f) == {}
 
-    def test_ends_before_its_first_midnight(self):
-        s = HourlySeries("a", hourly_stamps(5, "2021-01-04T07"), np.ones(5))
-        assert dp.segment_daily(s).shape == (0, 24)
+    def test_ends_before_its_first_midnight(self, tmp_path):
+        profiles = ingest_readings(tmp_path, np.ones(5), start="2021-01-04T07")
+        assert profiles.shape == (0, 24)
 
-    def test_profiles_start_at_midnight(self):
+    def test_profiles_start_at_midnight(self, tmp_path):
         # one diurnal curve, read from 00:00 and from 07:00 of the same day
         curve = np.tile(dp.BASE_DIURNAL_SHAPE, 10)
-        at_midnight = HourlySeries("a", hourly_stamps(240), curve)
-        at_seven = HourlySeries("b", hourly_stamps(233, "2021-01-04T07"), curve[7:])
-        profiles = dp.segment_daily(at_seven)
+        at_midnight = ingest_readings(tmp_path, curve, hid="a")
+        profiles = ingest_readings(tmp_path, curve[7:], start="2021-01-04T07", hid="b")
         assert len(profiles) == 9
         np.testing.assert_array_equal(profiles[0], dp.BASE_DIURNAL_SHAPE)
-        assert (dp.detect_usage_windows(profiles)
-                == dp.detect_usage_windows(dp.segment_daily(at_midnight)))
+        assert dp.detect_usage_windows(profiles) == dp.detect_usage_windows(at_midnight)
 
 
 class TestUsageWindows:
@@ -178,8 +188,7 @@ class TestUsageWindows:
         assert w.high_hours == (0, 18, 19, 20, 21, 22, 23)
 
     def test_synthesized_data_matches_default_windows(self):
-        profiles = dp.segment_daily(dp.synthesize_household(365, seed=3))
-        w = dp.detect_usage_windows(profiles)
+        w = dp.detect_usage_windows(dp.synthesize_household(365, seed=3))
         assert w.low_hours == (4, 5, 6, 7, 8, 9)
         assert w.high_hours == (0, 18, 19, 20, 21, 22, 23)
 
@@ -316,6 +325,30 @@ class TestBuildDataset:
         a = dp.build_dataset(toy_profiles(100), WINDOWS, cfg)
         b = dp.build_dataset(toy_profiles(100), WINDOWS, cfg)
         assert np.array_equal(a.profiles, b.profiles) and a.kinds == b.kinds
+
+    @pytest.mark.parametrize("weights", [
+        None, {"drop": 0.5, "seg_neg_spike": 0.3, "pos_spike": 0.2},
+        {"neg_spike": 0.0, "seg_pos_spike": 1.0}])
+    def test_draws_are_generator_choices(self, weights):
+        # each anomaly draws what Generator.choice would: its kind by weight,
+        # then its start hour from the kind's window
+        cfg = AnomalyConfig(anomaly_fraction=0.3, seed=4,
+                            **({} if weights is None else {"kind_weights": weights}))
+        ds = dp.build_dataset(toy_profiles(200, seed=4), WINDOWS, cfg)
+        rng = rng_for(cfg.seed, "inject")
+        assert np.array_equal(ds.day_indices[200:], np.sort(rng.choice(200, 60, replace=False)))
+        pool = list(cfg.kind_weights)
+        for row in range(200, len(ds)):
+            kind = str(rng.choice(pool, p=list(cfg.kind_weights.values())))
+            assert ds.kinds[row] == kind
+            hours = WINDOWS.low_hours if "pos" in kind else WINDOWS.high_hours
+            start = int(rng.choice(hours))
+            changed = np.flatnonzero(ds.profiles[row] != ds.profiles[ds.day_indices[row]])
+            assert start in changed
+            if kind == "drop":
+                rng.integers(1, 3)  # its length
+            else:
+                rng.uniform(*cfg.r_range)  # its amplitude
 
     def test_injection_fidelity(self):
         """Every anomalous row differs from its source in exactly the injected

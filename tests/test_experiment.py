@@ -175,6 +175,7 @@ class TestConfig:
         ("data", "r_range", (2.0, 1.0)),
         ("data", "r_range", 5),
         ("data", "kind_weights", {"drop": "1"}),
+        ("data", "kind_weights", {"drop": 1.5, "pos_spike": -0.5}),
         ("train", "base_lr", 0.0),
         ("train", "lr_decay", -0.1),
         ("train", "rho", 1.0),
@@ -285,9 +286,9 @@ class TestBuildClientData:
 
     def test_windows_match_synthesizer_design(self, tmp_path):
         cfg = tiny_cfg(tmp_path, data={"days": 120})
-        for series in dp.synthetic_households(cfg.data.households, cfg.data.days,
-                                              cfg.master_seed):
-            windows = dp.detect_usage_windows(dp.segment_daily(series))
+        for _, profiles in dp.synthetic_households(cfg.data.households, cfg.data.days,
+                                                   cfg.master_seed):
+            windows = dp.detect_usage_windows(profiles)
             assert windows.low_hours == (4, 5, 6, 7, 8, 9)
             assert windows.high_hours == (0, 18, 19, 20, 21, 22, 23)
 
@@ -348,7 +349,6 @@ class TestRunExperiment:
     def test_sweep_epsilon_cardinality_and_plots(self, tmp_path):
         cfg = tiny_cfg(tmp_path / "run", protocol="sweep_epsilon",
                        epsilon_list=[0.1, 0.5],
-                       attack={"family": "fgsm", "epsilon": 0.1},
                        federation={"malicious_count": 1}, train={"epochs": 1})
         result = run_experiment(cfg)
         assert len(result.rows) == 4  # 2 epsilons x {fgsm, pgd}
@@ -567,13 +567,15 @@ class TestCli:
         assert cli.main(["synth-data", "--households", "3", "--days", "20",
                          "--seed", "5", "--out", str(out)]) == 0
         ingested = dp.ingest_csv(out)
-        synthetic = list(dp.synthetic_households(3, 20, seed=5))
-        assert sorted(ingested) == [s.household_id for s in synthetic] == ["h00", "h01", "h02"]
-        for series in synthetic:
-            read = ingested[series.household_id]
-            np.testing.assert_array_equal(read.timestamps, series.timestamps)
+        synthetic = dict(dp.synthetic_households(3, 20, seed=5))
+        assert sorted(ingested) == list(synthetic) == ["h00", "h01", "h02"]
+        # each household's readings run hourly from Monday 2021-01-04T00
+        stamps = [str(np.datetime64("2021-01-04T00", "h") + hour) for hour in range(20 * 24)]
+        rows = out.read_text().splitlines()[1:]
+        for hid, profiles in synthetic.items():
+            assert [r.split(",")[1] for r in rows if r.startswith(f"{hid},")] == stamps
             # the CSV renders 12 significant digits
-            np.testing.assert_allclose(read.kwh, series.kwh, rtol=1e-11, atol=0)
+            np.testing.assert_allclose(ingested[hid], profiles, rtol=1e-11, atol=0)
 
     @pytest.mark.parametrize("flag,value", [("--households", "-1"), ("--households", "0"),
                                             ("--days", "0"), ("--days", "-3")])
@@ -715,6 +717,15 @@ class TestCli:
         assert "household 'a' has no full 00:00-23:00 day after its first midnight" in err
         assert not out.exists()
 
+    def test_csv_of_no_readings_exits_before_any_run(self, tmp_path, capsys):
+        csv_path = tmp_path / "meters.csv"
+        csv_path.write_text("household_id,timestamp,kwh\n")
+        out = tmp_path / "run"
+        assert cli.main(["run", "--set", f'data.csv_path="{csv_path}"',
+                         "--set", f"output_dir={out}"]) == cli.EXIT_CONFIG
+        assert f"config error: {csv_path}: no readings" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.fixture
     def three_household_csv(self, tmp_path):
         csv_path = tmp_path / "meters.csv"
@@ -846,6 +857,52 @@ class TestCli:
                          "--set", f"output_dir={out}"]) == cli.EXIT_CONFIG
         assert "does not read federation.malicious_count; it must be 0, got 1" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+    def run_tiny(self, out, *overrides):
+        return cli.main(["run", *(a for o in overrides for a in ("--set", o)),
+                         "--set", "data.households=3", "--set", "data.days=20",
+                         "--set", "train.epochs=1", "--set", f"output_dir={out}"])
+
+    def test_sweep_epsilon_rejects_an_attack_family(self, tmp_path, capsys):
+        # it sweeps fgsm and pgd itself, so awgn would silently not run
+        out = tmp_path / "run"
+        assert self.run_tiny(out, "protocol=sweep_epsilon", "attack.family=awgn",
+                             "federation.malicious_count=2") == cli.EXIT_CONFIG
+        assert ("protocol sweep_epsilon does not read attack.family; it must be 'none', "
+                "got 'awgn'") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_epsilon_rejects_an_attack_epsilon(self, tmp_path, capsys):
+        # each point takes its epsilon from epsilon_list
+        out = tmp_path / "run"
+        assert self.run_tiny(out, "protocol=sweep_epsilon", "attack.epsilon=0.3",
+                             "federation.malicious_count=2") == cli.EXIT_CONFIG
+        assert ("protocol sweep_epsilon does not read attack.epsilon; it must be 0.5, "
+                "got 0.3") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        [], ["protocol=inference_attack", "attack.family=fgsm"]],
+        ids=["baseline", "inference_attack"])
+    def test_clean_training_protocol_rejects_a_poison_fraction(self, tmp_path, capsys,
+                                                               command):
+        out = tmp_path / "run"
+        assert self.run_tiny(out, *command, "federation.poison_fraction=0.5") == \
+            cli.EXIT_CONFIG
+        assert "does not read federation.poison_fraction; it must be 0.3, got 0.5" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,value,default", [
+        ("epsilon", "0.2", "0.5"), ("pgd_iters", "3", "10"), ("awgn_variance", "0.5", "0.1"),
+        ("flip_fraction", "0.5", "1.0"), ("project_linf", "true", "False"),
+        ("eps_ball", "0.2", "None")])
+    def test_baseline_rejects_any_attack_setting(self, tmp_path, capsys, name, value, default):
+        out = tmp_path / "run"
+        assert self.run_tiny(out, f"attack.{name}={value}") == cli.EXIT_CONFIG
+        assert f"protocol baseline does not read attack.{name}; it must be {default}, got " \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_trains_in_the_setting_it_is_given(self, tmp_path, capsys):
