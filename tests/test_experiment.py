@@ -175,7 +175,6 @@ class TestConfig:
         ("data", "r_range", (2.0, 1.0)),
         ("data", "r_range", 5),
         ("data", "kind_weights", {"drop": "1"}),
-        ("data", "kind_weights", {"drop": 1.5, "pos_spike": -0.5}),
         ("train", "base_lr", 0.0),
         ("train", "lr_decay", -0.1),
         ("train", "rho", 1.0),
@@ -185,6 +184,7 @@ class TestConfig:
         ("train", "lr_milestones", (0, 50)),
         ("data", "csv_path", ""),
         ("attack", "eps_ball", -0.1),
+        ("data", "kind_weights", {"drop": 1.5, "pos_spike": -0.5}),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, section, key, value):
         cfg = tiny_cfg(tmp_path)
