@@ -31,7 +31,8 @@ x, y = test.profiles, test.labels
 specs = {"AWGN s2=0.1": AttackSpec("awgn", awgn_variance=0.1),  # first: a fresh noise stream
          "FGSM  e=0.5": AttackSpec("fgsm", epsilon=0.5),
          "PGD   e=0.5": AttackSpec("pgd", epsilon=0.5, pgd_iters=10)}
-clean, attacked = evaluate_attacks(model, x, y, list(specs.values()), rng_for(0, "demo-awgn"))
+_, clean, attacked = evaluate_attacks(model, x, y, list(specs.values()),
+                                      rng_for(0, "demo-awgn"))
 print(f"clean test accuracy {clean.accuracy:.3f}, f1 {clean.f1:.3f}")
 
 for name, (_, adv, metrics, report) in zip(specs, attacked):

@@ -19,7 +19,7 @@ quick = config_from_dict({
     "master_seed": 0,
     "output_dir": "runs/demo",
     "data": {"households": 4, "days": 60, "anomaly_fraction": 0.15},
-    "federation": {"local_epochs": 1, "malicious_count": 2, "poison_fraction": 0.3},
+    "federation": {"malicious_count": 2, "poison_fraction": 0.3},
     "attack": {"family": "label_flip", "flip_fraction": 1.0},
     "train": {"epochs": 5, "batch_size": 32},  # 5 rounds of 1 local epoch
 })
@@ -42,7 +42,7 @@ table_ii_pgd = {
     "master_seed": 0,
     "output_dir": "runs/tableII-lstm-fl-pgd",
     "data": {"households": 19, "days": 365, "anomaly_fraction": 0.1},
-    "federation": {"local_epochs": 1, "malicious_count": 9, "poison_fraction": 0.3},
+    "federation": {"malicious_count": 9, "poison_fraction": 0.3},
     "attack": {"family": "pgd", "epsilon": 0.5, "pgd_iters": 10},
     "train": {"epochs": 100, "batch_size": 32, "base_lr": 0.01},
 }

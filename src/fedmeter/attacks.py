@@ -20,6 +20,7 @@ on one core.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,8 @@ class AttackSpec:
         if self.family not in ATTACK_FAMILIES:
             raise ValueError(f"family must be one of {', '.join(ATTACK_FAMILIES)}, "
                              f"got {self.family!r}")
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+        # math, not numpy: an integer beyond int64 is no numpy scalar
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.pgd_iters < 1:
             raise ValueError(f"pgd_iters must be >= 1, got {self.pgd_iters}")

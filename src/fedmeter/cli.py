@@ -48,8 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a config entry, applied in order, e.g. "
                           "protocol=sweep_epsilon or train.epochs=20 (a run's length "
-                          "in global epochs; a federated run trains train.epochs / "
-                          "federation.local_epochs rounds)")
+                          "in global epochs; a federated run trains that many rounds "
+                          "of one local epoch per client)")
     run.set_defaults(func=cmd_run)
 
     report = sub.add_parser("report", help="combine metrics.csv files from run dirs")

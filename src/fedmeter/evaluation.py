@@ -102,15 +102,16 @@ def asr_inference(model, x_clean: np.ndarray, x_adv: np.ndarray,
 def evaluate_attacks(model, x: np.ndarray, y: np.ndarray, specs, rng: np.random.Generator,
                      *, threshold: float = DEFAULT_THRESHOLD, alpha: float = 0.25,
                      gamma: float = 2.0
-                     ) -> tuple[Metrics, list[tuple[AttackSpec, np.ndarray, Metrics, AsrReport]]]:
+                     ) -> tuple[np.ndarray, Metrics,
+                                list[tuple[AttackSpec, np.ndarray, Metrics, AsrReport]]]:
     """Attack one trained model with each spec in ``specs``, in order.
 
     Classifies ``x`` once; then each spec runs one ``poison_batch`` (noise
     draws from ``rng`` in spec order) and one ``classify`` of its perturbed
-    inputs.  Returns the clean metrics and, per spec, ``(spec, x_adv,
-    metrics, asr)``, each scored against the true ``y`` and the ASR against
-    the clean predictions.  ``label_flip`` changes labels, not inputs, so it
-    raises ValueError.
+    inputs.  Returns the clean predictions, their metrics and, per spec,
+    ``(spec, x_adv, metrics, asr)``, each scored against the true ``y`` and
+    the ASR against the clean predictions.  ``label_flip`` changes labels,
+    not inputs, so it raises ValueError.
     """
     for spec in specs:
         if spec.family == "label_flip":
@@ -123,7 +124,7 @@ def evaluate_attacks(model, x: np.ndarray, y: np.ndarray, specs, rng: np.random.
         pred = classify(model, x_adv, threshold)
         results.append((spec, x_adv, compute_metrics(pred, y),
                         asr_from_predictions(pred_clean, pred, "inference_attack")))
-    return compute_metrics(pred_clean, y), results
+    return pred_clean, compute_metrics(pred_clean, y), results
 
 
 METRICS_CSV_HEADER = ["setting", "attack", "acc", "prec", "rec", "f1", "asr"]

@@ -17,16 +17,14 @@ sweep_malicious   a poisoned training per malicious-client fraction, PGD (federa
 
 A run's length is ``train.epochs`` global epochs in both settings: a
 central training makes that many passes over the pooled data, and a
-federation runs ``train.epochs // federation.local_epochs`` rounds, so the
-learning-rate milestones fall on the same epochs.  A federated
-``train.epochs`` must be a multiple of ``federation.local_epochs``, and a
-central run keeps ``local_epochs`` at 1.
+federation runs that many rounds, each training every client for one local
+epoch, so the learning-rate milestones fall on the same epochs.
 
 Every training of a run draws from the ``master_seed`` alone, whatever its
 spec: its initial weights (the same in both settings), malicious clients
-(a prefix of one seeded permutation, so the sets nest), client selection,
-shuffles and poisoning subsets.  Repeating a run reproduces the metrics
-files byte for byte on one platform.
+(a prefix of one seeded permutation, so the sets nest), shuffles and
+poisoning subsets.  Repeating a run reproduces the metrics files byte for
+byte on one platform.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import math
 import numbers
 import os
 import platform
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from operator import attrgetter
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -47,8 +45,7 @@ import numpy as np
 
 from . import data as dp
 from .attacks import AttackSpec, dump_adversarial_csv
-from .evaluation import (asr_from_predictions, classify, evaluate_attacks, metrics_row,
-                         write_metrics_csv)
+from .evaluation import asr_from_predictions, evaluate_attacks, metrics_row, write_metrics_csv
 from .federation import ClientNode, global_model, init_state, run_centralized, run_federation
 from .models import BLAS_THREAD_VARS, TrainConfig, _workers, blas_build, save_weights
 from .seeding import derive_seed, rng_for
@@ -58,17 +55,24 @@ OUTPUT_ROOT_ENV = "FEDMETER_OUTPUT_ROOT"
 PROTOCOLS = ("baseline", "inference_attack", "training_attack",
              "sweep_epsilon", "sweep_malicious")
 # the settings each protocol overrides or never reads, and why; each must keep
-# its default (baseline's attack.family has its own message)
-_CLEAN = ("federation.malicious_count", "federation.poison_fraction")
+# its default (an attack setting no attack of the run reads is named by
+# _value_problems, and baseline's attack.family has its own message)
+_CLEAN = (("federation.malicious_count", "federation.poison_fraction"),
+          "it trains once, on clean data")
+_NO_EPS = (("epsilon_list",), "only sweep_epsilon reads it")
+_NO_FRACTIONS = (("malicious_fraction_list",), "only sweep_malicious reads it")
 _UNREAD = {
-    "baseline": ((*(f"attack.{f.name}" for f in fields(AttackSpec) if f.name != "family"),
-                  *_CLEAN), "it trains once, on clean data"),
-    "inference_attack": (_CLEAN, "it trains once, on clean data"),
-    "sweep_epsilon": (("attack.family", "attack.epsilon"),
-                      "each point trains fgsm or pgd at an epsilon_list entry"),
-    "sweep_malicious": (("federation.malicious_count",),
-                        "each point takes its count from malicious_fraction_list"),
+    "baseline": (_CLEAN, _NO_EPS, _NO_FRACTIONS),
+    "inference_attack": (_CLEAN, _NO_EPS, _NO_FRACTIONS),
+    "training_attack": (_NO_EPS, _NO_FRACTIONS),
+    "sweep_epsilon": ((("attack.family", "attack.epsilon"),
+                       "each point trains fgsm or pgd at an epsilon_list entry"), _NO_FRACTIONS),
+    "sweep_malicious": ((("federation.malicious_count",),
+                         "each point takes its count from malicious_fraction_list"), _NO_EPS),
 }
+# the attack families that read each attack setting besides the family
+_READ_BY = {"epsilon": ("fgsm", "pgd"), "pgd_iters": ("pgd",), "project_linf": ("pgd",),
+            "eps_ball": ("pgd",), "awgn_variance": ("awgn",), "flip_fraction": ("label_flip",)}
 
 
 class ConfigError(ValueError):
@@ -88,8 +92,6 @@ class DataConfig:
 
 @dataclass
 class FederationConfig:  # the run's length is train.epochs (module docstring)
-    clients_per_round: int | None = None  # None: every client, every round
-    local_epochs: int = 1
     malicious_count: int = 0
     poison_fraction: float = 0.3
 
@@ -247,7 +249,6 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
     """Range and consistency problems of a config whose fields are well typed."""
     dcfg, fed, train = cfg.data, cfg.federation, cfg.train
     synthetic = dcfg.csv_path is None
-    per_round = fed.clients_per_round
     ranges = (
         ("model", cfg.model in ("lstm", "transformer"), "lstm or transformer"),
         ("setting", cfg.setting in ("central", "federated"), "central or federated"),
@@ -257,10 +258,8 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
         ("data.train_fraction", 0.0 < dcfg.train_fraction < 1.0, "in (0, 1)"),
         ("data.households", not synthetic or dcfg.households >= 1, ">= 1"),
         ("data.days", not synthetic or dcfg.days >= 2, ">= 2"),
-        ("federation.local_epochs", fed.local_epochs >= 1, ">= 1"),
         ("federation.malicious_count", fed.malicious_count >= 0, ">= 0"),
         ("federation.poison_fraction", 0.0 <= fed.poison_fraction <= 1.0, "in [0, 1]"),
-        ("federation.clients_per_round", per_round is None or per_round >= 1, ">= 1"),
         ("train.epochs", train.epochs >= 1, ">= 1"),
         ("train.batch_size", train.batch_size >= 1, ">= 1"),
         ("train.base_lr", train.base_lr > 0, "> 0"),
@@ -291,19 +290,8 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
                      f"got {getattr(dcfg, name)!r}"
                      for name in ("households", "days")
                      if getattr(dcfg, name) != getattr(DataConfig, name)]
-    if cfg.setting == "central":
-        if fed.malicious_count > 0:
-            problems.append("setting central contradicts federation.malicious_count > 0")
-        if per_round is not None:
-            problems.append("setting central contradicts federation.clients_per_round")
-        if fed.local_epochs != 1:
-            problems.append(f"setting central contradicts federation.local_epochs "
-                            f"{fed.local_epochs}; train.epochs alone sets its length")
-    else:
-        if fed.local_epochs >= 1 and train.epochs % fed.local_epochs:
-            problems.append(f"train.epochs {train.epochs} is not a multiple of "
-                            f"federation.local_epochs {fed.local_epochs}; a federated run "
-                            f"trains train.epochs / federation.local_epochs rounds")
+    if cfg.setting == "central" and fed.malicious_count > 0:
+        problems.append("setting central contradicts federation.malicious_count > 0")
     if cfg.protocol in ("inference_attack", "training_attack") \
             and cfg.attack.family == "none":
         problems.append(f"protocol {cfg.protocol} requires an attack.family")
@@ -322,11 +310,21 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"protocol baseline contradicts attack.family {cfg.attack.family}; "
                         f"inference_attack and training_attack are the protocols that "
                         f"read an attack")
-    unread, why = _UNREAD.get(cfg.protocol, ((), ""))
+    unread = [(name, why) for names, why in _UNREAD.get(cfg.protocol, ()) for name in names]
+    try:
+        families = {spec.family for spec, *_ in _preset(cfg, 1)[0]}
+    except ValueError:  # sweep_epsilon's specs at an entry below 0 (named above)
+        families = {"fgsm", "pgd"}
+    families.update(spec.family for spec in _inference_specs(cfg))
+    for name, readers in _READ_BY.items():
+        if families.isdisjoint(readers):
+            unread.append((f"attack.{name}", f"read by {' and '.join(readers)} only"))
+        elif name == "eps_ball" and not cfg.attack.project_linf:
+            unread.append(("attack.eps_ball", "read by pgd with attack.project_linf only"))
     defaults = ExperimentConfig()
     problems += [f"protocol {cfg.protocol} does not read {name}; it must be "
                  f"{attrgetter(name)(defaults)!r}, got {attrgetter(name)(cfg)!r} ({why})"
-                 for name in unread if attrgetter(name)(cfg) != attrgetter(name)(defaults)]
+                 for name, why in unread if attrgetter(name)(cfg) != attrgetter(name)(defaults)]
     if cfg.protocol in ("sweep_epsilon", "sweep_malicious") and cfg.setting != "federated":
         problems.append(f"protocol {cfg.protocol} runs in the federated setting only")
     if cfg.protocol == "sweep_epsilon" and not cfg.epsilon_list:
@@ -337,12 +335,12 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Check the config and return it with derived values filled.
+    """Check the config and return it as ``config_from_dict`` rebuilds it.
 
-    The config is rebuilt through ``config_from_dict``, so one built in code
-    or changed with ``setattr`` is type-checked too; range checks run only on
-    well-typed fields.  All violations are reported together.  The client
-    counts are checked by ``run_experiment``, against the households it loads.
+    The rebuild type-checks a config built in code or changed with
+    ``setattr`` too; range checks run only on well-typed fields.  All
+    violations are reported together.  The malicious-client counts are
+    checked by ``run_experiment``, against the households it loads.
     """
     cfg = config_from_dict(config_to_dict(cfg))
     problems = _value_problems(cfg)
@@ -444,13 +442,20 @@ def _preset(cfg: ExperimentConfig, n_clients: int):
     return [clean], None
 
 
-def _train(cfg: ExperimentConfig, clients: list[ClientData], emit,
-           attack: AttackSpec, malicious_count: int, label: str):
+def _inference_specs(cfg: ExperimentConfig) -> tuple[AttackSpec, ...]:
+    """The attacks each trained model is scored under besides the clean test set."""
+    return (cfg.attack,) if cfg.protocol == "inference_attack" else ()
+
+
+def _train(cfg: ExperimentConfig, clients: list[ClientData],
+           test: tuple[np.ndarray, np.ndarray], emit, attack: AttackSpec,
+           malicious_count: int, label: str):
     """Train in the configured setting for ``train.epochs`` global epochs,
     with ``malicious_count`` clients (or the pooled data, centrally) poisoned
     by ``attack``, from the master seed's streams (see the module
-    docstring); returns the model.  A federated training writes its round
-    log through ``emit``."""
+    docstring); returns the model.  A federated training scores its global
+    model on the pooled ``test`` set and writes its round log through
+    ``emit``."""
     fed, seed = cfg.federation, derive_seed(cfg.master_seed, "federation")
     if cfg.setting == "central":
         x, y, _ = pooled([c.train for c in clients])
@@ -463,12 +468,9 @@ def _train(cfg: ExperimentConfig, clients: list[ClientData], emit,
                         attack=attack if i in malicious else AttackSpec(),
                         poison_fraction=fed.poison_fraction)
              for i, c in enumerate(clients)]
-    state = init_state(cfg.model, nodes, clients_per_round=fed.clients_per_round,
-                       local_epochs=fed.local_epochs, seed=seed)
-    x_test, y_test, _ = pooled([c.test for c in clients])
-    rounds = cfg.train.epochs // fed.local_epochs
+    state = init_state(cfg.model, nodes, seed=seed)
     emit(f"rounds_{label}.jsonl", lambda p: run_federation(
-        state, cfg.model, cfg.train, rounds, eval_x=x_test, eval_y=y_test,
+        state, cfg.model, cfg.train, cfg.train.epochs, eval_x=test[0], eval_y=test[1],
         threshold=cfg.threshold, log_path=p))
     return global_model(state, cfg.model)
 
@@ -476,11 +478,9 @@ def _train(cfg: ExperimentConfig, clients: list[ClientData], emit,
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     cfg = validate_config(cfg)
     clients = build_client_data(cfg)  # a data or count error leaves no run directory
-    fed = cfg.federation
-    problems = [f"federation.{name} {count} exceeds the {len(clients)} households loaded"
-                for name, count in (("malicious_count", fed.malicious_count),
-                                    ("clients_per_round", fed.clients_per_round))
-                if count is not None and count > len(clients)]
+    malicious = cfg.federation.malicious_count
+    problems = ([f"federation.malicious_count {malicious} exceeds the {len(clients)} "
+                 f"households loaded"] if malicious > len(clients) else [])
     trainings, figure = _preset(cfg, len(clients))
     if cfg.protocol == "sweep_malicious":  # two points with one count train one model
         by_count = {}
@@ -496,10 +496,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     setting = (f"{'LSTM' if cfg.model == 'lstm' else 'Transformer'} "
                f"({'Central' if cfg.setting == 'central' else 'FL'})")
     # an inference-time attack's rows take the place of the clean-test row
-    specs = (cfg.attack,) if cfg.protocol == "inference_attack" else ()
+    specs = _inference_specs(cfg)
     rows, files = [], []
     figure_rows = [[figure[1], "attack", "accuracy"]] if figure else []
-    reference = None  # the run's clean model
+    reference = None  # the run's clean training's test predictions
 
     def emit(path_name: str, writer) -> None:
         path = os.path.join(out_dir, path_name)
@@ -507,19 +507,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         files.append(path)
 
     for attack, count, label, x in trainings:
-        model = _train(cfg, clients, emit, attack, count, label)
-        clean, attacked = evaluate_attacks(
+        model = _train(cfg, clients, (x_test, y_test), emit, attack, count, label)
+        pred, clean, attacked = evaluate_attacks(
             model, x_test, y_test, specs, rng_for(cfg.master_seed, "attack-eval"),
             threshold=cfg.threshold, alpha=cfg.train.focal_alpha, gamma=cfg.train.focal_gamma)
         # a poisoned training's ASR: the share of the clean training's test
         # predictions it flips, when the run has a clean training
         report = None
         if attack.family == "none":
-            reference = model
+            reference = pred
         elif reference is not None:
-            report = asr_from_predictions(classify(reference, x_test, cfg.threshold),
-                                          classify(model, x_test, cfg.threshold),
-                                          "training_attack")
+            report = asr_from_predictions(reference, pred, "training_attack")
         name = _ATTACK_LABELS[attack.family]
         if figure:
             name += f" {figure[2]}={x:g}"

@@ -2,9 +2,10 @@
 centralized training mode for comparison.
 
 Each round: the server broadcasts the global weights (serialized through the
-checkpoint wire format to keep the boundary honest), every selected client
-trains locally for ``local_epochs`` epochs, and the server replaces the
-global weights with the unweighted average of the returned weight maps.
+checkpoint wire format to keep the boundary honest), every client trains
+locally for one epoch, and the server replaces the global weights with the
+unweighted average of the returned weight maps.  So round ``r`` is global
+epoch ``r`` of the learning-rate schedule.
 Malicious clients regenerate adversarial data every round from the freshly
 received weights, perturbing a fresh random fraction of their local samples;
 honest clients' stored data is never touched.
@@ -17,7 +18,7 @@ to ``models.MAX_WORKERS`` workers, each own a model instance, take the next
 client, poison it if it is malicious and train it.  A malicious client's
 PGD runs on its own worker in whole blocks of its model's ``ROW_BLOCK``
 rows (64 for the LSTM, 32 for the Transformer), never on further threads.
-:func:`fedavg` folds the returned maps in ``selected`` order as they arrive,
+:func:`fedavg` folds the returned maps in client order as they arrive,
 so a round holds running sums instead of every client's map, and the global
 weights, the round record and every later result keep their bits whatever
 the number of workers.  A round copies no weight map it can share: the
@@ -68,34 +69,20 @@ class ClientNode:
 class FederationState:
     global_weights: dict[str, np.ndarray]
     clients: list[ClientNode]
-    clients_per_round: int
-    local_epochs: int = 1
     seed: int = 0
     round: int = 0  # rounds completed
-
-    def __post_init__(self):
-        if not (1 <= self.clients_per_round <= len(self.clients)):
-            raise ValueError(f"clients_per_round must be in [1, {len(self.clients)}], "
-                             f"got {self.clients_per_round}")
 
 
 @dataclass
 class RoundRecord:
     round: int
-    selected: list[str]
+    selected: list[str]  # the ids of the clients that trained: every client
     malicious_count: int
     mean_local_loss: float
     global_test_accuracy: float | None = None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-
-def select_clients(state: FederationState, round_index: int) -> list[int]:
-    """Uniform sample of client indices without replacement, seeded per round."""
-    rng = rng_for(state.seed, "select", round_index)
-    picked = rng.choice(len(state.clients), size=state.clients_per_round, replace=False)
-    return sorted(int(i) for i in picked)
 
 
 def fedavg(weight_maps: Iterable[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
@@ -170,20 +157,21 @@ def _poisons(client: ClientNode) -> bool:
 
 
 def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> RoundRecord:
-    """Execute one federation round, replacing the global weights in place.
+    """Train every client for one epoch from the global weights and replace
+    them in place with the average.
 
     The clients train concurrently where ``models._workers`` allows, with
     the same result as one after another (see the module docstring).
     """
     round_index = state.round + 1
-    selected = [state.clients[i] for i in select_clients(state, round_index)]
+    clients = state.clients
     # decoded once, in place of the map it was encoded from (the <f8 round
     # trip is exact): set_weights copies, so every client starts from it
     state.global_weights = broadcast = weights_from_bytes(weights_to_bytes(state.global_weights))
-    losses = [0.0] * len(selected)
+    losses = [0.0] * len(clients)
 
     def train(model, pos: int) -> dict[str, np.ndarray]:
-        client = selected[pos]
+        client = clients[pos]
         model.set_weights(broadcast)
         if _poisons(client):
             x, y = poisoned_training_set(model, client, round_index, state.seed, cfg)
@@ -192,8 +180,7 @@ def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> Roun
         history = train_local(
             model, x, y, cfg,
             seed=derive_seed(state.seed, "train", client.client_id, round_index),
-            epochs=state.local_epochs,
-            epoch_offset=(round_index - 1) * state.local_epochs)
+            epochs=1, epoch_offset=round_index - 1)
         losses[pos] = history[-1]
         # the model's own weight map, not a copy: this worker's next
         # set_weights gives the model a new map before training touches one,
@@ -202,13 +189,13 @@ def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> Roun
 
     # one instance per worker; each client overwrites every weight before use
     models = [make_model(model_name, seed=0)]
-    workers = min(_workers(), len(selected))
+    workers = min(_workers(), len(clients))
     models += [make_model(model_name, seed=0) for _ in range(workers - 1)]
-    with contextlib.closing(_in_order(train, len(selected), models)) as maps:
+    with contextlib.closing(_in_order(train, len(clients), models)) as maps:
         state.global_weights = fedavg(maps)
     state.round = round_index
-    return RoundRecord(round_index, [c.client_id for c in selected],
-                       sum(_poisons(c) for c in selected), float(np.mean(losses)))
+    return RoundRecord(round_index, [c.client_id for c in clients],
+                       sum(_poisons(c) for c in clients), float(np.mean(losses)))
 
 
 def run_federation(state: FederationState, model_name: str, cfg: TrainConfig,
@@ -251,12 +238,10 @@ def global_model(state: FederationState, model_name: str):
 
 
 def init_state(model_name: str, clients: list[ClientNode], *,
-               clients_per_round: int | None = None, local_epochs: int = 1,
                seed: int = 0) -> FederationState:
     """Server-side initialization: random global weights, round counter at 0."""
     weights = make_model(model_name, seed=derive_seed(seed, "global-init")).get_weights()
-    n_round = len(clients) if clients_per_round is None else clients_per_round
-    return FederationState(weights, clients, n_round, local_epochs, seed)
+    return FederationState(weights, clients, seed)
 
 
 def run_centralized(x: np.ndarray, y: np.ndarray, model_name: str, cfg: TrainConfig, *,

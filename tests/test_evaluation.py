@@ -226,8 +226,8 @@ class TestEvaluateAttacks:
         monkeypatch.setattr(ev, "poison_batch", counting_poison_batch)
         model = CountingModel()
         x, y = attack_set()  # one row block, so one forward pass per predict_proba
-        clean, attacked = ev.evaluate_attacks(model, x, y, self.SPECS[:k],
-                                              np.random.default_rng(0))
+        _, clean, attacked = ev.evaluate_attacks(model, x, y, self.SPECS[:k],
+                                                 np.random.default_rng(0))
         assert model.predictions == 1 + k
         assert poisoned == self.SPECS[:k]
         assert [spec for spec, *_ in attacked] == self.SPECS[:k]
@@ -235,7 +235,7 @@ class TestEvaluateAttacks:
 
     def test_awgn_specs_draw_in_spec_order_from_one_generator(self):
         x, y = attack_set()
-        _, attacked = ev.evaluate_attacks(
+        *_, attacked = ev.evaluate_attacks(
             CountingModel(), x, y, [AttackSpec("awgn", awgn_variance=0.2),
                                     AttackSpec("awgn", awgn_variance=0.5)],
             np.random.default_rng(11))
@@ -258,11 +258,12 @@ class TestEvaluateAttacks:
         model = CountingModel() if model_name == "counting" else make_model("lstm", seed=2)
         x, y = attack_set(n=40)
         kwargs = {"alpha": 0.4, "gamma": 1.5}
-        clean, attacked = ev.evaluate_attacks(model, x, y, self.SPECS,
-                                              np.random.default_rng(3),
-                                              threshold=0.45, **kwargs)
+        pred, clean, attacked = ev.evaluate_attacks(model, x, y, self.SPECS,
+                                                    np.random.default_rng(3),
+                                                    threshold=0.45, **kwargs)
         rng = np.random.default_rng(3)
         pred_clean = ev.classify(model, x, 0.45)
+        assert np.array_equal(pred, pred_clean)
         assert clean == ev.compute_metrics(pred_clean, y)
         for spec, (got_spec, x_adv, metrics, report) in zip(self.SPECS, attacked):
             expected, _ = poison_batch(model, x, y, spec, rng, **kwargs)

@@ -36,7 +36,7 @@ def tiny_dict(out_dir, **kw):
         "output_dir": str(out_dir),
         "data": {"households": 3, "days": 20,
                  "anomaly_fraction": 0.15},
-        "federation": {"local_epochs": 1, "malicious_count": 0},
+        "federation": {"malicious_count": 0},
         "train": {"epochs": 2, "batch_size": 16},
     }
     for key, value in kw.items():
@@ -100,7 +100,6 @@ class TestConfig:
         cfg = tiny_cfg(tmp_path, epsilon_list=[0.3, 0.6], malicious_fraction_list=[0.5],
                        data={"kind_weights": {"drop": 0.5, "pos_spike": 0.5},
                              "r_range": [0.6, 1.2]},
-                       federation={"clients_per_round": 2},
                        attack={"family": "pgd", "eps_ball": 0.2, "project_linf": True},
                        train={"lr_milestones": [3, 7]})
         assert cfg.data.r_range == (0.6, 1.2) and cfg.train.lr_milestones == (3, 7)
@@ -148,12 +147,12 @@ class TestConfig:
 
     def test_all_violations_listed_together(self, tmp_path):
         cfg = tiny_cfg(tmp_path, setting="central", threshold=2.0,
-                       federation={"malicious_count": 2, "clients_per_round": 2})
+                       federation={"malicious_count": 2}, train={"batch_size": 0})
         with pytest.raises(ConfigError) as err:
             validate_config(cfg)
         message = str(err.value)
         assert "malicious_count" in message
-        assert "clients_per_round" in message
+        assert "batch_size" in message
         assert "threshold" in message
 
     @pytest.mark.parametrize("section,key,value", [
@@ -164,11 +163,11 @@ class TestConfig:
         ("attack", "epsilon", float("nan")),
         ("attack", "epsilon", float("inf")),
         ("attack", "epsilon", -0.1),
-        ("federation", "local_epochs", 0),
+        ("federation", "malicious_count", -1),
         ("train", "epochs", "3"),
         ("train", "epochs", {"x": 1}),
         ("train", "batch_size", True),
-        ("federation", "clients_per_round", 2.0),
+        ("federation", "malicious_count", 2.0),
         ("federation", "poison_fraction", "0.3"),
         ("data", "anomaly_fraction", 2.0),
         ("data", "anomaly_fraction", "0.1"),
@@ -185,6 +184,7 @@ class TestConfig:
         ("data", "csv_path", ""),
         ("attack", "eps_ball", -0.1),
         ("data", "kind_weights", {"drop": 1.5, "pos_spike": -0.5}),
+        ("attack", "epsilon", -2 ** 63 - 1),  # a float, but no int64
     ])
     def test_out_of_range_value_rejected(self, tmp_path, section, key, value):
         cfg = tiny_cfg(tmp_path)
@@ -328,7 +328,7 @@ class TestRunExperiment:
         cfg = tiny_cfg(tmp_path / "run", setting="central",
                        protocol="inference_attack",
                        attack={"family": "fgsm", "epsilon": 0.4},
-                       federation={"malicious_count": 0, "clients_per_round": None})
+                       federation={"malicious_count": 0})
         result = run_experiment(cfg)
         assert len(result.rows) == 1
         row = result.rows[0]
@@ -402,13 +402,17 @@ class TestRunExperiment:
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes(), name
 
-    @pytest.mark.parametrize("local_epochs,rounds", [(1, 2), (2, 1)])
-    def test_federated_run_trains_train_epochs_global_epochs(self, tmp_path, local_epochs,
-                                                             rounds):
-        # tiny_dict's train.epochs is 2
-        run_experiment(tiny_cfg(tmp_path / "run", federation={"local_epochs": local_epochs}))
+    @pytest.mark.parametrize("households,epochs", [(1, 2), (2, 1)])
+    def test_federated_run_trains_train_epochs_global_epochs(self, tmp_path, households,
+                                                             epochs):
+        # one round per global epoch, each training every household
+        run_experiment(tiny_cfg(tmp_path / "run", data={"households": households},
+                                train={"epochs": epochs}))
         log = (tmp_path / "run" / "rounds_clean.jsonl").read_text().splitlines()
-        assert [json.loads(line)["round"] for line in log] == list(range(1, rounds + 1))
+        records = [json.loads(line) for line in log]
+        assert [r["round"] for r in records] == list(range(1, epochs + 1))
+        assert all(r["selected"] == [f"h{i:02d}" for i in range(households)]
+                   for r in records)
 
     def test_different_seed_changes_outputs(self, tmp_path):
         # untrained tiny runs can tie on 2-decimal metrics, so compare the
@@ -455,7 +459,7 @@ class TestRunExperiment:
                  "--set", "setting=federated", "--set", "master_seed=0",
                  "--set", f"output_dir={out}",
                  "--set", "data.households=3", "--set", "data.days=30",
-                 "--set", "train.epochs=2", "--set", "federation.local_epochs=1"],
+                 "--set", "train.epochs=2"],
                 capture_output=True, text=True,
                 env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads})
             assert proc.returncode == 0, proc.stderr
@@ -526,8 +530,9 @@ class TestPairing:
             lines = (tmp_path / name).read_text().splitlines()
             logs[name] = [json.loads(line) for line in lines]
 
-        clean = ex._train(cfg, clients, emit, AttackSpec(), 0, "clean")
-        zero = ex._train(cfg, clients, emit, AttackSpec("fgsm", epsilon=0.0), 2, "zero")
+        test = ex.pooled([c.test for c in clients])[:2]
+        clean = ex._train(cfg, clients, test, emit, AttackSpec(), 0, "clean")
+        zero = ex._train(cfg, clients, test, emit, AttackSpec("fgsm", epsilon=0.0), 2, "zero")
         assert md.weights_to_bytes(clean.get_weights()) == \
             md.weights_to_bytes(zero.get_weights())
         clean_log, zero_log = logs["rounds_clean.jsonl"], logs["rounds_zero.jsonl"]
@@ -642,9 +647,12 @@ class TestCli:
     def test_removed_setting_exits_before_any_run(self, tmp_path, capsys):
         # train.seed: every training seed derives from master_seed; data.source:
         # data.csv_path alone says whether the households are synthetic;
-        # federation.rounds: train.epochs sets a federated run's length too
+        # federation.rounds: train.epochs sets a federated run's length too;
+        # federation.local_epochs and clients_per_round: every round trains
+        # every client for one epoch
         out = tmp_path / "run"
-        for override in ("train.seed=0", 'data.source="csv"', "federation.rounds=2"):
+        for override in ("train.seed=0", 'data.source="csv"', "federation.rounds=2",
+                         "federation.local_epochs=1", "federation.clients_per_round=3"):
             code = cli.main(["run", "--set", "model=lstm", "--set", f"output_dir={out}",
                              "--set", "data.households=3", "--set", "data.days=20",
                              "--set", "train.epochs=1", "--set", override])
@@ -655,7 +663,7 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = cli.main(["run", "--set", "setting=central",
-                         "--set", "federation.clients_per_round=5",
+                         "--set", "federation.malicious_count=5",
                          "--set", f"output_dir={tmp_path / 'x'}"])
         assert code == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
@@ -736,8 +744,7 @@ class TestCli:
                 "--set", "attack.family=pgd", "--set", "federation.malicious_count=1",
                 "--set", "train.epochs=1"]
 
-    @pytest.mark.parametrize("setting,count", [("malicious_count", 5),
-                                               ("clients_per_round", 4)])
+    @pytest.mark.parametrize("setting,count", [("malicious_count", 5)])
     def test_client_count_above_the_loaded_households_exits_before_any_run(
             self, tmp_path, capsys, three_household_csv, setting, count):
         out = tmp_path / "run"
@@ -763,7 +770,7 @@ class TestCli:
                                                             three_household_csv):
         out = tmp_path / "run"
         assert cli.main(["run", *three_household_csv,
-                         "--set", "federation.clients_per_round=3",
+                         "--set", "federation.malicious_count=3",
                          "--set", f"output_dir={out}"]) == 0
         assert "LSTM (FL), PGD" in capsys.readouterr().out
         assert (out / "final_pgd.ckpt").exists()
@@ -905,6 +912,73 @@ class TestCli:
             in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,name,default", [
+        (["protocol=baseline"], "epsilon_list", "(0.1, 0.2, 0.4, 0.5, 0.8)"),
+        (["protocol=inference_attack", "attack.family=fgsm"], "malicious_fraction_list",
+         "(0.1, 0.2, 0.3, 0.5)"),
+        (["protocol=training_attack", "attack.family=pgd", "federation.malicious_count=1"],
+         "epsilon_list", "(0.1, 0.2, 0.4, 0.5, 0.8)"),
+        (["protocol=sweep_epsilon", "federation.malicious_count=1"],
+         "malicious_fraction_list", "(0.1, 0.2, 0.3, 0.5)"),
+        (["protocol=sweep_malicious"], "epsilon_list", "(0.1, 0.2, 0.4, 0.5, 0.8)")],
+        ids=["baseline", "inference_attack", "training_attack", "sweep_epsilon",
+             "sweep_malicious"])
+    def test_protocol_rejects_the_other_sweeps_list(self, tmp_path, capsys, command, name,
+                                                    default):
+        out = tmp_path / "run"
+        assert self.run_tiny(out, *command, f"{name}=[0.5]") == cli.EXIT_CONFIG
+        owner = "sweep_epsilon" if name == "epsilon_list" else "sweep_malicious"
+        assert (f"does not read {name}; it must be {default}, got (0.5,) "
+                f"(only {owner} reads it)") in capsys.readouterr().err
+        assert not out.exists()
+
+    # each attack setting off its default, in a run none of whose attacks (its
+    # trainings' and its inference-time attack's) reads it
+    @pytest.mark.parametrize("command,setting,readers", [
+        (["protocol=training_attack", "attack.family=fgsm", "federation.malicious_count=1"],
+         "pgd_iters=3", "pgd"),
+        (["protocol=training_attack", "attack.family=fgsm", "federation.malicious_count=1"],
+         "project_linf=true", "pgd"),
+        (["protocol=training_attack", "attack.family=fgsm", "federation.malicious_count=1"],
+         "eps_ball=0.2", "pgd"),
+        (["protocol=sweep_malicious", "attack.family=awgn"], "pgd_iters=3", "pgd"),
+        (["protocol=training_attack", "attack.family=pgd", "federation.malicious_count=1"],
+         "eps_ball=0.2", "pgd with attack.project_linf"),
+        (["protocol=inference_attack", "attack.family=fgsm"], "awgn_variance=0.5",
+         "awgn"),
+        (["protocol=sweep_epsilon", "federation.malicious_count=1"], "awgn_variance=0.5",
+         "awgn"),
+        (["protocol=training_attack", "attack.family=pgd", "federation.malicious_count=1"],
+         "flip_fraction=0.5", "label_flip"),
+        (["protocol=inference_attack", "attack.family=awgn"], "epsilon=0.2",
+         "fgsm and pgd"),
+        (["protocol=training_attack", "attack.family=label_flip",
+          "federation.malicious_count=1"], "epsilon=0.2", "fgsm and pgd")],
+        ids=["pgd_iters_fgsm", "project_linf_fgsm", "eps_ball_fgsm", "pgd_iters_awgn_sweep",
+             "eps_ball_unprojected_pgd", "awgn_variance_fgsm", "awgn_variance_sweep_epsilon",
+             "flip_fraction_pgd", "epsilon_awgn", "epsilon_label_flip"])
+    def test_attack_setting_no_attack_of_the_run_reads_exits_before_any_run(
+            self, tmp_path, capsys, command, setting, readers):
+        out = tmp_path / "run"
+        protocol = command[0].removeprefix("protocol=")
+        name = setting.split("=")[0]
+        assert self.run_tiny(out, *command, f"attack.{setting}") == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"protocol {protocol} does not read attack.{name}; it must be " in err
+        assert f"(read by {readers} only)" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("protocol,attack", [
+        ("sweep_malicious", {"pgd_iters": 2}),  # its attack is pgd when attack.family is none
+        ("sweep_epsilon", {"pgd_iters": 2, "project_linf": True, "eps_ball": 0.2}),
+        ("inference_attack", {"family": "awgn", "awgn_variance": 0.2}),
+        ("training_attack", {"family": "label_flip", "flip_fraction": 0.5})])
+    def test_attack_setting_some_attack_of_the_run_reads_is_accepted(self, tmp_path,
+                                                                      protocol, attack):
+        malicious = int(protocol in ("sweep_epsilon", "training_attack"))
+        validate_config(tiny_cfg(tmp_path, protocol=protocol, attack=attack,
+                                 federation={"malicious_count": malicious}))
+
     def test_run_trains_in_the_setting_it_is_given(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli.main(["run", "--set", "protocol=training_attack", "--set", "setting=central",
@@ -918,20 +992,18 @@ class TestCli:
         assert (out / "final_fgsm.ckpt").exists()
         assert not list(out.glob("rounds_*.jsonl"))  # nothing was federated
 
-    @pytest.mark.parametrize("overrides,named", [
-        (["train.epochs=3", "federation.local_epochs=2"],
-         "train.epochs 3 is not a multiple of federation.local_epochs 2"),
-        (["setting=central", "train.epochs=2", "federation.local_epochs=2"],
-         "setting central contradicts federation.local_epochs 2")],
+    @pytest.mark.parametrize("overrides", [
+        ["train.epochs=3", "federation.local_epochs=2"],
+        ["setting=central", "train.epochs=2", "federation.local_epochs=2"]],
         ids=["epochs_not_a_multiple_of_local_epochs", "central_local_epochs"])
-    def test_length_outside_the_rule_exits_before_any_run(self, tmp_path, capsys,
-                                                          overrides, named):
-        # a run's length is train.epochs global epochs, in either setting
+    def test_length_outside_the_rule_exits_before_any_run(self, tmp_path, capsys, overrides):
+        # a run's length is train.epochs global epochs, in either setting, and
+        # a federated round is one local epoch: there is no other length to set
         out = tmp_path / "run"
         assert cli.main(["run", "--set", "data.households=3", "--set", "data.days=20",
                          *(a for o in overrides for a in ("--set", o)),
                          "--set", f"output_dir={out}"]) == cli.EXIT_CONFIG
-        assert named in capsys.readouterr().err
+        assert "federation.local_epochs is not a config setting" in capsys.readouterr().err
         assert not out.exists()
 
     def test_central_sweep_exits_before_any_run(self, tmp_path, capsys):

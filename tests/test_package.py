@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -5,11 +6,16 @@ import re
 import shlex
 import subprocess
 import sys
+import types
+import typing
 
 import pytest
 
 import fedmeter
 from fedmeter import cli
+from fedmeter.experiment import ExperimentConfig
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -20,8 +26,7 @@ def test_every_exported_name_resolves():
 def test_readme_cli_block_parses():
     # each documented command line, its bracketed optional parts removed, must
     # parse: a renamed command or flag fails here instead of going stale
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(
-        encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
     lines = [line for line in block.splitlines() if line.startswith("fedmeter ")]
     assert lines
@@ -31,6 +36,25 @@ def test_readme_cli_block_parses():
             parser.parse_args(shlex.split(re.sub(r"\[[^]]*\]", "", line))[1:])
         except SystemExit:
             pytest.fail(f"README's CLI line does not parse: {line}")
+
+
+def optional_settings(cls, prefix=""):
+    """The dotted names of the config's ``X | None`` leaves."""
+    for key, hint in typing.get_type_hints(cls).items():
+        if dataclasses.is_dataclass(hint):
+            yield from optional_settings(hint, f"{prefix}{key}.")
+        elif typing.get_origin(hint) is types.UnionType \
+                and type(None) in typing.get_args(hint):
+            yield prefix + key
+
+
+def test_readme_lists_every_optional_setting():
+    # README names the settings that take null; a setting added, deleted or
+    # made optional without editing that list fails here
+    listed = re.search(r"\(`X \| None`:(.*?)\)", README.read_text(encoding="utf-8"), re.S)
+    assert listed is not None
+    assert sorted(re.findall(r"`([^`]+)`", listed.group(1))) == \
+        sorted(optional_settings(ExperimentConfig))
 
 
 def _perfbench_tracing():
