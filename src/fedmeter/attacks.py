@@ -151,13 +151,14 @@ def poison_batch(model, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
 
 
 def dump_adversarial_csv(x_adv: np.ndarray, labels: np.ndarray, kinds: list[str],
-                         family: str, epsilon: float, path) -> None:
+                         family: str, epsilon: float | None, path) -> None:
     """Adversarial samples as ``v0..v23,label,kind,attack_family,epsilon`` rows,
-    values with 12 significant digits."""
+    values with 12 significant digits; the epsilon cell is empty when
+    ``epsilon`` is None, for a family that reads none."""
+    eps = "" if epsilon is None else f"{epsilon:.12g}"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"v{i}" for i in range(HOURS_PER_DAY)]
                         + ["label", "kind", "attack_family", "epsilon"])
         for row, label, kind in zip(x_adv, labels, kinds):
-            writer.writerow([f"{v:.12g}" for v in row]
-                            + [int(label), kind, family, f"{epsilon:.12g}"])
+            writer.writerow([f"{v:.12g}" for v in row] + [int(label), kind, family, eps])

@@ -9,8 +9,9 @@ saves, the caller chose when it ran the kernel (its ``want``).
 Freed memory stays in the process heap for the next forward pass.  On
 glibc, importing this module raises malloc's mmap threshold to 32 MiB and
 its trim threshold to 256 MiB, so the 1-5 MB activation arrays come from
-the heap and the arrays one forward pass saves (about 24.6 MiB for a 32-row
-Transformer block, its ``ROW_BLOCK``) are not handed back to the kernel
+the heap and the arrays one forward pass saves (about 24.5 MiB for an
+attack's 32-row Transformer block, its ``ROW_BLOCK``, and 10.6 MiB for a
+32-row training step) are not handed back to the kernel
 after every backward pass, only to be faulted in again by the next forward
 pass.  Setting any of ``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_``
 or ``MALLOC_TOP_PAD_`` leaves glibc's policy to the environment.

@@ -3,7 +3,8 @@
 A single JSON config describes data source, model, training setting
 (central or federated), attack, protocol, and master seed; ``run_experiment``
 writes a metrics CSV, per-round logs, tidy plot data for the sweep figures,
-a config snapshot, and a manifest of the outputs and the platform.
+the run's wall time and peak memory, a config snapshot, and a manifest of the
+outputs and the platform.
 
 A protocol is a preset list of trainings, each an attack spec and a number
 of malicious clients; each training is scored on the clean test set and
@@ -36,12 +37,18 @@ import math
 import numbers
 import os
 import platform
+import time
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from operator import attrgetter
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from . import data as dp
 from .attacks import AttackSpec, dump_adversarial_csv
@@ -476,6 +483,7 @@ def _train(cfg: ExperimentConfig, clients: list[ClientData],
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
+    start = time.perf_counter()
     cfg = validate_config(cfg)
     clients = build_client_data(cfg)  # a data or count error leaves no run directory
     malicious = cfg.federation.malicious_count
@@ -529,9 +537,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             rows.append(metrics_row(setting, name, clean, report))
         for spec, x_adv, metrics, asr in attacked:
             rows.append(metrics_row(setting, _ATTACK_LABELS[spec.family], metrics, asr))
+            epsilon = spec.epsilon if spec.family in _READ_BY["epsilon"] else None
             emit("adversarial_test.csv",
                  lambda p: dump_adversarial_csv(x_adv, y_test, kinds_test,
-                                                spec.family, spec.epsilon, p))
+                                                spec.family, epsilon, p))
 
     if figure:
         def write_figure(path):
@@ -539,8 +548,20 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                 csv.writer(fh).writerows(figure_rows)
         emit(figure[0], write_figure)
     emit("metrics.csv", lambda p: write_metrics_csv(rows, p))
+    emit("run_stats.json", lambda p: _write_run_stats(p, time.perf_counter() - start))
     _write_snapshot_and_manifest(cfg, out_dir, files)
     return RunResult(rows, out_dir)
+
+
+def _write_run_stats(path: str, wall_s: float) -> None:
+    """The run's wall seconds and the process's peak RSS so far, in MB of
+    1024 KiB (``ru_maxrss`` is KiB on Linux; None without ``resource``).
+    Timings differ between reruns, so no determinism check reads this file."""
+    peak = None if resource is None else resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"peak_rss_mb": peak, "wall_s": wall_s}, indent=2,
+                            sort_keys=True) + "\n")
 
 
 def _write_snapshot_and_manifest(cfg: ExperimentConfig, out_dir: str,

@@ -358,15 +358,21 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], pos: np.nd
     gradients are bit-identical to the composed tape, which the test suite
     keeps as the oracle.
 
-    Saved for backward, per block, in training and for an attack alike: q,
-    k and v in head layout, the softmax's row max and sum, both layer norms'
-    ``centered``, ``var + 1e-6`` and ``inv``, and the ReLU mask; 24.5 MiB at
-    32 rows.  The backward re-forms the attention weights from q, k and the
-    row max and sum, and recomputes each block's input (block 0's from ``x``), each layer-norm
-    output, the merged attention context and, for ``ffn.w2``'s gradient, the
-    ReLU output, with the forward's own expressions, so with the same bits.
-    Keeping the row max and sum (0.5 MiB at 32 rows) spares backward two of
-    the softmax's five passes.  The head saves its ReLU mask, and the pooled
+    Saved for backward, per block: the softmax's row max and sum, both layer
+    norms' ``centered``, ``var + 1e-6`` and ``inv``, and the ReLU mask, and
+    for an attack also q, k and v in head layout; 10.5 MiB at 32 rows for
+    training, 24.5 MiB for an attack.  The backward re-forms the attention
+    weights from q, k and the row max and sum, and recomputes each
+    layer-norm output, the merged attention context and, for ``ffn.w2``'s
+    gradient, the ReLU output, with the forward's own expressions, so with
+    the same bits.  Training's backward also rebuilds each block's input
+    (block 0's from ``x``) for the weight gradients of q, k and v, and
+    re-forms q, k and v from it (Chen et al., 2016, rematerialization): 15
+    more (rows x 24, 160) x (160, 160) gemms per step for 14.1 MiB less at
+    32 rows.  An attack's backward rebuilds no block input, and rebuilding
+    it there made a PGD call 25% slower, so an attack keeps them.  Keeping
+    the row max and sum (0.5 MiB at 32 rows) spares backward two of the
+    softmax's five passes.  The head saves its ReLU mask, and the pooled
     block output only for the weights.  For ``want`` None it saves nothing.
     """
     w = params
@@ -416,28 +422,37 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], pos: np.nd
         att /= total
         return att, peak, total
 
+    def project(h: np.ndarray, p: str, c: str) -> np.ndarray:
+        """Block ``p``'s projection ``c`` ("q", "k" or "v") of ``h``, split
+        into heads."""
+        return split(_affine(h, w[p + f"attn.w{c}"], w[p + f"attn.{c}b"]))
+
     def relu_out(h: np.ndarray, p: str) -> np.ndarray:
         out = _affine(h, w[p + "ffn.w1"], w[p + "ffn.b1"])
         np.maximum(out, 0.0, out=out)
         return out
 
-    # per block, in this order: q, k, the softmax's row max and sum, v, the
-    # first layer norm's statistics, the ReLU mask, the second's
+    # per block, in this order: the softmax's row max and sum, the first
+    # layer norm's statistics, the ReLU mask, the second's; and, for an
+    # attack only, q, k and v in ``qkv``
     saved: list[np.ndarray] = []
+    qkv: list[np.ndarray] = []
     keep = saved.extend if want else lambda arrays: None
+    keep_qkv = qkv.extend if want == "input" else lambda arrays: None
     # each intermediate is dropped after its last reader, and worked in place
     # where the composed tape's next node made a new array of the same values
     h = embed()
     for k in range(NUM_BLOCKS):
         p = f"blk{k}."
-        q = split(_affine(h, w[p + "attn.wq"], w[p + "attn.qb"]))
-        key = split(_affine(h, w[p + "attn.wk"], w[p + "attn.kb"]))
+        q = project(h, p, "q")
+        key = project(h, p, "k")
         att, *softmax_stats = attention(q, key)
-        keep((q, key, *softmax_stats))
+        keep(softmax_stats)
+        keep_qkv((q, key))
         del q, key, softmax_stats
-        v = split(_affine(h, w[p + "attn.wv"], w[p + "attn.vb"]))
+        v = project(h, p, "v")
         res = _affine(merge(np.matmul(att, v)), w[p + "attn.wo"], w[p + "attn.ob"])
-        keep((v,))
+        keep_qkv((v,))
         del v, att
         res += h
         del h
@@ -486,8 +501,8 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], pos: np.nd
         g = np.broadcast_to(np.expand_dims(g, 1) / SEQ_LEN, (batch, SEQ_LEN, d)).copy()
         for k in reversed(range(NUM_BLOCKS)):
             p = f"blk{k}."
-            q, key, peak, total, v, centered1, ve1, inv1, mask, centered2, ve2, inv2 = saved[-12:]
-            del saved[-12:]
+            peak, total, centered1, ve1, inv1, mask, centered2, ve2, inv2 = saved[-9:]
+            del saved[-9:]
             g = norm(g, centered2, ve2, inv2, p + "ln2")
             del centered2, ve2, inv2
             # the first layer norm's output, formed once for both weights of
@@ -505,6 +520,15 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], pos: np.nd
             del g, h1
             g = norm(d_ffn, centered1, ve1, inv1, p + "ln1")
             del d_ffn, centered1, ve1, inv1
+            if train:
+                # the block's input, rebuilt for the weight gradients of q, k
+                # and v, re-forms them too, through the forward's project
+                h_in = embed() if k == 0 else block_output(k - 1)
+                q, key, v = (project(h_in, p, c) for c in "qkv")
+            else:
+                h_in = None
+                q, key, v = qkv[-3:]
+                del qkv[-3:]
             att = attention(q, key, peak, total)[0]
             del peak, total
             d_ctx = split(dense(g, lambda: merge(np.matmul(att, v)), p + "attn.wo", p + "attn.ob"))
@@ -523,11 +547,8 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], pos: np.nd
             d_q = np.matmul(d_att, key_t.swapaxes(-1, -2))
             d_key = np.transpose(np.matmul(q.swapaxes(-1, -2), d_att), (0, 2, 1))
             del d_att, q, key, key_t
-            # the block's input; its gradient sums the residual's, then q's,
-            # k's and v's, in the composed tape's order
-            h_in = None
-            if train:
-                h_in = embed() if k == 0 else block_output(k - 1)
+            # the block input's gradient sums the residual's, then q's, k's
+            # and v's, in the composed tape's order
             g += dense(merge(d_q), lambda: h_in, p + "attn.wq", p + "attn.qb")
             del d_q
             g += dense(merge(d_key), lambda: h_in, p + "attn.wk", p + "attn.kb")
@@ -612,9 +633,10 @@ class TransformerClassifier(_Classifier):
     averaged over time and fed to a ReLU dense layer, all as one fused
     kernel (:func:`transformer_encoder`); a sigmoid unit
     (:func:`sigmoid_head`) classifies the result.  A 32-row training forward
-    holds 24.6 MiB in its closures, because the encoder's backward
+    holds 10.6 MiB in its closures, because the encoder's backward
     recomputes its layer-norm outputs, attention weights, merged attention
-    contexts and ReLU outputs instead of saving them.
+    contexts, ReLU outputs and, for training, q, k and v instead of saving
+    them.
     """
 
     name = "transformer"
@@ -754,7 +776,7 @@ def train_local(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *,
     trained in place, so training owns it: no other thread may use it
     meanwhile.  No step's weight gradients outlive its optimizer step, so
     they are not held while the next forward pass saves its arrays: one
-    Transformer client over 2 x 32 rows peaks at 34.2 MiB of traced
+    Transformer client over 2 x 32 rows peaks at 24.0 MiB of traced
     allocations.  Raises FloatingPointError when a weight or the loss is not
     finite.
     """
@@ -806,15 +828,15 @@ def input_gradient(model, x: np.ndarray, y: np.ndarray, alpha: float = 0.25,
 # Each worker holds the arrays one forward pass saved for its backward pass
 # (its tape), and a round's worker also its own model's weight map and its
 # client's RmsProp state, 5.85 MiB each for the Transformer.  A Transformer
-# training worker's tape is 24.6 MiB of traced allocations after a 32-row
+# training worker's tape is 10.6 MiB of traced allocations after a 32-row
 # forward (the fused encoder recomputes in backward what it does not save),
 # and one client's train_local over 2 x 32 rows, RmsProp state included,
-# peaks at 34.2 MiB above the weight map it trains, so peak memory grows by
-# about 40 MiB per worker; row-block workers share their model's ROW_BLOCK
+# peaks at 24.0 MiB above the weight map it trains, so peak memory grows by
+# about 30 MiB per worker; row-block workers share their model's ROW_BLOCK
 # rows and the model itself, and a 16-row Transformer input_gradient peaks at
 # 13.8 MiB.  Two workers against one were measured on 2 cores only
 # (BENCH_9.json and BENCH_10.json for the Transformer, BENCH_12.json and
-# BENCH_15.json for the LSTM; BENCH_27.json has today's figures); more
+# BENCH_15.json for the LSTM; BENCH_33.json has today's figures); more
 # workers stay unmeasured until pairs on a larger machine are recorded.
 MAX_WORKERS = 2
 

@@ -389,6 +389,21 @@ class TestRunExperiment:
         # the CSV renders 12 significant digits
         np.testing.assert_allclose(x_adv, expected, rtol=1e-10, atol=1e-11)
 
+    def test_awgn_dump_leaves_the_epsilon_it_never_read_empty(self, tmp_path):
+        cfg = tiny_cfg(tmp_path / "run", protocol="inference_attack",
+                       attack={"family": "awgn"}, train={"epochs": 1})
+        assert cfg.attack.epsilon == 0.5  # the default, which AWGN does not read
+        run_experiment(cfg)
+        lines = (tmp_path / "run" / "adversarial_test.csv").read_text().splitlines()
+        assert lines[0].endswith("attack_family,epsilon")
+        assert {line.rsplit(",", 2)[1:] == ["awgn", ""] for line in lines[1:]} == {True}
+
+    def test_run_stats_give_wall_time_and_peak_rss(self, tmp_path):
+        run_experiment(tiny_cfg(tmp_path / "run", train={"epochs": 1}))
+        stats = json.loads((tmp_path / "run" / "run_stats.json").read_text())
+        assert sorted(stats) == ["peak_rss_mb", "wall_s"]
+        assert stats["wall_s"] > 0 and stats["peak_rss_mb"] > 0
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg_a = tiny_cfg(tmp_path / "a", protocol="training_attack",
                          attack={"family": "fgsm", "epsilon": 0.3},

@@ -717,9 +717,10 @@ class TestLeanLstmTape:
 
 
 class TestLeanTransformerTape:
-    """What a Transformer training step holds: one encoder tape layout for
-    training and attacks, with no array that backward can recompute, and no
-    previous step's weight gradients while the tape is built."""
+    """What a Transformer training step holds: no array that backward can
+    recompute, so no q, k or v, which training's backward re-forms from the
+    block input it rebuilds anyway (an attack's rebuilds none and keeps
+    them), and no previous step's weight gradients while the tape is built."""
 
     @staticmethod
     def batch(rows):
@@ -751,9 +752,9 @@ class TestLeanTransformerTape:
         # 57.1 MiB with normed saved by every trained-gamma layer norm; 47.7
         # MiB with the layer-norm outputs, merged contexts and ReLU masks
         # that the fused encoder recomputes in backward; 33.1 MiB with the
-        # attention weights and ReLU outputs, which it now recomputes too
-        # (24.6 MiB measured)
-        assert held < 25.5 * 2**20
+        # attention weights and ReLU outputs, which it now recomputes too;
+        # 24.6 MiB with each block's q, k and v (10.6 MiB measured)
+        assert held < 11.5 * 2**20
 
     def test_training_tape_holds_nothing_backward_can_recompute(self):
         model = TransformerClassifier(seed=0)
@@ -768,35 +769,39 @@ class TestLeanTransformerTape:
         assert {rule for *_, rule in held} == {"transformer_encoder", "sigmoid_head",
                                                "focal_loss"}
         # nor the attention weights or the ReLU output, which backward
-        # re-forms from q and k and from the first layer norm's output
+        # re-forms from q and k and from the first layer norm's output, nor
+        # q, k and v, which it re-forms from the block input
+        heads = (32, md.NUM_HEADS, md.SEQ_LEN, md.HEAD_DIM)  # the buffer under the head view
         assert [row for row in held if row[0] in (
             (32 * md.NUM_HEADS, md.SEQ_LEN, md.SEQ_LEN), (32, md.SEQ_LEN, md.FFN_HIDDEN),
-            (32 * md.SEQ_LEN, md.FFN_HIDDEN)) and row[1] != bool] == []
-        # per block q, k and v in head layout, the softmax's row max and
-        # sum, two layer norms' centered and per-row values and the ReLU
-        # mask; the batch, to recompute block 0's input; and the dense
-        # head's input, pooled over time, and its ReLU mask
+            (32 * md.SEQ_LEN, md.FFN_HIDDEN), heads) and row[1] != bool] == []
+        # per block the softmax's row max and sum, two layer norms'
+        # centered and per-row values and the ReLU mask; the batch, to
+        # recompute block 0's input; and the dense head's input, pooled over
+        # time, and its ReLU mask
         encoder = sorted((shape, dtype.name) for shape, dtype, _, rule in held
                          if rule == "transformer_encoder")
-        heads = (32, md.NUM_HEADS, md.SEQ_LEN, md.HEAD_DIM)  # the buffer under the head view
         assert encoder == sorted(
-            [(heads, "float64")] * 15
-            + [((32 * md.NUM_HEADS, md.SEQ_LEN, 1), "float64")] * 10
+            [((32 * md.NUM_HEADS, md.SEQ_LEN, 1), "float64")] * 10
             + [(width, "float64")] * 10 + [((32, md.SEQ_LEN, 1), "float64")] * 20
             + [((32, md.SEQ_LEN, md.FFN_HIDDEN), "bool")] * 5
             + [((32, md.SEQ_LEN), "float64")]
             + [((32, md.D_MODEL), "float64"), ((32, md.DENSE_HIDDEN), "bool")])
-        # 24.5 MiB in the encoder, measured
-        assert sum(size for _, _, size, _ in held) < 25 * 2**20
+        # 24.5 MiB in the encoder with q, k and v (10.5 MiB measured)
+        assert sum(size for _, _, size, _ in held) < 11 * 2**20
 
-    def test_training_and_attacks_hold_the_same_encoder_arrays(self):
+    def test_training_holds_the_attack_arrays_but_q_k_and_v(self):
         model = TransformerClassifier(seed=0)
         x, _ = self.batch(32)
-        # but for the pooled block output, which only head.dense.w's
+        attack = self.encoder_held(model, x, False)
+        heads = ((32, md.NUM_HEADS, md.SEQ_LEN, md.HEAD_DIM), "float64")
+        assert attack.count(heads) == 15  # q, k and v of 5 blocks
+        # an attack rebuilds no block input, so it keeps q, k and v; only
+        # training keeps the pooled block output, which only head.dense.w's
         # gradient reads
         pooled = ((32, md.D_MODEL), "float64")
         assert self.encoder_held(model, x, True) == sorted(
-            self.encoder_held(model, x, False) + [pooled])
+            [a for a in attack if a != heads] + [pooled])
 
     def test_frozen_weights_hold_composed_tape_minus_attention(self):
         model = TransformerClassifier(seed=0)
@@ -831,9 +836,9 @@ class TestLeanTransformerTape:
         # 73.4 MiB with normed saved and the last step's gradients alive
         # while the next tape is built; 58.2 MiB with softmax's three arrays
         # and the forward's dead locals; 56.6 MiB before the fused encoder;
-        # 42.0 MiB with the attention weights and ReLU outputs saved (34.2
-        # MiB measured)
-        assert peak < 35 * 2**20
+        # 42.0 MiB with the attention weights and ReLU outputs saved; 34.2
+        # MiB with q, k and v saved (24.0 MiB measured)
+        assert peak < 25 * 2**20
 
     def test_forward_never_sees_a_weight_gradient(self, model, monkeypatch):
         x, y = self.batch(10)
@@ -905,8 +910,8 @@ class TestNoDeadIntermediates:
         assert np.isfinite(loss)
         # 52.3 MiB with the same dead intermediates alive; 49.5 MiB before
         # the fused encoder; 34.8 MiB with the attention weights and ReLU
-        # outputs saved (26.5 MiB measured)
-        assert peak < 27.5 * 2**20
+        # outputs saved; 26.5 MiB with q, k and v saved (13.4 MiB measured)
+        assert peak < 14.5 * 2**20
 
     @settings(max_examples=200, deadline=None)
     @example(x=np.array([[[1e308, -1e308, 5.0], [-7e300, -7e300, -7e300],
