@@ -40,9 +40,10 @@ print(f"negative segment spike 20h:  {np.round(dip, 2)}  (negative kept)")
 # assemble the labeled dataset the classifiers train on
 cfg = dp.AnomalyConfig(anomaly_fraction=0.10, seed=7)
 dataset = dp.build_dataset(profiles, windows, cfg)
-normalized, scaling = dp.normalize(dataset)
+normalized = dp.normalize(dataset)
 train, test = dp.split(normalized, train_fraction=0.8, seed=7)
+clean = dataset.profiles[dataset.labels == 0]  # normalize scales by the clean range
 print(f"\ndataset: {len(dataset)} samples ({int(dataset.labels.sum())} anomalous), "
-      f"scaled by [{scaling.vmin:.3f}, {scaling.vmax:.3f}] kWh")
+      f"scaled by [{clean.min():.3f}, {clean.max():.3f}] kWh")
 print(f"split: {len(train)} train / {len(test)} test, "
       f"anomaly share {train.labels.mean():.3f} / {test.labels.mean():.3f}")

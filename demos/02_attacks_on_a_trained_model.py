@@ -13,19 +13,22 @@ import numpy as np
 from fedmeter import data as dp
 from fedmeter.attacks import AttackSpec, dump_adversarial_csv
 from fedmeter.evaluation import evaluate_attacks
-from fedmeter.models import LstmClassifier, TrainConfig, train_local
+from fedmeter.models import LstmClassifier, RmsProp, TrainConfig, train_local
 from fedmeter.seeding import rng_for
 
 # one household -> labeled, normalized, split
 profiles = dp.synthesize_household(days=200, seed=3)
 windows = dp.detect_usage_windows(profiles)
 dataset = dp.build_dataset(profiles, windows, dp.AnomalyConfig(0.15, seed=3))
-normalized, _ = dp.normalize(dataset)
+normalized = dp.normalize(dataset)
 train, test = dp.split(normalized, 0.8, seed=3)
 
 model = LstmClassifier(seed=0)
 cfg = TrainConfig(epochs=30)
-train_local(model, train.profiles, train.labels.astype(float), cfg, seed=0)
+optimizer = RmsProp(cfg.rho, cfg.eps_opt)  # one optimizer state across the epochs
+for epoch in range(1, cfg.epochs + 1):
+    train_local(model, train.profiles, train.labels.astype(float), cfg, seed=0,
+                epoch=epoch, optimizer=optimizer)
 
 x, y = test.profiles, test.labels
 specs = {"AWGN s2=0.1": AttackSpec("awgn", awgn_variance=0.1),  # first: a fresh noise stream

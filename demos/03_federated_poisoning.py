@@ -25,7 +25,7 @@ def make_clients(n_clients, malicious_ids, attack):
         windows = dp.detect_usage_windows(profiles)
         ds = dp.build_dataset(profiles, windows,
                               dp.AnomalyConfig(0.15, seed=derive_seed(42, "inj", k)))
-        normalized, _ = dp.normalize(ds)
+        normalized = dp.normalize(ds)
         train, test = dp.split(normalized, 0.8, seed=derive_seed(42, "split", k))
         mal = k in malicious_ids
         clients.append(ClientNode(f"c{k}", train.profiles,
@@ -38,14 +38,13 @@ def make_clients(n_clients, malicious_ids, attack):
     return clients, x_test, y_test
 
 
-cfg = TrainConfig(epochs=1)
+cfg = TrainConfig(epochs=8)  # eight rounds, one local epoch each
 pgd_spec = AttackSpec(family="pgd", epsilon=0.5, pgd_iters=10)
 
 for label, malicious in (("attack-free", ()), ("3/6 clients PGD", (0, 2, 4))):
     clients, x_test, y_test = make_clients(6, malicious, pgd_spec)
     state = init_state("lstm", clients, seed=5)
-    records = run_federation(state, "lstm", cfg, t_rounds=8,
-                             eval_x=x_test, eval_y=y_test)
+    records = run_federation(state, "lstm", cfg, eval_x=x_test, eval_y=y_test)
     accs = " ".join(f"{r.global_test_accuracy:.3f}" for r in records)
     final = compute_metrics(classify(global_model(state, "lstm"), x_test), y_test)
     print(f"{label:16s} per-round accuracy: {accs}")

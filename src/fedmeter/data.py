@@ -112,17 +112,6 @@ class LabeledDataset:
                               [self.kinds[i] for i in idx], self.day_indices[idx])
 
 
-@dataclass
-class ScalingRecord:
-    """Min-max scaling constants of one household's clean data."""
-
-    vmin: float
-    vmax: float
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.vmin) / (self.vmax - self.vmin)
-
-
 # ---------------------------------------------------------------------------
 # ingestion and synthesis
 
@@ -354,15 +343,14 @@ def build_dataset(profiles: np.ndarray, windows: UsageWindows,
 # ---------------------------------------------------------------------------
 # scaling and splitting
 
-def normalize(dataset: LabeledDataset) -> tuple[LabeledDataset, ScalingRecord]:
+def normalize(dataset: LabeledDataset) -> LabeledDataset:
     """Min-max scale by the clean rows' range; spikes may exceed [0, 1]."""
     clean = dataset.profiles[dataset.labels == 0]
     vmin, vmax = float(clean.min()), float(clean.max())
     if vmax == vmin:
         raise DataError("constant series: min equals max, cannot scale")
-    record = ScalingRecord(vmin, vmax)
-    return LabeledDataset(record.apply(dataset.profiles), dataset.labels,
-                          list(dataset.kinds), dataset.day_indices), record
+    return LabeledDataset((dataset.profiles - vmin) / (vmax - vmin), dataset.labels,
+                          list(dataset.kinds), dataset.day_indices)
 
 
 def split(dataset: LabeledDataset, train_fraction: float,

@@ -394,7 +394,7 @@ def build_client_data(cfg: ExperimentConfig) -> list[ClientData]:
                                f"after its first midnight")
         windows = dp.detect_usage_windows(profiles)
         labeled = dp.build_dataset(profiles, windows, _anomaly_config(cfg, ordinal))
-        normalized, _ = dp.normalize(labeled)
+        normalized = dp.normalize(labeled)
         train, test = dp.split(normalized, dcfg.train_fraction,
                                seed=derive_seed(cfg.master_seed, "split", ordinal))
         clients.append(ClientData(hid, train, test))
@@ -477,7 +477,7 @@ def _train(cfg: ExperimentConfig, clients: list[ClientData],
              for i, c in enumerate(clients)]
     state = init_state(cfg.model, nodes, seed=seed)
     emit(f"rounds_{label}.jsonl", lambda p: run_federation(
-        state, cfg.model, cfg.train, cfg.train.epochs, eval_x=test[0], eval_y=test[1],
+        state, cfg.model, cfg.train, eval_x=test[0], eval_y=test[1],
         threshold=cfg.threshold, log_path=p))
     return global_model(state, cfg.model)
 

@@ -5,7 +5,8 @@ Each round: the server broadcasts the global weights (serialized through the
 checkpoint wire format to keep the boundary honest), every client trains
 locally for one epoch, and the server replaces the global weights with the
 unweighted average of the returned weight maps.  So round ``r`` is global
-epoch ``r`` of the learning-rate schedule.
+epoch ``r`` of the learning-rate schedule and of the shuffle order, and a run
+of ``TrainConfig.epochs`` rounds has the one length of a centralized run.
 Malicious clients regenerate adversarial data every round from the freshly
 received weights, perturbing a fresh random fraction of their local samples;
 honest clients' stored data is never touched.
@@ -76,7 +77,6 @@ class FederationState:
 @dataclass
 class RoundRecord:
     round: int
-    selected: list[str]  # the ids of the clients that trained: every client
     malicious_count: int
     mean_local_loss: float
     global_test_accuracy: float | None = None
@@ -177,11 +177,10 @@ def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> Roun
             x, y = poisoned_training_set(model, client, round_index, state.seed, cfg)
         else:
             x, y = client.x_train, client.y_train
-        history = train_local(
+        losses[pos] = train_local(
             model, x, y, cfg,
             seed=derive_seed(state.seed, "train", client.client_id, round_index),
-            epochs=1, epoch_offset=round_index - 1)
-        losses[pos] = history[-1]
+            epoch=round_index)
         # the model's own weight map, not a copy: this worker's next
         # set_weights gives the model a new map before training touches one,
         # and fedavg lets this one go once folded, so then nothing holds it
@@ -194,30 +193,32 @@ def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> Roun
     with contextlib.closing(_in_order(train, len(clients), models)) as maps:
         state.global_weights = fedavg(maps)
     state.round = round_index
-    return RoundRecord(round_index, [c.client_id for c in clients],
-                       sum(_poisons(c) for c in clients), float(np.mean(losses)))
+    return RoundRecord(round_index, sum(_poisons(c) for c in clients),
+                       float(np.mean(losses)))
 
 
-def run_federation(state: FederationState, model_name: str, cfg: TrainConfig,
-                   t_rounds: int, *, eval_x: np.ndarray | None = None,
+def run_federation(state: FederationState, model_name: str, cfg: TrainConfig, *,
+                   eval_x: np.ndarray | None = None,
                    eval_y: np.ndarray | None = None,
                    threshold: float = DEFAULT_THRESHOLD,
                    log_path=None) -> list[RoundRecord]:
-    """Run ``t_rounds`` rounds; optionally log per-round records as JSON lines.
+    """Run ``cfg.epochs`` rounds, one global epoch each; optionally log
+    per-round records as JSON lines.
 
     With ``eval_x`` and ``eval_y``, the global model's test accuracy is
-    recorded every ``max(1, t_rounds // 10)`` rounds and after the last one:
-    every round of a run under 20 rounds, about ten times in a longer one.
+    recorded every ``max(1, cfg.epochs // 10)`` rounds and after the last
+    one: every round of a run under 20 rounds, about ten times in a longer
+    one.
     """
-    if t_rounds < 1:
+    if cfg.epochs < 1:
         raise ValueError("need at least one round")
     records = []
     log_fh = open(log_path, "w", encoding="utf-8") if log_path is not None else None
     try:
-        for _ in range(t_rounds):
+        for _ in range(cfg.epochs):
             record = run_round(state, model_name, cfg)
-            if eval_x is not None and (state.round % max(1, t_rounds // 10) == 0
-                                       or state.round == t_rounds):
+            if eval_x is not None and (state.round % max(1, cfg.epochs // 10) == 0
+                                       or state.round == cfg.epochs):
                 model = global_model(state, model_name)
                 pred = classify(model, eval_x, threshold)
                 record.global_test_accuracy = compute_metrics(pred, eval_y).accuracy
@@ -264,6 +265,6 @@ def run_centralized(x: np.ndarray, y: np.ndarray, model_name: str, cfg: TrainCon
         if attack.family != "none":
             xe, ye = _poison_subset(model, x, y, attack, poison_fraction,
                                     rng_for(seed, "central-poison", epoch), cfg)
-        history.extend(train_local(model, xe, ye, cfg, seed=seed, epochs=1,
-                                   epoch_offset=epoch - 1, optimizer=optimizer))
+        history.append(train_local(model, xe, ye, cfg, seed=seed, epoch=epoch,
+                                   optimizer=optimizer))
     return model, history

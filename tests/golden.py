@@ -6,9 +6,11 @@ writes the golden CSV with ``fedmeter synth-data``, runs every entry of
 ``MATRIX`` for both models into a temporary directory, and prints one JSON
 object: the environment it ran in and the SHA-256 of the CSV and of each
 result file.  With ``--write`` it records that object in
-``tests/golden.json``, which ``test_golden.py`` compares a fresh run with.
-Regenerate the file only for a change that alters the bits on purpose, and
-name each digest that moved, and why, where the change is described.
+``tests/golden.json``, which ``test_golden.py`` compares a fresh run with,
+and prints to stderr each digest key that moved, was added or was dropped
+against the file it overwrites.  Regenerate the file only for a change that
+alters the bits on purpose, and name each digest that moved, and why, where
+the change is described.
 """
 
 from __future__ import annotations
@@ -108,6 +110,13 @@ def run_matrix(root: pathlib.Path) -> dict[str, str]:
     return digests
 
 
+def digest_changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One line per key whose digest differs between ``old`` and ``new``,
+    sorted by key: ``moved <key>``, ``added <key>`` or ``dropped <key>``."""
+    return [f"{'added' if key not in old else 'dropped' if key not in new else 'moved'} {key}"
+            for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
+
+
 def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         record = {"environment": environment(), "digests": run_matrix(pathlib.Path(tmp))}
@@ -115,6 +124,11 @@ def main(argv: list[str]) -> int:
     if "--write" in argv:
         if record["environment"]["OPENBLAS_NUM_THREADS"] != "1":
             raise SystemExit("record the golden digests with OPENBLAS_NUM_THREADS=1")
+        old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+        changes = digest_changes(old.get("digests", {}), record["digests"])
+        for line in changes:
+            print(line, file=sys.stderr)
+        print(f"{len(changes)} of {len(record['digests'])} digests changed", file=sys.stderr)
         GOLDEN.write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return 0

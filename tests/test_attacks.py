@@ -11,8 +11,9 @@ from fedmeter import autodiff as ad
 from fedmeter.attacks import AttackSpec
 from fedmeter import models as md
 from fedmeter.models import (LstmClassifier, TrainConfig, focal_loss, input_gradient,
-                             make_model, predict_proba, train_local)
+                             make_model, predict_proba)
 from fedmeter.seeding import rng_for
+from training import train_epochs
 
 
 def toy_data(n=40, seed=0):
@@ -28,7 +29,7 @@ def toy_data(n=40, seed=0):
 def trained():
     x, y = toy_data()
     model = LstmClassifier(seed=3)
-    train_local(model, x, y, TrainConfig(epochs=60), seed=3)
+    train_epochs(model, x, y, TrainConfig(epochs=60), seed=3)
     return model, x, y
 
 

@@ -418,16 +418,22 @@ class TestRunExperiment:
                    (tmp_path / "b" / name).read_bytes(), name
 
     @pytest.mark.parametrize("households,epochs", [(1, 2), (2, 1)])
-    def test_federated_run_trains_train_epochs_global_epochs(self, tmp_path, households,
-                                                             epochs):
-        # one round per global epoch, each training every household
+    def test_federated_run_trains_train_epochs_global_epochs(self, tmp_path, monkeypatch,
+                                                             households, epochs):
+        # one round per global epoch, each training every household once
+        trained, train_local = [], fed.train_local
+
+        def spy(model, *args, epoch, **kw):
+            trained.append(epoch)
+            return train_local(model, *args, epoch=epoch, **kw)
+
+        monkeypatch.setattr(fed, "train_local", spy)
         run_experiment(tiny_cfg(tmp_path / "run", data={"households": households},
                                 train={"epochs": epochs}))
         log = (tmp_path / "run" / "rounds_clean.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in log]
         assert [r["round"] for r in records] == list(range(1, epochs + 1))
-        assert all(r["selected"] == [f"h{i:02d}" for i in range(households)]
-                   for r in records)
+        assert sorted(trained) == [e for e in range(1, epochs + 1) for _ in range(households)]
 
     def test_different_seed_changes_outputs(self, tmp_path):
         # untrained tiny runs can tie on 2-decimal metrics, so compare the

@@ -15,7 +15,7 @@ from fedmeter import models as md
 from fedmeter.attacks import AttackSpec
 from fedmeter.evaluation import classify, compute_metrics
 from fedmeter.federation import ClientNode, fedavg, init_state
-from fedmeter.models import (TrainConfig, make_model, train_local,
+from fedmeter.models import (RmsProp, TrainConfig, make_model, train_local,
                              weights_from_bytes)
 from fedmeter.seeding import derive_seed
 
@@ -154,13 +154,12 @@ class TestRoundMechanics:
         x, y = toy_client_data(3)
         state = init_state("lstm", [ClientNode("c0", x, y)], seed=9)
         start = {k: v.copy() for k, v in state.global_weights.items()}
-        fed.run_federation(state, "lstm", CFG, t_rounds=3)
+        fed.run_federation(state, "lstm", replace(CFG, epochs=3))
 
         model = make_model("lstm", seed=0)
         model.set_weights(start)
         for t in (1, 2, 3):
-            train_local(model, x, y, CFG, seed=derive_seed(9, "train", "c0", t),
-                        epochs=1, epoch_offset=t - 1)
+            train_local(model, x, y, CFG, seed=derive_seed(9, "train", "c0", t), epoch=t)
         ref = model.get_weights()
         for name, arr in state.global_weights.items():
             np.testing.assert_array_equal(arr, ref[name])
@@ -189,7 +188,7 @@ class TestRoundMechanics:
             if client.malicious:
                 x, y = fed.poisoned_training_set(model, client, 1, 6, CFG)
             train_local(model, x, y, CFG, seed=derive_seed(6, "train", client.client_id, 1),
-                        epochs=1, epoch_offset=0)
+                        epoch=1)
             returned.append(model.get_weights())
         expected = fedavg(returned)
         for name, arr in state.global_weights.items():
@@ -204,7 +203,7 @@ class TestRoundMechanics:
 
         monkeypatch.setattr(fed, "weights_from_bytes", counting_decode)
         state = init_state("lstm", make_clients(3), seed=6)
-        fed.run_federation(state, "lstm", CFG, t_rounds=2)
+        fed.run_federation(state, "lstm", replace(CFG, epochs=2))
         assert len(decoded) == 2
 
     def test_honest_data_untouched(self):
@@ -212,7 +211,7 @@ class TestRoundMechanics:
                                attack=AttackSpec(family="fgsm", epsilon=0.4))
         snapshots = [(c.x_train.copy(), c.y_train.copy()) for c in clients]
         state = init_state("lstm", clients, seed=2)
-        fed.run_federation(state, "lstm", CFG, t_rounds=2)
+        fed.run_federation(state, "lstm", replace(CFG, epochs=2))
         for client, (xs, ys) in zip(clients, snapshots):
             assert np.array_equal(client.x_train, xs)
             assert np.array_equal(client.y_train, ys)
@@ -233,9 +232,9 @@ class TestRoundMechanics:
 
         def tracking_train_local(model, x, y, cfg, **kw):
             alive.append(sum(r() is not None for r in returned))
-            history = train_local(model, x, y, cfg, **kw)
+            loss = train_local(model, x, y, cfg, **kw)
             returned.extend(weakref.ref(a) for a in model.params.values() if a.size > 1)
-            return history
+            return loss
 
         force_workers(monkeypatch, 1)
         monkeypatch.setattr(fed, "train_local", tracking_train_local)
@@ -249,7 +248,6 @@ class TestRoundMechanics:
         state = init_state("lstm", clients, seed=0)
         rec = fed.run_round(state, "lstm", CFG)
         assert rec.round == 1 and state.round == 1
-        assert rec.selected == ["c0", "c1", "c2", "c3"]
         assert rec.malicious_count == 2
         assert np.isfinite(rec.mean_local_loss)
 
@@ -265,7 +263,7 @@ class TestConcurrentClients:
         force_workers(monkeypatch, workers)
         state = init_state(model_name, clients, seed=8)
         x_eval, y_eval = toy_client_data(77, n=16)
-        records = fed.run_federation(state, model_name, CFG, t_rounds=2,
+        records = fed.run_federation(state, model_name, replace(CFG, epochs=2),
                                      eval_x=x_eval, eval_y=y_eval)
         return state.global_weights, records
 
@@ -312,7 +310,7 @@ class TestConcurrentClients:
             if client.malicious:
                 x, y = fed.poisoned_training_set(model, client, 1, 6, CFG)
             train_local(model, x, y, CFG, seed=derive_seed(6, "train", client.client_id, 1),
-                        epochs=1, epoch_offset=0)
+                        epoch=1)
             returned.append(model.get_weights())
         expected = fedavg(returned)
         for name, arr in state.global_weights.items():
@@ -540,7 +538,7 @@ class TestDeterminismAndLogs:
         state = init_state("lstm", clients, seed=11)
         x_eval, y_eval = toy_client_data(55)
         log = tmp_path / f"rounds_{tag}.jsonl"
-        fed.run_federation(state, "lstm", CFG, t_rounds=2, eval_x=x_eval,
+        fed.run_federation(state, "lstm", replace(CFG, epochs=2), eval_x=x_eval,
                            eval_y=y_eval, log_path=log)
         return state.global_weights, log.read_bytes()
 
@@ -553,13 +551,19 @@ class TestDeterminismAndLogs:
     def test_prefix_property(self):
         def run(rounds):
             state = init_state("lstm", make_clients(3), seed=6)
-            recs = fed.run_federation(state, "lstm", CFG, t_rounds=rounds)
+            recs = fed.run_federation(state, "lstm", replace(CFG, epochs=rounds))
             return state, recs
 
         s3, r3 = run(3)
         s5, r5 = run(5)
-        assert [r.selected for r in r5[:3]] == [r.selected for r in r3]
+        assert [r.round for r in r5[:3]] == [r.round for r in r3]
         assert [r.mean_local_loss for r in r5[:3]] == [r.mean_local_loss for r in r3]
+
+    def test_runs_train_epochs_rounds(self):
+        state = init_state("lstm", make_clients(2), seed=6)
+        records = fed.run_federation(state, "lstm", TrainConfig(epochs=3, batch_size=16))
+        assert [r.round for r in records] == [1, 2, 3]
+        assert state.round == 3
 
     def test_round_log_schema(self, tmp_path):
         import json
@@ -567,8 +571,8 @@ class TestDeterminismAndLogs:
         lines = log_bytes.decode().splitlines()
         assert len(lines) == 2
         rec = json.loads(lines[0])
-        assert set(rec) == {"round", "selected", "malicious_count",
-                            "mean_local_loss", "global_test_accuracy"}
+        assert set(rec) == {"round", "malicious_count", "mean_local_loss",
+                            "global_test_accuracy"}
 
     @pytest.mark.parametrize("rounds,evaluated", [(3, [1, 2, 3]),
                                                   (25, [2, 4, 6, 8, 10, 12, 14, 16, 18,
@@ -577,12 +581,12 @@ class TestDeterminismAndLogs:
                                                                 rounds, evaluated):
         def no_training(state, model_name, cfg):
             state.round += 1
-            return fed.RoundRecord(state.round, [], 0, 0.0)
+            return fed.RoundRecord(state.round, 0, 0.0)
 
         monkeypatch.setattr(fed, "run_round", no_training)
         x_eval, y_eval = toy_client_data(55)
         state = init_state("lstm", make_clients(2), seed=3)
-        records = fed.run_federation(state, "lstm", CFG, t_rounds=rounds,
+        records = fed.run_federation(state, "lstm", replace(CFG, epochs=rounds),
                                      eval_x=x_eval, eval_y=y_eval)
         assert [r.round for r in records if r.global_test_accuracy is not None] == evaluated
 
@@ -617,7 +621,9 @@ class TestCentralized:
         model, history = fed.run_centralized(x, y, "lstm", replace(CFG, epochs=3), seed=5)
         # the weights init_state gives a federation of the same seed
         ref = make_model("lstm", seed=derive_seed(5, "global-init"))
-        ref_hist = train_local(ref, x, y, CFG, seed=5, epochs=3)
+        optimizer = RmsProp(CFG.rho, CFG.eps_opt)  # one state across the epochs
+        ref_hist = [train_local(ref, x, y, CFG, seed=5, epoch=epoch, optimizer=optimizer)
+                    for epoch in (1, 2, 3)]
         assert history == ref_hist
         w, rw = model.get_weights(), ref.get_weights()
         assert all(np.array_equal(w[k], rw[k]) for k in w)

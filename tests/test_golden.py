@@ -36,7 +36,13 @@ def test_the_golden_matrix_keeps_its_bits():
         pytest.skip(f"golden.json was recorded in another environment: {differs[0]} "
                     f"{recorded['environment'][differs[0]]!r} here is "
                     f"{fresh['environment'].get(differs[0])!r}")
-    assert sorted(fresh["digests"]) == sorted(recorded["digests"])
-    changed = [key for key, digest in recorded["digests"].items()
-               if fresh["digests"][key] != digest]
-    assert changed == []
+    assert golden.digest_changes(recorded["digests"], fresh["digests"]) == []
+
+
+def test_digest_changes_name_each_moved_added_and_dropped_key():
+    old = {"a/metrics.csv": "1", "b/rounds.jsonl": "2", "c/final.ckpt": "3"}
+    new = {"a/metrics.csv": "1", "b/rounds.jsonl": "9", "d/fig5.csv": "4"}
+    assert golden.digest_changes(old, new) == [
+        "moved b/rounds.jsonl", "dropped c/final.ckpt", "added d/fig5.csv"]
+    assert golden.digest_changes(old, dict(old)) == []
+    assert golden.digest_changes({}, {"x": "1"}) == ["added x"]

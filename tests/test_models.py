@@ -20,6 +20,7 @@ from composed import (composed_focal_loss, composed_layer_norm, composed_linear,
                       composed_sigmoid_head, composed_transformer_encoder, layer_norm, linear,
                       mean, mul, softmax)
 from gradcheck import assert_grad_matches
+from training import train_epochs
 from tape import Tensor
 
 
@@ -214,7 +215,7 @@ class TestTraining:
         x, y = separable_toy(n=n)
         model = make_model(name, seed=0)
         cfg = TrainConfig(epochs=100 if name == "lstm" else 40, base_lr=lr)
-        history = train_local(model, x, y, cfg, seed=0)
+        history = train_epochs(model, x, y, cfg, seed=0)
         assert min(history) < 0.01
 
     def test_same_seed_same_weights(self):
@@ -223,7 +224,7 @@ class TestTraining:
 
         def run():
             m = LstmClassifier(seed=4)
-            train_local(m, x, y, cfg, seed=7)
+            train_epochs(m, x, y, cfg, seed=7)
             return m.get_weights()
 
         wa, wb = run(), run()
@@ -232,13 +233,14 @@ class TestTraining:
     def test_loss_history_length(self):
         x, y = separable_toy(n=16)
         m = LstmClassifier(seed=0)
-        history = train_local(m, x, y, TrainConfig(epochs=5), seed=0)
+        history = train_epochs(m, x, y, TrainConfig(epochs=5), seed=0)
         assert len(history) == 5
+        assert all(isinstance(loss, float) for loss in history)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             train_local(LstmClassifier(), np.zeros((0, 24)), np.zeros(0), TrainConfig(),
-                        seed=0)
+                        seed=0, epoch=1)
 
 
 class TestInputGradient:
@@ -313,7 +315,7 @@ class TestNonFiniteGuards:
     ENTRY_POINTS = {
         "predict_proba": lambda m, x, y: predict_proba(m, x),
         "input_gradient": lambda m, x, y: input_gradient(m, x, y),
-        "train_local": lambda m, x, y: train_local(m, x, y, TrainConfig(epochs=1), seed=0),
+        "train_local": lambda m, x, y: train_local(m, x, y, TrainConfig(), seed=0, epoch=1),
     }
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -826,10 +828,10 @@ class TestLeanTransformerTape:
         model = TransformerClassifier(seed=0)
         x, y = self.batch(64)
         cfg = TrainConfig(epochs=1, batch_size=32)
-        train_local(model, x, y, cfg, seed=0)
+        train_local(model, x, y, cfg, seed=0, epoch=1)
         tracemalloc.start()
         try:
-            train_local(model, x, y, cfg, seed=0)
+            train_local(model, x, y, cfg, seed=0, epoch=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -855,7 +857,7 @@ class TestLeanTransformerTape:
 
         monkeypatch.setattr(model, "forward", spy)
         monkeypatch.setattr(RmsProp, "step", spy_step)
-        train_local(model, x, y, TrainConfig(epochs=2, batch_size=4), seed=0)
+        train_epochs(model, x, y, TrainConfig(epochs=2, batch_size=4), seed=0)
         # no weight gradient of an earlier step is alive; each step had all
         assert seen == [0] * 6
         assert len(grads) == 6 * len(model.params)
@@ -1114,8 +1116,8 @@ class TestCheckpoints:
         assert [n for n, p in model.params.items() if p is handed[n]] == []
         assert [n for n, p in model.params.items() if p is broadcast[n]] == []
         x = small_batch(seed=2, n=8)
-        train_local(model, x, (x[:, 0] > 0.5).astype(np.float64),
-                    TrainConfig(epochs=2, batch_size=4), seed=0)
+        train_epochs(model, x, (x[:, 0] > 0.5).astype(np.float64),
+                     TrainConfig(epochs=2, batch_size=4), seed=0)
         # training moved every parameter, and none of the arrays handed over
         assert [n for n, p in model.params.items() if np.array_equal(p, broadcast[n])] == []
         assert [n for n in handed if not np.array_equal(handed[n], values[n])] == []
