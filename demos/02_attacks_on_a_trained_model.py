@@ -25,7 +25,7 @@ train, test = dp.split(normalized, 0.8, seed=3)
 
 model = LstmClassifier(seed=0)
 cfg = TrainConfig(epochs=30)
-optimizer = RmsProp(cfg.rho, cfg.eps_opt)  # one optimizer state across the epochs
+optimizer = RmsProp()  # one optimizer state across the epochs
 for epoch in range(1, cfg.epochs + 1):
     train_local(model, train.profiles, train.labels.astype(float), cfg, seed=0,
                 epoch=epoch, optimizer=optimizer)

@@ -45,20 +45,19 @@ class AttackSpec:
     eps_ball: float | None = None  # projection radius; defaults to epsilon
 
     def __post_init__(self):
-        if self.family not in ATTACK_FAMILIES:
-            raise ValueError(f"family must be one of {', '.join(ATTACK_FAMILIES)}, "
-                             f"got {self.family!r}")
-        # math, not numpy: an integer beyond int64 is no numpy scalar
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.pgd_iters < 1:
-            raise ValueError(f"pgd_iters must be >= 1, got {self.pgd_iters}")
-        if self.awgn_variance < 0:
-            raise ValueError(f"awgn_variance must be >= 0, got {self.awgn_variance}")
-        if not (0.0 <= self.flip_fraction <= 1.0):
-            raise ValueError(f"flip_fraction must be in [0, 1], got {self.flip_fraction}")
-        if self.eps_ball is not None and self.eps_ball < 0:
-            raise ValueError(f"eps_ball must be >= 0, got {self.eps_ball}")
+        """Raise one ValueError listing every range problem, one per line."""
+        ranges = (
+            ("family", self.family in ATTACK_FAMILIES, f"one of {', '.join(ATTACK_FAMILIES)}"),
+            # math, not numpy: an integer beyond int64 is no numpy scalar
+            ("epsilon", math.isfinite(self.epsilon) and self.epsilon >= 0, "finite and >= 0"),
+            ("pgd_iters", self.pgd_iters >= 1, ">= 1"),
+            ("awgn_variance", self.awgn_variance >= 0, ">= 0"),
+            ("flip_fraction", 0.0 <= self.flip_fraction <= 1.0, "in [0, 1]"),
+            ("eps_ball", self.eps_ball is None or self.eps_ball >= 0, ">= 0"))
+        problems = [f"{name} must be {rule}, got {getattr(self, name)!r}"
+                    for name, ok, rule in ranges if not ok]
+        if problems:
+            raise ValueError("\n".join(problems))
 
 
 def fgsm(model, x: np.ndarray, y: np.ndarray, epsilon: float, *,

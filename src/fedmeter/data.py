@@ -250,7 +250,7 @@ def _best_circular_window(hour_means: np.ndarray, extremum: int, k: int,
 def detect_usage_windows(profiles: np.ndarray) -> UsageWindows:
     """Low/high usage windows of ``(days, 24)`` profiles, as contiguous
     circular hour ranges of ``LOW_WINDOW_HOURS`` and ``HIGH_WINDOW_HOURS``
-    around the extreme-mean hours."""
+    around the extreme-mean hours (``UsageWindows`` rejects an overlap)."""
     profiles = _as_profiles(profiles, 2)
     if len(profiles) == 0:
         raise DataError("cannot detect usage windows from an empty profile set")
@@ -259,8 +259,6 @@ def detect_usage_windows(profiles: np.ndarray) -> UsageWindows:
         raise DataError("degenerate: no distinct windows (constant hourly means)")
     low = _best_circular_window(hour_means, int(np.argmin(hour_means)), LOW_WINDOW_HOURS, False)
     high = _best_circular_window(hour_means, int(np.argmax(hour_means)), HIGH_WINDOW_HOURS, True)
-    if set(low) & set(high):
-        raise DataError("degenerate: low and high windows overlap")
     return UsageWindows(low_hours=low, high_hours=high)
 
 

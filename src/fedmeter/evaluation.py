@@ -1,7 +1,8 @@
 """Classification metrics, attack success rate, and inference-time attack
 evaluation.
 
-The positive class is the anomaly (label 1).  Attack success rate (ASR)
+The positive class is the anomaly (label 1): a day whose anomaly probability
+is at least 0.5, the paper's fixed decision point.  Attack success rate (ASR)
 follows the before-vs-after reading: the fraction of samples whose
 *predicted* label changes due to the attack, either by perturbing the test
 inputs (inference protocol) or by comparing a cleanly trained model against
@@ -19,7 +20,7 @@ import numpy as np
 from .attacks import AttackSpec, poison_batch
 from .models import predict_proba
 
-DEFAULT_THRESHOLD = 0.5
+THRESHOLD = 0.5
 
 
 @dataclass
@@ -40,14 +41,11 @@ class AsrReport:
     flipped: int
     total: int
     asr: float
-    protocol: str  # "inference_attack" or "training_attack"
 
 
-def classify(model, x: np.ndarray, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    """Predicted labels: 1 iff probability >= threshold."""
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must be in (0,1), got {threshold}")
-    return (predict_proba(model, x) >= threshold).astype(np.int64)
+def classify(model, x: np.ndarray) -> np.ndarray:
+    """Predicted labels: 1 iff the anomaly probability is at least 0.5."""
+    return (predict_proba(model, x) >= THRESHOLD).astype(np.int64)
 
 
 def compute_metrics(pred: np.ndarray, truth: np.ndarray) -> Metrics:
@@ -78,30 +76,27 @@ def compute_metrics(pred: np.ndarray, truth: np.ndarray) -> Metrics:
     return Metrics(accuracy, precision, recall, f1, tp, fp, tn, fn, degenerate)
 
 
-def asr_from_predictions(reference: np.ndarray, pred: np.ndarray, protocol: str) -> AsrReport:
+def asr_from_predictions(reference: np.ndarray, pred: np.ndarray) -> AsrReport:
     """Fraction of samples whose predicted label in ``pred`` differs from
-    the one in ``reference``, for the named ``protocol``."""
+    the one in ``reference``."""
     if len(reference) != len(pred):
         raise ValueError(f"paired sets differ in length: {len(reference)} vs {len(pred)}")
     if len(pred) == 0:
         raise ValueError("cannot compute an attack success rate on an empty sample set")
     flipped = int(np.sum(pred != reference))
-    return AsrReport(flipped, len(pred), flipped / len(pred), protocol)
+    return AsrReport(flipped, len(pred), flipped / len(pred))
 
 
-def asr_inference(model, x_clean: np.ndarray, x_adv: np.ndarray,
-                  threshold: float = DEFAULT_THRESHOLD) -> AsrReport:
+def asr_inference(model, x_clean: np.ndarray, x_adv: np.ndarray) -> AsrReport:
     """Fraction of paired samples whose prediction flips under the attack."""
     if len(x_clean) != len(x_adv):
         raise ValueError(f"paired sets differ in length: {len(x_clean)} vs {len(x_adv)}")
-    pred_adv = classify(model, x_adv, threshold)
-    return asr_from_predictions(classify(model, x_clean, threshold), pred_adv,
-                                "inference_attack")
+    pred_adv = classify(model, x_adv)
+    return asr_from_predictions(classify(model, x_clean), pred_adv)
 
 
 def evaluate_attacks(model, x: np.ndarray, y: np.ndarray, specs, rng: np.random.Generator,
-                     *, threshold: float = DEFAULT_THRESHOLD, alpha: float = 0.25,
-                     gamma: float = 2.0
+                     *, alpha: float = 0.25, gamma: float = 2.0
                      ) -> tuple[np.ndarray, Metrics,
                                 list[tuple[AttackSpec, np.ndarray, Metrics, AsrReport]]]:
     """Attack one trained model with each spec in ``specs``, in order.
@@ -117,13 +112,13 @@ def evaluate_attacks(model, x: np.ndarray, y: np.ndarray, specs, rng: np.random.
         if spec.family == "label_flip":
             raise ValueError("label_flip is a training-time attack; it has no "
                              "inference-time variant")
-    pred_clean = classify(model, x, threshold)
+    pred_clean = classify(model, x)
     results = []
     for spec in specs:
         x_adv, _ = poison_batch(model, x, y, spec, rng, alpha=alpha, gamma=gamma)
-        pred = classify(model, x_adv, threshold)
+        pred = classify(model, x_adv)
         results.append((spec, x_adv, compute_metrics(pred, y),
-                        asr_from_predictions(pred_clean, pred, "inference_attack")))
+                        asr_from_predictions(pred_clean, pred)))
     return pred_clean, compute_metrics(pred_clean, y), results
 
 

@@ -110,7 +110,6 @@ class ExperimentConfig:
     setting: str = "federated"     # central | federated
     protocol: str = "baseline"
     master_seed: int = 0
-    threshold: float = 0.5
     output_dir: str = "runs/experiment"
     data: DataConfig = field(default_factory=DataConfig)
     federation: FederationConfig = field(default_factory=FederationConfig)
@@ -190,7 +189,7 @@ def _checked(cls, values, where: str = ""):
 
     Each problem names its field by its dotted path; with any problem the
     instance is None.  A section's own range checks (``AttackSpec``) run only
-    on well-typed values and report as problems too.
+    on well-typed values and report each problem too.
     """
     hints = get_type_hints(cls)
     if not isinstance(values, dict):
@@ -216,8 +215,8 @@ def _checked(cls, values, where: str = ""):
         return None, problems
     try:
         return cls(**typed), []
-    except ValueError as exc:
-        return None, [f"{where}.{exc}"]
+    except ValueError as exc:  # one problem a line
+        return None, [f"{where}.{line}" for line in str(exc).splitlines()]
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -260,7 +259,6 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
         ("model", cfg.model in ("lstm", "transformer"), "lstm or transformer"),
         ("setting", cfg.setting in ("central", "federated"), "central or federated"),
         ("protocol", cfg.protocol in PROTOCOLS, f"one of {', '.join(PROTOCOLS)}"),
-        ("threshold", 0.0 < cfg.threshold < 1.0, "in (0, 1)"),
         ("data.csv_path", synthetic or dcfg.csv_path, "null or a non-empty path"),
         ("data.train_fraction", 0.0 < dcfg.train_fraction < 1.0, "in (0, 1)"),
         ("data.households", not synthetic or dcfg.households >= 1, ">= 1"),
@@ -271,8 +269,6 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
         ("train.batch_size", train.batch_size >= 1, ">= 1"),
         ("train.base_lr", train.base_lr > 0, "> 0"),
         ("train.lr_decay", train.lr_decay > 0, "> 0"),
-        ("train.rho", 0 <= train.rho < 1, "in [0, 1)"),
-        ("train.eps_opt", train.eps_opt > 0, "> 0"),
         ("train.focal_alpha", 0 <= train.focal_alpha <= 1, "in [0, 1]"),
         ("train.focal_gamma", train.focal_gamma >= 0, ">= 0"),
         ("train.lr_milestones", all(m >= 1 for m in train.lr_milestones), "epochs >= 1"),
@@ -345,8 +341,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Check the config and return it as ``config_from_dict`` rebuilds it.
 
     The rebuild type-checks a config built in code or changed with
-    ``setattr`` too; range checks run only on well-typed fields.  All
-    violations are reported together.  The malicious-client counts are
+    ``setattr`` too, and lists every type problem and every attack range
+    problem together; the other range and consistency problems are listed
+    together once all of those pass.  The malicious-client counts are
     checked by ``run_experiment``, against the households it loads.
     """
     cfg = config_from_dict(config_to_dict(cfg))
@@ -368,17 +365,15 @@ class ClientData:
 
 def _anomaly_config(cfg: ExperimentConfig, ordinal: int) -> dp.AnomalyConfig:
     dcfg = cfg.data
-    return dp.AnomalyConfig(
-        anomaly_fraction=dcfg.anomaly_fraction,
-        kind_weights=(dcfg.kind_weights or
-                      {k: 1.0 / len(dp.ANOMALY_KINDS) for k in dp.ANOMALY_KINDS}),
-        r_range=dcfg.r_range,
-        seed=derive_seed(cfg.master_seed, "inject", ordinal))
+    # null: AnomalyConfig's own uniform weights
+    weights = {} if dcfg.kind_weights is None else {"kind_weights": dcfg.kind_weights}
+    return dp.AnomalyConfig(anomaly_fraction=dcfg.anomaly_fraction, r_range=dcfg.r_range,
+                            seed=derive_seed(cfg.master_seed, "inject", ordinal), **weights)
 
 
 def build_client_data(cfg: ExperimentConfig) -> list[ClientData]:
     """Per-household pipeline: profiles -> windows -> labeled, normalized,
-    split datasets."""
+    split datasets.  A DataError names the household it arose in."""
     dcfg = cfg.data
     if dcfg.csv_path is not None:
         items = sorted(dp.ingest_csv(dcfg.csv_path).items())
@@ -392,11 +387,13 @@ def build_client_data(cfg: ExperimentConfig) -> list[ClientData]:
         if len(profiles) == 0:
             raise dp.DataError(f"household {hid!r} has no full 00:00-23:00 day "
                                f"after its first midnight")
-        windows = dp.detect_usage_windows(profiles)
-        labeled = dp.build_dataset(profiles, windows, _anomaly_config(cfg, ordinal))
-        normalized = dp.normalize(labeled)
-        train, test = dp.split(normalized, dcfg.train_fraction,
-                               seed=derive_seed(cfg.master_seed, "split", ordinal))
+        try:
+            windows = dp.detect_usage_windows(profiles)
+            labeled = dp.build_dataset(profiles, windows, _anomaly_config(cfg, ordinal))
+            train, test = dp.split(dp.normalize(labeled), dcfg.train_fraction,
+                                   seed=derive_seed(cfg.master_seed, "split", ordinal))
+        except dp.DataError as exc:
+            raise dp.DataError(f"household {hid!r}: {exc}") from None
         clients.append(ClientData(hid, train, test))
     return clients
 
@@ -477,8 +474,7 @@ def _train(cfg: ExperimentConfig, clients: list[ClientData],
              for i, c in enumerate(clients)]
     state = init_state(cfg.model, nodes, seed=seed)
     emit(f"rounds_{label}.jsonl", lambda p: run_federation(
-        state, cfg.model, cfg.train, eval_x=test[0], eval_y=test[1],
-        threshold=cfg.threshold, log_path=p))
+        state, cfg.model, cfg.train, eval_x=test[0], eval_y=test[1], log_path=p))
     return global_model(state, cfg.model)
 
 
@@ -518,14 +514,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         model = _train(cfg, clients, (x_test, y_test), emit, attack, count, label)
         pred, clean, attacked = evaluate_attacks(
             model, x_test, y_test, specs, rng_for(cfg.master_seed, "attack-eval"),
-            threshold=cfg.threshold, alpha=cfg.train.focal_alpha, gamma=cfg.train.focal_gamma)
+            alpha=cfg.train.focal_alpha, gamma=cfg.train.focal_gamma)
         # a poisoned training's ASR: the share of the clean training's test
         # predictions it flips, when the run has a clean training
         report = None
         if attack.family == "none":
             reference = pred
         elif reference is not None:
-            report = asr_from_predictions(reference, pred, "training_attack")
+            report = asr_from_predictions(reference, pred)
         name = _ATTACK_LABELS[attack.family]
         if figure:
             name += f" {figure[2]}={x:g}"

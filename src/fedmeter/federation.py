@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .attacks import AttackSpec, poison_batch
-from .evaluation import DEFAULT_THRESHOLD, classify, compute_metrics
+from .evaluation import classify, compute_metrics
 from .models import (RmsProp, TrainConfig, _in_order, _workers, make_model, train_local,
                      weights_from_bytes, weights_to_bytes)
 from .seeding import derive_seed, rng_for
@@ -200,7 +200,6 @@ def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> Roun
 def run_federation(state: FederationState, model_name: str, cfg: TrainConfig, *,
                    eval_x: np.ndarray | None = None,
                    eval_y: np.ndarray | None = None,
-                   threshold: float = DEFAULT_THRESHOLD,
                    log_path=None) -> list[RoundRecord]:
     """Run ``cfg.epochs`` rounds, one global epoch each; optionally log
     per-round records as JSON lines.
@@ -220,7 +219,7 @@ def run_federation(state: FederationState, model_name: str, cfg: TrainConfig, *,
             if eval_x is not None and (state.round % max(1, cfg.epochs // 10) == 0
                                        or state.round == cfg.epochs):
                 model = global_model(state, model_name)
-                pred = classify(model, eval_x, threshold)
+                pred = classify(model, eval_x)
                 record.global_test_accuracy = compute_metrics(pred, eval_y).accuracy
             records.append(record)
             if log_fh is not None:
@@ -258,7 +257,7 @@ def run_centralized(x: np.ndarray, y: np.ndarray, model_name: str, cfg: TrainCon
     """
     attack = AttackSpec() if attack is None else attack
     model = make_model(model_name, seed=derive_seed(seed, "global-init"))
-    optimizer = RmsProp(cfg.rho, cfg.eps_opt)
+    optimizer = RmsProp()
     history = []
     for epoch in range(1, cfg.epochs + 1):
         xe, ye = x, y

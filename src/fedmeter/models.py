@@ -47,8 +47,6 @@ class TrainConfig:
     base_lr: float = 0.01
     lr_milestones: tuple[int, ...] = (50, 70, 90)
     lr_decay: float = 0.1
-    rho: float = 0.9            # RMSprop mean-square decay
-    eps_opt: float = 1e-7
     focal_alpha: float = 0.25
     focal_gamma: float = 2.0
 
@@ -785,7 +783,7 @@ def train_local(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *,
     n = len(x)
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
-    opt = optimizer if optimizer is not None else RmsProp(cfg.rho, cfg.eps_opt)
+    opt = optimizer if optimizer is not None else RmsProp()
     lr = lr_at_epoch(cfg, epoch)
     perm = rng_for(seed, "shuffle", epoch).permutation(n)
     batch_losses = []

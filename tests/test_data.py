@@ -206,6 +206,14 @@ class TestUsageWindows:
         with pytest.raises(DataError, match="disjoint"):
             UsageWindows(low_hours=(1, 2), high_hours=(2, 3))
 
+    def test_overlapping_detected_windows_rejected(self):
+        # the lowest hour 10 sits next to the highest, 11; the low window
+        # reaches right into the dip at 12-16, the high one left over 10
+        profile = np.full(24, 2.0)
+        profile[10], profile[11], profile[12:17] = 0.0, 3.0, 0.1
+        with pytest.raises(DataError, match="disjoint"):
+            dp.detect_usage_windows(profile[None])
+
 
 class TestInjection:
     def test_drop_two_steps(self):

@@ -29,17 +29,6 @@ class TestClassify:
         labels = ev.classify(model, np.zeros((3, 24)))
         np.testing.assert_array_equal(labels, [1, 0, 1])
 
-    def test_threshold_monotonicity(self):
-        probs = np.random.default_rng(0).uniform(size=64)
-        counts = []
-        for thr in (0.2, 0.5, 0.8):
-            counts.append(ev.classify(StubModel(probs), np.zeros((64, 24)), thr).sum())
-        assert counts[0] >= counts[1] >= counts[2]
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            ev.classify(StubModel([0.5]), np.zeros((1, 24)), threshold=1.0)
-
 
 def oracle_metrics(pred, truth):
     """Brute-force confusion counting, one sample at a time."""
@@ -115,7 +104,7 @@ class TestAsrInference:
         model = StubModel(np.r_[probs, probs])  # same answers for adv and clean pass
         x = np.zeros((4, 24))
         report = ev.asr_inference(model, x, x)
-        assert report.asr == 0.0 and report.protocol == "inference_attack"
+        assert report.asr == 0.0
 
     def test_quarter_flip(self):
         # clean probs then adv probs; one of four crosses the threshold
@@ -161,12 +150,12 @@ class TestAsrTraining:
     @staticmethod
     def asr(model_clean, model_attacked, x):
         return ev.asr_from_predictions(ev.classify(model_clean, x),
-                                       ev.classify(model_attacked, x), "training_attack")
+                                       ev.classify(model_attacked, x))
 
     def test_identical_models_zero(self):
         probs = np.linspace(0.05, 0.95, 10)
         report = self.asr(StubModel(probs), StubModel(probs), np.zeros((10, 24)))
-        assert report.asr == 0.0 and report.protocol == "training_attack"
+        assert report.asr == 0.0
 
     def test_total_disagreement(self):
         a = StubModel(np.full(6, 0.9))
@@ -259,25 +248,24 @@ class TestEvaluateAttacks:
         x, y = attack_set(n=40)
         kwargs = {"alpha": 0.4, "gamma": 1.5}
         pred, clean, attacked = ev.evaluate_attacks(model, x, y, self.SPECS,
-                                                    np.random.default_rng(3),
-                                                    threshold=0.45, **kwargs)
+                                                    np.random.default_rng(3), **kwargs)
         rng = np.random.default_rng(3)
-        pred_clean = ev.classify(model, x, 0.45)
+        pred_clean = ev.classify(model, x)
         assert np.array_equal(pred, pred_clean)
         assert clean == ev.compute_metrics(pred_clean, y)
         for spec, (got_spec, x_adv, metrics, report) in zip(self.SPECS, attacked):
             expected, _ = poison_batch(model, x, y, spec, rng, **kwargs)
-            pred = ev.classify(model, expected, 0.45)
+            pred = ev.classify(model, expected)
             assert got_spec == spec and np.array_equal(x_adv, expected)
             assert metrics == ev.compute_metrics(pred, y)
-            assert report == ev.asr_from_predictions(pred_clean, pred, "inference_attack")
+            assert report == ev.asr_from_predictions(pred_clean, pred)
 
 
 class TestExport:
     def test_row_formatting(self):
         m = ev.compute_metrics(np.array([1, 0, 1, 1]), np.array([1, 0, 0, 1]))
         row = ev.metrics_row("LSTM (Central)", "fgsm", m,
-                             ev.AsrReport(1, 4, 0.25, "inference_attack"))
+                             ev.AsrReport(1, 4, 0.25))
         assert row[0] == "LSTM (Central)"
         assert row[2] == "75.00" and row[-1] == "25.00"
 

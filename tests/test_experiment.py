@@ -122,7 +122,6 @@ class TestConfig:
         assert cfg.federation.poison_fraction == 0.3
         assert cfg.attack.pgd_iters == 10
         assert cfg.attack.awgn_variance == 0.1
-        assert cfg.threshold == 0.5
         assert cfg.data.households == 19 and cfg.data.days == 365
 
     def test_empty_attack_normalizes_to_baseline(self):
@@ -146,14 +145,14 @@ class TestConfig:
         assert not (tmp_path / "run").exists()
 
     def test_all_violations_listed_together(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, setting="central", threshold=2.0,
+        cfg = tiny_cfg(tmp_path, setting="central", data={"train_fraction": 1.5},
                        federation={"malicious_count": 2}, train={"batch_size": 0})
         with pytest.raises(ConfigError) as err:
             validate_config(cfg)
         message = str(err.value)
         assert "malicious_count" in message
         assert "batch_size" in message
-        assert "threshold" in message
+        assert "train_fraction" in message
 
     @pytest.mark.parametrize("section,key,value", [
         ("train", "epochs", -2),
@@ -176,8 +175,8 @@ class TestConfig:
         ("data", "kind_weights", {"drop": "1"}),
         ("train", "base_lr", 0.0),
         ("train", "lr_decay", -0.1),
-        ("train", "rho", 1.0),
-        ("train", "eps_opt", 0.0),
+        ("train", "lr_decay", 0.0),
+        ("train", "focal_alpha", -0.5),
         ("train", "focal_alpha", 1.5),
         ("train", "focal_gamma", -1.0),
         ("train", "lr_milestones", (0, 50)),
@@ -670,10 +669,12 @@ class TestCli:
         # data.csv_path alone says whether the households are synthetic;
         # federation.rounds: train.epochs sets a federated run's length too;
         # federation.local_epochs and clients_per_round: every round trains
-        # every client for one epoch
+        # every client for one epoch; threshold, train.rho and train.eps_opt:
+        # the paper's fixed 0.5 decision point and RMSprop's own constants
         out = tmp_path / "run"
         for override in ("train.seed=0", 'data.source="csv"', "federation.rounds=2",
-                         "federation.local_epochs=1", "federation.clients_per_round=3"):
+                         "federation.local_epochs=1", "federation.clients_per_round=3",
+                         "threshold=0.5", "train.rho=0.9", "train.eps_opt=1e-7"):
             code = cli.main(["run", "--set", "model=lstm", "--set", f"output_dir={out}",
                              "--set", "data.households=3", "--set", "data.days=20",
                              "--set", "train.epochs=1", "--set", override])
@@ -681,6 +682,24 @@ class TestCli:
             key = override.split("=")[0]
             assert f"{key} is not a config setting" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_dataset_error_names_its_household(self, tmp_path, capsys):
+        # 10 days at 4% anomalies: too few anomalous days in h00 to split
+        out = tmp_path / "run"
+        assert cli.main(["run", "--set", "data.households=2", "--set", "data.days=10",
+                         "--set", "data.anomaly_fraction=0.04",
+                         "--set", f"output_dir={out}"]) == cli.EXIT_CONFIG
+        assert "household 'h00': class 1 has 0 sample(s)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_kind_weights_exits_before_any_run(self, tmp_path, capsys):
+        # null alone asks for uniform weights; {} weighs no kind
+        out = tmp_path / "run"
+        assert cli.main(["run", "--set", "data.kind_weights={}", "--set", "data.households=2",
+                         "--set", "data.days=20", "--set", "train.epochs=1",
+                         "--set", f"output_dir={out}"]) == cli.EXIT_CONFIG
+        assert "data.kind_weights must sum to 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = cli.main(["run", "--set", "setting=central",
@@ -799,7 +818,7 @@ class TestCli:
     @pytest.mark.parametrize("override", [
         "epsilon_list=5", "train.lr_milestones=5", "malicious_fraction_list=null",
         "epsilon_list={\"a\":1}", 'train.base_lr="x"', "train.lr_decay=true",
-        "train.rho=NaN", "train.eps_opt=[1]", "train.focal_alpha=null",
+        "train.base_lr=NaN", "train.focal_alpha=[1]", "train.focal_alpha=null",
         "train.focal_gamma=1e309",
         pytest.param(f"train.base_lr={10 ** 400}", id="train.base_lr=10**400"),
         'attack.project_linf="x"', 'attack.eps_ball="x"', "attack.pgd_iters=NaN",
@@ -814,6 +833,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err
         assert f"{override.split('=')[0]} must be" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_attack_range_problem_listed_together(self, tmp_path, monkeypatch,
+                                                        capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--set", "protocol=inference_attack",
+                         "--set", "attack.family=pgd", "--set", "attack.epsilon=-1",
+                         "--set", "attack.pgd_iters=0",
+                         "--set", "train.batch_size=0"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "attack.epsilon must be finite and >= 0, got -1" in err
+        assert "attack.pgd_iters must be >= 1, got 0" in err
+        # the other range problems wait until every type and attack range passes
+        assert "train.batch_size" not in err
         assert list(tmp_path.iterdir()) == []
 
     def test_internal_shape_error_is_not_a_config_error(self, tmp_path):

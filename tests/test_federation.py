@@ -621,7 +621,7 @@ class TestCentralized:
         model, history = fed.run_centralized(x, y, "lstm", replace(CFG, epochs=3), seed=5)
         # the weights init_state gives a federation of the same seed
         ref = make_model("lstm", seed=derive_seed(5, "global-init"))
-        optimizer = RmsProp(CFG.rho, CFG.eps_opt)  # one state across the epochs
+        optimizer = RmsProp()  # one state across the epochs
         ref_hist = [train_local(ref, x, y, CFG, seed=5, epoch=epoch, optimizer=optimizer)
                     for epoch in (1, 2, 3)]
         assert history == ref_hist

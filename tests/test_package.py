@@ -13,7 +13,7 @@ import pytest
 
 import fedmeter
 from fedmeter import cli
-from fedmeter.experiment import ExperimentConfig
+from fedmeter.experiment import ExperimentConfig, config_to_dict
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -55,6 +55,26 @@ def test_readme_lists_every_optional_setting():
     assert listed is not None
     assert sorted(re.findall(r"`([^`]+)`", listed.group(1))) == \
         sorted(optional_settings(ExperimentConfig))
+
+
+def flattened(values, prefix=""):
+    """The dotted name and value of each leaf of a nested settings dict."""
+    for key, value in values.items():
+        if isinstance(value, dict):
+            yield from flattened(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+def test_readme_tabulates_every_setting_and_its_default():
+    # README's settings table, one "| `name` | `JSON default` |" row each; a
+    # setting added, deleted or given a new default without editing it fails here
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|$", README.read_text(encoding="utf-8"),
+                      re.M)
+    defaults = dict(flattened(config_to_dict(ExperimentConfig())))
+    assert [name for name, _ in rows] == list(defaults)
+    assert {name: json.loads(value) for name, value in rows} == \
+        json.loads(json.dumps(defaults))
 
 
 def _perfbench_tracing():

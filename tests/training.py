@@ -7,6 +7,6 @@ from fedmeter.models import RmsProp, TrainConfig, train_local
 
 def train_epochs(model, x, y, cfg: TrainConfig, *, seed: int) -> list[float]:
     """Train ``model`` in place; returns each epoch's mean loss."""
-    optimizer = RmsProp(cfg.rho, cfg.eps_opt)
+    optimizer = RmsProp()
     return [train_local(model, x, y, cfg, seed=seed, epoch=epoch, optimizer=optimizer)
             for epoch in range(1, cfg.epochs + 1)]
