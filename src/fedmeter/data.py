@@ -71,18 +71,21 @@ class AnomalyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.anomaly_fraction < 1.0):
-            raise DataError(f"anomaly_fraction must be in (0,1), got {self.anomaly_fraction}")
-        if not (0.0 < self.r_range[0] <= self.r_range[1]):
-            raise DataError(f"r_range must be a positive interval, got {self.r_range}")
-        unknown = set(self.kind_weights) - set(ANOMALY_KINDS)
-        if unknown:
-            raise DataError(f"kind_weights names unknown anomaly kinds: {sorted(unknown)}")
-        if any(w < 0 for w in self.kind_weights.values()):
-            raise DataError(f"kind_weights must be >= 0, got {self.kind_weights}")
+        """Raise one DataError listing every range problem, one per line."""
+        unknown = sorted(set(self.kind_weights) - set(ANOMALY_KINDS))
         total = sum(self.kind_weights.values())
-        if not np.isclose(total, 1.0):
-            raise DataError(f"kind_weights must sum to 1, got {total}")
+        checks = (
+            (0.0 < self.anomaly_fraction < 1.0,
+             f"anomaly_fraction must be in (0,1), got {self.anomaly_fraction}"),
+            (0.0 < self.r_range[0] <= self.r_range[1],
+             f"r_range must be a positive interval, got {self.r_range}"),
+            (not unknown, f"kind_weights names unknown anomaly kinds: {unknown}"),
+            (all(w >= 0 for w in self.kind_weights.values()),
+             f"kind_weights must be >= 0, got {self.kind_weights}"),
+            (np.isclose(total, 1.0), f"kind_weights must sum to 1, got {total}"))
+        problems = [message for ok, message in checks if not ok]
+        if problems:
+            raise DataError("\n".join(problems))
 
 
 @dataclass

@@ -285,8 +285,8 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
                      for label, same in by_label.items() if len(same) > 1]
     try:
         _anomaly_config(cfg, 0)
-    except dp.DataError as exc:
-        problems.append(f"data.{exc}")
+    except dp.DataError as exc:  # one problem a line
+        problems += [f"data.{line}" for line in str(exc).splitlines()]
     if not synthetic:  # only the synthesizer reads these two
         problems += [f"data.{name} is read for synthetic households only; with "
                      f"data.csv_path set it must stay {getattr(DataConfig, name)}, "

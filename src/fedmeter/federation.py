@@ -19,23 +19,22 @@ to ``models.MAX_WORKERS`` workers, each own a model instance, take the next
 client, poison it if it is malicious and train it.  A malicious client's
 PGD runs on its own worker in whole blocks of its model's ``ROW_BLOCK``
 rows (64 for the LSTM, 32 for the Transformer), never on further threads.
-:func:`fedavg` folds the returned maps in client order as they arrive,
-so a round holds running sums instead of every client's map, and the global
-weights, the round record and every later result keep their bits whatever
-the number of workers.  A round copies no weight map it can share: the
-decoded broadcast replaces the global weights it was encoded from, and a
-client hands :func:`fedavg` its model's own parameter arrays, not copies.
-Nothing holds a client's map once :func:`fedavg` has folded it and its
-worker's model has moved on to the next client.  So a round holds the
-broadcast, the running sums and, per worker, its model's map, its client's
-RmsProp state and one forward pass's saved arrays, plus each finished map
-that waits for an earlier client to finish (with clients of even size, at
-most one).
+The worker whose client completes the client order so far folds that map,
+and any later one already finished, into a running mean (the fold of
+:func:`fedavg`) before it takes another client, so a round holds running
+sums instead of every client's map, and the global weights, the round
+record and every later result keep their bits whatever the number of
+workers.  A round copies no weight map it can share: the decoded broadcast
+replaces the global weights it was encoded from, and a client's map is its
+model's own parameter arrays, not copies, which nothing holds once they are
+folded and the worker's model has moved on to the next client.  So a round
+holds the broadcast, the running sums and, per worker, its model's map, its
+client's RmsProp state and one forward pass's saved arrays, plus each
+finished map whose earlier client still trains on another worker.
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
@@ -85,43 +84,55 @@ class RoundRecord:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def fedavg(weight_maps: Iterable[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Unweighted elementwise mean of client weight maps, folded in order.
+class _RunningMean:
+    """Unweighted elementwise mean of weight maps added one at a time, in order.
 
-    The maps are taken one at a time and only running sums are kept, and a
-    map is let go before the next is asked for, so a generator of maps can
-    free each one while it makes the next.  The result
-    is ``np.mean`` over the stacked maps bit for bit.  numpy sums a stacked
+    Only running sums are kept, and a map is never written.  The result is
+    ``np.mean`` over the stacked maps bit for bit.  numpy sums a stacked
     weight of several elements in map order, as the fold does, but a weight
     of one element pairwise (the stacked axis is then contiguous), so those
     keep every map's value and go through ``np.mean`` at the end.
     """
-    sums: dict[str, np.ndarray] = {}
-    singles: dict[str, list[np.ndarray]] = {}
-    count = 0
-    for m in weight_maps:
-        if count and set(m) != set(sums) | set(singles):
+
+    def __init__(self):
+        self.sums, self.singles, self.count = {}, {}, 0
+
+    def add(self, m: dict[str, np.ndarray]) -> None:
+        sums, singles = self.sums, self.singles
+        if self.count and set(m) != set(sums) | set(singles):
             raise ValueError("weight maps disagree on tensor names")
         for name, arr in m.items():
             arr = np.asarray(arr, dtype=np.float64)
-            if count:
+            if self.count:
                 shape = (sums[name] if name in sums else singles[name][0]).shape
                 if arr.shape != shape:
                     raise ValueError(f"weight {name}: inconsistent shapes "
                                      f"{sorted({shape, arr.shape})}")
             if arr.size == 1:
                 singles.setdefault(name, []).append(arr)
-            elif count:
+            elif self.count:
                 sums[name] += arr
             else:
                 sums[name] = arr.copy()
-        count += 1
-        m = arr = None  # let the folded map go before the next is made
-    if count == 0:
-        raise ValueError("fedavg needs at least one weight map")
-    for total in sums.values():
-        total /= count
-    return {**sums, **{name: np.mean(arrs, axis=0) for name, arrs in singles.items()}}
+        self.count += 1
+
+    def result(self) -> dict[str, np.ndarray]:
+        if self.count == 0:
+            raise ValueError("fedavg needs at least one weight map")
+        for total in self.sums.values():
+            total /= self.count
+        return {**self.sums, **{n: np.mean(a, axis=0) for n, a in self.singles.items()}}
+
+
+def fedavg(weight_maps: Iterable[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Unweighted elementwise mean of client weight maps, folded in order as a
+    round folds them; each map is let go before the next is asked for, so a
+    generator of maps can free each one while it makes the next."""
+    mean = _RunningMean()
+    for m in weight_maps:
+        mean.add(m)
+        del m  # let the folded map go before the next is made
+    return mean.result()
 
 
 def _poison_subset(model, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
@@ -181,17 +192,17 @@ def run_round(state: FederationState, model_name: str, cfg: TrainConfig) -> Roun
             model, x, y, cfg,
             seed=derive_seed(state.seed, "train", client.client_id, round_index),
             epoch=round_index)
-        # the model's own weight map, not a copy: this worker's next
-        # set_weights gives the model a new map before training touches one,
-        # and fedavg lets this one go once folded, so then nothing holds it
+        # the model's own map, not a copy: the worker's next set_weights gives
+        # the model a new one, and once folded nothing holds this one
         return model.params
 
     # one instance per worker; each client overwrites every weight before use
     models = [make_model(model_name, seed=0)]
     workers = min(_workers(), len(clients))
     models += [make_model(model_name, seed=0) for _ in range(workers - 1)]
-    with contextlib.closing(_in_order(train, len(clients), models)) as maps:
-        state.global_weights = fedavg(maps)
+    mean = _RunningMean()  # each map folded on the worker completing the order
+    _in_order(train, len(clients), models, lambda pos, m: mean.add(m))
+    state.global_weights = mean.result()
     state.round = round_index
     return RoundRecord(round_index, sum(_poisons(c) for c in clients),
                        float(np.mean(losses)))

@@ -16,12 +16,11 @@ the weights'.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import struct
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -821,15 +820,15 @@ def input_gradient(model, x: np.ndarray, y: np.ndarray, alpha: float = 0.25,
 # (its tape), and a round's worker also its own model's weight map and its
 # client's RmsProp state, 5.85 MiB each for the Transformer.  A Transformer
 # training worker's tape is 10.6 MiB of traced allocations after a 32-row
-# forward (the fused encoder recomputes in backward what it does not save),
-# and one client's train_local over 2 x 32 rows, RmsProp state included,
-# peaks at 24.0 MiB above the weight map it trains, so peak memory grows by
-# about 30 MiB per worker; row-block workers share their model's ROW_BLOCK
-# rows and the model itself, and a 16-row Transformer input_gradient peaks at
-# 13.8 MiB.  Two workers against one were measured on 2 cores only
-# (BENCH_9.json and BENCH_10.json for the Transformer, BENCH_12.json and
-# BENCH_15.json for the LSTM; BENCH_33.json has today's figures); more
-# workers stay unmeasured until pairs on a larger machine are recorded.
+# forward, and one client's train_local over 2 x 32 rows, RmsProp state
+# included, peaks at 24.0 MiB above the weight map it trains, so peak memory
+# grows by about 30 MiB per worker, and by a map for each client finished
+# while an earlier one still trains; row-block workers share their model's
+# ROW_BLOCK rows and the model itself, and a 16-row Transformer
+# input_gradient peaks at 13.8 MiB.  Two workers against one were measured
+# on 2 cores only (BENCH_9.json and BENCH_10.json for the Transformer,
+# BENCH_12.json and BENCH_15.json for the LSTM; BENCH_33.json and
+# BENCH_37.json have today's figures); more workers stay unmeasured.
 MAX_WORKERS = 2
 
 
@@ -883,45 +882,48 @@ def _workers() -> int:
     return min(cores, MAX_WORKERS)
 
 
-def _in_order(task: Callable[[object, int], object], count: int,
-              models: list) -> Iterator:
-    """Yield ``task(model, i)`` for each ``i`` in ``range(count)``, in order.
+def _in_order(task: Callable[[object, int], object], count: int, models: list,
+              consume: Callable[[int, object], None]) -> None:
+    """Run ``task(model, i)`` for each ``i`` in ``range(count)`` and hand each
+    result to ``consume(i, result)`` in index order, one call at a time.
 
     One worker per entry of ``models``: the calling thread works with
     ``models[0]`` and one helper thread with each of the others (a round's
     workers each own a model; row-block workers share one).  A worker takes
-    the next untaken index.  The caller works too, and waits only when
-    no index is left to take, so results come back in order.  A finished
-    result is held only until those before it are done (with tasks of even
-    length, at most one per helper waits), and none outlives its yield: once
-    the caller drops a result, it is freed.  When any worker raises, or the
-    caller is interrupted or closes the generator, no worker takes another
-    index, the helpers are joined, and then the exception reaches the caller
-    with its own type.
+    the next untaken index.  The worker whose finished task completes the
+    ordered prefix consumes it, and every later result already finished,
+    before it takes its next index: a result waits only while an earlier
+    task still runs, and none outlives its ``consume`` call unless
+    ``consume`` keeps it.  When a task or ``consume`` raises, or the caller
+    is interrupted, no worker takes another index, the helpers are joined,
+    and the caller's exception, or else the first a helper met, reaches the
+    caller with its own type.
     While a thread runs a task, :func:`_workers` there returns 1, so a task
     starts no workers of its own.
     """
-    done = threading.Condition()
+    lock = threading.Lock()
     results: dict[int, object] = {}
     errors: list[BaseException] = []
-    taken = 0
-    stop = False
+    taken = head = 0  # head: the next index to consume
 
     def take() -> int | None:
         nonlocal taken
-        with done:
-            if stop or errors or taken == count:
+        with lock:
+            if errors or taken == count:
                 return None
             taken += 1
             return taken - 1
 
     def run(model, i: int) -> None:
-        # a function, so no local of a worker's loop holds the result
-        # through that worker's next task
+        # a function, out deleted: once consumed, no worker local holds it
+        nonlocal head
         out = task(model, i)
-        with done:
+        with lock:
             results[i] = out
-            done.notify_all()
+            del out
+            while head in results:
+                consume(head, results.pop(head))
+                head += 1
 
     def helper(model) -> None:
         _task_thread.busy = True
@@ -929,43 +931,26 @@ def _in_order(task: Callable[[object, int], object], count: int,
             try:
                 run(model, i)
             except BaseException as exc:  # handed to the caller, which raises it
-                with done:
+                with lock:
                     errors.append(exc)
-                    done.notify_all()
                 return
 
     helpers = [threading.Thread(target=helper, args=(m,), daemon=True) for m in models[1:]]
     for t in helpers:
         t.start()
     busy = _task_thread.busy
+    _task_thread.busy = True
     try:
-        head = 0  # next index to yield
-        while head < count:
-            i = take()
-            if i is not None:
-                _task_thread.busy = True
-                try:
-                    run(models[0], i)
-                finally:
-                    _task_thread.busy = busy
-            else:
-                with done:
-                    while head not in results and not errors:
-                        done.wait()
-            with done:
-                if errors:
-                    raise errors[0]
-                ready = []
-                while head in results:
-                    ready.append(results.pop(head))
-                    head += 1
-            while ready:  # popped, so the caller holds the only reference
-                yield ready.pop(0)
+        while (i := take()) is not None:
+            run(models[0], i)
     finally:
-        with done:
-            stop = True
+        _task_thread.busy = busy
+        with lock:
+            taken = count  # no worker takes another index
         for t in helpers:
             t.join()
+    if errors:
+        raise errors[0]
 
 
 # Block edges fall on multiples of this many rows.  The BLAS matrix-vector
@@ -1024,10 +1009,11 @@ def _by_row_blocks(model, out: np.ndarray,
     workers = min(_workers(), block // (2 * _ROW_ALIGN))
     blocks = row_blocks(len(out), block // workers // _ROW_ALIGN * _ROW_ALIGN)
     models = [model] * min(workers, len(blocks))
-    with contextlib.closing(_in_order(lambda m, i: task(m, blocks[i]), len(blocks),
-                                      models)) as results:
-        for rows, result in zip(blocks, results):
-            out[rows] = result
+
+    def write(i: int, result: np.ndarray) -> None:
+        out[blocks[i]] = result
+
+    _in_order(lambda m, i: task(m, blocks[i]), len(blocks), models, write)
     return out
 
 

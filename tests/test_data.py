@@ -487,3 +487,14 @@ class TestAnomalyConfig:
     def test_unknown_kind(self):
         with pytest.raises(DataError, match="unknown"):
             AnomalyConfig(kind_weights={"surge": 1.0})
+
+    def test_every_problem_listed_one_per_line(self):
+        with pytest.raises(DataError) as exc:
+            AnomalyConfig(anomaly_fraction=2.0, r_range=(-1.0, 1.0),
+                          kind_weights={"drop": -1.0, "surge": 3.0})
+        assert str(exc.value).splitlines() == [
+            "anomaly_fraction must be in (0,1), got 2.0",
+            "r_range must be a positive interval, got (-1.0, 1.0)",
+            "kind_weights names unknown anomaly kinds: ['surge']",
+            "kind_weights must be >= 0, got {'drop': -1.0, 'surge': 3.0}",
+            "kind_weights must sum to 1, got 2.0"]

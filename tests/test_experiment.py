@@ -701,6 +701,18 @@ class TestCli:
         assert "data.kind_weights must sum to 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_every_data_range_problem_is_named_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli.main(["run", "--set", "data.anomaly_fraction=2",
+                         "--set", "data.r_range=[2,1]", "--set", 'data.kind_weights={"drop":2}',
+                         "--set", f"output_dir={out}"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        for problem in ("data.anomaly_fraction must be in (0,1), got 2",
+                        "data.r_range must be a positive interval, got (2, 1)",
+                        "data.kind_weights must sum to 1, got 2"):
+            assert f"  - {problem}\n" in err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = cli.main(["run", "--set", "setting=central",
                          "--set", "federation.malicious_count=5",

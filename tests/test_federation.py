@@ -406,8 +406,13 @@ class TestConcurrentClients:
             return (model, i)
 
         got = []
+
+        def consume(i, result):
+            assert result[1] == i
+            got.append(result)
+
         consumer = threading.Thread(
-            target=lambda: got.extend(md._in_order(task, len(delays), list(range(8)))))
+            target=lambda: md._in_order(task, len(delays), list(range(8)), consume))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -427,8 +432,9 @@ class TestConcurrentClients:
             threads.append(threading.current_thread())
             return (model, i)
 
-        before = threading.active_count()
-        assert list(md._in_order(task, 5, ["only"])) == [("only", i) for i in range(5)]
+        before, got = threading.active_count(), []
+        md._in_order(task, 5, ["only"], lambda i, result: got.append(result))
+        assert got == [("only", i) for i in range(5)]
         assert threads == [threading.current_thread()] * 5
         assert threading.active_count() == before
 
@@ -442,8 +448,9 @@ class TestConcurrentClients:
             refs.append(weakref.ref(out))
             return out
 
-        results = md._in_order(task, 4, ["only"])
-        assert [float(next(results)[0]) for _ in range(4)] == [0.0, 1.0, 2.0, 3.0]
+        got = []
+        md._in_order(task, 4, ["only"], lambda i, result: got.append(float(result[0])))
+        assert got == [0.0, 1.0, 2.0, 3.0]
         assert dead == [True] * 3
 
     def test_worker_error_reaches_caller_with_its_type(self):
@@ -462,10 +469,83 @@ class TestConcurrentClients:
 
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="client"):
-            list(md._in_order(task, 10, ["caller", "helper"]))
+            md._in_order(task, 10, ["caller", "helper"], lambda i, result: None)
         assert threading.active_count() == before  # the helper was joined
         # the helper failed on its first client, and the caller took at most one
         assert sorted(started) in ([0], [0, 1])
+
+    def test_consume_error_reaches_caller_with_its_type(self):
+        consumed = []
+
+        def consume(i, result):
+            if i == 3:
+                raise KeyError(f"result {i}")
+            consumed.append(result)
+
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="result 3"):
+            md._in_order(lambda model, i: i, 10, ["caller", "helper"], consume)
+        assert threading.active_count() == before  # the helper was joined
+        assert consumed == [0, 1, 2]
+
+    def test_the_helper_folds_the_client_that_completes_the_order(self, monkeypatch):
+        # scripted: the caller trains client 0 and finishes it before the
+        # helper finishes client 1, so the helper folds client 1 itself and
+        # lets its map go before it trains client 3
+        clients = make_clients(4)
+        force_workers(monkeypatch, 1)
+        serial = init_state("lstm", clients, seed=4)
+        fed.run_round(serial, "lstm", CFG)
+
+        caller = threading.current_thread()
+        took, helper_on_1, caller_on_2, checked = (threading.Event() for _ in range(4))
+        folds, client_1, dead = [], [], []
+        thread_cls, set_weights, add = (md.threading.Thread, md.LstmClassifier.set_weights,
+                                        fed._RunningMean.add)
+
+        class AfterTheCallersFirstTake(thread_cls):
+            def run(self):
+                assert took.wait(10)
+                super().run()
+
+        def spy_set_weights(model, weights):
+            set_weights(model, weights)
+            if threading.current_thread() is caller:
+                took.set()
+            elif client_1:  # the helper's first set_weights after client 1
+                dead.append([r() is None for r in client_1])
+                checked.set()
+
+        def spy_train_local(model, x, y, cfg, **kw):
+            if x is clients[0].x_train:
+                assert helper_on_1.wait(10)
+            elif x is clients[1].x_train:
+                helper_on_1.set()
+            elif x is clients[2].x_train:
+                caller_on_2.set()  # so client 0 is folded
+                assert checked.wait(10)
+            loss = train_local(model, x, y, cfg, **kw)
+            if x is clients[1].x_train:
+                client_1.extend(weakref.ref(a) for a in model.params.values() if a.size > 1)
+                assert caller_on_2.wait(10)
+            return loss
+
+        def spy_add(mean, m):
+            folds.append(threading.current_thread())
+            add(mean, m)
+
+        force_workers(monkeypatch, 2)
+        monkeypatch.setattr(md.threading, "Thread", AfterTheCallersFirstTake)
+        monkeypatch.setattr(md.LstmClassifier, "set_weights", spy_set_weights)
+        monkeypatch.setattr(fed, "train_local", spy_train_local)
+        monkeypatch.setattr(fed._RunningMean, "add", spy_add)
+        state = init_state("lstm", clients, seed=4)
+        fed.run_round(state, "lstm", CFG)
+        assert len(folds) == 4 and folds[0] is caller
+        assert folds[1] is not caller  # client 1 was folded on the helper
+        assert client_1 and dead == [[True] * len(client_1)]
+        for name, arr in serial.global_weights.items():
+            assert np.array_equal(state.global_weights[name], arr), name
 
     def test_interrupt_in_caller_joins_helpers_before_it_is_raised(self):
         busy, raising, finished = threading.Event(), threading.Event(), []
@@ -483,7 +563,7 @@ class TestConcurrentClients:
 
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            list(md._in_order(task, 10, ["caller", "helper"]))
+            md._in_order(task, 10, ["caller", "helper"], lambda i, result: None)
         assert threading.active_count() == before
         assert len(finished) == 1  # the client in flight ended, and no other began
 

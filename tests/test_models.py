@@ -1105,7 +1105,7 @@ class TestCheckpoints:
             model.set_weights(w)
 
     def test_set_weights_gives_every_parameter_a_new_array(self, model):
-        # a round hands fedavg a trained model's own parameter arrays, and
+        # a round folds a trained model's own parameter arrays, and
         # that worker's next client starts with set_weights: the arrays
         # already handed over must never change afterwards
         handed = model.params
