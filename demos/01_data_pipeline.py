@@ -38,8 +38,7 @@ dip = dp.inject_spike(day, start=20, length=2, r=1.4, direction="negative")
 print(f"negative segment spike 20h:  {np.round(dip, 2)}  (negative kept)")
 
 # assemble the labeled dataset the classifiers train on
-cfg = dp.AnomalyConfig(anomaly_fraction=0.10, seed=7)
-dataset = dp.build_dataset(profiles, windows, cfg)
+dataset = dp.build_dataset(profiles, windows, anomaly_fraction=0.10, seed=7)
 normalized = dp.normalize(dataset)
 train, test = dp.split(normalized, train_fraction=0.8, seed=7)
 clean = dataset.profiles[dataset.labels == 0]  # normalize scales by the clean range

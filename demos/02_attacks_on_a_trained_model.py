@@ -19,7 +19,7 @@ from fedmeter.seeding import rng_for
 # one household -> labeled, normalized, split
 profiles = dp.synthesize_household(days=200, seed=3)
 windows = dp.detect_usage_windows(profiles)
-dataset = dp.build_dataset(profiles, windows, dp.AnomalyConfig(0.15, seed=3))
+dataset = dp.build_dataset(profiles, windows, 0.15, seed=3)
 normalized = dp.normalize(dataset)
 train, test = dp.split(normalized, 0.8, seed=3)
 

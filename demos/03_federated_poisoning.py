@@ -23,8 +23,7 @@ def make_clients(n_clients, malicious_ids, attack):
         profiles = dp.synthesize_household(days=120, seed=derive_seed(42, "demo", k),
                                            household_id=f"c{k}")
         windows = dp.detect_usage_windows(profiles)
-        ds = dp.build_dataset(profiles, windows,
-                              dp.AnomalyConfig(0.15, seed=derive_seed(42, "inj", k)))
+        ds = dp.build_dataset(profiles, windows, 0.15, seed=derive_seed(42, "inj", k))
         normalized = dp.normalize(ds)
         train, test = dp.split(normalized, 0.8, seed=derive_seed(42, "split", k))
         mal = k in malicious_ids

@@ -20,7 +20,7 @@ quick = config_from_dict({
     "output_dir": "runs/demo",
     "data": {"households": 4, "days": 60, "anomaly_fraction": 0.15},
     "federation": {"malicious_count": 2, "poison_fraction": 0.3},
-    "attack": {"family": "label_flip", "flip_fraction": 1.0},
+    "attack": {"family": "label_flip"},
     "train": {"epochs": 5, "batch_size": 32},  # 5 rounds of 1 local epoch
 })
 result = run_experiment(quick)

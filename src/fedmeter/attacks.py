@@ -40,7 +40,6 @@ class AttackSpec:
     epsilon: float = 0.5        # FGSM magnitude / PGD step size
     pgd_iters: int = 10
     awgn_variance: float = 0.1
-    flip_fraction: float = 1.0  # share of the targeted subset whose labels flip
     project_linf: bool = False
     eps_ball: float | None = None  # projection radius; defaults to epsilon
 
@@ -52,7 +51,6 @@ class AttackSpec:
             ("epsilon", math.isfinite(self.epsilon) and self.epsilon >= 0, "finite and >= 0"),
             ("pgd_iters", self.pgd_iters >= 1, ">= 1"),
             ("awgn_variance", self.awgn_variance >= 0, ">= 0"),
-            ("flip_fraction", 0.0 <= self.flip_fraction <= 1.0, "in [0, 1]"),
             ("eps_ball", self.eps_ball is None or self.eps_ball >= 0, ">= 0"))
         problems = [f"{name} must be {rule}, got {getattr(self, name)!r}"
                     for name, ok, rule in ranges if not ok]
@@ -110,19 +108,6 @@ def awgn(x: np.ndarray, variance: float, rng: np.random.Generator) -> np.ndarray
     return x + rng.normal(0.0, np.sqrt(variance), size=x.shape)
 
 
-def label_flip(y: np.ndarray, fraction: float, rng: np.random.Generator) -> np.ndarray:
-    """Invert floor(fraction * n) labels chosen uniformly without replacement."""
-    if not (0.0 <= fraction <= 1.0):
-        raise ValueError("flip fraction must be in [0, 1]")
-    y = np.asarray(y)
-    out = y.copy()
-    n_flip = int(np.floor(fraction * len(y)))
-    if n_flip:
-        idx = rng.choice(len(y), size=n_flip, replace=False)
-        out[idx] = 1 - out[idx]
-    return out
-
-
 def poison_batch(model, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
                  rng: np.random.Generator, *, alpha: float = 0.25,
                  gamma: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
@@ -130,8 +115,8 @@ def poison_batch(model, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
 
     The single attack dispatch: it poisons training subsets and perturbs the
     test set for inference-time attacks alike.  Gradient attacks and noise
-    perturb x and keep the true labels; label flipping inverts labels and
-    keeps x.
+    perturb x and keep the true labels; label flipping inverts every label
+    (``1 - y``) and keeps x.
     """
     if spec.family == "none":
         return x.copy(), y.copy()
@@ -145,7 +130,7 @@ def poison_batch(model, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
     if spec.family == "awgn":
         return awgn(x, spec.awgn_variance, rng), y.copy()
     if spec.family == "label_flip":
-        return x.copy(), label_flip(y, spec.flip_fraction, rng)
+        return x.copy(), 1 - y
     raise ValueError(f"unknown attack family {spec.family!r}")
 
 

@@ -8,7 +8,8 @@ anomalies come in five kinds: a drop to zero, single-step positive/negative
 spikes, and two-step segment spikes.  Drops and negative spikes start inside
 the high-usage window, positive spikes inside the low-usage window; hour
 indices are circular, so a two-step anomaly starting at hour 23 touches
-hours 23 and 0 of the same profile.
+hours 23 and 0 of the same profile.  Each anomalous row draws its kind
+uniformly, and a spike its amplitude r uniformly from ``SPIKE_AMPLITUDES``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import csv
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
@@ -27,6 +28,7 @@ HOURS_PER_DAY = 24
 SYNTH_START = np.datetime64("2021-01-04T00", "h")  # a Monday midnight
 
 ANOMALY_KINDS = ("drop", "pos_spike", "neg_spike", "seg_pos_spike", "seg_neg_spike")
+SPIKE_AMPLITUDES = (0.5, 1.5)  # the range of a spike's r, as the reference protocol's
 LOW_WINDOW_HOURS = 6   # lengths of the detected usage windows, as the paper's
 HIGH_WINDOW_HOURS = 7  # low window 4-10h and high window 18-1h
 
@@ -58,34 +60,6 @@ class UsageWindows:
             raise DataError("usage windows must both be non-empty")
         if set(self.low_hours) & set(self.high_hours):
             raise DataError("low and high usage windows must be disjoint")
-
-
-@dataclass
-class AnomalyConfig:
-    """Controls for synthetic anomaly injection."""
-
-    anomaly_fraction: float = 0.10
-    kind_weights: dict[str, float] = field(
-        default_factory=lambda: {k: 1.0 / len(ANOMALY_KINDS) for k in ANOMALY_KINDS})
-    r_range: tuple[float, float] = (0.5, 1.5)
-    seed: int = 0
-
-    def __post_init__(self):
-        """Raise one DataError listing every range problem, one per line."""
-        unknown = sorted(set(self.kind_weights) - set(ANOMALY_KINDS))
-        total = sum(self.kind_weights.values())
-        checks = (
-            (0.0 < self.anomaly_fraction < 1.0,
-             f"anomaly_fraction must be in (0,1), got {self.anomaly_fraction}"),
-            (0.0 < self.r_range[0] <= self.r_range[1],
-             f"r_range must be a positive interval, got {self.r_range}"),
-            (not unknown, f"kind_weights names unknown anomaly kinds: {unknown}"),
-            (all(w >= 0 for w in self.kind_weights.values()),
-             f"kind_weights must be >= 0, got {self.kind_weights}"),
-            (np.isclose(total, 1.0), f"kind_weights must sum to 1, got {total}"))
-        problems = [message for ok, message in checks if not ok]
-        if problems:
-            raise DataError("\n".join(problems))
 
 
 @dataclass
@@ -195,9 +169,11 @@ def synthetic_households(count: int, days: int, seed: int) -> Iterator[tuple[str
     """The ``count`` synthetic households of master seed ``seed``, as
     ``(household_id, profiles)`` with ids ``h00``, ``h01``, ...: what
     ``fedmeter synth-data`` writes and what a run without ``data.csv_path``
-    trains on."""
+    trains on.  Ids are padded to the width of the largest index, at least
+    2, so they sort in synthesis order, as a CSV run orders them."""
+    width = max(2, len(str(count - 1)))
     for h in range(count):
-        hid = f"h{h:02d}"
+        hid = f"h{h:0{width}d}"
         yield hid, synthesize_household(days, seed=derive_seed(seed, "data", h),
                                         household_id=hid)
 
@@ -283,16 +259,16 @@ def inject_drop(profile: np.ndarray, start: int, length: int) -> np.ndarray:
 
 
 def inject_spike(profile: np.ndarray, start: int, length: int, r: float,
-                 direction: str, r_range: tuple[float, float] = (0.5, 1.5)) -> np.ndarray:
+                 direction: str) -> np.ndarray:
     """A copy of the ``(24,)`` profile with ``length`` consecutive hours
-    scaled by (1+r) or (1-r).
+    scaled by (1+r) or (1-r), r in ``SPIKE_AMPLITUDES``.
 
     A negative spike with r > 1 yields negative consumption, which is kept.
     """
     if length not in (1, 2):
         raise DataError(f"spike length must be 1 or 2, got {length}")
-    if not (r_range[0] <= r <= r_range[1]):
-        raise DataError(f"spike amplitude r={r} outside allowed range {r_range}")
+    if not (SPIKE_AMPLITUDES[0] <= r <= SPIKE_AMPLITUDES[1]):
+        raise DataError(f"spike amplitude r={r} outside allowed range {SPIKE_AMPLITUDES}")
     if direction not in ("positive", "negative"):
         raise DataError(f"spike direction must be positive or negative, got {direction!r}")
     values = _as_profiles(profile, 1).copy()
@@ -303,7 +279,7 @@ def inject_spike(profile: np.ndarray, start: int, length: int, r: float,
 
 
 def _inject_kind(profile: np.ndarray, kind: str, windows: UsageWindows,
-                 cfg: AnomalyConfig, rng: np.random.Generator) -> np.ndarray:
+                 rng: np.random.Generator) -> np.ndarray:
     direction = "positive" if "pos" in kind else "negative"
     pool = windows.low_hours if direction == "positive" else windows.high_hours
     # the draw rng.choice(pool) makes, without its argument checks
@@ -311,31 +287,33 @@ def _inject_kind(profile: np.ndarray, kind: str, windows: UsageWindows,
     if kind == "drop":
         return inject_drop(profile, start, int(rng.integers(1, 3)))
     length = 2 if kind.startswith("seg_") else 1
-    r = float(rng.uniform(*cfg.r_range))
-    return inject_spike(profile, start, length, r, direction, r_range=cfg.r_range)
+    return inject_spike(profile, start, length, float(rng.uniform(*SPIKE_AMPLITUDES)),
+                        direction)
 
 
-def build_dataset(profiles: np.ndarray, windows: UsageWindows,
-                  cfg: AnomalyConfig) -> LabeledDataset:
+def build_dataset(profiles: np.ndarray, windows: UsageWindows, anomaly_fraction: float,
+                  seed: int) -> LabeledDataset:
     """The ``(days, 24)`` originals labeled 0, then anomalous copies of a
-    seeded random subset; a row's day index is its source row."""
+    seeded random ``anomaly_fraction`` of them, each of a kind drawn
+    uniformly from ``ANOMALY_KINDS``; a row's day index is its source row."""
+    if not (0.0 < anomaly_fraction < 1.0):
+        raise DataError(f"anomaly_fraction must be in (0, 1), got {anomaly_fraction!r}")
     profiles = _as_profiles(profiles, 2)
     if len(profiles) == 0:
         raise DataError("cannot build a dataset from zero profiles")
-    rng = rng_for(cfg.seed, "inject")
+    rng = rng_for(seed, "inject")
     n = len(profiles)
-    n_anom = int(round(cfg.anomaly_fraction * n))
+    n_anom = int(round(anomaly_fraction * n))
     source_idx = np.sort(rng.choice(n, size=n_anom, replace=False))
-    kinds_pool = list(cfg.kind_weights)
-    # searching this cdf for one rng.random() is the draw
-    # rng.choice(kinds_pool, p=weights) makes, without its argument checks
-    cdf = np.array([cfg.kind_weights[k] for k in kinds_pool]).cumsum()
+    # searching this cdf for one rng.random() is the draw rng.choice(ANOMALY_KINDS,
+    # p=uniform) makes, without its argument checks
+    cdf = np.full(len(ANOMALY_KINDS), 1.0 / len(ANOMALY_KINDS)).cumsum()
     cdf /= cdf[-1]
 
     kinds, injected = [], []
     for i in source_idx:  # each row draws its kind, then its injection
-        kinds.append(kinds_pool[cdf.searchsorted(rng.random(), side="right")])
-        injected.append(_inject_kind(profiles[i], kinds[-1], windows, cfg, rng))
+        kinds.append(ANOMALY_KINDS[cdf.searchsorted(rng.random(), side="right")])
+        injected.append(_inject_kind(profiles[i], kinds[-1], windows, rng))
     return LabeledDataset(np.vstack([profiles, *injected]),
                           np.repeat([0, 1], [n, n_anom]),
                           ["none"] * n + kinds, np.r_[np.arange(n), source_idx])

@@ -79,7 +79,7 @@ _UNREAD = {
 }
 # the attack families that read each attack setting besides the family
 _READ_BY = {"epsilon": ("fgsm", "pgd"), "pgd_iters": ("pgd",), "project_linf": ("pgd",),
-            "eps_ball": ("pgd",), "awgn_variance": ("awgn",), "flip_fraction": ("label_flip",)}
+            "eps_ball": ("pgd",), "awgn_variance": ("awgn",)}
 
 
 class ConfigError(ValueError):
@@ -92,8 +92,6 @@ class DataConfig:
     households: int = 19
     days: int = 365
     anomaly_fraction: float = 0.10
-    r_range: tuple[float, float] = (0.5, 1.5)
-    kind_weights: dict[str, float] | None = None  # None: uniform over the kinds
     train_fraction: float = 0.8
 
 
@@ -148,7 +146,7 @@ def _typed(hint, value):
     where the hint is a tuple; TypeError or OverflowError when it does not fit.
 
     Handles only the shapes the config annotations use: the leaves above,
-    ``X | None``, ``tuple[X, X]``, ``tuple[X, ...]`` and ``dict[str, X]``.
+    ``X | None`` and ``tuple[X, ...]``.
     """
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:
@@ -156,14 +154,7 @@ def _typed(hint, value):
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise TypeError
-        hints = args[:1] * len(value) if args[-1] is Ellipsis else args
-        if len(value) != len(hints):
-            raise TypeError
-        return tuple(map(_typed, hints, value))
-    if origin is dict:
-        if not isinstance(value, dict):
-            raise TypeError
-        return {_typed(args[0], k): _typed(args[1], v) for k, v in value.items()}
+        return tuple(_typed(args[0], item) for item in value)
     if not isinstance(value, _LEAVES[hint][0]) or isinstance(value, bool) and hint is not bool:
         raise TypeError
     if hint is float and not math.isfinite(value):  # OverflowError: an int too large
@@ -176,10 +167,6 @@ def _noun(hint, plural: bool = False) -> str:
     origin, args = get_origin(hint), get_args(hint)
     if origin is UnionType:
         return f"{_noun(args[0])} or null"
-    if origin is tuple:  # tuple[X, ...] is named where the field's name is known
-        return f"a list of {len(args)} {_noun(args[0], True)}"
-    if origin is dict:
-        return f"a map of {_noun(args[0], True)} to {_noun(args[1], True)}"
     return _LEAVES[hint][1 + plural]
 
 
@@ -207,9 +194,8 @@ def _checked(cls, values, where: str = ""):
             try:
                 typed[key] = _typed(hint, value)
             except (TypeError, OverflowError):
-                args = get_args(hint)
-                noun = (f"a list whose {name} entries are {_noun(args[0], True)}"
-                        if args[-1:] == (Ellipsis,) else _noun(hint))
+                noun = (f"a list whose {name} entries are {_noun(get_args(hint)[0], True)}"
+                        if get_origin(hint) is tuple else _noun(hint))
                 problems.append(f"{name} must be {noun}, got {value!r}")
     if problems:
         return None, problems
@@ -259,7 +245,9 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
         ("model", cfg.model in ("lstm", "transformer"), "lstm or transformer"),
         ("setting", cfg.setting in ("central", "federated"), "central or federated"),
         ("protocol", cfg.protocol in PROTOCOLS, f"one of {', '.join(PROTOCOLS)}"),
+        ("output_dir", cfg.output_dir, "a non-empty path"),
         ("data.csv_path", synthetic or dcfg.csv_path, "null or a non-empty path"),
+        ("data.anomaly_fraction", 0.0 < dcfg.anomaly_fraction < 1.0, "in (0, 1)"),
         ("data.train_fraction", 0.0 < dcfg.train_fraction < 1.0, "in (0, 1)"),
         ("data.households", not synthetic or dcfg.households >= 1, ">= 1"),
         ("data.days", not synthetic or dcfg.days >= 2, ">= 2"),
@@ -283,10 +271,6 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
             by_label.setdefault(f"{value:g}", []).append(repr(value))
         problems += [f"{name} entries {' and '.join(same)} share the label {label}"
                      for label, same in by_label.items() if len(same) > 1]
-    try:
-        _anomaly_config(cfg, 0)
-    except dp.DataError as exc:  # one problem a line
-        problems += [f"data.{line}" for line in str(exc).splitlines()]
     if not synthetic:  # only the synthesizer reads these two
         problems += [f"data.{name} is read for synthetic households only; with "
                      f"data.csv_path set it must stay {getattr(DataConfig, name)}, "
@@ -363,14 +347,6 @@ class ClientData:
     test: dp.LabeledDataset
 
 
-def _anomaly_config(cfg: ExperimentConfig, ordinal: int) -> dp.AnomalyConfig:
-    dcfg = cfg.data
-    # null: AnomalyConfig's own uniform weights
-    weights = {} if dcfg.kind_weights is None else {"kind_weights": dcfg.kind_weights}
-    return dp.AnomalyConfig(anomaly_fraction=dcfg.anomaly_fraction, r_range=dcfg.r_range,
-                            seed=derive_seed(cfg.master_seed, "inject", ordinal), **weights)
-
-
 def build_client_data(cfg: ExperimentConfig) -> list[ClientData]:
     """Per-household pipeline: profiles -> windows -> labeled, normalized,
     split datasets.  A DataError names the household it arose in."""
@@ -389,7 +365,8 @@ def build_client_data(cfg: ExperimentConfig) -> list[ClientData]:
                                f"after its first midnight")
         try:
             windows = dp.detect_usage_windows(profiles)
-            labeled = dp.build_dataset(profiles, windows, _anomaly_config(cfg, ordinal))
+            labeled = dp.build_dataset(profiles, windows, dcfg.anomaly_fraction,
+                                       derive_seed(cfg.master_seed, "inject", ordinal))
             train, test = dp.split(dp.normalize(labeled), dcfg.train_fraction,
                                    seed=derive_seed(cfg.master_seed, "split", ordinal))
         except dp.DataError as exc:

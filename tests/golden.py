@@ -41,10 +41,13 @@ MATRIX = {
     "train": ["protocol=baseline", "train.epochs=2"],
     "federate_pgd": ["protocol=training_attack", "attack.family=pgd",
                      "federation.malicious_count=2", "train.epochs=2"],
+    "federate_flip": ["protocol=training_attack", "attack.family=label_flip",
+                      "federation.malicious_count=2", "train.epochs=2"],
     "central_fgsm": ["protocol=training_attack", "setting=central", "attack.family=fgsm",
                      "train.epochs=1"],
     "attack_fgsm": ["protocol=inference_attack", "attack.family=fgsm", "train.epochs=2"],
     "attack_pgd": ["protocol=inference_attack", "attack.family=pgd", "train.epochs=2"],
+    "attack_awgn": ["protocol=inference_attack", "attack.family=awgn", "train.epochs=2"],
     "sweep_epsilon": ["protocol=sweep_epsilon", "epsilon_list=[0.1,0.5]",
                       "federation.malicious_count=2", "train.epochs=2"],
     "sweep_malicious": ["protocol=sweep_malicious", "malicious_fraction_list=[0.34,0.67]",

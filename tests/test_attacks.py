@@ -51,7 +51,6 @@ class TestAttackSpec:
         {"epsilon": -0.1},
         {"pgd_iters": 0},
         {"awgn_variance": -1.0},
-        {"flip_fraction": 1.5},
         {"epsilon": float("nan")},
         {"epsilon": float("inf")},
         {"eps_ball": -0.1},
@@ -443,28 +442,6 @@ class TestAwgn:
             atk.awgn(np.zeros((2, 24)), -0.1, rng_for(0))
 
 
-class TestLabelFlip:
-    def test_zero_fraction(self):
-        y = np.array([0, 1, 1, 0])
-        out = atk.label_flip(y, 0.0, rng_for(0))
-        assert np.array_equal(out, y)
-
-    def test_full_fraction_inverts_all(self):
-        y = np.random.default_rng(0).integers(0, 2, size=50)
-        out = atk.label_flip(y, 1.0, rng_for(1))
-        assert np.array_equal(out, 1 - y)
-
-    def test_exact_count(self):
-        y = np.zeros(100, dtype=np.int64)
-        out = atk.label_flip(y, 0.3, rng_for(2))
-        assert int(np.sum(out != y)) == 30
-
-    def test_floor_rule(self):
-        y = np.zeros(10, dtype=np.int64)
-        out = atk.label_flip(y, 0.35, rng_for(3))
-        assert int(np.sum(out != y)) == 3
-
-
 class TestPoisonBatch:
     def test_none_is_identity_copy(self, trained):
         model, x, y = trained
@@ -474,10 +451,19 @@ class TestPoisonBatch:
 
     def test_label_flip_keeps_inputs(self, trained):
         model, x, y = trained
-        spec = AttackSpec(family="label_flip", flip_fraction=1.0)
+        spec = AttackSpec(family="label_flip")
         xp, yp = atk.poison_batch(model, x, y, spec, rng_for(0))
         assert np.array_equal(xp, x)
         assert np.array_equal(yp, 1 - y)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_label_flip_inverts_every_label(self, dtype):
+        y = np.random.default_rng(0).integers(0, 2, size=50).astype(dtype)
+        kept = y.copy()
+        _, yp = atk.poison_batch(None, np.ones((50, 24)), y, AttackSpec(family="label_flip"),
+                                 rng_for(1))
+        assert yp.dtype == dtype and np.array_equal(yp, 1 - kept)
+        assert np.array_equal(y, kept)
 
     def test_gradient_attacks_keep_labels(self, trained):
         model, x, y = trained

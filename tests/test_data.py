@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedmeter import data as dp
-from fedmeter.data import AnomalyConfig, DataError, LabeledDataset, UsageWindows
+from fedmeter.data import DataError, LabeledDataset, UsageWindows
 from fedmeter.seeding import rng_for
 
 
@@ -137,6 +137,12 @@ class TestSynthesize:
         with pytest.raises(DataError):
             dp.synthesize_household(0, seed=0)
 
+    @pytest.mark.parametrize("count,first,last", [(1, "h00", "h00"), (100, "h00", "h99"),
+                                                  (101, "h000", "h100")])
+    def test_household_ids_sort_in_synthesis_order(self, count, first, last):
+        ids = [hid for hid, _ in dp.synthetic_households(count, 1, seed=0)]
+        assert (ids[0], ids[-1]) == (first, last) and ids == sorted(ids)
+
     def test_high_window_mean_exceeds_low(self):
         by_hour = dp.synthesize_household(365, seed=9)
         high = by_hour[:, [18, 19, 20, 21, 22, 23, 0]].mean()
@@ -269,10 +275,17 @@ class TestInjection:
         dp.inject_spike(p, 5, 1, r=1.0, direction="positive")
         np.testing.assert_array_equal(p, np.ones(24))
 
-    def test_r_out_of_range(self):
+    @pytest.mark.parametrize("r", [0.49, 1.51, 2.0])
+    def test_r_out_of_range(self, r):
         with pytest.raises(DataError, match="outside"):
-            dp.inject_spike(np.ones(24), 5, 1, r=2.0,
+            dp.inject_spike(np.ones(24), 5, 1, r=r,
                             direction="positive")
+
+    @pytest.mark.parametrize("r", [0.5, 1.5])
+    def test_r_at_either_end_of_the_amplitude_range(self, r):
+        # the fixed range [0.5, 1.5] is closed
+        out = dp.inject_spike(np.full(24, 2.0), 5, 1, r=r, direction="positive")
+        assert out[5] == 2.0 * (1.0 + r)
 
 
 WINDOWS = UsageWindows(low_hours=(4, 5, 6, 7, 8, 9),
@@ -307,8 +320,7 @@ class TestLabeledDataset:
 
 class TestBuildDataset:
     def test_size_arithmetic(self):
-        ds = dp.build_dataset(toy_profiles(1000), WINDOWS,
-                              AnomalyConfig(anomaly_fraction=0.1, seed=1))
+        ds = dp.build_dataset(toy_profiles(1000), WINDOWS, 0.1, seed=1)
         assert len(ds) == 1100
         assert int(ds.labels.sum()) == 100
         np.testing.assert_array_equal(ds.day_indices[:1000], np.arange(1000))
@@ -317,37 +329,31 @@ class TestBuildDataset:
     @pytest.mark.parametrize("shape", [(24,), (10, 23), (0, 25), (2, 5, 24)])
     def test_array_that_is_not_days_by_24_rejected(self, shape):
         with pytest.raises(DataError, match="exactly 24 values"):
-            dp.build_dataset(np.ones(shape), WINDOWS, AnomalyConfig(seed=1))
+            dp.build_dataset(np.ones(shape), WINDOWS, 0.1, seed=1)
 
     def test_no_profiles_rejected(self):
         with pytest.raises(DataError, match="zero profiles"):
-            dp.build_dataset(np.ones((0, 24)), WINDOWS, AnomalyConfig(seed=1))
+            dp.build_dataset(np.ones((0, 24)), WINDOWS, 0.1, seed=1)
 
-    def test_degenerate_weights(self):
-        cfg = AnomalyConfig(anomaly_fraction=0.2, kind_weights={"drop": 1.0}, seed=2)
-        ds = dp.build_dataset(toy_profiles(50), WINDOWS, cfg)
-        assert set(k for k in ds.kinds if k != "none") == {"drop"}
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 2.0, -0.1])
+    def test_fraction_bounds(self, fraction):
+        with pytest.raises(DataError, match=r"anomaly_fraction must be in \(0, 1\)"):
+            dp.build_dataset(toy_profiles(10), WINDOWS, fraction, seed=1)
 
     def test_deterministic(self):
-        cfg = AnomalyConfig(anomaly_fraction=0.1, seed=3)
-        a = dp.build_dataset(toy_profiles(100), WINDOWS, cfg)
-        b = dp.build_dataset(toy_profiles(100), WINDOWS, cfg)
+        a = dp.build_dataset(toy_profiles(100), WINDOWS, 0.1, seed=3)
+        b = dp.build_dataset(toy_profiles(100), WINDOWS, 0.1, seed=3)
         assert np.array_equal(a.profiles, b.profiles) and a.kinds == b.kinds
 
-    @pytest.mark.parametrize("weights", [
-        None, {"drop": 0.5, "seg_neg_spike": 0.3, "pos_spike": 0.2},
-        {"neg_spike": 0.0, "seg_pos_spike": 1.0}])
-    def test_draws_are_generator_choices(self, weights):
-        # each anomaly draws what Generator.choice would: its kind by weight,
+    def test_draws_are_generator_choices(self):
+        # each anomaly draws what Generator.choice would: its kind uniformly,
         # then its start hour from the kind's window
-        cfg = AnomalyConfig(anomaly_fraction=0.3, seed=4,
-                            **({} if weights is None else {"kind_weights": weights}))
-        ds = dp.build_dataset(toy_profiles(200, seed=4), WINDOWS, cfg)
-        rng = rng_for(cfg.seed, "inject")
+        ds = dp.build_dataset(toy_profiles(200, seed=4), WINDOWS, 0.3, seed=4)
+        rng = rng_for(4, "inject")
         assert np.array_equal(ds.day_indices[200:], np.sort(rng.choice(200, 60, replace=False)))
-        pool = list(cfg.kind_weights)
+        kinds = dp.ANOMALY_KINDS
         for row in range(200, len(ds)):
-            kind = str(rng.choice(pool, p=list(cfg.kind_weights.values())))
+            kind = str(rng.choice(kinds, p=[1 / len(kinds)] * len(kinds)))
             assert ds.kinds[row] == kind
             hours = WINDOWS.low_hours if "pos" in kind else WINDOWS.high_hours
             start = int(rng.choice(hours))
@@ -356,14 +362,13 @@ class TestBuildDataset:
             if kind == "drop":
                 rng.integers(1, 3)  # its length
             else:
-                rng.uniform(*cfg.r_range)  # its amplitude
+                rng.uniform(0.5, 1.5)  # its amplitude
 
     def test_injection_fidelity(self):
         """Every anomalous row differs from its source in exactly the injected
         window, with values matching the drop/spike formulas and legal starts."""
         profiles = toy_profiles(400, seed=7)
-        cfg = AnomalyConfig(anomaly_fraction=0.25, seed=7)
-        ds = dp.build_dataset(profiles, WINDOWS, cfg)
+        ds = dp.build_dataset(profiles, WINDOWS, 0.25, seed=7)
         n = len(profiles)
         for row in range(n, len(ds)):
             src = profiles[ds.day_indices[row]]
@@ -437,8 +442,7 @@ class TestNormalize:
 class TestSplit:
     def build(self, n_clean=1000, n_anom=100, seed=0):
         profiles = toy_profiles(n_clean, seed)
-        cfg = AnomalyConfig(anomaly_fraction=n_anom / n_clean, seed=seed)
-        return dp.build_dataset(profiles, WINDOWS, cfg)
+        return dp.build_dataset(profiles, WINDOWS, n_anom / n_clean, seed=seed)
 
     def test_split_sizes(self):
         train, test = dp.split(self.build(), 0.8, seed=0)
@@ -472,29 +476,3 @@ class TestSplit:
         with pytest.raises(DataError, match="class 1"):
             dp.split(ds, 0.5, seed=0)
 
-
-class TestAnomalyConfig:
-    def test_fraction_bounds(self):
-        with pytest.raises(DataError):
-            AnomalyConfig(anomaly_fraction=0.0)
-        with pytest.raises(DataError):
-            AnomalyConfig(anomaly_fraction=1.0)
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(DataError, match="sum"):
-            AnomalyConfig(kind_weights={"drop": 0.5})
-
-    def test_unknown_kind(self):
-        with pytest.raises(DataError, match="unknown"):
-            AnomalyConfig(kind_weights={"surge": 1.0})
-
-    def test_every_problem_listed_one_per_line(self):
-        with pytest.raises(DataError) as exc:
-            AnomalyConfig(anomaly_fraction=2.0, r_range=(-1.0, 1.0),
-                          kind_weights={"drop": -1.0, "surge": 3.0})
-        assert str(exc.value).splitlines() == [
-            "anomaly_fraction must be in (0,1), got 2.0",
-            "r_range must be a positive interval, got (-1.0, 1.0)",
-            "kind_weights names unknown anomaly kinds: ['surge']",
-            "kind_weights must be >= 0, got {'drop': -1.0, 'surge': 3.0}",
-            "kind_weights must sum to 1, got 2.0"]

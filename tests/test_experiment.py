@@ -70,11 +70,7 @@ def has_annotated_type(hint, value) -> bool:
     if origin is types.UnionType:
         return value is None or has_annotated_type(args[0], value)
     if origin is tuple:
-        return (isinstance(value, tuple) and (args[-1] is Ellipsis or len(value) == len(args))
-                and all(has_annotated_type(args[0], v) for v in value))
-    if origin is dict:
-        return isinstance(value, dict) and all(
-            isinstance(k, str) and has_annotated_type(args[1], v) for k, v in value.items())
+        return isinstance(value, tuple) and all(has_annotated_type(args[0], v) for v in value)
     if isinstance(value, bool):
         return hint is bool
     return isinstance(value, (int, float) if hint is float else hint) and \
@@ -98,11 +94,9 @@ class TestConfig:
 
     def test_roundtrip_through_json(self, tmp_path):
         cfg = tiny_cfg(tmp_path, epsilon_list=[0.3, 0.6], malicious_fraction_list=[0.5],
-                       data={"kind_weights": {"drop": 0.5, "pos_spike": 0.5},
-                             "r_range": [0.6, 1.2]},
                        attack={"family": "pgd", "eps_ball": 0.2, "project_linf": True},
                        train={"lr_milestones": [3, 7]})
-        assert cfg.data.r_range == (0.6, 1.2) and cfg.train.lr_milestones == (3, 7)
+        assert cfg.train.lr_milestones == (3, 7)
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
     @settings(max_examples=500, deadline=None)
@@ -170,9 +164,6 @@ class TestConfig:
         ("federation", "poison_fraction", "0.3"),
         ("data", "anomaly_fraction", 2.0),
         ("data", "anomaly_fraction", "0.1"),
-        ("data", "r_range", (2.0, 1.0)),
-        ("data", "r_range", 5),
-        ("data", "kind_weights", {"drop": "1"}),
         ("train", "base_lr", 0.0),
         ("train", "lr_decay", -0.1),
         ("train", "lr_decay", 0.0),
@@ -182,13 +173,14 @@ class TestConfig:
         ("train", "lr_milestones", (0, 50)),
         ("data", "csv_path", ""),
         ("attack", "eps_ball", -0.1),
-        ("data", "kind_weights", {"drop": 1.5, "pos_spike": -0.5}),
         ("attack", "epsilon", -2 ** 63 - 1),  # a float, but no int64
+        ("", "output_dir", ""),
     ])
     def test_out_of_range_value_rejected(self, tmp_path, section, key, value):
         cfg = tiny_cfg(tmp_path)
-        setattr(getattr(cfg, section), key, value)
-        with pytest.raises(ConfigError, match=rf"{section}\.{key} must be"):
+        setattr(getattr(cfg, section) if section else cfg, key, value)
+        name = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=rf"\b{name} must be"):
             validate_config(cfg)
 
     @pytest.mark.parametrize("seed", ["x", 1.5, True])
@@ -292,19 +284,24 @@ class TestBuildClientData:
             assert windows.high_hours == (0, 18, 19, 20, 21, 22, 23)
 
     def test_csv_route_matches_synthetic_route(self, tmp_path):
-        csv_path = tmp_path / "meters.csv"
-        assert cli.main(["synth-data", "--households", "2", "--days", "15",
-                         "--seed", "1", "--out", str(csv_path)]) == 0
-        synthetic = build_client_data(tiny_cfg(tmp_path, data={"households": 2,
-                                                               "days": 15}))
-        from_csv = build_client_data(tiny_cfg(
-            tmp_path, data={"csv_path": str(csv_path),
-                            "households": 2, "days": 15}))
-        for a, b in zip(synthetic, from_csv):
-            assert a.client_id == b.client_id
-            # CSV renders 12 significant digits, so equality is approximate
-            np.testing.assert_allclose(a.train.profiles, b.train.profiles, rtol=1e-9)
-            np.testing.assert_array_equal(a.train.labels, b.train.labels)
+        # at 101 households the ids take three digits, so h100 sorts last
+        for households in (2, 101):
+            csv_path = tmp_path / f"meters{households}.csv"
+            assert cli.main(["synth-data", "--households", str(households), "--days", "15",
+                             "--seed", "1", "--out", str(csv_path)]) == 0
+            synthetic = build_client_data(tiny_cfg(tmp_path, data={"households": households,
+                                                                   "days": 15}))
+            from_csv = build_client_data(tiny_cfg(
+                tmp_path, data={"csv_path": str(csv_path),
+                                "households": households, "days": 15}))
+            assert [c.client_id for c in from_csv] == [c.client_id for c in synthetic]
+            assert len(synthetic) == households
+            for a, b in zip(synthetic, from_csv):
+                # CSV renders 12 significant digits, so equality is approximate;
+                # min-max scaling leaves values near 0, hence atol too
+                np.testing.assert_allclose(a.train.profiles, b.train.profiles, rtol=1e-9,
+                                           atol=1e-9)
+                np.testing.assert_array_equal(a.train.labels, b.train.labels)
 
 
 class TestRunExperiment:
@@ -339,7 +336,7 @@ class TestRunExperiment:
 
     def test_training_attack_rows(self, tmp_path):
         cfg = tiny_cfg(tmp_path / "run", protocol="training_attack",
-                       attack={"family": "label_flip", "flip_fraction": 1.0},
+                       attack={"family": "label_flip"},
                        federation={"malicious_count": 1, "poison_fraction": 0.3})
         result = run_experiment(cfg)
         assert [r[1] for r in result.rows] == ["No Attack", "Label Flip"]
@@ -451,7 +448,7 @@ class TestRunExperiment:
         assert (tmp_path / "relative_run" / "metrics.csv").exists()
 
     @pytest.mark.parametrize("protocol,kw", [
-        ("training_attack", {"attack": {"family": "label_flip", "flip_fraction": 1.0},
+        ("training_attack", {"attack": {"family": "label_flip"},
                              "federation": {"malicious_count": 1},
                              "train": {"epochs": 1}}),
         ("sweep_malicious", {"malicious_fraction_list": [0.34, 0.67],
@@ -664,24 +661,30 @@ class TestCli:
         assert "cfg.json: must be a JSON object of settings" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
-    def test_removed_setting_exits_before_any_run(self, tmp_path, capsys):
-        # train.seed: every training seed derives from master_seed; data.source:
-        # data.csv_path alone says whether the households are synthetic;
-        # federation.rounds: train.epochs sets a federated run's length too;
-        # federation.local_epochs and clients_per_round: every round trains
-        # every client for one epoch; threshold, train.rho and train.eps_opt:
-        # the paper's fixed 0.5 decision point and RMSprop's own constants
+    # train.seed: every training seed derives from master_seed; data.source:
+    # data.csv_path alone says whether the households are synthetic;
+    # federation.rounds: train.epochs sets a federated run's length too;
+    # federation.local_epochs and clients_per_round: every round trains
+    # every client for one epoch; threshold, train.rho and train.eps_opt:
+    # the paper's fixed 0.5 decision point and RMSprop's own constants;
+    # data.kind_weights and data.r_range: anomaly kinds are drawn uniformly
+    # and spike amplitudes from [0.5, 1.5]; attack.flip_fraction: label
+    # flipping inverts every poisoned label
+    @pytest.mark.parametrize("override", [
+        "train.seed=0", 'data.source="csv"', "federation.rounds=2",
+        "federation.local_epochs=1", "federation.clients_per_round=3",
+        "threshold=0.5", "train.rho=0.9", "train.eps_opt=1e-7",
+        'data.kind_weights={"drop":1.0}', "data.r_range=[0.5,1.5]",
+        "attack.flip_fraction=1.0"], ids=lambda override: override.split("=")[0])
+    def test_removed_setting_exits_before_any_run(self, tmp_path, capsys, override):
         out = tmp_path / "run"
-        for override in ("train.seed=0", 'data.source="csv"', "federation.rounds=2",
-                         "federation.local_epochs=1", "federation.clients_per_round=3",
-                         "threshold=0.5", "train.rho=0.9", "train.eps_opt=1e-7"):
-            code = cli.main(["run", "--set", "model=lstm", "--set", f"output_dir={out}",
-                             "--set", "data.households=3", "--set", "data.days=20",
-                             "--set", "train.epochs=1", "--set", override])
-            assert code == cli.EXIT_CONFIG
-            key = override.split("=")[0]
-            assert f"{key} is not a config setting" in capsys.readouterr().err
-            assert not out.exists()
+        code = cli.main(["run", "--set", "model=lstm", "--set", f"output_dir={out}",
+                         "--set", "data.households=3", "--set", "data.days=20",
+                         "--set", "train.epochs=1", "--set", override])
+        assert code == cli.EXIT_CONFIG
+        key = override.split("=")[0]
+        assert f"{key} is not a config setting" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dataset_error_names_its_household(self, tmp_path, capsys):
         # 10 days at 4% anomalies: too few anomalous days in h00 to split
@@ -692,24 +695,15 @@ class TestCli:
         assert "household 'h00': class 1 has 0 sample(s)" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_empty_kind_weights_exits_before_any_run(self, tmp_path, capsys):
-        # null alone asks for uniform weights; {} weighs no kind
-        out = tmp_path / "run"
-        assert cli.main(["run", "--set", "data.kind_weights={}", "--set", "data.households=2",
-                         "--set", "data.days=20", "--set", "train.epochs=1",
-                         "--set", f"output_dir={out}"]) == cli.EXIT_CONFIG
-        assert "data.kind_weights must sum to 1, got 0" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_every_data_range_problem_is_named_before_any_run(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli.main(["run", "--set", "data.anomaly_fraction=2",
-                         "--set", "data.r_range=[2,1]", "--set", 'data.kind_weights={"drop":2}',
+                         "--set", "data.train_fraction=1.5", "--set", "data.households=0",
                          "--set", f"output_dir={out}"]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        for problem in ("data.anomaly_fraction must be in (0,1), got 2",
-                        "data.r_range must be a positive interval, got (2, 1)",
-                        "data.kind_weights must sum to 1, got 2"):
+        for problem in ("data.anomaly_fraction must be in (0, 1), got 2",
+                        "data.train_fraction must be in (0, 1), got 1.5",
+                        "data.households must be >= 1, got 0"):
             assert f"  - {problem}\n" in err
         assert not out.exists()
 
@@ -723,8 +717,8 @@ class TestCli:
     @pytest.mark.parametrize("override", ["name.x=1", "output_dir.x=1", "name=5",
                                           "train.epochs=5,train.epochs.x=1",
                                           "train.epochs.x=1", 'train.epochs="3"',
-                                          "data.anomaly_fraction=2", "data.r_range=[0]",
-                                          "data.r_range=5", 'master_seed="x"'])
+                                          "data.anomaly_fraction=2", 'master_seed="x"',
+                                          "output_dir="])
     def test_bad_override_exits_before_any_run(self, tmp_path, monkeypatch, capsys,
                                                override):
         monkeypatch.chdir(tmp_path)
@@ -969,7 +963,7 @@ class TestCli:
 
     @pytest.mark.parametrize("name,value,default", [
         ("epsilon", "0.2", "0.5"), ("pgd_iters", "3", "10"), ("awgn_variance", "0.5", "0.1"),
-        ("flip_fraction", "0.5", "1.0"), ("project_linf", "true", "False"),
+        ("project_linf", "true", "False"),
         ("eps_ball", "0.2", "None")])
     def test_baseline_rejects_any_attack_setting(self, tmp_path, capsys, name, value, default):
         out = tmp_path / "run"
@@ -1014,15 +1008,13 @@ class TestCli:
          "awgn"),
         (["protocol=sweep_epsilon", "federation.malicious_count=1"], "awgn_variance=0.5",
          "awgn"),
-        (["protocol=training_attack", "attack.family=pgd", "federation.malicious_count=1"],
-         "flip_fraction=0.5", "label_flip"),
         (["protocol=inference_attack", "attack.family=awgn"], "epsilon=0.2",
          "fgsm and pgd"),
         (["protocol=training_attack", "attack.family=label_flip",
           "federation.malicious_count=1"], "epsilon=0.2", "fgsm and pgd")],
         ids=["pgd_iters_fgsm", "project_linf_fgsm", "eps_ball_fgsm", "pgd_iters_awgn_sweep",
              "eps_ball_unprojected_pgd", "awgn_variance_fgsm", "awgn_variance_sweep_epsilon",
-             "flip_fraction_pgd", "epsilon_awgn", "epsilon_label_flip"])
+             "epsilon_awgn", "epsilon_label_flip"])
     def test_attack_setting_no_attack_of_the_run_reads_exits_before_any_run(
             self, tmp_path, capsys, command, setting, readers):
         out = tmp_path / "run"
@@ -1038,7 +1030,7 @@ class TestCli:
         ("sweep_malicious", {"pgd_iters": 2}),  # its attack is pgd when attack.family is none
         ("sweep_epsilon", {"pgd_iters": 2, "project_linf": True, "eps_ball": 0.2}),
         ("inference_attack", {"family": "awgn", "awgn_variance": 0.2}),
-        ("training_attack", {"family": "label_flip", "flip_fraction": 0.5})])
+        ("training_attack", {"family": "awgn", "awgn_variance": 0.2})])
     def test_attack_setting_some_attack_of_the_run_reads_is_accepted(self, tmp_path,
                                                                       protocol, attack):
         malicious = int(protocol in ("sweep_epsilon", "training_attack"))

@@ -690,7 +690,7 @@ class TestCentralized:
         acc_clean = compute_metrics(classify(clean, x), y).accuracy
         flipped, _ = fed.run_centralized(
             x, y, "lstm", cfg, seed=1,
-            attack=AttackSpec(family="label_flip", flip_fraction=1.0),
+            attack=AttackSpec(family="label_flip"),
             poison_fraction=1.0)
         acc_flipped = compute_metrics(classify(flipped, x), y).accuracy
         assert acc_clean > 0.95
