@@ -40,7 +40,7 @@ print(f"negative segment spike 20h:  {np.round(dip, 2)}  (negative kept)")
 # assemble the labeled dataset the classifiers train on
 dataset = dp.build_dataset(profiles, windows, anomaly_fraction=0.10, seed=7)
 normalized = dp.normalize(dataset)
-train, test = dp.split(normalized, train_fraction=0.8, seed=7)
+train, test = dp.split(normalized, seed=7)
 clean = dataset.profiles[dataset.labels == 0]  # normalize scales by the clean range
 print(f"\ndataset: {len(dataset)} samples ({int(dataset.labels.sum())} anomalous), "
       f"scaled by [{clean.min():.3f}, {clean.max():.3f}] kWh")

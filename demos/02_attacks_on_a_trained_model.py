@@ -21,7 +21,7 @@ profiles = dp.synthesize_household(days=200, seed=3)
 windows = dp.detect_usage_windows(profiles)
 dataset = dp.build_dataset(profiles, windows, 0.15, seed=3)
 normalized = dp.normalize(dataset)
-train, test = dp.split(normalized, 0.8, seed=3)
+train, test = dp.split(normalized, seed=3)
 
 model = LstmClassifier(seed=0)
 cfg = TrainConfig(epochs=30)
@@ -31,7 +31,7 @@ for epoch in range(1, cfg.epochs + 1):
                 epoch=epoch, optimizer=optimizer)
 
 x, y = test.profiles, test.labels
-specs = {"AWGN s2=0.1": AttackSpec("awgn", awgn_variance=0.1),  # first: a fresh noise stream
+specs = {"AWGN s2=0.1": AttackSpec("awgn"),  # first: a fresh noise stream
          "FGSM  e=0.5": AttackSpec("fgsm", epsilon=0.5),
          "PGD   e=0.5": AttackSpec("pgd", epsilon=0.5, pgd_iters=10)}
 _, clean, attacked = evaluate_attacks(model, x, y, list(specs.values()),

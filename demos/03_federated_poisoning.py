@@ -25,7 +25,7 @@ def make_clients(n_clients, malicious_ids, attack):
         windows = dp.detect_usage_windows(profiles)
         ds = dp.build_dataset(profiles, windows, 0.15, seed=derive_seed(42, "inj", k))
         normalized = dp.normalize(ds)
-        train, test = dp.split(normalized, 0.8, seed=derive_seed(42, "split", k))
+        train, test = dp.split(normalized, seed=derive_seed(42, "split", k))
         mal = k in malicious_ids
         clients.append(ClientNode(f"c{k}", train.profiles,
                                   train.labels.astype(float), malicious=mal,

@@ -4,8 +4,9 @@ The signed-gradient attacks perturb inputs along the sign of the loss
 gradient with respect to the input: one step (FGSM) or several (PGD).  PGD
 as evaluated here applies the signed step iteratively from the clean input,
 without random start and, by default, without projection; an optional
-l-infinity projection is available for the canonical variant.  The naive
-baselines are additive white Gaussian noise on inputs and label flipping.
+projection onto the l-infinity ball of radius epsilon around the clean
+input gives the canonical variant.  The naive baselines are additive white
+Gaussian noise on inputs, of variance ``AWGN_VARIANCE``, and label flipping.
 
 Attacks operate on normalized profiles, so epsilon is dimensionless.  They
 only read the model: each input gradient asks for no weight gradient
@@ -30,6 +31,7 @@ from .data import HOURS_PER_DAY
 from .models import _by_row_blocks, input_gradient
 
 ATTACK_FAMILIES = ("none", "fgsm", "pgd", "awgn", "label_flip")
+AWGN_VARIANCE = 0.1  # the reference protocol's noise power, sigma^2
 
 
 @dataclass
@@ -39,9 +41,7 @@ class AttackSpec:
     family: str = "none"
     epsilon: float = 0.5        # FGSM magnitude / PGD step size
     pgd_iters: int = 10
-    awgn_variance: float = 0.1
-    project_linf: bool = False
-    eps_ball: float | None = None  # projection radius; defaults to epsilon
+    project_linf: bool = False  # PGD: clip each iterate to the epsilon ball
 
     def __post_init__(self):
         """Raise one ValueError listing every range problem, one per line."""
@@ -49,9 +49,7 @@ class AttackSpec:
             ("family", self.family in ATTACK_FAMILIES, f"one of {', '.join(ATTACK_FAMILIES)}"),
             # math, not numpy: an integer beyond int64 is no numpy scalar
             ("epsilon", math.isfinite(self.epsilon) and self.epsilon >= 0, "finite and >= 0"),
-            ("pgd_iters", self.pgd_iters >= 1, ">= 1"),
-            ("awgn_variance", self.awgn_variance >= 0, ">= 0"),
-            ("eps_ball", self.eps_ball is None or self.eps_ball >= 0, ">= 0"))
+            ("pgd_iters", self.pgd_iters >= 1, ">= 1"))
         problems = [f"{name} must be {rule}, got {getattr(self, name)!r}"
                     for name, ok, rule in ranges if not ok]
         if problems:
@@ -65,9 +63,9 @@ def fgsm(model, x: np.ndarray, y: np.ndarray, epsilon: float, *,
 
 
 def pgd(model, x: np.ndarray, y: np.ndarray, epsilon: float, iters: int = 10, *,
-        project: bool = False, eps_ball: float | None = None,
-        alpha: float = 0.25, gamma: float = 2.0) -> np.ndarray:
-    """Iterated signed-gradient steps; optional l-inf projection around x.
+        project: bool = False, alpha: float = 0.25, gamma: float = 2.0) -> np.ndarray:
+    """Iterated signed-gradient steps of size epsilon; with ``project``, each
+    iterate is clipped to the l-inf ball of radius epsilon around x.
 
     Runs every iteration on one row block before that block's result is
     taken (see ``models._by_row_blocks``: at most the model's ``ROW_BLOCK``
@@ -84,7 +82,6 @@ def pgd(model, x: np.ndarray, y: np.ndarray, epsilon: float, iters: int = 10, *,
     y = np.asarray(y)
     if len(y) != len(x):
         raise ShapeError(f"pgd: {len(x)} input rows but {len(y)} labels")
-    radius = epsilon if eps_ball is None else eps_ball
 
     def attack(model, rows: slice) -> np.ndarray:
         x0 = adv = x[rows]
@@ -92,7 +89,7 @@ def pgd(model, x: np.ndarray, y: np.ndarray, epsilon: float, iters: int = 10, *,
             grad = input_gradient(model, adv, y[rows], alpha, gamma)
             adv = adv + epsilon * np.sign(grad)
             if project:
-                adv = np.clip(adv, x0 - radius, x0 + radius)
+                adv = np.clip(adv, x0 - epsilon, x0 + epsilon)
         return adv
 
     return _by_row_blocks(model, np.empty_like(x), attack)
@@ -124,11 +121,10 @@ def poison_batch(model, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
         return fgsm(model, x, y, spec.epsilon, alpha=alpha, gamma=gamma), y.copy()
     if spec.family == "pgd":
         adv = pgd(model, x, y, spec.epsilon, spec.pgd_iters,
-                  project=spec.project_linf, eps_ball=spec.eps_ball,
-                  alpha=alpha, gamma=gamma)
+                  project=spec.project_linf, alpha=alpha, gamma=gamma)
         return adv, y.copy()
     if spec.family == "awgn":
-        return awgn(x, spec.awgn_variance, rng), y.copy()
+        return awgn(x, AWGN_VARIANCE, rng), y.copy()
     if spec.family == "label_flip":
         return x.copy(), 1 - y
     raise ValueError(f"unknown attack family {spec.family!r}")

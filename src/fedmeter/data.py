@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TextIO
@@ -25,7 +26,11 @@ import numpy as np
 from .seeding import derive_seed, rng_for
 
 HOURS_PER_DAY = 24
+TRAIN_FRACTION = 0.8  # each household's share of rows in its training set
 SYNTH_START = np.datetime64("2021-01-04T00", "h")  # a Monday midnight
+# ISO-8601 local hours: numpy would truncate a finer time to its hour, shift
+# a zoned one to UTC and read a bare date, "today" or "now" as some hour
+_LOCAL_HOUR = re.compile(r"\d{4}-\d\d-\d\dT\d\d(:00(:00)?)?")
 
 ANOMALY_KINDS = ("drop", "pos_spike", "neg_spike", "seg_pos_spike", "seg_neg_spike")
 SPIKE_AMPLITUDES = (0.5, 1.5)  # the range of a spike's r, as the reference protocol's
@@ -109,7 +114,7 @@ def ingest_csv(path) -> dict[str, np.ndarray]:
     profiles: its readings in time order, with no gap, from its first
     midnight, a trailing partial day dropped.
 
-    Expected header: household_id, timestamp (ISO-8601, hour precision), kwh.
+    Expected header: household_id, timestamp (ISO-8601 local hour), kwh.
     The file is UTF-8, with or without the byte-order mark that spreadsheet
     exports write.  Row numbers in error messages count data rows from 1.
     """
@@ -127,14 +132,14 @@ def ingest_csv(path) -> dict[str, np.ndarray]:
             if None in row or None in row.values():
                 raise DataError(f"{path}: row {rownum} does not have one field per "
                                 f"column of the header")
-            hid = row["household_id"]
-            try:
-                ts = np.datetime64(row["timestamp"], "h")
+            hid, text = row["household_id"], row["timestamp"]
+            try:  # numpy rejects an hour, day or month out of range
+                ts = np.datetime64(text if _LOCAL_HOUR.fullmatch(text) else "NaT", "h")
             except ValueError:
                 ts = np.datetime64("NaT", "h")
-            if np.isnat(ts):  # "" and "NaT" parse as not-a-time
-                raise DataError(f"{path}: unparseable timestamp at row {rownum}: "
-                                f"{row['timestamp']!r}")
+            if np.isnat(ts):
+                raise DataError(f"{path}: timestamp at row {rownum} is not a local hour "
+                                f"in ISO-8601, such as 2021-01-04T13: {text!r}")
             try:
                 kwh = float(row["kwh"])
             except ValueError:
@@ -332,11 +337,9 @@ def normalize(dataset: LabeledDataset) -> LabeledDataset:
                           list(dataset.kinds), dataset.day_indices)
 
 
-def split(dataset: LabeledDataset, train_fraction: float,
-          seed: int) -> tuple[LabeledDataset, LabeledDataset]:
-    """Stratified train/test split; disjoint, union equals the input."""
-    if not (0.0 < train_fraction < 1.0):
-        raise DataError(f"train_fraction must be in (0,1), got {train_fraction}")
+def split(dataset: LabeledDataset, seed: int) -> tuple[LabeledDataset, LabeledDataset]:
+    """Stratified train/test split, ``TRAIN_FRACTION`` of each class to
+    training; disjoint, union equals the input."""
     rng = rng_for(seed, "split")
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
@@ -345,7 +348,7 @@ def split(dataset: LabeledDataset, train_fraction: float,
         if len(idx) < 2:
             raise DataError(f"class {label} has {len(idx)} sample(s); need at least 2 to split")
         perm = rng.permutation(idx)
-        n_train = int(round(train_fraction * len(idx)))
+        n_train = int(round(TRAIN_FRACTION * len(idx)))
         n_train = min(max(n_train, 1), len(idx) - 1)  # keep both sides non-empty
         train_idx.append(perm[:n_train])
         test_idx.append(perm[n_train:])

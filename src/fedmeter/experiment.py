@@ -64,8 +64,7 @@ PROTOCOLS = ("baseline", "inference_attack", "training_attack",
 # the settings each protocol overrides or never reads, and why; each must keep
 # its default (an attack setting no attack of the run reads is named by
 # _value_problems, and baseline's attack.family has its own message)
-_CLEAN = (("federation.malicious_count", "federation.poison_fraction"),
-          "it trains once, on clean data")
+_CLEAN = (("federation.malicious_count",), "it trains once, on clean data")
 _NO_EPS = (("epsilon_list",), "only sweep_epsilon reads it")
 _NO_FRACTIONS = (("malicious_fraction_list",), "only sweep_malicious reads it")
 _UNREAD = {
@@ -78,8 +77,7 @@ _UNREAD = {
                          "each point takes its count from malicious_fraction_list"), _NO_EPS),
 }
 # the attack families that read each attack setting besides the family
-_READ_BY = {"epsilon": ("fgsm", "pgd"), "pgd_iters": ("pgd",), "project_linf": ("pgd",),
-            "eps_ball": ("pgd",), "awgn_variance": ("awgn",)}
+_READ_BY = {"epsilon": ("fgsm", "pgd"), "pgd_iters": ("pgd",), "project_linf": ("pgd",)}
 
 
 class ConfigError(ValueError):
@@ -92,13 +90,11 @@ class DataConfig:
     households: int = 19
     days: int = 365
     anomaly_fraction: float = 0.10
-    train_fraction: float = 0.8
 
 
 @dataclass
 class FederationConfig:  # the run's length is train.epochs (module docstring)
     malicious_count: int = 0
-    poison_fraction: float = 0.3
 
 
 @dataclass
@@ -248,18 +244,14 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
         ("output_dir", cfg.output_dir, "a non-empty path"),
         ("data.csv_path", synthetic or dcfg.csv_path, "null or a non-empty path"),
         ("data.anomaly_fraction", 0.0 < dcfg.anomaly_fraction < 1.0, "in (0, 1)"),
-        ("data.train_fraction", 0.0 < dcfg.train_fraction < 1.0, "in (0, 1)"),
         ("data.households", not synthetic or dcfg.households >= 1, ">= 1"),
         ("data.days", not synthetic or dcfg.days >= 2, ">= 2"),
         ("federation.malicious_count", fed.malicious_count >= 0, ">= 0"),
-        ("federation.poison_fraction", 0.0 <= fed.poison_fraction <= 1.0, "in [0, 1]"),
         ("train.epochs", train.epochs >= 1, ">= 1"),
         ("train.batch_size", train.batch_size >= 1, ">= 1"),
         ("train.base_lr", train.base_lr > 0, "> 0"),
-        ("train.lr_decay", train.lr_decay > 0, "> 0"),
         ("train.focal_alpha", 0 <= train.focal_alpha <= 1, "in [0, 1]"),
         ("train.focal_gamma", train.focal_gamma >= 0, ">= 0"),
-        ("train.lr_milestones", all(m >= 1 for m in train.lr_milestones), "epochs >= 1"),
         ("epsilon_list entries", all(e >= 0 for e in cfg.epsilon_list), ">= 0"),
         ("malicious_fraction_list entries",
          all(0.0 < f <= 1.0 for f in cfg.malicious_fraction_list), "in (0, 1]"))
@@ -285,10 +277,6 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
     if cfg.protocol == "inference_attack" and cfg.attack.family == "label_flip":
         problems.append("attack.family label_flip is a training-time attack; protocol "
                         "inference_attack has no variant of it")
-    if cfg.protocol in ("training_attack", "sweep_epsilon", "sweep_malicious") \
-            and fed.poison_fraction == 0:  # other values out of range are named above
-        problems.append(f"protocol {cfg.protocol} poisons nothing with "
-                        f"federation.poison_fraction 0; it must be > 0")
     if cfg.protocol in ("training_attack", "sweep_epsilon") and cfg.setting == "federated" \
             and fed.malicious_count == 0:
         problems.append(f"protocol {cfg.protocol} poisons nothing with "
@@ -306,8 +294,6 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
     for name, readers in _READ_BY.items():
         if families.isdisjoint(readers):
             unread.append((f"attack.{name}", f"read by {' and '.join(readers)} only"))
-        elif name == "eps_ball" and not cfg.attack.project_linf:
-            unread.append(("attack.eps_ball", "read by pgd with attack.project_linf only"))
     defaults = ExperimentConfig()
     problems += [f"protocol {cfg.protocol} does not read {name}; it must be "
                  f"{attrgetter(name)(defaults)!r}, got {attrgetter(name)(cfg)!r} ({why})"
@@ -367,7 +353,7 @@ def build_client_data(cfg: ExperimentConfig) -> list[ClientData]:
             windows = dp.detect_usage_windows(profiles)
             labeled = dp.build_dataset(profiles, windows, dcfg.anomaly_fraction,
                                        derive_seed(cfg.master_seed, "inject", ordinal))
-            train, test = dp.split(dp.normalize(labeled), dcfg.train_fraction,
+            train, test = dp.split(dp.normalize(labeled),
                                    seed=derive_seed(cfg.master_seed, "split", ordinal))
         except dp.DataError as exc:
             raise dp.DataError(f"household {hid!r}: {exc}") from None
@@ -437,17 +423,15 @@ def _train(cfg: ExperimentConfig, clients: list[ClientData],
     docstring); returns the model.  A federated training scores its global
     model on the pooled ``test`` set and writes its round log through
     ``emit``."""
-    fed, seed = cfg.federation, derive_seed(cfg.master_seed, "federation")
+    seed = derive_seed(cfg.master_seed, "federation")
     if cfg.setting == "central":
         x, y, _ = pooled([c.train for c in clients])
-        return run_centralized(x, y, cfg.model, cfg.train, seed=seed, attack=attack,
-                               poison_fraction=fed.poison_fraction)[0]
+        return run_centralized(x, y, cfg.model, cfg.train, seed=seed, attack=attack)[0]
     order = rng_for(cfg.master_seed, "malicious").permutation(len(clients))
     malicious = set(order[:malicious_count].tolist())
     nodes = [ClientNode(c.client_id, c.train.profiles, c.train.labels.astype(np.float64),
                         malicious=i in malicious,
-                        attack=attack if i in malicious else AttackSpec(),
-                        poison_fraction=fed.poison_fraction)
+                        attack=attack if i in malicious else AttackSpec())
              for i, c in enumerate(clients)]
     state = init_state(cfg.model, nodes, seed=seed)
     emit(f"rounds_{label}.jsonl", lambda p: run_federation(

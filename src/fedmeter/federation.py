@@ -47,6 +47,8 @@ from .models import (RmsProp, TrainConfig, _in_order, _workers, make_model, trai
                      weights_from_bytes, weights_to_bytes)
 from .seeding import derive_seed, rng_for
 
+POISON_FRACTION = 0.3  # the share of a poisoned training set perturbed, as the paper's
+
 
 @dataclass
 class ClientNode:
@@ -55,7 +57,7 @@ class ClientNode:
     y_train: np.ndarray
     malicious: bool = False
     attack: AttackSpec = field(default_factory=AttackSpec)
-    poison_fraction: float = 0.3
+    poison_fraction: float = POISON_FRACTION
 
     def __post_init__(self):
         if not self.malicious and self.attack.family != "none":
@@ -256,13 +258,12 @@ def init_state(model_name: str, clients: list[ClientNode], *,
 
 
 def run_centralized(x: np.ndarray, y: np.ndarray, model_name: str, cfg: TrainConfig, *,
-                    seed: int, attack: AttackSpec | None = None,
-                    poison_fraction: float = 0.0):
+                    seed: int, attack: AttackSpec | None = None):
     """Single-model training on pooled data for ``cfg.epochs`` epochs,
     optionally poisoned per epoch.
 
     The model starts from the weights that ``init_state`` gives a federation
-    of the same ``seed``.  With an active attack, a fresh ``poison_fraction``
+    of the same ``seed``.  With an active attack, a fresh ``POISON_FRACTION``
     subset of the pooled training data is perturbed each epoch using the
     current model.  Returns (model, per-epoch loss history).
     """
@@ -273,7 +274,7 @@ def run_centralized(x: np.ndarray, y: np.ndarray, model_name: str, cfg: TrainCon
     for epoch in range(1, cfg.epochs + 1):
         xe, ye = x, y
         if attack.family != "none":
-            xe, ye = _poison_subset(model, x, y, attack, poison_fraction,
+            xe, ye = _poison_subset(model, x, y, attack, POISON_FRACTION,
                                     rng_for(seed, "central-poison", epoch), cfg)
         history.append(train_local(model, xe, ye, cfg, seed=seed, epoch=epoch,
                                    optimizer=optimizer))

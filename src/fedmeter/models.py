@@ -37,6 +37,8 @@ NUM_HEADS = 8
 HEAD_DIM = D_MODEL // NUM_HEADS
 FFN_HIDDEN = 128
 DENSE_HIDDEN = 256
+LR_MILESTONES = (50, 70, 90)  # the reference step schedule: at each of these
+LR_DECAY = 0.1                # epochs the learning rate is multiplied by this
 
 
 @dataclass
@@ -44,16 +46,14 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 32
     base_lr: float = 0.01
-    lr_milestones: tuple[int, ...] = (50, 70, 90)
-    lr_decay: float = 0.1
     focal_alpha: float = 0.25
     focal_gamma: float = 2.0
 
 
 def lr_at_epoch(cfg: TrainConfig, epoch: int) -> float:
     """Learning rate for a 1-indexed global epoch under the step schedule."""
-    passed = sum(1 for m in cfg.lr_milestones if epoch >= m)
-    return cfg.base_lr * cfg.lr_decay ** passed
+    passed = sum(1 for m in LR_MILESTONES if epoch >= m)
+    return cfg.base_lr * LR_DECAY ** passed
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:

@@ -47,6 +47,8 @@ MATRIX = {
                      "train.epochs=1"],
     "attack_fgsm": ["protocol=inference_attack", "attack.family=fgsm", "train.epochs=2"],
     "attack_pgd": ["protocol=inference_attack", "attack.family=pgd", "train.epochs=2"],
+    "attack_pgd_linf": ["protocol=inference_attack", "attack.family=pgd",
+                        "attack.project_linf=true", "train.epochs=2"],
     "attack_awgn": ["protocol=inference_attack", "attack.family=awgn", "train.epochs=2"],
     "sweep_epsilon": ["protocol=sweep_epsilon", "epsilon_list=[0.1,0.5]",
                       "federation.malicious_count=2", "train.epochs=2"],

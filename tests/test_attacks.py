@@ -44,16 +44,14 @@ class TestAttackSpec:
     def test_defaults(self):
         spec = AttackSpec()
         assert spec.family == "none" and spec.pgd_iters == 10
-        assert spec.awgn_variance == 0.1 and not spec.project_linf
+        assert spec.epsilon == 0.5 and not spec.project_linf
 
     @pytest.mark.parametrize("kwargs", [
         {"family": "bim"},
         {"epsilon": -0.1},
         {"pgd_iters": 0},
-        {"awgn_variance": -1.0},
         {"epsilon": float("nan")},
         {"epsilon": float("inf")},
-        {"eps_ball": -0.1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -120,8 +118,8 @@ class TestPgd:
         model, x, y = trained
         x_adv = atk.pgd(model, x, y, 0.2, iters=10, project=True)
         assert np.abs(x_adv - x).max() <= 0.2 * (1 + 1e-12)
-        wide = atk.pgd(model, x, y, 0.2, iters=10, project=True, eps_ball=0.5)
-        assert np.abs(wide - x).max() <= 0.5 * (1 + 1e-12)
+        free = atk.pgd(model, x, y, 0.2, iters=10)
+        assert np.abs(free - x).max() > 0.2 * (1 + 1e-12)
 
     def test_flips_at_least_as_many_predictions_as_fgsm(self, trained):
         model, x, y = trained
@@ -161,12 +159,12 @@ class TestPgd:
         assert calls == []
 
 
-def whole_batch_iterates(model, x, y, epsilon, iters, eps_ball):
+def whole_batch_iterates(model, x, y, epsilon, iters):
     """Oracle: projected PGD with every step on all rows in one call."""
     x_adv, out = x.copy(), []
     for _ in range(iters):
         x_adv = x_adv + epsilon * np.sign(input_gradient(model, x_adv, y))
-        x_adv = np.clip(x_adv, x - eps_ball, x + eps_ball)
+        x_adv = np.clip(x_adv, x - epsilon, x + epsilon)
         out.append(x_adv)
     return out
 
@@ -186,13 +184,14 @@ class TestRowBlockedPgd:
     def test_equals_whole_batch_iteration(self, untrained, n):
         model, x, y = untrained
         x, y = x[:n], y[:n]
-        # the 0.15 ball cuts the second 0.1 step short, so projection acts;
-        # one step stays inside it, so the first iterate is FGSM
-        step1, step2 = whole_batch_iterates(model, x, y, 0.1, 2, 0.15)
+        # one 0.1 step reaches the 0.1 ball's surface, so the first iterate
+        # is FGSM; the ball stops a second step in the same direction, so
+        # projection acts
+        step1, step2 = whole_batch_iterates(model, x, y, 0.1, 2)
         assert np.array_equal(atk.fgsm(model, x, y, 0.1), step1)
-        assert np.array_equal(atk.pgd(model, x, y, 0.1, 2, project=True, eps_ball=0.15),
-                              step2)
-        assert np.abs(step2 - x).max() == pytest.approx(0.15)
+        assert np.array_equal(atk.pgd(model, x, y, 0.1, 2, project=True), step2)
+        assert not np.array_equal(atk.pgd(model, x, y, 0.1, 2), step2)
+        assert np.abs(step2 - x).max() == pytest.approx(0.1)
 
     def test_no_call_sees_more_than_one_block(self, monkeypatch):
         # rows per block on 1, 2 and 3 workers: no more than ROW_BLOCK // 16
@@ -297,9 +296,7 @@ class TestRowBlockWorkers:
             results = []
             for workers in (1, 2, 3):
                 force_block_workers(monkeypatch, workers)
-                # the 0.05 ball is smaller than one 0.1 step, so projection acts
-                results.append(atk.pgd(model, x[:n], y[:n], 0.1, iters, project=project,
-                                       eps_ball=0.05))
+                results.append(atk.pgd(model, x[:n], y[:n], 0.1, iters, project=project))
             assert results[0].shape == (n, 24)
             assert all(np.array_equal(out, results[0]) for out in results[1:]), n
 
@@ -323,8 +320,7 @@ class TestRowBlockWorkers:
             results = []
             for workers in (1, 2, 3):
                 force_block_workers(monkeypatch, workers)
-                results.append((atk.pgd(model, x[:n], y[:n], 0.1, 3, project=True,
-                                        eps_ball=0.05),
+                results.append((atk.pgd(model, x[:n], y[:n], 0.1, 3, project=True),
                                 predict_proba(model, x[:n])))
             assert all(np.array_equal(a, results[0][0]) and np.array_equal(p, results[0][1])
                        for a, p in results[1:]), n

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -67,11 +69,26 @@ class TestIngest:
         with pytest.raises(DataError, match="timestamp"):
             dp.ingest_csv(f)
 
-    def test_unparseable_timestamp_cites_row(self, tmp_path):
+    # numpy would truncate a time finer than the hour to it, shift a zoned
+    # one to UTC (with a warning), read a bare date or "today" as midnight and
+    # "now" as the hour it is run, and warn of a zone for a trailing space
+    @pytest.mark.parametrize("stamp", ["yesterday", "", "NaT", "2021-01-04T01:30",
+                                       "2021-01-04T01:00:00.000", "2021-01-04T01+05:00",
+                                       "2021-01-04T01:00Z", "2021-01-04 01-0100",
+                                       "2021-01-04", "today", "now", "2021-01-04T05 ",
+                                       "2021-01-04 05", "2021-01-04T24"])
+    @pytest.mark.filterwarnings("error")
+    def test_timestamp_that_is_not_a_local_hour_cites_row(self, tmp_path, stamp):
         f = tmp_path / "m.csv"
-        write_csv(f, ["a,2021-01-04T00,1.0", "a,yesterday,1.0"])
-        with pytest.raises(DataError, match="row 2"):
+        write_csv(f, ["a,2021-01-04T00,1.0", f"a,{stamp},1.0"])
+        with pytest.raises(DataError, match=r"timestamp at row 2 is not a local hour in "
+                           rf"ISO-8601, such as 2021-01-04T13: {re.escape(repr(stamp))}$"):
             dp.ingest_csv(f)
+
+    def test_minutes_on_the_hour_read_as_that_hour(self, tmp_path):
+        f = tmp_path / "m.csv"
+        write_csv(f, [f"a,{t}:00:00,{i}" for i, t in enumerate(hourly_stamps(24))])
+        np.testing.assert_array_equal(dp.ingest_csv(f)["a"], [np.arange(24)])
 
     def test_duplicate_household_timestamp(self, tmp_path):
         f = tmp_path / "m.csv"
@@ -445,25 +462,25 @@ class TestSplit:
         return dp.build_dataset(profiles, WINDOWS, n_anom / n_clean, seed=seed)
 
     def test_split_sizes(self):
-        train, test = dp.split(self.build(), 0.8, seed=0)
+        train, test = dp.split(self.build(), seed=0)
         assert len(train) == 880 and len(test) == 220
 
     def test_stratification(self):
         ds = self.build()
-        train, test = dp.split(ds, 0.8, seed=1)
+        train, test = dp.split(ds, seed=1)
         overall = ds.labels.mean()
         assert abs(train.labels.mean() - overall) < 0.01
         assert abs(test.labels.mean() - overall) < 0.01
 
     def test_deterministic(self):
         ds = self.build()
-        a = dp.split(ds, 0.8, seed=2)
-        b = dp.split(ds, 0.8, seed=2)
+        a = dp.split(ds, seed=2)
+        b = dp.split(ds, seed=2)
         assert np.array_equal(a[0].profiles, b[0].profiles)
 
     def test_disjoint_union(self):
         ds = self.build(n_clean=97, n_anom=13)
-        train, test = dp.split(ds, 0.7, seed=3)
+        train, test = dp.split(ds, seed=3)
         assert len(train) + len(test) == len(ds)
         combined = np.vstack([train.profiles, test.profiles])
         assert np.array_equal(np.sort(combined, axis=None),
@@ -474,5 +491,5 @@ class TestSplit:
                             np.array([0, 0, 1]), ["none", "none", "drop"],
                             np.arange(3))
         with pytest.raises(DataError, match="class 1"):
-            dp.split(ds, 0.5, seed=0)
+            dp.split(ds, seed=0)
 

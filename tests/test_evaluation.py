@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedmeter import evaluation as ev
-from fedmeter.attacks import AttackSpec, poison_batch
+from fedmeter.attacks import AWGN_VARIANCE, AttackSpec, poison_batch
 from fedmeter.models import make_model, sigmoid_head
 
 
@@ -201,8 +201,8 @@ def attack_set(n=24, seed=1):
 
 
 class TestEvaluateAttacks:
-    SPECS = [AttackSpec("fgsm", epsilon=0.2), AttackSpec("awgn", awgn_variance=0.3),
-             AttackSpec("pgd", epsilon=0.1, pgd_iters=3, project_linf=True, eps_ball=0.15)]
+    SPECS = [AttackSpec("fgsm", epsilon=0.2), AttackSpec("awgn"),
+             AttackSpec("pgd", epsilon=0.1, pgd_iters=3, project_linf=True)]
 
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_one_classification_per_input_set(self, monkeypatch, k):
@@ -225,12 +225,11 @@ class TestEvaluateAttacks:
     def test_awgn_specs_draw_in_spec_order_from_one_generator(self):
         x, y = attack_set()
         *_, attacked = ev.evaluate_attacks(
-            CountingModel(), x, y, [AttackSpec("awgn", awgn_variance=0.2),
-                                    AttackSpec("awgn", awgn_variance=0.5)],
+            CountingModel(), x, y, [AttackSpec("awgn"), AttackSpec("awgn")],
             np.random.default_rng(11))
         rng = np.random.default_rng(11)
-        first = x + rng.normal(0.0, np.sqrt(0.2), size=x.shape)
-        second = x + rng.normal(0.0, np.sqrt(0.5), size=x.shape)
+        first = x + rng.normal(0.0, np.sqrt(AWGN_VARIANCE), size=x.shape)
+        second = x + rng.normal(0.0, np.sqrt(AWGN_VARIANCE), size=x.shape)
         assert np.array_equal(attacked[0][1], first)
         assert np.array_equal(attacked[1][1], second)
 

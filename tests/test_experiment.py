@@ -17,7 +17,7 @@ from fedmeter import data as dp
 from fedmeter import experiment as ex
 from fedmeter import models as md
 from fedmeter import federation as fed
-from fedmeter.attacks import AttackSpec, awgn
+from fedmeter.attacks import AWGN_VARIANCE, AttackSpec, awgn
 from fedmeter.experiment import (ConfigError, DataConfig, ExperimentConfig,
                                  apply_override, build_client_data, config_from_dict,
                                  config_to_dict, recommended_train_config,
@@ -94,9 +94,8 @@ class TestConfig:
 
     def test_roundtrip_through_json(self, tmp_path):
         cfg = tiny_cfg(tmp_path, epsilon_list=[0.3, 0.6], malicious_fraction_list=[0.5],
-                       attack={"family": "pgd", "eps_ball": 0.2, "project_linf": True},
-                       train={"lr_milestones": [3, 7]})
-        assert cfg.train.lr_milestones == (3, 7)
+                       attack={"family": "pgd", "project_linf": True})
+        assert cfg.epsilon_list == (0.3, 0.6)
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
     @settings(max_examples=500, deadline=None)
@@ -113,9 +112,8 @@ class TestConfig:
 
     def test_defaults_fill(self):
         cfg = config_from_dict({})
-        assert cfg.federation.poison_fraction == 0.3
+        assert cfg.federation.malicious_count == 0
         assert cfg.attack.pgd_iters == 10
-        assert cfg.attack.awgn_variance == 0.1
         assert cfg.data.households == 19 and cfg.data.days == 365
 
     def test_empty_attack_normalizes_to_baseline(self):
@@ -139,14 +137,14 @@ class TestConfig:
         assert not (tmp_path / "run").exists()
 
     def test_all_violations_listed_together(self, tmp_path):
-        cfg = tiny_cfg(tmp_path, setting="central", data={"train_fraction": 1.5},
+        cfg = tiny_cfg(tmp_path, setting="central", data={"anomaly_fraction": 1.5},
                        federation={"malicious_count": 2}, train={"batch_size": 0})
         with pytest.raises(ConfigError) as err:
             validate_config(cfg)
         message = str(err.value)
         assert "malicious_count" in message
         assert "batch_size" in message
-        assert "train_fraction" in message
+        assert "anomaly_fraction" in message
 
     @pytest.mark.parametrize("section,key,value", [
         ("train", "epochs", -2),
@@ -161,18 +159,13 @@ class TestConfig:
         ("train", "epochs", {"x": 1}),
         ("train", "batch_size", True),
         ("federation", "malicious_count", 2.0),
-        ("federation", "poison_fraction", "0.3"),
         ("data", "anomaly_fraction", 2.0),
         ("data", "anomaly_fraction", "0.1"),
         ("train", "base_lr", 0.0),
-        ("train", "lr_decay", -0.1),
-        ("train", "lr_decay", 0.0),
         ("train", "focal_alpha", -0.5),
         ("train", "focal_alpha", 1.5),
         ("train", "focal_gamma", -1.0),
-        ("train", "lr_milestones", (0, 50)),
         ("data", "csv_path", ""),
-        ("attack", "eps_ball", -0.1),
         ("attack", "epsilon", -2 ** 63 - 1),  # a float, but no int64
         ("", "output_dir", ""),
     ])
@@ -226,12 +219,6 @@ class TestConfig:
     @pytest.mark.parametrize("setting,protocol,federation,field", [
         ("federated", "training_attack", {"malicious_count": 0}, "malicious_count"),
         ("federated", "sweep_epsilon", {"malicious_count": 0}, "malicious_count"),
-        ("federated", "training_attack", {"malicious_count": 1, "poison_fraction": 0.0},
-         "poison_fraction"),
-        ("central", "training_attack", {"poison_fraction": 0.0}, "poison_fraction"),
-        ("federated", "sweep_epsilon", {"malicious_count": 1, "poison_fraction": 0.0},
-         "poison_fraction"),
-        ("federated", "sweep_malicious", {"poison_fraction": 0.0}, "poison_fraction"),
     ])
     def test_training_time_attack_that_poisons_nothing_rejected(self, tmp_path, setting,
                                                                 protocol, federation, field):
@@ -337,7 +324,7 @@ class TestRunExperiment:
     def test_training_attack_rows(self, tmp_path):
         cfg = tiny_cfg(tmp_path / "run", protocol="training_attack",
                        attack={"family": "label_flip"},
-                       federation={"malicious_count": 1, "poison_fraction": 0.3})
+                       federation={"malicious_count": 1})
         result = run_experiment(cfg)
         assert [r[1] for r in result.rows] == ["No Attack", "Label Flip"]
         assert result.rows[1][-1] != ""
@@ -375,13 +362,13 @@ class TestRunExperiment:
 
     def test_inference_attack_awgn_draws_the_attack_eval_stream(self, tmp_path):
         cfg = tiny_cfg(tmp_path / "run", protocol="inference_attack",
-                       attack={"family": "awgn", "awgn_variance": 0.2})
+                       attack={"family": "awgn"})
         result = run_experiment(cfg)
         assert result.rows[0][1] == "AWGN" and result.rows[0][-1] != ""
         lines = (tmp_path / "run" / "adversarial_test.csv").read_text().splitlines()[1:]
         x_adv = np.array([[float(v) for v in line.split(",")[:SEQ_LEN]] for line in lines])
         x_test, _, _ = ex.pooled([c.test for c in build_client_data(cfg)])
-        expected = awgn(x_test, 0.2, rng_for(cfg.master_seed, "attack-eval"))
+        expected = awgn(x_test, AWGN_VARIANCE, rng_for(cfg.master_seed, "attack-eval"))
         # the CSV renders 12 significant digits
         np.testing.assert_allclose(x_adv, expected, rtol=1e-10, atol=1e-11)
 
@@ -669,13 +656,19 @@ class TestCli:
     # the paper's fixed 0.5 decision point and RMSprop's own constants;
     # data.kind_weights and data.r_range: anomaly kinds are drawn uniformly
     # and spike amplitudes from [0.5, 1.5]; attack.flip_fraction: label
-    # flipping inverts every poisoned label
+    # flipping inverts every poisoned label; data.train_fraction,
+    # federation.poison_fraction, attack.awgn_variance, train.lr_milestones
+    # and train.lr_decay: the reference protocol's constants; attack.eps_ball:
+    # projected PGD clips to the epsilon ball
     @pytest.mark.parametrize("override", [
         "train.seed=0", 'data.source="csv"', "federation.rounds=2",
         "federation.local_epochs=1", "federation.clients_per_round=3",
         "threshold=0.5", "train.rho=0.9", "train.eps_opt=1e-7",
         'data.kind_weights={"drop":1.0}', "data.r_range=[0.5,1.5]",
-        "attack.flip_fraction=1.0"], ids=lambda override: override.split("=")[0])
+        "attack.flip_fraction=1.0", "data.train_fraction=0.8",
+        "federation.poison_fraction=0.3", "attack.awgn_variance=0.1",
+        "attack.eps_ball=0.5", "train.lr_milestones=[50,70,90]", "train.lr_decay=0.1"],
+        ids=lambda override: override.split("=")[0])
     def test_removed_setting_exits_before_any_run(self, tmp_path, capsys, override):
         out = tmp_path / "run"
         code = cli.main(["run", "--set", "model=lstm", "--set", f"output_dir={out}",
@@ -698,11 +691,11 @@ class TestCli:
     def test_every_data_range_problem_is_named_before_any_run(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli.main(["run", "--set", "data.anomaly_fraction=2",
-                         "--set", "data.train_fraction=1.5", "--set", "data.households=0",
+                         "--set", "data.days=1", "--set", "data.households=0",
                          "--set", f"output_dir={out}"]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         for problem in ("data.anomaly_fraction must be in (0, 1), got 2",
-                        "data.train_fraction must be in (0, 1), got 1.5",
+                        "data.days must be >= 2, got 1",
                         "data.households must be >= 1, got 0"):
             assert f"  - {problem}\n" in err
         assert not out.exists()
@@ -733,9 +726,11 @@ class TestCli:
         ("kwh", "a,2021-01-04T01,nan", "row 2"), ("kwh", "a,2021-01-04T01,inf", "row 2"),
         ("kwh", "a,2021-01-04T01,1e999", "row 2"), ("energy", "a,2021-01-04T01,1.0", "'kwh'"),
         ("kwh", "a,2021-01-04T01", "row 2"), ("kwh", "a,2021-01-04T01,1.0,2.0", "row 2"),
-        ("kwh", "a,,1.0", "row 2"), ("kwh", "a,NaT,1.0", "row 2")],
+        ("kwh", "a,,1.0", "row 2"), ("kwh", "a,NaT,1.0", "row 2"),
+        ("kwh", "a,2021-01-04T01:30,1.0", "timestamp at row 2 is not a local hour"),
+        ("kwh", "a,2021-01-04T01+05:00,1.0", "timestamp at row 2 is not a local hour")],
         ids=["nan", "inf", "1e999", "no_kwh_column", "missing_field", "extra_field",
-             "empty_timestamp", "nat_timestamp"])
+             "empty_timestamp", "nat_timestamp", "sub_hour_timestamp", "zoned_timestamp"])
     def test_bad_csv_exits_before_any_run(self, tmp_path, capsys, header, row, named):
         csv_path = tmp_path / "meters.csv"
         csv_path.write_text(f"household_id,timestamp,{header}\n"
@@ -822,16 +817,15 @@ class TestCli:
         assert (out / "final_pgd.ckpt").exists()
 
     @pytest.mark.parametrize("override", [
-        "epsilon_list=5", "train.lr_milestones=5", "malicious_fraction_list=null",
-        "epsilon_list={\"a\":1}", 'train.base_lr="x"', "train.lr_decay=true",
+        "epsilon_list=5", "malicious_fraction_list=null",
+        "epsilon_list={\"a\":1}", 'train.base_lr="x"', "train.batch_size=true",
         "train.base_lr=NaN", "train.focal_alpha=[1]", "train.focal_alpha=null",
         "train.focal_gamma=1e309",
         pytest.param(f"train.base_lr={10 ** 400}", id="train.base_lr=10**400"),
-        'attack.project_linf="x"', 'attack.eps_ball="x"', "attack.pgd_iters=NaN",
-        "attack.epsilon=true", "data.csv_path=5",
-        'train.lr_milestones=["x"]',
+        'attack.project_linf="x"', "attack.pgd_iters=NaN",
+        "attack.epsilon=true", "data.csv_path=5", 'malicious_fraction_list=["x"]',
         # well typed but out of range: AttackSpec's own checks
-        "attack.awgn_variance=-1", "attack.pgd_iters=0", "attack.family=x"])
+        "attack.epsilon=-1", "attack.pgd_iters=0", "attack.family=x"])
     def test_mistyped_list_or_real_exits_before_any_run(self, tmp_path, monkeypatch,
                                                         capsys, override):
         monkeypatch.chdir(tmp_path)
@@ -949,22 +943,9 @@ class TestCli:
                 "got 0.3") in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [
-        [], ["protocol=inference_attack", "attack.family=fgsm"]],
-        ids=["baseline", "inference_attack"])
-    def test_clean_training_protocol_rejects_a_poison_fraction(self, tmp_path, capsys,
-                                                               command):
-        out = tmp_path / "run"
-        assert self.run_tiny(out, *command, "federation.poison_fraction=0.5") == \
-            cli.EXIT_CONFIG
-        assert "does not read federation.poison_fraction; it must be 0.3, got 0.5" in \
-            capsys.readouterr().err
-        assert not out.exists()
-
     @pytest.mark.parametrize("name,value,default", [
-        ("epsilon", "0.2", "0.5"), ("pgd_iters", "3", "10"), ("awgn_variance", "0.5", "0.1"),
-        ("project_linf", "true", "False"),
-        ("eps_ball", "0.2", "None")])
+        ("epsilon", "0.2", "0.5"), ("pgd_iters", "3", "10"),
+        ("project_linf", "true", "False")])
     def test_baseline_rejects_any_attack_setting(self, tmp_path, capsys, name, value, default):
         out = tmp_path / "run"
         assert self.run_tiny(out, f"attack.{name}={value}") == cli.EXIT_CONFIG
@@ -999,22 +980,14 @@ class TestCli:
          "pgd_iters=3", "pgd"),
         (["protocol=training_attack", "attack.family=fgsm", "federation.malicious_count=1"],
          "project_linf=true", "pgd"),
-        (["protocol=training_attack", "attack.family=fgsm", "federation.malicious_count=1"],
-         "eps_ball=0.2", "pgd"),
         (["protocol=sweep_malicious", "attack.family=awgn"], "pgd_iters=3", "pgd"),
-        (["protocol=training_attack", "attack.family=pgd", "federation.malicious_count=1"],
-         "eps_ball=0.2", "pgd with attack.project_linf"),
-        (["protocol=inference_attack", "attack.family=fgsm"], "awgn_variance=0.5",
-         "awgn"),
-        (["protocol=sweep_epsilon", "federation.malicious_count=1"], "awgn_variance=0.5",
-         "awgn"),
+        (["protocol=inference_attack", "attack.family=awgn"], "project_linf=true", "pgd"),
         (["protocol=inference_attack", "attack.family=awgn"], "epsilon=0.2",
          "fgsm and pgd"),
         (["protocol=training_attack", "attack.family=label_flip",
           "federation.malicious_count=1"], "epsilon=0.2", "fgsm and pgd")],
-        ids=["pgd_iters_fgsm", "project_linf_fgsm", "eps_ball_fgsm", "pgd_iters_awgn_sweep",
-             "eps_ball_unprojected_pgd", "awgn_variance_fgsm", "awgn_variance_sweep_epsilon",
-             "epsilon_awgn", "epsilon_label_flip"])
+        ids=["pgd_iters_fgsm", "project_linf_fgsm", "pgd_iters_awgn_sweep",
+             "project_linf_awgn", "epsilon_awgn", "epsilon_label_flip"])
     def test_attack_setting_no_attack_of_the_run_reads_exits_before_any_run(
             self, tmp_path, capsys, command, setting, readers):
         out = tmp_path / "run"
@@ -1028,9 +1001,9 @@ class TestCli:
 
     @pytest.mark.parametrize("protocol,attack", [
         ("sweep_malicious", {"pgd_iters": 2}),  # its attack is pgd when attack.family is none
-        ("sweep_epsilon", {"pgd_iters": 2, "project_linf": True, "eps_ball": 0.2}),
-        ("inference_attack", {"family": "awgn", "awgn_variance": 0.2}),
-        ("training_attack", {"family": "awgn", "awgn_variance": 0.2})])
+        ("sweep_epsilon", {"pgd_iters": 2, "project_linf": True}),
+        ("inference_attack", {"family": "pgd", "project_linf": True}),
+        ("training_attack", {"family": "fgsm", "epsilon": 0.2})])
     def test_attack_setting_some_attack_of_the_run_reads_is_accepted(self, tmp_path,
                                                                       protocol, attack):
         malicious = int(protocol in ("sweep_epsilon", "training_attack"))

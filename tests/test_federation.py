@@ -672,26 +672,37 @@ class TestDeterminismAndLogs:
 
 
 class TestCentralized:
-    def test_poison_zero_is_bitwise_clean(self):
-        x, y = toy_client_data(7, n=32)
-        cfg = replace(CFG, epochs=2)
-        m1, h1 = fed.run_centralized(x, y, "lstm", cfg, seed=0,
-                                     attack=AttackSpec(family="fgsm", epsilon=0.5),
-                                     poison_fraction=0.0)
-        m2, h2 = fed.run_centralized(x, y, "lstm", cfg, seed=0)
-        assert h1 == h2
-        w1, w2 = m1.get_weights(), m2.get_weights()
-        assert all(np.array_equal(w1[k], w2[k]) for k in w1)
+    @pytest.mark.parametrize("family", ["label_flip", "awgn"])
+    def test_an_attack_alone_poisons_the_reference_fraction_each_epoch(self, monkeypatch,
+                                                                       family):
+        x, y = toy_client_data(9, n=38)
+        seen = []
+
+        def recording_train_local(model, xe, ye, cfg, **kwargs):
+            seen.append((xe, ye))
+            return train_local(model, xe, ye, cfg, **kwargs)
+
+        monkeypatch.setattr(fed, "train_local", recording_train_local)
+        fed.run_centralized(x, y, "lstm", replace(CFG, epochs=2), seed=0,
+                            attack=AttackSpec(family=family))
+        assert len(seen) == 2
+        # floor(0.3 * 38) rows poisoned, a fresh subset each epoch
+        changed = [np.flatnonzero((xe != x).any(axis=1) | (ye != y)) for xe, ye in seen]
+        assert [len(rows) for rows in changed] == [11, 11]
+        assert not np.array_equal(*changed)
 
     def test_full_label_flip_inverts_predictions(self):
         x, y = toy_client_data(13, n=48)
         cfg = TrainConfig(epochs=40, batch_size=16)
         clean, _ = fed.run_centralized(x, y, "lstm", cfg, seed=1)
         acc_clean = compute_metrics(classify(clean, x), y).accuracy
-        flipped, _ = fed.run_centralized(
-            x, y, "lstm", cfg, seed=1,
-            attack=AttackSpec(family="label_flip"),
-            poison_fraction=1.0)
+        # one malicious client that flips every label of its data each round
+        state = init_state("lstm", [ClientNode("m0", x, y, malicious=True,
+                                               attack=AttackSpec(family="label_flip"),
+                                               poison_fraction=1.0)], seed=1)
+        fed.run_federation(state, "lstm", cfg)
+        flipped = make_model("lstm")
+        flipped.set_weights(state.global_weights)
         acc_flipped = compute_metrics(classify(flipped, x), y).accuracy
         assert acc_clean > 0.95
         assert abs(acc_flipped - (1.0 - acc_clean)) < 0.1
