@@ -134,7 +134,11 @@ def dump_adversarial_csv(x_adv: np.ndarray, labels: np.ndarray, kinds: list[str]
                          family: str, epsilon: float | None, path) -> None:
     """Adversarial samples as ``v0..v23,label,kind,attack_family,epsilon`` rows,
     values with 12 significant digits; the epsilon cell is empty when
-    ``epsilon`` is None, for a family that reads none."""
+    ``epsilon`` is None, for a family that reads none.  ValueError, and no
+    file, when ``x_adv``, ``labels`` and ``kinds`` differ in length."""
+    if not len(x_adv) == len(labels) == len(kinds):
+        raise ValueError(f"x_adv, labels and kinds must have equal lengths, got "
+                         f"{len(x_adv)}, {len(labels)} and {len(kinds)}")
     eps = "" if epsilon is None else f"{epsilon:.12g}"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

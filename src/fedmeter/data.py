@@ -53,7 +53,8 @@ class DataError(ValueError):
 
 @dataclass
 class UsageWindows:
-    """Hour indices of the low- and high-consumption periods."""
+    """Hour indices of the low- and high-consumption periods, each kept as
+    a sorted tuple of ints, whatever order and integer type they come in."""
 
     low_hours: tuple[int, ...]
     high_hours: tuple[int, ...]
@@ -74,14 +75,12 @@ class LabeledDataset:
     profiles: np.ndarray   # [n, 24]
     labels: np.ndarray     # [n] in {0, 1}
     kinds: list[str]       # "none" or one of ANOMALY_KINDS
-    day_indices: np.ndarray
 
     def __post_init__(self):
         self.profiles = np.asarray(self.profiles, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        self.day_indices = np.asarray(self.day_indices, dtype=np.int64)
         n = len(self.profiles)
-        if not (len(self.labels) == len(self.kinds) == len(self.day_indices) == n):
+        if not (len(self.labels) == len(self.kinds) == n):
             raise DataError("dataset arrays must have equal length")
         if np.any((self.labels == 1) != (np.asarray(self.kinds, dtype=str) != "none")):
             raise DataError("label 1 must coincide with a non-none anomaly kind")
@@ -91,7 +90,7 @@ class LabeledDataset:
 
     def subset(self, idx: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(self.profiles[idx], self.labels[idx],
-                              [self.kinds[i] for i in idx], self.day_indices[idx])
+                              [self.kinds[i] for i in idx])
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +214,20 @@ def _as_profiles(values, ndim: int) -> np.ndarray:
 # usage windows
 
 def _best_circular_window(hour_means: np.ndarray, extremum: int, k: int,
-                          maximize: bool) -> tuple[int, ...]:
-    """The length-k circular window containing the extremum hour whose mean
-    is most extreme; ties resolved toward the lower start hour."""
+                          maximize: bool) -> np.ndarray:
+    """The hours of the length-k circular window containing the extremum
+    hour whose mean is most extreme, from its start; ties resolved toward
+    the lower start hour."""
     best_start, best_mean = None, None
     for offset in range(k):
         start = (extremum - offset) % HOURS_PER_DAY
-        hours = (start + np.arange(k)) % HOURS_PER_DAY
-        m = hour_means[hours].mean()
+        m = hour_means[_window_positions(start, k)].mean()
         better = (best_mean is None
                   or (m > best_mean if maximize else m < best_mean)
                   or (m == best_mean and start < best_start))
         if better:
             best_start, best_mean = start, m
-    return tuple(sorted(int(h) for h in (best_start + np.arange(k)) % HOURS_PER_DAY))
+    return _window_positions(best_start, k)
 
 
 def detect_usage_windows(profiles: np.ndarray) -> UsageWindows:
@@ -300,7 +299,7 @@ def build_dataset(profiles: np.ndarray, windows: UsageWindows, anomaly_fraction:
                   seed: int) -> LabeledDataset:
     """The ``(days, 24)`` originals labeled 0, then anomalous copies of a
     seeded random ``anomaly_fraction`` of them, each of a kind drawn
-    uniformly from ``ANOMALY_KINDS``; a row's day index is its source row."""
+    uniformly from ``ANOMALY_KINDS``."""
     if not (0.0 < anomaly_fraction < 1.0):
         raise DataError(f"anomaly_fraction must be in (0, 1), got {anomaly_fraction!r}")
     profiles = _as_profiles(profiles, 2)
@@ -321,7 +320,7 @@ def build_dataset(profiles: np.ndarray, windows: UsageWindows, anomaly_fraction:
         injected.append(_inject_kind(profiles[i], kinds[-1], windows, rng))
     return LabeledDataset(np.vstack([profiles, *injected]),
                           np.repeat([0, 1], [n, n_anom]),
-                          ["none"] * n + kinds, np.r_[np.arange(n), source_idx])
+                          ["none"] * n + kinds)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +333,7 @@ def normalize(dataset: LabeledDataset) -> LabeledDataset:
     if vmax == vmin:
         raise DataError("constant series: min equals max, cannot scale")
     return LabeledDataset((dataset.profiles - vmin) / (vmax - vmin), dataset.labels,
-                          list(dataset.kinds), dataset.day_indices)
+                          list(dataset.kinds))
 
 
 def split(dataset: LabeledDataset, seed: int) -> tuple[LabeledDataset, LabeledDataset]:

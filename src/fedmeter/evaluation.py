@@ -33,7 +33,6 @@ class Metrics:
     fp: int
     tn: int
     fn: int
-    degenerate: bool = False  # a zero-denominator metric was reported as 0
 
 
 @dataclass
@@ -59,21 +58,12 @@ def compute_metrics(pred: np.ndarray, truth: np.ndarray) -> Metrics:
     fp = int(np.sum((pred == 1) & (truth == 0)))
     tn = int(np.sum((pred == 0) & (truth == 0)))
     fn = int(np.sum((pred == 0) & (truth == 1)))
-    degenerate = False
+    # a metric whose denominator is 0 is reported as 0
     accuracy = (tp + tn) / pred.size
-    if tp + fp > 0:
-        precision = tp / (tp + fp)
-    else:
-        precision, degenerate = 0.0, True
-    if tp + fn > 0:
-        recall = tp / (tp + fn)
-    else:
-        recall, degenerate = 0.0, True
-    if precision + recall > 0:
-        f1 = 2 * precision * recall / (precision + recall)
-    else:
-        f1, degenerate = 0.0, True
-    return Metrics(accuracy, precision, recall, f1, tp, fp, tn, fn, degenerate)
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return Metrics(accuracy, precision, recall, f1, tp, fp, tn, fn)
 
 
 def asr_from_predictions(reference: np.ndarray, pred: np.ndarray) -> AsrReport:

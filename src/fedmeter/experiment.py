@@ -37,6 +37,7 @@ import math
 import numbers
 import os
 import platform
+import sys
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from operator import attrgetter
@@ -113,16 +114,14 @@ class ExperimentConfig:
     malicious_fraction_list: tuple[float, ...] = (0.1, 0.2, 0.3, 0.5)
 
 
-def recommended_train_config(model_name: str, **overrides) -> TrainConfig:
+def recommended_train_config(model_name: str) -> TrainConfig:
     """Desk-scale training defaults.
 
     The LSTM takes the reference schedule as-is.  The from-scratch
     transformer collapses to a constant predictor at the reference 0.01
     learning rate, so its desk preset starts at 1e-3.
     """
-    base = {"base_lr": 1e-3} if model_name == "transformer" else {}
-    base.update(overrides)
-    return TrainConfig(**base)
+    return TrainConfig(base_lr=1e-3) if model_name == "transformer" else TrainConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +425,7 @@ def _train(cfg: ExperimentConfig, clients: list[ClientData],
     seed = derive_seed(cfg.master_seed, "federation")
     if cfg.setting == "central":
         x, y, _ = pooled([c.train for c in clients])
-        return run_centralized(x, y, cfg.model, cfg.train, seed=seed, attack=attack)[0]
+        return run_centralized(x, y, cfg.model, cfg.train, seed=seed, attack=attack)
     order = rng_for(cfg.master_seed, "malicious").permutation(len(clients))
     malicious = set(order[:malicious_count].tolist())
     nodes = [ClientNode(c.client_id, c.train.profiles, c.train.labels.astype(np.float64),
@@ -512,10 +511,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
 def _write_run_stats(path: str, wall_s: float) -> None:
     """The run's wall seconds and the process's peak RSS so far, in MB of
-    1024 KiB (``ru_maxrss`` is KiB on Linux; None without ``resource``).
-    Timings differ between reruns, so no determinism check reads this file."""
-    peak = None if resource is None else resource.getrusage(
-        resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    1024 KiB (``ru_maxrss`` counts bytes on macOS and KiB elsewhere; None
+    without ``resource``).  Timings differ between reruns, so no determinism
+    check reads this file."""
+    per_mb = 2.0 ** 20 if sys.platform == "darwin" else 1024.0
+    peak = None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / per_mb
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"peak_rss_mb": peak, "wall_s": wall_s}, indent=2,
                             sort_keys=True) + "\n")

@@ -265,17 +265,15 @@ def run_centralized(x: np.ndarray, y: np.ndarray, model_name: str, cfg: TrainCon
     The model starts from the weights that ``init_state`` gives a federation
     of the same ``seed``.  With an active attack, a fresh ``POISON_FRACTION``
     subset of the pooled training data is perturbed each epoch using the
-    current model.  Returns (model, per-epoch loss history).
+    current model.  Returns the trained model.
     """
     attack = AttackSpec() if attack is None else attack
     model = make_model(model_name, seed=derive_seed(seed, "global-init"))
     optimizer = RmsProp()
-    history = []
     for epoch in range(1, cfg.epochs + 1):
         xe, ye = x, y
         if attack.family != "none":
             xe, ye = _poison_subset(model, x, y, attack, POISON_FRACTION,
                                     rng_for(seed, "central-poison", epoch), cfg)
-        history.append(train_local(model, xe, ye, cfg, seed=seed, epoch=epoch,
-                                   optimizer=optimizer))
-    return model, history
+        train_local(model, xe, ye, cfg, seed=seed, epoch=epoch, optimizer=optimizer)
+    return model

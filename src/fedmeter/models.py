@@ -330,8 +330,20 @@ def _layer_norm_grads(g: np.ndarray, centered: np.ndarray, ve: np.ndarray | None
     return d_t, d_gamma, _reduce_to(g, (d,)) if need_beta else None
 
 
-def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], pos: np.ndarray,
-                        want: str | None = None):
+def _sinusoidal_positions(length: int, dim: int) -> np.ndarray:
+    angles = np.arange(length)[:, None] / np.power(10000.0, 2.0 * np.arange(dim // 2) / dim)
+    pe = np.zeros((length, dim))
+    pe[:, 0::2] = np.sin(angles)
+    pe[:, 1::2] = np.cos(angles)
+    pe.flags.writeable = False
+    return pe
+
+
+# the Transformer's fixed sinusoidal positional code, (SEQ_LEN, D_MODEL)
+POSITIONS = _sinusoidal_positions(SEQ_LEN, D_MODEL)
+
+
+def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str | None = None):
     """The Transformer from its batch of readings to its dense head's ReLU
     output, as one fused kernel; returns (batch, DENSE_HIDDEN) and the
     backward closure, which gives the gradients of every weight it reads for
@@ -339,7 +351,7 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], pos: np.nd
 
     Each reading is embedded by ``emb.w`` and ``emb.b``, scaled by
     sqrt(D_MODEL) so that it is not drowned out by the unit-magnitude
-    positional code ``pos``, and summed with it.  Then come NUM_BLOCKS
+    positional code ``POSITIONS``, and summed with it.  Then come NUM_BLOCKS
     post-norm blocks, ``blk{k}.*`` in ``params``: multi-head self-attention,
     then a ReLU feed-forward layer, each added to its input and layer-normed.
     The last block's output is averaged over time and passed through the
@@ -393,7 +405,7 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], pos: np.nd
         h = _affine(x.reshape(batch * SEQ_LEN, 1), w["emb.w"], w["emb.b"])
         h *= emb_scale
         h = h.reshape(batch, SEQ_LEN, d)
-        h += pos
+        h += POSITIONS
         return h
 
     def block_output(k: int) -> np.ndarray:
@@ -563,9 +575,23 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], pos: np.nd
 
 class _Classifier:
     """What both models share: the weight map ``params``, one float64 array
-    per name, and its copies in and out."""
+    per name, its copies in and out, and the one ``forward``.
+
+    A subclass declares its weights, its ``ROW_BLOCK``, its encoder kernel
+    ``ENCODER(x, params, want) -> (features, backward)`` and the prefix
+    ``HEAD`` of the weights of its :func:`sigmoid_head`.
+    """
 
     params: dict[str, np.ndarray]
+    ENCODER: Callable
+    HEAD: str
+
+    def forward(self, x, want: str | None = None) -> tuple[np.ndarray, list]:
+        """The anomaly probabilities of the batch ``x``, and its kernels'
+        backward closures in order (each None for ``want`` None)."""
+        h, encoder = self.ENCODER(_checked_batch(x), self.params, want)
+        probs, head = sigmoid_head(h, self.params, self.HEAD, want)
+        return probs, [encoder, head]
 
     def get_weights(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}
@@ -588,10 +614,11 @@ class _Classifier:
 class LstmClassifier(_Classifier):
     """Sequence-to-one LSTM: 24 scalar steps -> hidden state -> sigmoid unit."""
 
-    name = "lstm"
     # Rows an attack or inference keeps in flight (see _by_row_blocks).  At
     # 16 rows an input_gradient cost 0.37 ms per row, at 32-64 rows 0.27-0.31.
     ROW_BLOCK = 64
+    ENCODER = staticmethod(lstm_sequence)
+    HEAD = "head."
 
     def __init__(self, seed: int = 0):
         rng = rng_for(seed, "init", "lstm")
@@ -604,31 +631,14 @@ class LstmClassifier(_Classifier):
             "head.b": np.zeros(1),
         }
 
-    def forward(self, x, want: str | None = None) -> tuple[np.ndarray, list]:
-        """The anomaly probabilities of the batch ``x``, and its kernels'
-        backward closures in order (each None for ``want`` None)."""
-        h, encoder = lstm_sequence(_checked_batch(x), self.params, want)
-        probs, head = sigmoid_head(h, self.params, "head.", want)
-        return probs, [encoder, head]
-
-
-def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
-    pos = np.arange(length)[:, None]
-    i = np.arange(dim // 2)[None, :]
-    angles = pos / np.power(10000.0, 2.0 * i / dim)
-    pe = np.zeros((length, dim))
-    pe[:, 0::2] = np.sin(angles)
-    pe[:, 1::2] = np.cos(angles)
-    return pe
-
 
 class TransformerClassifier(_Classifier):
     """Post-norm Transformer encoder over embedded hourly readings.
 
-    Scalar readings are linearly embedded to the model width, summed with a
-    fixed sinusoidal positional code, passed through the encoder blocks,
-    averaged over time and fed to a ReLU dense layer, all as one fused
-    kernel (:func:`transformer_encoder`); a sigmoid unit
+    Scalar readings are linearly embedded to the model width, summed with the
+    fixed sinusoidal positional code ``POSITIONS``, passed through the
+    encoder blocks, averaged over time and fed to a ReLU dense layer, all as
+    one fused kernel (:func:`transformer_encoder`); a sigmoid unit
     (:func:`sigmoid_head`) classifies the result.  A 32-row training forward
     holds 10.6 MiB in its closures, because the encoder's backward
     recomputes its layer-norm outputs, attention weights, merged attention
@@ -636,11 +646,12 @@ class TransformerClassifier(_Classifier):
     them.
     """
 
-    name = "transformer"
     # Rows an attack or inference keeps in flight (see _by_row_blocks).  A
     # row's closures hold about 1 MiB, 8x the LSTM's, and an input_gradient
     # costs about the same per row at 16 rows as at 32.
     ROW_BLOCK = 32
+    ENCODER = staticmethod(transformer_encoder)
+    HEAD = "head.out."
 
     def __init__(self, seed: int = 0):
         rng = rng_for(seed, "init", "transformer")
@@ -663,14 +674,6 @@ class TransformerClassifier(_Classifier):
         params["head.out.w"] = _glorot(rng, (dense, 1))
         params["head.out.b"] = np.zeros(1)
         self.params = params
-        self.pos_encoding = sinusoidal_positions(SEQ_LEN, d)
-
-    def forward(self, x, want: str | None = None) -> tuple[np.ndarray, list]:
-        """The anomaly probabilities of the batch ``x``, and its kernels'
-        backward closures in order (each None for ``want`` None)."""
-        h, encoder = transformer_encoder(_checked_batch(x), self.params, self.pos_encoding, want)
-        probs, head = sigmoid_head(h, self.params, "head.out.", want)
-        return probs, [encoder, head]
 
 
 MODEL_FACTORIES = {

@@ -343,7 +343,7 @@ def composed_attention(h, p, k):
     return linear(merged, p[f"blk{k}.attn.wo"], p[f"blk{k}.attn.ob"])
 
 
-def composed_transformer_encoder(x, params, pos):
+def composed_transformer_encoder(x, params):
     """The Transformer encoder and its ReLU dense head as a tape of
     elementary nodes: the oracle for ``md.transformer_encoder``.  Its linear
     and layer-norm nodes are looked up on this module, so a test may swap in
@@ -353,7 +353,7 @@ def composed_transformer_encoder(x, params, pos):
     flat = reshape(x, (batch * md.SEQ_LEN, 1))
     emb = linear(flat, p["emb.w"], p["emb.b"])
     emb = mul(emb, Tensor(np.sqrt(float(d))))
-    h = add(reshape(emb, (batch, md.SEQ_LEN, d)), Tensor(pos))
+    h = add(reshape(emb, (batch, md.SEQ_LEN, d)), Tensor(md.POSITIONS))
     for k in range(md.NUM_BLOCKS):
         h = layer_norm(add(h, composed_attention(h, p, k)),
                        p[f"blk{k}.ln1.gamma"], p[f"blk{k}.ln1.beta"])

@@ -206,8 +206,8 @@ def sigmoid_head(h, w, b):
                   {"head.w": w, "head.b": b})
 
 
-def transformer_encoder(x, params, pos):
-    return record(md.transformer_encoder, x, params, pos)
+def transformer_encoder(x, params):
+    return record(md.transformer_encoder, x, params)
 
 
 def focal_loss(p, y, alpha=0.25, gamma=2.0):

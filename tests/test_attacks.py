@@ -494,3 +494,11 @@ class TestDump:
         fields = a.read_text().splitlines()[1].split(",")
         assert fields[0] == "0.333333333333"  # 12 significant digits
         assert fields[-4:] == ["0", "none", "pgd", "0.333333333333"]
+
+    @pytest.mark.parametrize("labels,kinds", [(3, 2), (2, 3), (4, 3)])
+    def test_length_mismatch_writes_no_file(self, tmp_path, labels, kinds):
+        out = tmp_path / "adv.csv"
+        with pytest.raises(ValueError, match="equal lengths"):
+            atk.dump_adversarial_csv(np.zeros((3, 24)), np.zeros(labels, int),
+                                     ["none"] * kinds, "fgsm", 0.5, out)
+        assert not out.exists()

@@ -322,26 +322,26 @@ class TestLabeledDataset:
     ], ids=["first_mismatch_before_a_match", "label_without_kind", "kind_without_label"])
     def test_label_kind_mismatch_is_caught_in_any_row(self, labels, kinds):
         with pytest.raises(DataError, match="label 1 must coincide"):
-            LabeledDataset(np.zeros((4, 24)), np.array(labels), kinds, np.arange(4))
+            LabeledDataset(np.zeros((4, 24)), np.array(labels), kinds)
 
     def test_mismatch_in_the_last_row_of_many_is_caught(self):
         labels = np.r_[np.zeros(999, int), 1]
         kinds = ["none"] * 1000
         with pytest.raises(DataError, match="label 1 must coincide"):
-            LabeledDataset(np.zeros((1000, 24)), labels, kinds, np.arange(1000))
+            LabeledDataset(np.zeros((1000, 24)), labels, kinds)
 
     def test_empty_dataset(self):
-        ds = LabeledDataset(np.zeros((0, 24)), np.zeros(0, int), [], np.zeros(0, int))
+        ds = LabeledDataset(np.zeros((0, 24)), np.zeros(0, int), [])
         assert len(ds) == 0 and len(ds.subset(np.zeros(0, int))) == 0
 
 
 class TestBuildDataset:
     def test_size_arithmetic(self):
-        ds = dp.build_dataset(toy_profiles(1000), WINDOWS, 0.1, seed=1)
+        profiles = toy_profiles(1000)
+        ds = dp.build_dataset(profiles, WINDOWS, 0.1, seed=1)
         assert len(ds) == 1100
-        assert int(ds.labels.sum()) == 100
-        np.testing.assert_array_equal(ds.day_indices[:1000], np.arange(1000))
-        assert np.all(np.diff(ds.day_indices[1000:]) > 0)  # sorted, distinct sources
+        np.testing.assert_array_equal(ds.labels, np.repeat([0, 1], [1000, 100]))
+        np.testing.assert_array_equal(ds.profiles[:1000], profiles)  # originals first
 
     @pytest.mark.parametrize("shape", [(24,), (10, 23), (0, 25), (2, 5, 24)])
     def test_array_that_is_not_days_by_24_rejected(self, shape):
@@ -367,14 +367,14 @@ class TestBuildDataset:
         # then its start hour from the kind's window
         ds = dp.build_dataset(toy_profiles(200, seed=4), WINDOWS, 0.3, seed=4)
         rng = rng_for(4, "inject")
-        assert np.array_equal(ds.day_indices[200:], np.sort(rng.choice(200, 60, replace=False)))
+        sources = np.sort(rng.choice(200, 60, replace=False))
         kinds = dp.ANOMALY_KINDS
         for row in range(200, len(ds)):
             kind = str(rng.choice(kinds, p=[1 / len(kinds)] * len(kinds)))
             assert ds.kinds[row] == kind
             hours = WINDOWS.low_hours if "pos" in kind else WINDOWS.high_hours
             start = int(rng.choice(hours))
-            changed = np.flatnonzero(ds.profiles[row] != ds.profiles[ds.day_indices[row]])
+            changed = np.flatnonzero(ds.profiles[row] != ds.profiles[sources[row - 200]])
             assert start in changed
             if kind == "drop":
                 rng.integers(1, 3)  # its length
@@ -387,8 +387,10 @@ class TestBuildDataset:
         profiles = toy_profiles(400, seed=7)
         ds = dp.build_dataset(profiles, WINDOWS, 0.25, seed=7)
         n = len(profiles)
-        for row in range(n, len(ds)):
-            src = profiles[ds.day_indices[row]]
+        # each anomaly's source row, the first draw of the "inject" stream
+        sources = np.sort(rng_for(7, "inject").choice(n, len(ds) - n, replace=False))
+        for row, source in zip(range(n, len(ds)), sources, strict=True):
+            src = profiles[source]
             out = ds.profiles[row]
             kind = ds.kinds[row]
             diff = np.flatnonzero(out != src)
@@ -420,12 +422,12 @@ class TestBuildDataset:
 class TestNormalize:
     def make(self, values):
         arr = np.tile(np.asarray(values, float), (24 // len(values) + 1,))[:24]
-        return LabeledDataset(arr[None, :], np.array([0]), ["none"], np.array([0]))
+        return LabeledDataset(arr[None, :], np.array([0]), ["none"])
 
     def test_minmax(self):
         arr = np.zeros((1, 24))
         arr[0, :3] = [0.0, 5.0, 10.0]
-        ds = LabeledDataset(arr, np.array([0]), ["none"], np.array([0]))
+        ds = LabeledDataset(arr, np.array([0]), ["none"])
         out = dp.normalize(ds)
         assert out.profiles[0, 1] == 0.5 and out.profiles[0, 2] == 1.0
         assert (out.profiles.min(), out.profiles.max()) == (0.0, 1.0)
@@ -433,7 +435,7 @@ class TestNormalize:
     def test_roundtrip(self):
         rng = np.random.default_rng(0)
         ds = LabeledDataset(rng.uniform(0, 3, (10, 24)), np.zeros(10, int),
-                            ["none"] * 10, np.arange(10))
+                            ["none"] * 10)
         out = dp.normalize(ds)
         vmin, vmax = ds.profiles.min(), ds.profiles.max()  # every row is clean
         restored = out.profiles * (vmax - vmin) + vmin
@@ -445,13 +447,12 @@ class TestNormalize:
         spiked = clean.copy()
         spiked[0, 18] = 2.5
         ds = LabeledDataset(np.vstack([clean, spiked]), np.array([0, 1]),
-                            ["none", "pos_spike"], np.array([0, 0]))
+                            ["none", "pos_spike"])
         out = dp.normalize(ds)
         assert out.profiles[1, 18] == 2.5
 
     def test_constant_series(self):
-        ds = LabeledDataset(np.ones((2, 24)), np.zeros(2, int), ["none"] * 2,
-                            np.arange(2))
+        ds = LabeledDataset(np.ones((2, 24)), np.zeros(2, int), ["none"] * 2)
         with pytest.raises(DataError, match="constant"):
             dp.normalize(ds)
 
@@ -488,8 +489,7 @@ class TestSplit:
 
     def test_tiny_class_rejected(self):
         ds = LabeledDataset(np.random.default_rng(0).uniform(size=(3, 24)),
-                            np.array([0, 0, 1]), ["none", "none", "drop"],
-                            np.arange(3))
+                            np.array([0, 0, 1]), ["none", "none", "drop"])
         with pytest.raises(DataError, match="class 1"):
             dp.split(ds, seed=0)
 

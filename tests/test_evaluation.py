@@ -53,7 +53,7 @@ class TestComputeMetrics:
     def test_perfect_predictions(self):
         y = np.array([0, 1, 1, 0, 1])
         m = ev.compute_metrics(y, y)
-        assert m.accuracy == 1.0 and m.f1 == 1.0 and not m.degenerate
+        assert m.accuracy == 1.0 and m.f1 == 1.0
 
     def test_total_inversion(self):
         truth = np.array([0, 1, 0, 1])
@@ -85,9 +85,9 @@ class TestComputeMetrics:
             for value in (m.accuracy, m.precision, m.recall, m.f1):
                 assert 0.0 <= value <= 1.0
 
-    def test_degenerate_precision_flagged(self):
+    def test_zero_denominator_metrics_are_zero(self):
         m = ev.compute_metrics(np.zeros(4, int), np.array([1, 1, 0, 0]))
-        assert m.precision == 0.0 and m.degenerate
+        assert (m.precision, m.recall, m.f1) == (0.0, 0.0, 0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):

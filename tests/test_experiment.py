@@ -248,8 +248,7 @@ class TestConfig:
 
     def test_recommended_train_config(self):
         assert recommended_train_config("lstm").base_lr == 0.01
-        assert recommended_train_config("transformer").base_lr == 1e-3
-        assert recommended_train_config("transformer", epochs=7).epochs == 7
+        assert recommended_train_config("transformer") == md.TrainConfig(base_lr=1e-3)
 
 
 class TestBuildClientData:
@@ -386,6 +385,17 @@ class TestRunExperiment:
         stats = json.loads((tmp_path / "run" / "run_stats.json").read_text())
         assert sorted(stats) == ["peak_rss_mb", "wall_s"]
         assert stats["wall_s"] > 0 and stats["peak_rss_mb"] > 0
+
+    @pytest.mark.parametrize("platform,maxrss", [("linux", 3 * 2**10), ("darwin", 3 * 2**20)])
+    def test_peak_rss_reads_the_platforms_maxrss_unit(self, tmp_path, monkeypatch,
+                                                      platform, maxrss):
+        # ru_maxrss counts KiB on Linux and bytes on macOS: 3 MB either way
+        monkeypatch.setattr(sys, "platform", platform)
+        monkeypatch.setattr(ex.resource, "getrusage",
+                            lambda who: types.SimpleNamespace(ru_maxrss=maxrss))
+        ex._write_run_stats(tmp_path / "run_stats.json", 1.5)
+        stats = json.loads((tmp_path / "run_stats.json").read_text())
+        assert stats == {"peak_rss_mb": 3.0, "wall_s": 1.5}
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_a = tiny_cfg(tmp_path / "a", protocol="training_attack",

@@ -694,7 +694,7 @@ class TestCentralized:
     def test_full_label_flip_inverts_predictions(self):
         x, y = toy_client_data(13, n=48)
         cfg = TrainConfig(epochs=40, batch_size=16)
-        clean, _ = fed.run_centralized(x, y, "lstm", cfg, seed=1)
+        clean = fed.run_centralized(x, y, "lstm", cfg, seed=1)
         acc_clean = compute_metrics(classify(clean, x), y).accuracy
         # one malicious client that flips every label of its data each round
         state = init_state("lstm", [ClientNode("m0", x, y, malicious=True,
@@ -709,12 +709,11 @@ class TestCentralized:
 
     def test_attack_free_matches_plain_training(self):
         x, y = toy_client_data(21, n=32)
-        model, history = fed.run_centralized(x, y, "lstm", replace(CFG, epochs=3), seed=5)
+        model = fed.run_centralized(x, y, "lstm", replace(CFG, epochs=3), seed=5)
         # the weights init_state gives a federation of the same seed
         ref = make_model("lstm", seed=derive_seed(5, "global-init"))
         optimizer = RmsProp()  # one state across the epochs
-        ref_hist = [train_local(ref, x, y, CFG, seed=5, epoch=epoch, optimizer=optimizer)
-                    for epoch in (1, 2, 3)]
-        assert history == ref_hist
+        for epoch in (1, 2, 3):
+            train_local(ref, x, y, CFG, seed=5, epoch=epoch, optimizer=optimizer)
         w, rw = model.get_weights(), ref.get_weights()
         assert all(np.array_equal(w[k], rw[k]) for k in w)

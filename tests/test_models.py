@@ -398,7 +398,7 @@ class TestSkippedGradientsAreBitExact:
             h, encoder = md.lstm_sequence(x, model.params, "input")
             prefix = "head."
         else:
-            h, encoder = md.transformer_encoder(x, model.params, model.pos_encoding, "input")
+            h, encoder = md.transformer_encoder(x, model.params, "input")
             prefix = "head.out."
         probs, head = md.sigmoid_head(h, model.params, prefix, "weights")
         d_x, grads = ad.backward([encoder, head, focal_loss(probs, y, want="weights")[1]])
@@ -539,7 +539,7 @@ class TestFusedKernelsAreBitExact:
                                        params["lstm.b"])
                 head = params["head.w"], params["head.b"]
             else:
-                h = composed_transformer_encoder(xt, params, model.pos_encoding)
+                h = composed_transformer_encoder(xt, params)
                 head = params["head.out.w"], params["head.out.b"]
             probs = composed_sigmoid_head(h, *head)
             tape.backward(composed_focal_loss(probs, y))
@@ -734,10 +734,9 @@ class TestLeanTransformerTape:
     def encoder_held(model, x, trains):
         """(shape, dtype) of each array the encoder's closure holds for ``x``,
         for training or for an attack."""
-        _, bw = md.transformer_encoder(x, model.params, model.pos_encoding,
-                                       "weights" if trains else "input")
+        _, bw = md.transformer_encoder(x, model.params, "weights" if trains else "input")
         return sorted((shape, dtype.name) for shape, dtype, _, _ in tape_inventory(
-            [bw], list(model.params.values()) + [model.pos_encoding]))
+            [bw], list(model.params.values()) + [md.POSITIONS]))
 
     def test_training_forward_holds_a_small_tape(self):
         model = TransformerClassifier(seed=0)
@@ -763,7 +762,7 @@ class TestLeanTransformerTape:
         x, y = self.batch(32)
         probs, steps = model.forward(x, "weights")
         steps.append(focal_loss(probs, y, want="weights")[1])
-        held = tape_inventory(steps, list(model.params.values()) + [model.pos_encoding])
+        held = tape_inventory(steps, list(model.params.values()) + [md.POSITIONS])
         width = (32, md.SEQ_LEN, md.D_MODEL)
         # the composed tape's linears held each layer-norm output and merged
         # context, (32, 24, 160) each, for their weight gradients; now only
@@ -809,10 +808,9 @@ class TestLeanTransformerTape:
         model = TransformerClassifier(seed=0)
         x, _ = self.batch(32)
         params = {k: Tensor(p) for k, p in model.params.items()}
-        out = composed_transformer_encoder(Tensor(x, requires_grad=True), params,
-                                           model.pos_encoding)
+        out = composed_transformer_encoder(Tensor(x, requires_grad=True), params)
         composed = sorted((shape, dtype.name) for shape, dtype, _, _ in tape_inventory(
-            tape_rules(out), list(model.params.values()) + [model.pos_encoding]) if shape)
+            tape_rules(out), list(model.params.values()) + [md.POSITIONS]) if shape)
         attention_weights = ((32 * md.NUM_HEADS, md.SEQ_LEN, md.SEQ_LEN), "float64")
         assert composed.count(attention_weights) == 5
         # both hold q, k and v, layer-norm statistics and ReLU masks; the
@@ -962,7 +960,7 @@ class TestFusedEncoderIsBitExact:
         def run(encoder):
             params = {k: Tensor(p, requires_grad=trains(k)) for k, p in model.params.items()}
             xt = Tensor(x, requires_grad=need_x)
-            out = encoder(xt, params, model.pos_encoding)
+            out = encoder(xt, params)
             tape.backward(mean(mul(out, Tensor(r))))
             return out.data, xt.grad, {k: p.grad for k, p in params.items()}
 
@@ -1110,7 +1108,7 @@ class TestCheckpoints:
         # already handed over must never change afterwards
         handed = model.params
         values = {name: arr.copy() for name, arr in handed.items()}
-        broadcast = make_model(model.name, seed=5).get_weights()
+        broadcast = type(model)(seed=5).get_weights()
         model.set_weights(broadcast)
         assert [n for n in handed if not np.array_equal(handed[n], values[n])] == []
         assert [n for n, p in model.params.items() if p is handed[n]] == []
@@ -1122,6 +1120,6 @@ class TestCheckpoints:
         assert [n for n, p in model.params.items() if np.array_equal(p, broadcast[n])] == []
         assert [n for n in handed if not np.array_equal(handed[n], values[n])] == []
         # and the broadcast map, which every client of the round starts from
-        start = make_model(model.name, seed=5).get_weights()
+        start = type(model)(seed=5).get_weights()
         assert [n for n in start if not np.array_equal(broadcast[n], start[n])] == []
         assert [n for n, p in model.params.items() if p is handed[n]] == []

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import os
 import pathlib
 import re
 import shlex
@@ -110,3 +111,32 @@ def test_benchmark_sets_up(workload):
                           cwd=root, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "setup_s" in json.loads(proc.stdout.splitlines()[-1])
+
+
+TRACED_FORWARDS = """
+import importlib.util, sys
+import numpy as np
+import fedmeter
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracer.install(fedmeter)
+md = fedmeter.models
+md.LstmClassifier(seed=0).forward(np.zeros((3, md.SEQ_LEN)))
+md.TransformerClassifier(seed=0).forward(np.zeros((5, md.SEQ_LEN)))
+print([size for name, size in zip(tracer.names, tracer.sizes) if name == "models.forward"])
+"""
+
+
+def test_tracer_wraps_each_classifiers_forward():
+    # the traced benchmark run wraps forward on each classifier class in
+    # turn; a wrap that missed a class, or ran twice, would fail only there
+    root = pathlib.Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", TRACED_FORWARDS,
+                           str(root / "perfbench" / "tracing.py")],
+                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[3, 5]"
