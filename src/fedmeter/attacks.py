@@ -13,9 +13,9 @@ only read the model: each input gradient asks for no weight gradient
 (``models.input_gradient``), so it writes nothing back.  The
 gradient attacks work through the rows in blocks, each model class
 holding its own number of rows in flight.  Outside a federated round's
-client and with BLAS on one thread per call, the blocks run on two cores,
-both workers reading the one model, and every result keeps the bits it has
-on one core.
+client, the blocks run on two cores while BLAS runs one thread per call, as
+fedmeter sets it at import; both workers read the one model, and every
+result keeps the bits it has on one core.
 """
 
 from __future__ import annotations

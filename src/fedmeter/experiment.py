@@ -55,7 +55,7 @@ from . import data as dp
 from .attacks import AttackSpec, dump_adversarial_csv
 from .evaluation import asr_from_predictions, evaluate_attacks, metrics_row, write_metrics_csv
 from .federation import ClientNode, global_model, init_state, run_centralized, run_federation
-from .models import BLAS_THREAD_VARS, TrainConfig, _workers, blas_build, save_weights
+from .models import TrainConfig, _workers, blas_build, blas_threads, save_weights
 from .seeding import derive_seed, rng_for
 
 OUTPUT_ROOT_ENV = "FEDMETER_OUTPUT_ROOT"
@@ -532,9 +532,9 @@ def _write_snapshot_and_manifest(cfg: ExperimentConfig, out_dir: str,
         "outputs": sorted(os.path.relpath(f, out_dir) for f in files),
         "platform": platform.platform(),
         "numpy": np.__version__,
-        # the BLAS thread count can change the bits (README); None when unset
+        # the bits depend on the BLAS build (README); None when BLAS cannot be asked
         "blas": blas_build(),
-        "blas_thread_env": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+        "blas_threads": blas_threads(),
         "workers": _workers(),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:

@@ -14,9 +14,10 @@ honest clients' stored data is never touched.
 Clients of a round are independent, so a round can train several at once,
 through the worker machinery in :mod:`fedmeter.models` that also runs an
 attack's row blocks.  It does so for both models while BLAS runs one thread
-per call: then the calling thread and one helper thread per further core, up
-to ``models.MAX_WORKERS`` workers, each own a model instance, take the next
-client, poison it if it is malicious and train it.  A malicious client's
+per call, as fedmeter sets it at import (one worker on a BLAS without a
+thread-count setter): the calling thread and one helper thread per further
+core, up to ``models.MAX_WORKERS`` workers, each own a model instance, take
+the next client, poison it if it is malicious and train it.  A malicious client's
 PGD runs on its own worker in whole blocks of its model's ``ROW_BLOCK``
 rows (64 for the LSTM, 32 for the Transformer), never on further threads.
 The worker whose client completes the client order so far folds that map,

@@ -844,10 +844,6 @@ class _TaskThread(threading.local):
 _task_thread = _TaskThread()
 
 
-# The environment variables a BLAS build reads its thread count from.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
 def blas_build() -> dict[str, str]:
     """The name and version of the BLAS numpy was built against, each ""
     where numpy does not say."""
@@ -858,25 +854,53 @@ def blas_build() -> dict[str, str]:
     return {"name": str(blas.get("name", "")), "version": str(blas.get("version", ""))}
 
 
+def _blas_thread_calls() -> tuple[Callable, Callable] | None:
+    """The thread-count setter and getter of the OpenBLAS bundled with numpy,
+    the library numpy loaded; None for another BLAS or a numpy without one."""
+    import ctypes
+    import glob
+    here = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(here, os.pardir, "numpy.libs", "*openblas*"))
+                       + glob.glob(os.path.join(here, ".dylibs", "*openblas*"))):
+        lib = ctypes.CDLL(path)  # numpy has loaded it: the same handle
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            setter = getattr(lib, name.format("set"), None)
+            getter = getattr(lib, name.format("get"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                return setter, getter
+    return None
+
+
+# Process-wide policy, applied at import: numpy's BLAS runs one thread per
+# call whatever the shell's thread variables say, so two BLAS threads never
+# round a gemm differently from one, and the cores go to _in_order's workers.
+_BLAS_THREAD_CALLS = _blas_thread_calls()
+if _BLAS_THREAD_CALLS is not None:
+    _BLAS_THREAD_CALLS[0](1)
+
+
+def blas_threads() -> int | None:
+    """The thread count numpy's BLAS reports, 1 unless a caller raised it
+    after importing fedmeter; None when it cannot be asked."""
+    return None if _BLAS_THREAD_CALLS is None else int(_BLAS_THREAD_CALLS[1]())
+
+
 def _workers() -> int:
     """How many workers run a round's clients or an attack's row blocks at
     once: up to :data:`MAX_WORKERS` cores, or one.
 
-    More than one only when BLAS runs one thread per call and the calling
-    thread is not already one of :func:`_in_order`'s workers: a malicious
-    client's PGD inside a concurrent round stays on its worker, in whole
-    blocks of its model's ``ROW_BLOCK`` rows.  The count BLAS read is the
-    first of ``OPENBLAS_NUM_THREADS`` (or ``MKL_NUM_THREADS`` for MKL) and
-    ``OMP_NUM_THREADS`` that is set.  With 2-thread BLAS on 2 cores, two
-    Transformer workers made a round 72% slower than one (``selection_sides``
-    in BENCH_9.json).
+    More than one only when BLAS reports one thread per call (fedmeter sets
+    it so at import, where the build has a setter) and the calling thread is
+    not already one of :func:`_in_order`'s workers: a malicious client's PGD
+    inside a concurrent round stays on its worker, in whole blocks of its
+    model's ``ROW_BLOCK`` rows.  A BLAS whose thread count cannot be asked,
+    or that a caller raised, gets one worker: with 2-thread BLAS on 2 cores,
+    two Transformer workers made a round 72% slower than one
+    (``selection_sides`` in BENCH_9.json).  No environment variable is read.
     """
-    if _task_thread.busy:
-        return 1
-    names = ("MKL_NUM_THREADS" if "mkl" in blas_build()["name"].lower()
-             else "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-    threads = next((os.environ[name] for name in names if name in os.environ), None)
-    if threads != "1":
+    if _task_thread.busy or blas_threads() != 1:
         return 1
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))

@@ -288,7 +288,8 @@ class TestRowBlockWorkers:
     SIZES = (0, 1, 15, 16, 17, 33, 64, 65, 130, 304)
 
     # one setting of each parameter per case keeps the test under 30 s
-    @pytest.mark.parametrize("iters,project", [(1, False), (3, True)])
+    @pytest.mark.parametrize("iters,project", [
+        (1, False), pytest.param(3, True, marks=pytest.mark.slow)])
     def test_pgd_bits_do_not_depend_on_the_worker_count(self, monkeypatch, transformer_rows,
                                                          iters, project):
         model, x, y = transformer_rows
@@ -394,8 +395,7 @@ class TestRowBlockWorkers:
             assert all(weights[name] is p for name, p in model.params.items())
 
     def test_lstm_blocks_start_one_helper_thread(self, monkeypatch):
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.setenv(var, "1")
+        monkeypatch.setattr(md, "blas_threads", lambda: 1)  # as after the pin, on any build
         monkeypatch.setattr(md.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert md._workers() == 2
         started, thread_cls = [], md.threading.Thread

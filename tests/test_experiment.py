@@ -303,7 +303,7 @@ class TestRunExperiment:
             assert (out / name).exists(), name
         # every stream derives from config.json's master_seed: no seed is listed
         manifest = json.loads((out / "manifest.json").read_text())
-        assert sorted(manifest) == ["blas", "blas_thread_env", "config_sha256", "numpy",
+        assert sorted(manifest) == ["blas", "blas_threads", "config_sha256", "numpy",
                                     "outputs", "platform", "workers"]
 
     def test_inference_attack_outputs(self, tmp_path):
@@ -461,31 +461,87 @@ class TestRunExperiment:
         assert len([name for name in outputs if name.startswith("rounds_")]) == 2
 
     def test_manifest_records_each_runs_blas_threads(self, tmp_path):
-        # a run's bits can depend on the BLAS thread count, so each run's
-        # manifest says which it ran with; the child imports this fedmeter
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        manifests = {}
+        # fedmeter sets BLAS to one thread at import, whatever the shell asked for
+        sets = ("model=lstm", "setting=federated", "master_seed=0", "data.households=3",
+                "data.days=30", "train.epochs=2")
+        manifests, metrics = {}, {}
         for threads in ("1", "2"):
-            out = tmp_path / f"blas{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-m", "fedmeter.cli", "run", "--set", "model=lstm",
-                 "--set", "setting=federated", "--set", "master_seed=0",
-                 "--set", f"output_dir={out}",
-                 "--set", "data.households=3", "--set", "data.days=30",
-                 "--set", "train.epochs=2"],
-                capture_output=True, text=True,
-                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads})
-            assert proc.returncode == 0, proc.stderr
+            out = run_child(tmp_path / f"blas{threads}", sets, threads)
             manifests[threads] = json.loads((out / "manifest.json").read_text())
-        for threads, manifest in manifests.items():
+            metrics[threads] = (out / "metrics.csv").read_bytes()
+        for manifest in manifests.values():
             assert manifest["blas"] == md.blas_build()
             assert manifest["blas"]["name"] and manifest["blas"]["version"]
-            assert sorted(manifest["blas_thread_env"]) == sorted(md.BLAS_THREAD_VARS)
-            assert manifest["blas_thread_env"]["OPENBLAS_NUM_THREADS"] == threads
+            assert manifest["blas_threads"] == md.blas_threads()
             assert 1 <= manifest["workers"] <= md.MAX_WORKERS
-        if "openblas" in md.blas_build()["name"]:  # which reads OPENBLAS_NUM_THREADS
-            assert manifests["2"]["workers"] == 1
+        if md.blas_threads() is not None:
+            assert manifests["1"]["blas_threads"] == manifests["2"]["blas_threads"] == 1
+        assert manifests["1"]["workers"] == manifests["2"]["workers"]
+        assert metrics["1"] == metrics["2"]
+
+    def test_a_blas_without_a_thread_setter_runs_one_worker(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(md, "_BLAS_THREAD_CALLS", None)  # the lookup found nothing
+        monkeypatch.setattr(md.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert md.blas_threads() is None
+        assert md._workers() == 1
+        out = tmp_path / "run"
+        run_experiment(tiny_cfg(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_threads"] is None
+        assert manifest["workers"] == 1
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_child(out, sets, threads):
+    """Run ``fedmeter run`` with each of ``sets`` as a ``--set`` and its
+    output in ``out``, in a child that imports this fedmeter, with
+    ``OPENBLAS_NUM_THREADS=threads`` and no other BLAS thread variable, or
+    none at all when ``threads`` is None; return ``out``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    args = [arg for s in (*sets, f"output_dir={out}") for arg in ("--set", s)]
+    proc = subprocess.run([sys.executable, "-m", "fedmeter.cli", "run", *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
+class TestBlasThreadBits:
+    """A fixed-seed run writes the same bytes whatever BLAS thread count the
+    shell asks for (ROADMAP item 5).  Before fedmeter set its own count, two
+    BLAS threads rounded an LSTM's ``dz @ wh.T`` differently from one, and a
+    Transformer's weight gradients over a ragged last batch."""
+
+    RUNS = {
+        "lstm_federated_pgd": ("model=lstm", "protocol=training_attack",
+                               "attack.family=pgd", "attack.pgd_iters=2",
+                               "federation.malicious_count=1", "data.households=3",
+                               "data.days=30"),
+        # 59 training rows per household: each client ends with a 27-row batch
+        "transformer_federated": ("model=transformer", "data.households=2",
+                                  "data.days=66"),
+        "transformer_central": ("model=transformer", "setting=central",
+                                "data.households=2", "data.days=66"),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_run_files_do_not_depend_on_the_blas_thread_variable(self, tmp_path, run):
+        sets = (*self.RUNS[run], "master_seed=0", "train.epochs=2")
+        files = {}
+        for threads in ("1", "2", None):
+            out = run_child(tmp_path / str(threads), sets, threads)
+            names = sorted(p.name for p in out.iterdir()
+                           if p.name == "metrics.csv" or p.name.startswith(("rounds_", "final_")))
+            files[threads] = {name: (out / name).read_bytes() for name in names}
+        assert "metrics.csv" in files["1"] and any(n.endswith(".ckpt") for n in files["1"])
+        assert files["1"].keys() == files["2"].keys() == files[None].keys()
+        differs = [n for n in files["1"] if not files["1"][n] == files["2"][n] == files[None][n]]
+        assert differs == []
 
 
 class TestPairing:

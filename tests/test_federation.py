@@ -1,4 +1,6 @@
+import os
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -334,8 +336,7 @@ class TestConcurrentClients:
         assert peak < 80 * 2**20
 
     def test_pgd_inside_a_concurrent_round_starts_no_further_thread(self, monkeypatch):
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            monkeypatch.setenv(var, "1")
+        monkeypatch.setattr(md, "blas_threads", lambda: 1)  # as after the pin, on any build
         monkeypatch.setattr(md.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert md._workers() == 2  # outside a round
         started, rows = [], []
@@ -364,35 +365,54 @@ class TestConcurrentClients:
         assert rows == [24] * 12 and max(rows) <= md.TransformerClassifier.ROW_BLOCK
         assert not md._task_thread.busy
 
-    @pytest.mark.parametrize("blas_var,value,expected", [
-        ("OPENBLAS_NUM_THREADS", "1", 2), ("OMP_NUM_THREADS", "1", 2),
-        ("OPENBLAS_NUM_THREADS", "2", 1), ("OMP_NUM_THREADS", "4", 1), (None, None, 1)])
-    def test_worker_count_follows_blas_threads(self, monkeypatch, blas_var, value, expected):
+    @pytest.mark.parametrize("blas_var,reported,expected", [
+        ("OPENBLAS_NUM_THREADS", 1, 2), ("OMP_NUM_THREADS", 1, 2),
+        ("OPENBLAS_NUM_THREADS", 2, 1), ("OMP_NUM_THREADS", 2, 1), (None, None, 1)])
+    def test_worker_count_follows_blas_threads(self, monkeypatch, blas_var, reported,
+                                               expected):
+        # the count BLAS reports decides, and a caller may raise it after
+        # import; ``blas_var`` holds the other count and counts for nothing
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
-        if blas_var == "OPENBLAS_NUM_THREADS":
-            blas = str(np.__config__.CONFIG["Build Dependencies"]["blas"]["name"])
-            blas_var = "MKL_NUM_THREADS" if "mkl" in blas.lower() else blas_var
-        if blas_var is not None:
-            monkeypatch.setenv(blas_var, value)
         monkeypatch.setattr(md.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert md._workers() == expected
+        if reported is None:  # a BLAS whose count cannot be asked
+            monkeypatch.setattr(md, "_BLAS_THREAD_CALLS", None)
+            assert md.blas_threads() is None
+            assert md._workers() == expected
+            return
+        if md._BLAS_THREAD_CALLS is None:
+            pytest.skip("this numpy's BLAS has no thread-count setter")
+        monkeypatch.setenv(blas_var, str(3 - reported))
+        set_threads = md._BLAS_THREAD_CALLS[0]
+        set_threads(reported)
+        try:
+            assert md.blas_threads() == reported
+            assert md._workers() == expected
+        finally:
+            set_threads(1)
+        assert md.blas_threads() == 1
+
+    def test_importing_fedmeter_sets_blas_to_one_thread(self):
+        if md._BLAS_THREAD_CALLS is None:
+            pytest.skip("this numpy's BLAS has no thread-count setter")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(md.__file__)))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = ("import numpy, fedmeter\n"
+                "print(fedmeter.models.blas_threads(), fedmeter.models._workers())\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path,
+                                   "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"})
+        assert proc.returncode == 0, proc.stderr
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        assert proc.stdout.split() == ["1", str(min(cores, md.MAX_WORKERS))]
 
     @pytest.mark.parametrize("cores,expected", [(1, 1), (2, 2), (16, md.MAX_WORKERS)])
     def test_worker_count_is_capped_at_the_measured_count(self, monkeypatch, cores, expected):
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setenv("MKL_NUM_THREADS", "1")
+        monkeypatch.setattr(md, "blas_threads", lambda: 1)
         monkeypatch.setattr(md.os, "sched_getaffinity", lambda pid: set(range(cores)),
                             raising=False)
         assert md.MAX_WORKERS == 2
         assert md._workers() == expected
-
-    def test_worker_count_prefers_the_blas_variable_over_omp(self, monkeypatch):
-        blas = str(np.__config__.CONFIG["Build Dependencies"]["blas"]["name"])
-        monkeypatch.setenv("MKL_NUM_THREADS" if "mkl" in blas.lower()
-                           else "OPENBLAS_NUM_THREADS", "2")
-        monkeypatch.setenv("OMP_NUM_THREADS", "1")
-        assert md._workers() == 1
 
     def test_every_index_taken_once_and_yielded_in_order_under_stress(self):
         # more workers than cores, and a thread switch every microsecond: a

@@ -19,6 +19,7 @@ import golden
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
+@pytest.mark.slow
 def test_the_golden_matrix_keeps_its_bits():
     recorded = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
     env = {k: v for k, v in os.environ.items() if k not in ("MKL_NUM_THREADS",

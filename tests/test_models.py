@@ -209,8 +209,8 @@ def separable_toy(n=40, seed=0):
 class TestTraining:
     # the transformer needs the tamer desk-scale learning rate to train
     # stably from scratch; the LSTM takes the default schedule
-    @pytest.mark.parametrize("name,lr,n", [("lstm", 0.01, 40),
-                                           ("transformer", 1e-3, 96)])
+    @pytest.mark.parametrize("name,lr,n", [
+        ("lstm", 0.01, 40), pytest.param("transformer", 1e-3, 96, marks=pytest.mark.slow)])
     def test_separable_toy_converges(self, name, lr, n):
         x, y = separable_toy(n=n)
         model = make_model(name, seed=0)

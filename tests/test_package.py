@@ -136,7 +136,7 @@ def test_tracer_wraps_each_classifiers_forward():
     path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", TRACED_FORWARDS,
                            str(root / "perfbench" / "tracing.py")],
-                          env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"},
+                          env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[3, 5]"
