@@ -123,17 +123,17 @@ def lstm_sequence(x: np.ndarray, w: dict[str, np.ndarray], want: str | None = No
     its backward closure: the gradients of ``lstm.wx``, ``lstm.wh`` and
     ``lstm.b`` for "weights", of ``x`` for "input".
 
-    The closure holds two arrays per step, nothing for ``want`` None: the
-    gates, one (batch, 4 * hidden) array in gate order, and the cell state
-    ``c``.  Each step takes one sigmoid pass over all four gates and writes
-    the candidate's tanh over its columns; backward writes each step's gate
-    gradient straight into its slot of the gradient buffer.  These few wide
-    numpy calls, rather than many narrow ones, let a second worker thread
-    run while one holds the GIL.  Backward recomputes ``tanh(c)`` once per
-    step, and the previous hidden state from it only for the weights.  For
-    an attack the input gradient is formed ``_GEMV_ROWS`` steps at a time,
-    not from a gradient buffer over the whole sequence; see ``_GEMV_ROWS``
-    for why every row keeps its bits.
+    The closure holds a tape of the gates, one (batch, steps, 4 * hidden)
+    array in gate order, and the cell state ``c`` of every step, nothing for
+    ``want`` None.  Each step takes one sigmoid pass over all four gates and
+    writes the candidate's tanh over its columns.  Backward recomputes
+    ``tanh(c)`` once per step, and the previous hidden state from it only for
+    the weights.  It overwrites each step's gates with that step's gate
+    gradient once it has read them (as memory-efficient backpropagation
+    through time does), so the tape becomes the gradient buffer over the
+    whole sequence that ``d_x`` and ``d_wx`` are each one product over, and
+    the closure can run only once.  These few wide numpy calls, rather than
+    many narrow ones, let a second worker thread run while one holds the GIL.
     """
     wx_np, wh_np, b_np = w["lstm.wx"], w["lstm.wh"], w["lstm.b"]
     batch, steps = x.shape
@@ -143,7 +143,8 @@ def lstm_sequence(x: np.ndarray, w: dict[str, np.ndarray], want: str | None = No
     i_, f_, g_, o_ = (slice(k * h_size, (k + 1) * h_size) for k in range(4))
     zeros = np.zeros((batch, h_size))
     h = c = zeros
-    saved = []
+    tape = np.empty((batch, steps, 4 * h_size)) if want else None
+    cells = []
     for t in range(steps):
         # the K=1 product is exact and the sums commute, so the pre-activation
         # has the bits of one (batch * steps, 1) @ wx gemm plus h @ wh plus b
@@ -160,27 +161,30 @@ def lstm_sequence(x: np.ndarray, w: dict[str, np.ndarray], want: str | None = No
         h = np.tanh(c)
         h *= gates[:, o_]
         if want:
-            saved.append((gates, c))
+            # computed contiguous and copied in: the same arithmetic on the
+            # strided slot itself made fl_lstm_pgd rounds 12-21% slower
+            tape[:, t] = gates
+            cells.append(c)
     if not want:
         return h, None
 
     def bw(grad_h):
+        nonlocal tape
+        if tape is None:
+            raise RuntimeError("lstm_sequence: the backward closure has already run")
+        buf, tape = tape, None  # gates in, gate gradients out, step by step
         d_wh = np.zeros_like(wh_np) if train else None
         d_b = np.zeros_like(b_np) if train else None
-        # d_wx reduces over every row in one call, so it needs them all
-        chunk = steps if train or steps % _GEMV_ROWS else _GEMV_ROWS
-        d_zx = np.empty((batch, chunk, 4 * h_size))
-        d_x = None if train else np.empty((batch, steps))
+        dz = np.empty((batch, 4 * h_size))
         dh, dc = grad_h, zeros
-        tc = np.tanh(saved[-1][1]) if steps else None
+        tc = np.tanh(cells[-1]) if steps else None
         for t in range(steps - 1, -1, -1):
-            gates = saved[t][0]
+            gates = buf[:, t]
             gi, gg, go = gates[:, i_], gates[:, g_], gates[:, o_]
-            c_prev = saved[t - 1][1] if t else zeros
+            c_prev = cells[t - 1] if t else zeros
             tc_prev = np.tanh(c_prev) if t else zeros
-            # dz goes straight into its d_zx slot, each product in the order
-            # of ((dc * gg) * gi) * (1 - gi) and its like
-            dz = d_zx[:, t % chunk, :]
+            # each product in the order of ((dc * gg) * gi) * (1 - gi) and
+            # its like
             np.multiply(dh, tc, out=dz[:, o_])
             dz[:, o_] *= go
             # dc + (dh * go) * (1 - tc * tc)
@@ -199,19 +203,17 @@ def lstm_sequence(x: np.ndarray, w: dict[str, np.ndarray], want: str | None = No
             np.subtract(1.0, slope[:, g_], out=slope[:, g_])
             dz *= slope
             if train:
-                h_prev = saved[t - 1][0][:, o_] * tc_prev if t else zeros
+                h_prev = buf[:, t - 1, o_] * tc_prev if t else zeros
                 d_wh += h_prev.T @ dz
                 d_b += dz.sum(axis=0)
-            elif t % chunk == 0:
-                # rows in (batch, step) order, as in one call over all steps
-                flat = d_zx.reshape(batch * chunk, 4 * h_size)
-                d_x[:, t:t + chunk] = (flat @ wx_np.T).reshape(batch, chunk)
             dh = dz @ wh_np.T
             dc *= gates[:, f_]
+            buf[:, t] = dz  # this step's gates are read: the slot takes dz
             tc = tc_prev
+        d_z = buf.reshape(batch * steps, 4 * h_size)  # rows in (batch, step) order
         if not train:
-            return d_x, {}
-        d_wx = x.reshape(batch * steps, 1).T @ d_zx.reshape(batch * steps, 4 * h_size)
+            return (d_z @ wx_np.T).reshape(batch, steps), {}
+        d_wx = x.reshape(batch * steps, 1).T @ d_z
         return None, {"lstm.wx": d_wx, "lstm.wh": d_wh, "lstm.b": d_b}
 
     return h, bw
@@ -854,14 +856,20 @@ def blas_build() -> dict[str, str]:
     return {"name": str(blas.get("name", "")), "version": str(blas.get("version", ""))}
 
 
+def _bundled_openblas() -> list[str]:
+    """The paths of the OpenBLAS a numpy wheel bundles, the library numpy
+    loaded: under ``numpy.libs`` on Linux, ``numpy/.dylibs`` on macOS."""
+    import glob
+    here = os.path.dirname(np.__file__)
+    return sorted(glob.glob(os.path.join(here, os.pardir, "numpy.libs", "*openblas*"))
+                  + glob.glob(os.path.join(here, ".dylibs", "*openblas*")))
+
+
 def _blas_thread_calls() -> tuple[Callable, Callable] | None:
     """The thread-count setter and getter of the OpenBLAS bundled with numpy,
     the library numpy loaded; None for another BLAS or a numpy without one."""
     import ctypes
-    import glob
-    here = os.path.dirname(np.__file__)
-    for path in sorted(glob.glob(os.path.join(here, os.pardir, "numpy.libs", "*openblas*"))
-                       + glob.glob(os.path.join(here, ".dylibs", "*openblas*"))):
+    for path in _bundled_openblas():
         lib = ctypes.CDLL(path)  # numpy has loaded it: the same handle
         for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
             setter = getattr(lib, name.format("set"), None)
@@ -981,21 +989,13 @@ def _in_order(task: Callable[[object, int], object], count: int, models: list,
 
 
 # Block edges fall on multiples of this many rows.  The BLAS matrix-vector
-# kernel behind the sigmoid heads works through rows in small groups and
-# rounds the rows left over at the end of a call differently, so a block that
-# ends off the grid would change the last bits of its final rows.  Any
-# multiple of _GEMV_ROWS kept them when probed (CHANGES.md); 8 rows leave a
-# two-worker Transformer block of 16 rows two grid units.
+# kernel behind the sigmoid heads works through rows in groups of 4 and
+# rounds the 1-3 rows left over at the end of a call differently (OpenBLAS
+# 0.3.31, Haswell and SkylakeX kernels), so a block that ends off the grid
+# would change the last bits of its final rows.  Any multiple of 4 kept them
+# when probed (CHANGES.md); 8 rows leave a two-worker Transformer block of 16
+# rows two grid units.
 _ROW_ALIGN = 8
-# The size of those groups, an assumption about the BLAS checked for
-# OpenBLAS 0.3.31 (Haswell and SkylakeX kernels), with one BLAS thread and
-# with two: its matrix-vector kernel rounds a row the same way in any full
-# group of 4 rows and differently only in a 1-3 row remainder at the end of
-# a call.  So
-# lstm_sequence may form its input gradient from calls of batch * 4 rows
-# instead of one of batch * steps rows, when steps is a multiple of 4, and
-# keep every row's bits.
-_GEMV_ROWS = 4
 
 
 def row_blocks(n: int, cap: int) -> list[slice]:

@@ -1,6 +1,6 @@
 """The golden matrix: fixed-seed runs whose result files must keep their bits.
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/golden.py [--write]
+    PYTHONPATH=src python tests/golden.py [--write]
 
 writes the golden CSV with ``fedmeter synth-data``, runs every entry of
 ``MATRIX`` for both models into a temporary directory, and prints one JSON
@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
-import glob
 import hashlib
 import json
-import os
 import pathlib
 import sys
 import tempfile
@@ -57,16 +55,15 @@ MATRIX = {
     "csv": ["protocol=baseline", "train.epochs=2"],
 }
 # the result files; config.json records the output path, and manifest.json
-# the platform and the thread variables
+# the platform and the BLAS thread count
 RESULT_PATTERNS = ("metrics.csv", "rounds_*.jsonl", "final_*.ckpt", "adversarial_test.csv",
                    "fig5*.csv")
 
 
 def blas_core() -> str:
     """The kernel set OpenBLAS chose for this CPU at run time; "" when unknown."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
-                                  "*openblas*"))
-    for path in libs:
+    from fedmeter.models import _bundled_openblas
+    for path in _bundled_openblas():
         lib = ctypes.CDLL(path)
         for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
                      "openblas_get_corename"):
@@ -82,8 +79,7 @@ def environment() -> dict[str, str]:
     from fedmeter.models import blas_build
     blas = blas_build()
     return {"numpy": np.__version__, "blas_name": blas["name"],
-            "blas_version": blas["version"], "blas_core": blas_core(),
-            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS", "")}
+            "blas_version": blas["version"], "blas_core": blas_core()}
 
 
 def _fedmeter(args: list[str], what: str) -> None:
@@ -127,8 +123,6 @@ def main(argv: list[str]) -> int:
         record = {"environment": environment(), "digests": run_matrix(pathlib.Path(tmp))}
     text = json.dumps(record, indent=1, sort_keys=True) + "\n"
     if "--write" in argv:
-        if record["environment"]["OPENBLAS_NUM_THREADS"] != "1":
-            raise SystemExit("record the golden digests with OPENBLAS_NUM_THREADS=1")
         old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
         changes = digest_changes(old.get("digests", {}), record["digests"])
         for line in changes:

@@ -1,9 +1,9 @@
 """Fixed-seed runs keep their bits across changes to the code.
 
-Reruns the golden matrix (``golden.py``) with BLAS on one thread and
-compares the SHA-256 of every result file with ``golden.json``.  In an
-environment other than the recorded one the comparison means nothing, so
-the test skips and names the key that differs.
+Reruns the golden matrix (``golden.py``) and compares the SHA-256 of every
+result file with ``golden.json``.  In an environment other than the
+recorded one the comparison means nothing, so the test skips and names the
+key that differs.
 """
 
 import json
@@ -22,11 +22,8 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 @pytest.mark.slow
 def test_the_golden_matrix_keeps_its_bits():
     recorded = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
-    env = {k: v for k, v in os.environ.items() if k not in ("MKL_NUM_THREADS",
-                                                           "OMP_NUM_THREADS")}
-    env["OPENBLAS_NUM_THREADS"] = "1"
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH"))
-                                        if p)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, golden.__file__], capture_output=True, text=True,
                           env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr
