@@ -70,10 +70,10 @@ def backward(steps: list[Callable]) -> tuple[np.ndarray | None, dict[str, np.nda
     Returns the gradient of the chain's input (None when its first kernel
     gave none) and every weight gradient the closures gave, by name.  The
     list is emptied as it runs, so each closure's saved arrays are freed as
-    soon as it has run.  A closure runs once: the LSTM's overwrites its saved
-    gates with their gradients and raises RuntimeError when called again,
-    and the Transformer's consumes what it saved, so a second gradient needs
-    a fresh forward pass.
+    soon as it has run.  A closure runs once, and each kernel's raises
+    RuntimeError when called again: the LSTM's overwrites its saved gates
+    with their gradients, and the Transformer's consumes what it saved, so a
+    second gradient needs a fresh forward pass.
     """
     grad, weights = 1.0, {}
     while steps:

@@ -293,23 +293,36 @@ def _layer_norm_out(centered: np.ndarray, inv: np.ndarray, gamma: np.ndarray,
 
 def _layer_norm_grads(g: np.ndarray, centered: np.ndarray, ve: np.ndarray | None,
                       inv: np.ndarray, gamma: np.ndarray | None, need_gamma: bool,
-                      need_beta: bool) -> tuple:
+                      need_beta: bool, out: np.ndarray | None = None) -> tuple:
     """Gradients of layer norm's input (when ``ve`` and ``gamma`` are given),
     ``gamma`` and ``beta`` for the output gradient ``g``, each None when not
-    requested.
+    requested.  The input gradient is written into ``out`` when it is given,
+    which may be ``g`` itself (with a leading row axis, so that the gradient
+    of ``beta`` is a new array).
 
-    The arithmetic of the composed tape, step for step.  Besides ``g`` and
-    the statistics, at most two arrays the shape of ``g`` are held: the input
-    gradient and one scratch array, which is dropped before the gradient of
-    ``gamma`` forms ``normed * g``.
+    The arithmetic of the composed tape, step for step.  The gradients of
+    ``gamma`` and ``beta`` come first, since they read ``g``; then the input
+    gradient, which may overwrite it.  Besides ``g`` and the statistics, it
+    holds ``normed * g`` for the gradient of ``gamma``, then the input
+    gradient (``out``, or a new array) and one scratch array, each the shape
+    of ``g``: with ``out=g``, two such arrays at most.
     """
     d = g.shape[-1]
+    d_gamma = None
+    if need_gamma:
+        # g * (centered * inv), not (g * centered) * inv: the same rounding
+        # as the composed tape's saved normed
+        normed = centered * inv
+        normed *= g
+        d_gamma = _reduce_to(normed, (d,))
+        del normed
+    d_beta = _reduce_to(g, (d,)) if need_beta else None
     d_t = None
     if gamma is not None:
         # in place, in the composed tape's order: the gradient of normed,
         # of centered (mul, then both operands of centered * centered;
         # 2 * d_sq * centered would round differently), then of t
-        d_t = g * gamma
+        d_t = np.multiply(g, gamma, out=out)
         # one scratch array holds d_t * centered, d_sq * centered and -d_t
         scratch = d_t * centered
         d_inv = scratch.sum(axis=-1, keepdims=True)
@@ -321,15 +334,7 @@ def _layer_norm_grads(g: np.ndarray, centered: np.ndarray, ve: np.ndarray | None
         # not np.negative in place: see _sigmoid_np
         np.multiply(d_t, -1.0, out=scratch)
         d_t += scratch.sum(axis=-1, keepdims=True) / d
-        del scratch
-    d_gamma = None
-    if need_gamma:
-        # g * (centered * inv), not (g * centered) * inv: the same rounding
-        # as the composed tape's saved normed
-        normed = centered * inv
-        normed *= g
-        d_gamma = _reduce_to(normed, (d,))
-    return d_t, d_gamma, _reduce_to(g, (d,)) if need_beta else None
+    return d_t, d_gamma, d_beta
 
 
 def _sinusoidal_positions(length: int, dim: int) -> np.ndarray:
@@ -385,6 +390,16 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
     the row max and sum (0.5 MiB at 32 rows) spares backward two of the
     softmax's five passes.  The head saves its ReLU mask, and the pooled
     block output only for the weights.  For ``want`` None it saves nothing.
+
+    The backward drops each array after its last reader and consumes the
+    saved arrays block by block, so its closure runs once.  It drops ``v``
+    once the attention weights' gradient ``d_ctx @ vᵀ`` is formed, before
+    ``d_v``; training drops the rebuilt block input once q, k and v are
+    re-formed from it, and rebuilds it again (three elementwise passes) for
+    their weight gradients; each layer norm writes its input gradient over
+    its output gradient.  A 32-row training step, forward and backward,
+    peaks at 16.5 MiB of traced allocations (18.1 MiB when all three were
+    held).
     """
     w = params
     batch = x.shape[0]
@@ -415,6 +430,11 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
         statistics: the last arrays in ``saved``."""
         return _layer_norm_out(saved[-3], saved[-1], w[f"blk{k}.ln2.gamma"],
                                w[f"blk{k}.ln2.beta"])
+
+    def block_input(k: int) -> np.ndarray:
+        """Block ``k``'s input, rebuilt with the forward's own expressions
+        once block ``k``'s arrays have left ``saved``."""
+        return embed() if k == 0 else block_output(k - 1)
 
     def attention(q: np.ndarray, key: np.ndarray, peak: np.ndarray | None = None,
                   total: np.ndarray | None = None) -> tuple:
@@ -493,6 +513,9 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
         pooled = None
 
     def bw(g):
+        # each block's arrays leave saved (and qkv) as backward reaches them
+        if len(saved) < 9 * NUM_BLOCKS:
+            raise RuntimeError("transformer_encoder: the backward closure has already run")
         grads: dict[str, np.ndarray] = {}
 
         def dense(g, x_in, wname: str, bname: str, need_in: bool = True):
@@ -503,8 +526,10 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
             return d_in
 
         def norm(g, centered, ve, inv, prefix: str):
+            """The input gradient of one layer norm, written over its output
+            gradient ``g``, which no later step reads."""
             d_t, grads[prefix + ".gamma"], grads[prefix + ".beta"] = _layer_norm_grads(
-                g, centered, ve, inv, w[prefix + ".gamma"], train, train)
+                g, centered, ve, inv, w[prefix + ".gamma"], train, train, out=g)
             return d_t
 
         g = dense(g * live, lambda: pooled, "head.dense.w", "head.dense.b")
@@ -532,20 +557,22 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
             g = norm(d_ffn, centered1, ve1, inv1, p + "ln1")
             del d_ffn, centered1, ve1, inv1
             if train:
-                # the block's input, rebuilt for the weight gradients of q, k
-                # and v, re-forms them too, through the forward's project
-                h_in = embed() if k == 0 else block_output(k - 1)
+                # q, k and v, re-formed through the forward's project from the
+                # block's input, which is rebuilt again for their weight
+                # gradients rather than held through the attention core
+                h_in = block_input(k)
                 q, key, v = (project(h_in, p, c) for c in "qkv")
+                del h_in
             else:
-                h_in = None
                 q, key, v = qkv[-3:]
                 del qkv[-3:]
             att = attention(q, key, peak, total)[0]
             del peak, total
             d_ctx = split(dense(g, lambda: merge(np.matmul(att, v)), p + "attn.wo", p + "attn.ob"))
             d_att = np.matmul(d_ctx, v.swapaxes(-1, -2))
+            del v
             d_v = np.matmul(att.swapaxes(-1, -2), d_ctx)
-            del d_ctx, v
+            del d_ctx
             # softmax's backward, (g - (g * att).sum()) * att, then the scale's
             inner = d_att * att
             inner = inner.sum(axis=-1, keepdims=True)
@@ -558,6 +585,7 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
             d_q = np.matmul(d_att, key_t.swapaxes(-1, -2))
             d_key = np.transpose(np.matmul(q.swapaxes(-1, -2), d_att), (0, 2, 1))
             del d_att, q, key, key_t
+            h_in = block_input(k) if train else None
             # the block input's gradient sums the residual's, then q's, k's
             # and v's, in the composed tape's order
             g += dense(merge(d_q), lambda: h_in, p + "attn.wq", p + "attn.qb")
@@ -777,7 +805,7 @@ def train_local(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *,
     is trained in place, so training owns it: no other thread may use it
     meanwhile.  No step's weight gradients outlive its optimizer step, so
     they are not held while the next forward pass saves its arrays: one
-    Transformer client over 2 x 32 rows peaks at 24.0 MiB of traced
+    Transformer client over 2 x 32 rows peaks at 22.4 MiB of traced
     allocations.  Raises FloatingPointError when a weight or the loss is not
     finite.
     """
@@ -826,14 +854,15 @@ def input_gradient(model, x: np.ndarray, y: np.ndarray, alpha: float = 0.25,
 # client's RmsProp state, 5.85 MiB each for the Transformer.  A Transformer
 # training worker's tape is 10.6 MiB of traced allocations after a 32-row
 # forward, and one client's train_local over 2 x 32 rows, RmsProp state
-# included, peaks at 24.0 MiB above the weight map it trains, so peak memory
-# grows by about 30 MiB per worker, and by a map for each client finished
+# included, peaks at 22.4 MiB above the weight map it trains, so peak memory
+# grows by about 28 MiB per worker, and by a map for each client finished
 # while an earlier one still trains; row-block workers share their model's
 # ROW_BLOCK rows and the model itself, and a 16-row Transformer
-# input_gradient peaks at 13.8 MiB.  Two workers against one were measured
+# input_gradient peaks at 13.4 MiB.  Two workers against one were measured
 # on 2 cores only (BENCH_9.json and BENCH_10.json for the Transformer,
-# BENCH_12.json and BENCH_15.json for the LSTM; BENCH_33.json and
-# BENCH_37.json have today's figures); more workers stay unmeasured.
+# BENCH_12.json and BENCH_15.json for the LSTM; BENCH_33.json,
+# BENCH_37.json and BENCH_43.json have today's figures); more workers stay
+# unmeasured.
 MAX_WORKERS = 2
 
 

@@ -332,7 +332,9 @@ class TestConcurrentClients:
         # the workers' models, RmsProp states and tapes, the broadcast and
         # the client maps not yet folded; which of them meet depends on the
         # threads' timing: 78.0-96.9 MiB over 26 rounds with each block's q,
-        # k and v saved for training, 60.1-75.3 MiB over 56 without
+        # k and v saved for training, 60.1-75.3 MiB over 56 without, and
+        # 58.9-67.9 MiB over 24 with backward dropping each array at its
+        # last reader (61.0-70.7 MiB over 24 before)
         assert peak < 80 * 2**20
 
     def test_pgd_inside_a_concurrent_round_starts_no_further_thread(self, monkeypatch):
