@@ -95,14 +95,11 @@ def pgd(model, x: np.ndarray, y: np.ndarray, epsilon: float, iters: int = 10, *,
     return _by_row_blocks(model, np.empty_like(x), attack)
 
 
-def awgn(x: np.ndarray, variance: float, rng: np.random.Generator) -> np.ndarray:
-    """Additive white Gaussian noise, i.i.d. per element."""
-    if variance < 0:
-        raise ValueError("awgn variance must be >= 0")
+def awgn(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Additive white Gaussian noise of variance ``AWGN_VARIANCE``, i.i.d.
+    per element."""
     x = np.asarray(x, dtype=np.float64)
-    if variance == 0:
-        return x.copy()
-    return x + rng.normal(0.0, np.sqrt(variance), size=x.shape)
+    return x + rng.normal(0.0, np.sqrt(AWGN_VARIANCE), size=x.shape)
 
 
 def poison_batch(model, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
@@ -124,7 +121,7 @@ def poison_batch(model, x: np.ndarray, y: np.ndarray, spec: AttackSpec,
                   project=spec.project_linf, alpha=alpha, gamma=gamma)
         return adv, y.copy()
     if spec.family == "awgn":
-        return awgn(x, AWGN_VARIANCE, rng), y.copy()
+        return awgn(x, rng), y.copy()
     if spec.family == "label_flip":
         return x.copy(), 1 - y
     raise ValueError(f"unknown attack family {spec.family!r}")

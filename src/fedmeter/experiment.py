@@ -63,13 +63,14 @@ OUTPUT_ROOT_ENV = "FEDMETER_OUTPUT_ROOT"
 PROTOCOLS = ("baseline", "inference_attack", "training_attack",
              "sweep_epsilon", "sweep_malicious")
 # the settings each protocol overrides or never reads, and why; each must keep
-# its default (an attack setting no attack of the run reads is named by
-# _value_problems, and baseline's attack.family has its own message)
+# its default (_value_problems adds those the run's setting, data or attacks
+# leave unread)
 _CLEAN = (("federation.malicious_count",), "it trains once, on clean data")
 _NO_EPS = (("epsilon_list",), "only sweep_epsilon reads it")
 _NO_FRACTIONS = (("malicious_fraction_list",), "only sweep_malicious reads it")
 _UNREAD = {
-    "baseline": (_CLEAN, _NO_EPS, _NO_FRACTIONS),
+    "baseline": (_CLEAN, _NO_EPS, _NO_FRACTIONS,
+                 (("attack.family",), "inference_attack and training_attack read an attack")),
     "inference_attack": (_CLEAN, _NO_EPS, _NO_FRACTIONS),
     "training_attack": (_NO_EPS, _NO_FRACTIONS),
     "sweep_epsilon": ((("attack.family", "attack.epsilon"),
@@ -262,14 +263,6 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
             by_label.setdefault(f"{value:g}", []).append(repr(value))
         problems += [f"{name} entries {' and '.join(same)} share the label {label}"
                      for label, same in by_label.items() if len(same) > 1]
-    if not synthetic:  # only the synthesizer reads these two
-        problems += [f"data.{name} is read for synthetic households only; with "
-                     f"data.csv_path set it must stay {getattr(DataConfig, name)}, "
-                     f"got {getattr(dcfg, name)!r}"
-                     for name in ("households", "days")
-                     if getattr(dcfg, name) != getattr(DataConfig, name)]
-    if cfg.setting == "central" and fed.malicious_count > 0:
-        problems.append("setting central contradicts federation.malicious_count > 0")
     if cfg.protocol in ("inference_attack", "training_attack") \
             and cfg.attack.family == "none":
         problems.append(f"protocol {cfg.protocol} requires an attack.family")
@@ -280,11 +273,12 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
             and fed.malicious_count == 0:
         problems.append(f"protocol {cfg.protocol} poisons nothing with "
                         f"federation.malicious_count 0; it must be >= 1")
-    if cfg.protocol == "baseline" and cfg.attack.family != "none":
-        problems.append(f"protocol baseline contradicts attack.family {cfg.attack.family}; "
-                        f"inference_attack and training_attack are the protocols that "
-                        f"read an attack")
-    unread = [(name, why) for names, why in _UNREAD.get(cfg.protocol, ()) for name in names]
+    unread = {name: why for names, why in _UNREAD.get(cfg.protocol, ()) for name in names}
+    if cfg.setting == "central":
+        unread.setdefault("federation.malicious_count", "a central run has no clients")
+    if not synthetic:
+        unread.update(dict.fromkeys(("data.households", "data.days"),
+                                    "only synthetic households read it; data.csv_path is set"))
     try:
         families = {spec.family for spec, *_ in _preset(cfg, 1)[0]}
     except ValueError:  # sweep_epsilon's specs at an entry below 0 (named above)
@@ -292,11 +286,12 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
     families.update(spec.family for spec in _inference_specs(cfg))
     for name, readers in _READ_BY.items():
         if families.isdisjoint(readers):
-            unread.append((f"attack.{name}", f"read by {' and '.join(readers)} only"))
+            unread.setdefault(f"attack.{name}", f"read by {' and '.join(readers)} only")
     defaults = ExperimentConfig()
     problems += [f"protocol {cfg.protocol} does not read {name}; it must be "
                  f"{attrgetter(name)(defaults)!r}, got {attrgetter(name)(cfg)!r} ({why})"
-                 for name, why in unread if attrgetter(name)(cfg) != attrgetter(name)(defaults)]
+                 for name, why in unread.items()
+                 if attrgetter(name)(cfg) != attrgetter(name)(defaults)]
     if cfg.protocol in ("sweep_epsilon", "sweep_malicious") and cfg.setting != "federated":
         problems.append(f"protocol {cfg.protocol} runs in the federated setting only")
     if cfg.protocol == "sweep_epsilon" and not cfg.epsilon_list:

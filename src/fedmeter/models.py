@@ -374,9 +374,10 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
     gradients are bit-identical to the composed tape, which the test suite
     keeps as the oracle.
 
-    Saved for backward, per block: the softmax's row max and sum, both layer
-    norms' ``centered``, ``var + 1e-6`` and ``inv``, and the ReLU mask, and
-    for an attack also q, k and v in head layout; 10.5 MiB at 32 rows for
+    Saved for backward, one record per block: the softmax's row max and
+    sum, the first layer norm's ``centered``, ``var + 1e-6`` and ``inv``, the
+    ReLU mask, the second layer norm's three, and for an attack q, k and v
+    in head layout (an empty tuple otherwise); 10.5 MiB at 32 rows for
     training, 24.5 MiB for an attack.  The backward re-forms the attention
     weights from q, k and the row max and sum, and recomputes each
     layer-norm output, the merged attention context and, for ``ffn.w2``'s
@@ -391,13 +392,12 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
     softmax's five passes.  The head saves its ReLU mask, and the pooled
     block output only for the weights.  For ``want`` None it saves nothing.
 
-    The backward drops each array after its last reader and consumes the
-    saved arrays block by block, so its closure runs once.  It drops ``v``
-    once the attention weights' gradient ``d_ctx @ vᵀ`` is formed, before
-    ``d_v``; training drops the rebuilt block input once q, k and v are
-    re-formed from it, and rebuilds it again (three elementwise passes) for
-    their weight gradients; each layer norm writes its input gradient over
-    its output gradient.  A 32-row training step, forward and backward,
+    The backward drops each array after its last reader and pops one record
+    per block, so its closure runs once.  It drops ``v`` once the attention
+    weights' gradient ``d_ctx @ vᵀ`` is formed, before ``d_v``; training
+    drops the rebuilt block input once q, k and v are re-formed from it, and
+    rebuilds it again (three elementwise passes) for their weight gradients;
+    each layer norm writes its input gradient over its output gradient.  A 32-row training step, forward and backward,
     peaks at 16.5 MiB of traced allocations (18.1 MiB when all three were
     held).
     """
@@ -425,16 +425,15 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
         h += POSITIONS
         return h
 
-    def block_output(k: int) -> np.ndarray:
-        """Block ``k``'s output, recomputed from its second layer norm's
-        statistics: the last arrays in ``saved``."""
-        return _layer_norm_out(saved[-3], saved[-1], w[f"blk{k}.ln2.gamma"],
-                               w[f"blk{k}.ln2.beta"])
-
     def block_input(k: int) -> np.ndarray:
-        """Block ``k``'s input, rebuilt with the forward's own expressions
-        once block ``k``'s arrays have left ``saved``."""
-        return embed() if k == 0 else block_output(k - 1)
+        """Block ``k``'s input, rebuilt with the forward's own expressions:
+        block ``k - 1``'s output, from the second layer norm's statistics in
+        its record, or block 0's from ``x``."""
+        if k == 0:
+            return embed()
+        centered, _, inv = saved[k - 1][3]
+        return _layer_norm_out(centered, inv, w[f"blk{k - 1}.ln2.gamma"],
+                               w[f"blk{k - 1}.ln2.beta"])
 
     def attention(q: np.ndarray, key: np.ndarray, peak: np.ndarray | None = None,
                   total: np.ndarray | None = None) -> tuple:
@@ -463,13 +462,8 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
         np.maximum(out, 0.0, out=out)
         return out
 
-    # per block, in this order: the softmax's row max and sum, the first
-    # layer norm's statistics, the ReLU mask, the second's; and, for an
-    # attack only, q, k and v in ``qkv``
-    saved: list[np.ndarray] = []
-    qkv: list[np.ndarray] = []
-    keep = saved.extend if want else lambda arrays: None
-    keep_qkv = qkv.extend if want == "input" else lambda arrays: None
+    saved: list[tuple] = []  # the blocks' records, for backward
+    attack = want == "input"
     # each intermediate is dropped after its last reader, and worked in place
     # where the composed tape's next node made a new array of the same values
     h = embed()
@@ -477,31 +471,31 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
         p = f"blk{k}."
         q = project(h, p, "q")
         key = project(h, p, "k")
-        att, *softmax_stats = attention(q, key)
-        keep(softmax_stats)
-        keep_qkv((q, key))
-        del q, key, softmax_stats
+        att, *softmax = attention(q, key)
+        qkv = (q, key) if attack else ()
+        del q, key
         v = project(h, p, "v")
         res = _affine(merge(np.matmul(att, v)), w[p + "attn.wo"], w[p + "attn.ob"])
-        keep_qkv((v,))
+        if attack:
+            qkv += (v,)
         del v, att
         res += h
         del h
-        stats = _layer_norm_stats(res)
+        ln1 = _layer_norm_stats(res)
         del res
-        h = _layer_norm_out(stats[0], stats[2], w[p + "ln1.gamma"], w[p + "ln1.beta"])
-        keep(stats)
+        h = _layer_norm_out(ln1[0], ln1[2], w[p + "ln1.gamma"], w[p + "ln1.beta"])
         relu = relu_out(h, p)
         res = _affine(relu, w[p + "ffn.w2"], w[p + "ffn.b2"])
-        keep((relu > 0,))
+        mask = relu > 0 if want else None
         del relu
         res += h
         del h
-        stats = _layer_norm_stats(res)
+        ln2 = _layer_norm_stats(res)
         del res
-        h = _layer_norm_out(stats[0], stats[2], w[p + "ln2.gamma"], w[p + "ln2.beta"])
-        keep(stats)
-        del stats
+        h = _layer_norm_out(ln2[0], ln2[2], w[p + "ln2.gamma"], w[p + "ln2.beta"])
+        if want:
+            saved.append((softmax, ln1, mask, ln2, qkv))
+        del softmax, ln1, mask, ln2, qkv
     pooled = h.mean(axis=1)
     del h
     out = _affine(pooled, w["head.dense.w"], w["head.dense.b"])
@@ -513,8 +507,8 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
         pooled = None
 
     def bw(g):
-        # each block's arrays leave saved (and qkv) as backward reaches them
-        if len(saved) < 9 * NUM_BLOCKS:
+        # each block's record leaves saved as backward reaches it
+        if len(saved) < NUM_BLOCKS:
             raise RuntimeError("transformer_encoder: the backward closure has already run")
         grads: dict[str, np.ndarray] = {}
 
@@ -525,11 +519,11 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
                 g, x_in() if train else None, w[wname] if need_in else None, train)
             return d_in
 
-        def norm(g, centered, ve, inv, prefix: str):
+        def norm(g, stats, prefix: str):
             """The input gradient of one layer norm, written over its output
             gradient ``g``, which no later step reads."""
             d_t, grads[prefix + ".gamma"], grads[prefix + ".beta"] = _layer_norm_grads(
-                g, centered, ve, inv, w[prefix + ".gamma"], train, train, out=g)
+                g, *stats, w[prefix + ".gamma"], train, train, out=g)
             return d_t
 
         g = dense(g * live, lambda: pooled, "head.dense.w", "head.dense.b")
@@ -537,15 +531,14 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
         g = np.broadcast_to(np.expand_dims(g, 1) / SEQ_LEN, (batch, SEQ_LEN, d)).copy()
         for k in reversed(range(NUM_BLOCKS)):
             p = f"blk{k}."
-            peak, total, centered1, ve1, inv1, mask, centered2, ve2, inv2 = saved[-9:]
-            del saved[-9:]
-            g = norm(g, centered2, ve2, inv2, p + "ln2")
-            del centered2, ve2, inv2
+            (peak, total), ln1, mask, ln2, qkv = saved.pop()
+            g = norm(g, ln2, p + "ln2")
+            del ln2
             # the first layer norm's output, formed once for both weights of
             # the feed-forward layer
             h1 = None
             if train:
-                h1 = _layer_norm_out(centered1, inv1, w[p + "ln1.gamma"], w[p + "ln1.beta"])
+                h1 = _layer_norm_out(ln1[0], ln1[2], w[p + "ln1.gamma"], w[p + "ln1.beta"])
             # g reaches the first layer norm's output through the residual
             # and through the feed-forward layer: two terms sum either way
             d_ffn = dense(g, lambda: relu_out(h1, p), p + "ffn.w2", p + "ffn.b2")
@@ -554,18 +547,17 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
             d_ffn = dense(d_ffn, lambda: h1, p + "ffn.w1", p + "ffn.b1")
             d_ffn += g
             del g, h1
-            g = norm(d_ffn, centered1, ve1, inv1, p + "ln1")
-            del d_ffn, centered1, ve1, inv1
+            g = norm(d_ffn, ln1, p + "ln1")
+            del d_ffn, ln1
             if train:
                 # q, k and v, re-formed through the forward's project from the
                 # block's input, which is rebuilt again for their weight
                 # gradients rather than held through the attention core
                 h_in = block_input(k)
-                q, key, v = (project(h_in, p, c) for c in "qkv")
+                qkv = [project(h_in, p, c) for c in "qkv"]
                 del h_in
-            else:
-                q, key, v = qkv[-3:]
-                del qkv[-3:]
+            q, key, v = qkv
+            del qkv
             att = attention(q, key, peak, total)[0]
             del peak, total
             d_ctx = split(dense(g, lambda: merge(np.matmul(att, v)), p + "attn.wo", p + "attn.ob"))
@@ -580,11 +572,10 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
             d_att *= att
             d_att *= att_scale
             del att, inner
-            # the operand views of the composed tape's matmul backward
-            key_t = np.transpose(key, (0, 2, 1))
-            d_q = np.matmul(d_att, key_t.swapaxes(-1, -2))
+            # the operands of the composed tape's matmul backward
+            d_q = np.matmul(d_att, key)
             d_key = np.transpose(np.matmul(q.swapaxes(-1, -2), d_att), (0, 2, 1))
-            del d_att, q, key, key_t
+            del d_att, q, key
             h_in = block_input(k) if train else None
             # the block input's gradient sums the residual's, then q's, k's
             # and v's, in the composed tape's order

@@ -169,7 +169,7 @@ def whole_batch_iterates(model, x, y, epsilon, iters):
     return out
 
 
-@pytest.fixture(scope="module", params=["lstm", "transformer"])
+@pytest.fixture(scope="module")
 def untrained(request):
     rng = np.random.default_rng(11)
     x = rng.uniform(0.0, 1.0, size=(304, 24))
@@ -180,7 +180,11 @@ def untrained(request):
 class TestRowBlockedPgd:
     """Row blocks leave every PGD and FGSM result bit-identical."""
 
-    @pytest.mark.parametrize("n", [1, 64, 65, 96, 130, 304])
+    # the Transformer's 304 rows take over 5 s, the LSTM's under 2 s
+    @pytest.mark.parametrize("untrained,n", [
+        *(("lstm", n) for n in (1, 64, 65, 96, 130, 304)),
+        *(("transformer", n) for n in (1, 64, 65, 96, 130)),
+        pytest.param("transformer", 304, marks=pytest.mark.slow)], indirect=["untrained"])
     def test_equals_whole_batch_iteration(self, untrained, n):
         model, x, y = untrained
         x, y = x[:n], y[:n]
@@ -418,25 +422,16 @@ class TestRowBlockWorkers:
 
 
 class TestAwgn:
-    def test_zero_variance_identity(self):
-        x = np.random.default_rng(0).uniform(size=(5, 24))
-        out = atk.awgn(x, 0.0, rng_for(0, "awgn"))
-        assert np.array_equal(out, x)
-
     def test_sample_variance(self):
         x = np.zeros((5000, 24))  # 120k elements
-        out = atk.awgn(x, 0.1, rng_for(1, "awgn"))
-        assert abs((out - x).var() - 0.1) < 0.005
+        out = atk.awgn(x, rng_for(1, "awgn"))
+        assert abs((out - x).var() - atk.AWGN_VARIANCE) < 0.005
 
     def test_deterministic_per_seed(self):
         x = np.ones((4, 24))
-        a = atk.awgn(x, 0.1, rng_for(7, "awgn"))
-        b = atk.awgn(x, 0.1, rng_for(7, "awgn"))
+        a = atk.awgn(x, rng_for(7, "awgn"))
+        b = atk.awgn(x, rng_for(7, "awgn"))
         assert np.array_equal(a, b)
-
-    def test_negative_variance(self):
-        with pytest.raises(ValueError):
-            atk.awgn(np.zeros((2, 24)), -0.1, rng_for(0))
 
 
 class TestPoisonBatch:

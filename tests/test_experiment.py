@@ -17,7 +17,7 @@ from fedmeter import data as dp
 from fedmeter import experiment as ex
 from fedmeter import models as md
 from fedmeter import federation as fed
-from fedmeter.attacks import AWGN_VARIANCE, AttackSpec, awgn
+from fedmeter.attacks import AttackSpec, awgn
 from fedmeter.experiment import (ConfigError, DataConfig, ExperimentConfig,
                                  apply_override, build_client_data, config_from_dict,
                                  config_to_dict, recommended_train_config,
@@ -205,9 +205,9 @@ class TestConfig:
 
     def test_baseline_contradicts_attack(self, tmp_path):
         cfg = tiny_cfg(tmp_path, attack={"family": "fgsm"})
-        with pytest.raises(ConfigError, match="protocol baseline contradicts attack.family "
-                           "fgsm; inference_attack and training_attack are the protocols "
-                           "that read an attack"):
+        with pytest.raises(ConfigError, match="protocol baseline does not read attack.family; "
+                           "it must be 'none', got 'fgsm' \\(inference_attack and "
+                           "training_attack read an attack\\)"):
             validate_config(cfg)
 
     def test_sweeps_are_federated_only(self, tmp_path):
@@ -367,7 +367,7 @@ class TestRunExperiment:
         lines = (tmp_path / "run" / "adversarial_test.csv").read_text().splitlines()[1:]
         x_adv = np.array([[float(v) for v in line.split(",")[:SEQ_LEN]] for line in lines])
         x_test, _, _ = ex.pooled([c.test for c in build_client_data(cfg)])
-        expected = awgn(x_test, AWGN_VARIANCE, rng_for(cfg.master_seed, "attack-eval"))
+        expected = awgn(x_test, rng_for(cfg.master_seed, "attack-eval"))
         # the CSV renders 12 significant digits
         np.testing.assert_allclose(x_adv, expected, rtol=1e-10, atol=1e-11)
 
@@ -766,6 +766,16 @@ class TestCli:
             assert f"  - {problem}\n" in err
         assert not out.exists()
 
+    def test_central_malicious_count_is_one_problem(self, tmp_path, capsys):
+        # the one setting that a central baseline does not read, named once
+        assert cli.main(["run", "--set", "setting=central",
+                         "--set", "federation.malicious_count=1",
+                         "--set", f"output_dir={tmp_path / 'x'}"]) == cli.EXIT_CONFIG
+        problems = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("  - ")]
+        assert problems == ["  - protocol baseline does not read federation.malicious_count; "
+                            "it must be 0, got 1 (it trains once, on clean data)"]
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = cli.main(["run", "--set", "setting=central",
                          "--set", "federation.malicious_count=5",
@@ -868,8 +878,10 @@ class TestCli:
         out = tmp_path / "run"
         assert cli.main(["run", *three_household_csv, "--set", override,
                          "--set", f"output_dir={out}"]) == cli.EXIT_CONFIG
-        name = override.split("=")[0]
-        assert f"{name} is read for synthetic households only; with data.csv_path set" in \
+        name, value = override.split("=")
+        default = {"data.households": 19, "data.days": 365}[name]
+        assert (f"protocol training_attack does not read {name}; it must be {default}, "
+                f"got {value} (only synthetic households read it; data.csv_path is set)") in \
             capsys.readouterr().err
         assert not out.exists()
 
