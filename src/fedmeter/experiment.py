@@ -6,9 +6,9 @@ writes a metrics CSV, per-round logs, tidy plot data for the sweep figures,
 the run's wall time and peak memory, a config snapshot, and a manifest of the
 outputs and the platform.
 
-A protocol is a preset list of trainings, each an attack spec and a number
-of malicious clients; each training is scored on the clean test set and
-under the run's inference-time attacks:
+A protocol is a plan: its trainings, each an attack spec and a number of
+malicious clients, and the attacks each trained model is scored under besides
+the clean test set.  Its config rules follow from what the plan trains and scores:
 
 baseline          one clean training
 inference_attack  one clean training, scored on a fully perturbed test set
@@ -255,6 +255,7 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
         ("epsilon_list entries", all(e >= 0 for e in cfg.epsilon_list), ">= 0"),
         ("malicious_fraction_list entries",
          all(0.0 < f <= 1.0 for f in cfg.malicious_fraction_list), "in (0, 1]"))
+    out_of_range = {name.split()[0] for name, ok, _ in ranges if not ok}
     problems = [f"{name} must be {rule}, got {attrgetter(name.split()[0])(cfg)!r}"
                 for name, ok, rule in ranges if not ok]
     for name in ("epsilon_list", "malicious_fraction_list"):  # a point's label names its files
@@ -263,14 +264,24 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
             by_label.setdefault(f"{value:g}", []).append(repr(value))
         problems += [f"{name} entries {' and '.join(same)} share the label {label}"
                      for label, same in by_label.items() if len(same) > 1]
-    if cfg.protocol in ("inference_attack", "training_attack") \
-            and cfg.attack.family == "none":
+    # the rules follow from the protocol's plan; a sweep's points share their
+    # rules, so an empty or out-of-range list is planned as one placeholder
+    try:
+        trainings, figure, specs = _preset(cfg, 1)
+    except ValueError:  # an epsilon_list entry below 0, named above
+        trainings = None
+    empty = trainings == []
+    if not trainings:
+        trainings, figure, specs = _preset(
+            replace(cfg, epsilon_list=(0.0,), malicious_fraction_list=(1.0,)), 1)
+    attacked = [(attack, count) for attack, count, label, _ in trainings if label != "clean"]
+    families = {attack.family for attack, _ in attacked} | {spec.family for spec in specs}
+    if "none" in families:
         problems.append(f"protocol {cfg.protocol} requires an attack.family")
-    if cfg.protocol == "inference_attack" and cfg.attack.family == "label_flip":
+    if any(spec.family == "label_flip" for spec in specs):
         problems.append("attack.family label_flip is a training-time attack; protocol "
-                        "inference_attack has no variant of it")
-    if cfg.protocol in ("training_attack", "sweep_epsilon") and cfg.setting == "federated" \
-            and fed.malicious_count == 0:
+                        f"{cfg.protocol} has no variant of it")
+    if cfg.setting == "federated" and any(count == 0 for _, count in attacked):
         problems.append(f"protocol {cfg.protocol} poisons nothing with "
                         f"federation.malicious_count 0; it must be >= 1")
     unread = {name: why for names, why in _UNREAD.get(cfg.protocol, ()) for name in names}
@@ -279,25 +290,18 @@ def _value_problems(cfg: ExperimentConfig) -> list[str]:
     if not synthetic:
         unread.update(dict.fromkeys(("data.households", "data.days"),
                                     "only synthetic households read it; data.csv_path is set"))
-    try:
-        families = {spec.family for spec, *_ in _preset(cfg, 1)[0]}
-    except ValueError:  # sweep_epsilon's specs at an entry below 0 (named above)
-        families = {"fgsm", "pgd"}
-    families.update(spec.family for spec in _inference_specs(cfg))
     for name, readers in _READ_BY.items():
         if families.isdisjoint(readers):
             unread.setdefault(f"attack.{name}", f"read by {' and '.join(readers)} only")
     defaults = ExperimentConfig()
     problems += [f"protocol {cfg.protocol} does not read {name}; it must be "
                  f"{attrgetter(name)(defaults)!r}, got {attrgetter(name)(cfg)!r} ({why})"
-                 for name, why in unread.items()
-                 if attrgetter(name)(cfg) != attrgetter(name)(defaults)]
-    if cfg.protocol in ("sweep_epsilon", "sweep_malicious") and cfg.setting != "federated":
+                 for name, why in unread.items() if name not in out_of_range
+                 and attrgetter(name)(cfg) != attrgetter(name)(defaults)]
+    if figure and cfg.setting != "federated":
         problems.append(f"protocol {cfg.protocol} runs in the federated setting only")
-    if cfg.protocol == "sweep_epsilon" and not cfg.epsilon_list:
-        problems.append("protocol sweep_epsilon needs a non-empty epsilon_list")
-    if cfg.protocol == "sweep_malicious" and not cfg.malicious_fraction_list:
-        problems.append("protocol sweep_malicious needs a non-empty malicious_fraction_list")
+    if empty:  # the figure's x column names the list its points sweep
+        problems.append(f"protocol {cfg.protocol} needs a non-empty {figure[1]}_list")
     return problems
 
 
@@ -382,30 +386,27 @@ _ATTACK_LABELS = {"none": "No Attack", "fgsm": "FGSM", "pgd": "PGD", "awgn": "AW
 
 
 def _preset(cfg: ExperimentConfig, n_clients: int):
-    """The protocol's trainings, each ``(attack, malicious count, label, x)``:
-    ``malicious count`` clients (centrally, the pooled data) poisoned by
-    ``attack``, ``label`` naming its round log and ``x`` its point on a
-    sweep's figure.  Also the figure, as ``(file name, x column, x's name in
-    a metrics row)``, or None for a protocol that writes checkpoints instead."""
+    """The run's plan: its trainings, its figure and the attacks each trained
+    model is scored under besides the clean test set.  A training is
+    ``(attack, malicious count, label, x)``: ``malicious count`` clients
+    (centrally, the pooled data) poisoned by ``attack`` (in all but the one
+    labelled ``clean``), ``label`` naming its round log and ``x`` its point on
+    the figure, ``(file name, x column, x's name in a metrics row)``; without
+    a figure (None) the run writes checkpoints instead."""
     attack, count = cfg.attack, cfg.federation.malicious_count
     if cfg.protocol == "sweep_epsilon":
         return [(replace(attack, family=family, epsilon=eps), count, f"eps{eps:g}_{family}", eps)
                 for family in ("fgsm", "pgd") for eps in cfg.epsilon_list
-                ], ("fig5b.csv", "epsilon", "eps")
+                ], ("fig5b.csv", "epsilon", "eps"), ()
     if cfg.protocol == "sweep_malicious":
         spec = replace(attack, family=attack.family if attack.family != "none" else "pgd")
         return [(spec, max(1, int(round(frac * n_clients))), f"mal{frac:g}", frac)
                 for frac in cfg.malicious_fraction_list
-                ], ("fig5a.csv", "malicious_fraction", "malicious")
+                ], ("fig5a.csv", "malicious_fraction", "malicious"), ()
     clean = (AttackSpec(), 0, "clean", None)
     if cfg.protocol == "training_attack":
-        return [clean, (attack, count, f"attacked_{attack.family}", None)], None
-    return [clean], None
-
-
-def _inference_specs(cfg: ExperimentConfig) -> tuple[AttackSpec, ...]:
-    """The attacks each trained model is scored under besides the clean test set."""
-    return (cfg.attack,) if cfg.protocol == "inference_attack" else ()
+        return [clean, (attack, count, f"attacked_{attack.family}", None)], None, ()
+    return [clean], None, ((attack,) if cfg.protocol == "inference_attack" else ())
 
 
 def _train(cfg: ExperimentConfig, clients: list[ClientData],
@@ -440,14 +441,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     malicious = cfg.federation.malicious_count
     problems = ([f"federation.malicious_count {malicious} exceeds the {len(clients)} "
                  f"households loaded"] if malicious > len(clients) else [])
-    trainings, figure = _preset(cfg, len(clients))
-    if cfg.protocol == "sweep_malicious":  # two points with one count train one model
-        by_count = {}
-        for _, count, _, fraction in trainings:
-            by_count.setdefault(count, []).append(repr(fraction))
-        problems += [f"malicious_fraction_list entries {' and '.join(same)} each make "
-                     f"{count} of the {len(clients)} households loaded malicious"
-                     for count, same in by_count.items() if len(same) > 1]
+    trainings, figure, specs = _preset(cfg, len(clients))
+    by_training = {}  # two points that train one model (sweep_malicious's may)
+    for attack, count, _, x in trainings:
+        by_training.setdefault((repr(attack), count), []).append(repr(x))
+    problems += [f"malicious_fraction_list entries {' and '.join(same)} each make "
+                 f"{count} of the {len(clients)} households loaded malicious"
+                 for (_, count), same in by_training.items() if len(same) > 1]
     if problems:
         raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
     out_dir = _resolve_output_dir(cfg)
@@ -455,7 +455,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     setting = (f"{'LSTM' if cfg.model == 'lstm' else 'Transformer'} "
                f"({'Central' if cfg.setting == 'central' else 'FL'})")
     # an inference-time attack's rows take the place of the clean-test row
-    specs = _inference_specs(cfg)
     rows, files = [], []
     figure_rows = [[figure[1], "attack", "accuracy"]] if figure else []
     reference = None  # the run's clean training's test predictions

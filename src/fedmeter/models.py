@@ -39,6 +39,8 @@ FFN_HIDDEN = 128
 DENSE_HIDDEN = 256
 LR_MILESTONES = (50, 70, 90)  # the reference step schedule: at each of these
 LR_DECAY = 0.1                # epochs the learning rate is multiplied by this
+RMSPROP_RHO = 0.9             # RmsProp's mean-square decay, and the term it
+RMSPROP_EPS = 1e-7            # adds to the mean square's root
 
 
 @dataclass
@@ -374,32 +376,33 @@ def transformer_encoder(x: np.ndarray, params: dict[str, np.ndarray], want: str 
     gradients are bit-identical to the composed tape, which the test suite
     keeps as the oracle.
 
-    Saved for backward, one record per block: the softmax's row max and
-    sum, the first layer norm's ``centered``, ``var + 1e-6`` and ``inv``, the
-    ReLU mask, the second layer norm's three, and for an attack q, k and v
-    in head layout (an empty tuple otherwise); 10.5 MiB at 32 rows for
-    training, 24.5 MiB for an attack.  The backward re-forms the attention
-    weights from q, k and the row max and sum, and recomputes each
-    layer-norm output, the merged attention context and, for ``ffn.w2``'s
-    gradient, the ReLU output, with the forward's own expressions, so with
-    the same bits.  Training's backward also rebuilds each block's input
-    (block 0's from ``x``) for the weight gradients of q, k and v, and
-    re-forms q, k and v from it (Chen et al., 2016, rematerialization): 15
-    more (rows x 24, 160) x (160, 160) gemms per step for 14.1 MiB less at
-    32 rows.  An attack's backward rebuilds no block input, and rebuilding
-    it there made a PGD call 25% slower, so an attack keeps them.  Keeping
-    the row max and sum (0.5 MiB at 32 rows) spares backward two of the
-    softmax's five passes.  The head saves its ReLU mask, and the pooled
-    block output only for the weights.  For ``want`` None it saves nothing.
+    Saved for backward, one record per block: the softmax's row max and sum,
+    the first layer norm's ``centered``, ``var + 1e-6`` and ``inv``, the ReLU
+    mask, the second layer norm's three, and for an attack q, k and v in head
+    layout (an empty tuple otherwise).  A 32-row forward holds 10.55 MiB of
+    traced allocations in its closures for training and 24.51 MiB for an
+    attack.  The backward re-forms the attention weights from q, k and the row
+    max and sum, and recomputes each layer-norm output, the merged attention
+    context and, for ``ffn.w2``'s gradient, the ReLU output, with the forward's
+    own expressions, so with the same bits.  Training's backward also rebuilds
+    each block's input (block 0's from ``x``) for the weight gradients of q, k
+    and v, and re-forms q, k and v from it (Chen et al., 2016,
+    rematerialization): 15 more (rows x 24, 160) x (160, 160) gemms per step
+    for 14.1 MiB less at 32 rows.  An attack's backward rebuilds no block
+    input, and rebuilding it there made a PGD call 25% slower, so an attack
+    keeps them.  Keeping the row max and sum (0.5 MiB at 32 rows) spares
+    backward two of the softmax's five passes.  The head saves its ReLU mask,
+    and the pooled block output only for the weights.  For ``want`` None it
+    saves nothing.
 
     The backward drops each array after its last reader and pops one record
     per block, so its closure runs once.  It drops ``v`` once the attention
     weights' gradient ``d_ctx @ vᵀ`` is formed, before ``d_v``; training
     drops the rebuilt block input once q, k and v are re-formed from it, and
     rebuilds it again (three elementwise passes) for their weight gradients;
-    each layer norm writes its input gradient over its output gradient.  A 32-row training step, forward and backward,
-    peaks at 16.5 MiB of traced allocations (18.1 MiB when all three were
-    held).
+    each layer norm writes its input gradient over its output gradient.  A
+    32-row training step, forward and backward, peaks at 16.5 MiB of traced
+    allocations (18.1 MiB when all three were held).
     """
     w = params
     batch = x.shape[0]
@@ -660,8 +663,8 @@ class TransformerClassifier(_Classifier):
     fixed sinusoidal positional code ``POSITIONS``, passed through the
     encoder blocks, averaged over time and fed to a ReLU dense layer, all as
     one fused kernel (:func:`transformer_encoder`); a sigmoid unit
-    (:func:`sigmoid_head`) classifies the result.  A 32-row training forward
-    holds 10.6 MiB in its closures, because the encoder's backward
+    (:func:`sigmoid_head`) classifies the result.  A forward's closures hold
+    what :func:`transformer_encoder` lists, because the encoder's backward
     recomputes its layer-norm outputs, attention weights, merged attention
     contexts, ReLU outputs and, for training, q, k and v instead of saving
     them.
@@ -765,9 +768,7 @@ def focal_loss(p: np.ndarray, y: np.ndarray, alpha: float = 0.25,
 class RmsProp:
     """Per-parameter mean-square accumulator: v <- rho v + (1-rho) g^2."""
 
-    def __init__(self, rho: float = 0.9, eps: float = 1e-7):
-        self.rho = rho
-        self.eps = eps
+    def __init__(self):
         self.state: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -782,9 +783,9 @@ class RmsProp:
             if v is None:
                 v = np.zeros_like(p)
                 self.state[name] = v
-            v *= self.rho
-            v += (1.0 - self.rho) * g * g
-            p -= lr * g / (np.sqrt(v) + self.eps)
+            v *= RMSPROP_RHO
+            v += (1.0 - RMSPROP_RHO) * g * g
+            p -= lr * g / (np.sqrt(v) + RMSPROP_EPS)
 
 
 def train_local(model, x: np.ndarray, y: np.ndarray, cfg: TrainConfig, *,
@@ -843,17 +844,16 @@ def input_gradient(model, x: np.ndarray, y: np.ndarray, alpha: float = 0.25,
 # Each worker holds the arrays one forward pass saved for its backward pass
 # (its tape), and a round's worker also its own model's weight map and its
 # client's RmsProp state, 5.85 MiB each for the Transformer.  A Transformer
-# training worker's tape is 10.6 MiB of traced allocations after a 32-row
-# forward, and one client's train_local over 2 x 32 rows, RmsProp state
-# included, peaks at 22.4 MiB above the weight map it trains, so peak memory
-# grows by about 28 MiB per worker, and by a map for each client finished
-# while an earlier one still trains; row-block workers share their model's
-# ROW_BLOCK rows and the model itself, and a 16-row Transformer
-# input_gradient peaks at 13.4 MiB.  Two workers against one were measured
-# on 2 cores only (BENCH_9.json and BENCH_10.json for the Transformer,
-# BENCH_12.json and BENCH_15.json for the LSTM; BENCH_33.json,
-# BENCH_37.json and BENCH_43.json have today's figures); more workers stay
-# unmeasured.
+# training worker's tape is a 32-row forward's (see transformer_encoder), and
+# one client's train_local over 2 x 32 rows, RmsProp state included, peaks at
+# 22.4 MiB above the weight map it trains, so peak memory grows by about 28
+# MiB per worker, and by a map for each client finished while an earlier one
+# still trains; row-block workers share their model's ROW_BLOCK rows and the
+# model itself, and a 16-row Transformer input_gradient peaks at 13.4 MiB.
+# Two workers against one were measured on 2 cores only (BENCH_9.json and
+# BENCH_10.json for the Transformer, BENCH_12.json and BENCH_15.json for the
+# LSTM; BENCH_33.json, BENCH_37.json and BENCH_43.json have today's figures);
+# more workers stay unmeasured.
 MAX_WORKERS = 2
 
 

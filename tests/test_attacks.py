@@ -294,7 +294,8 @@ class TestRowBlockWorkers:
 
     # one setting of each parameter per case keeps the test under 30 s
     @pytest.mark.parametrize("iters,project", [
-        (1, False), pytest.param(3, True, marks=pytest.mark.slow)])
+        pytest.param(1, False, marks=pytest.mark.slow),
+        pytest.param(3, True, marks=pytest.mark.slow)])
     def test_pgd_bits_do_not_depend_on_the_worker_count(self, monkeypatch, transformer_rows,
                                                          iters, project):
         model, x, y = transformer_rows

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -84,6 +85,137 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6)
+
+
+def unread(protocol, name, default, value, why):
+    return (f"protocol {protocol} does not read {name}; it must be {default!r}, "
+            f"got {value!r} ({why})")
+
+
+CLEAN, CENTRAL = "it trains once, on clean data", "a central run has no clients"
+COUNTED = "each point takes its count from malicious_fraction_list"
+READ_AN_ATTACK = "inference_attack and training_attack read an attack"
+SWEPT = "each point trains fgsm or pgd at an epsilon_list entry"
+REQUIRES = "protocol {} requires an attack.family"
+NO_VARIANT = ("attack.family label_flip is a training-time attack; protocol inference_attack "
+              "has no variant of it")
+POISONS_NOTHING = ("protocol {} poisons nothing with federation.malicious_count 0; "
+                   "it must be >= 1")
+FEDERATED_ONLY = "protocol {} runs in the federated setting only"
+
+# each protocol x setting x attack.family x federation.malicious_count, each
+# sweep with an empty list, and an epsilon_list entry below 0
+PROTOCOL_CASES = {
+    f"{protocol}-{setting}-{family}-{count}": {
+        "protocol": protocol, "setting": setting, "attack": {"family": family},
+        "federation": {"malicious_count": count}}
+    for protocol, setting, family, count in itertools.product(
+        ex.PROTOCOLS, ("central", "federated"), ("none", "fgsm", "label_flip"), (0, 1))}
+PROTOCOL_CASES.update({
+    "sweep_epsilon-empty": {"protocol": "sweep_epsilon", "epsilon_list": []},
+    "sweep_malicious-empty": {"protocol": "sweep_malicious", "malicious_fraction_list": []},
+    "sweep_epsilon-below_0": {"protocol": "sweep_epsilon", "epsilon_list": [-0.5],
+                              "federation": {"malicious_count": 1},
+                              "attack": {"pgd_iters": 2}}})
+# the problem lines of each case; a case not named here is valid
+PROTOCOL_PROBLEMS = {
+    "baseline-central-none-1": [unread("baseline", "federation.malicious_count", 0, 1, CLEAN)],
+    "baseline-central-fgsm-0": [
+        unread("baseline", "attack.family", "none", "fgsm", READ_AN_ATTACK)],
+    "baseline-central-fgsm-1": [
+        unread("baseline", "federation.malicious_count", 0, 1, CLEAN),
+        unread("baseline", "attack.family", "none", "fgsm", READ_AN_ATTACK)],
+    "baseline-central-label_flip-0": [
+        unread("baseline", "attack.family", "none", "label_flip", READ_AN_ATTACK)],
+    "baseline-central-label_flip-1": [
+        unread("baseline", "federation.malicious_count", 0, 1, CLEAN),
+        unread("baseline", "attack.family", "none", "label_flip", READ_AN_ATTACK)],
+    "baseline-federated-none-1": [
+        unread("baseline", "federation.malicious_count", 0, 1, CLEAN)],
+    "baseline-federated-fgsm-0": [
+        unread("baseline", "attack.family", "none", "fgsm", READ_AN_ATTACK)],
+    "baseline-federated-fgsm-1": [
+        unread("baseline", "federation.malicious_count", 0, 1, CLEAN),
+        unread("baseline", "attack.family", "none", "fgsm", READ_AN_ATTACK)],
+    "baseline-federated-label_flip-0": [
+        unread("baseline", "attack.family", "none", "label_flip", READ_AN_ATTACK)],
+    "baseline-federated-label_flip-1": [
+        unread("baseline", "federation.malicious_count", 0, 1, CLEAN),
+        unread("baseline", "attack.family", "none", "label_flip", READ_AN_ATTACK)],
+    "inference_attack-central-none-0": [REQUIRES.format("inference_attack")],
+    "inference_attack-central-none-1": [
+        REQUIRES.format("inference_attack"),
+        unread("inference_attack", "federation.malicious_count", 0, 1, CLEAN)],
+    "inference_attack-central-fgsm-1": [
+        unread("inference_attack", "federation.malicious_count", 0, 1, CLEAN)],
+    "inference_attack-central-label_flip-0": [NO_VARIANT],
+    "inference_attack-central-label_flip-1": [
+        NO_VARIANT, unread("inference_attack", "federation.malicious_count", 0, 1, CLEAN)],
+    "inference_attack-federated-none-0": [REQUIRES.format("inference_attack")],
+    "inference_attack-federated-none-1": [
+        REQUIRES.format("inference_attack"),
+        unread("inference_attack", "federation.malicious_count", 0, 1, CLEAN)],
+    "inference_attack-federated-fgsm-1": [
+        unread("inference_attack", "federation.malicious_count", 0, 1, CLEAN)],
+    "inference_attack-federated-label_flip-0": [NO_VARIANT],
+    "inference_attack-federated-label_flip-1": [
+        NO_VARIANT, unread("inference_attack", "federation.malicious_count", 0, 1, CLEAN)],
+    "training_attack-central-none-0": [REQUIRES.format("training_attack")],
+    "training_attack-central-none-1": [
+        REQUIRES.format("training_attack"),
+        unread("training_attack", "federation.malicious_count", 0, 1, CENTRAL)],
+    "training_attack-central-fgsm-1": [
+        unread("training_attack", "federation.malicious_count", 0, 1, CENTRAL)],
+    "training_attack-central-label_flip-1": [
+        unread("training_attack", "federation.malicious_count", 0, 1, CENTRAL)],
+    "training_attack-federated-none-0": [
+        REQUIRES.format("training_attack"), POISONS_NOTHING.format("training_attack")],
+    "training_attack-federated-none-1": [REQUIRES.format("training_attack")],
+    "training_attack-federated-fgsm-0": [POISONS_NOTHING.format("training_attack")],
+    "training_attack-federated-label_flip-0": [POISONS_NOTHING.format("training_attack")],
+    "sweep_epsilon-central-none-0": [FEDERATED_ONLY.format("sweep_epsilon")],
+    "sweep_epsilon-central-none-1": [
+        unread("sweep_epsilon", "federation.malicious_count", 0, 1, CENTRAL),
+        FEDERATED_ONLY.format("sweep_epsilon")],
+    "sweep_epsilon-central-fgsm-0": [
+        unread("sweep_epsilon", "attack.family", "none", "fgsm", SWEPT),
+        FEDERATED_ONLY.format("sweep_epsilon")],
+    "sweep_epsilon-central-fgsm-1": [
+        unread("sweep_epsilon", "attack.family", "none", "fgsm", SWEPT),
+        unread("sweep_epsilon", "federation.malicious_count", 0, 1, CENTRAL),
+        FEDERATED_ONLY.format("sweep_epsilon")],
+    "sweep_epsilon-central-label_flip-0": [
+        unread("sweep_epsilon", "attack.family", "none", "label_flip", SWEPT),
+        FEDERATED_ONLY.format("sweep_epsilon")],
+    "sweep_epsilon-central-label_flip-1": [
+        unread("sweep_epsilon", "attack.family", "none", "label_flip", SWEPT),
+        unread("sweep_epsilon", "federation.malicious_count", 0, 1, CENTRAL),
+        FEDERATED_ONLY.format("sweep_epsilon")],
+    "sweep_epsilon-federated-none-0": [POISONS_NOTHING.format("sweep_epsilon")],
+    "sweep_epsilon-federated-fgsm-0": [
+        POISONS_NOTHING.format("sweep_epsilon"),
+        unread("sweep_epsilon", "attack.family", "none", "fgsm", SWEPT)],
+    "sweep_epsilon-federated-fgsm-1": [
+        unread("sweep_epsilon", "attack.family", "none", "fgsm", SWEPT)],
+    "sweep_epsilon-federated-label_flip-0": [
+        POISONS_NOTHING.format("sweep_epsilon"),
+        unread("sweep_epsilon", "attack.family", "none", "label_flip", SWEPT)],
+    "sweep_epsilon-federated-label_flip-1": [
+        unread("sweep_epsilon", "attack.family", "none", "label_flip", SWEPT)],
+    **{f"sweep_malicious-central-{family}-0": [FEDERATED_ONLY.format("sweep_malicious")]
+       for family in ("none", "fgsm", "label_flip")},
+    **{f"sweep_malicious-central-{family}-1": [
+        unread("sweep_malicious", "federation.malicious_count", 0, 1, COUNTED),
+        FEDERATED_ONLY.format("sweep_malicious")] for family in ("none", "fgsm", "label_flip")},
+    **{f"sweep_malicious-federated-{family}-1": [
+        unread("sweep_malicious", "federation.malicious_count", 0, 1, COUNTED)]
+       for family in ("none", "fgsm", "label_flip")},
+    "sweep_epsilon-empty": [POISONS_NOTHING.format("sweep_epsilon"),
+                            "protocol sweep_epsilon needs a non-empty epsilon_list"],
+    "sweep_malicious-empty": [
+        "protocol sweep_malicious needs a non-empty malicious_fraction_list"],
+    "sweep_epsilon-below_0": ["epsilon_list entries must be >= 0, got (-0.5,)"],
+}
 
 
 class TestConfig:
@@ -226,6 +358,16 @@ class TestConfig:
                        attack={"family": "pgd"}, federation=federation)
         with pytest.raises(ConfigError, match=rf"protocol {protocol} .*federation\.{field}"):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("case", PROTOCOL_CASES)
+    def test_protocol_rules_give_these_problem_lines(self, case):
+        assert PROTOCOL_PROBLEMS.keys() <= PROTOCOL_CASES.keys()
+        try:
+            validate_config(config_from_dict(PROTOCOL_CASES[case]))
+            lines = []
+        except ConfigError as exc:
+            lines = str(exc).splitlines()[1:]
+        assert lines == [f"  - {problem}" for problem in PROTOCOL_PROBLEMS.get(case, [])]
 
     @pytest.mark.parametrize("raw", [{"name": {"x": 1}}, {"output_dir": 3}])
     def test_non_string_name_or_output_dir_rejected(self, raw):
@@ -529,7 +671,9 @@ class TestBlasThreadBits:
                                 "data.households=2", "data.days=66"),
     }
 
-    @pytest.mark.parametrize("run", sorted(RUNS))
+    @pytest.mark.parametrize("run", [
+        pytest.param(run, marks=pytest.mark.slow) if run == "transformer_central" else run
+        for run in sorted(RUNS)])
     def test_run_files_do_not_depend_on_the_blas_thread_variable(self, tmp_path, run):
         sets = (*self.RUNS[run], "master_seed=0", "train.epochs=2")
         files = {}
@@ -775,6 +919,14 @@ class TestCli:
                     if line.startswith("  - ")]
         assert problems == ["  - protocol baseline does not read federation.malicious_count; "
                             "it must be 0, got 1 (it trains once, on clean data)"]
+
+    def test_unread_setting_out_of_range_is_one_problem(self, tmp_path, capsys):
+        # its range problem, not that baseline does not read it
+        assert cli.main(["run", "--set", "federation.malicious_count=-1",
+                         "--set", f"output_dir={tmp_path / 'x'}"]) == cli.EXIT_CONFIG
+        problems = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("  - ")]
+        assert problems == ["  - federation.malicious_count must be >= 0, got -1"]
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = cli.main(["run", "--set", "setting=central",

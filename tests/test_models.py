@@ -166,8 +166,8 @@ class TestRmsProp:
     def test_first_step_closed_form(self):
         g = np.array([0.3, -0.7, 2.0])
         p = np.zeros(3)
-        rho, eps, lr = 0.9, 1e-7, 0.01
-        opt = RmsProp(rho, eps)
+        rho, eps, lr = md.RMSPROP_RHO, md.RMSPROP_EPS, 0.01
+        opt = RmsProp()
         opt.step({"p": p}, {"p": g.copy()}, lr)
         expected = -lr * g / (np.sqrt((1 - rho) * g * g) + eps)
         np.testing.assert_allclose(p, expected, rtol=1e-12)
